@@ -95,15 +95,13 @@ int usage(const char* argv0) {
          "       [--cells] [--jsonl PATH [--append]] [--json PATH]\n"
          "       [--store PATH] [--resume PATH] [--trace PATH]\n"
          "       [--record-trace PATH] [--progress[=force]] [--list]\n\n"
-         // Key names come straight from the lists --list documents, so
-         // --help cannot drift from the registry.
+         // Key names come straight from the key table --list documents,
+         // so --help cannot drift from it.
          "keys:";
-  for (const auto& key : routesim::Scenario::known_set_keys()) {
-    std::cout << ' ' << key;
-  }
+  for (const auto& key : routesim::Scenario::keys()) std::cout << ' ' << key.name;
   std::cout << "\ngrid/sweep keys:";
-  for (const auto& key : routesim::SweepSpec::known_keys()) {
-    std::cout << ' ' << key;
+  for (const auto& key : routesim::Scenario::keys()) {
+    if (key.sweepable) std::cout << ' ' << key.name;
   }
   std::cout << "\nrepeatable --grid axes cross-multiply into a campaign grid\n"
                "run on one shared worker pool; --cells previews it, --jsonl\n"

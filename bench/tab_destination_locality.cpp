@@ -8,9 +8,22 @@
 #include <iostream>
 
 #include "common/table.hpp"
-#include "core/simulation.hpp"
+#include "core/scenario.hpp"
 
 using namespace routesim;
+
+/// Greedy routing on the d-cube at (lambda, p) over `window`, 5 replications.
+RunResult greedy_point(int d, double lambda, double p, const Window& window,
+                       std::uint64_t seed) {
+  Scenario scenario;
+  scenario.scheme = "hypercube_greedy";
+  scenario.d = d;
+  scenario.lambda = lambda;
+  scenario.p = p;
+  scenario.window = window;
+  scenario.plan = {5, seed};
+  return run(scenario);
+}
 
 int main() {
   std::cout << "X11: effect of destination locality p (d = 8)\n\n";
@@ -23,9 +36,8 @@ int main() {
     double previous = 0.0;
     for (const double p : {0.125, 0.25, 0.5, 0.75, 1.0}) {
       const double rho = 0.6;
-      const bounds::HypercubeParams params{d, rho / p, p};
       const auto window = Window::for_load(d, rho, 4000.0);
-      const auto estimate = estimate_hypercube_delay(params, window, {5, 808, 0});
+      const auto estimate = greedy_point(d, rho / p, p, window, 808);
       table.add_row({benchtab::fmt(p, 3), benchtab::fmt(rho / p, 2),
                      benchtab::fmt(estimate.lower_bound),
                      benchtab::fmt(estimate.delay.mean),
@@ -49,10 +61,9 @@ int main() {
     double previous = 0.0;
     bool monotone = true;
     for (const double p : {0.2, 0.4, 0.6, 0.8, 0.9}) {
-      const bounds::HypercubeParams params{d, 1.0, p};
       const double rho = p;
       const auto window = Window::for_load(d, rho, 5000.0);
-      const auto estimate = estimate_hypercube_delay(params, window, {5, 909, 0});
+      const auto estimate = greedy_point(d, 1.0, p, window, 909);
       table.add_row({benchtab::fmt(p, 2), benchtab::fmt(rho, 2),
                      benchtab::fmt(estimate.delay.mean),
                      benchtab::fmt(estimate.upper_bound)});

@@ -10,7 +10,7 @@
 #include <iomanip>
 #include <iostream>
 
-#include "core/simulation.hpp"
+#include "core/scenario.hpp"
 
 int main() {
   using namespace routesim;
@@ -29,8 +29,14 @@ int main() {
     const double lambda = 0.9 * lambda_star;
     const bounds::ButterflyParams params{d, lambda, p};
     const double rho = bounds::bfly_load_factor(params);
-    const auto window = Window::for_load(d, rho, 6000.0);
-    const auto estimate = estimate_butterfly_delay(params, window, {6, 11});
+    Scenario scenario;
+    scenario.scheme = "butterfly_greedy";
+    scenario.d = d;
+    scenario.lambda = lambda;
+    scenario.p = p;
+    scenario.window = Window::for_load(d, rho, 6000.0);
+    scenario.plan = {6, /*seed=*/11};
+    const RunResult estimate = run(scenario);
     std::cout << std::setw(6) << p << std::setw(10) << std::setprecision(3)
               << lambda_star << std::setw(21) << std::fixed << std::setprecision(2)
               << estimate.delay.mean << "   " << std::setw(11)

@@ -9,7 +9,7 @@
 #include <iomanip>
 #include <iostream>
 
-#include "core/simulation.hpp"
+#include "core/scenario.hpp"
 
 int main() {
   using namespace routesim;
@@ -28,8 +28,14 @@ int main() {
   for (const double lambda : {0.2, 0.6, 1.0, 1.4, 1.8, 1.9}) {
     const bounds::HypercubeParams params{d, lambda, p};
     const double rho = bounds::load_factor(params);
-    const auto window = Window::for_load(d, rho, 4000.0);
-    const auto estimate = estimate_hypercube_delay(params, window, {6, 7});
+    Scenario scenario;
+    scenario.scheme = "hypercube_greedy";
+    scenario.d = d;
+    scenario.lambda = lambda;
+    scenario.p = p;
+    scenario.window = Window::for_load(d, rho, 4000.0);
+    scenario.plan = {6, /*seed=*/7};
+    const RunResult estimate = run(scenario);
     std::cout << std::setw(8) << lambda << std::setw(8) << rho << std::setw(12)
               << std::fixed << std::setprecision(2) << estimate.delay.mean
               << std::setw(10) << std::setprecision(2) << estimate.delay.half_width

@@ -99,12 +99,12 @@ Campaign& Campaign::grid(const Scenario& base,
 
 std::string ResultCache::key(const Scenario& scenario) {
   Scenario canonical = scenario.resolved();
-  canonical.plan.threads = 0;  // thread count never changes results
-  // The kernel backend is normalized out too: soa_batch is pinned
-  // bit-identical to the scalar oracle (tests/test_kernel_parity.cpp,
-  // tests/test_kernel_backend.cpp), so equal-scenario runs on different
-  // backends share one cache entry.
-  canonical.backend = "scalar";
+  // Keys that never change results (thread count, kernel backend) are
+  // written at their defaults, so such runs share one entry.
+  static const Scenario defaults;
+  for (const ScenarioKey& row : Scenario::keys()) {
+    if (row.result_neutral) row.set(canonical, *row.get(defaults));
+  }
   std::string key = canonical.to_string();
   if (!canonical.trace_file.empty()) {
     // A trace path names mutable content: hash the bytes into the key so

@@ -5,96 +5,12 @@
 #include "core/registry.hpp"
 #include "core/scenario.hpp"
 #include "topology/topology.hpp"
-#include "util/assert.hpp"
 #include "util/json.hpp"
 #include "workload/permutation.hpp"
 
 namespace routesim {
 
 namespace {
-
-/// Documentation for every key Scenario::set() accepts.  scenario_catalog()
-/// checks this table against Scenario::known_set_keys() one-to-one and in
-/// order, so adding a key without documenting it here fails immediately.
-const std::vector<KeyEntry>& key_docs() {
-  static const std::vector<KeyEntry> keys{
-      {"d", "int", "cube / butterfly dimension (N = 2^d nodes per level)"},
-      {"topology", "string",
-       "network family: native (the scheme's own) | hypercube | butterfly "
-       "| ring | torus | mesh (see the topology table)"},
-      {"ring_chords", "string",
-       "topology=ring: '' (plain cycle), 'papillon' (doubling-ladder "
-       "strides) or a CSV of distinct chord strides in [2, n/2 - 1]"},
-      {"torus_dims", "string",
-       "topology=torus|mesh: per-dimension extents 'AxB' or 'AxBxC', each "
-       "in [2, 256] (d is ignored)"},
-      {"lambda", "double", "per-node packet generation rate"},
-      {"rho", "double",
-       "target load factor; solves for the lambda giving that load under "
-       "the current scheme/workload (set p/workload first)"},
-      {"p", "double", "bit-flip probability of destination law (1)"},
-      {"tau", "double", "> 0: slotted-time variant with this slot length (§3.4)"},
-      {"discipline", "string",
-       "service discipline of the equivalent-network schemes: fifo | ps"},
-      {"workload", "string",
-       "destination workload: bit_flip | uniform | general | trace | "
-       "permutation"},
-      {"trace_file", "string",
-       "workload=trace: JSONL trace to replay (one "
-       "{\"t\":...,\"src\":...,\"dst\":...} record per packet, time-sorted; "
-       "record one with --record-trace); every replication replays the "
-       "same stream"},
-      {"mask_pmf", "list",
-       "workload=general: inline CSV or @path of 2^d probabilities "
-       "P[dest = origin XOR y], validated and normalised (set d first)"},
-      {"permutation", "string",
-       "workload=permutation: the family name (see the permutation table); "
-       "validated immediately"},
-      {"hotspot_frac", "double",
-       "permutation=hotspot: fraction of sources sending to node 0, "
-       "in [0, 1]"},
-      {"fanout", "int",
-       "multicast destinations per packet / batch_greedy packets per node"},
-      {"unicast_baseline", "int",
-       "multicast: 1 sends fanout independent unicasts instead of a tree"},
-      {"buffers", "int",
-       "per-arc buffer capacity including the packet in service; 0 = "
-       "infinite (the paper's model)"},
-      {"fault_rate", "double", "P[arc statically down], per replication"},
-      {"node_fault_rate", "double",
-       "P[node down]; a dead node takes all its incident arcs down"},
-      {"fault_mtbf", "double",
-       "mean link up-time; > 0 with fault_mttr => dynamic up/down process"},
-      {"fault_mttr", "double", "mean link repair time"},
-      {"storm_rate", "double",
-       "correlated fault storms: Poisson storm arrivals per unit time "
-       "(each downs the incidence ball around a random seed node); needs "
-       "storm_duration"},
-      {"storm_radius", "int",
-       "hop radius of a storm's incidence ball around its seed node "
-       "(0 = the seed's own arcs)"},
-      {"storm_duration", "double",
-       "storm lifetime; covered arcs are restored when the storm passes "
-       "(overlapping storms stack)"},
-      {"fault_policy", "string",
-       "reroute policy at a dead arc: drop | skip_dim | deflect | "
-       "twin_detour | adaptive (see the fault-policy table)"},
-      {"ttl", "int",
-       "max hops for detouring packets; 0 = scheme default (64*d)"},
-      {"warmup", "double", "measurement-window start (with horizon)"},
-      {"horizon", "double",
-       "simulation end; {warmup=0, horizon=0} derives a window from the "
-       "load"},
-      {"measure", "double", "measurement length used by the automatic window"},
-      {"reps", "int", "independent replications"},
-      {"seed", "uint64",
-       "base seed; replication r runs with derive_stream(seed, r)"},
-      {"threads", "int", "worker threads for the replication fan-out; 0 = auto"},
-      {"backend", "string",
-       "kernel execution engine: scalar | soa_batch (see the backend table)"},
-  };
-  return keys;
-}
 
 const std::vector<CatalogEntry>& workload_docs() {
   static const std::vector<CatalogEntry> workloads{
@@ -117,7 +33,7 @@ const std::vector<CatalogEntry>& workload_docs() {
 }
 
 /// The routesim_bench CLI surface, one line per flag.  Unlike set_keys and
-/// sweep_keys (sourced from the live lists), this table is maintained by
+/// sweep_keys (sourced from the live key table), this table is maintained by
 /// hand: keep it in sync with the argument parser in
 /// bench/routesim_bench.cpp when adding or renaming a flag.
 const std::vector<CatalogEntry>& cli_flag_docs() {
@@ -227,13 +143,9 @@ ScenarioCatalog scenario_catalog() {
     catalog.schemes.push_back({name, registry.find(name)->summary});
   }
 
-  catalog.set_keys = key_docs();
-  const auto& known = Scenario::known_set_keys();
-  RS_EXPECTS_MSG(catalog.set_keys.size() == known.size(),
-                 "catalog key docs out of sync with Scenario::known_set_keys()");
-  for (std::size_t i = 0; i < known.size(); ++i) {
-    RS_EXPECTS_MSG(catalog.set_keys[i].name == known[i],
-                   "catalog key docs out of order with known_set_keys()");
+  catalog.set_keys = Scenario::keys();
+  for (const ScenarioKey& key : catalog.set_keys) {
+    if (key.sweepable) catalog.sweep_keys.push_back(key.name);
   }
 
   for (const auto& name : topology_names()) {
@@ -245,7 +157,6 @@ ScenarioCatalog scenario_catalog() {
   }
   catalog.fault_policies = fault_policy_docs();
   catalog.backends = backend_docs();
-  catalog.sweep_keys = SweepSpec::known_keys();
   catalog.cli_flags = cli_flag_docs();
   catalog.serve_flags = serve_flag_docs();
   return catalog;
@@ -272,7 +183,7 @@ std::string catalog_json(const ScenarioCatalog& catalog) {
   json_entries(os, "schemes", catalog.schemes);
   os << ",\n  \"set_keys\": [";
   for (std::size_t i = 0; i < catalog.set_keys.size(); ++i) {
-    const KeyEntry& key = catalog.set_keys[i];
+    const ScenarioKey& key = catalog.set_keys[i];
     os << (i == 0 ? "" : ",") << "\n    {\"name\": \"" << json_escape(key.name)
        << "\", \"type\": \"" << json_escape(key.type) << "\", \"doc\": \""
        << json_escape(key.doc) << "\"}";
@@ -336,7 +247,7 @@ std::string catalog_markdown(const ScenarioCatalog& catalog) {
         "`key=value` settings, runnable from C++ (`routesim::run`) or the\n"
         "CLI (`routesim_bench --scenario SCHEME --set key=value ...`).\n"
         "This catalog is generated from the live `SchemeRegistry` and\n"
-        "`Scenario::known_set_keys()`.\n\n";
+        "the `Scenario::keys()` table.\n\n";
 
   os << "## Schemes\n\n";
   markdown_table(os, "scheme", catalog.schemes);

@@ -12,13 +12,13 @@
 ///     docs/SCENARIO_REFERENCE.md (the CI docs job and
 ///     tests/test_catalog.cpp fail when the committed copy differs).
 ///
-/// scenario_catalog() cross-checks itself against
-/// Scenario::known_set_keys(): a key added to set() without a catalog
-/// entry (or vice versa) is a contract violation, so the documentation is
-/// forced complete at the first --list or test run.
+/// The `--set` and sweep-key sections are the Scenario::keys() table
+/// itself, so a key cannot exist without its documentation.
 
 #include <string>
 #include <vector>
+
+#include "core/scenario.hpp"
 
 namespace routesim {
 
@@ -28,30 +28,22 @@ struct CatalogEntry {
   std::string summary;  ///< one line, no trailing period required
 };
 
-/// One documented `--set` key.
-struct KeyEntry {
-  std::string name;
-  std::string type;  ///< "int", "double", "string", "list", "uint64"
-  std::string doc;   ///< one line
-};
-
 /// The full catalog; see scenario_catalog().
 struct ScenarioCatalog {
   std::vector<CatalogEntry> schemes;         ///< from SchemeRegistry (live)
-  std::vector<KeyEntry> set_keys;            ///< Scenario::known_set_keys() order
+  std::vector<ScenarioKey> set_keys;         ///< Scenario::keys(), in order
   std::vector<CatalogEntry> topologies;      ///< topology= values (live)
   std::vector<CatalogEntry> workloads;       ///< workload= values
   std::vector<CatalogEntry> permutations;    ///< permutation= values (live)
   std::vector<CatalogEntry> fault_policies;  ///< fault_policy= values
   std::vector<CatalogEntry> backends;        ///< backend= values
-  std::vector<std::string> sweep_keys;       ///< --sweep / --grid keys
+  std::vector<std::string> sweep_keys;       ///< names of the sweepable set_keys
   std::vector<CatalogEntry> cli_flags;       ///< routesim_bench flags
   std::vector<CatalogEntry> serve_flags;     ///< routesim_serve daemon flags
 };
 
-/// Assembles the catalog from the live registry, Scenario::known_set_keys()
-/// and Permutation::names().  Postcondition (enforced): set_keys covers
-/// known_set_keys() exactly, in order.
+/// Assembles the catalog from the live registry, Scenario::keys() and
+/// Permutation::names().
 [[nodiscard]] ScenarioCatalog scenario_catalog();
 
 /// The catalog as a JSON document (schemes/keys/workloads/permutations/

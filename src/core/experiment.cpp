@@ -1,51 +1,8 @@
 #include "core/experiment.hpp"
 
-#include <atomic>
-#include <thread>
-
 #include "util/assert.hpp"
-#include "util/rng.hpp"
 
 namespace routesim {
-
-std::vector<std::vector<double>> run_replications(
-    const ReplicationPlan& plan,
-    const std::function<std::vector<double>(std::uint64_t seed, int rep)>& body) {
-  RS_EXPECTS(plan.replications >= 1);
-  RS_EXPECTS(static_cast<bool>(body));
-
-  const int requested = plan.threads > 0
-                            ? plan.threads
-                            : static_cast<int>(std::thread::hardware_concurrency());
-  const int workers = std::max(1, std::min(requested, plan.replications));
-
-  std::vector<std::vector<double>> results(
-      static_cast<std::size_t>(plan.replications));
-  std::atomic<int> next{0};
-
-  const auto work = [&]() {
-    for (;;) {
-      const int rep = next.fetch_add(1, std::memory_order_relaxed);
-      if (rep >= plan.replications) return;
-      results[static_cast<std::size_t>(rep)] =
-          body(derive_stream(plan.base_seed, static_cast<std::uint64_t>(rep)), rep);
-    }
-  };
-
-  if (workers == 1) {
-    work();
-  } else {
-    std::vector<std::jthread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) pool.emplace_back(work);
-  }
-
-  const std::size_t metrics = results.front().size();
-  for (const auto& row : results) {
-    RS_ENSURES(row.size() == metrics);
-  }
-  return results;
-}
 
 std::vector<Summary> summarize_replications(
     const std::vector<std::vector<double>>& per_replication) {

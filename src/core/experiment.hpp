@@ -1,19 +1,17 @@
 #pragma once
 /// \file experiment.hpp
-/// \brief Thread-parallel replication runner with deterministic results.
+/// \brief Replication plans and across-replication aggregation.
 ///
 /// Steady-state estimates in this library come from independent
 /// replications: the same model is simulated `replications` times with
 /// per-replication seeds derive_stream(base_seed, rep), and each metric's
-/// across-replication mean gets a Student-t confidence interval.
-/// Replications execute on a pool of std::jthread workers (HPC guideline:
-/// explicit, portable parallelism with no shared mutable state — each
-/// replication owns its simulator; results land in a pre-sized vector slot
-/// owned by that replication), so the aggregate is bit-identical for any
-/// thread count.
+/// across-replication mean gets a Student-t confidence interval.  The
+/// campaign Engine (core/campaign.hpp) runs the replications on its shared
+/// worker pool; each lands in its own row, and rows are merged in
+/// replication order, so the aggregate is bit-identical for any thread
+/// count.
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "stats/ci.hpp"
@@ -32,15 +30,8 @@ struct ReplicationPlan {
   friend bool operator==(const ReplicationPlan&, const ReplicationPlan&) = default;
 };
 
-/// Runs body(seed, rep_index) once per replication (in parallel) and
-/// returns each replication's metric vector, indexed by replication.
-/// Every replication must return the same number of metrics.
-[[nodiscard]] std::vector<std::vector<double>> run_replications(
-    const ReplicationPlan& plan,
-    const std::function<std::vector<double>(std::uint64_t seed, int rep)>& body);
-
-/// Convenience: per-metric across-replication summaries (merged in
-/// replication order, hence deterministic).
+/// Per-metric across-replication summaries of per-replication metric rows
+/// (merged in replication order, hence deterministic).
 [[nodiscard]] std::vector<Summary> summarize_replications(
     const std::vector<std::vector<double>>& per_replication);
 

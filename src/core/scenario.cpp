@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <type_traits>
 
 #include "core/campaign.hpp"
 #include "core/registry.hpp"
@@ -281,32 +283,23 @@ std::shared_ptr<const Topology> Scenario::compiled_topology() const {
   }
 }
 
+std::string fmt_shortest(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%.17g", value);
+  double parsed = 0.0;
+  for (const int precision : {1, 3, 6, 9, 12, 15}) {
+    char candidate[32];
+    std::snprintf(candidate, sizeof candidate, "%.*g", precision, value);
+    if (std::sscanf(candidate, "%lf", &parsed) == 1 && parsed == value) {
+      return candidate;
+    }
+  }
+  return buffer;
+}
+
 namespace {
 
-double parse_double(const std::string& key, const std::string& value) {
-  std::size_t pos = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(value, &pos);
-  } catch (const std::exception&) {
-    throw ScenarioError("bad value '" + value + "' for key '" + key + "'");
-  }
-  if (pos != value.size()) {
-    throw ScenarioError("bad value '" + value + "' for key '" + key + "'");
-  }
-  return parsed;
-}
-
-int parse_int(const std::string& key, const std::string& value) {
-  const double parsed = parse_double(key, value);
-  const int rounded = static_cast<int>(std::lround(parsed));
-  if (static_cast<double>(rounded) != parsed) {
-    throw ScenarioError("key '" + key + "' needs an integer, got '" + value + "'");
-  }
-  return rounded;
-}
-
-/// Levenshtein edit distance, for did-you-mean suggestions on unknown keys.
+/// Levenshtein edit distance, for did-you-mean suggestions.
 std::size_t edit_distance(const std::string& a, const std::string& b) {
   std::vector<std::size_t> row(b.size() + 1);
   for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
@@ -322,358 +315,441 @@ std::size_t edit_distance(const std::string& a, const std::string& b) {
   return row[b.size()];
 }
 
+/// " — did you mean: a, b? (known: ...)" for an unknown `name`: the
+/// closest candidates (only close ones), then the full list.
+std::string suggest(const std::string& name,
+                    const std::vector<std::string>& candidates) {
+  std::string suggestions;
+  std::size_t best = 4;  // suggest only close matches
+  for (const auto& candidate : candidates) {
+    best = std::min(best, edit_distance(name, candidate));
+  }
+  for (const auto& candidate : candidates) {
+    if (edit_distance(name, candidate) == best) {
+      suggestions += suggestions.empty() ? candidate : ", " + candidate;
+    }
+  }
+  std::string message;
+  if (!suggestions.empty()) message += " — did you mean: " + suggestions + "?";
+  message += " (known:";
+  for (const auto& candidate : candidates) message += ' ' + candidate;
+  message += ')';
+  return message;
+}
+
+// --- value parsers for the key table: each throws ScenarioError with the
+// reason only (Scenario::set() names the key and value).
+
+/// Whole-string decimal parse (stod alone accepts trailing garbage).
+double number(const std::string& text) {
+  std::size_t pos = 0;
+  double parsed = 0.0;
+  try {
+    parsed = std::stod(text, &pos);
+  } catch (const std::exception&) {
+    pos = 0;
+  }
+  if (pos == 0 || pos != text.size()) throw ScenarioError("not a number");
+  return parsed;
+}
+
+int integer(const std::string& text) {
+  const double parsed = number(text);
+  const int rounded = static_cast<int>(std::lround(parsed));
+  if (static_cast<double>(rounded) != parsed) {
+    throw ScenarioError("needs an integer");
+  }
+  return rounded;
+}
+
+/// Full 64-bit parse: going through a double would corrupt seeds above
+/// 2^53, and stoull silently wraps negatives.
+std::uint64_t unsigned64(const std::string& text) {
+  std::size_t pos = 0;
+  std::uint64_t parsed = 0;
+  try {
+    if (text.find('-') == std::string::npos) parsed = std::stoull(text, &pos);
+  } catch (const std::exception&) {
+    pos = 0;
+  }
+  if (pos == 0 || pos != text.size()) {
+    throw ScenarioError("needs an unsigned 64-bit integer");
+  }
+  return parsed;
+}
+
+template <typename T>
+T at_least(T value, T low) {
+  if (!(value >= low)) {
+    throw ScenarioError("must be >= " + fmt_shortest(static_cast<double>(low)));
+  }
+  return value;
+}
+
+double probability(double value) {
+  if (!(value >= 0.0 && value <= 1.0)) throw ScenarioError("must be in [0, 1]");
+  return value;
+}
+
+double finite(double value) {
+  if (!std::isfinite(value)) throw ScenarioError("must be finite");
+  return value;
+}
+
+std::string known_topology(const std::string& value) {
+  std::vector<std::string> candidates = topology_names();
+  candidates.insert(candidates.begin(), "native");
+  if (std::ranges::find(candidates, value) == candidates.end()) {
+    throw ScenarioError("unknown topology '" + value + "'" +
+                        suggest(value, candidates));
+  }
+  return value;
+}
+
+/// Inline comma/whitespace-separated list, or @path to read the same
+/// format from a file; needs 2^d entries (set d before mask_pmf).
+std::vector<double> parse_mask_pmf(const std::string& value, int d) {
+  std::string text = value;
+  if (!value.empty() && value.front() == '@') {
+    std::ifstream file(value.substr(1));
+    if (!file) {
+      throw ScenarioError("cannot open file '" + value.substr(1) + "'");
+    }
+    std::ostringstream contents;
+    contents << file.rdbuf();
+    text = contents.str();
+  }
+  for (char& c : text) {
+    if (c == ',') c = ' ';
+  }
+  std::istringstream in(text);
+  std::vector<double> pmf;
+  double entry = 0.0;
+  while (in >> entry) pmf.push_back(entry);
+  if (!in.eof()) {
+    throw ScenarioError("non-numeric entry (entry " +
+                        std::to_string(pmf.size() + 1) + ")");
+  }
+  const auto expected = std::size_t{1} << d;
+  if (pmf.size() != expected) {
+    throw ScenarioError("needs 2^d = " + std::to_string(expected) +
+                        " entries for d=" + std::to_string(d) + ", got " +
+                        std::to_string(pmf.size()) +
+                        " (set d before mask_pmf)");
+  }
+  double sum = 0.0;
+  for (const double p : pmf) {
+    if (!std::isfinite(p) || p < 0.0) {
+      throw ScenarioError("entries must be finite and >= 0");
+    }
+    sum += p;
+  }
+  if (sum <= 0.0) throw ScenarioError("needs a positive sum");
+  // Normalise, but only when the sum is meaningfully off 1: dividing an
+  // already-normalised pmf by its 1-plus-rounding sum would perturb the
+  // entries by an ulp on every parse and break the exact textual round
+  // trip (the get side emits the stored values exactly).
+  if (std::abs(sum - 1.0) > 1e-9) {
+    for (double& p : pmf) p /= sum;
+  }
+  return pmf;
+}
+
+// --- formatters for the key table's get side.
+
+template <typename T>
+  requires std::is_integral_v<T>
+std::optional<std::string> text(T value) {
+  return std::to_string(value);
+}
+std::optional<std::string> text(double value) { return fmt_shortest(value); }
+std::optional<std::string> text(const std::string& value) { return value; }
+std::optional<std::string> text(const char* value) { return value; }
+
+/// Optional string knobs stay out of the textual form while empty.
+std::optional<std::string> text_if_set(const std::string& value) {
+  if (value.empty()) return std::nullopt;
+  return value;
+}
+
 }  // namespace
 
-std::string fmt_shortest(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  double parsed = 0.0;
-  for (const int precision : {1, 3, 6, 9, 12, 15}) {
-    char candidate[32];
-    std::snprintf(candidate, sizeof candidate, "%.*g", precision, value);
-    if (std::sscanf(candidate, "%lf", &parsed) == 1 && parsed == value) {
-      return candidate;
-    }
-  }
-  return buffer;
+const std::vector<ScenarioKey>& Scenario::keys() {
+  using S = Scenario;
+  using V = const std::string&;
+  static const std::vector<ScenarioKey> table{
+      {.name = "d", .type = "int", .sweepable = true,
+       .doc = "cube / butterfly dimension (N = 2^d nodes per level)",
+       .set = [](S& s, V v) { s.d = integer(v); },
+       .get = [](const S& s) { return text(s.d); }},
+      {.name = "topology", .type = "string",
+       .doc = "network family: native (the scheme's own) | hypercube | "
+              "butterfly | ring | torus | mesh (see the topology table)",
+       .set = [](S& s, V v) { s.topology = known_topology(v); },
+       .get = [](const S& s) { return text(s.topology); }},
+      {.name = "ring_chords", .type = "string",
+       .doc = "topology=ring: '' (plain cycle), 'papillon' (doubling-ladder "
+              "strides) or a CSV of distinct chord strides in [2, n/2 - 1]",
+       // Format check now, against the widest supported ring; the strides
+       // are re-validated against n = 2^d at compile time, when d is final.
+       .set = [](S& s, V v) {
+         (void)parse_ring_chords(v, /*d=*/14);
+         s.ring_chords = v;
+       },
+       .get = [](const S& s) { return text_if_set(s.ring_chords); }},
+      {.name = "torus_dims", .type = "string",
+       .doc = "topology=torus|mesh: per-dimension extents 'AxB' or 'AxBxC', "
+              "each in [2, 256] (d is ignored)",
+       .set = [](S& s, V v) {
+         (void)parse_torus_dims(v);
+         s.torus_dims = v;
+       },
+       .get = [](const S& s) { return text(s.torus_dims); }},
+      {.name = "lambda", .type = "double", .sweepable = true,
+       .doc = "per-node packet generation rate",
+       .set = [](S& s, V v) {
+         s.lambda = number(v);
+         s.rho_target.reset();  // an explicit lambda drops a pending target
+       },
+       .get = [](const S& s) { return text(s.lambda); }},
+      {.name = "rho", .type = "double", .sweepable = true,
+       .doc = "target load factor; solves for the lambda giving that load "
+              "under the current scheme/workload (set p/workload first)",
+       // Deferred: resolved() solves target -> lambda once every other knob
+       // is final, so `--set rho=0.6 --set p=0.7` and the reverse agree.
+       .set = [](S& s, V v) { s.rho_target = at_least(number(v), 0.0); },
+       .get = [](const S& s) -> std::optional<std::string> {
+         if (!s.rho_target.has_value()) return std::nullopt;
+         return text(*s.rho_target);
+       }},
+      {.name = "p", .type = "double", .sweepable = true,
+       .doc = "bit-flip probability of destination law (1)",
+       .set = [](S& s, V v) { s.p = number(v); },
+       .get = [](const S& s) { return text(s.p); }},
+      {.name = "tau", .type = "double", .sweepable = true,
+       .doc = "> 0: slotted-time variant with this slot length (§3.4)",
+       .set = [](S& s, V v) { s.tau = number(v); },
+       .get = [](const S& s) { return text(s.tau); }},
+      {.name = "discipline", .type = "string",
+       .doc = "service discipline of the equivalent-network schemes: "
+              "fifo | ps",
+       .set = [](S& s, V v) {
+         if (v != "fifo" && v != "ps") {
+           throw ScenarioError("must be fifo or ps");
+         }
+         s.discipline = v == "ps" ? Discipline::kPs : Discipline::kFifo;
+       },
+       .get = [](const S& s) {
+         return text(s.discipline == Discipline::kPs ? "ps" : "fifo");
+       }},
+      {.name = "workload", .type = "string",
+       .doc = "destination workload: bit_flip | uniform | general | trace | "
+              "permutation",
+       .set = [](S& s, V v) { s.workload = v; },
+       .get = [](const S& s) { return text(s.workload); }},
+      {.name = "trace_file", .type = "string",
+       .doc = "workload=trace: JSONL trace to replay (one "
+              "{\"t\":...,\"src\":...,\"dst\":...} record per packet, "
+              "time-sorted; record one with --record-trace); every "
+              "replication replays the same stream",
+       // The textual form is space-delimited, so a path with whitespace
+       // could never round-trip.
+       .set = [](S& s, V v) {
+         for (const char c : v) {
+           if (std::isspace(static_cast<unsigned char>(c))) {
+             throw ScenarioError("path cannot contain whitespace");
+           }
+         }
+         s.trace_file = v;
+       },
+       .get = [](const S& s) { return text_if_set(s.trace_file); }},
+      {.name = "mask_pmf", .type = "list",
+       .doc = "workload=general: inline CSV or @path of 2^d probabilities "
+              "P[dest = origin XOR y], validated and normalised (set d first)",
+       .set = [](S& s, V v) { s.mask_pmf = parse_mask_pmf(v, s.d); },
+       .get = [](const S& s) -> std::optional<std::string> {
+         if (s.mask_pmf.empty()) return std::nullopt;
+         std::string csv;
+         for (const double p : s.mask_pmf) {
+           if (!csv.empty()) csv += ',';
+           csv += fmt_shortest(p);
+         }
+         return csv;
+       }},
+      {.name = "permutation", .type = "string",
+       .doc = "workload=permutation: the family name (see the permutation "
+              "table); validated immediately",
+       // The table itself is built at compile time, when d is final.
+       .set = [](S& s, V v) {
+         (void)Permutation::summary(v);
+         s.permutation = v;
+       },
+       .get = [](const S& s) { return text(s.permutation); }},
+      {.name = "hotspot_frac", .type = "double",
+       .doc = "permutation=hotspot: fraction of sources sending to node 0, "
+              "in [0, 1]",
+       .set = [](S& s, V v) { s.hotspot_frac = probability(number(v)); },
+       .get = [](const S& s) { return text(s.hotspot_frac); }},
+      {.name = "fanout", .type = "int", .sweepable = true,
+       .doc = "multicast destinations per packet / batch_greedy packets per "
+              "node",
+       .set = [](S& s, V v) { s.fanout = integer(v); },
+       .get = [](const S& s) { return text(s.fanout); }},
+      {.name = "unicast_baseline", .type = "int",
+       .doc = "multicast: 1 sends fanout independent unicasts instead of a "
+              "tree",
+       .set = [](S& s, V v) { s.unicast_baseline = integer(v) != 0; },
+       .get = [](const S& s) { return text(s.unicast_baseline ? 1 : 0); }},
+      {.name = "buffers", .type = "int",
+       .doc = "per-arc buffer capacity including the packet in service; 0 = "
+              "infinite (the paper's model)",
+       .set = [](S& s, V v) {
+         s.buffer_capacity =
+             static_cast<std::uint32_t>(at_least(integer(v), 0));
+       },
+       .get = [](const S& s) { return text(s.buffer_capacity); }},
+      {.name = "fault_rate", .type = "double", .sweepable = true,
+       .doc = "P[arc statically down], per replication",
+       .set = [](S& s, V v) { s.fault_rate = probability(number(v)); },
+       .get = [](const S& s) { return text(s.fault_rate); }},
+      {.name = "node_fault_rate", .type = "double", .sweepable = true,
+       .doc = "P[node down]; a dead node takes all its incident arcs down",
+       .set = [](S& s, V v) { s.node_fault_rate = probability(number(v)); },
+       .get = [](const S& s) { return text(s.node_fault_rate); }},
+      {.name = "fault_mtbf", .type = "double",
+       .doc = "mean link up-time; > 0 with fault_mttr => dynamic up/down "
+              "process",
+       .set = [](S& s, V v) { s.fault_mtbf = at_least(number(v), 0.0); },
+       .get = [](const S& s) { return text(s.fault_mtbf); }},
+      {.name = "fault_mttr", .type = "double",
+       .doc = "mean link repair time",
+       .set = [](S& s, V v) { s.fault_mttr = at_least(number(v), 0.0); },
+       .get = [](const S& s) { return text(s.fault_mttr); }},
+      {.name = "storm_rate", .type = "double", .sweepable = true,
+       .doc = "correlated fault storms: Poisson storm arrivals per unit time "
+              "(each downs the incidence ball around a random seed node); "
+              "needs storm_duration",
+       .set = [](S& s, V v) {
+         s.storm_rate = at_least(finite(number(v)), 0.0);
+       },
+       .get = [](const S& s) { return text(s.storm_rate); }},
+      {.name = "storm_radius", .type = "int",
+       .doc = "hop radius of a storm's incidence ball around its seed node "
+              "(0 = the seed's own arcs)",
+       .set = [](S& s, V v) { s.storm_radius = at_least(integer(v), 0); },
+       .get = [](const S& s) { return text(s.storm_radius); }},
+      {.name = "storm_duration", .type = "double",
+       .doc = "storm lifetime; covered arcs are restored when the storm passes "
+              "(overlapping storms stack)",
+       .set = [](S& s, V v) {
+         s.storm_duration = at_least(finite(number(v)), 0.0);
+       },
+       .get = [](const S& s) { return text(s.storm_duration); }},
+      {.name = "fault_policy", .type = "string",
+       .doc = "reroute policy at a dead arc: drop | skip_dim | deflect | "
+              "twin_detour | adaptive (see the fault-policy table)",
+       .set = [](S& s, V v) {
+         (void)parse_fault_policy(v);
+         s.fault_policy = v;
+       },
+       .get = [](const S& s) { return text(s.fault_policy); }},
+      {.name = "ttl", .type = "int",
+       .doc = "max hops for detouring packets; 0 = scheme default (64*d)",
+       .set = [](S& s, V v) { s.ttl = at_least(integer(v), 0); },
+       .get = [](const S& s) { return text(s.ttl); }},
+      {.name = "warmup", .type = "double",
+       .doc = "measurement-window start (with horizon)",
+       .set = [](S& s, V v) { s.window.warmup = number(v); },
+       .get = [](const S& s) { return text(s.window.warmup); }},
+      {.name = "horizon", .type = "double",
+       .doc = "simulation end; {warmup=0, horizon=0} derives a window from "
+              "the load",
+       .set = [](S& s, V v) { s.window.horizon = number(v); },
+       .get = [](const S& s) { return text(s.window.horizon); }},
+      {.name = "measure", .type = "double", .sweepable = true,
+       .doc = "measurement length used by the automatic window",
+       .set = [](S& s, V v) { s.measure = number(v); },
+       .get = [](const S& s) { return text(s.measure); }},
+      {.name = "reps", .type = "int", .sweepable = true,
+       .doc = "independent replications",
+       .set = [](S& s, V v) { s.plan.replications = integer(v); },
+       .get = [](const S& s) { return text(s.plan.replications); }},
+      {.name = "seed", .type = "uint64", .sweepable = true,
+       .doc = "base seed; replication r runs with derive_stream(seed, r)",
+       .set = [](S& s, V v) { s.plan.base_seed = unsigned64(v); },
+       .get = [](const S& s) { return text(s.plan.base_seed); }},
+      {.name = "threads", .type = "int", .result_neutral = true,
+       .doc = "worker threads for the replication fan-out; 0 = auto",
+       .set = [](S& s, V v) { s.plan.threads = integer(v); },
+       .get = [](const S& s) { return text(s.plan.threads); }},
+      {.name = "backend", .type = "string", .result_neutral = true,
+       .doc = "kernel execution engine: scalar | soa_batch (see the backend "
+              "table)",
+       // Pinned bit-identical to the scalar oracle (test_kernel_parity),
+       // so equal scenarios on either backend share one cache entry.
+       .set = [](S& s, V v) {
+         (void)parse_kernel_backend(v);
+         s.backend = v;
+       },
+       .get = [](const S& s) { return text(s.backend); }},
+  };
+  return table;
 }
+
+namespace {
+
+/// The keys() row for `name`; nullptr when no such key exists.
+const ScenarioKey* find_key(const std::string& name) {
+  for (const ScenarioKey& key : Scenario::keys()) {
+    if (key.name == name) return &key;
+  }
+  return nullptr;
+}
+
+}  // namespace
 
 void Scenario::set(const std::string& key, const std::string& value) {
-  if (key == "d") {
-    d = parse_int(key, value);
-  } else if (key == "topology") {
-    const auto& families = topology_names();
-    const bool known =
-        value == "native" ||
-        std::find(families.begin(), families.end(), value) != families.end();
-    if (!known) {
-      std::vector<std::string> candidates = families;
-      candidates.insert(candidates.begin(), "native");
-      std::string suggestions;
-      std::size_t best = 4;  // suggest only close matches
-      for (const auto& candidate : candidates) {
-        best = std::min(best, edit_distance(value, candidate));
-      }
-      for (const auto& candidate : candidates) {
-        if (edit_distance(value, candidate) == best) {
-          suggestions += suggestions.empty() ? candidate : ", " + candidate;
-        }
-      }
-      std::string message = "unknown topology '" + value + "'";
-      if (!suggestions.empty()) {
-        message += " — did you mean: " + suggestions + "?";
-      }
-      message += " (known:";
-      for (const auto& candidate : candidates) message += ' ' + candidate;
-      message += ')';
-      throw ScenarioError(message);
-    }
-    topology = value;
-  } else if (key == "ring_chords") {
-    // Format check now; the strides are re-validated against n = 2^d at
-    // scenario-compile time, when d is final.  Parsing against the widest
-    // supported ring keeps format errors (garbage, duplicates, stride < 2)
-    // immediate.
-    try {
-      (void)parse_ring_chords(value, /*d=*/14);
-    } catch (const std::invalid_argument& error) {
-      throw ScenarioError(error.what());
-    }
-    ring_chords = value;
-  } else if (key == "torus_dims") {
-    try {
-      (void)parse_torus_dims(value);
-    } catch (const std::invalid_argument& error) {
-      throw ScenarioError(error.what());
-    }
-    torus_dims = value;
-  } else if (key == "lambda") {
-    lambda = parse_double(key, value);
-    rho_target.reset();  // an explicit lambda overrides any pending target
-  } else if (key == "rho") {
-    const double target = parse_double(key, value);
-    if (target < 0.0) {
-      throw ScenarioError("rho must be >= 0, got '" + value + "'");
-    }
-    // Deferred: resolved() solves target -> lambda once every other knob
-    // (p, workload, d, scheme) is final, so `--set rho=0.6 --set p=0.7`
-    // and the reverse order agree.
-    rho_target = target;
-  } else if (key == "p") {
-    p = parse_double(key, value);
-  } else if (key == "tau") {
-    tau = parse_double(key, value);
-  } else if (key == "discipline") {
-    if (value == "fifo") {
-      discipline = Discipline::kFifo;
-    } else if (value == "ps") {
-      discipline = Discipline::kPs;
-    } else {
-      throw ScenarioError("discipline must be 'fifo' or 'ps', got '" + value + "'");
-    }
-  } else if (key == "workload") {
-    workload = value;
-  } else if (key == "permutation") {
-    // Validate the family name immediately (the table itself is built at
-    // scenario-compile time, when d is final).
-    try {
-      (void)Permutation::summary(value);
-    } catch (const std::invalid_argument& error) {
-      throw ScenarioError(error.what());
-    }
-    permutation = value;
-  } else if (key == "hotspot_frac") {
-    const double parsed = parse_double(key, value);
-    if (!(parsed >= 0.0 && parsed <= 1.0)) {
-      throw ScenarioError("hotspot_frac must be in [0, 1], got '" + value + "'");
-    }
-    hotspot_frac = parsed;
-  } else if (key == "fanout") {
-    fanout = parse_int(key, value);
-  } else if (key == "unicast_baseline") {
-    unicast_baseline = parse_int(key, value) != 0;
-  } else if (key == "buffers") {
-    buffer_capacity = static_cast<std::uint32_t>(parse_int(key, value));
-  } else if (key == "warmup") {
-    window.warmup = parse_double(key, value);
-  } else if (key == "horizon") {
-    window.horizon = parse_double(key, value);
-  } else if (key == "measure") {
-    measure = parse_double(key, value);
-  } else if (key == "reps") {
-    plan.replications = parse_int(key, value);
-  } else if (key == "seed") {
-    // Full 64-bit parse: going through a double would corrupt seeds above
-    // 2^53 and silently wrap negatives.
-    std::size_t pos = 0;
-    try {
-      if (value.find('-') != std::string::npos) throw std::invalid_argument("");
-      plan.base_seed = std::stoull(value, &pos);
-    } catch (const std::exception&) {
-      throw ScenarioError("bad value '" + value + "' for key 'seed'");
-    }
-    if (pos != value.size()) {
-      throw ScenarioError("bad value '" + value + "' for key 'seed'");
-    }
-  } else if (key == "threads") {
-    plan.threads = parse_int(key, value);
-  } else if (key == "backend") {
-    try {
-      (void)parse_kernel_backend(value);
-    } catch (const std::invalid_argument& error) {
-      throw ScenarioError(error.what());
-    }
-    backend = value;
-  } else if (key == "fault_rate") {
-    fault_rate = parse_double(key, value);
-    if (fault_rate < 0.0 || fault_rate > 1.0) {
-      throw ScenarioError("fault_rate must be in [0, 1], got '" + value + "'");
-    }
-  } else if (key == "node_fault_rate") {
-    node_fault_rate = parse_double(key, value);
-    if (node_fault_rate < 0.0 || node_fault_rate > 1.0) {
-      throw ScenarioError("node_fault_rate must be in [0, 1], got '" + value +
-                          "'");
-    }
-  } else if (key == "fault_mtbf") {
-    fault_mtbf = parse_double(key, value);
-    if (fault_mtbf < 0.0) throw ScenarioError("fault_mtbf must be >= 0");
-  } else if (key == "fault_mttr") {
-    fault_mttr = parse_double(key, value);
-    if (fault_mttr < 0.0) throw ScenarioError("fault_mttr must be >= 0");
-  } else if (key == "storm_rate") {
-    storm_rate = parse_double(key, value);
-    if (!(storm_rate >= 0.0) || !std::isfinite(storm_rate)) {
-      throw ScenarioError("storm_rate must be finite and >= 0, got '" + value +
-                          "'");
-    }
-  } else if (key == "storm_radius") {
-    storm_radius = parse_int(key, value);
-    if (storm_radius < 0) throw ScenarioError("storm_radius must be >= 0");
-  } else if (key == "storm_duration") {
-    storm_duration = parse_double(key, value);
-    if (!(storm_duration >= 0.0) || !std::isfinite(storm_duration)) {
-      throw ScenarioError("storm_duration must be finite and >= 0, got '" +
-                          value + "'");
-    }
-  } else if (key == "trace_file") {
-    // The textual scenario form is space-delimited, so a path with
-    // whitespace could never round-trip; reject it up front.
-    for (const char c : value) {
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        throw ScenarioError("trace_file path cannot contain whitespace, got '" +
-                            value + "'");
-      }
-    }
-    trace_file = value;
-  } else if (key == "fault_policy") {
-    try {
-      (void)parse_fault_policy(value);
-    } catch (const std::invalid_argument& error) {
-      throw ScenarioError(error.what());
-    }
-    fault_policy = value;
-  } else if (key == "ttl") {
-    ttl = parse_int(key, value);
-    if (ttl < 0) throw ScenarioError("ttl must be >= 0");
-  } else if (key == "mask_pmf") {
-    // Inline comma/whitespace-separated list, or @path to read the same
-    // format from a file.  Needs 2^d entries: set d (and workload=general)
-    // before mask_pmf.
-    std::string text = value;
-    if (!value.empty() && value.front() == '@') {
-      std::ifstream file(value.substr(1));
-      if (!file) {
-        throw ScenarioError("cannot open mask_pmf file '" + value.substr(1) +
-                            "'");
-      }
-      std::ostringstream contents;
-      contents << file.rdbuf();
-      text = contents.str();
-    }
-    for (char& c : text) {
-      if (c == ',') c = ' ';
-    }
-    std::istringstream in(text);
-    std::vector<double> pmf;
-    double entry = 0.0;
-    while (in >> entry) pmf.push_back(entry);
-    if (!in.eof()) {
-      throw ScenarioError("mask_pmf has a non-numeric entry (entry " +
-                          std::to_string(pmf.size() + 1) + ")");
-    }
-    const auto expected = std::size_t{1} << d;
-    if (pmf.size() != expected) {
-      throw ScenarioError("mask_pmf needs 2^d = " + std::to_string(expected) +
-                          " entries for d=" + std::to_string(d) + ", got " +
-                          std::to_string(pmf.size()) +
-                          " (set d before mask_pmf)");
-    }
-    double sum = 0.0;
-    for (const double probability : pmf) {
-      if (!std::isfinite(probability) || probability < 0.0) {
-        throw ScenarioError("mask_pmf entries must be finite and >= 0");
-      }
-      sum += probability;
-    }
-    if (sum <= 0.0) throw ScenarioError("mask_pmf must have a positive sum");
-    // Normalise, but only when the sum is meaningfully off 1: dividing an
-    // already-normalised pmf by its 1-plus-rounding sum would perturb the
-    // entries by an ulp on every parse and break the exact textual round
-    // trip (to_key_values() emits the stored values exactly).
-    if (std::abs(sum - 1.0) > 1e-9) {
-      for (double& probability : pmf) probability /= sum;
-    }
-    mask_pmf = std::move(pmf);
-  } else {
-    const auto& known = known_set_keys();
-    std::string suggestions;
-    std::size_t best = 4;  // suggest only close matches
-    for (const auto& candidate : known) {
-      best = std::min(best, edit_distance(key, candidate));
-    }
-    for (const auto& candidate : known) {
-      if (edit_distance(key, candidate) == best) {
-        suggestions += suggestions.empty() ? candidate : ", " + candidate;
-      }
-    }
-    std::string message = "unknown scenario key '" + key + "'";
-    if (!suggestions.empty()) message += " — did you mean: " + suggestions + "?";
-    message += " (known:";
-    for (const auto& candidate : known) message += ' ' + candidate;
-    message += ')';
-    throw ScenarioError(message);
+  const ScenarioKey* row = find_key(key);
+  if (row == nullptr) {
+    std::vector<std::string> names;
+    for (const ScenarioKey& known : keys()) names.push_back(known.name);
+    throw ScenarioError("unknown scenario key '" + key + "'" +
+                        suggest(key, names));
   }
-}
-
-const std::vector<std::string>& Scenario::known_set_keys() {
-  static const std::vector<std::string> keys{
-      "d",          "topology",       "ring_chords", "torus_dims",
-      "lambda",     "rho",            "p",
-      "tau",        "discipline",     "workload",   "trace_file",
-      "mask_pmf",
-      "permutation", "hotspot_frac",
-      "fanout",     "unicast_baseline", "buffers",
-      "fault_rate", "node_fault_rate", "fault_mtbf", "fault_mttr",
-      "storm_rate", "storm_radius",   "storm_duration",
-      "fault_policy", "ttl",
-      "warmup",     "horizon",        "measure",    "reps",
-      "seed",       "threads",        "backend"};
-  return keys;
+  const auto invalid = [&](const char* reason) {
+    return ScenarioError("bad value '" + value + "' for key '" + key +
+                         "': " + reason);
+  };
+  try {
+    row->set(*this, value);
+  } catch (const ScenarioError& error) {
+    throw invalid(error.what());
+  } catch (const std::invalid_argument& error) {
+    throw invalid(error.what());
+  }
 }
 
 std::vector<std::pair<std::string, std::string>> Scenario::to_key_values() const {
-  std::vector<std::pair<std::string, std::string>> pairs{
-      {"d", std::to_string(d)},
-      {"topology", topology},
-      {"torus_dims", torus_dims},
-      {"lambda", fmt_shortest(lambda)},
-      {"p", fmt_shortest(p)},
-      {"tau", fmt_shortest(tau)},
-      {"discipline", discipline == Discipline::kPs ? "ps" : "fifo"},
-      {"workload", workload},
-  };
-  if (!trace_file.empty()) {
-    // Right after workload (the key it refines); omitted when empty so
-    // generated-trace and non-trace scenarios stay uncluttered.
-    pairs.emplace_back("trace_file", trace_file);
-  }
-  if (!ring_chords.empty()) {
-    // After topology, before the load keys; omitted when empty (like
-    // mask_pmf) so plain-ring and non-ring scenarios stay uncluttered.
-    pairs.insert(pairs.begin() + 2, {"ring_chords", ring_chords});
-  }
-  if (rho_target.has_value()) {
-    // After lambda, so parse() replays set("lambda") (clearing any stale
-    // target) before set("rho") re-arms the deferred target — the pair
-    // round-trips exactly.
-    const auto lambda_at = std::find_if(
-        pairs.begin(), pairs.end(),
-        [](const auto& pair) { return pair.first == "lambda"; });
-    pairs.insert(lambda_at + 1, {"rho", fmt_shortest(*rho_target)});
-  }
-  if (!mask_pmf.empty()) {
-    // Inline CSV form; the entries are already normalised, so the round
-    // trip through set() is exact.
-    std::string csv;
-    for (const double probability : mask_pmf) {
-      if (!csv.empty()) csv += ',';
-      csv += fmt_shortest(probability);
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (const ScenarioKey& key : keys()) {
+    if (auto value = key.get(*this)) {
+      pairs.emplace_back(key.name, std::move(*value));
     }
-    pairs.emplace_back("mask_pmf", std::move(csv));
   }
-  const std::vector<std::pair<std::string, std::string>> rest{
-      {"permutation", permutation},
-      {"hotspot_frac", fmt_shortest(hotspot_frac)},
-      {"fanout", std::to_string(fanout)},
-      {"unicast_baseline", unicast_baseline ? "1" : "0"},
-      {"buffers", std::to_string(buffer_capacity)},
-      {"fault_rate", fmt_shortest(fault_rate)},
-      {"node_fault_rate", fmt_shortest(node_fault_rate)},
-      {"fault_mtbf", fmt_shortest(fault_mtbf)},
-      {"fault_mttr", fmt_shortest(fault_mttr)},
-      {"storm_rate", fmt_shortest(storm_rate)},
-      {"storm_radius", std::to_string(storm_radius)},
-      {"storm_duration", fmt_shortest(storm_duration)},
-      {"fault_policy", fault_policy},
-      {"ttl", std::to_string(ttl)},
-      {"warmup", fmt_shortest(window.warmup)},
-      {"horizon", fmt_shortest(window.horizon)},
-      {"measure", fmt_shortest(measure)},
-      {"reps", std::to_string(plan.replications)},
-      {"seed", std::to_string(plan.base_seed)},
-      {"threads", std::to_string(plan.threads)},
-      {"backend", backend},
-  };
-  pairs.insert(pairs.end(), rest.begin(), rest.end());
   return pairs;
 }
 
 std::string Scenario::to_string() const {
-  std::ostringstream os;
-  os << scheme;
-  for (const auto& [key, value] : to_key_values()) os << ' ' << key << '=' << value;
-  return os.str();
+  std::string out = scheme;
+  for (const ScenarioKey& key : keys()) {
+    if (const auto value = key.get(*this)) {
+      out += ' ';
+      out += key.name;
+      out += '=';
+      out += *value;
+    }
+  }
+  return out;
 }
 
 Scenario Scenario::parse(const std::vector<std::string>& args) {
@@ -721,18 +797,35 @@ SweepSpec SweepSpec::parse(const std::string& text) {
   }
   SweepSpec spec;
   spec.key = text.substr(0, eq);
+  const ScenarioKey* row = find_key(spec.key);
+  if (row == nullptr || !row->sweepable) {
+    std::vector<std::string> sweepable;
+    for (const ScenarioKey& key : Scenario::keys()) {
+      if (key.sweepable) sweepable.push_back(key.name);
+    }
+    throw ScenarioError("'" + spec.key + "' is not a sweep key" +
+                        suggest(spec.key, sweepable));
+  }
+  const auto bound = [&](const std::string& piece) {
+    try {
+      return number(piece);
+    } catch (const ScenarioError&) {
+      throw ScenarioError("bad sweep value '" + piece + "' for key '" +
+                          spec.key + "'");
+    }
+  };
   const std::string range = text.substr(eq + 1);
   const auto colon1 = range.find(':');
   if (colon1 == std::string::npos) {
     throw ScenarioError("sweep range needs start:stop, got '" + range + "'");
   }
-  spec.start = parse_double(spec.key, range.substr(0, colon1));
+  spec.start = bound(range.substr(0, colon1));
   const auto colon2 = range.find(':', colon1 + 1);
   if (colon2 == std::string::npos) {
-    spec.stop = parse_double(spec.key, range.substr(colon1 + 1));
+    spec.stop = bound(range.substr(colon1 + 1));
   } else {
-    spec.stop = parse_double(spec.key, range.substr(colon1 + 1, colon2 - colon1 - 1));
-    spec.step = parse_double(spec.key, range.substr(colon2 + 1));
+    spec.stop = bound(range.substr(colon1 + 1, colon2 - colon1 - 1));
+    spec.step = bound(range.substr(colon2 + 1));
   }
   // Non-finite endpoints would otherwise fail *silently*: a NaN start or
   // step makes every loop comparison false (an empty sweep), and an
@@ -770,16 +863,9 @@ std::vector<double> SweepSpec::values() const {
   return out;
 }
 
-const std::vector<std::string>& SweepSpec::known_keys() {
-  static const std::vector<std::string> keys{
-      "rho",  "lambda",  "p",    "tau",        "d",
-      "fanout", "measure", "reps", "seed",
-      "fault_rate", "node_fault_rate", "storm_rate"};
-  return keys;
-}
-
 void apply_sweep_value(Scenario& scenario, const std::string& key, double value) {
-  if (key == "d" || key == "fanout" || key == "reps" || key == "seed") {
+  const ScenarioKey* row = find_key(key);
+  if (row != nullptr && (row->type == "int" || row->type == "uint64")) {
     scenario.set(key, std::to_string(std::llround(value)));
   } else {
     scenario.set(key, fmt_shortest(value));

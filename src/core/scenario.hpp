@@ -10,10 +10,8 @@
 /// schemes are looked up by name in the `SchemeRegistry`
 /// (core/registry.hpp), so adding a sweep or a workload is a data change,
 /// not a new binary.  Scenarios round-trip through the `key=value` textual
-/// form used by the `routesim_bench` CLI (`--scenario NAME --set rho=0.6`).
-///
-/// The legacy façade (core/simulation.hpp) is a thin shim over this API
-/// and produces bit-identical results for the same seed and plan.
+/// form used by the `routesim_bench` CLI (`--scenario NAME --set rho=0.6`);
+/// every key of that form is one row of Scenario::keys().
 
 #include <cstdint>
 #include <initializer_list>
@@ -59,6 +57,28 @@ struct Window {
   }
 
   friend bool operator==(const Window&, const Window&) = default;
+};
+
+struct Scenario;
+
+/// One `key=value` setting of the textual scenario form.  Scenario::keys()
+/// is the single table behind every textual surface: set() dispatches on
+/// it, to_key_values() walks it in order (so parse() of the output
+/// reconstructs the scenario), the catalog renders its docs, SweepSpec
+/// accepts its sweepable rows, and ResultCache::key writes its
+/// result-neutral rows at their defaults.  A new knob is one new row.
+struct ScenarioKey {
+  std::string name;
+  std::string type;             ///< "int", "double", "string", "list", "uint64"
+  bool sweepable = false;       ///< accepted as a --grid / --sweep axis
+  bool result_neutral = false;  ///< never changes results (cache-key role)
+  std::string doc;              ///< one line (--list, SCENARIO_REFERENCE.md)
+  /// Parses, validates and stores `value`, leaving the scenario untouched
+  /// on failure.  Throws ScenarioError (or std::invalid_argument) with the
+  /// reason; Scenario::set() adds the key and value to the message.
+  void (*set)(Scenario&, const std::string& value) = nullptr;
+  /// The textual value; nullopt omits the key (an unset optional knob).
+  std::optional<std::string> (*get)(const Scenario&) = nullptr;
 };
 
 /// One point of the experiment space.  Every field has a usable default;
@@ -111,7 +131,7 @@ struct Scenario {
   /// recorded stream.  Record one with `routesim_bench --record-trace`.
   std::string trace_file;
   /// For workload == "general": P[dest = origin XOR y] for each mask y
-  /// (2^d entries).  Not representable on the CLI.
+  /// (2^d entries); the mask_pmf key takes an inline CSV or @path.
   std::vector<double> mask_pmf;
   /// For workload == "permutation": the family name (bit_reversal,
   /// transpose, bit_complement, shuffle, tornado, random_permutation,
@@ -286,34 +306,20 @@ struct Scenario {
 
   // --- textual form (CLI round trip) -----------------------------------
 
-  /// Applies one `key=value` setting.  Keys (see known_set_keys()): d,
-  /// topology (native|hypercube|butterfly|ring|torus|mesh, validated
-  /// immediately with a did-you-mean suggestion), ring_chords (''
-  /// | papillon | CSV of chord strides, format-validated immediately),
-  /// torus_dims (AxB | AxBxC, validated immediately),
-  /// lambda, rho (records a load-factor target; resolved() solves it for
-  /// lambda once every other knob is final, so setting order is
-  /// irrelevant), p, tau, discipline (fifo|ps),
-  /// workload, trace_file (JSONL trace to replay; workload=trace only,
-  /// whitespace-free path, validated at compile time),
-  /// mask_pmf (inline comma/whitespace list of 2^d probabilities
-  /// or `@path` to load them from a file — set d and workload=general
-  /// first), permutation (a Permutation::names() family, validated
-  /// immediately), hotspot_frac (in [0, 1]), fanout, unicast_baseline,
-  /// buffers, fault_rate, node_fault_rate, fault_mtbf, fault_mttr,
-  /// storm_rate, storm_radius, storm_duration,
-  /// fault_policy, ttl, warmup, horizon, measure, reps, seed, threads,
-  /// backend (scalar|soa_batch, validated immediately).  Throws
-  /// ScenarioError on an unknown key (suggesting the nearest valid ones) or
-  /// unparsable value.
+  /// Every `key=value` setting, one row per key, in textual-form order
+  /// (see ScenarioKey).  `rho` follows `lambda`, so replaying the order
+  /// re-arms a pending load target after lambda clears it; `mask_pmf`
+  /// follows `d`, whose 2^d it is checked against.
+  [[nodiscard]] static const std::vector<ScenarioKey>& keys();
+
+  /// Applies one `key=value` setting through its keys() row.  Throws
+  /// ScenarioError on an unknown key (suggesting the nearest valid ones)
+  /// or an invalid value (naming the key, the value and the reason).
   void set(const std::string& key, const std::string& value);
 
-  /// Every key accepted by set(), in the order set() documents them.
-  [[nodiscard]] static const std::vector<std::string>& known_set_keys();
-
-  /// Every non-derived field as `key=value` pairs; parse(scheme + these)
-  /// reconstructs the scenario exactly.  mask_pmf is emitted as an inline
-  /// comma-separated list when non-empty (omitted when empty).
+  /// Every set key as `key=value` pairs in keys() order; parse(scheme +
+  /// these) reconstructs the scenario exactly.  Unset optional keys
+  /// (ring_chords, rho, trace_file, mask_pmf) are omitted.
   [[nodiscard]] std::vector<std::pair<std::string, std::string>> to_key_values()
       const;
 
@@ -370,13 +376,14 @@ struct RunResult {
 // ----------------------------------------------------------------- sweeps
 
 /// A swept parameter: "rho=0.1:0.9" or "rho=0.1:0.9:0.05" (default step
-/// 0.1).  Keys: see known_keys().
+/// 0.1).  Keys: the sweepable rows of Scenario::keys().
 struct SweepSpec {
   std::string key;
   double start = 0.0;
   double stop = 0.0;
   double step = 0.1;
 
+  /// Throws ScenarioError on malformed text or a key that is not sweepable.
   static SweepSpec parse(const std::string& text);
 
   /// The swept values, generated by index (`start + i*step`, no
@@ -385,14 +392,10 @@ struct SweepSpec {
   /// a non-positive or non-finite spec (parse() already rejects those, but
   /// directly-constructed specs go through the same checks).
   [[nodiscard]] std::vector<double> values() const;
-
-  /// The numeric keys meaningful to sweep (the catalog and --help render
-  /// this list, so it cannot drift from the docs).
-  [[nodiscard]] static const std::vector<std::string>& known_keys();
 };
 
-/// Applies one swept value to a scenario (rho adjusts lambda; d, fanout and
-/// reps round to the nearest integer).
+/// Applies one swept value to a scenario (rho adjusts lambda; int and
+/// uint64 keys round to the nearest integer).
 void apply_sweep_value(Scenario& scenario, const std::string& key, double value);
 
 }  // namespace routesim

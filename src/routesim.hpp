@@ -11,20 +11,17 @@
 /// the equivalent networks Q/Q~, and the baseline/related-work comparators
 /// all go through the same engine, so new sweeps and workloads are a data
 /// change, not new wiring.  core/bounds.hpp has every proposition as a
-/// directly callable closed form; core/simulation.hpp is the legacy façade
-/// (now a shim over the Scenario API).  This header pulls in everything
-/// for explorative use.
+/// directly callable closed form.  This header pulls in everything for
+/// explorative use.
 
 #include "core/bounds.hpp"           // every proposition as a function
 #include "core/campaign.hpp"         // batched campaigns: Engine, sinks, cache
 #include "core/equivalence.hpp"      // networks Q, R, G builders
-#include "core/experiment.hpp"       // parallel replication runner
+#include "core/experiment.hpp"       // replication plan + aggregation
 #include "core/registry.hpp"         // scheme name -> factory registry
 #include "core/scenario.hpp"         // declarative Scenario + run() engine
-#include "core/simulation.hpp"       // legacy façade (shim over Scenario)
 
 #include "des/event_queue.hpp"
-#include "des/simulator.hpp"
 
 #include "queueing/analytic.hpp"
 #include "queueing/fifo_server.hpp"

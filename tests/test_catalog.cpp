@@ -29,13 +29,15 @@ TEST(Catalog, CoversRegistryAndKeysExactly) {
     EXPECT_FALSE(catalog.schemes[i].summary.empty());
   }
 
-  const auto& keys = Scenario::known_set_keys();
+  const auto& keys = Scenario::keys();
   ASSERT_EQ(catalog.set_keys.size(), keys.size());
+  std::vector<std::string> sweepable;
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(catalog.set_keys[i].name, keys[i]);
-    EXPECT_FALSE(catalog.set_keys[i].doc.empty()) << keys[i];
-    EXPECT_FALSE(catalog.set_keys[i].type.empty()) << keys[i];
+    EXPECT_EQ(catalog.set_keys[i].name, keys[i].name);
+    EXPECT_EQ(catalog.set_keys[i].doc, keys[i].doc);
+    if (keys[i].sweepable) sweepable.push_back(keys[i].name);
   }
+  EXPECT_EQ(catalog.sweep_keys, sweepable);
 
   ASSERT_EQ(catalog.permutations.size(), Permutation::names().size());
   for (std::size_t i = 0; i < catalog.permutations.size(); ++i) {

@@ -1,11 +1,10 @@
-// Tests for the thread-parallel replication runner: determinism across
-// thread counts is the critical property.
+// Tests for the across-replication aggregation: per-metric summaries and
+// t intervals over per-replication metric rows, merged in replication
+// order.
 
 #include "core/experiment.hpp"
 
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -13,58 +12,18 @@
 namespace routesim {
 namespace {
 
-std::vector<double> noisy_metrics(std::uint64_t seed, int rep) {
-  Rng rng(seed);
-  return {rng.uniform(), static_cast<double>(rep), rng.uniform() * 10.0};
-}
-
-TEST(Experiment, RunsRequestedReplications) {
-  ReplicationPlan plan{10, 42, 4};
-  const auto rows = run_replications(plan, noisy_metrics);
-  EXPECT_EQ(rows.size(), 10u);
-  for (const auto& row : rows) EXPECT_EQ(row.size(), 3u);
-}
-
-TEST(Experiment, SeedsAreDerivedPerReplication) {
-  ReplicationPlan plan{5, 42, 1};
-  const auto rows = run_replications(plan, [](std::uint64_t seed, int) {
-    return std::vector<double>{static_cast<double>(seed >> 32)};
-  });
-  // All five replication seeds distinct.
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    for (std::size_t j = i + 1; j < rows.size(); ++j) {
-      EXPECT_NE(rows[i][0], rows[j][0]);
-    }
+/// `reps` rows of {uniform, rep index, 10 * uniform}, one seed per row.
+std::vector<std::vector<double>> noisy_rows(int reps, std::uint64_t base_seed) {
+  std::vector<std::vector<double>> rows;
+  for (int rep = 0; rep < reps; ++rep) {
+    Rng rng(derive_stream(base_seed, static_cast<std::uint64_t>(rep)));
+    rows.push_back({rng.uniform(), static_cast<double>(rep), rng.uniform() * 10.0});
   }
-}
-
-TEST(Experiment, DeterministicAcrossThreadCounts) {
-  // The HPC determinism contract: 1 thread and 8 threads produce identical
-  // aggregates because each replication owns its seed and result slot.
-  ReplicationPlan serial{16, 7, 1};
-  ReplicationPlan parallel{16, 7, 8};
-  const auto a = run_replications(serial, noisy_metrics);
-  const auto b = run_replications(parallel, noisy_metrics);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t rep = 0; rep < a.size(); ++rep) {
-    for (std::size_t m = 0; m < a[rep].size(); ++m) {
-      EXPECT_DOUBLE_EQ(a[rep][m], b[rep][m]);
-    }
-  }
-}
-
-TEST(Experiment, ReplicationIndexIsPassedThrough) {
-  ReplicationPlan plan{6, 1, 3};
-  const auto rows = run_replications(plan, noisy_metrics);
-  for (std::size_t rep = 0; rep < rows.size(); ++rep) {
-    EXPECT_DOUBLE_EQ(rows[rep][1], static_cast<double>(rep));
-  }
+  return rows;
 }
 
 TEST(Experiment, SummariesMergeAcrossReplications) {
-  ReplicationPlan plan{32, 9, 0};
-  const auto rows = run_replications(plan, noisy_metrics);
-  const auto summaries = summarize_replications(rows);
+  const auto summaries = summarize_replications(noisy_rows(32, 9));
   ASSERT_EQ(summaries.size(), 3u);
   EXPECT_EQ(summaries[0].count(), 32u);
   EXPECT_NEAR(summaries[0].mean(), 0.5, 0.2);
@@ -72,21 +31,13 @@ TEST(Experiment, SummariesMergeAcrossReplications) {
 }
 
 TEST(Experiment, IntervalsShrinkWithMoreReplications) {
-  const auto body = [](std::uint64_t seed, int) {
-    Rng rng(seed);
-    return std::vector<double>{rng.uniform()};
-  };
-  const auto few = replication_intervals(run_replications({8, 3, 0}, body));
-  const auto many = replication_intervals(run_replications({128, 3, 0}, body));
+  const auto few = replication_intervals(noisy_rows(8, 3));
+  const auto many = replication_intervals(noisy_rows(128, 3));
   EXPECT_GT(few[0].half_width, many[0].half_width);
+  EXPECT_DOUBLE_EQ(few[0].confidence, 0.95);
 }
 
 TEST(Experiment, ValidatesInputs) {
-  EXPECT_THROW((void)run_replications({0, 1, 1}, noisy_metrics), ContractViolation);
-  EXPECT_THROW(
-      (void)run_replications(
-          {2, 1, 1}, std::function<std::vector<double>(std::uint64_t, int)>{}),
-      ContractViolation);
   EXPECT_THROW((void)summarize_replications({}), ContractViolation);
 }
 

@@ -1,6 +1,5 @@
-// Scenario API tests: textual round trip through the CLI parser, sweep
-// specs, derived quantities, and bit-identical parity between run() and
-// the legacy façade shims.
+// Scenario API tests: the key table, the textual round trip through the
+// CLI parser, sweep specs and derived quantities.
 
 #include "core/scenario.hpp"
 
@@ -9,9 +8,10 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <string>
 
-#include "core/simulation.hpp"
+#include "core/campaign.hpp"
 #include "util/assert.hpp"
 
 namespace routesim {
@@ -643,79 +643,92 @@ TEST(SweepSpec, StormRateIsSweepable) {
   EXPECT_DOUBLE_EQ(scenario.storm_rate, 0.05);
 }
 
-// --- parity with the legacy façade (bit-identical, same seeds/plan) ------
-
-TEST(FacadeParity, HypercubeEstimateMatchesScenarioRun) {
-  const bounds::HypercubeParams params{4, 1.0, 0.5};
-  const Window window = Window::for_load(4, 0.5, 500.0);
-  const ReplicationPlan plan{3, 99, 0};
-  const DelayEstimate legacy = estimate_hypercube_delay(params, window, plan);
-
-  Scenario scenario;
-  scenario.scheme = "hypercube_greedy";
-  scenario.d = params.d;
-  scenario.lambda = params.lambda;
-  scenario.p = params.p;
-  scenario.window = window;
-  scenario.plan = plan;
-  const RunResult result = run(scenario);
-
-  EXPECT_DOUBLE_EQ(legacy.delay.mean, result.delay.mean);
-  EXPECT_DOUBLE_EQ(legacy.delay.half_width, result.delay.half_width);
-  EXPECT_DOUBLE_EQ(legacy.population.mean, result.population.mean);
-  EXPECT_DOUBLE_EQ(legacy.throughput.mean, result.throughput.mean);
-  EXPECT_DOUBLE_EQ(legacy.mean_hops, result.mean_hops);
-  EXPECT_DOUBLE_EQ(legacy.max_little_error, result.max_little_error);
-  EXPECT_DOUBLE_EQ(legacy.mean_final_backlog, result.mean_final_backlog);
-  EXPECT_DOUBLE_EQ(legacy.lower_bound, result.lower_bound);
-  EXPECT_DOUBLE_EQ(legacy.upper_bound, result.upper_bound);
-  EXPECT_TRUE(result.has_bounds);
+// The textual form is the persistent store's key format: pin it byte for
+// byte so a key-table change cannot silently orphan stored results.
+TEST(Scenario, TextualFormIsPinned) {
+  EXPECT_EQ(Scenario().to_string(),
+            "hypercube_greedy d=4 topology=native torus_dims=4x4 lambda=0.1 "
+            "p=0.5 tau=0 discipline=fifo workload=bit_flip "
+            "permutation=bit_reversal hotspot_frac=0.1 fanout=4 "
+            "unicast_baseline=0 buffers=0 fault_rate=0 node_fault_rate=0 "
+            "fault_mtbf=0 fault_mttr=0 storm_rate=0 storm_radius=1 "
+            "storm_duration=0 fault_policy=drop ttl=0 warmup=0 horizon=0 "
+            "measure=4e+03 reps=8 seed=1 threads=0 backend=scalar");
+  Scenario optional;
+  optional.set("ring_chords", "papillon");
+  optional.set("rho", "0.5");
+  optional.set("workload", "trace");
+  optional.set("trace_file", "replay.jsonl");
+  const std::string text = optional.to_string();
+  EXPECT_NE(text.find(" topology=native ring_chords=papillon torus_dims=4x4 "
+                      "lambda=0.1 rho=0.5 p=0.5 "),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find(" workload=trace trace_file=replay.jsonl permutation="),
+            std::string::npos)
+      << text;
 }
 
-TEST(FacadeParity, NetworkQEstimateMatchesScenarioRun) {
-  const bounds::HypercubeParams params{4, 1.0, 0.5};
-  const Window window = Window::for_load(4, 0.5, 400.0);
-  const ReplicationPlan plan{2, 7, 0};
-  for (const bool ps : {false, true}) {
-    const DelayEstimate legacy =
-        estimate_network_q_delay(params, window, plan, ps);
-
+TEST(Scenario, EveryKeyRowIsCompleteAndRoundTripsItsDefault) {
+  std::set<std::string> names;
+  for (const ScenarioKey& key : Scenario::keys()) {
+    EXPECT_TRUE(names.insert(key.name).second) << "duplicate key " << key.name;
+    EXPECT_FALSE(key.doc.empty()) << key.name;
+    EXPECT_FALSE(key.type.empty()) << key.name;
+    ASSERT_NE(key.set, nullptr) << key.name;
+    ASSERT_NE(key.get, nullptr) << key.name;
     Scenario scenario;
-    scenario.scheme = ps ? "network_q_ps" : "network_q_fifo";
-    scenario.d = params.d;
-    scenario.lambda = params.lambda;
-    scenario.p = params.p;
-    scenario.window = window;
-    scenario.plan = plan;
-    const RunResult result = run(scenario);
-
-    EXPECT_DOUBLE_EQ(legacy.delay.mean, result.delay.mean);
-    EXPECT_DOUBLE_EQ(legacy.population.mean, result.population.mean);
-    EXPECT_DOUBLE_EQ(legacy.throughput.mean, result.throughput.mean);
-    EXPECT_DOUBLE_EQ(legacy.max_little_error, result.max_little_error);
+    if (const auto value = key.get(scenario)) {
+      key.set(scenario, *value);
+      EXPECT_EQ(scenario, Scenario()) << key.name << "=" << *value;
+    }
   }
 }
 
-TEST(FacadeParity, ButterflyEstimateMatchesScenarioRun) {
-  const bounds::ButterflyParams params{4, 0.8, 0.5};
-  const Window window = Window::for_load(4, 0.4, 400.0);
-  const ReplicationPlan plan{2, 11, 0};
-  const DelayEstimate legacy = estimate_butterfly_delay(params, window, plan);
-
+TEST(Scenario, BadValueNamesKeyValueAndReason) {
   Scenario scenario;
-  scenario.scheme = "butterfly_greedy";
-  scenario.d = params.d;
-  scenario.lambda = params.lambda;
-  scenario.p = params.p;
-  scenario.window = window;
-  scenario.plan = plan;
-  const RunResult result = run(scenario);
+  try {
+    scenario.set("fault_rate", "1.5");
+    FAIL() << "expected ScenarioError";
+  } catch (const ScenarioError& error) {
+    EXPECT_STREQ(error.what(),
+                 "bad value '1.5' for key 'fault_rate': must be in [0, 1]");
+  }
+  EXPECT_DOUBLE_EQ(scenario.fault_rate, 0.0);  // nothing committed
+  EXPECT_THROW(scenario.set("buffers", "-1"), ScenarioError);
+  EXPECT_THROW(scenario.set("rho", "nan"), ScenarioError);
+}
 
-  EXPECT_DOUBLE_EQ(legacy.delay.mean, result.delay.mean);
-  EXPECT_DOUBLE_EQ(legacy.population.mean, result.population.mean);
-  EXPECT_DOUBLE_EQ(legacy.throughput.mean, result.throughput.mean);
-  EXPECT_DOUBLE_EQ(legacy.lower_bound, result.lower_bound);
-  EXPECT_DOUBLE_EQ(legacy.upper_bound, result.upper_bound);
+TEST(SweepSpec, RejectsKeysThatAreNotSweepable) {
+  EXPECT_THROW((void)SweepSpec::parse("topology=1:2"), ScenarioError);
+  EXPECT_THROW((void)SweepSpec::parse("warmup=0:100:50"), ScenarioError);
+  try {
+    (void)SweepSpec::parse("rh=0.1:0.9");
+    FAIL() << "expected ScenarioError";
+  } catch (const ScenarioError& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("did you mean: rho"), std::string::npos) << message;
+  }
+  for (const ScenarioKey& key : Scenario::keys()) {
+    if (!key.sweepable) continue;
+    EXPECT_EQ(SweepSpec::parse(key.name + "=1:2").key, key.name);
+  }
+}
+
+// ResultCache::key writes result-neutral keys at their defaults, and only
+// those: every other key changes the cache key.
+TEST(Scenario, CacheKeyNormalisesExactlyTheResultNeutralKeys) {
+  Scenario tuned;
+  tuned.set("threads", "3");
+  tuned.set("backend", "soa_batch");
+  EXPECT_EQ(ResultCache::key(tuned), ResultCache::key(Scenario()));
+  for (const ScenarioKey& key : Scenario::keys()) {
+    EXPECT_EQ(key.result_neutral, key.name == "threads" || key.name == "backend")
+        << key.name;
+  }
+  Scenario seeded;
+  seeded.set("seed", "2");
+  EXPECT_NE(ResultCache::key(seeded), ResultCache::key(Scenario()));
 }
 
 }  // namespace

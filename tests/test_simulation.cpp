@@ -1,16 +1,27 @@
-// Integration tests for the top-level façade: replicated delay estimates
-// land inside the paper's brackets with calibrated confidence intervals.
-
-#include "core/simulation.hpp"
+// Integration tests for run(Scenario): replicated delay estimates land
+// inside the paper's brackets with calibrated confidence intervals.
 
 #include <gtest/gtest.h>
 
+#include "core/scenario.hpp"
 #include "util/assert.hpp"
 
 namespace routesim {
 namespace {
 
-TEST(Facade, WindowHeuristicScalesWithLoadAndDimension) {
+Scenario point(const char* scheme, int d, double lambda, double p,
+               const Window& window, ReplicationPlan plan) {
+  Scenario scenario;
+  scenario.scheme = scheme;
+  scenario.d = d;
+  scenario.lambda = lambda;
+  scenario.p = p;
+  scenario.window = window;
+  scenario.plan = plan;
+  return scenario;
+}
+
+TEST(Simulation, WindowHeuristicScalesWithLoadAndDimension) {
   const auto light = Window::for_load(4, 0.2, 1000.0);
   const auto heavy = Window::for_load(4, 0.95, 1000.0);
   const auto big = Window::for_load(12, 0.2, 1000.0);
@@ -20,69 +31,71 @@ TEST(Facade, WindowHeuristicScalesWithLoadAndDimension) {
   EXPECT_THROW((void)Window::for_load(4, 1.0, 100.0), ContractViolation);
 }
 
-TEST(Facade, HypercubeEstimateWithinBrackets) {
-  bounds::HypercubeParams params{6, 1.2, 0.5};  // rho = 0.6
+TEST(Simulation, HypercubeEstimateWithinBrackets) {
+  const bounds::HypercubeParams params{6, 1.2, 0.5};  // rho = 0.6
   const auto window = Window::for_load(params.d, 0.6, 8000.0);
-  const auto estimate = estimate_hypercube_delay(params, window, {8, 2024, 0});
-  EXPECT_GE(estimate.delay.mean, estimate.lower_bound * 0.97);
-  EXPECT_LE(estimate.delay.mean, estimate.upper_bound * 1.03);
-  EXPECT_DOUBLE_EQ(estimate.lower_bound, bounds::greedy_delay_lower_bound(params));
-  EXPECT_DOUBLE_EQ(estimate.upper_bound, bounds::greedy_delay_upper_bound(params));
-  EXPECT_LT(estimate.max_little_error, 0.05);
-  EXPECT_NEAR(estimate.mean_hops, 3.0, 0.05);
-  EXPECT_GT(estimate.delay.half_width, 0.0);
+  const RunResult result =
+      run(point("hypercube_greedy", 6, 1.2, 0.5, window, {8, 2024}));
+  EXPECT_GE(result.delay.mean, result.lower_bound * 0.97);
+  EXPECT_LE(result.delay.mean, result.upper_bound * 1.03);
+  EXPECT_DOUBLE_EQ(result.lower_bound, bounds::greedy_delay_lower_bound(params));
+  EXPECT_DOUBLE_EQ(result.upper_bound, bounds::greedy_delay_upper_bound(params));
+  EXPECT_LT(result.max_little_error, 0.05);
+  EXPECT_NEAR(result.mean_hops, 3.0, 0.05);
+  EXPECT_GT(result.delay.half_width, 0.0);
 }
 
-TEST(Facade, HypercubeThroughputMatchesOfferedLoad) {
-  bounds::HypercubeParams params{5, 1.0, 0.5};
-  const auto window = Window::for_load(params.d, 0.5, 5000.0);
-  const auto estimate = estimate_hypercube_delay(params, window, {6, 7, 0});
-  EXPECT_NEAR(estimate.throughput.mean / (1.0 * 32.0), 1.0, 0.03);
+TEST(Simulation, HypercubeThroughputMatchesOfferedLoad) {
+  const auto window = Window::for_load(5, 0.5, 5000.0);
+  const RunResult result =
+      run(point("hypercube_greedy", 5, 1.0, 0.5, window, {6, 7}));
+  EXPECT_NEAR(result.throughput.mean / (1.0 * 32.0), 1.0, 0.03);
 }
 
-TEST(Facade, ButterflyEstimateWithinBrackets) {
-  bounds::ButterflyParams params{5, 1.0, 0.5};  // rho = 0.5
-  const auto window = Window::for_load(params.d, 0.5, 8000.0);
-  const auto estimate = estimate_butterfly_delay(params, window, {8, 99, 0});
-  EXPECT_GE(estimate.delay.mean, estimate.lower_bound * 0.97);
-  EXPECT_LE(estimate.delay.mean, estimate.upper_bound * 1.03);
-  EXPECT_LT(estimate.max_little_error, 0.05);
+TEST(Simulation, ButterflyEstimateWithinBrackets) {
+  const auto window = Window::for_load(5, 0.5, 8000.0);  // rho = 0.5
+  const RunResult result =
+      run(point("butterfly_greedy", 5, 1.0, 0.5, window, {8, 99}));
+  EXPECT_GE(result.delay.mean, result.lower_bound * 0.97);
+  EXPECT_LE(result.delay.mean, result.upper_bound * 1.03);
+  EXPECT_LT(result.max_little_error, 0.05);
 }
 
-TEST(Facade, SlottedEstimateRespectsSlottedBound) {
-  bounds::HypercubeParams params{5, 1.0, 0.5};
-  const auto window = Window::for_load(params.d, 0.5, 6000.0);
-  const auto estimate =
-      estimate_hypercube_delay(params, window, {6, 11, 0}, /*tau=*/0.5);
-  EXPECT_DOUBLE_EQ(estimate.upper_bound,
+TEST(Simulation, SlottedEstimateRespectsSlottedBound) {
+  const bounds::HypercubeParams params{5, 1.0, 0.5};
+  Scenario scenario = point("hypercube_greedy", 5, 1.0, 0.5,
+                            Window::for_load(5, 0.5, 6000.0), {6, 11});
+  scenario.tau = 0.5;
+  const RunResult result = run(scenario);
+  EXPECT_DOUBLE_EQ(result.upper_bound,
                    bounds::slotted_delay_upper_bound(params, 0.5));
-  EXPECT_LE(estimate.delay.mean, estimate.upper_bound * 1.03);
+  EXPECT_LE(result.delay.mean, result.upper_bound * 1.03);
 }
 
-TEST(Facade, NetworkQEstimateMatchesPacketLevel) {
-  bounds::HypercubeParams params{5, 1.0, 0.5};
-  const auto window = Window::for_load(params.d, 0.5, 8000.0);
-  const auto direct = estimate_hypercube_delay(params, window, {6, 31, 0});
-  const auto via_q = estimate_network_q_delay(params, window, {6, 31, 0},
-                                              /*processor_sharing=*/false);
+TEST(Simulation, NetworkQEstimateMatchesPacketLevel) {
+  const auto window = Window::for_load(5, 0.5, 8000.0);
+  const RunResult direct =
+      run(point("hypercube_greedy", 5, 1.0, 0.5, window, {6, 31}));
+  const RunResult via_q =
+      run(point("network_q_fifo", 5, 1.0, 0.5, window, {6, 31}));
   EXPECT_NEAR(via_q.delay.mean / direct.delay.mean, 1.0, 0.05);
 }
 
-TEST(Facade, PsNetworkDelayNearProductFormPrediction) {
+TEST(Simulation, PsNetworkDelayNearProductFormPrediction) {
   // Under PS the network is product-form: T~ = dp/(1-rho) exactly (within
   // simulation noise) — the Prop. 12 upper bound is tight for Q~.
-  bounds::HypercubeParams params{5, 1.0, 0.5};  // dp/(1-rho) = 5
-  const auto window = Window::for_load(params.d, 0.5, 12000.0);
-  const auto estimate = estimate_network_q_delay(params, window, {8, 47, 0},
-                                                 /*processor_sharing=*/true);
-  EXPECT_NEAR(estimate.delay.mean, bounds::greedy_delay_upper_bound(params), 0.15);
+  const bounds::HypercubeParams params{5, 1.0, 0.5};  // dp/(1-rho) = 5
+  const RunResult result = run(point("network_q_ps", 5, 1.0, 0.5,
+                                     Window::for_load(5, 0.5, 12000.0), {8, 47}));
+  EXPECT_NEAR(result.delay.mean, bounds::greedy_delay_upper_bound(params), 0.15);
 }
 
-TEST(Facade, DeterministicForPlanSeed) {
-  bounds::HypercubeParams params{4, 0.8, 0.5};
-  const auto window = Window::for_load(params.d, 0.4, 1000.0);
-  const auto a = estimate_hypercube_delay(params, window, {4, 5, 1});
-  const auto b = estimate_hypercube_delay(params, window, {4, 5, 4});
+TEST(Simulation, DeterministicForPlanSeedAcrossThreadCounts) {
+  const auto window = Window::for_load(4, 0.4, 1000.0);
+  const RunResult a =
+      run(point("hypercube_greedy", 4, 0.8, 0.5, window, {4, 5, 1}));
+  const RunResult b =
+      run(point("hypercube_greedy", 4, 0.8, 0.5, window, {4, 5, 4}));
   EXPECT_DOUBLE_EQ(a.delay.mean, b.delay.mean);
   EXPECT_DOUBLE_EQ(a.population.mean, b.population.mean);
 }
