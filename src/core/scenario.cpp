@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -281,20 +280,6 @@ std::shared_ptr<const Topology> Scenario::compiled_topology() const {
   } catch (const std::invalid_argument& error) {
     throw ScenarioError(error.what());
   }
-}
-
-std::string fmt_shortest(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  double parsed = 0.0;
-  for (const int precision : {1, 3, 6, 9, 12, 15}) {
-    char candidate[32];
-    std::snprintf(candidate, sizeof candidate, "%.*g", precision, value);
-    if (std::sscanf(candidate, "%lf", &parsed) == 1 && parsed == value) {
-      return candidate;
-    }
-  }
-  return buffer;
 }
 
 namespace {
@@ -768,6 +753,13 @@ Scenario Scenario::parse(const std::vector<std::string>& args) {
     scenario.set(args[i].substr(0, eq), args[i].substr(eq + 1));
   }
   return scenario;
+}
+
+Scenario Scenario::parse_text(const std::string& text) {
+  std::istringstream words(text);
+  std::vector<std::string> tokens;
+  for (std::string token; words >> token;) tokens.push_back(token);
+  return parse(tokens);
 }
 
 const ConfidenceInterval* RunResult::extra(const std::string& name) const {

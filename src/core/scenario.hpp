@@ -26,6 +26,7 @@
 #include "core/experiment.hpp"
 #include "queueing/levelled_network.hpp"
 #include "stats/ci.hpp"
+#include "util/json.hpp"  // fmt_shortest is part of this API
 #include "workload/destination.hpp"
 
 namespace routesim {
@@ -329,6 +330,10 @@ struct Scenario {
   /// Parses {"scheme", "key=value", ...} (the CLI argument form).
   static Scenario parse(const std::vector<std::string>& args);
 
+  /// parse() of the whitespace-separated one-liner to_string() writes (and
+  /// serve requests and store records carry).
+  static Scenario parse_text(const std::string& text);
+
   friend bool operator==(const Scenario&, const Scenario&) = default;
 };
 
@@ -367,11 +372,6 @@ struct RunResult {
 /// per-run pool for equal seeds and plans.  Throws ScenarioError for an
 /// unknown scheme.
 [[nodiscard]] RunResult run(const Scenario& scenario);
-
-/// Shortest decimal form of `value` that round-trips through stod — the
-/// formatting used by the textual scenario forms, campaign cell labels and
-/// the JSONL sink.
-[[nodiscard]] std::string fmt_shortest(double value);
 
 // ----------------------------------------------------------------- sweeps
 

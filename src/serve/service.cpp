@@ -45,14 +45,6 @@ struct ServeMetrics {
   }
 };
 
-Scenario scenario_from_text_or_throw(const std::string& text) {
-  std::istringstream words(text);
-  std::vector<std::string> tokens;
-  for (std::string token; words >> token;) tokens.push_back(token);
-  if (tokens.empty()) throw ScenarioError("empty scenario string");
-  return Scenario::parse(tokens);
-}
-
 }  // namespace
 
 EngineOptions QueryService::engine_options() {
@@ -66,7 +58,7 @@ EngineOptions QueryService::engine_options() {
 QueryService::QueryResult QueryService::query_text(
     const std::string& scenario_text) {
   try {
-    return query(scenario_from_text_or_throw(scenario_text));
+    return query(Scenario::parse_text(scenario_text));
   } catch (const std::exception& error) {
     ServeMetrics& metrics = ServeMetrics::get();
     metrics.queries.add();
@@ -250,7 +242,7 @@ void handle_grid(QueryService& service, const json::Value& request,
     return;
   }
   try {
-    const Scenario base = scenario_from_text_or_throw(scenario_text->string);
+    const Scenario base = Scenario::parse_text(scenario_text->string);
     std::vector<SweepSpec> axes;
     if (const json::Value* axis_list = request.find("axes");
         axis_list != nullptr) {

@@ -52,8 +52,12 @@ double incomplete_beta(double a, double b, double x) {
   RS_EXPECTS(x >= 0.0 && x <= 1.0);
   if (x == 0.0) return 0.0;
   if (x == 1.0) return 1.0;
-  const double ln_front = std::lgamma(a + b) - std::lgamma(a) - std::lgamma(b) +
-                          a * std::log(x) + b * std::log1p(-x);
+  // lgamma_r, not std::lgamma: the same bits (glibc computes both in
+  // __ieee754_lgamma_r) without the write to the global signgam, which
+  // races when cells are assembled on worker threads.
+  int sign = 0;
+  const double ln_front = ::lgamma_r(a + b, &sign) - ::lgamma_r(a, &sign) -
+                          ::lgamma_r(b, &sign) + a * std::log(x) + b * std::log1p(-x);
   const double front = std::exp(ln_front);
   // Use the continued fraction directly where it converges fast, else the
   // symmetry I_x(a,b) = 1 - I_{1-x}(b,a).

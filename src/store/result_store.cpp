@@ -17,9 +17,9 @@ namespace routesim {
 
 namespace {
 
-/// Exact-round-trip number emission: fmt_shortest for finite values (its
-/// contract is strtod-identity), string literals for the values JSON
-/// cannot spell.
+/// Exact-round-trip number emission: fmt_shortest for finite values (each
+/// of its outputs parses back to the identical double), string literals
+/// for the values JSON cannot spell.
 void exact_number(std::ostringstream& os, double value) {
   if (std::isnan(value)) {
     os << "\"nan\"";
@@ -73,14 +73,10 @@ bool read_interval(const json::Value& object, const std::string& name,
          read_double(object.find(name + "_half_width"), &out->half_width);
 }
 
-/// "scheme key=value ..." -> Scenario, via the CLI token form.
+/// Scenario::parse_text, with a malformed one-liner reported as false.
 bool scenario_from_text(const std::string& text, Scenario* out) {
-  std::istringstream words(text);
-  std::vector<std::string> tokens;
-  for (std::string token; words >> token;) tokens.push_back(token);
-  if (tokens.empty()) return false;
   try {
-    *out = Scenario::parse(tokens);
+    *out = Scenario::parse_text(text);
   } catch (const ScenarioError&) {
     return false;
   }

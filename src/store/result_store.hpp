@@ -23,12 +23,12 @@
 ///     future format change cannot be misread as data.
 ///
 /// Numbers round-trip *bit-identically*: finite doubles are written in
-/// fmt_shortest() form (shortest decimal that strtod's back to the same
-/// bits) and non-finite values as the strings "nan"/"inf"/"-inf" (JSON
-/// has no literals for them; the campaign sink's lossy `null` is accepted
-/// on read as NaN).  That exactness is what lets a resumed campaign
-/// reproduce a cold run's results to the last bit (tests/test_campaign.cpp
-/// pins it).
+/// fmt_shortest() form (the first of %.1g/%.3g/%.6g/%.9g/%.12g/%.15g that
+/// strtod's back to the same bits, else %.17g) and non-finite values as
+/// the strings "nan"/"inf"/"-inf" (JSON has no literals for them; the
+/// campaign sink's lossy `null` is accepted on read as NaN).  That
+/// exactness is what lets a resumed campaign reproduce a cold run's results
+/// to the last bit (tests/test_campaign.cpp pins it).
 ///
 /// `ResultStore` implements the engine's `ResultBackend` seam, so wiring
 /// one into `EngineOptions::store` gives any campaign checkpoint/resume

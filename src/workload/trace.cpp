@@ -1,12 +1,12 @@
 #include "workload/trace.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "util/assert.hpp"
+#include "util/json.hpp"
 #include "util/json_parse.hpp"
 #include "workload/traffic.hpp"
 
@@ -77,23 +77,6 @@ PacketTrace generate_fixed_destination_trace(int d, double lambda,
 
 namespace {
 
-/// Shortest decimal form that strtod's back to the identical double
-/// (same contract as core's fmt_shortest; duplicated here so the
-/// workload layer does not depend on core).
-std::string shortest_double(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  double parsed = 0.0;
-  for (const int precision : {1, 3, 6, 9, 12, 15}) {
-    char candidate[32];
-    std::snprintf(candidate, sizeof candidate, "%.*g", precision, value);
-    if (std::sscanf(candidate, "%lf", &parsed) == 1 && parsed == value) {
-      return candidate;
-    }
-  }
-  return buffer;
-}
-
 [[noreturn]] void trace_line_error(const std::string& path, std::size_t line,
                                    const std::string& reason) {
   std::ostringstream os;
@@ -127,7 +110,7 @@ NodeId trace_identity(const std::string& path, std::size_t line,
       value >= static_cast<double>(nodes)) {
     std::ostringstream os;
     os << "field \"" << key << "\" must be an integer in [0, " << nodes
-       << "), got " << shortest_double(value);
+       << "), got " << fmt_shortest(value);
     trace_line_error(path, line, os.str());
   }
   return static_cast<NodeId>(value);
@@ -141,7 +124,7 @@ void save_trace_jsonl(const PacketTrace& trace, const std::string& path) {
     throw std::runtime_error("trace file '" + path + "': cannot open for writing");
   }
   for (const TracedPacket& packet : trace.packets) {
-    out << "{\"t\":" << shortest_double(packet.time)
+    out << "{\"t\":" << fmt_shortest(packet.time)
         << ",\"src\":" << packet.origin << ",\"dst\":" << packet.destination
         << "}\n";
   }
@@ -180,8 +163,8 @@ PacketTrace load_trace_jsonl(const std::string& path, int d) {
     }
     if (time < previous_time) {
       std::ostringstream os;
-      os << "times must be non-decreasing (" << shortest_double(time)
-         << " after " << shortest_double(previous_time) << ")";
+      os << "times must be non-decreasing (" << fmt_shortest(time)
+         << " after " << fmt_shortest(previous_time) << ")";
       trace_line_error(path, line_number, os.str());
     }
     previous_time = time;

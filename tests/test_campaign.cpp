@@ -293,13 +293,9 @@ TEST(JsonlSink, SchemaRoundTripsThroughScenarioParse) {
     EXPECT_EQ(json_field(line, "label"), cell.label);
     EXPECT_EQ(json_field(line, "from_cache"), "false");
 
-    // The scenario field is the canonical one-liner: Scenario::parse of
-    // its tokens reconstructs the resolved cell scenario exactly.
-    const std::string text = json_field(line, "scenario");
-    std::vector<std::string> tokens;
-    std::istringstream words(text);
-    for (std::string word; words >> word;) tokens.push_back(word);
-    EXPECT_EQ(Scenario::parse(tokens), cell.scenario);
+    // The scenario field is the canonical one-liner: Scenario::parse_text
+    // of it reconstructs the resolved cell scenario exactly.
+    EXPECT_EQ(Scenario::parse_text(json_field(line, "scenario")), cell.scenario);
 
     // Numbers are emitted in shortest-round-trip form: parsing them back
     // recovers the RunResult bit for bit.

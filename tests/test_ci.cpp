@@ -76,6 +76,19 @@ TEST(StudentT, QuantileInvertsGCdf) {
   }
 }
 
+TEST(StudentT, ReentrantLogGammaIsBitIdentical) {
+  // incomplete_beta takes log-gamma from lgamma_r, which leaves glibc's
+  // global signgam alone (std::lgamma writes it, a race when cells are
+  // assembled on worker threads).  It must equal std::lgamma bit for bit
+  // on what student_t_quantile passes: a = df/2, b = 0.5 and a + b.
+  for (int df = 1; df <= 10000; ++df) {
+    for (const double x : {df / 2.0, 0.5, df / 2.0 + 0.5}) {
+      int sign = 0;
+      EXPECT_EQ(::lgamma_r(x, &sign), std::lgamma(x)) << "x = " << x;
+    }
+  }
+}
+
 TEST(StudentT, QuantileRejectsBadInputs) {
   EXPECT_THROW((void)student_t_quantile(0.0, 5.0), ContractViolation);
   EXPECT_THROW((void)student_t_quantile(1.0, 5.0), ContractViolation);

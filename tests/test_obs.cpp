@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,14 +26,6 @@
 
 namespace routesim {
 namespace {
-
-/// Scenario::parse over the whitespace-separated one-liner form.
-Scenario scenario_from(const std::string& text) {
-  std::istringstream words(text);
-  std::vector<std::string> tokens;
-  for (std::string token; words >> token;) tokens.push_back(token);
-  return Scenario::parse(tokens);
-}
 
 // ---------------------------------------------------------------- metrics
 
@@ -247,7 +238,7 @@ Campaign traced_parity_campaign() {
         "backend=soa_batch",
         "butterfly_greedy d=4 rho=0.4 measure=200 reps=2 seed=33",
         "valiant_mixing d=4 rho=0.3 measure=200 reps=2 seed=34"}) {
-    campaign.add(scenario_from(text));
+    campaign.add(Scenario::parse_text(text));
   }
   return campaign;
 }
@@ -288,7 +279,7 @@ TEST(Trace, EngineRecordsCacheAndStoreInstants) {
 
   Campaign campaign("instants");
   const Scenario cell =
-      scenario_from("hypercube_greedy d=4 rho=0.5 measure=100 reps=2 seed=41");
+      Scenario::parse_text("hypercube_greedy d=4 rho=0.5 measure=100 reps=2 seed=41");
   campaign.add("a", cell);
   campaign.add("b", cell);  // in-campaign duplicate -> served without recompute
 
@@ -334,7 +325,7 @@ TEST(Trace, EngineRecordsCacheAndStoreInstants) {
 TEST(JsonlSink, CellLinesCarryTierAndWallTime) {
   Campaign campaign("schema");
   campaign.add(
-      scenario_from("hypercube_greedy d=4 rho=0.5 measure=100 reps=2 seed=51"));
+      Scenario::parse_text("hypercube_greedy d=4 rho=0.5 measure=100 reps=2 seed=51"));
 
   MemorySink memory;
   EngineOptions options;
