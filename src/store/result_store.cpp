@@ -205,8 +205,8 @@ bool ResultStore::apply_record(const json::Value& record) {
       !key->is_string() || key->string.empty() || result_value == nullptr) {
     return false;
   }
-  if (static_cast<int>(version->number) != kResultStoreVersion ||
-      version->number != static_cast<int>(version->number)) {
+  // Compared as a double: casting a file's 1e400 or 3e9 to int is undefined.
+  if (version->number != kResultStoreVersion) {
     ++stats_.skipped_version;
     return true;  // a well-formed record we must not interpret — not garbage
   }
@@ -234,17 +234,18 @@ void ResultStore::load_existing() {
   buffer << in.rdbuf();
   const std::string content = buffer.str();
 
+  std::string line;
+  json::Value record;
   std::size_t begin = 0;
   while (begin < content.size()) {
     std::size_t end = content.find('\n', begin);
     const bool has_newline = end != std::string::npos;
     if (!has_newline) end = content.size();
-    const std::string line = content.substr(begin, end - begin);
+    line.assign(content, begin, end - begin);
     begin = end + (has_newline ? 1 : 0);
     if (!has_newline) tail_unterminated_ = true;
 
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    json::Value record;
     const bool parsed = json::parse(line, &record) && apply_record(record);
     if (!parsed) {
       // A cut final record (kill mid-append, no newline written) is the
@@ -378,9 +379,9 @@ std::size_t replay_results(
   std::ifstream in(path, std::ios::binary);
   if (!in) return 0;
   std::size_t consumed = 0;
+  json::Value record;
   for (std::string line; std::getline(in, line);) {
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    json::Value record;
     if (!json::parse(line, &record) || !record.is_object()) continue;
 
     // Store record: {"v":..,"key":..,"scenario":..,"result":{...}}.
@@ -390,7 +391,7 @@ std::size_t replay_results(
       const json::Value* key = record.find("key");
       const json::Value* scenario_text = record.find("scenario");
       if (version == nullptr || !version->is_number() ||
-          static_cast<int>(version->number) != kResultStoreVersion ||
+          version->number != kResultStoreVersion ||
           key == nullptr || !key->is_string() || scenario_text == nullptr ||
           !scenario_text->is_string()) {
         continue;

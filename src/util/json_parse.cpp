@@ -1,11 +1,13 @@
 #include "util/json_parse.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 namespace routesim::json {
 
-const Value* Value::find(const std::string& key) const {
+const Value* Value::find(std::string_view key) const {
   if (type != Type::kObject) return nullptr;
   const Value* found = nullptr;
   for (const auto& member : object) {
@@ -144,9 +146,17 @@ class Parser {
       }
       if (exponent == 0) return fail("digits required in exponent");
     }
-    const std::string span = text_.substr(start, pos_ - start);
+    // from_chars rounds correctly, as glibc's strtod does, so the two agree
+    // bit for bit.  Out of range (overflow to inf, underflow to 0) it leaves
+    // `number` untouched; strtod then gives the ±inf / ±0 it always gave.
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double number = 0.0;
+    if (std::from_chars(first, last, number).ec == std::errc::result_out_of_range) {
+      number = std::strtod(std::string(first, last).c_str(), nullptr);
+    }
     out->type = Value::Type::kNumber;
-    out->number = std::strtod(span.c_str(), nullptr);
+    out->number = number;
     return true;
   }
 
@@ -189,10 +199,21 @@ class Parser {
     return true;
   }
 
+  static bool is_plain(char c) {
+    return c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20;
+  }
+
   bool parse_string(std::string* out) {
     ++pos_;  // opening quote
     out->clear();
     while (pos_ < text_.size()) {
+      // Copy the run of plain characters up to the next quote, escape or
+      // control character in one append.
+      std::size_t run_end = pos_;
+      while (run_end < text_.size() && is_plain(text_[run_end])) ++run_end;
+      out->append(text_, pos_, run_end - pos_);
+      pos_ = run_end;
+      if (pos_ >= text_.size()) break;
       const char c = text_[pos_];
       if (c == '"') {
         ++pos_;
@@ -201,11 +222,7 @@ class Parser {
       if (static_cast<unsigned char>(c) < 0x20) {
         return fail("raw control character in string");
       }
-      if (c != '\\') {
-        *out += c;
-        ++pos_;
-        continue;
-      }
+      // Otherwise c is the backslash of an escape.
       if (++pos_ >= text_.size()) return fail("truncated escape");
       const char escape = text_[pos_++];
       switch (escape) {
@@ -254,10 +271,8 @@ class Parser {
       return true;
     }
     for (;;) {
-      Value element;
       skip_whitespace();
-      if (!parse_value(&element)) return false;
-      out->array.push_back(std::move(element));
+      if (!parse_value(&out->array.emplace_back())) return false;
       skip_whitespace();
       if (pos_ >= text_.size()) return fail("unterminated array");
       if (text_[pos_] == ',') {
@@ -285,17 +300,15 @@ class Parser {
       if (pos_ >= text_.size() || text_[pos_] != '"') {
         return fail("expected string key in object");
       }
-      std::string key;
-      if (!parse_string(&key)) return false;
+      auto& member = out->object.emplace_back();
+      if (!parse_string(&member.first)) return false;
       skip_whitespace();
       if (pos_ >= text_.size() || text_[pos_] != ':') {
         return fail("expected ':' after object key");
       }
       ++pos_;
       skip_whitespace();
-      Value member;
-      if (!parse_value(&member)) return false;
-      out->object.emplace_back(std::move(key), std::move(member));
+      if (!parse_value(&member.second)) return false;
       skip_whitespace();
       if (pos_ >= text_.size()) return fail("unterminated object");
       if (text_[pos_] == ',') {
@@ -320,7 +333,13 @@ class Parser {
 }  // namespace
 
 bool parse(const std::string& text, Value* out, std::string* error) {
-  *out = Value{};
+  // Reset in place rather than assigning Value{}: clear() keeps capacity.
+  out->type = Value::Type::kNull;
+  out->boolean = false;
+  out->number = 0.0;
+  out->string.clear();
+  out->array.clear();
+  out->object.clear();
   return Parser(text).parse_document(out, error);
 }
 

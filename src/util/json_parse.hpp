@@ -7,14 +7,19 @@
 /// The library writes JSON with hand-rolled emitters (util/json.hpp does
 /// the escaping); this is the matching reader.  It is a small
 /// recursive-descent parser over the full JSON grammar — objects preserve
-/// key order (the store round-trips extras vectors in order), numbers are
-/// parsed with strtod so every fmt_shortest() emission round-trips to the
-/// identical double, and any syntax error is reported with a character
-/// offset instead of throwing.  It is *not* a general-purpose JSON API:
-/// no DOM mutation, no serialisation (the emitters own that side).
+/// key order (the store round-trips extras vectors in order), and any
+/// syntax error is reported with a character offset instead of throwing.
+/// Numbers are checked against the JSON grammar and the same span is then
+/// converted with std::from_chars, which rounds correctly and so gives the
+/// double strtod gives, bit for bit: every fmt_shortest() emission
+/// round-trips to the identical double.  Only out of range (overflow to
+/// ±inf, underflow to ±0) does the span go through strtod, for the ±inf /
+/// ±0 it returns.  It is *not* a general-purpose JSON API: no DOM
+/// mutation, no serialisation (the emitters own that side).
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -43,12 +48,16 @@ struct Value {
 
   /// Member lookup (objects only); nullptr when absent or not an object.
   /// Duplicate keys resolve to the last occurrence.
-  [[nodiscard]] const Value* find(const std::string& key) const;
+  [[nodiscard]] const Value* find(std::string_view key) const;
 };
 
 /// Parses one complete JSON document from `text` (leading/trailing
 /// whitespace allowed, nothing else may follow).  Returns false and fills
-/// `*error` (when given) with "offset N: reason" on malformed input.
+/// `*error` (when given) with "offset N: reason" on malformed input; `*out`
+/// then holds a partial tree.  `*out` is reset in place and keeps the
+/// capacity of its own string and vectors (not of nested values), so a
+/// loader that parses every flat record (a trace line) into one Value
+/// stops allocating once warm.
 [[nodiscard]] bool parse(const std::string& text, Value* out,
                          std::string* error = nullptr);
 

@@ -143,14 +143,16 @@ PacketTrace load_trace_jsonl(const std::string& path, int d) {
   const std::uint64_t nodes = std::uint64_t{1} << d;
   PacketTrace trace;
   trace.dimension = d;
+  // One line buffer and one parsed record for the whole file: once warm,
+  // a line costs no allocation beyond its packet.
   std::string line;
+  json::Value record;
+  std::string error;
   std::size_t line_number = 0;
   double previous_time = 0.0;
   while (std::getline(in, line)) {
     ++line_number;
     if (line.empty()) continue;
-    json::Value record;
-    std::string error;
     if (!json::parse(line, &record, &error)) {
       trace_line_error(path, line_number, error);
     }

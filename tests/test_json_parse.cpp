@@ -1,9 +1,10 @@
 // Strict-JSON reader tests: the grammar the store/serve record formats
 // rely on — exact double round-trip of fmt_shortest() emissions (and their
-// byte identity with the formatter's original snprintf ladder), escape
-// and surrogate-pair decoding, insertion order with last-wins duplicate
-// lookup, and hard rejection of the malformed shapes the crash-tolerant
-// loaders classify as garbage.
+// byte identity with the formatter's original snprintf ladder), number
+// bits equal to strtod's on every token shape, escape and surrogate-pair
+// decoding, insertion order with last-wins duplicate lookup, parses into
+// a reused Value equal to fresh ones, and hard rejection of the malformed
+// shapes the crash-tolerant loaders classify as garbage.
 
 #include "util/json_parse.hpp"
 
@@ -59,6 +60,170 @@ TEST(JsonParse, FmtShortestEmissionsRoundTripBitExactly) {
     // guarantee needs the exact same double back.
     EXPECT_EQ(number.number, value) << text;
   }
+}
+
+// ----------------------------------------------- number bits against strtod
+
+/// Parses every token (as elements of one array, and the edge cases also
+/// alone) and compares each double's bits with strtod's on the same text:
+/// store and trace files hold numbers strtod has always read this way.
+void expect_numbers_match_strtod(const std::vector<std::string>& tokens) {
+  std::string document = "[";
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    document += (i == 0 ? "" : ",") + tokens[i];
+  }
+  document += ']';
+  json::Value array;
+  std::string error;
+  ASSERT_TRUE(json::parse(document, &array, &error)) << error;
+  ASSERT_EQ(array.array.size(), tokens.size());
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const json::Value& number = array.array[i];
+    const double want = std::strtod(tokens[i].c_str(), nullptr);
+    if (number.is_number() && std::bit_cast<std::uint64_t>(number.number) ==
+                                  std::bit_cast<std::uint64_t>(want)) {
+      continue;
+    }
+    if (++mismatches <= 5) {
+      ADD_FAILURE() << tokens[i] << ": parsed " << number.number << ", strtod "
+                    << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << tokens.size() << " tokens";
+}
+
+std::string random_digits(Rng& rng, std::size_t count) {
+  std::string digits;
+  for (std::size_t i = 0; i < count; ++i) {
+    digits += static_cast<char>('0' + rng.uniform_below(10));
+  }
+  return digits;
+}
+
+TEST(JsonParse, NumberBitsEqualStrtodOnAMillionTokens) {
+  Rng rng(0x7E57);
+  std::vector<std::string> tokens;
+  char buffer[32];
+  for (int i = 0; i < 400'000; ++i) {
+    const double value = std::bit_cast<double>(rng.next());
+    if (!std::isfinite(value)) continue;  // "inf"/"nan" are not JSON
+    tokens.push_back(fmt_shortest(value));
+    std::snprintf(buffer, sizeof buffer, "%.17g", value);
+    tokens.emplace_back(buffer);
+  }
+  for (int i = 0; i < 100'000; ++i) {
+    // Subnormals, with every digit %.17g gives.
+    const double value = std::bit_cast<double>(rng.next() & 0x800f'ffff'ffff'ffffull);
+    std::snprintf(buffer, sizeof buffer, "%.17g", value);
+    tokens.emplace_back(buffer);
+  }
+  for (int i = 0; i < 100'000; ++i) {
+    // Up to 19 significant digits at any decimal exponent, including the
+    // ones that overflow or underflow.
+    const std::string mantissa = random_digits(rng, 1 + rng.uniform_below(19));
+    const std::string sign = rng.bernoulli(0.5) ? "-" : "";
+    const int exponent = static_cast<int>(rng.uniform_below(700)) - 360;
+    tokens.push_back(sign + (mantissa[0] == '0' ? "0" : mantissa) + "e" +
+                     std::to_string(exponent));
+  }
+  for (int i = 0; i < 10'000; ++i) {
+    // Long digit strings: more digits than a double holds, so the last
+    // ones decide the rounding.
+    const std::size_t length = 20 + rng.uniform_below(780);
+    std::string integer = random_digits(rng, 1 + rng.uniform_below(30));
+    if (integer[0] == '0') integer = "0";
+    tokens.push_back(integer + "." + random_digits(rng, length) + "E" +
+                     (rng.bernoulli(0.5) ? "-" : "+") +
+                     std::to_string(rng.uniform_below(320)));
+  }
+  const std::vector<std::string> edges = {
+      "0", "-0", "-0.0", "0e999999999", "-0E-999999999", "1e400", "-1e400",
+      "1e-400", "-1e-400", "2.4e-324", "-2.4e-324", "2.5e-324",
+      "2.4703282292062327e-324", "2.4703282292062328e-324", "4.9e-324",
+      "5e-324", "2.2250738585072011e-308", "2.2250738585072014e-308",
+      "1.7976931348623157e308", "1.7976931348623158e308",
+      "1.7976931348623159e308", "-1.7976931348623159e308",
+      "179769313486231580793728971405303415079934132710037826936173778980444968292764750946649017977587207096330286416692887910946555547851940402630657488671505820681908902000708383676273854845817711531764475730270069855571366959622842914819860834936475292719074168444365510704342711559699508093042880177904174497791.9999999999999999999999999999999999999999999999999999999999999999999999",
+      "9007199254740993", "9007199254740992.5", "123456789012345678901234567890"};
+  for (const std::string& edge : edges) {
+    tokens.push_back(edge);
+    json::Value alone;
+    ASSERT_TRUE(json::parse(edge, &alone)) << edge;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(alone.number),
+              std::bit_cast<std::uint64_t>(std::strtod(edge.c_str(), nullptr)))
+        << edge;
+  }
+  for (int e = -400; e <= 400; ++e) tokens.push_back("1e" + std::to_string(e));
+  ASSERT_GE(tokens.size(), 1'000'000u);
+  expect_numbers_match_strtod(tokens);
+  // The out-of-range ends give what strtod gives.
+  EXPECT_EQ(parsed("1e400").number, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(parsed("-1e400").number, -std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(std::signbit(parsed("-1e-400").number));
+  EXPECT_EQ(parsed("-1e-400").number, 0.0);
+}
+
+// ------------------------------------------------------ reuse of one Value
+
+/// Deep equality down to the double's bits and the unused payload fields
+/// (a reused Value must not leak an earlier document's string or number).
+bool same_tree(const json::Value& a, const json::Value& b) {
+  if (a.type != b.type || a.boolean != b.boolean ||
+      std::bit_cast<std::uint64_t>(a.number) != std::bit_cast<std::uint64_t>(b.number) ||
+      a.string != b.string || a.array.size() != b.array.size() ||
+      a.object.size() != b.object.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.array.size(); ++i) {
+    if (!same_tree(a.array[i], b.array[i])) return false;
+  }
+  for (std::size_t i = 0; i < a.object.size(); ++i) {
+    if (a.object[i].first != b.object[i].first ||
+        !same_tree(a.object[i].second, b.object[i].second)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(JsonParse, ReusedValueEqualsFreshParses) {
+  const std::vector<std::string> documents = {
+      R"({"t":0.5,"src":3,"dst":12,"note":"long enough to leave the small buffer"})",
+      R"({"t":1})",                                  // object shrinks
+      R"([1,[2,3,{"a":[4,5,6,7]}],"x",true,null])",  // object becomes array
+      R"([-0])",                                     // array shrinks
+      R"("a string with "escapes" and é")",
+      R"(3.25)",
+      R"({"v":1,"key":"k","result":{"delay":{"mean":1,"half_width":2}}})",
+      R"({"a":1,"a":2})",
+      R"(true)",
+      R"({})",
+      R"([])",
+      R"(null)",
+  };
+  json::Value reused;
+  std::string reused_error;
+  std::size_t checked = 0;
+  for (const std::string& document : documents) {
+    // Every prefix (mostly failed parses) and then the whole document, so
+    // each success follows failures that left partial trees behind.
+    for (std::size_t cut = 0; cut <= document.size(); ++cut) {
+      const std::string text = document.substr(0, cut);
+      json::Value fresh;
+      std::string fresh_error;
+      const bool fresh_ok = json::parse(text, &fresh, &fresh_error);
+      const bool reused_ok = json::parse(text, &reused, &reused_error);
+      ASSERT_EQ(reused_ok, fresh_ok) << text;
+      if (!fresh_ok) {
+        EXPECT_EQ(reused_error, fresh_error) << text;
+        continue;
+      }
+      EXPECT_TRUE(same_tree(reused, fresh)) << text;
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, documents.size());
 }
 
 // ------------------------------------------------ fmt_shortest byte identity

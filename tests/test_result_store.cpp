@@ -235,6 +235,33 @@ TEST(ResultStore, SkipsVersionMismatchedRecords) {
   EXPECT_FALSE(store.contains("future key"));
 }
 
+TEST(ResultStore, SkipsOutOfRangeAndFractionalVersions) {
+  // Versions no int can hold (1e400 is +inf, 3e9 is past INT_MAX) and a
+  // fraction: each a well-formed record of another version, for the loader
+  // and replay alike.
+  const std::string path = temp_store("version_range.jsonl");
+  std::string content;
+  for (const char* version : {"1e400", "3e9", "1.5"}) {
+    std::string record = store_record_json(std::string("key v=") + version,
+                                           sample_scenario(), sample_result());
+    record.replace(record.find("\"v\":1") + 4, 1, version);
+    content += record + "\n";
+  }
+  content += store_record_json("current key", sample_scenario(), sample_result()) + "\n";
+  write_file(path, content);
+  {
+    ResultStore store(path);
+    EXPECT_EQ(store.size(), 1u);
+    EXPECT_EQ(store.load_stats().skipped_version, 3u);
+    EXPECT_EQ(store.load_stats().skipped_garbage, 0u);
+    EXPECT_TRUE(store.contains("current key"));
+  }
+  std::vector<std::string> keys;
+  replay_results(path, [&](const std::string& key, const Scenario&,
+                           const RunResult&) { keys.push_back(key); });
+  EXPECT_EQ(keys, std::vector<std::string>{"current key"});
+}
+
 TEST(ResultStore, CompactFoldsHistoryToOneRecordPerKey) {
   const std::string path = temp_store("compact.jsonl");
   ResultStore store(path);

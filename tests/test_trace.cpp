@@ -195,6 +195,28 @@ TEST(Trace, LoadNamesTheOffendingLine) {
                     "line 2");
 }
 
+TEST(Trace, OverflowingTimeIsNotFinite) {
+  // 1e400 parses as +inf (the JSON reader keeps strtod's out-of-range
+  // result), so the loader rejects it rather than reading a 0 or a garbage
+  // time; 1e-400 underflows to an ordinary 0.
+  const std::string path = write_temp_trace(
+      "trace_overflow.jsonl", "{\"t\":1e-400,\"src\":0,\"dst\":1}\n"
+                              "{\"t\":1e400,\"src\":0,\"dst\":1}\n");
+  try {
+    (void)load_trace_jsonl(path, 4);
+    ADD_FAILURE() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2: field \"t\" is not finite"),
+              std::string::npos)
+        << e.what();
+  }
+  write_temp_trace("trace_overflow.jsonl", "{\"t\":1e-400,\"src\":0,\"dst\":1}\n");
+  const PacketTrace loaded = load_trace_jsonl(path, 4);
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(loaded.packets[0].time, 0.0);
+  std::remove(path.c_str());
+}
+
 TEST(Trace, FingerprintTracksContent) {
   const std::string a =
       write_temp_trace("trace_fp_a.jsonl", "{\"t\":0.5,\"src\":0,\"dst\":1}\n");
