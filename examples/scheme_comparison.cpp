@@ -14,7 +14,7 @@
 #include "routing/deflection.hpp"
 #include "routing/greedy_hypercube.hpp"
 #include "routing/pipelined_baseline.hpp"
-#include "routing/valiant_mixing.hpp"
+#include "routing/topology_greedy.hpp"
 #include "workload/trace.hpp"
 
 int main() {
@@ -39,12 +39,13 @@ int main() {
   greedy.run(warmup, horizon);
 
   // 2. Valiant mixing (same trace).
-  ValiantMixingConfig mixing_cfg;
-  mixing_cfg.d = d;
+  TopologyRoutingConfig mixing_cfg;
+  mixing_cfg.spec.d = d;
   mixing_cfg.destinations = dist;
   mixing_cfg.trace = &trace;
   mixing_cfg.seed = 2025;
-  ValiantMixingSim mixing(mixing_cfg);
+  mixing_cfg.valiant = true;
+  TopologyGreedySim mixing(mixing_cfg);
   mixing.run(warmup, horizon);
 
   // 3. Pipelined baseline (same statistical workload; the scheme batches
@@ -58,8 +59,8 @@ int main() {
   baseline.run(warmup, horizon);
 
   // 4. Deflection (slot-synchronous, same rate).
-  DeflectionConfig deflect_cfg;
-  deflect_cfg.d = d;
+  TopologyRoutingConfig deflect_cfg;
+  deflect_cfg.spec.d = d;
   deflect_cfg.lambda = lambda;
   deflect_cfg.destinations = dist;
   deflect_cfg.seed = 2025;

@@ -109,7 +109,7 @@ const std::vector<CatalogEntry>& backend_docs() {
        "structure-of-arrays batch kernel for slotted-time scenarios "
        "(tau > 0): advances every busy arc per tick with vectorizable "
        "updates, bit-identical to scalar on adopting schemes "
-       "(hypercube_greedy, butterfly_greedy, deflection); needs FIFO "
+       "(hypercube_greedy, butterfly_greedy); needs FIFO "
        "service and a static fault set, other schemes reject it"},
   };
   return backends;
@@ -119,16 +119,17 @@ const std::vector<CatalogEntry>& fault_policy_docs() {
   static const std::vector<CatalogEntry> policies{
       {"drop", "lose packets whose next arc is dead (all fault-aware schemes)"},
       {"skip_dim",
-       "hypercube family: greedy over surviving unresolved dimensions, "
-       "random resolved-dimension detour, TTL-bounded"},
-      {"deflect", "hypercube family: uniformly random surviving out-arc"},
+       "hypercube family: the first live metric-descending out-arc (a "
+       "surviving unresolved dimension), else a random live "
+       "non-descending detour; TTL-bounded"},
+      {"deflect", "hypercube family: uniformly random live out-arc"},
       {"twin_detour",
        "butterfly: cross the level on its other arc; the packet exits "
        "misrouted (counted as a fault drop)"},
       {"adaptive",
-       "hypercube family: probe live unresolved out-arcs with one-hop "
-       "lookahead, prefer metric-descending survivors with a live "
-       "continuation, fall back to deflection; TTL-bounded"},
+       "hypercube family: one-hop lookahead over live metric-descending "
+       "out-arcs, preferring one whose head has a live descending "
+       "continuation; else skip_dim's detour; TTL-bounded"},
   };
   return policies;
 }
@@ -260,8 +261,12 @@ std::string catalog_markdown(const ScenarioCatalog& catalog) {
   os << '\n';
 
   os << "## Topologies (`topology=`)\n\n"
-        "`hypercube_greedy`, `valiant_mixing` and `deflection` accept any\n"
-        "of these; the hypercube stays on the specialised bit-exact path.\n"
+        "`hypercube_greedy`, `valiant_mixing` and `deflection` accept\n"
+        "hypercube, ring, torus and mesh.  Valiant mixing and deflection\n"
+        "run one topology-parametric simulator on every family; greedy on\n"
+        "the hypercube keeps its native simulator.  On ring, torus and\n"
+        "mesh, faults, traces, XOR-mask workloads and soa_batch are\n"
+        "rejected at compile time.\n"
         "`topology=native` (the default) means the scheme's own network.\n"
         "See docs/TOPOLOGIES.md for the concept contract and closed forms.\n\n";
   markdown_table(os, "topology", catalog.topologies);

@@ -9,7 +9,7 @@
 #include "routing/greedy_hypercube.hpp"
 #include "routing/multicast.hpp"
 #include "routing/pipelined_baseline.hpp"
-#include "routing/valiant_mixing.hpp"
+#include "routing/topology_greedy.hpp"
 
 namespace routesim {
 

@@ -512,7 +512,9 @@ const std::vector<ScenarioKey>& Scenario::keys() {
        .set = [](S& s, V v) { s.p = number(v); },
        .get = [](const S& s) { return text(s.p); }},
       {.name = "tau", .type = "double", .sweepable = true,
-       .doc = "> 0: slotted-time variant with this slot length (§3.4)",
+       .doc = "> 0: slotted-time variant with this slot length (§3.4); "
+              "honoured by hypercube_greedy (every topology) and "
+              "butterfly_greedy; valiant_mixing and deflection reject it",
        .set = [](S& s, V v) { s.tau = number(v); },
        .get = [](const S& s) { return text(s.tau); }},
       {.name = "discipline", .type = "string",
@@ -587,7 +589,9 @@ const std::vector<ScenarioKey>& Scenario::keys() {
        .get = [](const S& s) { return text(s.unicast_baseline ? 1 : 0); }},
       {.name = "buffers", .type = "int",
        .doc = "per-arc buffer capacity including the packet in service; 0 = "
-              "infinite (the paper's model)",
+              "infinite (the paper's model); honoured by hypercube_greedy "
+              "(every topology); valiant_mixing, deflection and "
+              "butterfly_greedy reject it",
        .set = [](S& s, V v) {
          s.buffer_capacity =
              static_cast<std::uint32_t>(at_least(integer(v), 0));
@@ -711,6 +715,23 @@ void Scenario::set(const std::string& key, const std::string& value) {
     throw invalid(error.what());
   } catch (const std::invalid_argument& error) {
     throw invalid(error.what());
+  }
+}
+
+void Scenario::reject_unsupported_keys(
+    std::initializer_list<const char*> names) const {
+  static const Scenario kDefaults;
+  for (const char* name : names) {
+    const ScenarioKey* row = find_key(name);
+    RS_EXPECTS(row != nullptr);
+    const std::optional<std::string> value = row->get(*this);
+    const std::optional<std::string> fallback = row->get(kDefaults);
+    if (value != fallback) {
+      throw ScenarioError("scheme '" + scheme + "' does not support " +
+                          name + "=" + value.value_or("") + " (leave " +
+                          name + " at its default " + fallback.value_or("") +
+                          ")");
+    }
   }
 }
 

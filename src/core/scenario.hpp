@@ -211,6 +211,11 @@ struct Scenario {
   [[nodiscard]] KernelBackend resolved_backend(
       std::initializer_list<KernelBackend> supported) const;
 
+  /// Rejects each named key that is not at its default: a scheme that does
+  /// not honour a knob (tau, buffers, ...) lists it here, so setting it
+  /// fails at compile time with a catchable ScenarioError naming the key
+  /// and the scheme instead of being silently ignored.
+  void reject_unsupported_keys(std::initializer_list<const char*> names) const;
   /// True when the scenario selects a topology the paper's specialised
   /// simulators do not implement directly (ring / torus / mesh); such
   /// scenarios route through the topology-parametric sims.

@@ -1,106 +1,111 @@
 #pragma once
 /// \file fault_routing.hpp
-/// \brief The shared skip-dimension reroute machinery for hypercube-family
-///        schemes (greedy hypercube, Valiant mixing).
+/// \brief The fault reroute policies, written once over metric-descending
+///        out-arcs (greedy hypercube, Valiant mixing and every family of
+///        the Topology concept).
 ///
-/// Both schemes make the same decision when their preferred arc is dead:
-/// under kSkipDim, greedy over the surviving unresolved dimensions in
-/// increasing index order, falling back to a uniformly random surviving
-/// *resolved* dimension as a detour (one step off the greedy path, paid
-/// back later, TTL-bounded by the caller); under kDeflect, a uniformly
-/// random surviving out-arc of any dimension.  Keeping the logic here
-/// means a fix to the detour discipline cannot silently diverge between
-/// the schemes.
+/// A scheme calls fault_reroute_arc once its preferred arc is known to be
+/// dead.  The policies see the network only through its out-arcs and which
+/// of them descend the metric toward the packet's (phase) target, as in
+/// Angel, Benjamini, Ofek & Wieder's routing on faulty graphs (PAPERS.md):
+///   - kSkipDim:  the first live descending arc; else a uniformly random
+///                live non-descending one (a detour, TTL-bounded by the
+///                caller);
+///   - kDeflect:  a uniformly random live out-arc;
+///   - kAdaptive: one-hop lookahead: the first live descending arc whose
+///                head is the target or has a live descending continuation;
+///                else the first live descending arc; else skip_dim's
+///                detour.
+/// On the hypercube the descending arcs are the unresolved dimensions in
+/// increasing order, so these are the skip-dimension rules of the paper's
+/// cube.  Keeping the logic here means a fix to the detour discipline
+/// cannot silently diverge between the schemes.
+///
+/// `Net` is anything with the Topology port view: out_degree(x),
+/// out_arc(x, k), arc_target(a) and out_arc_descends(x, k, dest) — a
+/// Topology, or the concrete HypercubeTopology for an inlined hot path.
+
+#include <cstdint>
 
 #include "fault/fault_model.hpp"
-#include "util/bits.hpp"
+#include "topology/hypercube.hpp"  // ArcId, NodeId
 #include "util/rng.hpp"
 
 namespace routesim {
 
-/// Uniformly random dimension from `candidates` (bit mask of dims 1..d)
-/// whose out-arc is alive; 0 when none is.  `arc_faulty(dim)` answers
-/// whether the current node's out-arc in that dimension is down.
-template <typename ArcFaultyByDim>
-[[nodiscard]] int random_alive_dimension(NodeId candidates,
-                                         ArcFaultyByDim&& arc_faulty,
-                                         Rng& rng) {
-  int alive[32];
-  int count = 0;
-  for (int dim = lowest_dimension(candidates); dim != 0;
-       dim = next_dimension_after(candidates, dim)) {
-    if (!arc_faulty(dim)) alive[count++] = dim;
+/// fault_reroute_arc's "no arc": the policy drops the packet.
+inline constexpr ArcId kDropArc = ~ArcId{0};
+
+/// A uniformly random live out-arc of `cur` among those whose index k
+/// satisfies `candidate(k)`; kDropArc when there is none.  Candidates are
+/// counted in out_arc order and one uniform_below(count) is drawn only
+/// when some are alive.
+template <typename Net, typename Candidate, typename ArcFaulty>
+[[nodiscard]] ArcId random_live_out_arc(const Net& net, NodeId cur,
+                                        Candidate&& candidate,
+                                        ArcFaulty&& arc_faulty, Rng& rng) {
+  const int degree = net.out_degree(cur);
+  std::uint64_t count = 0;
+  for (int k = 0; k < degree; ++k) {
+    if (candidate(k) && !arc_faulty(net.out_arc(cur, k))) ++count;
   }
-  if (count == 0) return 0;
-  return alive[rng.uniform_below(static_cast<std::uint64_t>(count))];
+  if (count == 0) return kDropArc;
+  std::uint64_t pick = rng.uniform_below(count);
+  for (int k = 0;; ++k) {
+    if (candidate(k) && !arc_faulty(net.out_arc(cur, k)) && pick-- == 0) {
+      return net.out_arc(cur, k);
+    }
+  }
 }
 
-/// The policy's reroute once the scheme's preferred arc is known to be
-/// dead: the dimension to take next, or 0 to drop the packet.
-/// `unresolved` is the XOR of the current node with the (phase) target.
-template <typename ArcFaultyByDim>
-[[nodiscard]] int fault_reroute_dimension(FaultPolicy policy, int d,
-                                          NodeId unresolved,
-                                          ArcFaultyByDim&& arc_faulty,
-                                          Rng& rng) {
-  const NodeId all_dims = static_cast<NodeId>((std::uint64_t{1} << d) - 1);
+/// The policy's reroute at `cur` toward `target` once the scheme's
+/// preferred arc is dead: the arc to take, or kDropArc.  `arc_faulty(a)`
+/// answers whether arc a is down.  RNG is drawn only on a detour, so
+/// pristine runs consume none.
+template <typename Net, typename ArcFaulty>
+[[nodiscard]] ArcId fault_reroute_arc(FaultPolicy policy, const Net& net,
+                                      NodeId cur, NodeId target,
+                                      ArcFaulty&& arc_faulty, Rng& rng) {
+  const auto detour = [&] {
+    return random_live_out_arc(
+        net, cur, [&](int k) { return !net.out_arc_descends(cur, k, target); },
+        arc_faulty, rng);
+  };
+  const int degree = net.out_degree(cur);
   switch (policy) {
-    case FaultPolicy::kDrop:
-      return 0;
-    case FaultPolicy::kSkipDim: {
-      for (int dim = lowest_dimension(unresolved); dim != 0;
-           dim = next_dimension_after(unresolved, dim)) {
-        if (!arc_faulty(dim)) return dim;
+    case FaultPolicy::kSkipDim:
+      for (int k = 0; k < degree; ++k) {
+        const ArcId arc = net.out_arc(cur, k);
+        if (net.out_arc_descends(cur, k, target) && !arc_faulty(arc)) return arc;
       }
-      return random_alive_dimension(all_dims & ~unresolved, arc_faulty, rng);
-    }
+      return detour();
     case FaultPolicy::kDeflect:
-      return random_alive_dimension(all_dims, arc_faulty, rng);
-    case FaultPolicy::kNone:
-    case FaultPolicy::kTwinDetour:
-    case FaultPolicy::kAdaptive:  // handled by adaptive_reroute_dimension
-      break;  // callers exclude these at configure time
-  }
-  return 0;  // unreachable
-}
-
-/// The kAdaptive reroute: bounded local exploration with one-hop
-/// lookahead.  Probes the live unresolved out-arcs of `cur` in increasing
-/// dimension order and takes the first metric-descending survivor whose
-/// head node has a live out-arc toward one of the *remaining* unresolved
-/// dimensions; the final hop (nothing left to continue to) is always
-/// taken when alive.  A survivor with only dead probed continuations is
-/// remembered as a fallback, and when every unresolved arc is dead the
-/// policy degrades to deflection over the resolved dimensions (a detour,
-/// TTL-bounded by the caller).  Returns the dimension to take, or 0 to
-/// drop.  `arc_faulty_at(node, dim)` answers whether *node*'s out-arc in
-/// `dim` is down — unlike the oblivious policies, adaptive inspects its
-/// neighbours' arcs, which is exactly the locally-bounded probing budget.
-/// RNG is consumed only on the deflection fallback, so pristine runs stay
-/// bit-identical to skip_dim (neither invokes a reroute at all).
-template <typename ArcFaultyAt>
-[[nodiscard]] int adaptive_reroute_dimension(int d, NodeId cur,
-                                             NodeId unresolved,
-                                             ArcFaultyAt&& arc_faulty_at,
-                                             Rng& rng) {
-  const NodeId all_dims = static_cast<NodeId>((std::uint64_t{1} << d) - 1);
-  int fallback = 0;
-  for (int dim = lowest_dimension(unresolved); dim != 0;
-       dim = next_dimension_after(unresolved, dim)) {
-    if (arc_faulty_at(cur, dim)) continue;
-    const NodeId remaining = flip_dimension(unresolved, dim);
-    if (remaining == 0) return dim;  // final hop: nothing to look ahead to
-    const NodeId next_node = flip_dimension(cur, dim);
-    for (int probe = lowest_dimension(remaining); probe != 0;
-         probe = next_dimension_after(remaining, probe)) {
-      if (!arc_faulty_at(next_node, probe)) return dim;
+      return random_live_out_arc(
+          net, cur, [](int) { return true; }, arc_faulty, rng);
+    case FaultPolicy::kAdaptive: {
+      ArcId fallback = kDropArc;
+      for (int k = 0; k < degree; ++k) {
+        const ArcId arc = net.out_arc(cur, k);
+        if (!net.out_arc_descends(cur, k, target) || arc_faulty(arc)) continue;
+        const NodeId head = net.arc_target(arc);
+        if (head == target) return arc;  // final hop: nothing to look ahead to
+        const int head_degree = net.out_degree(head);
+        for (int j = 0; j < head_degree; ++j) {
+          if (net.out_arc_descends(head, j, target) &&
+              !arc_faulty(net.out_arc(head, j))) {
+            return arc;
+          }
+        }
+        if (fallback == kDropArc) fallback = arc;
+      }
+      return fallback != kDropArc ? fallback : detour();
     }
-    if (fallback == 0) fallback = dim;
+    case FaultPolicy::kNone:
+    case FaultPolicy::kDrop:
+    case FaultPolicy::kTwinDetour:  // a butterfly policy, excluded by callers
+      break;
   }
-  if (fallback != 0) return fallback;
-  return random_alive_dimension(
-      all_dims & ~unresolved, [&](int dim) { return arc_faulty_at(cur, dim); },
-      rng);
+  return kDropArc;
 }
 
 }  // namespace routesim

@@ -35,7 +35,7 @@
 #include "routing/greedy_hypercube.hpp"
 #include "routing/multicast.hpp"
 #include "routing/pipelined_baseline.hpp"
-#include "routing/valiant_mixing.hpp"
+#include "routing/topology_greedy.hpp"
 
 #include "stats/ci.hpp"
 #include "stats/histogram.hpp"

@@ -5,99 +5,82 @@
 #include <algorithm>
 #include <utility>
 
-#include "routing/topology_greedy.hpp"
 #include "util/assert.hpp"
 #include "util/distributions.hpp"
 
 namespace routesim {
 
-DeflectionSim::DeflectionSim(DeflectionConfig config) { reset(std::move(config)); }
+DeflectionSim::DeflectionSim(TopologyRoutingConfig config) { reset(std::move(config)); }
 
-void DeflectionSim::reset(DeflectionConfig config) {
+void DeflectionSim::reset(TopologyRoutingConfig config) {
   config_ = std::move(config);
   RS_EXPECTS(config_.lambda > 0.0);
-  RS_EXPECTS(config_.destinations.dimension() == config_.d);
-  cube_ = Hypercube(config_.d);
-  RS_EXPECTS_MSG(config_.fixed_destinations == nullptr ||
-                     config_.fixed_destinations->size() == cube_.num_nodes(),
-                 "fixed-destination table must have 2^d entries");
-  rng_.reseed(derive_stream(config_.seed, 0xDEF1));
-  resident_.resize(cube_.num_nodes());
-  injection_.resize(cube_.num_nodes());
+  RS_EXPECTS_MSG(config_.trace == nullptr && config_.slot == 0.0 &&
+                     !config_.valiant && config_.buffer_capacity == 0,
+                 "deflection is slotted and bufferless: trace, slot, valiant "
+                 "and buffer_capacity do not apply");
+  net_.configure(config_);
+  rng_.reseed(derive_stream(
+      config_.seed, kDeflectionSalts.for_family(net_.topology().name())));
+  resident_.resize(net_.num_nodes());
+  injection_.resize(net_.num_nodes());
   for (auto& residents : resident_) residents.clear();
   for (auto& waiting : injection_) waiting.clear();
-  soa_store_.clear();
-  resident_ids_.resize(cube_.num_nodes());
-  injection_ids_.resize(cube_.num_nodes());
-  for (auto& residents : resident_ids_) residents.clear();
-  for (auto& waiting : injection_ids_) waiting.clear();
   productive_ = deflected_ = backlog_ = 0;
-
-  ttl_ = config_.ttl > 0 ? config_.ttl : 64 * config_.d;
-  // Hop counters are 16-bit; a larger TTL could never fire (wraparound).
-  ttl_ = std::min(ttl_, 65535);
-  fault_model_.configure(
-      make_fault_model_config(config_, cube_.num_arcs(), cube_.num_nodes()),
-      [this](std::uint32_t node, std::vector<ArcId>& out) {
-        cube_.append_incident_arcs(node, out);
-      });
+  net_.configure_faults(config_, fault_model_);
   fault_active_ = fault_model_.active();
-
-  // With a static fault set, per-node port liveness never changes: cache
-  // it once instead of querying every arc every slot.
-  live_ports_.clear();
-  dead_ports_.clear();
-  if (fault_active_ && !fault_model_.dynamic()) {
-    live_ports_.assign(cube_.num_nodes(), 0);
-    dead_ports_.assign(cube_.num_nodes(), 0);
-    for (NodeId node = 0; node < cube_.num_nodes(); ++node) {
-      for (int dim = 1; dim <= config_.d; ++dim) {
-        if (fault_model_.is_faulty(cube_.arc_index(node, dim))) {
-          dead_ports_[node] |= std::uint32_t{1} << (dim - 1);
-        } else {
-          ++live_ports_[node];
-        }
-      }
-    }
-  }
 
   // Tail metrics (delay_p50/p99) come from the delay histogram.
   KernelStats::Config stats;
-  enable_delay_tail_tracking(stats, config_.d);
+  enable_delay_tail_tracking(stats, net_.diameter());
   stats_.configure(stats);
 }
 
 void DeflectionSim::run(std::uint64_t warmup_slots, std::uint64_t num_slots) {
-  if (config_.backend == KernelBackend::kSoaBatch) {
-    run_soa(warmup_slots, num_slots);
-    return;
-  }
-  run_scalar(warmup_slots, num_slots);
+  with_concrete_topology(net_.topology(), [&](const auto& topo) {
+    run_slots(topo, warmup_slots, num_slots);
+  });
 }
 
-void DeflectionSim::run_scalar(std::uint64_t warmup_slots,
-                               std::uint64_t num_slots) {
+template <typename Topo>
+void DeflectionSim::run_slots(const Topo& topo, std::uint64_t warmup_slots,
+                              std::uint64_t num_slots) {
   RS_EXPECTS(warmup_slots <= num_slots);
-  const auto d = static_cast<std::size_t>(config_.d);
+  const NodeId num_nodes = net_.num_nodes();
   const double warmup_time = static_cast<double>(warmup_slots);
   stats_.begin(warmup_time, static_cast<double>(num_slots));
 
+  int max_degree = 0;
+  for (NodeId node = 0; node < num_nodes; ++node) {
+    max_degree = std::max(max_degree, topo.out_degree(node));
+  }
+  // Live out-ports of `node` marked 0, dead ones 1 (a dead arc is a port
+  // that is never free); returns the live count.
+  std::vector<int> port_used(static_cast<std::size_t>(max_degree));
+  const auto mark_dead_ports = [&](NodeId node, int degree) {
+    std::fill(port_used.begin(), port_used.begin() + degree, 0);
+    if (!fault_active_) return static_cast<std::size_t>(degree);
+    std::size_t live = 0;
+    for (int k = 0; k < degree; ++k) {
+      port_used[k] = fault_model_.is_faulty(topo.out_arc(node, k)) ? 1 : 0;
+      live += port_used[k] == 0 ? 1 : 0;
+    }
+    return live;
+  };
+
   // Next-slot buffers, reused across slots.
-  std::vector<std::vector<Pkt>> incoming(cube_.num_nodes());
-  std::vector<int> port_used(d);
+  std::vector<std::vector<Pkt>> incoming(num_nodes);
 
   for (std::uint64_t slot = 0; slot < num_slots; ++slot) {
     const double now = static_cast<double>(slot);
     if (fault_active_ && fault_model_.dynamic()) fault_model_.advance_to(now);
 
     // 1. New packets join their origin's injection queue.
-    for (NodeId node = 0; node < cube_.num_nodes(); ++node) {
+    for (NodeId node = 0; node < num_nodes; ++node) {
       const std::uint64_t births = sample_poisson(rng_, config_.lambda);
       const bool node_dead = fault_active_ && fault_model_.is_node_faulty(node);
       for (std::uint64_t b = 0; b < births; ++b) {
-        const NodeId dest = config_.fixed_destinations != nullptr
-                                ? (*config_.fixed_destinations)[node]
-                                : config_.destinations.sample(rng_, node);
+        const NodeId dest = net_.draw_destination(rng_, node);
         if (node_dead) {
           // A dead node offers no deliverable traffic; count its load as
           // fault-dropped so the delivery ratio reflects the offered load.
@@ -109,86 +92,61 @@ void DeflectionSim::run_scalar(std::uint64_t warmup_slots,
           stats_.record_delivery(now, now, 0.0);
           continue;
         }
-        injection_.at(node).push_back(
-            Pkt{dest, now, 0,
-                static_cast<std::uint16_t>(hamming_distance(node, dest))});
+        injection_[node].push_back(
+            Pkt{dest, now, 0, static_cast<std::uint16_t>(topo.metric(node, dest))});
       }
     }
 
     // 2. Admission: a node may hold at most one packet per live out-port.
-    for (NodeId node = 0; node < cube_.num_nodes(); ++node) {
-      auto& residents = resident_[node];
+    for (NodeId node = 0; node < num_nodes; ++node) {
       auto& waiting = injection_[node];
-      std::size_t capacity = d;
-      if (fault_active_) {
-        if (!live_ports_.empty()) {
-          capacity = live_ports_[node];
-        } else {
-          capacity = 0;
-          for (int dim = 1; dim <= config_.d; ++dim) {
-            if (!fault_model_.is_faulty(cube_.arc_index(node, dim))) ++capacity;
-          }
-        }
-      }
+      if (waiting.empty()) continue;
+      auto& residents = resident_[node];
+      const std::size_t capacity = mark_dead_ports(node, topo.out_degree(node));
       while (residents.size() < capacity && !waiting.empty()) {
         residents.push_back(waiting.front());
         waiting.pop_front();
       }
     }
 
-    // 3. Port assignment and synchronous transmission.  A dead arc is a
-    // port that is never free, so the existing productive-then-deflect
-    // rule routes around faults by construction.
-    for (NodeId node = 0; node < cube_.num_nodes(); ++node) {
+    // 3. Port assignment and synchronous transmission: oldest packets pick
+    // first, preferring the lowest productive free port, else the lowest
+    // free port (a deflection).  A dead arc is a port that is never free.
+    for (NodeId node = 0; node < num_nodes; ++node) {
       auto& residents = resident_[node];
       if (residents.empty()) continue;
-      // Oldest packets pick first.
       std::stable_sort(residents.begin(), residents.end(),
                        [](const Pkt& a, const Pkt& b) { return a.gen_time < b.gen_time; });
-      std::fill(port_used.begin(), port_used.end(), 0);
-      if (fault_active_) {
-        if (!dead_ports_.empty()) {
-          for (std::uint32_t mask = dead_ports_[node]; mask != 0;
-               mask &= mask - 1u) {
-            port_used[lowest_dimension(mask) - 1] = 1;
-          }
-        } else {
-          for (int dim = 1; dim <= config_.d; ++dim) {
-            if (fault_model_.is_faulty(cube_.arc_index(node, dim))) {
-              port_used[dim - 1] = 1;
-            }
-          }
-        }
-      }
+      const int degree = topo.out_degree(node);
+      (void)mark_dead_ports(node, degree);
       for (auto& packet : residents) {
-        const NodeId needed = node ^ packet.dest;
-        int chosen = 0;
-        for (int dim = 1; dim <= config_.d; ++dim) {
-          if (has_dimension(needed, dim) && port_used[dim - 1] == 0) {
-            chosen = dim;
+        int chosen = -1;
+        for (int k = 0; k < degree; ++k) {
+          if (port_used[k] == 0 && topo.out_arc_descends(node, k, packet.dest)) {
+            chosen = k;
             break;
           }
         }
-        bool productive = chosen != 0;
+        const bool productive = chosen >= 0;
         if (!productive) {
-          for (int dim = 1; dim <= config_.d; ++dim) {
-            if (port_used[dim - 1] == 0) {
-              chosen = dim;
+          for (int k = 0; k < degree; ++k) {
+            if (port_used[k] == 0) {
+              chosen = k;
               break;
             }
           }
         }
-        if (chosen == 0) {
+        if (chosen < 0) {
           // Fault-only dead end: more packets than live ports this slot
           // (a burst arriving over live in-arcs of a nearly cut-off node).
           RS_DASSERT(fault_active_);
           stats_.count_fault_drop(packet.gen_time);
           continue;
         }
-        port_used[chosen - 1] = 1;
+        port_used[chosen] = 1;
         productive ? ++productive_ : ++deflected_;
         ++packet.hops;
-        const NodeId next = flip_dimension(node, chosen);
+        const NodeId next = topo.arc_target(topo.out_arc(node, chosen));
         if (productive && next == packet.dest) {
           const double stretch =
               packet.min_hops > 0
@@ -196,7 +154,7 @@ void DeflectionSim::run_scalar(std::uint64_t warmup_slots,
                   : 0.0;
           stats_.record_delivery(now + 1.0, packet.gen_time,
                                  static_cast<double>(packet.hops), stretch);
-        } else if (fault_active_ && packet.hops >= ttl_) {
+        } else if (fault_active_ && packet.hops >= net_.ttl()) {
           stats_.count_fault_drop(packet.gen_time);
         } else {
           incoming[next].push_back(packet);
@@ -204,7 +162,7 @@ void DeflectionSim::run_scalar(std::uint64_t warmup_slots,
       }
       residents.clear();
     }
-    for (NodeId node = 0; node < cube_.num_nodes(); ++node) {
+    for (NodeId node = 0; node < num_nodes; ++node) {
       resident_[node].swap(incoming[node]);
       incoming[node].clear();
     }
@@ -217,175 +175,14 @@ void DeflectionSim::run_scalar(std::uint64_t warmup_slots,
   for (const auto& residents : resident_) backlog_ += residents.size();
 }
 
-void DeflectionSim::run_soa(std::uint64_t warmup_slots,
-                            std::uint64_t num_slots) {
-  RS_EXPECTS(warmup_slots <= num_slots);
-  const auto d = static_cast<std::size_t>(config_.d);
-  const double warmup_time = static_cast<double>(warmup_slots);
-  stats_.begin(warmup_time, static_cast<double>(num_slots));
-  soa_store_.reserve(static_cast<std::size_t>(
-      config_.lambda * static_cast<double>(cube_.num_nodes()) *
-          static_cast<double>(config_.d) +
-      64.0));
-
-  // Next-slot buffers, reused across slots.
-  std::vector<std::vector<std::uint32_t>> incoming(cube_.num_nodes());
-  std::vector<int> port_used(d);
-
-  for (std::uint64_t slot = 0; slot < num_slots; ++slot) {
-    const double now = static_cast<double>(slot);
-    if (fault_active_ && fault_model_.dynamic()) fault_model_.advance_to(now);
-
-    // 1. New packets join their origin's injection queue (draws and stats
-    // calls in the exact scalar order).
-    for (NodeId node = 0; node < cube_.num_nodes(); ++node) {
-      const std::uint64_t births = sample_poisson(rng_, config_.lambda);
-      const bool node_dead = fault_active_ && fault_model_.is_node_faulty(node);
-      for (std::uint64_t b = 0; b < births; ++b) {
-        const NodeId dest = config_.fixed_destinations != nullptr
-                                ? (*config_.fixed_destinations)[node]
-                                : config_.destinations.sample(rng_, node);
-        if (node_dead) {
-          stats_.count_fault_drop(now);
-          continue;
-        }
-        if (dest == node) {
-          stats_.record_delivery(now, now, 0.0);
-          continue;
-        }
-        const std::uint32_t pkt = soa_store_.allocate();
-        soa_store_.node[pkt] = node;
-        soa_store_.dest[pkt] = dest;
-        soa_store_.gen_time[pkt] = now;
-        soa_store_.hops[pkt] = 0;
-        soa_store_.aux[pkt] =
-            static_cast<std::uint16_t>(hamming_distance(node, dest));
-        injection_ids_.at(node).push_back(pkt);
-      }
-    }
-
-    // 2. Admission: a node may hold at most one packet per live out-port.
-    for (NodeId node = 0; node < cube_.num_nodes(); ++node) {
-      auto& residents = resident_ids_[node];
-      auto& waiting = injection_ids_[node];
-      std::size_t capacity = d;
-      if (fault_active_) {
-        if (!live_ports_.empty()) {
-          capacity = live_ports_[node];
-        } else {
-          capacity = 0;
-          for (int dim = 1; dim <= config_.d; ++dim) {
-            if (!fault_model_.is_faulty(cube_.arc_index(node, dim))) ++capacity;
-          }
-        }
-      }
-      while (residents.size() < capacity && !waiting.empty()) {
-        residents.push_back(waiting.front());
-        waiting.pop_front();
-      }
-    }
-
-    // 3. Port assignment and synchronous transmission.
-    for (NodeId node = 0; node < cube_.num_nodes(); ++node) {
-      auto& residents = resident_ids_[node];
-      if (residents.empty()) continue;
-      // Oldest packets pick first: a stable sort on ids keyed by gen_time
-      // gives the same permutation as the scalar stable sort on values.
-      std::stable_sort(residents.begin(), residents.end(),
-                       [this](std::uint32_t a, std::uint32_t b) {
-                         return soa_store_.gen_time[a] < soa_store_.gen_time[b];
-                       });
-      std::fill(port_used.begin(), port_used.end(), 0);
-      if (fault_active_) {
-        if (!dead_ports_.empty()) {
-          for (std::uint32_t mask = dead_ports_[node]; mask != 0;
-               mask &= mask - 1u) {
-            port_used[lowest_dimension(mask) - 1] = 1;
-          }
-        } else {
-          for (int dim = 1; dim <= config_.d; ++dim) {
-            if (fault_model_.is_faulty(cube_.arc_index(node, dim))) {
-              port_used[dim - 1] = 1;
-            }
-          }
-        }
-      }
-      for (const std::uint32_t pkt : residents) {
-        const NodeId needed = node ^ soa_store_.dest[pkt];
-        int chosen = 0;
-        for (int dim = 1; dim <= config_.d; ++dim) {
-          if (has_dimension(needed, dim) && port_used[dim - 1] == 0) {
-            chosen = dim;
-            break;
-          }
-        }
-        bool productive = chosen != 0;
-        if (!productive) {
-          for (int dim = 1; dim <= config_.d; ++dim) {
-            if (port_used[dim - 1] == 0) {
-              chosen = dim;
-              break;
-            }
-          }
-        }
-        if (chosen == 0) {
-          RS_DASSERT(fault_active_);
-          stats_.count_fault_drop(soa_store_.gen_time[pkt]);
-          soa_store_.release(pkt);
-          continue;
-        }
-        port_used[chosen - 1] = 1;
-        productive ? ++productive_ : ++deflected_;
-        soa_store_.hops[pkt] = static_cast<std::uint16_t>(soa_store_.hops[pkt] + 1);
-        const NodeId next = flip_dimension(node, chosen);
-        if (productive && next == soa_store_.dest[pkt]) {
-          const std::uint16_t min_hops = soa_store_.aux[pkt];
-          const double stretch =
-              min_hops > 0
-                  ? static_cast<double>(soa_store_.hops[pkt]) / min_hops
-                  : 0.0;
-          stats_.record_delivery(now + 1.0, soa_store_.gen_time[pkt],
-                                 static_cast<double>(soa_store_.hops[pkt]),
-                                 stretch);
-          soa_store_.release(pkt);
-        } else if (fault_active_ && soa_store_.hops[pkt] >= ttl_) {
-          stats_.count_fault_drop(soa_store_.gen_time[pkt]);
-          soa_store_.release(pkt);
-        } else {
-          incoming[next].push_back(pkt);
-        }
-      }
-      residents.clear();
-    }
-    for (NodeId node = 0; node < cube_.num_nodes(); ++node) {
-      resident_ids_[node].swap(incoming[node]);
-      incoming[node].clear();
-    }
-  }
-
-  stats_.finalize(warmup_time, static_cast<double>(num_slots),
-                  /*pending_reset=*/false);
-  backlog_ = 0;
-  for (const auto& queue : injection_ids_) backlog_ += queue.size();
-  for (const auto& residents : resident_ids_) backlog_ += residents.size();
-}
-
 void register_deflection_scheme(SchemeRegistry& registry) {
   registry.add(
       {"deflection",
        "bufferless hot-potato routing on the d-cube ([GrH89]; window in "
        "slots, lambda in packets per node per slot)",
        [](const Scenario& s) {
-         // Non-native topologies route through the topology-parametric
-         // hot-potato loop (ports = out-arcs, same oldest-first rule).
-         if (s.resolved_topology({"hypercube", "ring", "torus", "mesh"}) !=
-             "hypercube") {
-           return compile_topology_deflection(s);
-         }
-         CompiledScenario compiled;
-         // Validated before the worker fan-out (see below for faults).
-         const auto perm = s.shared_permutation_table();
-         const Window window = s.resolved_window();
+         const std::string family = resolved_routing_topology(s);
+         s.reject_unsupported_keys({"tau", "buffers"});
          // Deflection is natively fault-aware (dead arcs are permanently
          // busy ports): any fault_policy is accepted and ignored, but the
          // knob combination is still validated before the worker fan-out.
@@ -398,19 +195,21 @@ void register_deflection_scheme(SchemeRegistry& registry) {
                "(clear storm_rate/storm_duration; storms are available on "
                "hypercube_greedy and valiant_mixing)");
          }
-         // Natively slotted, so soa_batch has no extra restrictions here.
-         const KernelBackend backend = s.resolved_backend(
-             {KernelBackend::kScalar, KernelBackend::kSoaBatch});
-         compiled.replicate = [s, window, fault_policy, perm, backend,
-                               dist = s.make_destinations()](
-                                  std::uint64_t seed, int) {
-           DeflectionConfig config;
-           config.d = s.d;
+         (void)s.resolved_backend({});  // scalar-only: reject soa_batch
+         const auto perm = s.shared_permutation_table();
+         const Window window = s.resolved_window();
+         std::optional<DestinationDistribution> law;
+         if (family == "hypercube") law = s.make_destinations();
+         CompiledScenario compiled;
+         compiled.replicate = [s, spec = s.topology_spec(), window,
+                               fault_policy, perm,
+                               law](std::uint64_t seed, int) {
+           TopologyRoutingConfig config;
+           config.spec = spec;
            config.lambda = s.lambda;
-           config.destinations = dist;
-           config.fixed_destinations = perm ? perm.get() : nullptr;
            config.seed = seed;
-           config.backend = backend;
+           config.destinations = law;
+           config.fixed_destinations = perm.get();
            if (fault_policy != FaultPolicy::kNone) {
              config.arc_fault_rate = s.fault_rate;
              config.node_fault_rate = s.node_fault_rate;

@@ -1,72 +1,53 @@
 #pragma once
 /// \file deflection.hpp
-/// \brief Deflection ("hot-potato") routing on the hypercube — the
+/// \brief Deflection ("hot-potato") routing over any `Topology` — the
 ///        bufferless alternative analysed approximately by Greenberg &
 ///        Hajek [GrH89], included here as the related-work comparator.
 ///
-/// Time is slotted (slot = one packet transmission).  Each node holds at
-/// most d packets (one per input port).  In every slot each node assigns
-/// each resident packet an output dimension: packets are considered oldest
-/// first; a packet prefers its lowest *productive* dimension (one that
-/// reduces its Hamming distance to the destination) that is still free,
-/// and otherwise is *deflected* onto the lowest free non-productive
-/// dimension.  Freshly generated packets wait in a per-node injection
-/// queue and are admitted whenever the node holds fewer than d packets.
+/// Time is slotted (slot = one packet transmission).  Each node owns one
+/// port per out-arc and holds at most one packet per live port.  In every
+/// slot each node assigns each resident packet a port: packets are
+/// considered oldest first; a packet prefers its lowest-index *productive*
+/// port (one whose arc decreases the metric to the destination) that is
+/// still free, and otherwise is *deflected* onto the lowest free port.
+/// Freshly generated packets wait in a per-node injection queue and are
+/// admitted whenever the node has a free port.  On the hypercube port k is
+/// dimension k+1, which is the paper-cube rule of [GrH89].
 ///
-/// The slot-stepped dynamics need no event set, but the measurement-window
-/// accounting (delay / hops / deliveries / throughput) is the shared
-/// KernelStats of des/packet_kernel.hpp — the same harvest every other
-/// scheme uses, which is what makes the cross-scheme comparisons coupled.
+/// The slot loop is a template on the topology, instantiated on the
+/// concrete HypercubeTopology (no virtual call per port probe) and on the
+/// Topology interface.  The slot-stepped dynamics need no event set, but
+/// the measurement-window accounting (delay / hops / deliveries /
+/// throughput) is the shared KernelStats of des/packet_kernel.hpp — the
+/// same harvest every other scheme uses, which is what makes the
+/// cross-scheme comparisons coupled.
+///
+/// Faults: deflection is natively fault-aware.  A dead arc is a port that
+/// is never free, so resident packets route around it with the
+/// productive-then-deflect rule.  Packets are fault-dropped when their
+/// node has no free live port in a slot, when they are generated at a dead
+/// node, or when their hop count reaches the TTL.
 
 #include <cstdint>
 #include <deque>
 #include <vector>
 
-#include "des/kernel_backend.hpp"
 #include "des/packet_kernel.hpp"
-#include "des/soa_store.hpp"
+#include "routing/topology_greedy.hpp"
 #include "stats/summary.hpp"
-#include "topology/hypercube.hpp"
 #include "util/rng.hpp"
-#include "workload/destination.hpp"
 
 namespace routesim {
 
-struct DeflectionConfig {
-  int d = 4;
-  double lambda = 0.05;  ///< per-node generation rate (packets per slot)
-  DestinationDistribution destinations = DestinationDistribution::uniform(4);
-  /// Per-source fixed destinations (workload = permutation); non-owning,
-  /// 2^d entries, null = sample from `destinations`.
-  const std::vector<NodeId>* fixed_destinations = nullptr;
-  std::uint64_t seed = 1;
-
-  // --- fault injection (src/fault/fault_model.hpp) ----------------------
-  // Deflection is *natively* fault-aware: a dead arc is simply a port that
-  // is never free, so resident packets route around it with the existing
-  // productive-then-deflect rule (the skip-dimension machinery of the
-  // greedy scheme, expressed in slots).  Packets are fault-dropped when
-  // their node has no free live port in a slot, when they are generated at
-  // a dead node, or when their hop count exceeds the TTL.
-  double arc_fault_rate = 0.0;
-  double node_fault_rate = 0.0;
-  double fault_mtbf = 0.0;  ///< mean link up-time (> 0 with mttr => dynamic)
-  double fault_mttr = 0.0;  ///< mean link repair time
-  int ttl = 0;              ///< max hops before a packet is dropped; 0 = 64*d
-
-  /// Execution engine.  Deflection is natively slotted, so kSoaBatch is
-  /// accepted unconditionally: the same slot loop over a structure-of-
-  /// arrays packet store (ids in the per-node containers, fields in
-  /// SoaPacketStore) — bit-identical draws, sorts and statistics.
-  KernelBackend backend = KernelBackend::kScalar;
-};
-
 class DeflectionSim {
  public:
-  explicit DeflectionSim(DeflectionConfig config);
+  /// Reads spec, lambda (packets per node per slot), seed, destinations,
+  /// fixed_destinations, the fault rates and ttl; the greedy-only fields
+  /// (trace, slot, valiant, buffer_capacity) must stay at their defaults.
+  explicit DeflectionSim(TopologyRoutingConfig config);
 
   /// Reconfigures for another replication, reusing storage.
-  void reset(DeflectionConfig config);
+  void reset(TopologyRoutingConfig config);
 
   /// Simulates `num_slots` unit slots; statistics cover slots >= warmup_slots.
   void run(std::uint64_t warmup_slots, std::uint64_t num_slots);
@@ -74,8 +55,8 @@ class DeflectionSim {
   /// Delay: generation slot to delivery slot (includes injection waiting).
   [[nodiscard]] const Summary& delay() const noexcept { return stats_.delay(); }
 
-  /// Hops actually taken per delivered packet (>= Hamming distance;
-  /// the excess counts deflections).
+  /// Hops actually taken per delivered packet (>= the metric; the excess
+  /// counts deflections).
   [[nodiscard]] const Summary& hops() const noexcept { return stats_.hops(); }
 
   /// Fraction of transmissions that were deflections (non-productive).
@@ -84,7 +65,7 @@ class DeflectionSim {
     return total == 0.0 ? 0.0 : static_cast<double>(deflected_) / total;
   }
 
-  /// Packets waiting in injection queues at the end of the run.
+  /// Packets waiting in injection queues (or in flight) at the end.
   [[nodiscard]] std::uint64_t injection_backlog() const noexcept { return backlog_; }
 
   [[nodiscard]] std::uint64_t deliveries_in_window() const noexcept {
@@ -109,42 +90,30 @@ class DeflectionSim {
   [[nodiscard]] const KernelStats& kernel_stats() const noexcept {
     return stats_;
   }
+  [[nodiscard]] const Topology& topology() const noexcept {
+    return net_.topology();
+  }
 
  private:
   struct Pkt {
     NodeId dest;
     double gen_time;
     std::uint16_t hops;
-    std::uint16_t min_hops;  ///< Hamming distance at generation (stretch)
+    std::uint16_t min_hops;  ///< metric at generation (stretch baseline)
   };
 
-  void run_scalar(std::uint64_t warmup_slots, std::uint64_t num_slots);
-  /// The backend == kSoaBatch variant of the slot loop: packet ids flow
-  /// through the per-node containers while the fields live in soa_store_
-  /// (dest/gen_time/hops/aux = min_hops).  The stable sort on ids by
-  /// gen_time yields the same permutation as the scalar sort on values, so
-  /// draws, transmissions and statistics are bit-identical.
-  void run_soa(std::uint64_t warmup_slots, std::uint64_t num_slots);
+  template <typename Topo>
+  void run_slots(const Topo& topo, std::uint64_t warmup_slots,
+                 std::uint64_t num_slots);
 
-  DeflectionConfig config_;
-  Hypercube cube_{1};  ///< placeholder; reset() installs the real topology
+  TopologyRoutingConfig config_;
+  RoutedNetwork net_;
   Rng rng_;
   FaultModel fault_model_;
   bool fault_active_ = false;
-  int ttl_ = 0;
-  /// Per-node live-out-port count and dead-port dimension mask, cached in
-  /// reset() when the fault set is static (empty in dynamic mode, where
-  /// liveness is recomputed per slot).
-  std::vector<std::uint8_t> live_ports_;
-  std::vector<std::uint32_t> dead_ports_;
 
-  std::vector<std::vector<Pkt>> resident_;           // packets at each node
-  std::vector<std::deque<Pkt>> injection_;           // waiting to be admitted
-
-  // --- soa_batch backend state (unused by kScalar) ----------------------
-  SoaPacketStore soa_store_;
-  std::vector<std::vector<std::uint32_t>> resident_ids_;
-  std::vector<std::deque<std::uint32_t>> injection_ids_;
+  std::vector<std::vector<Pkt>> resident_;  // packets at each node
+  std::vector<std::deque<Pkt>> injection_;  // waiting to be admitted
 
   KernelStats stats_;
   std::uint64_t productive_ = 0;
@@ -157,9 +126,9 @@ class SchemeRegistry;
 /// core/registry.hpp hookup: registers "deflection" ([GrH89] hot-potato
 /// comparator; window interpreted in slots) with extra metrics
 /// deflection_fraction plus the resilience extras (delivery_ratio,
-/// mean_stretch, delay_p50/p99, fault_drops).  Natively fault-aware:
-/// fault_rate / node_fault_rate / fault_mtbf / fault_mttr apply,
-/// fault_policy does not.
+/// mean_stretch, delay_p50/p99, fault_drops).  Runs on every topology; on
+/// the hypercube it is natively fault-aware: fault_rate / node_fault_rate
+/// / fault_mtbf / fault_mttr apply, fault_policy does not.
 void register_deflection_scheme(SchemeRegistry& registry);
 
 }  // namespace routesim

@@ -352,6 +352,7 @@ void register_butterfly_greedy_scheme(SchemeRegistry& registry) {
                "(clear storm_rate/storm_duration; storms are available on "
                "hypercube_greedy and valiant_mixing)");
          }
+         s.reject_unsupported_keys({"buffers"});
          const KernelBackend backend = s.resolved_backend(
              {KernelBackend::kScalar, KernelBackend::kSoaBatch});
          if (backend == KernelBackend::kSoaBatch) {

@@ -146,14 +146,14 @@ void GreedyHypercubeSim::inject(double now, NodeId origin, NodeId dest) {
     kernel_.deliver(now, pkt, now, 0.0);
     return;
   }
-  const int dim = fault_active_ ? next_dimension_faulty(kernel_.packet(pkt))
-                                : next_dimension(kernel_.packet(pkt));
-  if (dim == 0) {
+  const ArcId arc =
+      fault_active_ ? next_arc_faulty(kernel_.packet(pkt))
+                    : cube_.arc_index(origin, next_dimension(kernel_.packet(pkt)));
+  if (arc == kDropArc) {
     kernel_.drop_faulty(now, pkt);
     return;
   }
-  kernel_.enqueue(now, cube_.arc_index(origin, dim), pkt, /*external=*/true,
-                  origin);
+  kernel_.enqueue(now, arc, pkt, /*external=*/true, origin);
 }
 
 void GreedyHypercubeSim::on_spawn(double now) {
@@ -184,27 +184,16 @@ int GreedyHypercubeSim::next_dimension(const Pkt& packet) {
   return lowest_dimension(remaining);  // unreachable
 }
 
-int GreedyHypercubeSim::next_dimension_faulty(const Pkt& packet) {
+ArcId GreedyHypercubeSim::next_arc_faulty(const Pkt& packet) {
   // The scheme's normal pick first: when its arc is alive — always, at
   // zero fault rates — routing and RNG consumption are identical to the
-  // pristine path.  Otherwise the shared skip-dimension machinery
-  // (fault/fault_routing.hpp) applies the policy.
-  const int preferred = next_dimension(packet);
-  if (!kernel_.arc_faulty(cube_.arc_index(packet.cur, preferred))) {
-    return preferred;
-  }
-  if (config_.fault_policy == FaultPolicy::kAdaptive) {
-    return adaptive_reroute_dimension(
-        config_.d, packet.cur, packet.cur ^ packet.dest,
-        [&](NodeId node, int dim) {
-          return kernel_.arc_faulty(cube_.arc_index(node, dim));
-        },
-        kernel_.rng());
-  }
-  return fault_reroute_dimension(
-      config_.fault_policy, config_.d, packet.cur ^ packet.dest,
-      [&](int dim) { return kernel_.arc_faulty(cube_.arc_index(packet.cur, dim)); },
-      kernel_.rng());
+  // pristine path.  Otherwise the shared reroute policies
+  // (fault/fault_routing.hpp) apply.
+  const ArcId preferred = cube_.arc_index(packet.cur, next_dimension(packet));
+  if (!kernel_.arc_faulty(preferred)) return preferred;
+  return fault_reroute_arc(
+      config_.fault_policy, cube_, packet.cur, packet.dest,
+      [&](ArcId arc) { return kernel_.arc_faulty(arc); }, kernel_.rng());
 }
 
 void GreedyHypercubeSim::on_arc_done(double now, ArcId arc) {
@@ -228,13 +217,12 @@ void GreedyHypercubeSim::on_arc_done(double now, ArcId arc) {
       kernel_.drop_faulty(now, pkt);
       return;
     }
-    const int next_dim = next_dimension_faulty(packet);
-    if (next_dim == 0) {
+    const ArcId next = next_arc_faulty(packet);
+    if (next == kDropArc) {
       kernel_.drop_faulty(now, pkt);
       return;
     }
-    kernel_.enqueue(now, cube_.arc_index(packet.cur, next_dim), pkt,
-                    /*external=*/false, packet.cur);
+    kernel_.enqueue(now, next, pkt, /*external=*/false, packet.cur);
     return;
   }
   // Under the paper's increasing-index order the next required dimension is
@@ -275,16 +263,15 @@ struct GreedyHypercubeSim::BatchPolicy {
       batch.deliver(now, pkt, now, 0.0);
       return;
     }
-    int dim = lowest_dimension(origin ^ dest);
-    if (sim.fault_active_) {
-      dim = faulty_dimension(origin, origin ^ dest, dim);
-      if (dim == 0) {
-        batch.drop_faulty(now, pkt);
-        return;
-      }
+    const ArcId arc =
+        sim.fault_active_
+            ? faulty_arc(origin, dest)
+            : sim.cube_.arc_index(origin, lowest_dimension(origin ^ dest));
+    if (arc == kDropArc) {
+      batch.drop_faulty(now, pkt);
+      return;
     }
-    batch.enqueue(now, sim.cube_.arc_index(origin, dim), pkt,
-                  /*external=*/true, origin);
+    batch.enqueue(now, arc, pkt, /*external=*/true, origin);
   }
 
   /// Phase A: advance every packet one hop and pick its next arc.  The
@@ -316,8 +303,7 @@ struct GreedyHypercubeSim::BatchPolicy {
       const std::uint32_t cur = store.node[pkt] ^ (1u << (arc >> d));
       store.node[pkt] = cur;
       store.hops[pkt] = static_cast<std::uint16_t>(store.hops[pkt] + 1);
-      const std::uint32_t rem = cur ^ store.dest[pkt];
-      if (rem == 0) {
+      if (cur == store.dest[pkt]) {
         next[i] = SlottedBatchDriver::kDeliver;
         continue;
       }
@@ -325,31 +311,20 @@ struct GreedyHypercubeSim::BatchPolicy {
         next[i] = SlottedBatchDriver::kDropFault;
         continue;
       }
-      const int dim = faulty_dimension(cur, rem, lowest_dimension(rem));
-      next[i] = dim == 0 ? SlottedBatchDriver::kDropFault
-                         : sim.cube_.arc_index(cur, dim);
+      const ArcId reroute = faulty_arc(cur, store.dest[pkt]);
+      next[i] = reroute == kDropArc ? SlottedBatchDriver::kDropFault : reroute;
     }
   }
 
-  /// Mirror of next_dimension_faulty (increasing order only): the normal
-  /// pick when its arc is alive, the shared reroute machinery otherwise.
-  [[nodiscard]] int faulty_dimension(NodeId cur, NodeId rem, int preferred) {
-    if (!sim.fault_model_.is_faulty(sim.cube_.arc_index(cur, preferred))) {
-      return preferred;
-    }
-    if (sim.config_.fault_policy == FaultPolicy::kAdaptive) {
-      return adaptive_reroute_dimension(
-          sim.config_.d, cur, rem,
-          [&](NodeId node, int dim) {
-            return sim.fault_model_.is_faulty(sim.cube_.arc_index(node, dim));
-          },
-          sim.batch_.rng());
-    }
-    return fault_reroute_dimension(
-        sim.config_.fault_policy, sim.config_.d, rem,
-        [&](int dim) {
-          return sim.fault_model_.is_faulty(sim.cube_.arc_index(cur, dim));
-        },
+  /// next_arc_faulty over the batch store (increasing order only): the
+  /// normal pick when its arc is alive, the shared reroute policies
+  /// otherwise, drawing from the batch driver's borrowed RNG.
+  [[nodiscard]] ArcId faulty_arc(NodeId cur, NodeId dest) {
+    const ArcId preferred = sim.cube_.arc_index(cur, lowest_dimension(cur ^ dest));
+    if (!sim.fault_model_.is_faulty(preferred)) return preferred;
+    return fault_reroute_arc(
+        sim.config_.fault_policy, sim.cube_, cur, dest,
+        [&](ArcId arc) { return sim.fault_model_.is_faulty(arc); },
         sim.batch_.rng());
   }
 

@@ -222,10 +222,10 @@ class GreedyHypercubeSim {
   void configure_kernel();
   void inject(double now, NodeId origin, NodeId dest);
   [[nodiscard]] int next_dimension(const Pkt& packet);
-  /// Fault-aware dimension choice: the scheme's normal pick when its arc
-  /// is alive, the policy's reroute (fault/fault_routing.hpp) otherwise;
-  /// 0 means drop the packet.
-  [[nodiscard]] int next_dimension_faulty(const Pkt& packet);
+  /// Fault-aware arc choice: the scheme's normal pick when its arc is
+  /// alive, the policy's reroute (fault/fault_routing.hpp) otherwise;
+  /// kDropArc means drop the packet.
+  [[nodiscard]] ArcId next_arc_faulty(const Pkt& packet);
 
   GreedyHypercubeConfig config_;
   Hypercube cube_;

@@ -4,25 +4,49 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
+#include <type_traits>
 #include <utility>
 
+#include "fault/fault_routing.hpp"
 #include "util/assert.hpp"
-#include "util/distributions.hpp"
 #include "workload/permutation.hpp"
 
 namespace routesim {
 
-namespace {
+void RoutedNetwork::configure(const TopologyRoutingConfig& config) {
+  topo_ = make_topology(config.spec);
+  num_nodes_ = topo_->num_nodes();
+  diameter_ = std::max(1, topo_->diameter());
+  if (topo_->name() == "hypercube") {
+    law_ = config.destinations.value_or(
+        DestinationDistribution::uniform(config.spec.d));
+    RS_EXPECTS_MSG(law_->dimension() == config.spec.d,
+                   "destination distribution dimension must match d");
+  } else {
+    RS_EXPECTS_MSG(!config.destinations.has_value(),
+                   "an XOR-mask destination law needs topology=hypercube");
+    law_.reset();
+  }
+  fixed_ = config.fixed_destinations;
+  RS_EXPECTS_MSG(fixed_ == nullptr || fixed_->size() == num_nodes_,
+                 "fixed-destination table must have num_nodes entries");
+  // Hop counters are 16-bit; a larger TTL could never fire (wraparound).
+  ttl_ = std::min(config.ttl > 0 ? config.ttl : 64 * diameter_, 65535);
+}
 
-/// Per-scheme RNG stream salts, mirroring the native schemes' 0xC0BE /
-/// 0x3A1A / 0xDEF1 (a different topology must not replay the hypercube's
-/// draw sequence).
-constexpr std::uint64_t kGreedySalt = 0x7090;
-constexpr std::uint64_t kValiantSalt = 0x7091;
-constexpr std::uint64_t kDeflectionSalt = 0xDEF2;
-
-}  // namespace
+void RoutedNetwork::configure_faults(const TopologyRoutingConfig& config,
+                                     FaultModel& faults) const {
+  faults.configure(
+      make_fault_model_config(config, topo_->num_arcs(), num_nodes_),
+      [this](std::uint32_t node, std::vector<ArcId>& out) {
+        topo_->append_incident_arcs(node, out);
+      },
+      [this](std::uint32_t node, std::vector<std::uint32_t>& out) {
+        for (int k = 0; k < topo_->out_degree(node); ++k) {
+          out.push_back(topo_->arc_target(topo_->out_arc(node, k)));
+        }
+      });
+}
 
 TopologyGreedySim::TopologyGreedySim(TopologyRoutingConfig config)
     : config_(std::move(config)) {
@@ -35,274 +59,173 @@ void TopologyGreedySim::reset(TopologyRoutingConfig config) {
 }
 
 void TopologyGreedySim::configure_kernel() {
-  topo_ = make_topology(config_.spec);
-  RS_EXPECTS(config_.lambda > 0.0);
+  net_.configure(config_);
+  if (config_.trace == nullptr) RS_EXPECTS(config_.lambda > 0.0);
   if (config_.slot > 0.0) {
     const double inv = 1.0 / config_.slot;
     RS_EXPECTS_MSG(config_.slot <= 1.0 && std::abs(inv - std::round(inv)) < 1e-9,
                    "slot length must satisfy: 1/slot integer, slot <= 1 (§3.4)");
   }
-  if (config_.fixed_destinations != nullptr) {
-    RS_EXPECTS_MSG(config_.fixed_destinations->size() == topo_->num_nodes(),
-                   "fixed-destination table must have num_nodes entries");
-  }
+  fault_active_ = config_.fault_policy != FaultPolicy::kNone;
+  RS_EXPECTS_MSG(fault_active_ || (config_.arc_fault_rate == 0.0 &&
+                                   config_.node_fault_rate == 0.0 &&
+                                   config_.fault_mtbf == 0.0 &&
+                                   config_.fault_mttr == 0.0 &&
+                                   config_.storm_rate == 0.0 &&
+                                   config_.storm_duration == 0.0),
+                 "fault rates need a fault_policy");
+  RS_EXPECTS_MSG(config_.fault_policy != FaultPolicy::kTwinDetour,
+                 "twin_detour is a butterfly policy; greedy and valiant "
+                 "support drop, skip_dim, deflect and adaptive");
 
-  const int diameter = std::max(1, topo_->diameter());
+  const Topology& topo = net_.topology();
   PacketKernelConfig kernel;
-  kernel.num_arcs = topo_->num_arcs();
+  kernel.num_arcs = topo.num_arcs();
   kernel.seed = config_.seed;
-  kernel.stream_salt = config_.valiant ? kValiantSalt : kGreedySalt;
-  kernel.birth_rate =
-      config_.lambda * static_cast<double>(topo_->num_nodes());
+  kernel.stream_salt =
+      (config_.valiant ? kValiantSalts : kGreedySalts).for_family(topo.name());
+  kernel.birth_rate = config_.lambda * static_cast<double>(net_.num_nodes());
   kernel.slot = config_.slot;
-  kernel.fixed_destinations = config_.fixed_destinations;
+  kernel.trace = config_.trace;
   kernel.buffer_capacity = config_.buffer_capacity;
   // In-flight packets ~ (aggregate rate) x (delay ~ O(diameter)) at
-  // moderate load; mixing doubles the path length.
-  kernel.expected_packets = static_cast<std::size_t>(
-      kernel.birth_rate * (config_.valiant ? 2.0 : 1.0) *
-          static_cast<double>(diameter)) + 64;
+  // moderate load; mixing doubles the path length.  Trace replay leaves
+  // the default (the kernel derives it from the trace).
+  if (config_.trace == nullptr) {
+    kernel.expected_packets = static_cast<std::size_t>(
+        kernel.birth_rate * (config_.valiant ? 2.0 : 1.0) *
+            static_cast<double>(net_.diameter())) + 64;
+  }
   if (config_.track_node_occupancy) {
-    kernel.stats.occupancy_trackers = topo_->num_nodes();
+    kernel.stats.occupancy_trackers = net_.num_nodes();
   }
   if (config_.track_delay_histogram) {
-    enable_delay_tail_tracking(kernel.stats, diameter);
+    enable_delay_tail_tracking(kernel.stats, net_.diameter());
+  }
+  if (fault_active_) {
+    net_.configure_faults(config_, fault_model_);
+    kernel.fault_model = &fault_model_;
   }
   kernel_.configure(kernel);
 }
 
-void TopologyGreedySim::on_spawn(double now) {
-  const auto origin =
-      static_cast<NodeId>(kernel_.rng().uniform_below(topo_->num_nodes()));
-  const NodeId dest =
-      kernel_.has_fixed_destinations()
-          ? kernel_.fixed_destination(origin)
-          : static_cast<NodeId>(kernel_.rng().uniform_below(topo_->num_nodes()));
-  inject(now, origin, dest);
-}
+template <typename Topo>
+struct TopologyGreedySim::Router {
+  TopologyGreedySim& sim;
+  const Topo& topo;
 
-void TopologyGreedySim::on_traced(double now, NodeId origin, NodeId dest) {
-  inject(now, origin, dest);
-}
+  void on_spawn(double now) {
+    const auto origin = static_cast<NodeId>(
+        sim.kernel_.rng().uniform_below(sim.net_.num_nodes()));
+    inject(now, origin, sim.net_.draw_destination(sim.kernel_.rng(), origin));
+  }
 
-void TopologyGreedySim::inject(double now, NodeId origin, NodeId dest) {
-  kernel_.count_arrival(now);
-  const std::uint32_t id = kernel_.allocate_packet();
-  NodeId target = dest;
-  std::uint8_t phase = 1;
-  int min_hops = 0;
-  if (config_.valiant) {
-    const auto intermediate =
-        static_cast<NodeId>(kernel_.rng().uniform_below(topo_->num_nodes()));
-    min_hops = topo_->metric(origin, intermediate) +
-               topo_->metric(intermediate, dest);
-    if (intermediate != origin) {
-      target = intermediate;
-      phase = 0;
+  void on_traced(double now, NodeId origin, NodeId dest) {
+    inject(now, origin, dest);
+  }
+
+  void inject(double now, NodeId origin, NodeId dest) {
+    PacketKernel<Pkt>& kernel = sim.kernel_;
+    kernel.count_arrival(now);
+    const std::uint32_t id = kernel.allocate_packet();
+    NodeId target = dest;
+    std::uint8_t phase = 1;
+    int min_hops = 0;
+    if (sim.config_.valiant) {
+      const auto intermediate =
+          static_cast<NodeId>(kernel.rng().uniform_below(sim.net_.num_nodes()));
+      min_hops = topo.metric(origin, intermediate) + topo.metric(intermediate, dest);
+      if (intermediate != origin) {
+        target = intermediate;
+        phase = 0;
+      }
+    } else {
+      min_hops = topo.metric(origin, dest);
     }
-  } else {
-    min_hops = topo_->metric(origin, dest);
-  }
-  kernel_.packet(id) = Pkt{origin,   target, dest, now, 0, phase,
-                           static_cast<std::uint16_t>(min_hops)};
-  if (phase == 1 && origin == target) {
-    // A packet for its own origin needs no transmission (delay 0).
-    kernel_.deliver(now, id, now, 0.0);
-    return;
-  }
-  kernel_.enqueue(now, topo_->greedy_next_arc(origin, target), id,
-                  /*external=*/true, origin);
-}
-
-void TopologyGreedySim::on_arc_done(double now, ArcId arc) {
-  const std::uint32_t pkt = kernel_.finish_arc(now, arc, topo_->arc_source(arc));
-
-  Pkt& packet = kernel_.packet(pkt);
-  packet.cur = topo_->arc_target(arc);
-  ++packet.hop_count;
-  if (packet.cur == packet.target) {
-    if (packet.phase == 1) {
-      deliver(now, pkt);
+    kernel.packet(id) = Pkt{origin,   target, dest, now, 0, phase,
+                            static_cast<std::uint16_t>(min_hops)};
+    if (sim.fault_active_ && sim.fault_model_.is_node_faulty(origin)) {
+      // A dead node offers no deliverable traffic; its load is counted as
+      // fault-dropped so the delivery ratio reflects the offered load.
+      kernel.drop_faulty(now, id);
       return;
     }
-    // Reached the random intermediate node: head for the destination.
-    packet.phase = 1;
-    packet.target = packet.final_dest;
+    if (phase == 1 && origin == target) {
+      // A packet for its own origin needs no transmission (delay 0).
+      kernel.deliver(now, id, now, 0.0);
+      return;
+    }
+    route(now, id, /*external=*/true);
+  }
+
+  /// Flattened: the kernel's finish/deliver/enqueue steps are inlined into
+  /// the per-hop path, as they are in a single-topology simulator.
+  [[gnu::flatten]] void on_arc_done(double now, ArcId arc) {
+    PacketKernel<Pkt>& kernel = sim.kernel_;
+    const std::uint32_t pkt = kernel.finish_arc(now, arc, topo.arc_source(arc));
+    Pkt& packet = kernel.packet(pkt);
+    packet.cur = topo.arc_target(arc);
+    ++packet.hop_count;
+    if (packet.cur == packet.target && packet.phase == 0) {
+      // Reached the random intermediate node: head for the destination.
+      packet.phase = 1;
+      packet.target = packet.final_dest;
+    }
     if (packet.cur == packet.target) {
-      deliver(now, pkt);
+      const double stretch =
+          packet.min_hops > 0
+              ? static_cast<double>(packet.hop_count) / packet.min_hops
+              : 0.0;
+      kernel.deliver(now, pkt, packet.gen_time,
+                     static_cast<double>(packet.hop_count), stretch);
       return;
     }
+    if (sim.fault_active_ && packet.hop_count >= sim.net_.ttl()) {
+      kernel.drop_faulty(now, pkt);
+      return;
+    }
+    route(now, pkt, /*external=*/false);
   }
-  kernel_.enqueue(now, topo_->greedy_next_arc(packet.cur, packet.target), pkt,
-                  /*external=*/false, packet.cur);
-}
 
-void TopologyGreedySim::deliver(double now, std::uint32_t pkt) {
-  const Pkt& packet = kernel_.packet(pkt);
-  const double stretch =
-      packet.min_hops > 0
-          ? static_cast<double>(packet.hop_count) / packet.min_hops
-          : 0.0;
-  kernel_.deliver(now, pkt, packet.gen_time,
-                  static_cast<double>(packet.hop_count), stretch);
-}
+  /// Enqueues the packet on its greedy arc toward the phase target.  With
+  /// faults, the greedy arc when alive (always, at zero rates, so the
+  /// pristine path is reproduced), else the policy's reroute.
+  void route(double now, std::uint32_t pkt, bool external) {
+    PacketKernel<Pkt>& kernel = sim.kernel_;
+    const Pkt& packet = kernel.packet(pkt);
+    ArcId arc = topo.greedy_next_arc(packet.cur, packet.target);
+    if (sim.fault_active_ && kernel.arc_faulty(arc)) {
+      arc = reroute(packet);
+      if (arc == kDropArc) {
+        kernel.drop_faulty(now, pkt);
+        return;
+      }
+    }
+    kernel.enqueue(now, arc, pkt, external, packet.cur);
+  }
+
+  /// The policy's reroute around a dead greedy arc (kDropArc = drop).  Out
+  /// of line, so the flattened hop path of on_arc_done stays small.
+  [[gnu::noinline]] ArcId reroute(const Pkt& packet) {
+    PacketKernel<Pkt>& kernel = sim.kernel_;
+    return fault_reroute_arc(
+        sim.config_.fault_policy, topo, packet.cur, packet.target,
+        [&](ArcId arc) { return kernel.arc_faulty(arc); }, kernel.rng());
+  }
+};
 
 void TopologyGreedySim::run(double warmup, double horizon) {
-  kernel_.drive(*this, warmup, horizon);
+  with_concrete_topology(net_.topology(), [&](const auto& topo) {
+    Router<std::decay_t<decltype(topo)>> router{*this, topo};
+    kernel_.drive(router, warmup, horizon);
+  });
 }
 
-TopologyDeflectionSim::TopologyDeflectionSim(TopologyRoutingConfig config) {
-  reset(std::move(config));
-}
-
-void TopologyDeflectionSim::reset(TopologyRoutingConfig config) {
-  config_ = std::move(config);
-  topo_ = make_topology(config_.spec);
-  RS_EXPECTS(config_.lambda > 0.0);
-  RS_EXPECTS_MSG(config_.fixed_destinations == nullptr ||
-                     config_.fixed_destinations->size() == topo_->num_nodes(),
-                 "fixed-destination table must have num_nodes entries");
-  rng_.reseed(derive_stream(config_.seed, kDeflectionSalt));
-  resident_.assign(topo_->num_nodes(), {});
-  injection_.assign(topo_->num_nodes(), {});
-  productive_ = deflected_ = backlog_ = 0;
-
-  // Tail metrics (delay_p50/p99) come from the delay histogram.
-  KernelStats::Config stats;
-  enable_delay_tail_tracking(stats, std::max(1, topo_->diameter()));
-  stats_.configure(stats);
-}
-
-void TopologyDeflectionSim::run(std::uint64_t warmup_slots,
-                                std::uint64_t num_slots) {
-  RS_EXPECTS(warmup_slots <= num_slots);
-  const double warmup_time = static_cast<double>(warmup_slots);
-  stats_.begin(warmup_time, static_cast<double>(num_slots));
-
-  int max_degree = 0;
-  for (NodeId node = 0; node < topo_->num_nodes(); ++node) {
-    max_degree = std::max(max_degree, topo_->out_degree(node));
-  }
-
-  // Next-slot buffers, reused across slots.
-  std::vector<std::vector<Pkt>> incoming(topo_->num_nodes());
-  std::vector<int> port_used(static_cast<std::size_t>(max_degree));
-
-  for (std::uint64_t slot = 0; slot < num_slots; ++slot) {
-    const double now = static_cast<double>(slot);
-
-    // 1. New packets join their origin's injection queue.
-    for (NodeId node = 0; node < topo_->num_nodes(); ++node) {
-      const std::uint64_t births = sample_poisson(rng_, config_.lambda);
-      for (std::uint64_t b = 0; b < births; ++b) {
-        const NodeId dest =
-            config_.fixed_destinations != nullptr
-                ? (*config_.fixed_destinations)[node]
-                : static_cast<NodeId>(rng_.uniform_below(topo_->num_nodes()));
-        if (dest == node) {
-          // Delivered in place, delay 0 (consistent with the greedy model).
-          stats_.record_delivery(now, now, 0.0);
-          continue;
-        }
-        injection_.at(node).push_back(
-            Pkt{dest, now, 0,
-                static_cast<std::uint16_t>(topo_->metric(node, dest))});
-      }
-    }
-
-    // 2. Admission: a node may hold at most one packet per out-port.
-    for (NodeId node = 0; node < topo_->num_nodes(); ++node) {
-      auto& residents = resident_[node];
-      auto& waiting = injection_[node];
-      const auto capacity = static_cast<std::size_t>(topo_->out_degree(node));
-      while (residents.size() < capacity && !waiting.empty()) {
-        residents.push_back(waiting.front());
-        waiting.pop_front();
-      }
-    }
-
-    // 3. Port assignment and synchronous transmission: oldest packets pick
-    // first, preferring the lowest metric-decreasing free port, else the
-    // lowest free port (a deflection).
-    for (NodeId node = 0; node < topo_->num_nodes(); ++node) {
-      auto& residents = resident_[node];
-      if (residents.empty()) continue;
-      std::stable_sort(residents.begin(), residents.end(),
-                       [](const Pkt& a, const Pkt& b) { return a.gen_time < b.gen_time; });
-      const int degree = topo_->out_degree(node);
-      std::fill(port_used.begin(), port_used.begin() + degree, 0);
-      for (auto& packet : residents) {
-        const int here = topo_->metric(node, packet.dest);
-        int chosen = -1;
-        for (int k = 0; k < degree; ++k) {
-          if (port_used[k] == 0 &&
-              topo_->metric(topo_->arc_target(topo_->out_arc(node, k)),
-                            packet.dest) < here) {
-            chosen = k;
-            break;
-          }
-        }
-        const bool productive = chosen >= 0;
-        if (!productive) {
-          for (int k = 0; k < degree; ++k) {
-            if (port_used[k] == 0) {
-              chosen = k;
-              break;
-            }
-          }
-        }
-        // Admission caps residents at the port count, so a port is free.
-        RS_DASSERT(chosen >= 0);
-        port_used[chosen] = 1;
-        productive ? ++productive_ : ++deflected_;
-        ++packet.hops;
-        const NodeId next = topo_->arc_target(topo_->out_arc(node, chosen));
-        if (productive && next == packet.dest) {
-          const double stretch =
-              packet.min_hops > 0
-                  ? static_cast<double>(packet.hops) / packet.min_hops
-                  : 0.0;
-          stats_.record_delivery(now + 1.0, packet.gen_time,
-                                 static_cast<double>(packet.hops), stretch);
-        } else {
-          incoming[next].push_back(packet);
-        }
-      }
-      residents.clear();
-    }
-    for (NodeId node = 0; node < topo_->num_nodes(); ++node) {
-      resident_[node].swap(incoming[node]);
-      incoming[node].clear();
-    }
-  }
-
-  stats_.finalize(warmup_time, static_cast<double>(num_slots),
-                  /*pending_reset=*/false);
-  backlog_ = 0;
-  for (const auto& queue : injection_) backlog_ += queue.size();
-  for (const auto& residents : resident_) backlog_ += residents.size();
-}
-
-namespace {
-
-TopologySpec generic_spec(const Scenario& s, const std::string& name) {
-  TopologySpec spec;
-  spec.name = name;
-  spec.d = s.d;
-  spec.ring_chords = s.ring_chords;
-  spec.torus_dims = s.torus_dims;
-  return spec;
-}
-
-/// Shared compile-time validation for the topology-parametric paths: the
-/// dispatching scheme has already resolved the topology name; here the
-/// hypercube-native knobs (faults, traces, XOR-mask workloads, soa_batch)
-/// are rejected as catchable ScenarioErrors and the topology itself is
-/// built once so size errors surface before the worker fan-out.
-std::string validated_generic_name(const Scenario& s) {
+std::string resolved_routing_topology(const Scenario& s) {
   const std::string name =
       s.resolved_topology({"hypercube", "ring", "torus", "mesh"});
-  (void)s.resolved_fault_policy({});  // faults are native-only
+  if (name == "hypercube") return name;
+  (void)s.resolved_fault_policy({});  // faults are hypercube-only
   (void)s.resolved_backend({});       // scalar-only: reject soa_batch
   if (s.workload == "permutation") {
     if (name != "ring") {
@@ -315,35 +238,70 @@ std::string validated_generic_name(const Scenario& s) {
         "workload '" + s.workload + "' is hypercube-native; topology=" +
         name + " supports workload=uniform (and permutation on the ring)");
   }
-  try {
-    (void)make_topology(generic_spec(s, name));
-  } catch (const std::invalid_argument& error) {
-    throw ScenarioError(error.what());
-  }
+  (void)s.compiled_topology();  // size errors as ScenarioError
   return name;
 }
 
-}  // namespace
+namespace {
 
-CompiledScenario compile_topology_greedy(const Scenario& s) {
-  CompiledScenario compiled;
-  const std::string name = validated_generic_name(s);
+/// Greedy (valiant = false) or Valiant mixing over TopologyGreedySim, with
+/// the native schemes' metric layout and resilience extras.
+CompiledScenario compile_routing(const Scenario& s, bool valiant) {
+  const std::string family = resolved_routing_topology(s);
+  if (valiant) s.reject_unsupported_keys({"tau", "buffers"});
+  const FaultPolicy fault_policy = s.resolved_fault_policy(
+      {FaultPolicy::kDrop, FaultPolicy::kSkipDim, FaultPolicy::kDeflect,
+       FaultPolicy::kAdaptive});
+  (void)s.resolved_backend({});  // scalar-only: reject soa_batch
+  // Validated here so a bad permutation or trace fails at compile time,
+  // not inside a replication worker thread.
   const auto perm = s.shared_permutation_table();
+  const auto replay = s.shared_trace();
   const Window window = s.resolved_window();
-  compiled.replicate = [s, name, window, perm](std::uint64_t seed, int) {
+  std::optional<DestinationDistribution> law;
+  if (family == "hypercube") law = s.make_destinations();
+  const bool max_queue = perm != nullptr && !valiant;
+
+  CompiledScenario compiled;
+  compiled.replicate = [s, spec = s.topology_spec(), valiant, max_queue,
+                        window, fault_policy, perm, replay,
+                        law](std::uint64_t seed, int) {
     TopologyRoutingConfig config;
-    config.spec = generic_spec(s, name);
+    config.spec = spec;
     config.lambda = s.lambda;
     config.seed = seed;
-    config.slot = s.tau;
+    config.destinations = law;
+    config.fixed_destinations = perm.get();
+    config.slot = s.tau;  // 0 under valiant (rejected above)
+    config.valiant = valiant;
     config.buffer_capacity = s.buffer_capacity;
-    config.fixed_destinations = perm ? perm.get() : nullptr;
-    // Permutation runs track per-node occupancy for the max_queue extra.
-    config.track_node_occupancy = perm != nullptr;
+    // Greedy permutation runs track per-node occupancy for max_queue.
+    config.track_node_occupancy = max_queue;
     // Tail metrics (delay_p50/p99) come from the delay histogram.
     config.track_delay_histogram = true;
-    TopologyGreedySim& sim =
-        reusable_sim<TopologyGreedySim>(std::move(config));
+    if (fault_policy != FaultPolicy::kNone) {
+      config.fault_policy = fault_policy;
+      config.arc_fault_rate = s.fault_rate;
+      config.node_fault_rate = s.node_fault_rate;
+      config.fault_mtbf = s.fault_mtbf;
+      config.fault_mttr = s.fault_mttr;
+      config.storm_rate = s.storm_rate;
+      config.storm_radius = s.storm_radius;
+      config.storm_duration = s.storm_duration;
+      config.ttl = s.ttl;
+    }
+    // Thread-local so the cached sim's trace pointer stays valid for the
+    // sim's whole lifetime (and the buffers are reused per rep).
+    thread_local PacketTrace trace;
+    if (replay != nullptr) {
+      // External trace file: every replication replays the same recorded
+      // packet stream (the shared_ptr outlives the sims).
+      config.trace = replay.get();
+    } else if (s.workload == "trace") {
+      trace = generate_hypercube_trace(s.d, s.lambda, *law, window.horizon, seed);
+      config.trace = &trace;
+    }
+    TopologyGreedySim& sim = reusable_sim<TopologyGreedySim>(std::move(config));
     sim.run(window.warmup, window.horizon);
     const KernelStats& stats = sim.kernel_stats();
     std::vector<double> metrics{
@@ -354,85 +312,52 @@ CompiledScenario compile_topology_greedy(const Scenario& s) {
         stats.delay_quantile(0.5),   stats.delay_quantile(0.99),
         static_cast<double>(stats.fault_drops_in_window()),
         static_cast<double>(stats.drops_in_window())};
-    if (perm) metrics.push_back(stats.max_occupancy());
+    if (max_queue) metrics.push_back(stats.max_occupancy());
     return metrics;
   };
   compiled.extra_metrics = {"delivery_ratio", "mean_stretch",
                             "delay_p50",      "delay_p99",
                             "fault_drops",    "buffer_drops"};
-  if (perm) compiled.extra_metrics.emplace_back("max_queue");
+  if (max_queue) compiled.extra_metrics.emplace_back("max_queue");
   // No closed-form bracket: the paper's delay bounds are hypercube and
-  // butterfly theorems.
+  // butterfly theorems for direct greedy, and the mixed network is not
+  // levelled, which is the point of the comparison.
   return compiled;
 }
 
-CompiledScenario compile_topology_valiant(const Scenario& s) {
-  CompiledScenario compiled;
-  const std::string name = validated_generic_name(s);
-  const auto perm = s.shared_permutation_table();
-  const Window window = s.resolved_window();
-  compiled.replicate = [s, name, window, perm](std::uint64_t seed, int) {
-    TopologyRoutingConfig config;
-    config.spec = generic_spec(s, name);
-    config.lambda = s.lambda;
-    config.seed = seed;
-    config.valiant = true;
-    config.fixed_destinations = perm ? perm.get() : nullptr;
-    config.track_delay_histogram = true;
-    TopologyGreedySim& sim =
-        reusable_sim<TopologyGreedySim>(std::move(config));
-    sim.run(window.warmup, window.horizon);
-    const KernelStats& stats = sim.kernel_stats();
-    return std::vector<double>{
-        sim.delay().mean(),          sim.time_avg_population(),
-        sim.throughput(),            sim.hops().mean(),
-        sim.little_check().relative_error(), sim.final_population(),
-        stats.delivery_ratio(),      stats.mean_stretch(),
-        stats.delay_quantile(0.5),   stats.delay_quantile(0.99),
-        static_cast<double>(stats.fault_drops_in_window()),
-        static_cast<double>(stats.drops_in_window())};
-  };
-  compiled.extra_metrics = {"delivery_ratio", "mean_stretch",
-                            "delay_p50",      "delay_p99",
-                            "fault_drops",    "buffer_drops"};
-  return compiled;
+}  // namespace
+
+CompiledScenario compile_topology_greedy(const Scenario& s) {
+  return compile_routing(s, /*valiant=*/false);
 }
 
-CompiledScenario compile_topology_deflection(const Scenario& s) {
-  CompiledScenario compiled;
-  const std::string name = validated_generic_name(s);
-  const auto perm = s.shared_permutation_table();
-  const Window window = s.resolved_window();
-  compiled.replicate = [s, name, window, perm](std::uint64_t seed, int) {
-    TopologyRoutingConfig config;
-    config.spec = generic_spec(s, name);
-    config.lambda = s.lambda;
-    config.seed = seed;
-    config.fixed_destinations = perm ? perm.get() : nullptr;
-    TopologyDeflectionSim& sim =
-        reusable_sim<TopologyDeflectionSim>(std::move(config));
-    const auto warmup_slots = static_cast<std::uint64_t>(window.warmup);
-    const auto num_slots = static_cast<std::uint64_t>(window.horizon);
-    sim.run(warmup_slots, num_slots);
-    const KernelStats& stats = sim.kernel_stats();
-    return std::vector<double>{
-        sim.delay().mean(),
-        0.0,
-        sim.throughput(),
-        sim.hops().mean(),
-        0.0,
-        static_cast<double>(sim.injection_backlog()),
-        sim.deflection_fraction(),
-        stats.delivery_ratio(),
-        stats.mean_stretch(),
-        stats.delay_quantile(0.5),
-        stats.delay_quantile(0.99),
-        static_cast<double>(stats.fault_drops_in_window())};
-  };
-  compiled.extra_metrics = {"deflection_fraction", "delivery_ratio",
-                            "mean_stretch",        "delay_p50",
-                            "delay_p99",           "fault_drops"};
-  return compiled;
+void register_valiant_mixing_scheme(SchemeRegistry& registry) {
+  registry.add(
+      {"valiant_mixing",
+       "two-phase Valiant mixing: greedy to a random intermediate, then "
+       "greedy to the destination (§5)",
+       [](const Scenario& s) { return compile_routing(s, /*valiant=*/true); },
+       [](const Scenario& s) {
+         if (s.uses_generic_topology()) {
+           // Mixing doubles the traffic over greedy arcs: each phase loads
+           // the heaviest arc at ~lambda * uniform_load_per_lambda.
+           return 2.0 * s.lambda *
+                  s.compiled_topology()->uniform_load_per_lambda();
+         }
+         if (s.workload == "permutation") {
+           // Mixing spreads any bijection uniformly: both phases load
+           // every arc at ~lambda/2, so rho ~ lambda.  A non-bijective
+           // map (hotspot) keeps its inherent fan-in bottleneck — the
+           // hot node's d in-arcs must carry lambda * max_fan_in.  The
+           // table comes from permutation_table() so bad knobs surface
+           // as the same catchable ScenarioError every scheme throws.
+           const double fan_in =
+               static_cast<double>(max_fan_in(s.permutation_table()));
+           return s.lambda * std::max(1.0, fan_in / static_cast<double>(s.d));
+         }
+         // Other workloads keep the engine's default rule.
+         return s.default_rho();
+       }});
 }
 
 }  // namespace routesim

@@ -1,60 +1,140 @@
 #pragma once
 /// \file topology_greedy.hpp
-/// \brief Topology-parametric routing simulators: greedy metric descent and
-///        its Valiant-mixing / deflection variants over any `Topology`.
+/// \brief Topology-parametric routing: greedy metric descent and its
+///        Valiant-mixing variant over any `Topology`, plus the pieces the
+///        deflection simulator (routing/deflection.hpp) shares with it.
 ///
-/// These sims are what `hypercube_greedy`, `valiant_mixing` and
-/// `deflection` dispatch to when a scenario selects a non-native topology
-/// (topology=ring / torus / mesh).  They reuse the shared packet kernel
-/// (des/packet_kernel.hpp) and the deflection slot loop wholesale; the only
-/// scheme-specific ingredient is `Topology::greedy_next_arc`, so one
-/// implementation serves every family the concept admits.
+/// TopologyGreedySim is the one simulator of Valiant's two-phase mixing
+/// (`valiant_mixing`, §5) on every family, the paper's hypercube included,
+/// and of greedy routing on ring / torus / mesh (`hypercube_greedy
+/// topology=...`).  It runs on the shared packet kernel
+/// (des/packet_kernel.hpp); the scheme-specific ingredients are
+/// `Topology::greedy_next_arc` and, under faults, the reroute policies of
+/// fault/fault_routing.hpp.  The routing hooks are a template on the
+/// topology, instantiated on the concrete HypercubeTopology (no virtual
+/// call) and on the Topology interface (every other family).
 ///
-/// The hypercube and butterfly keep their specialised simulators — those
-/// are the paper's bit-exactness oracle (tests/test_kernel_parity.cpp) and
-/// the conformance kit certifies the concept adapters agree with them.
+/// On the hypercube the simulator reproduces the native simulators draw
+/// for draw: it keeps their RNG stream salts, draws the XOR-mask
+/// DestinationDistribution, and supports their fault model (static,
+/// dynamic, storms, TTL) and trace replay.  Valiant's pins, and greedy's
+/// against GreedyHypercubeSim, replay unchanged (tests/test_kernel_parity).
 ///
-/// Workloads: uniform destinations over all nodes (sampled directly from
-/// the kernel RNG — the XOR-mask DestinationDistribution is a hypercube
-/// notion), plus fixed-destination permutation tables on the ring (whose
-/// 2^d nodes match the permutation families).  Faults, traces and the
-/// soa_batch backend stay native-only; the compile helpers below reject
-/// them with catchable ScenarioErrors.
+/// On ring / torus / mesh the compile hooks accept workload=uniform (and a
+/// permutation on the ring, whose 2^d nodes match the permutation
+/// families) and reject faults, traces and backend=soa_batch with
+/// catchable ScenarioErrors; those limits live only at compile time.
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "des/packet_kernel.hpp"
-#include "stats/histogram.hpp"
+#include "fault/fault_model.hpp"
 #include "stats/little.hpp"
 #include "stats/summary.hpp"
 #include "topology/topology.hpp"
+#include "workload/destination.hpp"
+#include "workload/trace.hpp"
 
 namespace routesim {
 
+/// The configuration of both topology-parametric simulators
+/// (TopologyGreedySim and DeflectionSim); fields marked "greedy" are not
+/// read by deflection, which is slotted and bufferless by construction.
 struct TopologyRoutingConfig {
   TopologySpec spec;
   double lambda = 0.1;  ///< packet generation rate per node
   std::uint64_t seed = 1;
-  /// 0 => continuous time; > 0 => slotted arrivals (greedy mode only).
-  double slot = 0.0;
-  /// Route via a uniform random intermediate node (Valiant's trick) before
-  /// heading to the destination; evens out adversarial workloads such as
-  /// the ring's tornado permutation.
-  bool valiant = false;
+  /// Hypercube only: the XOR-mask destination law (dimension spec.d);
+  /// nullopt = uniform.  Other families draw a uniform destination node.
+  std::optional<DestinationDistribution> destinations;
   /// Per-source fixed destinations (workload = permutation); entry x is the
   /// destination of packets generated at node x.  Non-owning; num_nodes()
-  /// entries; null = uniform destinations.
+  /// entries; null = sample destinations.
   const std::vector<NodeId>* fixed_destinations = nullptr;
-  /// Finite-buffer ablation; 0 = infinite buffers.
+  /// Greedy: replay this trace instead of generating traffic (lambda and
+  /// slot are then ignored).
+  const PacketTrace* trace = nullptr;
+  /// Greedy: 0 => continuous time; > 0 => slotted arrivals (§3.4).
+  double slot = 0.0;
+  /// Greedy: route via a uniform random intermediate node (Valiant's
+  /// trick) before heading to the destination.
+  bool valiant = false;
+  /// Greedy: finite-buffer ablation; 0 = infinite buffers.
   std::uint32_t buffer_capacity = 0;
-  /// Track a time-weighted occupancy per node.
+  /// Greedy: track a time-weighted occupancy per node.
   bool track_node_occupancy = false;
-  /// Collect a delay histogram (bin width 1, range [0, 64*diameter]).
+  /// Greedy: collect a delay histogram (bin width 1, range [0, 64 *
+  /// diameter]); deflection always collects it.
   bool track_delay_histogram = false;
+
+  // --- fault injection (src/fault/fault_model.hpp) ----------------------
+  /// Greedy: kNone = the pristine path; kDrop / kSkipDim / kDeflect /
+  /// kAdaptive route around (or drop at) dead arcs within the current
+  /// phase.  Deflection ignores it: a dead arc is a port that is never
+  /// free, so the rates alone switch its fault model on.
+  FaultPolicy fault_policy = FaultPolicy::kNone;
+  double arc_fault_rate = 0.0;
+  double node_fault_rate = 0.0;
+  double fault_mtbf = 0.0;  ///< mean link up-time (> 0 with mttr => dynamic)
+  double fault_mttr = 0.0;  ///< mean link repair time
+  /// Greedy: correlated fault storms (src/fault/storm.hpp).
+  double storm_rate = 0.0;
+  int storm_radius = 1;
+  double storm_duration = 0.0;
+  int ttl = 0;  ///< max hops for detouring packets; 0 = 64 * diameter
+};
+
+/// Kernel RNG stream salts of one scheme: the paper's cube keeps the salts
+/// of the native simulators its pins were captured from, and every other
+/// family draws a stream of its own.
+struct StreamSalts {
+  std::uint64_t hypercube = 0;
+  std::uint64_t other = 0;
+  [[nodiscard]] std::uint64_t for_family(const std::string& family) const {
+    return family == "hypercube" ? hypercube : other;
+  }
+};
+inline constexpr StreamSalts kGreedySalts{0xC0BE, 0x7090};
+inline constexpr StreamSalts kValiantSalts{0x3A1A, 0x7091};
+inline constexpr StreamSalts kDeflectionSalts{0xDEF1, 0xDEF2};
+
+/// What both topology-parametric simulators resolve from their config in
+/// the same way: the topology, the destination law, the TTL, the fault
+/// model and the destination draw.
+class RoutedNetwork {
+ public:
+  /// Builds the topology and checks the config against it.
+  void configure(const TopologyRoutingConfig& config);
+
+  /// (Re)samples `faults` from the config's rates over this topology: a
+  /// node fault downs its incident arcs, a storm grows over out-neighbours.
+  void configure_faults(const TopologyRoutingConfig& config,
+                        FaultModel& faults) const;
+
+  [[nodiscard]] const Topology& topology() const noexcept { return *topo_; }
+  [[nodiscard]] std::uint32_t num_nodes() const noexcept { return num_nodes_; }
+  [[nodiscard]] int diameter() const noexcept { return diameter_; }
+  [[nodiscard]] int ttl() const noexcept { return ttl_; }
+
+  /// The destination of a packet born at `origin`: the fixed table entry
+  /// (no draw), else a draw from the hypercube's law, else a uniform node.
+  [[nodiscard]] NodeId draw_destination(Rng& rng, NodeId origin) const {
+    if (fixed_ != nullptr) return (*fixed_)[origin];
+    if (law_.has_value()) return law_->sample(rng, origin);
+    return static_cast<NodeId>(rng.uniform_below(num_nodes_));
+  }
+
+ private:
+  std::unique_ptr<const Topology> topo_;
+  std::optional<DestinationDistribution> law_;
+  const std::vector<NodeId>* fixed_ = nullptr;
+  std::uint32_t num_nodes_ = 0;
+  int diameter_ = 1;
+  int ttl_ = 0;
 };
 
 /// Greedy metric descent (optionally via a Valiant intermediate) over any
@@ -89,19 +169,20 @@ class TopologyGreedySim {
   [[nodiscard]] double max_node_occupancy() const noexcept {
     return kernel_.stats().max_occupancy();
   }
+  /// The full measurement harvest (delivery ratio, stretch, quantiles, ...).
   [[nodiscard]] const KernelStats& kernel_stats() const noexcept {
     return kernel_.stats();
   }
   [[nodiscard]] const std::vector<ArcCounters>& arc_counters() const noexcept {
     return kernel_.arc_counters();
   }
-  [[nodiscard]] const Topology& topology() const noexcept { return *topo_; }
-
-  // --- kernel hooks (called by PacketKernel::drive) ---
-
-  void on_spawn(double now);
-  void on_traced(double now, NodeId origin, NodeId dest);
-  void on_arc_done(double now, ArcId arc);
+  /// The attached fault model (inactive when fault_policy is kNone).
+  [[nodiscard]] const FaultModel& fault_model() const noexcept {
+    return fault_model_;
+  }
+  [[nodiscard]] const Topology& topology() const noexcept {
+    return net_.topology();
+  }
 
  private:
   struct Pkt {
@@ -114,72 +195,46 @@ class TopologyGreedySim {
     std::uint16_t min_hops = 0;  ///< metric along the routed path — stretch baseline
   };
 
+  /// The kernel hooks (on_spawn / on_traced / on_arc_done), templated on
+  /// the concrete topology type (routing/topology_greedy.cpp).
+  template <typename Topo>
+  struct Router;
+
   void configure_kernel();
-  void inject(double now, NodeId origin, NodeId dest);
-  void deliver(double now, std::uint32_t pkt);
 
   TopologyRoutingConfig config_;
-  std::unique_ptr<const Topology> topo_;
+  RoutedNetwork net_;
+  FaultModel fault_model_;
+  bool fault_active_ = false;
   PacketKernel<Pkt> kernel_;
-};
-
-/// Bufferless hot-potato routing over any Topology: the topology-parametric
-/// mirror of DeflectionSim (routing/deflection.hpp).  Each node owns one
-/// port per out-arc; per slot, oldest packets pick first, preferring the
-/// lowest-index metric-decreasing port, else the lowest free port.
-class TopologyDeflectionSim {
- public:
-  explicit TopologyDeflectionSim(TopologyRoutingConfig config);
-
-  void reset(TopologyRoutingConfig config);
-
-  /// Runs slots [0, num_slots); statistics cover [warmup_slots, num_slots).
-  void run(std::uint64_t warmup_slots, std::uint64_t num_slots);
-
-  [[nodiscard]] const Summary& delay() const noexcept { return stats_.delay(); }
-  [[nodiscard]] const Summary& hops() const noexcept { return stats_.hops(); }
-  [[nodiscard]] double throughput() const noexcept { return stats_.throughput(); }
-  [[nodiscard]] const KernelStats& kernel_stats() const noexcept { return stats_; }
-  /// Fraction of transmissions that were deflections (metric went up).
-  [[nodiscard]] double deflection_fraction() const noexcept {
-    const double total = static_cast<double>(productive_ + deflected_);
-    return total > 0.0 ? static_cast<double>(deflected_) / total : 0.0;
-  }
-  /// Packets still waiting in injection queues (or in flight) at the end.
-  [[nodiscard]] std::uint64_t injection_backlog() const noexcept {
-    return backlog_;
-  }
-  [[nodiscard]] const Topology& topology() const noexcept { return *topo_; }
-
- private:
-  struct Pkt {
-    NodeId dest = 0;
-    double gen_time = 0.0;
-    std::uint16_t hops = 0;
-    std::uint16_t min_hops = 0;
-  };
-
-  TopologyRoutingConfig config_;
-  std::unique_ptr<const Topology> topo_;
-  Rng rng_;
-  std::vector<std::vector<Pkt>> resident_;
-  std::vector<std::deque<Pkt>> injection_;
-  KernelStats stats_;
-  std::uint64_t productive_ = 0;
-  std::uint64_t deflected_ = 0;
-  std::uint64_t backlog_ = 0;
 };
 
 struct CompiledScenario;
 class Scenario;
+class SchemeRegistry;
 
-/// Compile hooks the native schemes dispatch to for non-native topologies
-/// (defined in topology_greedy.cpp).  Each validates the scenario's knob
-/// combination — faults, traces and backend=soa_batch are rejected with
-/// catchable ScenarioErrors; workload must be uniform (or a permutation on
-/// the ring) — and mirrors the native scheme's metric layout and extras.
+/// Compile-time validation shared by the topology-parametric schemes:
+/// resolves topology= against hypercube / ring / torus / mesh ("native" is
+/// the hypercube) and returns the family.  On ring / torus / mesh it
+/// rejects what only the cube supports — faults, traces, XOR-mask
+/// workloads and soa_batch — with catchable ScenarioErrors, and builds the
+/// topology once so size errors surface before the worker fan-out.
+[[nodiscard]] std::string resolved_routing_topology(const Scenario& s);
+
+/// The compile hook `hypercube_greedy` dispatches to for topology=ring /
+/// torus / mesh: greedy on TopologyGreedySim with the native scheme's
+/// metric layout and extras (plus max_queue under a permutation).
 [[nodiscard]] CompiledScenario compile_topology_greedy(const Scenario& s);
-[[nodiscard]] CompiledScenario compile_topology_valiant(const Scenario& s);
-[[nodiscard]] CompiledScenario compile_topology_deflection(const Scenario& s);
+
+/// core/registry.hpp hookup: registers "valiant_mixing" (§5 two-phase
+/// mixing on TopologyGreedySim, on every topology; workload "trace"
+/// couples it to an equal-seed greedy scenario, and trace_file replays a
+/// recorded file; workload "permutation" is the scheme's raison d'etre —
+/// mixing keeps rho ~ lambda where greedy collapses to lambda *
+/// Theta(sqrt(N)), and the scheme installs a matching load-factor rule;
+/// on the hypercube, fault injection with fault_policy drop | skip_dim |
+/// deflect | adaptive plus correlated storms, reported through the
+/// resilience extras).
+void register_valiant_mixing_scheme(SchemeRegistry& registry);
 
 }  // namespace routesim

@@ -47,7 +47,7 @@ class Hypercube {
   /// Dimension (1-based) of an arc.
   [[nodiscard]] int arc_dimension(ArcId a) const {
     RS_DASSERT(a < num_arcs_);
-    return static_cast<int>(a / num_nodes_) + 1;
+    return static_cast<int>(a >> d_) + 1;
   }
 
   /// Head node of an arc: source XOR e_dimension.
@@ -56,6 +56,19 @@ class Hypercube {
   }
 
   [[nodiscard]] bool valid_node(NodeId x) const noexcept { return x < num_nodes_; }
+
+  // The port view of the Topology concept (topology/topology.hpp), which
+  // the fault reroute policies (fault/fault_routing.hpp) route over: port
+  // k of x is its dimension-(k+1) arc, and it descends toward `dest`
+  // exactly when x and dest differ in that dimension.
+  [[nodiscard]] int out_degree(NodeId) const noexcept { return d_; }
+  [[nodiscard]] ArcId out_arc(NodeId x, int k) const {
+    RS_DASSERT(k >= 0 && k < d_);
+    return arc_index(x, k + 1);
+  }
+  [[nodiscard]] bool out_arc_descends(NodeId x, int k, NodeId dest) const noexcept {
+    return has_dimension(x ^ dest, k + 1);
+  }
 
   /// Hamming distance between two nodes (shortest-path length).
   [[nodiscard]] int distance(NodeId x, NodeId z) const {

@@ -12,55 +12,6 @@ namespace routesim {
 
 namespace {
 
-/// Adapter over the paper's Hypercube: greedy descent crosses the lowest
-/// required dimension first (the canonical path of §3), matching the
-/// specialised HypercubeGreedySim step for step.
-class HypercubeTopology final : public Topology {
- public:
-  explicit HypercubeTopology(int d) : cube_(d) {}
-
-  [[nodiscard]] const std::string& name() const noexcept override {
-    static const std::string kName = "hypercube";
-    return kName;
-  }
-  [[nodiscard]] std::uint32_t num_nodes() const noexcept override {
-    return cube_.num_nodes();
-  }
-  [[nodiscard]] std::uint32_t num_arcs() const noexcept override {
-    return cube_.num_arcs();
-  }
-  [[nodiscard]] NodeId arc_source(ArcId a) const override {
-    return cube_.arc_source(a);
-  }
-  [[nodiscard]] NodeId arc_target(ArcId a) const override {
-    return cube_.arc_target(a);
-  }
-  [[nodiscard]] int out_degree(NodeId) const override {
-    return cube_.dimension();
-  }
-  [[nodiscard]] ArcId out_arc(NodeId x, int k) const override {
-    RS_DASSERT(k >= 0 && k < cube_.dimension());
-    return cube_.arc_index(x, k + 1);
-  }
-  void append_incident_arcs(NodeId x, std::vector<ArcId>& out) const override {
-    cube_.append_incident_arcs(x, out);
-  }
-  [[nodiscard]] int metric(NodeId from, NodeId to) const override {
-    return cube_.distance(from, to);
-  }
-  [[nodiscard]] int diameter() const override { return cube_.dimension(); }
-  [[nodiscard]] ArcId greedy_next_arc(NodeId cur, NodeId dest) const override {
-    RS_DASSERT(metric(cur, dest) > 0);
-    return cube_.arc_index(cur, lowest_dimension(cur ^ dest));
-  }
-  /// Each of the d*2^d arcs is crossed by a uniform-destination packet with
-  /// probability 1/2 per dimension, so the per-arc load is lambda/2.
-  [[nodiscard]] double uniform_load_per_lambda() const override { return 0.5; }
-
- private:
-  Hypercube cube_;
-};
-
 /// Adapter over the paper's Butterfly.  Nodes are the dense
 /// (level-1)*2^d + row indexing of Butterfly::node_index; the graph is a
 /// DAG (packets only descend levels), so metric() is partial: (r1, l1)

@@ -30,9 +30,9 @@
 ///     documented in docs/TOPOLOGIES.md).
 ///
 /// Families: "hypercube" and "butterfly" (adapters over the paper's
-/// classes — the specialised simulators remain the bit-exactness oracle),
-/// "ring" (with chord strides / the papillon ladder, topology/ring.hpp)
-/// and "torus" / "mesh" (topology/torus.hpp).
+/// classes; the hypercube adapter is HypercubeTopology below), "ring"
+/// (with chord strides / the papillon ladder, topology/ring.hpp) and
+/// "torus" / "mesh" (topology/torus.hpp).
 
 #include <cstdint>
 #include <memory>
@@ -78,11 +78,86 @@ class Topology {
   /// decreases metric(., dest).  Precondition: metric(cur, dest) > 0.
   [[nodiscard]] virtual ArcId greedy_next_arc(NodeId cur, NodeId dest) const = 0;
 
+  /// Whether out_arc(x, k) strictly decreases metric(., dest): the
+  /// productive ports of deflection and the candidates the fault reroute
+  /// policies (fault/fault_routing.hpp) try first.  Derived from metric();
+  /// a family with a cheaper test overrides it.
+  [[nodiscard]] virtual bool out_arc_descends(NodeId x, int k, NodeId dest) const {
+    return metric(arc_target(out_arc(x, k)), dest) < metric(x, dest);
+  }
+
   /// Heaviest per-arc utilisation per unit per-node generation rate under
   /// uniform destinations: lambda * uniform_load_per_lambda() < 1 is the
   /// stability condition of the corresponding dynamic experiment.
   [[nodiscard]] virtual double uniform_load_per_lambda() const = 0;
 };
+
+/// Adapter over the paper's Hypercube: out_arc(x, k) is the dimension-(k+1)
+/// arc, so greedy descent crosses the lowest required dimension first (the
+/// canonical path of §3), matching GreedyHypercubeSim step for step.  It is
+/// final and defined inline so the routing loops, instantiated on it
+/// through with_concrete_topology(), compile to the Hypercube arithmetic
+/// with no virtual call.
+class HypercubeTopology final : public Topology {
+ public:
+  explicit HypercubeTopology(int d) : cube_(d) {}
+
+  [[nodiscard]] const std::string& name() const noexcept override {
+    static const std::string kName = "hypercube";
+    return kName;
+  }
+  [[nodiscard]] std::uint32_t num_nodes() const noexcept override {
+    return cube_.num_nodes();
+  }
+  [[nodiscard]] std::uint32_t num_arcs() const noexcept override {
+    return cube_.num_arcs();
+  }
+  [[nodiscard]] NodeId arc_source(ArcId a) const override {
+    return cube_.arc_source(a);
+  }
+  [[nodiscard]] NodeId arc_target(ArcId a) const override {
+    return cube_.arc_target(a);
+  }
+  [[nodiscard]] int out_degree(NodeId x) const override {
+    return cube_.out_degree(x);
+  }
+  [[nodiscard]] ArcId out_arc(NodeId x, int k) const override {
+    return cube_.out_arc(x, k);
+  }
+  void append_incident_arcs(NodeId x, std::vector<ArcId>& out) const override {
+    cube_.append_incident_arcs(x, out);
+  }
+  [[nodiscard]] int metric(NodeId from, NodeId to) const override {
+    return cube_.distance(from, to);
+  }
+  [[nodiscard]] int diameter() const override { return cube_.dimension(); }
+  [[nodiscard]] ArcId greedy_next_arc(NodeId cur, NodeId dest) const override {
+    RS_DASSERT(cur != dest);
+    return cube_.arc_index(cur, lowest_dimension(cur ^ dest));
+  }
+  [[nodiscard]] bool out_arc_descends(NodeId x, int k,
+                                      NodeId dest) const override {
+    return cube_.out_arc_descends(x, k, dest);
+  }
+  /// Each of the d*2^d arcs is crossed by a uniform-destination packet with
+  /// probability 1/2 per dimension, so the per-arc load is lambda/2.
+  [[nodiscard]] double uniform_load_per_lambda() const override { return 0.5; }
+
+ private:
+  Hypercube cube_;
+};
+
+/// Calls `fn` with the concrete HypercubeTopology when `topo` is one, and
+/// with the Topology interface otherwise: one routing loop, written once
+/// as a template on its topology argument, runs devirtualised on the
+/// paper's cube and through virtual calls on every other family.
+template <typename Fn>
+decltype(auto) with_concrete_topology(const Topology& topo, Fn&& fn) {
+  if (const auto* cube = dynamic_cast<const HypercubeTopology*>(&topo)) {
+    return fn(*cube);
+  }
+  return fn(topo);
+}
 
 /// Everything make_topology needs: the family name plus the per-family
 /// size knobs, mirroring the Scenario keys topology= / d= / ring_chords= /

@@ -9,9 +9,9 @@
 namespace routesim {
 namespace {
 
-DeflectionConfig make_config(int d, double lambda, double p, std::uint64_t seed) {
-  DeflectionConfig config;
-  config.d = d;
+TopologyRoutingConfig make_config(int d, double lambda, double p, std::uint64_t seed) {
+  TopologyRoutingConfig config;
+  config.spec.d = d;
   config.lambda = lambda;
   config.destinations = DestinationDistribution::bit_flip(d, p);
   config.seed = seed;
@@ -72,8 +72,8 @@ TEST(Deflection, DeterministicForSeed) {
 }
 
 TEST(Deflection, ConfigValidation) {
-  DeflectionConfig config;
-  config.d = 5;
+  TopologyRoutingConfig config;
+  config.spec.d = 5;
   config.destinations = DestinationDistribution::uniform(4);
   EXPECT_THROW(DeflectionSim sim(config), ContractViolation);
 }

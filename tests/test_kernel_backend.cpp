@@ -15,7 +15,6 @@
 
 #include "core/campaign.hpp"
 #include "core/scenario.hpp"
-#include "routing/deflection.hpp"
 #include "routing/greedy_butterfly.hpp"
 #include "routing/greedy_hypercube.hpp"
 #include "workload/permutation.hpp"
@@ -188,27 +187,6 @@ TEST(KernelBackend, ButterflySlottedMatchesScalarExactly) {
   }
 }
 
-TEST(KernelBackend, DeflectionMatchesScalarExactly) {
-  DeflectionConfig config;
-  config.d = 6;
-  config.lambda = 0.08;
-  config.destinations = DestinationDistribution::uniform(6);
-  config.seed = 19;
-
-  config.backend = KernelBackend::kScalar;
-  DeflectionSim scalar_sim(config);
-  scalar_sim.run(40, 840);
-  config.backend = KernelBackend::kSoaBatch;
-  DeflectionSim soa_sim(config);
-  soa_sim.run(40, 840);
-
-  EXPECT_EQ(scalar_sim.delay().mean(), soa_sim.delay().mean());
-  EXPECT_EQ(scalar_sim.hops().mean(), soa_sim.hops().mean());
-  EXPECT_EQ(scalar_sim.deflection_fraction(), soa_sim.deflection_fraction());
-  EXPECT_EQ(scalar_sim.injection_backlog(), soa_sim.injection_backlog());
-  EXPECT_EQ(scalar_sim.deliveries_in_window(), soa_sim.deliveries_in_window());
-}
-
 // The registry path: a full replicated run() must produce the identical
 // RunResult — same confidence intervals, same extras — for either backend.
 TEST(KernelBackend, RunResultThroughRegistryMatchesScalarExactly) {
@@ -271,8 +249,8 @@ TEST(KernelBackend, UnknownBackendValueNamesTheValidOnes) {
 }
 
 TEST(KernelBackend, NonAdoptingSchemesRejectSoaBatch) {
-  for (const char* scheme : {"valiant_mixing", "multicast", "network_q",
-                             "network_q_fifo", "network_q_ps",
+  for (const char* scheme : {"valiant_mixing", "deflection", "multicast",
+                             "network_q", "network_q_fifo", "network_q_ps",
                              "pipelined_baseline", "batch_greedy"}) {
     Scenario scenario;
     scenario.scheme = scheme;

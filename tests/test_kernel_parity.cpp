@@ -22,7 +22,6 @@
 #include "routing/multicast.hpp"
 #include "routing/pipelined_baseline.hpp"
 #include "routing/topology_greedy.hpp"
-#include "routing/valiant_mixing.hpp"
 #include "obs/trace.hpp"
 #include "workload/permutation.hpp"
 #include "workload/trace.hpp"
@@ -37,6 +36,19 @@ namespace {
 // enforced at the strictest point in the test suite.
 obs::TraceSession g_parity_trace_session;
 obs::ThreadTraceScope g_parity_trace_scope(&g_parity_trace_session);
+
+/// The topology-parametric config on the paper's d-cube: the Valiant,
+/// deflection and generic-greedy pins below run through it.
+TopologyRoutingConfig cube_config(int d, double lambda,
+                                  const DestinationDistribution& destinations,
+                                  std::uint64_t seed) {
+  TopologyRoutingConfig config;
+  config.spec.d = d;
+  config.lambda = lambda;
+  config.destinations = destinations;
+  config.seed = seed;
+  return config;
+}
 
 void expect_exact(const std::vector<double>& actual,
                   const std::vector<double>& pinned) {
@@ -166,17 +178,15 @@ TEST(KernelParity, ButterflySlotted) {
 }
 
 TEST(KernelParity, ValiantMixing) {
-  ValiantMixingConfig config;
-  config.d = 6;
-  config.lambda = 0.5;
-  config.destinations = DestinationDistribution::uniform(6);
-  config.seed = 9;
-  ValiantMixingSim sim(config);
+  TopologyRoutingConfig config =
+      cube_config(6, 0.5, DestinationDistribution::uniform(6), 9);
+  config.valiant = true;
+  TopologyGreedySim sim(config);
   sim.run(50.0, 550.0);
   expect_exact(
       {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
        sim.final_population(), sim.throughput(),
-       static_cast<double>(sim.arrivals_in_window()),
+       static_cast<double>(sim.kernel_stats().arrivals_in_window()),
        sim.little_check().relative_error()},
       {0x1.0bb28f4c05ce2p+3, 0x1.80255ab1c1d0ep+2, 0x1.0cd62adf2be9ep+8,
        0x1.15p+8, 0x1.f947ae147ae14p+4, 0x1.f618p+13, 0x1.1a89569698a64p-14});
@@ -210,12 +220,7 @@ TEST(KernelParity, MulticastTreeAndUnicastBaseline) {
 }
 
 TEST(KernelParity, Deflection) {
-  DeflectionConfig config;
-  config.d = 6;
-  config.lambda = 0.05;
-  config.destinations = DestinationDistribution::uniform(6);
-  config.seed = 13;
-  DeflectionSim sim(config);
+  DeflectionSim sim(cube_config(6, 0.05, DestinationDistribution::uniform(6), 13));
   sim.run(50, 1050);
   expect_exact(
       {sim.delay().mean(), sim.hops().mean(), sim.deflection_fraction(),
@@ -359,21 +364,19 @@ TEST(KernelParity, ButterflyFaultPathAtZeroRateIsBitIdentical) {
 }
 
 TEST(KernelParity, ValiantMixingFaultPathAtZeroRateIsBitIdentical) {
-  ValiantMixingConfig config;
-  config.d = 6;
-  config.lambda = 0.5;
-  config.destinations = DestinationDistribution::uniform(6);
-  config.seed = 9;
+  TopologyRoutingConfig config =
+      cube_config(6, 0.5, DestinationDistribution::uniform(6), 9);
+  config.valiant = true;
   for (const FaultPolicy policy :
        {FaultPolicy::kDrop, FaultPolicy::kSkipDim, FaultPolicy::kDeflect,
         FaultPolicy::kAdaptive}) {
     config.fault_policy = policy;
-    ValiantMixingSim sim(config);
+    TopologyGreedySim sim(config);
     sim.run(50.0, 550.0);
     expect_exact(
         {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
          sim.final_population(), sim.throughput(),
-         static_cast<double>(sim.arrivals_in_window()),
+         static_cast<double>(sim.kernel_stats().arrivals_in_window()),
          sim.little_check().relative_error()},
         {0x1.0bb28f4c05ce2p+3, 0x1.80255ab1c1d0ep+2, 0x1.0cd62adf2be9ep+8,
          0x1.15p+8, 0x1.f947ae147ae14p+4, 0x1.f618p+13,
@@ -386,11 +389,8 @@ TEST(KernelParity, ValiantMixingFaultPathAtZeroRateIsBitIdentical) {
 // Deflection with zero fault rates keeps the fault model inactive and its
 // pins unchanged (its fault machinery only engages when an arc is down).
 TEST(KernelParity, DeflectionFaultConfigAtZeroRateIsBitIdentical) {
-  DeflectionConfig config;
-  config.d = 6;
-  config.lambda = 0.05;
-  config.destinations = DestinationDistribution::uniform(6);
-  config.seed = 13;
+  TopologyRoutingConfig config =
+      cube_config(6, 0.05, DestinationDistribution::uniform(6), 13);
   config.ttl = 64 * 6;  // explicit TTL; never reached without faults
   DeflectionSim sim(config);
   sim.run(50, 1050);
@@ -492,13 +492,11 @@ TEST(KernelParity, ButterflyFixedDestinationsBitReversal) {
 
 TEST(KernelParity, ValiantFixedDestinationsTranspose) {
   const Permutation perm = Permutation::transpose(6);
-  ValiantMixingConfig config;
-  config.d = 6;
-  config.lambda = 0.2;
-  config.destinations = DestinationDistribution::uniform(6);
+  TopologyRoutingConfig config =
+      cube_config(6, 0.2, DestinationDistribution::uniform(6), 42);
+  config.valiant = true;
   config.fixed_destinations = &perm.table();
-  config.seed = 42;
-  ValiantMixingSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(50.0, 550.0);
   expect_exact(
       {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
@@ -550,6 +548,72 @@ TEST(KernelParity, TopologyTorus3D) {
       {0x1.cf42e01878443p+1, 0x1.7ffdf4b175928p+1, 0x1.d382a70f2aa82p+6,
        0x1.007ae147ae148p+5, 0x1.84p+6, 0x1.40baf09ac7f97p-10,
        0x1.f4fp+13});
+}
+
+// --- generic greedy on the paper's cube -----------------------------------
+//
+// TopologyGreedySim on {"hypercube", d} keeps GreedyHypercubeSim's RNG
+// stream salt (0xC0BE), draws the same XOR-mask destination law and routes
+// around faults with the same reroute policies, so it replays the native
+// greedy pins above against their unchanged literals.  This is the gate
+// for routing topology=native greedy through the generic simulator.
+
+TEST(KernelParity, GenericGreedyOnHypercubeReplaysContinuousPin) {
+  TopologyRoutingConfig config =
+      cube_config(6, 1.0, DestinationDistribution::uniform(6), 42);
+  config.track_node_occupancy = true;
+  config.track_delay_histogram = true;
+  TopologyGreedySim sim(config);
+  sim.run(50.0, 550.0);
+  const KernelStats& stats = sim.kernel_stats();
+  expect_exact(
+      {stats.delay().mean(), stats.delay().max(), stats.hops().mean(),
+       stats.time_avg_population(), stats.peak_population(),
+       stats.final_population(),
+       static_cast<double>(stats.deliveries_in_window()),
+       static_cast<double>(stats.arrivals_in_window()), stats.throughput(),
+       stats.little_check().relative_error(),
+       static_cast<double>(sim.arc_counters()[3].total_arrivals),
+       static_cast<double>(sim.arc_counters()[3].external_arrivals),
+       stats.occupancy_means()[5], stats.max_occupancy(),
+       static_cast<double>(stats.delay_histogram()->bin_count(4)),
+       stats.delay_histogram()->quantile(0.9)},
+      {0x1.0c056af905f04p+2, 0x1.61f6bf533987p+4, 0x1.7ed650aa79378p+1,
+       0x1.0d5c078f36224p+8, 0x1.5p+8, 0x1.2ap+8, 0x1.f11p+14, 0x1.f5b8p+14,
+       0x1.fcfdf3b645a1dp+5, 0x1.95d562f44e424p-10, 0x1.aep+7, 0x1.aep+7,
+       0x1.fe0446a0d94d2p+1, 0x1.ep+3, 0x1.89bp+12, 0x1.bcafeeaded7ap+2});
+}
+
+TEST(KernelParity, GenericGreedyOnHypercubeReplaysSlottedPin) {
+  TopologyRoutingConfig config =
+      cube_config(5, 0.9, DestinationDistribution::bit_flip(5, 0.4), 3);
+  config.slot = 0.5;
+  TopologyGreedySim sim(config);
+  sim.run(40.0, 540.0);
+  expect_exact(
+      {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
+       sim.throughput(), sim.final_population(),
+       static_cast<double>(sim.kernel_stats().deliveries_in_window())},
+      {0x1.3c437449e7e1ep+1, 0x1.fdebd231b667p+0, 0x1.1bbe76c8b4396p+6,
+       0x1.c91eb851eb852p+4, 0x1.0cp+6, 0x1.be68p+13});
+}
+
+TEST(KernelParity, GenericGreedyOnHypercubeReplaysAdaptivePin) {
+  TopologyRoutingConfig config =
+      cube_config(6, 0.5, DestinationDistribution::uniform(6), 37);
+  config.fault_policy = FaultPolicy::kAdaptive;
+  config.arc_fault_rate = 0.15;
+  TopologyGreedySim sim(config);
+  sim.run(50.0, 550.0);
+  const KernelStats& stats = sim.kernel_stats();
+  expect_exact(
+      {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
+       sim.throughput(), stats.delivery_ratio(), stats.mean_stretch(),
+       static_cast<double>(stats.fault_drops_in_window()),
+       static_cast<double>(stats.deliveries_in_window())},
+      {0x1.af0669b4a8c5ep+3, 0x1.d6397ba7c52f4p+1, 0x1.fb835c8feaa48p+9,
+       0x1.c578d4fdf3b64p+4, 0x1p+0, 0x1.4a14165bbbcffp+0, 0x0p+0,
+       0x1.bad8p+13});
 }
 
 // --- soa_batch backend pins ----------------------------------------------
@@ -669,16 +733,14 @@ TEST(KernelParity, HypercubeAdaptivePinned) {
 }
 
 TEST(KernelParity, ValiantStormAdaptivePinned) {
-  ValiantMixingConfig config;
-  config.d = 6;
-  config.lambda = 0.3;
-  config.destinations = DestinationDistribution::uniform(6);
-  config.seed = 41;
+  TopologyRoutingConfig config =
+      cube_config(6, 0.3, DestinationDistribution::uniform(6), 41);
+  config.valiant = true;
   config.fault_policy = FaultPolicy::kAdaptive;
   config.storm_rate = 0.04;
   config.storm_radius = 1;
   config.storm_duration = 15.0;
-  ValiantMixingSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(50.0, 550.0);
   expect_exact(
       {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
@@ -756,25 +818,6 @@ TEST(KernelParity, TraceFileRoundTripReplaysToSamePins) {
       {0x1.929c3188bd2c9p+1, 0x1.3ea22856622e5p+1, 0x1.46ee3527959f8p+6,
        0x1.9b1d0f38bc31dp+4, 0x1.2918p+13});
   std::remove(path.c_str());
-}
-
-// Deflection is slotted by construction (unit-time hops on an integer
-// clock), so the batch backend adopts it without a tau knob.
-TEST(KernelParity, DeflectionSoaBatch) {
-  DeflectionConfig config;
-  config.d = 6;
-  config.lambda = 0.05;
-  config.destinations = DestinationDistribution::uniform(6);
-  config.seed = 13;
-  config.backend = KernelBackend::kSoaBatch;
-  DeflectionSim sim(config);
-  sim.run(50, 1050);
-  expect_exact(
-      {sim.delay().mean(), sim.hops().mean(), sim.deflection_fraction(),
-       static_cast<double>(sim.injection_backlog()),
-       static_cast<double>(sim.deliveries_in_window())},
-      {0x1.81734f0c54203p+1, 0x1.81734f0c54203p+1, 0x1.450c0ff29780ap-9,
-       0x1.4p+2, 0x1.8d2p+11});
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/campaign.hpp"
 #include "util/assert.hpp"
@@ -275,6 +276,40 @@ TEST(Scenario, GenericTopologyRunsRejectUnsupportedFeatures) {
   meshperm.set("workload", "permutation");
   meshperm.measure = 50.0;
   EXPECT_THROW((void)compile(meshperm), ScenarioError);
+
+  // A knob the scheme does not honour fails on every topology, naming the
+  // key and the scheme, instead of being silently ignored.
+  struct Ignored {
+    const char* scheme;
+    const char* topology;
+    const char* key;
+    const char* value;
+  };
+  for (const Ignored& c : std::vector<Ignored>{
+           {"valiant_mixing", "native", "tau", "1"},
+           {"valiant_mixing", "native", "buffers", "2"},
+           {"valiant_mixing", "torus", "tau", "1"},
+           {"valiant_mixing", "ring", "buffers", "2"},
+           {"deflection", "native", "tau", "1"},
+           {"deflection", "native", "buffers", "2"},
+           {"deflection", "ring", "tau", "1"},
+           {"deflection", "torus", "buffers", "2"},
+           {"butterfly_greedy", "native", "buffers", "1"}}) {
+    Scenario ignored;
+    ignored.scheme = c.scheme;
+    ignored.set("topology", c.topology);
+    ignored.set("workload", "uniform");
+    ignored.set(c.key, c.value);
+    ignored.measure = 50.0;
+    try {
+      (void)compile(ignored);
+      FAIL() << c.scheme << " on " << c.topology << " accepted " << c.key;
+    } catch (const ScenarioError& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(c.key), std::string::npos) << message;
+      EXPECT_NE(message.find(c.scheme), std::string::npos) << message;
+    }
+  }
 }
 
 TEST(Scenario, UniformWorkloadOverridesPEverywhere) {

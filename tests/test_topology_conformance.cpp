@@ -151,6 +151,23 @@ TEST_P(TopologyConformance, GreedyDescendsAndDeliversInMetricHops) {
   }
 }
 
+// out_arc_descends is the port view deflection and the fault reroute
+// policies route over; a family's override must agree with the metric.
+TEST_P(TopologyConformance, OutArcDescendsAgreesWithMetric) {
+  const auto topo = make_topology(GetParam());
+  for (NodeId x = 0; x < topo->num_nodes(); ++x) {
+    for (NodeId dest = 0; dest < topo->num_nodes(); ++dest) {
+      const int here = topo->metric(x, dest);
+      for (int k = 0; k < topo->out_degree(x); ++k) {
+        const NodeId head = topo->arc_target(topo->out_arc(x, k));
+        EXPECT_EQ(topo->out_arc_descends(x, k, dest),
+                  topo->metric(head, dest) < here)
+            << x << " port " << k << " toward " << dest;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllFamilies, TopologyConformance, ::testing::ValuesIn(conformance_specs()),
     [](const ::testing::TestParamInfo<TopologySpec>& info) {

@@ -1,6 +1,7 @@
-// Tests for the §5 two-phase Valiant mixing scheme.
+// Tests for the §5 two-phase Valiant mixing scheme (TopologyGreedySim in
+// valiant mode on the paper's cube).
 
-#include "routing/valiant_mixing.hpp"
+#include "routing/topology_greedy.hpp"
 
 #include <gtest/gtest.h>
 
@@ -10,17 +11,18 @@
 namespace routesim {
 namespace {
 
-ValiantMixingConfig make_config(int d, double lambda, double p, std::uint64_t seed) {
-  ValiantMixingConfig config;
-  config.d = d;
+TopologyRoutingConfig make_config(int d, double lambda, double p, std::uint64_t seed) {
+  TopologyRoutingConfig config;
+  config.spec.d = d;
   config.lambda = lambda;
   config.destinations = DestinationDistribution::bit_flip(d, p);
   config.seed = seed;
+  config.valiant = true;
   return config;
 }
 
 TEST(ValiantMixing, DeliversAllTrafficWhenLightlyLoaded) {
-  ValiantMixingSim sim(make_config(5, 0.1, 0.5, 1));
+  TopologyGreedySim sim(make_config(5, 0.1, 0.5, 1));
   sim.run(200.0, 20200.0);
   EXPECT_GT(sim.delay().count(), 1000u);
   EXPECT_TRUE(sim.little_check().consistent(0.05));
@@ -30,7 +32,7 @@ TEST(ValiantMixing, MeanHopsIsAboutDHalfPlusDp) {
   // Phase 1 crosses ~d/2 arcs (uniform intermediate), phase 2 ~d*p.
   const int d = 6;
   const double p = 0.5;
-  ValiantMixingSim sim(make_config(d, 0.1, p, 3));
+  TopologyGreedySim sim(make_config(d, 0.1, p, 3));
   sim.run(200.0, 20200.0);
   EXPECT_NEAR(sim.hops().mean(), d / 2.0 + d * p, 0.15);
 }
@@ -48,9 +50,9 @@ TEST(ValiantMixing, SlowerThanDirectGreedyUnderUniformTraffic) {
   GreedyHypercubeSim direct(direct_cfg);
   direct.run(500.0, 20000.0);
 
-  ValiantMixingConfig mixed_cfg = make_config(5, 0.3, 0.5, 5);
+  TopologyRoutingConfig mixed_cfg = make_config(5, 0.3, 0.5, 5);
   mixed_cfg.trace = &trace;
-  ValiantMixingSim mixed(mixed_cfg);
+  TopologyGreedySim mixed(mixed_cfg);
   mixed.run(500.0, 20000.0);
 
   EXPECT_GT(mixed.delay().mean(), direct.delay().mean());
@@ -69,7 +71,7 @@ TEST(ValiantMixing, SaturatesAtLowerLoadThanGreedy) {
   GreedyHypercubeSim greedy(greedy_cfg);
   greedy.run(500.0, 10500.0);
 
-  ValiantMixingSim mixed(make_config(d, lambda, p, 7));
+  TopologyGreedySim mixed(make_config(d, lambda, p, 7));
   mixed.run(500.0, 10500.0);
 
   EXPECT_LT(greedy.final_population(), 500.0);
@@ -77,8 +79,8 @@ TEST(ValiantMixing, SaturatesAtLowerLoadThanGreedy) {
 }
 
 TEST(ValiantMixing, DeterministicForSeed) {
-  ValiantMixingSim a(make_config(4, 0.2, 0.5, 9));
-  ValiantMixingSim b(make_config(4, 0.2, 0.5, 9));
+  TopologyGreedySim a(make_config(4, 0.2, 0.5, 9));
+  TopologyGreedySim b(make_config(4, 0.2, 0.5, 9));
   a.run(100.0, 2100.0);
   b.run(100.0, 2100.0);
   EXPECT_EQ(a.delay().count(), b.delay().count());
@@ -86,10 +88,11 @@ TEST(ValiantMixing, DeterministicForSeed) {
 }
 
 TEST(ValiantMixing, ConfigValidation) {
-  ValiantMixingConfig config;
-  config.d = 5;
+  TopologyRoutingConfig config;
+  config.spec.d = 5;
+  config.valiant = true;
   config.destinations = DestinationDistribution::uniform(4);
-  EXPECT_THROW(ValiantMixingSim sim(config), ContractViolation);
+  EXPECT_THROW(TopologyGreedySim sim(config), ContractViolation);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "routing/multicast.hpp"
 #include "routing/pipelined_baseline.hpp"
 #include "routing/topology_greedy.hpp"
-#include "routing/valiant_mixing.hpp"
 #include "workload/permutation.hpp"
 #include "workload/trace.hpp"
 
@@ -133,17 +132,18 @@ int main() {
           static_cast<double>(sim.deliveries_in_window())});
   }
   {
-    ValiantMixingConfig c;
-    c.d = 6;
+    TopologyRoutingConfig c;
+    c.spec.d = 6;
     c.lambda = 0.5;
     c.destinations = DestinationDistribution::uniform(6);
     c.seed = 9;
-    ValiantMixingSim sim(c);
+    c.valiant = true;
+    TopologyGreedySim sim(c);
     sim.run(50.0, 550.0);
     emit("valiant",
          {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
           sim.final_population(), sim.throughput(),
-          static_cast<double>(sim.arrivals_in_window()),
+          static_cast<double>(sim.kernel_stats().arrivals_in_window()),
           sim.little_check().relative_error()});
   }
   {
@@ -176,8 +176,8 @@ int main() {
           static_cast<double>(sim.packets_in_window())});
   }
   {
-    DeflectionConfig c;
-    c.d = 6;
+    TopologyRoutingConfig c;
+    c.spec.d = 6;
     c.lambda = 0.05;
     c.destinations = DestinationDistribution::uniform(6);
     c.seed = 13;
@@ -238,13 +238,14 @@ int main() {
   }
   {
     const Permutation perm = Permutation::transpose(6);
-    ValiantMixingConfig c;
-    c.d = 6;
+    TopologyRoutingConfig c;
+    c.spec.d = 6;
     c.lambda = 0.2;
     c.destinations = DestinationDistribution::uniform(6);
     c.fixed_destinations = &perm.table();
     c.seed = 42;
-    ValiantMixingSim sim(c);
+    c.valiant = true;
+    TopologyGreedySim sim(c);
     sim.run(50.0, 550.0);
     emit("valiant_transpose",
          {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
@@ -294,16 +295,17 @@ int main() {
   {
     // Valiant under a storm with the adaptive policy: pins the phase-target
     // reroute and the storm wiring on the second scheme that has it.
-    ValiantMixingConfig c;
-    c.d = 6;
+    TopologyRoutingConfig c;
+    c.spec.d = 6;
     c.lambda = 0.3;
     c.destinations = DestinationDistribution::uniform(6);
     c.seed = 41;
+    c.valiant = true;
     c.fault_policy = FaultPolicy::kAdaptive;
     c.storm_rate = 0.04;
     c.storm_radius = 1;
     c.storm_duration = 15.0;
-    ValiantMixingSim sim(c);
+    TopologyGreedySim sim(c);
     sim.run(50.0, 550.0);
     emit("valiant_storm_adaptive",
          {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
