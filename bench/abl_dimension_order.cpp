@@ -11,20 +11,20 @@
 
 #include "common/table.hpp"
 #include "core/bounds.hpp"
-#include "routing/greedy_hypercube.hpp"
+#include "routing/topology_greedy.hpp"
 
 using namespace routesim;
 
 namespace {
 
 double run_with(DimensionOrder order, int d, double rho, std::uint64_t seed) {
-  GreedyHypercubeConfig config;
-  config.d = d;
+  TopologyRoutingConfig config;
+  config.spec.d = d;
   config.lambda = 2.0 * rho;
   config.destinations = DestinationDistribution::uniform(d);
   config.seed = seed;
   config.dimension_order = order;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(1500.0, 31500.0);
   return sim.delay().mean();
 }

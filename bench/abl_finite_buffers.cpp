@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "common/table.hpp"
-#include "routing/greedy_hypercube.hpp"
+#include "routing/topology_greedy.hpp"
 
 using namespace routesim;
 
@@ -27,16 +27,17 @@ int main() {
     bool monotone = true;
     double loss_at_8 = 0.0;
     for (const std::uint32_t capacity : {1u, 2u, 4u, 8u, 16u}) {
-      GreedyHypercubeConfig config;
-      config.d = 5;
+      TopologyRoutingConfig config;
+      config.spec.d = 5;
       config.lambda = 2.0 * rho;
       config.destinations = DestinationDistribution::uniform(5);
       config.seed = 515;
       config.buffer_capacity = capacity;
-      GreedyHypercubeSim sim(config);
+      TopologyGreedySim sim(config);
       sim.run(1000.0, 61000.0);
-      const double loss = static_cast<double>(sim.drops_in_window()) /
-                          static_cast<double>(sim.arrivals_in_window());
+      const KernelStats& stats = sim.kernel_stats();
+      const double loss = static_cast<double>(stats.drops_in_window()) /
+                          static_cast<double>(stats.arrivals_in_window());
       monotone = monotone && loss <= previous_loss + 1e-9;
       previous_loss = loss;
       if (capacity == 8) loss_at_8 = loss;

@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "common/table.hpp"
-#include "routing/greedy_hypercube.hpp"
+#include "routing/topology_greedy.hpp"
 
 using namespace routesim;
 
@@ -19,17 +19,18 @@ struct Outcome {
 };
 
 Outcome run_with(ArcServiceOrder order, double rho, std::uint64_t seed) {
-  GreedyHypercubeConfig config;
-  config.d = 6;
+  TopologyRoutingConfig config;
+  config.spec.d = 6;
   config.lambda = 2.0 * rho;
   config.destinations = DestinationDistribution::uniform(6);
   config.seed = seed;
-  config.arc_service_order = order;
+  config.service_order = order;
   config.track_delay_histogram = true;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(1500.0, 41500.0);
   return Outcome{sim.delay().mean(), sim.delay().stddev(),
-                 sim.delay_histogram()->quantile(0.99), sim.delay().max()};
+                 sim.kernel_stats().delay_histogram()->quantile(0.99),
+                 sim.delay().max()};
 }
 
 }  // namespace

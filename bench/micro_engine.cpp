@@ -12,7 +12,7 @@
 #include "obs/trace.hpp"
 #include "queueing/levelled_network.hpp"
 #include "queueing/ps_server.hpp"
-#include "routing/greedy_hypercube.hpp"
+#include "routing/topology_greedy.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
 
@@ -68,23 +68,23 @@ void BM_PsServerBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PsServerBatch);
 
-void BM_GreedyHypercubeSim(benchmark::State& state) {
+void BM_TopologyGreedySim(benchmark::State& state) {
   const int d = static_cast<int>(state.range(0));
   std::uint64_t delivered = 0;
   for (auto _ : state) {
-    GreedyHypercubeConfig config;
-    config.d = d;
+    TopologyRoutingConfig config;
+    config.spec.d = d;
     config.lambda = 1.2;  // rho = 0.6
     config.destinations = DestinationDistribution::uniform(d);
     config.seed = 6;
-    GreedyHypercubeSim sim(config);
+    TopologyGreedySim sim(config);
     sim.run(0.0, 500.0);
-    delivered += sim.deliveries_in_window();
+    delivered += sim.kernel_stats().deliveries_in_window();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
   state.SetLabel("packets");
 }
-BENCHMARK(BM_GreedyHypercubeSim)->Arg(6)->Arg(8)->Arg(10);
+BENCHMARK(BM_TopologyGreedySim)->Arg(6)->Arg(8)->Arg(10);
 
 // End-to-end kernel throughput at heavy traffic (d=10, rho = lambda*p =
 // 0.9): the perf-trajectory headline number for the shared packet kernel.
@@ -92,14 +92,14 @@ BENCHMARK(BM_GreedyHypercubeSim)->Arg(6)->Arg(8)->Arg(10);
 void BM_KernelHypercubeHeavyTraffic(benchmark::State& state) {
   std::uint64_t delivered = 0;
   for (auto _ : state) {
-    GreedyHypercubeConfig config;
-    config.d = 10;
+    TopologyRoutingConfig config;
+    config.spec.d = 10;
     config.lambda = 1.8;  // rho = 0.9
     config.destinations = DestinationDistribution::uniform(10);
     config.seed = 6;
-    GreedyHypercubeSim sim(config);
+    TopologyGreedySim sim(config);
     sim.run(0.0, 300.0);
-    delivered += sim.deliveries_in_window();
+    delivered += sim.kernel_stats().deliveries_in_window();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
   state.SetLabel("packets");
@@ -111,17 +111,17 @@ BENCHMARK(BM_KernelHypercubeHeavyTraffic);
 // reuse it across reps.  The gap to BM_KernelHypercubeHeavyTraffic is the
 // per-replication allocation cost that storage reuse eliminates.
 void BM_KernelHypercubeStorageReuse(benchmark::State& state) {
-  GreedyHypercubeConfig config;
-  config.d = 10;
+  TopologyRoutingConfig config;
+  config.spec.d = 10;
   config.lambda = 1.8;  // rho = 0.9
   config.destinations = DestinationDistribution::uniform(10);
   config.seed = 6;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   std::uint64_t delivered = 0;
   for (auto _ : state) {
     sim.reset(config);
     sim.run(0.0, 300.0);
-    delivered += sim.deliveries_in_window();
+    delivered += sim.kernel_stats().deliveries_in_window();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
   state.SetLabel("packets");
@@ -132,19 +132,19 @@ BENCHMARK(BM_KernelHypercubeStorageReuse);
 // backend's requirement), same d=10 / rho=0.9 / seed as the scalar headline
 // above, so packets-per-second is directly comparable across backends.
 void BM_KernelSoaHeavyTraffic(benchmark::State& state) {
-  GreedyHypercubeConfig config;
-  config.d = 10;
+  TopologyRoutingConfig config;
+  config.spec.d = 10;
   config.lambda = 1.8;  // rho = 0.9
   config.destinations = DestinationDistribution::uniform(10);
   config.seed = 6;
   config.slot = 1.0;
   config.backend = KernelBackend::kSoaBatch;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   std::uint64_t delivered = 0;
   for (auto _ : state) {
     sim.reset(config);
     sim.run(0.0, 300.0);
-    delivered += sim.deliveries_in_window();
+    delivered += sim.kernel_stats().deliveries_in_window();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
   state.SetLabel("packets");
@@ -159,17 +159,17 @@ BENCHMARK(BM_KernelSoaHeavyTraffic);
 // bias the ratio in either direction.
 void BM_BackendSpeedup(benchmark::State& state) {
   using clock = std::chrono::steady_clock;
-  GreedyHypercubeConfig config;
-  config.d = 10;
+  TopologyRoutingConfig config;
+  config.spec.d = 10;
   config.lambda = 1.8;  // rho = 0.9
   config.destinations = DestinationDistribution::uniform(10);
   config.seed = 6;
   config.slot = 1.0;
 
   config.backend = KernelBackend::kScalar;
-  GreedyHypercubeSim scalar_sim(config);
+  TopologyGreedySim scalar_sim(config);
   config.backend = KernelBackend::kSoaBatch;
-  GreedyHypercubeSim soa_sim(config);
+  TopologyGreedySim soa_sim(config);
 
   // One untimed warm-up pass per backend so neither side is charged for
   // first-touch allocation of kernel storage.
@@ -200,7 +200,7 @@ void BM_BackendSpeedup(benchmark::State& state) {
         std::chrono::duration<double>(clock::now() - soa_start).count();
     best_soa_s = std::min(best_soa_s, soa_elapsed);
 
-    delivered += soa_sim.deliveries_in_window();
+    delivered += soa_sim.kernel_stats().deliveries_in_window();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
   state.SetLabel("packets");
@@ -227,12 +227,12 @@ BENCHMARK(BM_BackendSpeedup)->Unit(benchmark::kMillisecond)->Iterations(3);
 // reported alongside for eyeballing the enabled path.
 void BM_TraceOverhead(benchmark::State& state) {
   using clock = std::chrono::steady_clock;
-  GreedyHypercubeConfig config;
-  config.d = 10;
+  TopologyRoutingConfig config;
+  config.spec.d = 10;
   config.lambda = 1.8;  // rho = 0.9
   config.destinations = DestinationDistribution::uniform(10);
   config.seed = 6;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
 
   // One untimed warm-up pass so neither side is charged for first-touch
   // allocation of kernel storage.
@@ -266,7 +266,7 @@ void BM_TraceOverhead(benchmark::State& state) {
     obs::TraceSession session;
     best_plain_s = std::min(best_plain_s, timed_run(nullptr));
     best_traced_s = std::min(best_traced_s, timed_run(&session));
-    delivered += sim.deliveries_in_window();
+    delivered += sim.kernel_stats().deliveries_in_window();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
   state.SetLabel("packets");

@@ -9,7 +9,7 @@
 
 #include "common/table.hpp"
 #include "routing/greedy_butterfly.hpp"
-#include "routing/greedy_hypercube.hpp"
+#include "routing/topology_greedy.hpp"
 
 using namespace routesim;
 
@@ -21,12 +21,13 @@ int main() {
     const int d = 5;
     const double lambda = 1.0, p = 0.35;
     std::cout << "hypercube d=" << d << ", lambda=" << lambda << ", p=" << p << ":\n";
-    GreedyHypercubeConfig config;
-    config.d = d;
+    TopologyRoutingConfig config;
+    config.spec.d = d;
     config.lambda = lambda;
     config.destinations = DestinationDistribution::bit_flip(d, p);
     config.seed = 71;
-    GreedyHypercubeSim sim(config);
+    TopologyGreedySim sim(config);
+    const Hypercube cube(d);
     const double warmup = 500.0, horizon = 100500.0;
     sim.run(warmup, horizon);
     const double window = horizon - warmup;
@@ -36,7 +37,7 @@ int main() {
     for (int dim = 1; dim <= d; ++dim) {
       double external = 0.0, total = 0.0;
       for (NodeId x = 0; x < 32; ++x) {
-        const auto& counters = sim.arc_counters()[sim.topology().arc_index(x, dim)];
+        const auto& counters = sim.arc_counters()[cube.arc_index(x, dim)];
         external += static_cast<double>(counters.external_arrivals);
         total += static_cast<double>(counters.total_arrivals);
       }

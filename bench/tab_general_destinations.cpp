@@ -11,7 +11,7 @@
 
 #include "common/table.hpp"
 #include "core/bounds.hpp"
-#include "routing/greedy_hypercube.hpp"
+#include "routing/topology_greedy.hpp"
 
 using namespace routesim;
 
@@ -30,12 +30,13 @@ int main() {
 
   // Per-dimension flip probabilities: dim1 = dim2 = .45, dim3 = .70, dim4 = .15.
   const double lambda = 1.2;
-  GreedyHypercubeConfig config;
-  config.d = d;
+  TopologyRoutingConfig config;
+  config.spec.d = d;
   config.lambda = lambda;
   config.destinations = DestinationDistribution::general(d, pmf);
   config.seed = 1001;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
+  const Hypercube cube(d);
   sim.run(500.0, 60500.0);
   const double window = 60000.0;
 
@@ -46,7 +47,7 @@ int main() {
     double total = 0.0;
     for (NodeId x = 0; x < 16; ++x) {
       total += static_cast<double>(
-          sim.arc_counters()[sim.topology().arc_index(x, dim)].total_arrivals);
+          sim.arc_counters()[cube.arc_index(x, dim)].total_arrivals);
     }
     const double measured = total / 16.0 / window;
     table.add_row({std::to_string(dim), benchtab::fmt(rho_j, 3),
@@ -66,17 +67,17 @@ int main() {
   // Stability governed by the bottleneck: lambda chosen so that only dim 3
   // crosses 1.
   {
-    GreedyHypercubeConfig hot = config;
+    TopologyRoutingConfig hot = config;
     hot.lambda = 1.55;  // rho_3 = 1.085 > 1, all other rho_j < 0.70
-    GreedyHypercubeSim unstable(hot);
+    TopologyGreedySim unstable(hot);
     unstable.run(0.0, 30000.0);
     checker.require(unstable.final_population() > 1500.0,
                     "rho_3 > 1 makes the system unstable even though every "
                     "other dimension is lightly loaded");
 
-    GreedyHypercubeConfig cool = config;
+    TopologyRoutingConfig cool = config;
     cool.lambda = 1.35;  // rho_3 = 0.945 < 1
-    GreedyHypercubeSim stable(cool);
+    TopologyGreedySim stable(cool);
     stable.run(2000.0, 42000.0);
     checker.require(stable.final_population() < 1000.0,
                     "rho_3 < 1 keeps the system stable (bottleneck criterion)");

@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "common/table.hpp"
-#include "routing/greedy_hypercube.hpp"
+#include "routing/topology_greedy.hpp"
 
 using namespace routesim;
 
@@ -17,19 +17,20 @@ int main() {
   const double lambda = 1.0, p = 0.35;
   std::cout << "hypercube d=" << d << ", lambda=" << lambda << ", p=" << p << "\n\n";
 
-  GreedyHypercubeConfig config;
-  config.d = d;
+  TopologyRoutingConfig config;
+  config.spec.d = d;
   config.lambda = lambda;
   config.destinations = DestinationDistribution::bit_flip(d, p);
   config.seed = 83;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
+  const Hypercube cube(d);
   sim.run(500.0, 120500.0);
 
   // Dimension-level arrival accounting.
   std::vector<double> external(d + 1, 0.0), total(d + 1, 0.0);
   for (int dim = 1; dim <= d; ++dim) {
     for (NodeId x = 0; x < 32; ++x) {
-      const auto& counters = sim.arc_counters()[sim.topology().arc_index(x, dim)];
+      const auto& counters = sim.arc_counters()[cube.arc_index(x, dim)];
       external[dim] += static_cast<double>(counters.external_arrivals);
       total[dim] += static_cast<double>(counters.total_arrivals);
     }
@@ -55,8 +56,9 @@ int main() {
   double predicted_exits = 0.0;
   for (int i = 1; i <= d; ++i) predicted_exits += total[i] * std::pow(1 - p, d - i);
   // Deliveries exclude self-addressed packets, which never enter any arc.
-  const auto measured_exits = static_cast<double>(sim.deliveries_in_window()) -
-                              static_cast<double>(sim.arrivals_in_window()) *
+  const KernelStats& stats = sim.kernel_stats();
+  const auto measured_exits = static_cast<double>(stats.deliveries_in_window()) -
+                              static_cast<double>(stats.arrivals_in_window()) *
                                   std::pow(1 - p, d);
   std::cout << "\nexit flow: measured " << benchtab::fmt(measured_exits, 0)
             << " vs Property C prediction " << benchtab::fmt(predicted_exits, 0)

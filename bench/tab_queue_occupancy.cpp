@@ -12,7 +12,7 @@
 #include "core/bounds.hpp"
 #include "queueing/product_form.hpp"
 #include "routing/greedy_butterfly.hpp"
-#include "routing/greedy_hypercube.hpp"
+#include "routing/topology_greedy.hpp"
 
 using namespace routesim;
 
@@ -26,17 +26,17 @@ int main() {
                            "peak/node", "P[N > bound*(1+0.5)] (Chernoff)"});
     for (const double rho : {0.5, 0.8}) {
       const int d = 6;
-      GreedyHypercubeConfig config;
-      config.d = d;
+      TopologyRoutingConfig config;
+      config.spec.d = d;
       config.lambda = 2.0 * rho;
       config.destinations = DestinationDistribution::uniform(d);
       config.seed = 303;
       config.track_node_occupancy = true;
-      GreedyHypercubeSim sim(config);
+      TopologyGreedySim sim(config);
       sim.run(1000.0, 31000.0);
 
       double mean_per_node = 0.0;
-      for (const double occupancy : sim.node_mean_occupancy()) {
+      for (const double occupancy : sim.kernel_stats().occupancy_means()) {
         mean_per_node += occupancy;
       }
       mean_per_node /= 64.0;

@@ -13,7 +13,7 @@
 
 #include "core/bounds.hpp"
 #include "queueing/product_form.hpp"
-#include "routing/greedy_hypercube.hpp"
+#include "routing/topology_greedy.hpp"
 #include "stats/histogram.hpp"
 
 int main() {
@@ -26,17 +26,19 @@ int main() {
             << "P[total > 1.5x mean]" << '\n';
 
   for (const double rho : {0.3, 0.6, 0.9}) {
-    GreedyHypercubeConfig config;
-    config.d = d;
+    TopologyRoutingConfig config;
+    config.spec.d = d;
     config.lambda = 2.0 * rho;
     config.destinations = DestinationDistribution::uniform(d);
     config.seed = 31337;
     config.track_node_occupancy = true;
-    GreedyHypercubeSim sim(config);
+    TopologyGreedySim sim(config);
     sim.run(1000.0, 31000.0);
 
     double mean = 0.0;
-    for (const double occupancy : sim.node_mean_occupancy()) mean += occupancy;
+    for (const double occupancy : sim.kernel_stats().occupancy_means()) {
+      mean += occupancy;
+    }
     mean /= 64.0;
     const double bound = bounds::mean_packets_per_node_bound({d, 2.0 * rho, 0.5});
     const double chernoff = geometric_sum_chernoff_tail(d * 64.0, rho, 0.5);
@@ -51,15 +53,15 @@ int main() {
   }
 
   std::cout << "\nDelay-tail view at rho = 0.9 (histogram quantiles):\n";
-  GreedyHypercubeConfig config;
-  config.d = d;
+  TopologyRoutingConfig config;
+  config.spec.d = d;
   config.lambda = 1.8;
   config.destinations = DestinationDistribution::uniform(d);
   config.seed = 99;
   config.track_delay_histogram = true;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(2000.0, 42000.0);
-  const auto& histogram = *sim.delay_histogram();
+  const auto& histogram = *sim.kernel_stats().delay_histogram();
   for (const double q : {0.5, 0.9, 0.99, 0.999}) {
     std::cout << "  q" << std::setw(5) << std::left << q << std::right << " = "
               << std::setprecision(1) << std::fixed << histogram.quantile(q)

@@ -12,7 +12,6 @@
 #include <iostream>
 
 #include "routing/deflection.hpp"
-#include "routing/greedy_hypercube.hpp"
 #include "routing/pipelined_baseline.hpp"
 #include "routing/topology_greedy.hpp"
 #include "workload/trace.hpp"
@@ -31,11 +30,11 @@ int main() {
   const auto trace = generate_hypercube_trace(d, lambda, dist, horizon, 2025);
 
   // 1. Greedy (trace replay).
-  GreedyHypercubeConfig greedy_cfg;
-  greedy_cfg.d = d;
+  TopologyRoutingConfig greedy_cfg;
+  greedy_cfg.spec.d = d;
   greedy_cfg.destinations = dist;
   greedy_cfg.trace = &trace;
-  GreedyHypercubeSim greedy(greedy_cfg);
+  TopologyGreedySim greedy(greedy_cfg);
   greedy.run(warmup, horizon);
 
   // 2. Valiant mixing (same trace).

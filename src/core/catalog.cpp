@@ -262,9 +262,9 @@ std::string catalog_markdown(const ScenarioCatalog& catalog) {
 
   os << "## Topologies (`topology=`)\n\n"
         "`hypercube_greedy`, `valiant_mixing` and `deflection` accept\n"
-        "hypercube, ring, torus and mesh.  Valiant mixing and deflection\n"
-        "run one topology-parametric simulator on every family; greedy on\n"
-        "the hypercube keeps its native simulator.  On ring, torus and\n"
+        "hypercube, ring, torus and mesh.  Greedy, Valiant mixing and\n"
+        "deflection each run one topology-parametric simulator on every\n"
+        "family, the native hypercube included.  On ring, torus and\n"
         "mesh, faults, traces, XOR-mask workloads and soa_batch are\n"
         "rejected at compile time.\n"
         "`topology=native` (the default) means the scheme's own network.\n"

@@ -136,6 +136,7 @@ CompiledScenario compile_network_q(const Scenario& s, Discipline discipline) {
   (void)s.resolved_topology({"hypercube"});  // hypercube-native
   (void)s.resolved_fault_policy({});  // no fault support: reject knobs
   (void)s.resolved_backend({});       // scalar-only: reject soa_batch
+  s.reject_unsupported_keys({"tau", "buffers"});
   const Window window = s.resolved_window();
   compiled.replicate = [s, window, discipline, p_eff](std::uint64_t seed, int) {
     LevelledNetwork net(

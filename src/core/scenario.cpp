@@ -514,7 +514,7 @@ const std::vector<ScenarioKey>& Scenario::keys() {
       {.name = "tau", .type = "double", .sweepable = true,
        .doc = "> 0: slotted-time variant with this slot length (§3.4); "
               "honoured by hypercube_greedy (every topology) and "
-              "butterfly_greedy; valiant_mixing and deflection reject it",
+              "butterfly_greedy; every other scheme rejects it",
        .set = [](S& s, V v) { s.tau = number(v); },
        .get = [](const S& s) { return text(s.tau); }},
       {.name = "discipline", .type = "string",
@@ -590,8 +590,7 @@ const std::vector<ScenarioKey>& Scenario::keys() {
       {.name = "buffers", .type = "int",
        .doc = "per-arc buffer capacity including the packet in service; 0 = "
               "infinite (the paper's model); honoured by hypercube_greedy "
-              "(every topology); valiant_mixing, deflection and "
-              "butterfly_greedy reject it",
+              "(every topology); every other scheme rejects it",
        .set = [](S& s, V v) {
          s.buffer_capacity =
              static_cast<std::uint32_t>(at_least(integer(v), 0));

@@ -96,8 +96,8 @@ struct Scenario {
   /// Network family: "native" (the scheme's own topology — the hypercube
   /// for the cube schemes, the butterfly for butterfly_greedy) or an
   /// explicit family from topology_names(): hypercube, butterfly, ring,
-  /// torus, mesh.  The non-native families route through the
-  /// topology-parametric sims (routing/topology_greedy.hpp).
+  /// torus, mesh.  hypercube_greedy, valiant_mixing and deflection run
+  /// the topology-parametric sims (routing/topology_greedy.hpp) on each.
   std::string topology = "native";
   /// topology=ring chord structure: "" (plain ring), "papillon" (the
   /// doubling-stride ladder) or a CSV of chord strides in [2, n/2 - 1].
@@ -216,9 +216,9 @@ struct Scenario {
   /// fails at compile time with a catchable ScenarioError naming the key
   /// and the scheme instead of being silently ignored.
   void reject_unsupported_keys(std::initializer_list<const char*> names) const;
-  /// True when the scenario selects a topology the paper's specialised
-  /// simulators do not implement directly (ring / torus / mesh); such
-  /// scenarios route through the topology-parametric sims.
+  /// True when the scenario selects a family outside the paper (ring /
+  /// torus / mesh), whose load factor and diameter come from the built
+  /// topology rather than the cube formulas.
   [[nodiscard]] bool uses_generic_topology() const noexcept {
     return topology == "ring" || topology == "torus" || topology == "mesh";
   }

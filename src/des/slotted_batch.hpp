@@ -106,7 +106,10 @@ class SlottedBatchDriver {
     ctx_ = ctx;
     if (queues_.size() != ctx.num_arcs) queues_.resize(ctx.num_arcs);
     for (auto& queue : queues_) queue.clear();
-    recycle_wheel();
+    wheel_head_ = 0;
+    wheel_size_ = 0;
+    wheel_back_time_ = -1.0;
+    wheel_back_items_ = nullptr;
     store_.clear();
     if (ctx.expected_packets > 0) store_.reserve(ctx.expected_packets);
   }
@@ -114,6 +117,15 @@ class SlottedBatchDriver {
   [[nodiscard]] SoaPacketStore& store() noexcept { return store_; }
   [[nodiscard]] Rng& rng() noexcept { return *ctx_.rng; }
   [[nodiscard]] KernelStats& stats() noexcept { return *ctx_.stats; }
+
+  /// Item capacity held by the wheel's batch slots.  Slots are reused in
+  /// place, so this is bounded by (live batches) x (arcs) — about
+  /// (1/slot + 2) x num_arcs — whatever the horizon.
+  [[nodiscard]] std::size_t retained_batch_capacity() const noexcept {
+    std::size_t total = 0;
+    for (const Batch& batch : wheel_) total += batch.items.capacity();
+    return total;
+  }
 
   /// Mirror of PacketKernel::sample_spawn: identical draws in identical
   /// order (the RNG is the kernel's own).
@@ -194,8 +206,7 @@ class SlottedBatchDriver {
     bool stats_reset = warmup == 0.0;
     for (;;) {
       // Services precede the slot control at equal times (header proof).
-      if (wheel_head_ < wheel_.size() &&
-          wheel_[wheel_head_].time <= slot_time) {
+      if (wheel_size_ > 0 && wheel_[wheel_head_].time <= slot_time) {
         const double t = wheel_[wheel_head_].time;
         if (t > horizon) break;
         if (!stats_reset && t >= warmup) {
@@ -272,56 +283,54 @@ class SlottedBatchDriver {
   void wheel_push(double time, std::uint32_t arc, std::uint32_t pkt) {
     // Hot path: almost every push within one instant targets the same
     // (already open) back batch — one compare against the cached back time
-    // and a vector append.  The cache is refreshed whenever the back batch
-    // changes (new batch below, recycle_wheel) and uses -1.0 as the
-    // "no open batch" sentinel (every push time is >= 1.0).
+    // and a vector append.  The cache is refreshed whenever a batch opens
+    // and uses -1.0 as the "no open batch" sentinel (every push time is
+    // >= 1.0).
     if (time == wheel_back_time_) {
       wheel_back_items_->push_back(Item{arc, pkt});
       return;
     }
-    RS_DASSERT(wheel_head_ >= wheel_.size() || wheel_.back().time <= time);
-    Batch batch;
-    batch.time = time;
-    if (!spare_.empty()) {
-      batch.items = std::move(spare_.back());
-      spare_.pop_back();
-      batch.items.clear();
+    RS_DASSERT(wheel_back_time_ <= time);
+    if (wheel_size_ == wheel_.size()) {
+      // Every slot is live: unroll the ring so the head is slot 0, then
+      // add one.  The ring only grows to the most batches ever live at
+      // once, ~1/slot + 2.
+      std::rotate(wheel_.begin(),
+                  wheel_.begin() + static_cast<std::ptrdiff_t>(wheel_head_),
+                  wheel_.end());
+      wheel_head_ = 0;
+      wheel_.emplace_back();
     }
+    std::size_t back = wheel_head_ + wheel_size_;
+    if (back >= wheel_.size()) back -= wheel_.size();
+    ++wheel_size_;
+    Batch& batch = wheel_[back];
+    batch.time = time;
+    batch.items.clear();  // keeps the capacity of the batch it held before
     batch.items.push_back(Item{arc, pkt});
-    wheel_.push_back(std::move(batch));
     wheel_back_time_ = time;
-    wheel_back_items_ = &wheel_.back().items;
-  }
-
-  /// Returns every batch's storage to the spare pool and resets the wheel.
-  void recycle_wheel() {
-    for (auto& batch : wheel_) spare_.push_back(std::move(batch.items));
-    wheel_.clear();
-    wheel_head_ = 0;
-    wheel_back_time_ = -1.0;
-    wheel_back_items_ = nullptr;
+    wheel_back_items_ = &batch.items;
   }
 
   template <typename Policy>
   void process_batch(Policy& policy, double now) {
-    // Take the item list out first: Phase B pushes to the wheel, which may
-    // reallocate it under a held reference.
-    items_.swap(wheel_[wheel_head_].items);
-    spare_.push_back(std::move(wheel_[wheel_head_].items));
-    ++wheel_head_;
-    if (wheel_head_ == wheel_.size()) recycle_wheel();
-
-    const std::size_t n = items_.size();
+    // Phase A needs no queue access at all: each item already carries its
+    // in-service packet (recorded at scheduling time, immutable since).
+    // Copying the items out first frees the head slot before Phase B,
+    // whose pushes may open new batches or grow the ring.
+    const std::size_t n = wheel_[wheel_head_].items.size();
+    const Item* items = wheel_[wheel_head_].items.data();
     arcs_.resize(n);
     pkts_.resize(n);
     next_.resize(n);
-    // Phase A needs no queue access at all: each item already carries its
-    // in-service packet (recorded at scheduling time, immutable since).
-    // This split is a straight sequential sweep, and the route call below
-    // then runs over the whole batch at once.
     for (std::size_t i = 0; i < n; ++i) {
-      arcs_[i] = items_[i].arc;
-      pkts_[i] = items_[i].pkt;
+      arcs_[i] = items[i].arc;
+      pkts_[i] = items[i].pkt;
+    }
+    if (++wheel_head_ == wheel_.size()) wheel_head_ = 0;
+    if (--wheel_size_ == 0) {
+      wheel_back_time_ = -1.0;
+      wheel_back_items_ = nullptr;
     }
     policy.route_batch(now, arcs_.data(), pkts_.data(), next_.data(), n);
     // Phase B: the scalar per-event bookkeeping, in the scalar order.  The
@@ -366,19 +375,20 @@ class SlottedBatchDriver {
       }
       policy.complete(now, pkts_[i], next_[i]);
     }
-    items_.clear();
   }
 
   SlottedBatchContext ctx_{};
   SoaPacketStore store_;
   std::vector<FifoRing> queues_;
-  std::vector<Batch> wheel_;  ///< sorted by time; consumed from wheel_head_
+  /// A ring of batch slots: wheel_size_ live batches from wheel_head_,
+  /// sorted by time.  A popped slot keeps its item capacity for the next
+  /// batch it opens, so the wheel allocates only while it grows.
+  std::vector<Batch> wheel_;
   std::size_t wheel_head_ = 0;
-  double wheel_back_time_ = -1.0;  ///< cached wheel_.back().time (-1 = none)
+  std::size_t wheel_size_ = 0;
+  double wheel_back_time_ = -1.0;  ///< the newest live batch's time (-1 = none)
   std::vector<Item>* wheel_back_items_ = nullptr;  ///< its item list
   bool occupancy_on_ = false;  ///< stats have live occupancy trackers
-  std::vector<std::vector<Item>> spare_;  ///< recycled batch storage
-  std::vector<Item> items_;          ///< scratch: the batch being processed
   std::vector<std::uint32_t> arcs_;  ///< scratch: the batch's arcs
   std::vector<std::uint32_t> pkts_;  ///< scratch: their in-service packets
   std::vector<std::uint32_t> next_;  ///< scratch: Phase A routing decisions

@@ -10,9 +10,9 @@
 ///   dest      — destination node / row;
 ///   gen_time  — generation time (windowed statistics key);
 ///   hops      — arcs traversed so far (vertical arcs for the butterfly);
-///   aux       — scheme-defined: Hamming distance at generation for the
-///               hypercube family (the stretch baseline), unused by the
-///               butterfly (its stretch is identically 1).
+///   aux       — scheme-defined: the greedy metric at generation (the
+///               stretch baseline; Hamming distance on the cube), unused
+///               by the butterfly (its stretch is identically 1).
 ///
 /// The routing phase of a batch step touches only node/dest/hops, so three
 /// small arrays cover the hot loop's working set and the loop body is a

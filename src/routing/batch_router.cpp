@@ -78,6 +78,7 @@ void register_batch_greedy_scheme(SchemeRegistry& registry) {
          (void)s.resolved_topology({"hypercube"});  // hypercube-native
          (void)s.resolved_fault_policy({});  // no fault support: reject knobs
          (void)s.resolved_backend({});       // scalar-only: reject soa_batch
+         s.reject_unsupported_keys({"tau", "buffers"});
          // Permutation workload: all fanout packets of source x target
          // pi(x) — one synchronous greedy round of the permutation.
          const auto perm = s.shared_permutation_table();

@@ -16,9 +16,13 @@ void DeflectionSim::reset(TopologyRoutingConfig config) {
   config_ = std::move(config);
   RS_EXPECTS(config_.lambda > 0.0);
   RS_EXPECTS_MSG(config_.trace == nullptr && config_.slot == 0.0 &&
-                     !config_.valiant && config_.buffer_capacity == 0,
-                 "deflection is slotted and bufferless: trace, slot, valiant "
-                 "and buffer_capacity do not apply");
+                     !config_.valiant && config_.buffer_capacity == 0 &&
+                     config_.service_order == ArcServiceOrder::kFifo &&
+                     config_.dimension_order == DimensionOrder::kIncreasing &&
+                     config_.backend == KernelBackend::kScalar,
+                 "deflection is slotted and bufferless: trace, slot, valiant, "
+                 "buffer_capacity, service_order, dimension_order and backend "
+                 "do not apply");
   net_.configure(config_);
   rng_.reseed(derive_stream(
       config_.seed, kDeflectionSalts.for_family(net_.topology().name())));

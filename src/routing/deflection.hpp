@@ -43,7 +43,8 @@ class DeflectionSim {
  public:
   /// Reads spec, lambda (packets per node per slot), seed, destinations,
   /// fixed_destinations, the fault rates and ttl; the greedy-only fields
-  /// (trace, slot, valiant, buffer_capacity) must stay at their defaults.
+  /// (trace, slot, valiant, buffer_capacity, service_order,
+  /// dimension_order, backend) must stay at their defaults.
   explicit DeflectionSim(TopologyRoutingConfig config);
 
   /// Reconfigures for another replication, reusing storage.

@@ -174,6 +174,7 @@ void register_multicast_scheme(SchemeRegistry& registry) {
          (void)s.resolved_topology({"hypercube"});  // hypercube-native
          (void)s.resolved_fault_policy({});  // no fault support: reject knobs
          (void)s.resolved_backend({});       // scalar-only: reject soa_batch
+         s.reject_unsupported_keys({"tau", "buffers"});
          const auto perm = s.shared_permutation_table();
          const Window window = s.resolved_window();
          compiled.replicate = [s, window, perm](std::uint64_t seed, int) {

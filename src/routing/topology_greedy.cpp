@@ -61,6 +61,10 @@ void TopologyGreedySim::reset(TopologyRoutingConfig config) {
 void TopologyGreedySim::configure_kernel() {
   net_.configure(config_);
   if (config_.trace == nullptr) RS_EXPECTS(config_.lambda > 0.0);
+  RS_EXPECTS_MSG(config_.trace == nullptr ||
+                     (std::uint64_t{1} << config_.trace->dimension) ==
+                         net_.num_nodes(),
+                 "a trace replays on the 2^d nodes it was recorded for");
   if (config_.slot > 0.0) {
     const double inv = 1.0 / config_.slot;
     RS_EXPECTS_MSG(config_.slot <= 1.0 && std::abs(inv - std::round(inv)) < 1e-9,
@@ -87,6 +91,7 @@ void TopologyGreedySim::configure_kernel() {
   kernel.birth_rate = config_.lambda * static_cast<double>(net_.num_nodes());
   kernel.slot = config_.slot;
   kernel.trace = config_.trace;
+  kernel.service_order = config_.service_order;
   kernel.buffer_capacity = config_.buffer_capacity;
   // In-flight packets ~ (aggregate rate) x (delay ~ O(diameter)) at
   // moderate load; mixing doubles the path length.  Trace replay leaves
@@ -107,6 +112,39 @@ void TopologyGreedySim::configure_kernel() {
     kernel.fault_model = &fault_model_;
   }
   kernel_.configure(kernel);
+
+  if (config_.backend == KernelBackend::kSoaBatch) {
+    // The batch backend advances whole service batches per tick; that needs
+    // the slotted structure (every event time a multiple of the slot) and
+    // the paper's canonical discipline — the ablations, Valiant's phases
+    // and dynamic faults stay on the scalar oracle.
+    RS_EXPECTS_MSG(config_.slot > 0.0,
+                   "the soa_batch backend needs slotted time (tau > 0)");
+    RS_EXPECTS_MSG(config_.trace == nullptr,
+                   "the soa_batch backend cannot replay traces");
+    RS_EXPECTS_MSG(!config_.valiant,
+                   "the soa_batch backend routes greedy only");
+    RS_EXPECTS_MSG(config_.service_order == ArcServiceOrder::kFifo &&
+                       config_.dimension_order == DimensionOrder::kIncreasing,
+                   "the soa_batch backend needs FIFO service in increasing "
+                   "dimension order");
+    RS_EXPECTS_MSG(config_.fault_mtbf == 0.0 && config_.fault_mttr == 0.0 &&
+                       config_.storm_rate == 0.0,
+                   "the soa_batch backend needs a static fault set");
+    SlottedBatchContext ctx;
+    ctx.num_arcs = kernel.num_arcs;
+    ctx.birth_rate = kernel.birth_rate;
+    ctx.slot = config_.slot;
+    ctx.buffer_capacity = config_.buffer_capacity;
+    ctx.expected_packets = kernel.expected_packets;
+    // Borrow the kernel's RNG, stats and counters: every draw and every
+    // accumulator update goes through the same objects in the same order,
+    // which is what makes the backends bit-identical.
+    ctx.rng = &kernel_.rng();
+    ctx.stats = &kernel_.stats();
+    ctx.arc_counters = &kernel_.arc_counters_mutable();
+    batch_.configure(ctx);
+  }
 }
 
 template <typename Topo>
@@ -129,28 +167,24 @@ struct TopologyGreedySim::Router {
     kernel.count_arrival(now);
     const std::uint32_t id = kernel.allocate_packet();
     NodeId target = dest;
-    std::uint8_t phase = 1;
     int min_hops = 0;
     if (sim.config_.valiant) {
       const auto intermediate =
           static_cast<NodeId>(kernel.rng().uniform_below(sim.net_.num_nodes()));
       min_hops = topo.metric(origin, intermediate) + topo.metric(intermediate, dest);
-      if (intermediate != origin) {
-        target = intermediate;
-        phase = 0;
-      }
+      if (intermediate != origin) target = intermediate;
     } else {
       min_hops = topo.metric(origin, dest);
     }
-    kernel.packet(id) = Pkt{origin,   target, dest, now, 0, phase,
-                            static_cast<std::uint16_t>(min_hops)};
+    kernel.packet(id) =
+        Pkt{origin, target, dest, 0, static_cast<std::uint16_t>(min_hops), now};
     if (sim.fault_active_ && sim.fault_model_.is_node_faulty(origin)) {
       // A dead node offers no deliverable traffic; its load is counted as
       // fault-dropped so the delivery ratio reflects the offered load.
       kernel.drop_faulty(now, id);
       return;
     }
-    if (phase == 1 && origin == target) {
+    if (origin == target) {
       // A packet for its own origin needs no transmission (delay 0).
       kernel.deliver(now, id, now, 0.0);
       return;
@@ -166,19 +200,18 @@ struct TopologyGreedySim::Router {
     Pkt& packet = kernel.packet(pkt);
     packet.cur = topo.arc_target(arc);
     ++packet.hop_count;
-    if (packet.cur == packet.target && packet.phase == 0) {
-      // Reached the random intermediate node: head for the destination.
-      packet.phase = 1;
-      packet.target = packet.final_dest;
-    }
     if (packet.cur == packet.target) {
-      const double stretch =
-          packet.min_hops > 0
-              ? static_cast<double>(packet.hop_count) / packet.min_hops
-              : 0.0;
-      kernel.deliver(now, pkt, packet.gen_time,
-                     static_cast<double>(packet.hop_count), stretch);
-      return;
+      if (packet.target == packet.final_dest) {
+        const double stretch =
+            packet.min_hops > 0
+                ? static_cast<double>(packet.hop_count) / packet.min_hops
+                : 0.0;
+        kernel.deliver(now, pkt, packet.gen_time,
+                       static_cast<double>(packet.hop_count), stretch);
+        return;
+      }
+      // Reached the random intermediate node: head for the destination.
+      packet.target = packet.final_dest;
     }
     if (sim.fault_active_ && packet.hop_count >= sim.net_.ttl()) {
       kernel.drop_faulty(now, pkt);
@@ -187,36 +220,173 @@ struct TopologyGreedySim::Router {
     route(now, pkt, /*external=*/false);
   }
 
-  /// Enqueues the packet on its greedy arc toward the phase target.  With
-  /// faults, the greedy arc when alive (always, at zero rates, so the
-  /// pristine path is reproduced), else the policy's reroute.
+  /// Enqueues the packet on its next arc toward the phase target.
   void route(double now, std::uint32_t pkt, bool external) {
     PacketKernel<Pkt>& kernel = sim.kernel_;
     const Pkt& packet = kernel.packet(pkt);
-    ArcId arc = topo.greedy_next_arc(packet.cur, packet.target);
-    if (sim.fault_active_ && kernel.arc_faulty(arc)) {
-      arc = reroute(packet);
-      if (arc == kDropArc) {
-        kernel.drop_faulty(now, pkt);
-        return;
-      }
+    const ArcId arc = next_arc(packet.cur, packet.target);
+    if (arc == kDropArc) {
+      kernel.drop_faulty(now, pkt);
+      return;
     }
     kernel.enqueue(now, arc, pkt, external, packet.cur);
   }
 
-  /// The policy's reroute around a dead greedy arc (kDropArc = drop).  Out
-  /// of line, so the flattened hop path of on_arc_done stays small.
-  [[gnu::noinline]] ArcId reroute(const Pkt& packet) {
+  /// The routing decision of both backends: the greedy arc (or the
+  /// dimension-order ablation's pick among the descending ports); with
+  /// faults, that arc when alive (always, at zero rates, so the pristine
+  /// path is reproduced), else the policy's reroute (kDropArc = drop).
+  ArcId next_arc(NodeId cur, NodeId target) {
+    const ArcId arc = sim.config_.dimension_order == DimensionOrder::kIncreasing
+                          ? topo.greedy_next_arc(cur, target)
+                          : ordered_arc(cur, target);
+    if (!sim.fault_active_ || !sim.kernel_.arc_faulty(arc)) return arc;
+    return reroute(cur, target);
+  }
+
+  /// The decreasing / random-per-hop ablations: the last descending port,
+  /// or one uniform draw over them.  Out of line, like reroute.
+  [[gnu::noinline]] ArcId ordered_arc(NodeId cur, NodeId target) {
+    const int degree = topo.out_degree(cur);
+    int count = 0;
+    for (int k = 0; k < degree; ++k) {
+      count += topo.out_arc_descends(cur, k, target) ? 1 : 0;
+    }
+    RS_DASSERT(count > 0);
+    int pick = count - 1;
+    if (sim.config_.dimension_order == DimensionOrder::kRandomPerHop) {
+      pick = static_cast<int>(sim.kernel_.rng().uniform_below(
+          static_cast<std::uint64_t>(count)));
+    }
+    for (int k = 0;; ++k) {
+      if (topo.out_arc_descends(cur, k, target) && pick-- == 0) {
+        return topo.out_arc(cur, k);
+      }
+    }
+  }
+
+  /// The policy's reroute around a dead arc (kDropArc = drop).  Out of
+  /// line, so the flattened hop path of on_arc_done stays small.
+  [[gnu::noinline]] ArcId reroute(NodeId cur, NodeId target) {
     PacketKernel<Pkt>& kernel = sim.kernel_;
     return fault_reroute_arc(
-        sim.config_.fault_policy, topo, packet.cur, packet.target,
+        sim.config_.fault_policy, topo, cur, target,
         [&](ArcId arc) { return kernel.arc_faulty(arc); }, kernel.rng());
+  }
+};
+
+/// The greedy routing decision over the SoA store.  route_batch is Phase A
+/// of SlottedBatchDriver::process_batch; spawn/complete replay the scalar
+/// inject/on_arc_done bookkeeping against the batch driver's mirrors.  The
+/// next arc is Router::next_arc, drawing from the same borrowed RNG.
+template <typename Topo>
+struct TopologyGreedySim::BatchPolicy {
+  Router<Topo> router;
+
+  /// Mirror of Router::on_spawn + inject for the batch store.
+  void spawn(double now) {
+    TopologyGreedySim& sim = router.sim;
+    SlottedBatchDriver& batch = sim.batch_;
+    const auto origin =
+        static_cast<NodeId>(batch.rng().uniform_below(sim.net_.num_nodes()));
+    const NodeId dest = sim.net_.draw_destination(batch.rng(), origin);
+    batch.count_arrival(now);
+    SoaPacketStore& store = batch.store();
+    const std::uint32_t pkt = store.allocate();
+    store.node[pkt] = origin;
+    store.dest[pkt] = dest;
+    store.gen_time[pkt] = now;
+    store.hops[pkt] = 0;
+    store.aux[pkt] =
+        static_cast<std::uint16_t>(router.topo.metric(origin, dest));
+    if (sim.fault_active_ && sim.fault_model_.is_node_faulty(origin)) {
+      batch.drop_faulty(now, pkt);
+      return;
+    }
+    if (origin == dest) {
+      batch.deliver(now, pkt, now, 0.0);
+      return;
+    }
+    const ArcId arc = router.next_arc(origin, dest);
+    if (arc == kDropArc) {
+      batch.drop_faulty(now, pkt);
+      return;
+    }
+    batch.enqueue(now, arc, pkt, /*external=*/true, origin);
+  }
+
+  /// Phase A: advance every packet one hop and pick its next arc.  The
+  /// pristine loop is same-shape array arithmetic over node/dest/hops; the
+  /// fault loop stays sequential so reroute RNG draws keep the scalar order.
+  void route_batch(double /*now*/, const std::uint32_t* arcs,
+                   const std::uint32_t* pkts, std::uint32_t* next,
+                   std::size_t n) {
+    TopologyGreedySim& sim = router.sim;
+    const Topo& topo = router.topo;
+    SoaPacketStore& store = sim.batch_.store();
+    if (!sim.fault_active_) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t pkt = pkts[i];
+        const NodeId cur = topo.arc_target(arcs[i]);
+        const NodeId dest = store.dest[pkt];
+        store.node[pkt] = cur;
+        store.hops[pkt] = static_cast<std::uint16_t>(store.hops[pkt] + 1);
+        next[i] = cur == dest ? SlottedBatchDriver::kDeliver
+                              : topo.greedy_next_arc(cur, dest);
+      }
+      return;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t pkt = pkts[i];
+      const NodeId cur = topo.arc_target(arcs[i]);
+      store.node[pkt] = cur;
+      store.hops[pkt] = static_cast<std::uint16_t>(store.hops[pkt] + 1);
+      if (cur == store.dest[pkt]) {
+        next[i] = SlottedBatchDriver::kDeliver;
+      } else if (store.hops[pkt] >= sim.net_.ttl()) {
+        next[i] = SlottedBatchDriver::kDropFault;
+      } else {
+        const ArcId arc = router.next_arc(cur, store.dest[pkt]);
+        next[i] = arc == kDropArc ? SlottedBatchDriver::kDropFault : arc;
+      }
+    }
+  }
+
+  /// Phase B tail: the scalar on_arc_done outcome for one routed packet.
+  void complete(double now, std::uint32_t pkt, std::uint32_t next) {
+    SlottedBatchDriver& batch = router.sim.batch_;
+    SoaPacketStore& store = batch.store();
+    if (next == SlottedBatchDriver::kDeliver) {
+      const std::uint16_t hops = store.hops[pkt];
+      const std::uint16_t min_hops = store.aux[pkt];
+      const double stretch =
+          min_hops > 0 ? static_cast<double>(hops) / min_hops : 0.0;
+      batch.deliver(now, pkt, store.gen_time[pkt], static_cast<double>(hops),
+                    stretch);
+      return;
+    }
+    if (next == SlottedBatchDriver::kDropFault) {
+      batch.drop_faulty(now, pkt);
+      return;
+    }
+    batch.enqueue(now, next, pkt, /*external=*/false, store.node[pkt]);
+  }
+
+  /// Occupancy tracker decremented when a service at `arc` completes —
+  /// the arc's source node, as in the scalar finish_arc call.
+  [[nodiscard]] std::size_t finish_tracker(std::uint32_t arc) const {
+    return router.topo.arc_source(arc);
   }
 };
 
 void TopologyGreedySim::run(double warmup, double horizon) {
   with_concrete_topology(net_.topology(), [&](const auto& topo) {
     Router<std::decay_t<decltype(topo)>> router{*this, topo};
+    if (config_.backend == KernelBackend::kSoaBatch) {
+      BatchPolicy<std::decay_t<decltype(topo)>> policy{router};
+      batch_.drive(policy, warmup, horizon);
+      return;
+    }
     kernel_.drive(router, warmup, horizon);
   });
 }
@@ -245,14 +415,32 @@ std::string resolved_routing_topology(const Scenario& s) {
 namespace {
 
 /// Greedy (valiant = false) or Valiant mixing over TopologyGreedySim, with
-/// the native schemes' metric layout and resilience extras.
+/// the schemes' shared metric layout and resilience extras.
 CompiledScenario compile_routing(const Scenario& s, bool valiant) {
   const std::string family = resolved_routing_topology(s);
   if (valiant) s.reject_unsupported_keys({"tau", "buffers"});
   const FaultPolicy fault_policy = s.resolved_fault_policy(
       {FaultPolicy::kDrop, FaultPolicy::kSkipDim, FaultPolicy::kDeflect,
        FaultPolicy::kAdaptive});
-  (void)s.resolved_backend({});  // scalar-only: reject soa_batch
+  // Greedy on the cube also runs on soa_batch (resolved_routing_topology
+  // has already rejected it on the other families).
+  const KernelBackend backend =
+      valiant ? s.resolved_backend({})
+              : s.resolved_backend({KernelBackend::kSoaBatch});
+  if (backend == KernelBackend::kSoaBatch) {
+    if (s.tau <= 0.0) {
+      throw ScenarioError("backend=soa_batch needs slotted time: set tau > 0");
+    }
+    if (s.workload == "trace") {
+      throw ScenarioError(
+          "backend=soa_batch cannot replay traces (use backend=scalar)");
+    }
+    if (s.fault_mtbf > 0.0 || s.fault_mttr > 0.0 || s.storm_rate > 0.0) {
+      throw ScenarioError(
+          "backend=soa_batch needs a static fault set (clear "
+          "fault_mtbf/fault_mttr/storm_rate or use backend=scalar)");
+    }
+  }
   // Validated here so a bad permutation or trace fails at compile time,
   // not inside a replication worker thread.
   const auto perm = s.shared_permutation_table();
@@ -263,11 +451,10 @@ CompiledScenario compile_routing(const Scenario& s, bool valiant) {
   const bool max_queue = perm != nullptr && !valiant;
 
   CompiledScenario compiled;
-  compiled.replicate = [s, spec = s.topology_spec(), valiant, max_queue,
-                        window, fault_policy, perm, replay,
-                        law](std::uint64_t seed, int) {
+  compiled.replicate = [s, valiant, max_queue, window, fault_policy, backend,
+                        perm, replay, law](std::uint64_t seed, int) {
     TopologyRoutingConfig config;
-    config.spec = spec;
+    config.spec = s.topology_spec();
     config.lambda = s.lambda;
     config.seed = seed;
     config.destinations = law;
@@ -275,6 +462,7 @@ CompiledScenario compile_routing(const Scenario& s, bool valiant) {
     config.slot = s.tau;  // 0 under valiant (rejected above)
     config.valiant = valiant;
     config.buffer_capacity = s.buffer_capacity;
+    config.backend = backend;
     // Greedy permutation runs track per-node occupancy for max_queue.
     config.track_node_occupancy = max_queue;
     // Tail metrics (delay_p50/p99) come from the delay histogram.
@@ -319,9 +507,23 @@ CompiledScenario compile_routing(const Scenario& s, bool valiant) {
                             "delay_p50",      "delay_p99",
                             "fault_drops",    "buffer_drops"};
   if (max_queue) compiled.extra_metrics.emplace_back("max_queue");
-  // No closed-form bracket: the paper's delay bounds are hypercube and
-  // butterfly theorems for direct greedy, and the mixed network is not
-  // levelled, which is the point of the comparison.
+  // The paper's delay bracket is a theorem for direct greedy on the cube:
+  // the mixed network is not levelled (the point of the comparison), the
+  // other families have no closed form, and neither do faulty, general-law
+  // or permutation scenarios or an external trace_file, whose load the
+  // scenario's lambda/p do not describe.  Unstable points (rho >= 1) run
+  // fine — only the bracket is gone.
+  if (!valiant && family == "hypercube" && s.workload != "general" &&
+      s.workload != "permutation" && !s.faults_active() && replay == nullptr) {
+    const bounds::HypercubeParams params{s.d, s.lambda, s.effective_p()};
+    if (bounds::load_factor(params) < 1.0) {
+      compiled.has_bounds = true;
+      compiled.lower_bound = bounds::greedy_delay_lower_bound(params);
+      compiled.upper_bound =
+          s.tau > 0.0 ? bounds::slotted_delay_upper_bound(params, s.tau)
+                      : bounds::greedy_delay_upper_bound(params);
+    }
+  }
   return compiled;
 }
 
@@ -329,6 +531,13 @@ CompiledScenario compile_routing(const Scenario& s, bool valiant) {
 
 CompiledScenario compile_topology_greedy(const Scenario& s) {
   return compile_routing(s, /*valiant=*/false);
+}
+
+void register_hypercube_greedy_scheme(SchemeRegistry& registry) {
+  registry.add({"hypercube_greedy",
+                "greedy dimension-order routing on the d-cube (§3; Props. "
+                "12/13, slotted §3.4 when tau > 0)",
+                compile_topology_greedy});
 }
 
 void register_valiant_mixing_scheme(SchemeRegistry& registry) {

@@ -4,21 +4,24 @@
 ///        Valiant-mixing variant over any `Topology`, plus the pieces the
 ///        deflection simulator (routing/deflection.hpp) shares with it.
 ///
-/// TopologyGreedySim is the one simulator of Valiant's two-phase mixing
-/// (`valiant_mixing`, §5) on every family, the paper's hypercube included,
-/// and of greedy routing on ring / torus / mesh (`hypercube_greedy
-/// topology=...`).  It runs on the shared packet kernel
-/// (des/packet_kernel.hpp); the scheme-specific ingredients are
-/// `Topology::greedy_next_arc` and, under faults, the reroute policies of
-/// fault/fault_routing.hpp.  The routing hooks are a template on the
+/// TopologyGreedySim is the one simulator of the paper's greedy scheme
+/// (`hypercube_greedy`, §3: the d-cube crossed in increasing dimension
+/// order, FIFO arcs, slotted variant §3.4) on every family but the
+/// butterfly — ring / torus / mesh included — and of Valiant's two-phase
+/// mixing (`valiant_mixing`, §5) on every family.  It runs on the shared
+/// packet kernel (des/packet_kernel.hpp); the scheme-specific ingredients
+/// are `Topology::greedy_next_arc` and, under faults, the reroute policies
+/// of fault/fault_routing.hpp.  The routing hooks are a template on the
 /// topology, instantiated on the concrete HypercubeTopology (no virtual
 /// call) and on the Topology interface (every other family).
 ///
-/// On the hypercube the simulator reproduces the native simulators draw
-/// for draw: it keeps their RNG stream salts, draws the XOR-mask
-/// DestinationDistribution, and supports their fault model (static,
-/// dynamic, storms, TTL) and trace replay.  Valiant's pins, and greedy's
-/// against GreedyHypercubeSim, replay unchanged (tests/test_kernel_parity).
+/// This class is the *direct* simulation of the model in §1.1; the
+/// Markovian equivalent network Q of §3.1 is implemented independently in
+/// queueing/levelled_network.hpp + core/equivalence.hpp, and the test suite
+/// checks that the two agree.  Three arrival modes: continuous (per-node
+/// Poisson), slotted (§3.4: Poisson(lambda*slot) per node at k*slot) and
+/// trace replay.  On the hypercube, greedy also runs on the soa_batch
+/// backend (des/slotted_batch.hpp) with bit-identical results.
 ///
 /// On ring / torus / mesh the compile hooks accept workload=uniform (and a
 /// permutation on the ring, whose 2^d nodes match the permutation
@@ -31,7 +34,9 @@
 #include <string>
 #include <vector>
 
+#include "des/kernel_backend.hpp"
 #include "des/packet_kernel.hpp"
+#include "des/slotted_batch.hpp"
 #include "fault/fault_model.hpp"
 #include "stats/little.hpp"
 #include "stats/summary.hpp"
@@ -40,6 +45,18 @@
 #include "workload/trace.hpp"
 
 namespace routesim {
+
+/// Which descending port a greedy packet takes.  The paper crosses the
+/// required hypercube dimensions in increasing index order (the canonical
+/// path, Topology::greedy_next_arc), which makes the equivalent network
+/// levelled and the analysis tractable; the other two are ablations showing
+/// the *choice of order* is an analytical convenience, not a performance
+/// trick — by symmetry every order gives the same per-arc load rho.
+enum class DimensionOrder : std::uint8_t {
+  kIncreasing,    ///< greedy_next_arc (no draw)
+  kDecreasing,    ///< the last descending port
+  kRandomPerHop,  ///< a uniform draw among the descending ports, every hop
+};
 
 /// The configuration of both topology-parametric simulators
 /// (TopologyGreedySim and DeflectionSim); fields marked "greedy" are not
@@ -65,6 +82,14 @@ struct TopologyRoutingConfig {
   bool valiant = false;
   /// Greedy: finite-buffer ablation; 0 = infinite buffers.
   std::uint32_t buffer_capacity = 0;
+  /// Greedy: arc scheduling ablation (paper: FIFO).
+  ArcServiceOrder service_order = ArcServiceOrder::kFifo;
+  /// Greedy: dimension-order ablation (paper: increasing).
+  DimensionOrder dimension_order = DimensionOrder::kIncreasing;
+  /// Greedy: execution engine.  kSoaBatch needs slotted time, no trace, no
+  /// Valiant phase, FIFO service, increasing order and a static fault set;
+  /// its results are bit-identical to kScalar (tests/test_kernel_parity).
+  KernelBackend backend = KernelBackend::kScalar;
   /// Greedy: track a time-weighted occupancy per node.
   bool track_node_occupancy = false;
   /// Greedy: collect a delay histogram (bin width 1, range [0, 64 *
@@ -89,8 +114,8 @@ struct TopologyRoutingConfig {
 };
 
 /// Kernel RNG stream salts of one scheme: the paper's cube keeps the salts
-/// of the native simulators its pins were captured from, and every other
-/// family draws a stream of its own.
+/// its pins were captured with, and every other family draws a stream of
+/// its own.
 struct StreamSalts {
   std::uint64_t hypercube = 0;
   std::uint64_t other = 0;
@@ -185,20 +210,26 @@ class TopologyGreedySim {
   }
 
  private:
+  /// A Valiant packet heads for its intermediate node while target !=
+  /// final_dest, then for its destination.
   struct Pkt {
     NodeId cur = 0;
-    NodeId target = 0;      ///< current phase's goal (intermediate, then dest)
+    NodeId target = 0;  ///< current phase's goal (intermediate, then dest)
     NodeId final_dest = 0;
-    double gen_time = 0.0;
     std::uint16_t hop_count = 0;
-    std::uint8_t phase = 0;  ///< 0 = toward intermediate, 1 = toward dest
     std::uint16_t min_hops = 0;  ///< metric along the routed path — stretch baseline
+    double gen_time = 0.0;
   };
 
   /// The kernel hooks (on_spawn / on_traced / on_arc_done), templated on
   /// the concrete topology type (routing/topology_greedy.cpp).
   template <typename Topo>
   struct Router;
+
+  /// The soa_batch policy: the same routing over the SoA store, driven by
+  /// SlottedBatchDriver against the kernel's own RNG and stats.
+  template <typename Topo>
+  struct BatchPolicy;
 
   void configure_kernel();
 
@@ -207,6 +238,7 @@ class TopologyGreedySim {
   FaultModel fault_model_;
   bool fault_active_ = false;
   PacketKernel<Pkt> kernel_;
+  SlottedBatchDriver batch_;  ///< engaged when backend == kSoaBatch
 };
 
 struct CompiledScenario;
@@ -221,10 +253,22 @@ class SchemeRegistry;
 /// topology once so size errors surface before the worker fan-out.
 [[nodiscard]] std::string resolved_routing_topology(const Scenario& s);
 
-/// The compile hook `hypercube_greedy` dispatches to for topology=ring /
-/// torus / mesh: greedy on TopologyGreedySim with the native scheme's
-/// metric layout and extras (plus max_queue under a permutation).
+/// The compile hook of `hypercube_greedy` on every topology: greedy on
+/// TopologyGreedySim with the scheme's metric layout and extras (plus
+/// max_queue under a permutation), and on the hypercube the paper's
+/// closed-form delay bracket and backend=soa_batch.
 [[nodiscard]] CompiledScenario compile_topology_greedy(const Scenario& s);
+
+/// core/registry.hpp hookup: registers "hypercube_greedy" (continuous or,
+/// with tau > 0, the slotted variant of §3.4; workloads bit_flip, uniform,
+/// general, trace and permutation — the latter adds a max_queue extra;
+/// trace replay of an external file via trace_file; finite buffers via
+/// buffer_capacity; fault injection via fault_rate / node_fault_rate /
+/// fault_mtbf / fault_mttr / storm_rate / storm_radius / storm_duration
+/// with fault_policy drop | skip_dim | deflect | adaptive, reported
+/// through the delivery_ratio / mean_stretch / delay_p50 / delay_p99 /
+/// fault_drops / buffer_drops extras; topology= ring / torus / mesh).
+void register_hypercube_greedy_scheme(SchemeRegistry& registry);
 
 /// core/registry.hpp hookup: registers "valiant_mixing" (§5 two-phase
 /// mixing on TopologyGreedySim, on every topology; workload "trace"

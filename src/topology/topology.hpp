@@ -94,7 +94,7 @@ class Topology {
 
 /// Adapter over the paper's Hypercube: out_arc(x, k) is the dimension-(k+1)
 /// arc, so greedy descent crosses the lowest required dimension first (the
-/// canonical path of §3), matching GreedyHypercubeSim step for step.  It is
+/// canonical path of §3) — the paper's greedy scheme step for step.  It is
 /// final and defined inline so the routing loops, instantiated on it
 /// through with_concrete_topology(), compile to the Hypercube arithmetic
 /// with no virtual call.

@@ -47,19 +47,6 @@ using NodeId = std::uint32_t;
   return lowest_dimension(higher);
 }
 
-/// The highest set dimension (1-based) of mask, or 0 when mask == 0.
-/// Used by the decreasing-index-order ablation of the greedy scheme.
-[[nodiscard]] constexpr int highest_dimension(NodeId mask) noexcept {
-  return mask == 0 ? 0 : 32 - std::countl_zero(mask);
-}
-
-/// The n-th (0-based) set dimension of mask, counting from the lowest.
-/// Precondition: n < popcount(mask).
-[[nodiscard]] constexpr int nth_dimension(NodeId mask, int n) noexcept {
-  for (int skip = 0; skip < n; ++skip) mask &= mask - 1u;
-  return lowest_dimension(mask);
-}
-
 /// Flip dimension m (1-based) of x: the neighbour x XOR e_m.
 [[nodiscard]] constexpr NodeId flip_dimension(NodeId x, int m) noexcept {
   return x ^ basis_node(m);

@@ -4,15 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/bounds.hpp"
-#include "routing/greedy_hypercube.hpp"
+#include "routing/topology_greedy.hpp"
+#include "topology/hypercube.hpp"
 
 namespace routesim {
 namespace {
 
-GreedyHypercubeConfig base_config(int d, double lambda, std::uint64_t seed) {
-  GreedyHypercubeConfig config;
-  config.d = d;
+TopologyRoutingConfig base_config(int d, double lambda, std::uint64_t seed) {
+  TopologyRoutingConfig config;
+  config.spec.d = d;
   config.lambda = lambda;
   config.destinations = DestinationDistribution::uniform(d);
   config.seed = seed;
@@ -23,12 +27,12 @@ TEST(ServiceOrderAblation, MeanDelayInsensitive) {
   // All three orders are work-conserving and blind to service times, so
   // the mean delay must agree (classic M/G/1 insensitivity).
   auto config = base_config(5, 1.4, 21);  // rho = 0.7
-  config.arc_service_order = ArcServiceOrder::kFifo;
-  GreedyHypercubeSim fifo(config);
-  config.arc_service_order = ArcServiceOrder::kLifo;
-  GreedyHypercubeSim lifo(config);
-  config.arc_service_order = ArcServiceOrder::kRandom;
-  GreedyHypercubeSim random(config);
+  config.service_order = ArcServiceOrder::kFifo;
+  TopologyGreedySim fifo(config);
+  config.service_order = ArcServiceOrder::kLifo;
+  TopologyGreedySim lifo(config);
+  config.service_order = ArcServiceOrder::kRandom;
+  TopologyGreedySim random(config);
   fifo.run(1000.0, 41000.0);
   lifo.run(1000.0, 41000.0);
   random.run(1000.0, 41000.0);
@@ -39,10 +43,10 @@ TEST(ServiceOrderAblation, MeanDelayInsensitive) {
 TEST(ServiceOrderAblation, LifoHasHeavierTail) {
   // LIFO trades tail for head: higher delay variance than FIFO.
   auto config = base_config(5, 1.4, 23);
-  config.arc_service_order = ArcServiceOrder::kFifo;
-  GreedyHypercubeSim fifo(config);
-  config.arc_service_order = ArcServiceOrder::kLifo;
-  GreedyHypercubeSim lifo(config);
+  config.service_order = ArcServiceOrder::kFifo;
+  TopologyGreedySim fifo(config);
+  config.service_order = ArcServiceOrder::kLifo;
+  TopologyGreedySim lifo(config);
   fifo.run(1000.0, 41000.0);
   lifo.run(1000.0, 41000.0);
   EXPECT_GT(lifo.delay().variance(), fifo.delay().variance() * 1.3);
@@ -55,10 +59,50 @@ TEST(DimensionOrderAblation, AllOrdersDeliverWithSameMeanHops) {
                            DimensionOrder::kRandomPerHop}) {
     auto config = base_config(6, 0.8, 29);
     config.dimension_order = order;
-    GreedyHypercubeSim sim(config);
+    TopologyGreedySim sim(config);
     sim.run(500.0, 20500.0);
     EXPECT_NEAR(sim.hops().mean(), 3.0, 0.05);
     EXPECT_TRUE(sim.little_check().consistent(0.03));
+  }
+}
+
+TEST(DimensionOrderAblation, FirstHopTakesTheOrderedDimension) {
+  // Every packet flips dimensions 1, 2 and 4 (x -> x ^ 0b1011), so the arc
+  // a packet starts on is exactly the order's pick: dimension 1 under
+  // increasing order, dimension 4 under decreasing, any of the three under
+  // random-per-hop.  Dimension 3 is never crossed.
+  const int d = 4;
+  const Hypercube cube(d);
+  std::vector<NodeId> table(cube.num_nodes());
+  for (NodeId x = 0; x < cube.num_nodes(); ++x) table[x] = x ^ 0b1011u;
+  const auto external_on = [&](const TopologyGreedySim& sim, int dim) {
+    std::uint64_t sum = 0;
+    for (NodeId x = 0; x < cube.num_nodes(); ++x) {
+      sum += sim.arc_counters()[cube.arc_index(x, dim)].external_arrivals;
+    }
+    return sum;
+  };
+  for (const auto order : {DimensionOrder::kIncreasing, DimensionOrder::kDecreasing,
+                           DimensionOrder::kRandomPerHop}) {
+    auto config = base_config(d, 0.2, 39);
+    config.fixed_destinations = &table;
+    config.dimension_order = order;
+    TopologyGreedySim sim(config);
+    sim.run(0.0, 2000.0);
+    const std::uint64_t first = external_on(sim, 1);
+    const std::uint64_t second = external_on(sim, 2);
+    const std::uint64_t fourth = external_on(sim, 4);
+    EXPECT_EQ(external_on(sim, 3), 0u);
+    EXPECT_GT(first + second + fourth, 1000u);
+    if (order == DimensionOrder::kIncreasing) {
+      EXPECT_EQ(second + fourth, 0u);
+    } else if (order == DimensionOrder::kDecreasing) {
+      EXPECT_EQ(first + second, 0u);
+    } else {
+      EXPECT_GT(first, 0u);
+      EXPECT_GT(second, 0u);
+      EXPECT_GT(fourth, 0u);
+    }
   }
 }
 
@@ -67,9 +111,9 @@ TEST(DimensionOrderAblation, FixedOrdersStatisticallyEquivalent) {
   // reversed dimension labels, so the delay statistics must agree.
   auto config = base_config(6, 1.4, 31);  // rho = 0.7
   config.dimension_order = DimensionOrder::kIncreasing;
-  GreedyHypercubeSim increasing(config);
+  TopologyGreedySim increasing(config);
   config.dimension_order = DimensionOrder::kDecreasing;
-  GreedyHypercubeSim decreasing(config);
+  TopologyGreedySim decreasing(config);
   increasing.run(1000.0, 31000.0);
   decreasing.run(1000.0, 31000.0);
   EXPECT_NEAR(decreasing.delay().mean() / increasing.delay().mean(), 1.0, 0.05);
@@ -81,9 +125,9 @@ TEST(DimensionOrderAblation, RandomPerHopSlightlyWorseButBounded) {
   // Prop. 12 value for these parameters.
   auto config = base_config(6, 1.4, 31);  // rho = 0.7
   config.dimension_order = DimensionOrder::kIncreasing;
-  GreedyHypercubeSim increasing(config);
+  TopologyGreedySim increasing(config);
   config.dimension_order = DimensionOrder::kRandomPerHop;
-  GreedyHypercubeSim random(config);
+  TopologyGreedySim random(config);
   increasing.run(1000.0, 31000.0);
   random.run(1000.0, 31000.0);
   EXPECT_GE(random.delay().mean(), increasing.delay().mean() * 0.99);
@@ -97,7 +141,7 @@ TEST(DimensionOrderAblation, StableNearCapacityForAllOrders) {
                            DimensionOrder::kRandomPerHop}) {
     auto config = base_config(4, 1.8, 37);  // rho = 0.9
     config.dimension_order = order;
-    GreedyHypercubeSim sim(config);
+    TopologyGreedySim sim(config);
     sim.run(2000.0, 32000.0);
     EXPECT_LT(sim.final_population(), 3.0 * 4 * 16.0 * 9.0);
   }
@@ -106,21 +150,22 @@ TEST(DimensionOrderAblation, StableNearCapacityForAllOrders) {
 TEST(FiniteBuffers, NoDropsWhenBuffersAmple) {
   auto config = base_config(5, 1.0, 41);  // rho = 0.5
   config.buffer_capacity = 200;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(500.0, 20500.0);
-  EXPECT_EQ(sim.drops_in_window(), 0u);
+  EXPECT_EQ(sim.kernel_stats().drops_in_window(), 0u);
 }
 
 TEST(FiniteBuffers, TinyBuffersDropUnderLoad) {
   auto config = base_config(5, 1.8, 43);  // rho = 0.9
   config.buffer_capacity = 2;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(500.0, 20500.0);
-  EXPECT_GT(sim.drops_in_window(), 100u);
+  EXPECT_GT(sim.kernel_stats().drops_in_window(), 100u);
   // Conservation: every injected packet is eventually delivered, dropped
   // or still in flight; loss rate strictly below 1.
-  const double loss = static_cast<double>(sim.drops_in_window()) /
-                      static_cast<double>(sim.arrivals_in_window());
+  const KernelStats& stats = sim.kernel_stats();
+  const double loss = static_cast<double>(stats.drops_in_window()) /
+                      static_cast<double>(stats.arrivals_in_window());
   EXPECT_GT(loss, 0.001);
   EXPECT_LT(loss, 0.5);
 }
@@ -130,10 +175,11 @@ TEST(FiniteBuffers, LossRateDecreasesWithCapacity) {
   for (const std::uint32_t capacity : {1u, 2u, 4u, 8u, 16u}) {
     auto config = base_config(4, 1.6, 47);  // rho = 0.8
     config.buffer_capacity = capacity;
-    GreedyHypercubeSim sim(config);
+    TopologyGreedySim sim(config);
     sim.run(500.0, 40500.0);
-    const double loss = static_cast<double>(sim.drops_in_window()) /
-                        static_cast<double>(sim.arrivals_in_window());
+    const KernelStats& stats = sim.kernel_stats();
+    const double loss = static_cast<double>(stats.drops_in_window()) /
+                        static_cast<double>(stats.arrivals_in_window());
     EXPECT_LE(loss, previous_loss + 1e-6) << "capacity " << capacity;
     previous_loss = loss;
   }
@@ -144,7 +190,7 @@ TEST(FiniteBuffers, OccupancyNeverExceedsCapacity) {
   auto config = base_config(4, 1.8, 53);
   config.buffer_capacity = 3;
   config.track_node_occupancy = true;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(500.0, 10500.0);
   // Each node has d out-arcs of capacity 3 each.
   EXPECT_LE(sim.max_node_occupancy(), 3.0 * 4.0 + 1e-9);

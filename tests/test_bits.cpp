@@ -63,32 +63,6 @@ TEST(Bits, NextDimensionAfterSkipsLowBits) {
   EXPECT_EQ(next_dimension_after(mask, 5), 0);
 }
 
-TEST(Bits, HighestDimensionFindsLastSetBit) {
-  EXPECT_EQ(highest_dimension(0), 0);
-  EXPECT_EQ(highest_dimension(0b0001), 1);
-  EXPECT_EQ(highest_dimension(0b0110), 3);
-  EXPECT_EQ(highest_dimension(0b1000), 4);
-  EXPECT_EQ(highest_dimension(0xFFFFFFFFu), 32);
-}
-
-TEST(Bits, NthDimensionEnumeratesSetBits) {
-  const NodeId mask = 0b101101;  // dimensions 1, 3, 4, 6
-  EXPECT_EQ(nth_dimension(mask, 0), 1);
-  EXPECT_EQ(nth_dimension(mask, 1), 3);
-  EXPECT_EQ(nth_dimension(mask, 2), 4);
-  EXPECT_EQ(nth_dimension(mask, 3), 6);
-}
-
-TEST(Bits, NthDimensionCoversAllBitsExactlyOnce) {
-  const NodeId mask = 0b11010110;
-  const int bits = std::popcount(mask);
-  NodeId reconstructed = 0;
-  for (int n = 0; n < bits; ++n) {
-    reconstructed |= basis_node(nth_dimension(mask, n));
-  }
-  EXPECT_EQ(reconstructed, mask);
-}
-
 TEST(Bits, FlipDimensionIsInvolution) {
   const NodeId x = 0b1100;
   for (int m = 1; m <= 4; ++m) {

@@ -76,6 +76,17 @@ TEST(Deflection, ConfigValidation) {
   config.spec.d = 5;
   config.destinations = DestinationDistribution::uniform(4);
   EXPECT_THROW(DeflectionSim sim(config), ContractViolation);
+
+  // The greedy-only knobs are rejected, not silently ignored.
+  TopologyRoutingConfig lifo = make_config(4, 0.2, 0.5, 1);
+  lifo.service_order = ArcServiceOrder::kLifo;
+  EXPECT_THROW(DeflectionSim sim(lifo), ContractViolation);
+  TopologyRoutingConfig decreasing = make_config(4, 0.2, 0.5, 1);
+  decreasing.dimension_order = DimensionOrder::kDecreasing;
+  EXPECT_THROW(DeflectionSim sim(decreasing), ContractViolation);
+  TopologyRoutingConfig soa = make_config(4, 0.2, 0.5, 1);
+  soa.backend = KernelBackend::kSoaBatch;
+  EXPECT_THROW(DeflectionSim sim(soa), ContractViolation);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 
 #include <cmath>
 
-#include "routing/greedy_hypercube.hpp"
+#include "routing/topology_greedy.hpp"
 #include "util/assert.hpp"
 
 namespace routesim {
@@ -117,12 +117,12 @@ TEST(NetworkQ, AgreesWithPacketLevelSimulator) {
   LevelledNetwork net(make_hypercube_network_q(d, lambda, p, Discipline::kFifo, 13));
   net.run(warmup, horizon);
 
-  GreedyHypercubeConfig cube_cfg;
-  cube_cfg.d = d;
+  TopologyRoutingConfig cube_cfg;
+  cube_cfg.spec.d = d;
   cube_cfg.lambda = lambda;
   cube_cfg.destinations = DestinationDistribution::bit_flip(d, p);
   cube_cfg.seed = 13;
-  GreedyHypercubeSim cube(cube_cfg);
+  TopologyGreedySim cube(cube_cfg);
   cube.run(warmup, horizon);
 
   EXPECT_NEAR(net.time_avg_population() / cube.time_avg_population(), 1.0, 0.05);

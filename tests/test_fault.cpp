@@ -14,7 +14,7 @@
 
 #include "core/scenario.hpp"
 #include "routing/greedy_butterfly.hpp"
-#include "routing/greedy_hypercube.hpp"
+#include "routing/topology_greedy.hpp"
 #include "topology/hypercube.hpp"
 #include "util/assert.hpp"
 
@@ -321,8 +321,8 @@ bool surviving_graph_strongly_connected(const Hypercube& cube,
 }
 
 TEST(FaultResilience, SkipDimDeliversEverythingOnConnectedSurvivingGraph) {
-  GreedyHypercubeConfig config;
-  config.d = 4;
+  TopologyRoutingConfig config;
+  config.spec.d = 4;
   config.lambda = 0.5;
   config.destinations = DestinationDistribution::uniform(4);
   config.fault_policy = FaultPolicy::kSkipDim;
@@ -331,8 +331,9 @@ TEST(FaultResilience, SkipDimDeliversEverythingOnConnectedSurvivingGraph) {
   bool tested_connected = false;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     config.seed = seed;
-    GreedyHypercubeSim sim(config);
-    if (!surviving_graph_strongly_connected(sim.topology(), sim.fault_model())) {
+    TopologyGreedySim sim(config);
+    if (!surviving_graph_strongly_connected(Hypercube(4),
+                                            sim.fault_model())) {
       continue;
     }
     ASSERT_GT(sim.fault_model().faulty_arc_count(), 0u);
@@ -340,13 +341,14 @@ TEST(FaultResilience, SkipDimDeliversEverythingOnConnectedSurvivingGraph) {
     sim.run(0.0, 400.0);
     // Connectivity guarantees a live out-arc everywhere, so nothing is
     // ever dropped; every arrival is delivered or still in flight.
-    EXPECT_EQ(sim.fault_drops_in_window(), 0u) << "seed " << seed;
-    EXPECT_EQ(static_cast<double>(sim.arrivals_in_window()),
-              static_cast<double>(sim.deliveries_in_window()) +
+    const KernelStats& stats = sim.kernel_stats();
+    EXPECT_EQ(stats.fault_drops_in_window(), 0u) << "seed " << seed;
+    EXPECT_EQ(static_cast<double>(stats.arrivals_in_window()),
+              static_cast<double>(stats.deliveries_in_window()) +
                   sim.final_population())
         << "seed " << seed;
-    EXPECT_EQ(sim.delivery_ratio(), 1.0) << "seed " << seed;
-    EXPECT_GE(sim.mean_stretch(), 1.0) << "seed " << seed;
+    EXPECT_EQ(stats.delivery_ratio(), 1.0) << "seed " << seed;
+    EXPECT_GE(stats.mean_stretch(), 1.0) << "seed " << seed;
   }
   ASSERT_TRUE(tested_connected)
       << "no seed in 1..12 produced a connected surviving graph";

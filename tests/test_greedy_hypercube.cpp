@@ -2,7 +2,7 @@
 // correctness, degenerate cases with exact answers, statistical agreement
 // with theory, and Little's-law self consistency.
 
-#include "routing/greedy_hypercube.hpp"
+#include "routing/topology_greedy.hpp"
 
 #include <gtest/gtest.h>
 
@@ -14,9 +14,10 @@
 namespace routesim {
 namespace {
 
-GreedyHypercubeConfig make_config(int d, double lambda, double p, std::uint64_t seed) {
-  GreedyHypercubeConfig config;
-  config.d = d;
+TopologyRoutingConfig make_config(int d, double lambda, double p,
+                                  std::uint64_t seed) {
+  TopologyRoutingConfig config;
+  config.spec.d = d;
   config.lambda = lambda;
   config.destinations = DestinationDistribution::bit_flip(d, p);
   config.seed = seed;
@@ -31,11 +32,11 @@ TEST(GreedyHypercube, SinglePacketTraversesHammingDistance) {
   trace.rate_per_node = 0.0;
   trace.packets = {TracedPacket{1.0, 0b0000, 0b1011}};
 
-  GreedyHypercubeConfig config;
-  config.d = 4;
+  TopologyRoutingConfig config;
+  config.spec.d = 4;
   config.destinations = DestinationDistribution::uniform(4);
   config.trace = &trace;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(0.0, 100.0);
   EXPECT_EQ(sim.delay().count(), 1u);
   EXPECT_DOUBLE_EQ(sim.delay().mean(), 3.0);
@@ -46,11 +47,11 @@ TEST(GreedyHypercube, SelfAddressedPacketHasZeroDelay) {
   PacketTrace trace;
   trace.dimension = 3;
   trace.packets = {TracedPacket{2.0, 5, 5}};
-  GreedyHypercubeConfig config;
-  config.d = 3;
+  TopologyRoutingConfig config;
+  config.spec.d = 3;
   config.destinations = DestinationDistribution::uniform(3);
   config.trace = &trace;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(0.0, 10.0);
   EXPECT_EQ(sim.delay().count(), 1u);
   EXPECT_DOUBLE_EQ(sim.delay().mean(), 0.0);
@@ -64,11 +65,11 @@ TEST(GreedyHypercube, ContentionSerialisesFifo) {
   trace.dimension = 3;
   trace.packets = {TracedPacket{0.0, 0b000, 0b001},
                    TracedPacket{0.0, 0b000, 0b011}};
-  GreedyHypercubeConfig config;
-  config.d = 3;
+  TopologyRoutingConfig config;
+  config.spec.d = 3;
   config.destinations = DestinationDistribution::uniform(3);
   config.trace = &trace;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(0.0, 10.0);
   EXPECT_EQ(sim.delay().count(), 2u);
   // First: 1 hop at t=1 (delay 1).  Second: waits 1, then 2 hops (delay 3).
@@ -79,7 +80,7 @@ TEST(GreedyHypercube, ContentionSerialisesFifo) {
 TEST(GreedyHypercube, DelayNeverBelowHammingDistance) {
   auto config = make_config(5, 0.8, 0.5, 17);
   config.track_delay_histogram = true;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(100.0, 5100.0);
   // Mean delay >= mean hops always (each hop costs >= 1).
   EXPECT_GE(sim.delay().mean(), sim.hops().mean() - 1e-12);
@@ -88,14 +89,14 @@ TEST(GreedyHypercube, DelayNeverBelowHammingDistance) {
 
 TEST(GreedyHypercube, MeanHopsIsDp) {
   const auto config = make_config(8, 0.5, 0.3, 23);
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(200.0, 20200.0);
   EXPECT_NEAR(sim.hops().mean(), 8 * 0.3, 0.05);
 }
 
 TEST(GreedyHypercube, LittleLawSelfConsistency) {
   const auto config = make_config(6, 1.0, 0.5, 31);
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(500.0, 40500.0);
   EXPECT_TRUE(sim.little_check().consistent(0.03))
       << "relative error " << sim.little_check().relative_error();
@@ -103,7 +104,7 @@ TEST(GreedyHypercube, LittleLawSelfConsistency) {
 
 TEST(GreedyHypercube, ThroughputMatchesOfferedLoadWhenStable) {
   const auto config = make_config(6, 1.2, 0.5, 37);  // rho = 0.6
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(500.0, 20500.0);
   const double offered = 1.2 * 64.0;
   EXPECT_NEAR(sim.throughput() / offered, 1.0, 0.03);
@@ -113,7 +114,7 @@ TEST(GreedyHypercube, DelayWithinPaperBounds) {
   // rho = 0.6, d = 7: Prop. 13 <= T <= Prop. 12 with generous margins.
   bounds::HypercubeParams params{7, 1.2, 0.5};
   const auto config = make_config(7, 1.2, 0.5, 41);
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(1000.0, 61000.0);
   EXPECT_GE(sim.delay().mean(), bounds::greedy_delay_lower_bound(params) * 0.98);
   EXPECT_LE(sim.delay().mean(), bounds::greedy_delay_upper_bound(params) * 1.02);
@@ -124,7 +125,7 @@ TEST(GreedyHypercube, ExactDelayAtPEqualsOne) {
   const int d = 6;
   const double lambda = 0.7;
   const auto config = make_config(d, lambda, 1.0, 43);
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(1000.0, 101000.0);
   EXPECT_NEAR(sim.delay().mean(), bounds::greedy_delay_exact_p1(d, lambda), 0.05);
 }
@@ -132,7 +133,7 @@ TEST(GreedyHypercube, ExactDelayAtPEqualsOne) {
 TEST(GreedyHypercube, ZeroFlipTrafficDeliversInstantly) {
   // p = 0: every packet is self-addressed; delay identically 0.
   const auto config = make_config(5, 0.9, 0.0, 47);
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(10.0, 1010.0);
   EXPECT_GT(sim.delay().count(), 0u);
   EXPECT_DOUBLE_EQ(sim.delay().mean(), 0.0);
@@ -141,7 +142,7 @@ TEST(GreedyHypercube, ZeroFlipTrafficDeliversInstantly) {
 
 TEST(GreedyHypercube, DeterministicForSeed) {
   const auto config = make_config(5, 0.8, 0.5, 53);
-  GreedyHypercubeSim a(config), b(config);
+  TopologyGreedySim a(config), b(config);
   a.run(100.0, 2100.0);
   b.run(100.0, 2100.0);
   EXPECT_EQ(a.delay().count(), b.delay().count());
@@ -152,11 +153,11 @@ TEST(GreedyHypercube, DeterministicForSeed) {
 TEST(GreedyHypercube, TraceReplayIsCoupledAcrossInstances) {
   const auto dist = DestinationDistribution::uniform(4);
   const auto trace = generate_hypercube_trace(4, 0.8, dist, 2000.0, 59);
-  GreedyHypercubeConfig config;
-  config.d = 4;
+  TopologyRoutingConfig config;
+  config.spec.d = 4;
   config.destinations = dist;
   config.trace = &trace;
-  GreedyHypercubeSim a(config), b(config);
+  TopologyGreedySim a(config), b(config);
   a.run(0.0, 2000.0);
   b.run(0.0, 2000.0);
   EXPECT_DOUBLE_EQ(a.delay().mean(), b.delay().mean());
@@ -165,9 +166,9 @@ TEST(GreedyHypercube, TraceReplayIsCoupledAcrossInstances) {
 TEST(GreedyHypercube, NodeOccupancyTracking) {
   auto config = make_config(4, 1.0, 0.5, 61);  // rho = 0.5
   config.track_node_occupancy = true;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(500.0, 10500.0);
-  const auto& occupancy = sim.node_mean_occupancy();
+  const auto& occupancy = sim.kernel_stats().occupancy_means();
   ASSERT_EQ(occupancy.size(), 16u);
   // Mean per-node occupancy is bounded by d*rho/(1-rho) = 4 (Prop. 12 note);
   // it is also strictly positive under load.
@@ -181,32 +182,40 @@ TEST(GreedyHypercube, NodeOccupancyTracking) {
 TEST(GreedyHypercube, HistogramQuantilesBracketMean) {
   auto config = make_config(5, 1.0, 0.5, 67);
   config.track_delay_histogram = true;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(200.0, 10200.0);
-  ASSERT_TRUE(sim.delay_histogram().has_value());
-  const auto& histogram = *sim.delay_histogram();
+  ASSERT_TRUE(sim.kernel_stats().delay_histogram().has_value());
+  const auto& histogram = *sim.kernel_stats().delay_histogram();
   EXPECT_EQ(histogram.count(), sim.delay().count());
   EXPECT_LE(histogram.quantile(0.25), sim.delay().mean());
   EXPECT_GE(histogram.quantile(0.99), sim.delay().mean());
 }
 
 TEST(GreedyHypercube, ConfigValidation) {
-  GreedyHypercubeConfig config;
-  config.d = 5;
+  TopologyRoutingConfig config;
+  config.spec.d = 5;
   config.destinations = DestinationDistribution::uniform(4);  // mismatch
-  EXPECT_THROW(GreedyHypercubeSim sim(config), ContractViolation);
+  EXPECT_THROW(TopologyGreedySim sim(config), ContractViolation);
 
-  GreedyHypercubeConfig bad_slot;
-  bad_slot.d = 4;
+  TopologyRoutingConfig bad_slot;
+  bad_slot.spec.d = 4;
   bad_slot.destinations = DestinationDistribution::uniform(4);
   bad_slot.slot = 0.3;  // 1/0.3 not an integer
-  EXPECT_THROW(GreedyHypercubeSim sim(bad_slot), ContractViolation);
+  EXPECT_THROW(TopologyGreedySim sim(bad_slot), ContractViolation);
 
-  GreedyHypercubeConfig bad_rate;
-  bad_rate.d = 4;
+  TopologyRoutingConfig bad_rate;
+  bad_rate.spec.d = 4;
   bad_rate.destinations = DestinationDistribution::uniform(4);
   bad_rate.lambda = 0.0;
-  EXPECT_THROW(GreedyHypercubeSim sim(bad_rate), ContractViolation);
+  EXPECT_THROW(TopologyGreedySim sim(bad_rate), ContractViolation);
+
+  // A trace recorded on the 5-cube would replay nodes the 4-cube lacks.
+  const auto trace = generate_hypercube_trace(
+      5, 0.2, DestinationDistribution::uniform(5), 50.0, 7);
+  TopologyRoutingConfig bad_trace;
+  bad_trace.spec.d = 4;
+  bad_trace.trace = &trace;
+  EXPECT_THROW(TopologyGreedySim sim(bad_trace), ContractViolation);
 }
 
 // Property sweep: delay stays within the paper's brackets across loads.
@@ -218,7 +227,7 @@ TEST_P(DelayBracketProperty, SimulatedDelayWithinPropositions) {
   const double p = 0.5;
   bounds::HypercubeParams params{d, rho / p, p};
   auto config = make_config(d, rho / p, p, 1000 + static_cast<std::uint64_t>(rho * 100));
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   const double horizon = 2000.0 + 30000.0 / (1.0 - rho);
   sim.run(500.0 + 10.0 / ((1 - rho) * (1 - rho)), horizon);
   EXPECT_GE(sim.delay().mean(), bounds::greedy_delay_lower_bound(params) * 0.97);

@@ -16,7 +16,7 @@
 #include "core/campaign.hpp"
 #include "core/scenario.hpp"
 #include "routing/greedy_butterfly.hpp"
-#include "routing/greedy_hypercube.hpp"
+#include "routing/topology_greedy.hpp"
 #include "workload/permutation.hpp"
 
 namespace routesim {
@@ -24,34 +24,34 @@ namespace {
 
 // The full observable surface of a hypercube run, harvested into one
 // vector so a single EXPECT_EQ sweep compares every metric exactly.
-std::vector<double> harvest(const GreedyHypercubeSim& sim) {
+std::vector<double> harvest(const TopologyGreedySim& sim) {
   return {sim.delay().mean(),
           sim.delay().max(),
           sim.hops().mean(),
           sim.time_avg_population(),
-          sim.peak_population(),
+          sim.kernel_stats().peak_population(),
           sim.final_population(),
-          static_cast<double>(sim.deliveries_in_window()),
-          static_cast<double>(sim.arrivals_in_window()),
+          static_cast<double>(sim.kernel_stats().deliveries_in_window()),
+          static_cast<double>(sim.kernel_stats().arrivals_in_window()),
           sim.throughput(),
           sim.little_check().relative_error(),
-          static_cast<double>(sim.drops_in_window()),
-          static_cast<double>(sim.fault_drops_in_window()),
-          sim.delivery_ratio(),
-          sim.mean_stretch(),
+          static_cast<double>(sim.kernel_stats().drops_in_window()),
+          static_cast<double>(sim.kernel_stats().fault_drops_in_window()),
+          sim.kernel_stats().delivery_ratio(),
+          sim.kernel_stats().mean_stretch(),
           static_cast<double>(sim.arc_counters()[3].total_arrivals),
           static_cast<double>(sim.arc_counters()[3].external_arrivals)};
 }
 
-void expect_equal_runs(const GreedyHypercubeConfig& base, double warmup,
+void expect_equal_runs(const TopologyRoutingConfig& base, double warmup,
                        double horizon) {
-  GreedyHypercubeConfig config = base;
+  TopologyRoutingConfig config = base;
   config.backend = KernelBackend::kScalar;
-  GreedyHypercubeSim scalar_sim(config);
+  TopologyGreedySim scalar_sim(config);
   scalar_sim.run(warmup, horizon);
 
   config.backend = KernelBackend::kSoaBatch;
-  GreedyHypercubeSim soa_sim(config);
+  TopologyGreedySim soa_sim(config);
   soa_sim.run(warmup, horizon);
 
   const auto scalar_metrics = harvest(scalar_sim);
@@ -63,8 +63,8 @@ void expect_equal_runs(const GreedyHypercubeConfig& base, double warmup,
 }
 
 TEST(KernelBackend, HypercubeSlottedMatchesScalarExactly) {
-  GreedyHypercubeConfig config;
-  config.d = 6;
+  TopologyRoutingConfig config;
+  config.spec.d = 6;
   config.lambda = 1.1;
   config.destinations = DestinationDistribution::uniform(6);
   config.seed = 31;
@@ -76,8 +76,8 @@ TEST(KernelBackend, HypercubeSlottedMatchesScalarExactly) {
 // *between* completions and the completion times land exactly on tick
 // boundaries — the tie the services-before-slot ordering proof is about.
 TEST(KernelBackend, HypercubeTickBoundaryTauMatchesScalarExactly) {
-  GreedyHypercubeConfig config;
-  config.d = 5;
+  TopologyRoutingConfig config;
+  config.spec.d = 5;
   config.lambda = 0.8;
   config.destinations = DestinationDistribution::bit_flip(5, 0.5);
   config.seed = 77;
@@ -87,8 +87,8 @@ TEST(KernelBackend, HypercubeTickBoundaryTauMatchesScalarExactly) {
 
 TEST(KernelBackend, HypercubeFixedDestinationsMatchesScalarExactly) {
   const Permutation perm = Permutation::bit_reversal(6);
-  GreedyHypercubeConfig config;
-  config.d = 6;
+  TopologyRoutingConfig config;
+  config.spec.d = 6;
   config.lambda = 0.25;
   config.destinations = DestinationDistribution::uniform(6);
   config.fixed_destinations = &perm.table();
@@ -101,8 +101,8 @@ TEST(KernelBackend, HypercubeFixedDestinationsMatchesScalarExactly) {
 // every hop; finite buffers drop at enqueue.  Both paths must consume the
 // same randomness and count the same drops under either backend.
 TEST(KernelBackend, HypercubeStaticFaultsAndFiniteBuffersMatchScalarExactly) {
-  GreedyHypercubeConfig config;
-  config.d = 6;
+  TopologyRoutingConfig config;
+  config.spec.d = 6;
   config.lambda = 1.0;
   config.destinations = DestinationDistribution::uniform(6);
   config.seed = 55;
@@ -118,8 +118,8 @@ TEST(KernelBackend, HypercubeStaticFaultsAndFiniteBuffersMatchScalarExactly) {
 // trackers — must fill identically: same bins, same quantiles, same
 // time-weighted occupancy averages.
 TEST(KernelBackend, StatsHarvestMatchesScalarExactly) {
-  GreedyHypercubeConfig config;
-  config.d = 6;
+  TopologyRoutingConfig config;
+  config.spec.d = 6;
   config.lambda = 1.2;
   config.destinations = DestinationDistribution::uniform(6);
   config.seed = 8;
@@ -128,20 +128,20 @@ TEST(KernelBackend, StatsHarvestMatchesScalarExactly) {
   config.track_delay_histogram = true;
 
   config.backend = KernelBackend::kScalar;
-  GreedyHypercubeSim scalar_sim(config);
+  TopologyGreedySim scalar_sim(config);
   scalar_sim.run(40.0, 440.0);
   config.backend = KernelBackend::kSoaBatch;
-  GreedyHypercubeSim soa_sim(config);
+  TopologyGreedySim soa_sim(config);
   soa_sim.run(40.0, 440.0);
 
-  ASSERT_TRUE(scalar_sim.delay_histogram().has_value());
-  ASSERT_TRUE(soa_sim.delay_histogram().has_value());
+  ASSERT_TRUE(scalar_sim.kernel_stats().delay_histogram().has_value());
+  ASSERT_TRUE(soa_sim.kernel_stats().delay_histogram().has_value());
   for (const double q : {0.5, 0.9, 0.99}) {
-    EXPECT_EQ(scalar_sim.delay_histogram()->quantile(q),
-              soa_sim.delay_histogram()->quantile(q));
+    EXPECT_EQ(scalar_sim.kernel_stats().delay_histogram()->quantile(q),
+              soa_sim.kernel_stats().delay_histogram()->quantile(q));
   }
-  const auto& scalar_occupancy = scalar_sim.node_mean_occupancy();
-  const auto& soa_occupancy = soa_sim.node_mean_occupancy();
+  const auto& scalar_occupancy = scalar_sim.kernel_stats().occupancy_means();
+  const auto& soa_occupancy = soa_sim.kernel_stats().occupancy_means();
   ASSERT_EQ(scalar_occupancy.size(), soa_occupancy.size());
   for (std::size_t node = 0; node < scalar_occupancy.size(); ++node) {
     EXPECT_EQ(scalar_occupancy[node], soa_occupancy[node]) << "node " << node;
@@ -185,6 +185,77 @@ TEST(KernelBackend, ButterflySlottedMatchesScalarExactly) {
   for (std::size_t level = 0; level < scalar_levels.size(); ++level) {
     EXPECT_EQ(scalar_levels[level], soa_levels[level]) << "level " << level;
   }
+}
+
+// The batch wheel reuses its slots in place: after a long drive the item
+// storage it keeps is bounded by (live batches) x (arcs), not by the number
+// of ticks driven.  A minimal policy walks every packet over a few arcs
+// so the driver sees heavy slotted traffic without any routing logic.
+TEST(KernelBackend, BatchWheelStorageIsIndependentOfHorizon) {
+  struct HopPolicy {
+    SlottedBatchDriver& batch;
+    std::uint32_t num_arcs;
+    void spawn(double now) {
+      batch.count_arrival(now);
+      SoaPacketStore& store = batch.store();
+      const std::uint32_t pkt = store.allocate();
+      store.gen_time[pkt] = now;
+      store.hops[pkt] = 0;
+      const auto arc =
+          static_cast<std::uint32_t>(batch.rng().uniform_below(num_arcs));
+      batch.enqueue(now, arc, pkt, /*external=*/true);
+    }
+    void route_batch(double, const std::uint32_t* arcs,
+                     const std::uint32_t* pkts, std::uint32_t* next,
+                     std::size_t n) {
+      SoaPacketStore& store = batch.store();
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint16_t hops = ++store.hops[pkts[i]];
+        next[i] = hops == 6 ? SlottedBatchDriver::kDeliver
+                            : (arcs[i] * 7 + 1) % num_arcs;
+      }
+    }
+    void complete(double now, std::uint32_t pkt, std::uint32_t next) {
+      SoaPacketStore& store = batch.store();
+      if (next == SlottedBatchDriver::kDeliver) {
+        batch.deliver(now, pkt, store.gen_time[pkt], store.hops[pkt]);
+        return;
+      }
+      batch.enqueue(now, next, pkt, /*external=*/false);
+    }
+    [[nodiscard]] std::size_t finish_tracker(std::uint32_t) const {
+      return kNoTracker;
+    }
+  };
+  const std::uint32_t num_arcs = 6 * 64;  // the arcs of the 6-cube
+  const double slot = 1.0;
+  const auto retained = [&](double horizon) {
+    Rng rng(5);
+    KernelStats stats;
+    std::vector<ArcCounters> counters(num_arcs);
+    SlottedBatchContext ctx;
+    ctx.num_arcs = num_arcs;
+    ctx.birth_rate = 0.9 * num_arcs / 6.0;  // per-arc load 0.9
+    ctx.slot = slot;
+    ctx.rng = &rng;
+    ctx.stats = &stats;
+    ctx.arc_counters = &counters;
+    SlottedBatchDriver driver;
+    driver.configure(ctx);
+    HopPolicy policy{driver, num_arcs};
+    driver.drive(policy, 0.0, horizon);
+    EXPECT_GT(stats.deliveries_in_window(), 0u);
+    return driver.retained_batch_capacity();
+  };
+  const std::size_t short_run = retained(200.0);
+  const std::size_t long_run = retained(2000.0);
+  // At most 1/slot + 2 batches are ever live, each of at most num_arcs
+  // items; vector growth can double a slot's capacity past that.
+  const std::size_t bound = 2 * (static_cast<std::size_t>(1.0 / slot) + 2) *
+                            static_cast<std::size_t>(num_arcs);
+  EXPECT_LE(short_run, bound);
+  EXPECT_LE(long_run, bound);
+  EXPECT_LE(long_run, short_run + num_arcs);
 }
 
 // The registry path: a full replicated run() must produce the identical

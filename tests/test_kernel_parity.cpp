@@ -18,7 +18,6 @@
 #include "queueing/levelled_network.hpp"
 #include "routing/deflection.hpp"
 #include "routing/greedy_butterfly.hpp"
-#include "routing/greedy_hypercube.hpp"
 #include "routing/multicast.hpp"
 #include "routing/pipelined_baseline.hpp"
 #include "routing/topology_greedy.hpp"
@@ -37,8 +36,8 @@ namespace {
 obs::TraceSession g_parity_trace_session;
 obs::ThreadTraceScope g_parity_trace_scope(&g_parity_trace_session);
 
-/// The topology-parametric config on the paper's d-cube: the Valiant,
-/// deflection and generic-greedy pins below run through it.
+/// The topology-parametric config on the paper's d-cube: the greedy,
+/// Valiant and deflection pins below run through it.
 TopologyRoutingConfig cube_config(int d, double lambda,
                                   const DestinationDistribution& destinations,
                                   std::uint64_t seed) {
@@ -59,26 +58,25 @@ void expect_exact(const std::vector<double>& actual,
 }
 
 TEST(KernelParity, HypercubeContinuousWithOccupancyAndHistogram) {
-  GreedyHypercubeConfig config;
-  config.d = 6;
-  config.lambda = 1.0;
-  config.destinations = DestinationDistribution::uniform(6);
-  config.seed = 42;
+  TopologyRoutingConfig config =
+      cube_config(6, 1.0, DestinationDistribution::uniform(6), 42);
   config.track_node_occupancy = true;
   config.track_delay_histogram = true;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(50.0, 550.0);
+  const KernelStats& stats = sim.kernel_stats();
   expect_exact(
       {sim.delay().mean(), sim.delay().max(), sim.hops().mean(),
-       sim.time_avg_population(), sim.peak_population(), sim.final_population(),
-       static_cast<double>(sim.deliveries_in_window()),
-       static_cast<double>(sim.arrivals_in_window()), sim.throughput(),
+       sim.time_avg_population(), stats.peak_population(),
+       sim.final_population(),
+       static_cast<double>(stats.deliveries_in_window()),
+       static_cast<double>(stats.arrivals_in_window()), sim.throughput(),
        sim.little_check().relative_error(),
        static_cast<double>(sim.arc_counters()[3].total_arrivals),
        static_cast<double>(sim.arc_counters()[3].external_arrivals),
-       sim.node_mean_occupancy()[5], sim.max_node_occupancy(),
-       static_cast<double>(sim.delay_histogram()->bin_count(4)),
-       sim.delay_histogram()->quantile(0.9)},
+       stats.occupancy_means()[5], sim.max_node_occupancy(),
+       static_cast<double>(stats.delay_histogram()->bin_count(4)),
+       stats.delay_histogram()->quantile(0.9)},
       {0x1.0c056af905f04p+2, 0x1.61f6bf533987p+4, 0x1.7ed650aa79378p+1,
        0x1.0d5c078f36224p+8, 0x1.5p+8, 0x1.2ap+8, 0x1.f11p+14, 0x1.f5b8p+14,
        0x1.fcfdf3b645a1dp+5, 0x1.95d562f44e424p-10, 0x1.aep+7, 0x1.aep+7,
@@ -86,18 +84,15 @@ TEST(KernelParity, HypercubeContinuousWithOccupancyAndHistogram) {
 }
 
 TEST(KernelParity, HypercubeSlotted) {
-  GreedyHypercubeConfig config;
-  config.d = 5;
-  config.lambda = 0.9;
-  config.destinations = DestinationDistribution::bit_flip(5, 0.4);
-  config.seed = 3;
+  TopologyRoutingConfig config =
+      cube_config(5, 0.9, DestinationDistribution::bit_flip(5, 0.4), 3);
   config.slot = 0.5;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(40.0, 540.0);
   expect_exact(
       {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
        sim.throughput(), sim.final_population(),
-       static_cast<double>(sim.deliveries_in_window())},
+       static_cast<double>(sim.kernel_stats().deliveries_in_window())},
       {0x1.3c437449e7e1ep+1, 0x1.fdebd231b667p+0, 0x1.1bbe76c8b4396p+6,
        0x1.c91eb851eb852p+4, 0x1.0cp+6, 0x1.be68p+13});
 }
@@ -105,36 +100,31 @@ TEST(KernelParity, HypercubeSlotted) {
 TEST(KernelParity, HypercubeTraceReplay) {
   const auto dist = DestinationDistribution::uniform(5);
   const PacketTrace trace = generate_hypercube_trace(5, 0.8, dist, 400.0, 21);
-  GreedyHypercubeConfig config;
-  config.d = 5;
-  config.lambda = 0.8;
-  config.destinations = dist;
-  config.seed = 21;
+  TopologyRoutingConfig config = cube_config(5, 0.8, dist, 21);
   config.trace = &trace;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(30.0, 400.0);
   expect_exact(
       {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
-       sim.throughput(), static_cast<double>(sim.deliveries_in_window())},
+       sim.throughput(),
+       static_cast<double>(sim.kernel_stats().deliveries_in_window())},
       {0x1.929c3188bd2c9p+1, 0x1.3ea22856622e5p+1, 0x1.46ee3527959f8p+6,
        0x1.9b1d0f38bc31dp+4, 0x1.2918p+13});
 }
 
 TEST(KernelParity, HypercubeAblationsLifoRandomOrderFiniteBuffers) {
-  GreedyHypercubeConfig config;
-  config.d = 5;
-  config.lambda = 1.2;
-  config.destinations = DestinationDistribution::uniform(5);
-  config.seed = 8;
-  config.arc_service_order = ArcServiceOrder::kLifo;
+  TopologyRoutingConfig config =
+      cube_config(5, 1.2, DestinationDistribution::uniform(5), 8);
+  config.service_order = ArcServiceOrder::kLifo;
   config.dimension_order = DimensionOrder::kRandomPerHop;
   config.buffer_capacity = 3;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(25.0, 525.0);
   expect_exact(
       {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
-       sim.throughput(), static_cast<double>(sim.drops_in_window()),
-       static_cast<double>(sim.deliveries_in_window())},
+       sim.throughput(),
+       static_cast<double>(sim.kernel_stats().drops_in_window()),
+       static_cast<double>(sim.kernel_stats().deliveries_in_window())},
       {0x1.be6b8eba40477p+1, 0x1.3a285d7a285c2p+1, 0x1.fbc3226e1762fp+6,
        0x1.15a1cac083127p+5, 0x1.a54p+10, 0x1.0f2p+14});
 }
@@ -282,55 +272,50 @@ TEST(KernelParity, NetworkQFifoAndPs) {
 // to the pristine pins above — same event order, same RNG consumption,
 // same floating-point arithmetic.
 TEST(KernelParity, HypercubeFaultPathAtZeroRateIsBitIdentical) {
-  GreedyHypercubeConfig config;
-  config.d = 6;
-  config.lambda = 1.0;
-  config.destinations = DestinationDistribution::uniform(6);
-  config.seed = 42;
+  TopologyRoutingConfig config =
+      cube_config(6, 1.0, DestinationDistribution::uniform(6), 42);
   config.track_node_occupancy = true;
   config.track_delay_histogram = true;
   for (const FaultPolicy policy :
        {FaultPolicy::kDrop, FaultPolicy::kSkipDim, FaultPolicy::kDeflect,
         FaultPolicy::kAdaptive}) {
     config.fault_policy = policy;  // all rates zero: nothing is ever down
-    GreedyHypercubeSim sim(config);
+    TopologyGreedySim sim(config);
     sim.run(50.0, 550.0);
+    const KernelStats& stats = sim.kernel_stats();
     expect_exact(
         {sim.delay().mean(), sim.delay().max(), sim.hops().mean(),
-         sim.time_avg_population(), sim.peak_population(),
+         sim.time_avg_population(), stats.peak_population(),
          sim.final_population(),
-         static_cast<double>(sim.deliveries_in_window()),
-         static_cast<double>(sim.arrivals_in_window()), sim.throughput(),
+         static_cast<double>(stats.deliveries_in_window()),
+         static_cast<double>(stats.arrivals_in_window()), sim.throughput(),
          sim.little_check().relative_error(),
          static_cast<double>(sim.arc_counters()[3].total_arrivals),
          static_cast<double>(sim.arc_counters()[3].external_arrivals),
-         sim.node_mean_occupancy()[5], sim.max_node_occupancy(),
-         static_cast<double>(sim.delay_histogram()->bin_count(4)),
-         sim.delay_histogram()->quantile(0.9)},
+         stats.occupancy_means()[5], sim.max_node_occupancy(),
+         static_cast<double>(stats.delay_histogram()->bin_count(4)),
+         stats.delay_histogram()->quantile(0.9)},
         {0x1.0c056af905f04p+2, 0x1.61f6bf533987p+4, 0x1.7ed650aa79378p+1,
          0x1.0d5c078f36224p+8, 0x1.5p+8, 0x1.2ap+8, 0x1.f11p+14, 0x1.f5b8p+14,
          0x1.fcfdf3b645a1dp+5, 0x1.95d562f44e424p-10, 0x1.aep+7, 0x1.aep+7,
          0x1.fe0446a0d94d2p+1, 0x1.ep+3, 0x1.89bp+12, 0x1.bcafeeaded7ap+2});
-    EXPECT_EQ(sim.fault_drops_in_window(), 0u);
-    EXPECT_EQ(sim.delivery_ratio(), 1.0);
-    EXPECT_EQ(sim.mean_stretch(), 1.0);
+    EXPECT_EQ(stats.fault_drops_in_window(), 0u);
+    EXPECT_EQ(stats.delivery_ratio(), 1.0);
+    EXPECT_EQ(stats.mean_stretch(), 1.0);
   }
 }
 
 TEST(KernelParity, HypercubeSlottedFaultPathAtZeroRateIsBitIdentical) {
-  GreedyHypercubeConfig config;
-  config.d = 5;
-  config.lambda = 0.9;
-  config.destinations = DestinationDistribution::bit_flip(5, 0.4);
-  config.seed = 3;
+  TopologyRoutingConfig config =
+      cube_config(5, 0.9, DestinationDistribution::bit_flip(5, 0.4), 3);
   config.slot = 0.5;
   config.fault_policy = FaultPolicy::kSkipDim;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(40.0, 540.0);
   expect_exact(
       {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
        sim.throughput(), sim.final_population(),
-       static_cast<double>(sim.deliveries_in_window())},
+       static_cast<double>(sim.kernel_stats().deliveries_in_window())},
       {0x1.3c437449e7e1ep+1, 0x1.fdebd231b667p+0, 0x1.1bbe76c8b4396p+6,
        0x1.c91eb851eb852p+4, 0x1.0cp+6, 0x1.be68p+13});
 }
@@ -406,41 +391,36 @@ TEST(KernelParity, DeflectionFaultConfigAtZeroRateIsBitIdentical) {
 // reset() + rerun must reproduce a fresh construction exactly — this is the
 // contract that lets replication workers reuse kernel storage.
 TEST(KernelParity, ResetReusesStorageWithIdenticalResults) {
-  GreedyHypercubeConfig small;
-  small.d = 4;
-  small.lambda = 0.6;
-  small.destinations = DestinationDistribution::uniform(4);
-  small.seed = 101;
+  TopologyRoutingConfig small =
+      cube_config(4, 0.6, DestinationDistribution::uniform(4), 101);
 
-  GreedyHypercubeConfig big;
-  big.d = 6;
-  big.lambda = 1.0;
-  big.destinations = DestinationDistribution::uniform(6);
-  big.seed = 42;
+  TopologyRoutingConfig big =
+      cube_config(6, 1.0, DestinationDistribution::uniform(6), 42);
   big.track_node_occupancy = true;
   big.track_delay_histogram = true;
 
   // Warm the simulator on a *different* topology first, then reset into the
   // pinned configuration: results must match the fresh-construction pins.
-  GreedyHypercubeSim sim(small);
+  TopologyGreedySim sim(small);
   sim.run(10.0, 200.0);
   sim.reset(big);
   sim.run(50.0, 550.0);
   EXPECT_EQ(sim.delay().mean(), 0x1.0c056af905f04p+2);
   EXPECT_EQ(sim.time_avg_population(), 0x1.0d5c078f36224p+8);
   EXPECT_EQ(sim.hops().mean(), 0x1.7ed650aa79378p+1);
-  EXPECT_EQ(static_cast<double>(sim.deliveries_in_window()), 0x1.f11p+14);
-  EXPECT_EQ(sim.node_mean_occupancy()[5], 0x1.fe0446a0d94d2p+1);
+  EXPECT_EQ(static_cast<double>(sim.kernel_stats().deliveries_in_window()),
+            0x1.f11p+14);
+  EXPECT_EQ(sim.kernel_stats().occupancy_means()[5], 0x1.fe0446a0d94d2p+1);
 
   // And back again: reuse in the other direction.
-  GreedyHypercubeSim fresh(small);
+  TopologyGreedySim fresh(small);
   fresh.run(10.0, 200.0);
   sim.reset(small);
   sim.run(10.0, 200.0);
   EXPECT_EQ(sim.delay().mean(), fresh.delay().mean());
   EXPECT_EQ(sim.time_avg_population(), fresh.time_avg_population());
-  EXPECT_EQ(static_cast<double>(sim.deliveries_in_window()),
-            static_cast<double>(fresh.deliveries_in_window()));
+  EXPECT_EQ(static_cast<double>(sim.kernel_stats().deliveries_in_window()),
+            static_cast<double>(fresh.kernel_stats().deliveries_in_window()));
 }
 
 // --- per-source fixed-destination (permutation workload) pins ------------
@@ -454,19 +434,17 @@ TEST(KernelParity, ResetReusesStorageWithIdenticalResults) {
 
 TEST(KernelParity, HypercubeFixedDestinationsBitReversal) {
   const Permutation perm = Permutation::bit_reversal(6);
-  GreedyHypercubeConfig config;
-  config.d = 6;
-  config.lambda = 0.3;  // rho = 1.2: deliberately past the collapse point
-  config.destinations = DestinationDistribution::uniform(6);
+  // rho = 1.2: deliberately past the collapse point.
+  TopologyRoutingConfig config =
+      cube_config(6, 0.3, DestinationDistribution::uniform(6), 42);
   config.fixed_destinations = &perm.table();
-  config.seed = 42;
   config.track_node_occupancy = true;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(50.0, 550.0);
   expect_exact(
       {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
        sim.throughput(), sim.max_node_occupancy(),
-       static_cast<double>(sim.deliveries_in_window())},
+       static_cast<double>(sim.kernel_stats().deliveries_in_window())},
       {0x1.b8932ec7fb9b6p+4, 0x1.746084ef5a8b2p+1, 0x1.261fd2de4d4b4p+9,
        0x1.160c49ba5e354p+4, 0x1.5p+7, 0x1.0f88p+13});
 }
@@ -550,72 +528,6 @@ TEST(KernelParity, TopologyTorus3D) {
        0x1.f4fp+13});
 }
 
-// --- generic greedy on the paper's cube -----------------------------------
-//
-// TopologyGreedySim on {"hypercube", d} keeps GreedyHypercubeSim's RNG
-// stream salt (0xC0BE), draws the same XOR-mask destination law and routes
-// around faults with the same reroute policies, so it replays the native
-// greedy pins above against their unchanged literals.  This is the gate
-// for routing topology=native greedy through the generic simulator.
-
-TEST(KernelParity, GenericGreedyOnHypercubeReplaysContinuousPin) {
-  TopologyRoutingConfig config =
-      cube_config(6, 1.0, DestinationDistribution::uniform(6), 42);
-  config.track_node_occupancy = true;
-  config.track_delay_histogram = true;
-  TopologyGreedySim sim(config);
-  sim.run(50.0, 550.0);
-  const KernelStats& stats = sim.kernel_stats();
-  expect_exact(
-      {stats.delay().mean(), stats.delay().max(), stats.hops().mean(),
-       stats.time_avg_population(), stats.peak_population(),
-       stats.final_population(),
-       static_cast<double>(stats.deliveries_in_window()),
-       static_cast<double>(stats.arrivals_in_window()), stats.throughput(),
-       stats.little_check().relative_error(),
-       static_cast<double>(sim.arc_counters()[3].total_arrivals),
-       static_cast<double>(sim.arc_counters()[3].external_arrivals),
-       stats.occupancy_means()[5], stats.max_occupancy(),
-       static_cast<double>(stats.delay_histogram()->bin_count(4)),
-       stats.delay_histogram()->quantile(0.9)},
-      {0x1.0c056af905f04p+2, 0x1.61f6bf533987p+4, 0x1.7ed650aa79378p+1,
-       0x1.0d5c078f36224p+8, 0x1.5p+8, 0x1.2ap+8, 0x1.f11p+14, 0x1.f5b8p+14,
-       0x1.fcfdf3b645a1dp+5, 0x1.95d562f44e424p-10, 0x1.aep+7, 0x1.aep+7,
-       0x1.fe0446a0d94d2p+1, 0x1.ep+3, 0x1.89bp+12, 0x1.bcafeeaded7ap+2});
-}
-
-TEST(KernelParity, GenericGreedyOnHypercubeReplaysSlottedPin) {
-  TopologyRoutingConfig config =
-      cube_config(5, 0.9, DestinationDistribution::bit_flip(5, 0.4), 3);
-  config.slot = 0.5;
-  TopologyGreedySim sim(config);
-  sim.run(40.0, 540.0);
-  expect_exact(
-      {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
-       sim.throughput(), sim.final_population(),
-       static_cast<double>(sim.kernel_stats().deliveries_in_window())},
-      {0x1.3c437449e7e1ep+1, 0x1.fdebd231b667p+0, 0x1.1bbe76c8b4396p+6,
-       0x1.c91eb851eb852p+4, 0x1.0cp+6, 0x1.be68p+13});
-}
-
-TEST(KernelParity, GenericGreedyOnHypercubeReplaysAdaptivePin) {
-  TopologyRoutingConfig config =
-      cube_config(6, 0.5, DestinationDistribution::uniform(6), 37);
-  config.fault_policy = FaultPolicy::kAdaptive;
-  config.arc_fault_rate = 0.15;
-  TopologyGreedySim sim(config);
-  sim.run(50.0, 550.0);
-  const KernelStats& stats = sim.kernel_stats();
-  expect_exact(
-      {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
-       sim.throughput(), stats.delivery_ratio(), stats.mean_stretch(),
-       static_cast<double>(stats.fault_drops_in_window()),
-       static_cast<double>(stats.deliveries_in_window())},
-      {0x1.af0669b4a8c5ep+3, 0x1.d6397ba7c52f4p+1, 0x1.fb835c8feaa48p+9,
-       0x1.c578d4fdf3b64p+4, 0x1p+0, 0x1.4a14165bbbcffp+0, 0x0p+0,
-       0x1.bad8p+13});
-}
-
 // --- soa_batch backend pins ----------------------------------------------
 //
 // The batch backend replays the slotted suites above against the *same*
@@ -625,19 +537,16 @@ TEST(KernelParity, GenericGreedyOnHypercubeReplaysAdaptivePin) {
 // would still have to reproduce these frozen constants bit for bit.
 
 TEST(KernelParity, HypercubeSlottedSoaBatch) {
-  GreedyHypercubeConfig config;
-  config.d = 5;
-  config.lambda = 0.9;
-  config.destinations = DestinationDistribution::bit_flip(5, 0.4);
-  config.seed = 3;
+  TopologyRoutingConfig config =
+      cube_config(5, 0.9, DestinationDistribution::bit_flip(5, 0.4), 3);
   config.slot = 0.5;
   config.backend = KernelBackend::kSoaBatch;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(40.0, 540.0);
   expect_exact(
       {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
        sim.throughput(), sim.final_population(),
-       static_cast<double>(sim.deliveries_in_window())},
+       static_cast<double>(sim.kernel_stats().deliveries_in_window())},
       {0x1.3c437449e7e1ep+1, 0x1.fdebd231b667p+0, 0x1.1bbe76c8b4396p+6,
        0x1.c91eb851eb852p+4, 0x1.0cp+6, 0x1.be68p+13});
 }
@@ -662,23 +571,20 @@ TEST(KernelParity, ButterflySlottedSoaBatch) {
 // The fault-aware routing path (policy attached, all rates zero) must stay
 // invisible under the batch backend too.
 TEST(KernelParity, HypercubeSlottedSoaBatchFaultPathAtZeroRateIsBitIdentical) {
-  GreedyHypercubeConfig config;
-  config.d = 5;
-  config.lambda = 0.9;
-  config.destinations = DestinationDistribution::bit_flip(5, 0.4);
-  config.seed = 3;
+  TopologyRoutingConfig config =
+      cube_config(5, 0.9, DestinationDistribution::bit_flip(5, 0.4), 3);
   config.slot = 0.5;
   config.fault_policy = FaultPolicy::kSkipDim;
   config.backend = KernelBackend::kSoaBatch;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(40.0, 540.0);
   expect_exact(
       {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
        sim.throughput(), sim.final_population(),
-       static_cast<double>(sim.deliveries_in_window())},
+       static_cast<double>(sim.kernel_stats().deliveries_in_window())},
       {0x1.3c437449e7e1ep+1, 0x1.fdebd231b667p+0, 0x1.1bbe76c8b4396p+6,
        0x1.c91eb851eb852p+4, 0x1.0cp+6, 0x1.be68p+13});
-  EXPECT_EQ(sim.fault_drops_in_window(), 0u);
+  EXPECT_EQ(sim.kernel_stats().fault_drops_in_window(), 0u);
 }
 
 // --- fault-storm and adaptive-policy pins --------------------------------
@@ -690,22 +596,20 @@ TEST(KernelParity, HypercubeSlottedSoaBatchFaultPathAtZeroRateIsBitIdentical) {
 // freeze the one-hop-lookahead probe order and deflection fallback.
 
 TEST(KernelParity, HypercubeStormPinned) {
-  GreedyHypercubeConfig config;
-  config.d = 6;
-  config.lambda = 0.5;
-  config.destinations = DestinationDistribution::uniform(6);
-  config.seed = 31;
+  TopologyRoutingConfig config =
+      cube_config(6, 0.5, DestinationDistribution::uniform(6), 31);
   config.fault_policy = FaultPolicy::kSkipDim;
   config.storm_rate = 0.05;
   config.storm_radius = 1;
   config.storm_duration = 20.0;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(50.0, 550.0);
+  const KernelStats& stats = sim.kernel_stats();
   expect_exact(
       {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
-       sim.throughput(), sim.delivery_ratio(), sim.mean_stretch(),
-       static_cast<double>(sim.fault_drops_in_window()),
-       static_cast<double>(sim.deliveries_in_window()),
+       sim.throughput(), stats.delivery_ratio(), stats.mean_stretch(),
+       static_cast<double>(stats.fault_drops_in_window()),
+       static_cast<double>(stats.deliveries_in_window()),
        static_cast<double>(sim.fault_model().storms().storms_started())},
       {0x1.50859e61fccd4p+2, 0x1.c621e98ae3be7p+1, 0x1.2ae4d220d1543p+7,
        0x1.b2d0e56041893p+4, 0x1.bc830cf02ed88p-1, 0x1.375cf017020e4p+0,
@@ -713,20 +617,18 @@ TEST(KernelParity, HypercubeStormPinned) {
 }
 
 TEST(KernelParity, HypercubeAdaptivePinned) {
-  GreedyHypercubeConfig config;
-  config.d = 6;
-  config.lambda = 0.5;
-  config.destinations = DestinationDistribution::uniform(6);
-  config.seed = 37;
+  TopologyRoutingConfig config =
+      cube_config(6, 0.5, DestinationDistribution::uniform(6), 37);
   config.fault_policy = FaultPolicy::kAdaptive;
   config.arc_fault_rate = 0.15;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(50.0, 550.0);
+  const KernelStats& stats = sim.kernel_stats();
   expect_exact(
       {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
-       sim.throughput(), sim.delivery_ratio(), sim.mean_stretch(),
-       static_cast<double>(sim.fault_drops_in_window()),
-       static_cast<double>(sim.deliveries_in_window())},
+       sim.throughput(), stats.delivery_ratio(), stats.mean_stretch(),
+       static_cast<double>(stats.fault_drops_in_window()),
+       static_cast<double>(stats.deliveries_in_window())},
       {0x1.af0669b4a8c5ep+3, 0x1.d6397ba7c52f4p+1, 0x1.fb835c8feaa48p+9,
        0x1.c578d4fdf3b64p+4, 0x1p+0, 0x1.4a14165bbbcffp+0, 0x0p+0,
        0x1.bad8p+13});
@@ -758,27 +660,27 @@ TEST(KernelParity, ValiantStormAdaptivePinned) {
 // bit (the cross-backend contract of tests/test_kernel_backend.cpp, pinned
 // here at a live fault rate).
 TEST(KernelParity, HypercubeSlottedAdaptiveSoaBatchMatchesScalar) {
-  GreedyHypercubeConfig config;
-  config.d = 5;
-  config.lambda = 0.9;
-  config.destinations = DestinationDistribution::bit_flip(5, 0.4);
-  config.seed = 3;
+  TopologyRoutingConfig config =
+      cube_config(5, 0.9, DestinationDistribution::bit_flip(5, 0.4), 3);
   config.slot = 0.5;
   config.fault_policy = FaultPolicy::kAdaptive;
   config.arc_fault_rate = 0.1;
-  GreedyHypercubeSim scalar(config);
+  TopologyGreedySim scalar(config);
   scalar.run(40.0, 540.0);
   config.backend = KernelBackend::kSoaBatch;
-  GreedyHypercubeSim batch(config);
+  TopologyGreedySim batch(config);
   batch.run(40.0, 540.0);
+  const KernelStats& batch_stats = batch.kernel_stats();
+  const KernelStats& scalar_stats = scalar.kernel_stats();
   expect_exact(
       {batch.delay().mean(), batch.hops().mean(), batch.time_avg_population(),
-       batch.throughput(), batch.delivery_ratio(), batch.mean_stretch(),
-       static_cast<double>(batch.fault_drops_in_window())},
+       batch.throughput(), batch_stats.delivery_ratio(),
+       batch_stats.mean_stretch(),
+       static_cast<double>(batch_stats.fault_drops_in_window())},
       {scalar.delay().mean(), scalar.hops().mean(),
        scalar.time_avg_population(), scalar.throughput(),
-       scalar.delivery_ratio(), scalar.mean_stretch(),
-       static_cast<double>(scalar.fault_drops_in_window())});
+       scalar_stats.delivery_ratio(), scalar_stats.mean_stretch(),
+       static_cast<double>(scalar_stats.fault_drops_in_window())});
 }
 
 // --- external trace-file replay pins -------------------------------------
@@ -804,17 +706,14 @@ TEST(KernelParity, TraceFileRoundTripReplaysToSamePins) {
     EXPECT_EQ(loaded.packets[i].destination, trace.packets[i].destination);
   }
 
-  GreedyHypercubeConfig config;
-  config.d = 5;
-  config.lambda = 0.8;
-  config.destinations = dist;
-  config.seed = 21;
+  TopologyRoutingConfig config = cube_config(5, 0.8, dist, 21);
   config.trace = &loaded;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(30.0, 400.0);
   expect_exact(
       {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
-       sim.throughput(), static_cast<double>(sim.deliveries_in_window())},
+       sim.throughput(),
+       static_cast<double>(sim.kernel_stats().deliveries_in_window())},
       {0x1.929c3188bd2c9p+1, 0x1.3ea22856622e5p+1, 0x1.46ee3527959f8p+6,
        0x1.9b1d0f38bc31dp+4, 0x1.2918p+13});
   std::remove(path.c_str());

@@ -11,7 +11,7 @@
 #include <set>
 
 #include "core/scenario.hpp"
-#include "routing/greedy_hypercube.hpp"
+#include "routing/topology_greedy.hpp"
 #include "util/bits.hpp"
 
 namespace routesim {
@@ -243,15 +243,15 @@ TEST(PermutationScenario, IdentityOrbitDeliversInPlace) {
   // tornado at d = 1 is the identity map: every packet is delivered at its
   // origin with delay 0 through the fixed-destination kernel path.
   const Permutation identity = Permutation::tornado(1);
-  GreedyHypercubeConfig config;
-  config.d = 1;
+  TopologyRoutingConfig config;
+  config.spec.d = 1;
   config.lambda = 0.5;
   config.destinations = DestinationDistribution::uniform(1);
   config.fixed_destinations = &identity.table();
   config.seed = 11;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(10.0, 210.0);
-  EXPECT_GT(sim.deliveries_in_window(), 0u);
+  EXPECT_GT(sim.kernel_stats().deliveries_in_window(), 0u);
   EXPECT_DOUBLE_EQ(sim.delay().mean(), 0.0);
   EXPECT_DOUBLE_EQ(sim.hops().mean(), 0.0);
 }

@@ -7,7 +7,7 @@
 #include <cmath>
 
 #include "routing/greedy_butterfly.hpp"
-#include "routing/greedy_hypercube.hpp"
+#include "routing/topology_greedy.hpp"
 
 namespace routesim {
 namespace {
@@ -17,12 +17,13 @@ TEST(Rates, PropertyAExternalArrivalRates) {
   // lambda p (1-p)^(i-1).
   const int d = 4;
   const double lambda = 1.0, p = 0.4;
-  GreedyHypercubeConfig config;
-  config.d = d;
+  TopologyRoutingConfig config;
+  config.spec.d = d;
   config.lambda = lambda;
   config.destinations = DestinationDistribution::bit_flip(d, p);
   config.seed = 42;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
+  const Hypercube cube(d);
   const double warmup = 200.0, horizon = 50200.0;
   sim.run(warmup, horizon);
   const double window = horizon - warmup;
@@ -31,7 +32,7 @@ TEST(Rates, PropertyAExternalArrivalRates) {
     double total = 0.0;
     for (NodeId x = 0; x < 16; ++x) {
       total += static_cast<double>(
-          sim.arc_counters()[sim.topology().arc_index(x, dim)].external_arrivals);
+          sim.arc_counters()[cube.arc_index(x, dim)].external_arrivals);
     }
     const double rate = total / 16.0 / window;
     const double expected = lambda * p * std::pow(1 - p, dim - 1);
@@ -45,12 +46,13 @@ TEST(Rates, Prop5TotalRatePerArcIsRhoEveryDimension) {
   // makes all d 2^d servers identical in Q.
   const int d = 4;
   const double lambda = 1.4, p = 0.5;  // rho = 0.7
-  GreedyHypercubeConfig config;
-  config.d = d;
+  TopologyRoutingConfig config;
+  config.spec.d = d;
   config.lambda = lambda;
   config.destinations = DestinationDistribution::bit_flip(d, p);
   config.seed = 43;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
+  const Hypercube cube(d);
   const double warmup = 500.0, horizon = 60500.0;
   sim.run(warmup, horizon);
   const double window = horizon - warmup;
@@ -59,7 +61,7 @@ TEST(Rates, Prop5TotalRatePerArcIsRhoEveryDimension) {
     double total = 0.0;
     for (NodeId x = 0; x < 16; ++x) {
       total += static_cast<double>(
-          sim.arc_counters()[sim.topology().arc_index(x, dim)].total_arrivals);
+          sim.arc_counters()[cube.arc_index(x, dim)].total_arrivals);
     }
     EXPECT_NEAR(total / 16.0 / window / (lambda * p), 1.0, 0.03)
         << "dimension " << dim;
@@ -71,12 +73,13 @@ TEST(Rates, Prop5HoldsForSkewedP) {
   // traffic but exactly compensating internal traffic.
   const int d = 5;
   const double lambda = 0.9, p = 0.2;
-  GreedyHypercubeConfig config;
-  config.d = d;
+  TopologyRoutingConfig config;
+  config.spec.d = d;
   config.lambda = lambda;
   config.destinations = DestinationDistribution::bit_flip(d, p);
   config.seed = 44;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
+  const Hypercube cube(d);
   const double warmup = 500.0, horizon = 100500.0;
   sim.run(warmup, horizon);
   const double window = horizon - warmup;
@@ -85,7 +88,7 @@ TEST(Rates, Prop5HoldsForSkewedP) {
     double total = 0.0;
     for (NodeId x = 0; x < 32; ++x) {
       total += static_cast<double>(
-          sim.arc_counters()[sim.topology().arc_index(x, dim)].total_arrivals);
+          sim.arc_counters()[cube.arc_index(x, dim)].total_arrivals);
     }
     EXPECT_NEAR(total / 32.0 / window / (lambda * p), 1.0, 0.04)
         << "dimension " << dim;
@@ -133,12 +136,13 @@ TEST(Rates, MarkovPropertyCOnPacketLevelSimulator) {
   // sum over i < j of (departures from dim i) * P(i -> j) + external.
   const int d = 4;
   const double lambda = 1.0, p = 0.35;
-  GreedyHypercubeConfig config;
-  config.d = d;
+  TopologyRoutingConfig config;
+  config.spec.d = d;
   config.lambda = lambda;
   config.destinations = DestinationDistribution::bit_flip(d, p);
   config.seed = 46;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
+  const Hypercube cube(d);
   const double warmup = 500.0, horizon = 80500.0;
   sim.run(warmup, horizon);
 
@@ -146,7 +150,7 @@ TEST(Rates, MarkovPropertyCOnPacketLevelSimulator) {
   std::vector<double> external(d + 1, 0.0), total(d + 1, 0.0);
   for (int dim = 1; dim <= d; ++dim) {
     for (NodeId x = 0; x < 16; ++x) {
-      const auto& counters = sim.arc_counters()[sim.topology().arc_index(x, dim)];
+      const auto& counters = sim.arc_counters()[cube.arc_index(x, dim)];
       external[dim] += static_cast<double>(counters.external_arrivals);
       total[dim] += static_cast<double>(counters.total_arrivals);
     }

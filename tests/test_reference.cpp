@@ -17,7 +17,7 @@
 #include "queueing/levelled_network.hpp"
 #include "queueing/ps_server.hpp"
 #include "routing/greedy_butterfly.hpp"
-#include "routing/greedy_hypercube.hpp"
+#include "routing/topology_greedy.hpp"
 #include "util/rng.hpp"
 #include "workload/trace.hpp"
 
@@ -95,29 +95,30 @@ TEST(Reference, PsServerMatchesBruteForceIntegrator) {
 TEST(Reference, HypercubeConservationLawExact) {
   // Starting empty with warmup = 0: injected = delivered + still-in-flight,
   // as exact integers.
-  GreedyHypercubeConfig config;
-  config.d = 5;
+  TopologyRoutingConfig config;
+  config.spec.d = 5;
   config.lambda = 1.4;
   config.destinations = DestinationDistribution::uniform(5);
   config.seed = 13;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(0.0, 5000.0);
-  EXPECT_EQ(sim.arrivals_in_window(),
-            sim.deliveries_in_window() +
+  EXPECT_EQ(sim.kernel_stats().arrivals_in_window(),
+            sim.kernel_stats().deliveries_in_window() +
                 static_cast<std::uint64_t>(sim.final_population()));
 }
 
 TEST(Reference, HypercubeConservationWithDrops) {
-  GreedyHypercubeConfig config;
-  config.d = 4;
+  TopologyRoutingConfig config;
+  config.spec.d = 4;
   config.lambda = 1.8;
   config.destinations = DestinationDistribution::uniform(4);
   config.seed = 17;
   config.buffer_capacity = 2;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(0.0, 5000.0);
-  EXPECT_EQ(sim.arrivals_in_window(),
-            sim.deliveries_in_window() + sim.drops_in_window() +
+  const KernelStats& stats = sim.kernel_stats();
+  EXPECT_EQ(stats.arrivals_in_window(),
+            stats.deliveries_in_window() + stats.drops_in_window() +
                 static_cast<std::uint64_t>(sim.final_population()));
 }
 
@@ -150,19 +151,19 @@ TEST(Reference, TraceReplayStatisticallyMatchesLiveGeneration) {
   const auto dist = DestinationDistribution::uniform(d);
   const auto trace = generate_hypercube_trace(d, lambda, dist, 40000.0, 29);
 
-  GreedyHypercubeConfig replay_cfg;
-  replay_cfg.d = d;
+  TopologyRoutingConfig replay_cfg;
+  replay_cfg.spec.d = d;
   replay_cfg.destinations = dist;
   replay_cfg.trace = &trace;
-  GreedyHypercubeSim replay(replay_cfg);
+  TopologyGreedySim replay(replay_cfg);
   replay.run(1000.0, 40000.0);
 
-  GreedyHypercubeConfig live_cfg;
-  live_cfg.d = d;
+  TopologyRoutingConfig live_cfg;
+  live_cfg.spec.d = d;
   live_cfg.lambda = lambda;
   live_cfg.destinations = dist;
   live_cfg.seed = 31;
-  GreedyHypercubeSim live(live_cfg);
+  TopologyGreedySim live(live_cfg);
   live.run(1000.0, 40000.0);
 
   EXPECT_NEAR(replay.delay().mean() / live.delay().mean(), 1.0, 0.03);
@@ -172,24 +173,25 @@ TEST(Reference, TraceReplayStatisticallyMatchesLiveGeneration) {
 TEST(Reference, SlottedTotalInputIntensityMatchesContinuous) {
   // Same nominal intensity: slotted and continuous runs inject the same
   // packet volume per unit time (within Poisson noise).
-  GreedyHypercubeConfig continuous_cfg;
-  continuous_cfg.d = 5;
+  TopologyRoutingConfig continuous_cfg;
+  continuous_cfg.spec.d = 5;
   continuous_cfg.lambda = 1.0;
   continuous_cfg.destinations = DestinationDistribution::uniform(5);
   continuous_cfg.seed = 37;
-  GreedyHypercubeSim continuous(continuous_cfg);
+  TopologyGreedySim continuous(continuous_cfg);
   continuous.run(0.0, 20000.0);
 
   auto slotted_cfg = continuous_cfg;
   slotted_cfg.slot = 0.5;
-  GreedyHypercubeSim slotted(slotted_cfg);
+  TopologyGreedySim slotted(slotted_cfg);
   slotted.run(0.0, 20000.0);
 
   const double expected = 1.0 * 32 * 20000.0;
-  EXPECT_NEAR(static_cast<double>(continuous.arrivals_in_window()), expected,
-              4.0 * std::sqrt(expected));
-  EXPECT_NEAR(static_cast<double>(slotted.arrivals_in_window()), expected,
-              4.0 * std::sqrt(expected));
+  EXPECT_NEAR(
+      static_cast<double>(continuous.kernel_stats().arrivals_in_window()),
+      expected, 4.0 * std::sqrt(expected));
+  EXPECT_NEAR(static_cast<double>(slotted.kernel_stats().arrivals_in_window()),
+              expected, 4.0 * std::sqrt(expected));
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "store/result_store.hpp"
 #include "util/assert.hpp"
 
 namespace routesim {
@@ -294,7 +295,15 @@ TEST(Scenario, GenericTopologyRunsRejectUnsupportedFeatures) {
            {"deflection", "native", "buffers", "2"},
            {"deflection", "ring", "tau", "1"},
            {"deflection", "torus", "buffers", "2"},
-           {"butterfly_greedy", "native", "buffers", "1"}}) {
+           {"butterfly_greedy", "native", "buffers", "1"},
+           {"network_q", "native", "tau", "1"},
+           {"network_q", "native", "buffers", "2"},
+           {"pipelined_baseline", "native", "tau", "1"},
+           {"pipelined_baseline", "native", "buffers", "2"},
+           {"batch_greedy", "native", "tau", "1"},
+           {"batch_greedy", "native", "buffers", "2"},
+           {"multicast", "native", "tau", "1"},
+           {"multicast", "native", "buffers", "2"}}) {
     Scenario ignored;
     ignored.scheme = c.scheme;
     ignored.set("topology", c.topology);
@@ -551,6 +560,33 @@ TEST(RunResult, BracketAndExtraLookup) {
   result.delay.mean = 5.0;
   EXPECT_FALSE(result.within_bracket());
   EXPECT_TRUE(result.within_bracket(1.0));
+
+  // The paper's bracket on the cube: topology=native and topology=hypercube
+  // run the one greedy simulator, so they agree on the whole result, the
+  // bracket included — continuous (Props. 12/13) and slotted (§3.4).
+  std::vector<double> upper_bounds;
+  for (const char* tau : {"0", "0.5"}) {
+    std::string native_json;
+    for (const char* topology : {"native", "hypercube"}) {
+      const Scenario cube = Scenario::parse_text(
+          std::string("hypercube_greedy d=4 rho=0.5 reps=2 measure=200 "
+                      "workload=uniform topology=") +
+          topology + " tau=" + tau);
+      const RunResult greedy = run(cube);
+      EXPECT_TRUE(greedy.has_bounds) << topology << " tau=" << tau;
+      EXPECT_LT(greedy.lower_bound, greedy.upper_bound);
+      const std::string json = result_to_json(greedy);
+      if (native_json.empty()) {
+        native_json = json;
+        upper_bounds.push_back(greedy.upper_bound);
+      } else {
+        EXPECT_EQ(json, native_json) << "tau=" << tau;
+      }
+    }
+  }
+  // The slotted case uses slotted_delay_upper_bound, not the continuous one.
+  ASSERT_EQ(upper_bounds.size(), 2u);
+  EXPECT_NE(upper_bounds[0], upper_bounds[1]);
 }
 
 TEST(Scenario, RunRejectsUnknownScheme) {

@@ -4,15 +4,16 @@
 
 #include <gtest/gtest.h>
 
-#include "routing/greedy_hypercube.hpp"
 #include "routing/greedy_butterfly.hpp"
+#include "routing/topology_greedy.hpp"
 
 namespace routesim {
 namespace {
 
-GreedyHypercubeConfig cube_config(int d, double lambda, double p, std::uint64_t seed) {
-  GreedyHypercubeConfig config;
-  config.d = d;
+TopologyRoutingConfig cube_config(int d, double lambda, double p,
+                                  std::uint64_t seed) {
+  TopologyRoutingConfig config;
+  config.spec.d = d;
   config.lambda = lambda;
   config.destinations = DestinationDistribution::bit_flip(d, p);
   config.seed = seed;
@@ -23,7 +24,7 @@ TEST(Stability, BacklogBoundedJustBelowCapacity) {
   // rho = 0.95: heavy but stable — the final backlog stays near the
   // product-form level d*2^d*rho/(1-rho) rather than growing with the horizon.
   const int d = 4;
-  GreedyHypercubeSim sim(cube_config(d, 1.9, 0.5, 1));
+  TopologyGreedySim sim(cube_config(d, 1.9, 0.5, 1));
   sim.run(2000.0, 42000.0);
   const double product_form_level = d * 16.0 * 0.95 / 0.05;  // = 1216
   EXPECT_LT(sim.final_population(), 3.0 * product_form_level);
@@ -34,8 +35,8 @@ TEST(Stability, BacklogGrowsLinearlyAboveCapacity) {
   // rho = 1.2: unstable — backlog grows at rate ~ (rho-1) per arc-time on
   // the bottleneck dimensions; verify clear linear growth in the horizon.
   const int d = 4;
-  GreedyHypercubeSim short_run(cube_config(d, 2.4, 0.5, 2));
-  GreedyHypercubeSim long_run(cube_config(d, 2.4, 0.5, 2));
+  TopologyGreedySim short_run(cube_config(d, 2.4, 0.5, 2));
+  TopologyGreedySim long_run(cube_config(d, 2.4, 0.5, 2));
   short_run.run(0.0, 5000.0);
   long_run.run(0.0, 10000.0);
   EXPECT_GT(short_run.final_population(), 1000.0);
@@ -47,7 +48,7 @@ TEST(Stability, ThroughputSaturatesAtCapacity) {
   // Above rho = 1 the delivery rate cannot exceed the offered rate at
   // capacity: deliveries/time ~ lambda* 2^d with lambda* = 1/p.
   const int d = 4;
-  GreedyHypercubeSim sim(cube_config(d, 2.6, 0.5, 3));  // rho = 1.3
+  TopologyGreedySim sim(cube_config(d, 2.6, 0.5, 3));  // rho = 1.3
   sim.run(1000.0, 21000.0);
   const double capacity_rate = (1.0 / 0.5) * 16.0;  // lambda* 2^d
   EXPECT_LT(sim.throughput(), capacity_rate * 1.05);
@@ -60,7 +61,7 @@ TEST(Stability, StableAcrossLoadSweep) {
   // both below the product-form ceiling.
   for (const double rho : {0.3, 0.6, 0.9}) {
     const int d = 4;
-    GreedyHypercubeSim sim(cube_config(d, 2.0 * rho, 0.5, 5));
+    TopologyGreedySim sim(cube_config(d, 2.0 * rho, 0.5, 5));
     sim.run(1000.0 + 10.0 / ((1 - rho) * (1 - rho)), 30000.0);
     const double ceiling = d * 16.0 * rho / (1 - rho);
     EXPECT_LT(sim.time_avg_population(), 1.15 * ceiling) << "rho = " << rho;
@@ -96,7 +97,7 @@ TEST(Stability, ButterflyStableBelowAndUnstableAbove) {
 TEST(Stability, AsymmetricDestinationsShiftTheBoundary) {
   // With p = 0.25 the cube's load factor is lambda/4: lambda = 3.2 is
   // stable (rho = 0.8) even though lambda > 1.
-  GreedyHypercubeSim sim(cube_config(4, 3.2, 0.25, 11));
+  TopologyGreedySim sim(cube_config(4, 3.2, 0.25, 11));
   sim.run(1000.0, 21000.0);
   const double ceiling = 4 * 16.0 * 0.8 / 0.2;
   EXPECT_LT(sim.time_avg_population(), 1.15 * ceiling);
@@ -109,18 +110,18 @@ TEST(Stability, GeneralDistributionBottleneckDimensionGoverns) {
   std::vector<double> pmf(16, 0.0);
   pmf[0b0100] = 0.75;
   pmf[0b0011] = 0.25;
-  GreedyHypercubeConfig config;
-  config.d = 4;
+  TopologyRoutingConfig config;
+  config.spec.d = 4;
   config.destinations = DestinationDistribution::general(4, pmf);
   config.seed = 13;
 
   config.lambda = 1.2;
-  GreedyHypercubeSim stable(config);
+  TopologyGreedySim stable(config);
   stable.run(2000.0, 42000.0);
   EXPECT_LT(stable.final_population(), 2000.0);
 
   config.lambda = 1.5;
-  GreedyHypercubeSim unstable(config);
+  TopologyGreedySim unstable(config);
   unstable.run(0.0, 40000.0);
   EXPECT_GT(unstable.final_population(), 2500.0);
 }

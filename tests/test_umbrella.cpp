@@ -12,12 +12,12 @@ TEST(Umbrella, EndToEndSmoke) {
   const bounds::HypercubeParams params{4, 0.8, 0.5};
   EXPECT_DOUBLE_EQ(bounds::load_factor(params), 0.4);
 
-  GreedyHypercubeConfig config;
-  config.d = 4;
+  TopologyRoutingConfig config;
+  config.spec.d = 4;
   config.lambda = 0.8;
   config.destinations = DestinationDistribution::uniform(4);
   config.seed = 1;
-  GreedyHypercubeSim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(100.0, 2100.0);
   EXPECT_GT(sim.delay().count(), 100u);
   EXPECT_GE(sim.delay().mean(), bounds::greedy_delay_lower_bound(params) * 0.9);

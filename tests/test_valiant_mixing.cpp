@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "routing/greedy_hypercube.hpp"
 #include "util/assert.hpp"
 
 namespace routesim {
@@ -43,11 +42,11 @@ TEST(ValiantMixing, SlowerThanDirectGreedyUnderUniformTraffic) {
   const auto dist = DestinationDistribution::uniform(5);
   const auto trace = generate_hypercube_trace(5, 0.3, dist, 20000.0, 5);
 
-  GreedyHypercubeConfig direct_cfg;
-  direct_cfg.d = 5;
+  TopologyRoutingConfig direct_cfg;
+  direct_cfg.spec.d = 5;
   direct_cfg.destinations = dist;
   direct_cfg.trace = &trace;
-  GreedyHypercubeSim direct(direct_cfg);
+  TopologyGreedySim direct(direct_cfg);
   direct.run(500.0, 20000.0);
 
   TopologyRoutingConfig mixed_cfg = make_config(5, 0.3, 0.5, 5);
@@ -63,12 +62,12 @@ TEST(ValiantMixing, SaturatesAtLowerLoadThanGreedy) {
   // already past saturation and builds backlog.
   const int d = 5;
   const double lambda = 1.6, p = 0.5;  // greedy rho = 0.8 < 1
-  GreedyHypercubeConfig greedy_cfg;
-  greedy_cfg.d = d;
+  TopologyRoutingConfig greedy_cfg;
+  greedy_cfg.spec.d = d;
   greedy_cfg.lambda = lambda;
   greedy_cfg.destinations = DestinationDistribution::bit_flip(d, p);
   greedy_cfg.seed = 7;
-  GreedyHypercubeSim greedy(greedy_cfg);
+  TopologyGreedySim greedy(greedy_cfg);
   greedy.run(500.0, 10500.0);
 
   TopologyGreedySim mixed(make_config(d, lambda, p, 7));

@@ -11,7 +11,6 @@
 #include "queueing/levelled_network.hpp"
 #include "routing/deflection.hpp"
 #include "routing/greedy_butterfly.hpp"
-#include "routing/greedy_hypercube.hpp"
 #include "routing/multicast.hpp"
 #include "routing/pipelined_baseline.hpp"
 #include "routing/topology_greedy.hpp"
@@ -32,72 +31,75 @@ void emit(const char* name, const std::vector<double>& values) {
 
 int main() {
   {
-    GreedyHypercubeConfig c;
-    c.d = 6;
+    TopologyRoutingConfig c;
+    c.spec.d = 6;
     c.lambda = 1.0;
     c.destinations = DestinationDistribution::uniform(6);
     c.seed = 42;
     c.track_node_occupancy = true;
     c.track_delay_histogram = true;
-    GreedyHypercubeSim sim(c);
+    TopologyGreedySim sim(c);
     sim.run(50.0, 550.0);
+    const KernelStats& stats = sim.kernel_stats();
     emit("hypercube_continuous",
          {sim.delay().mean(), sim.delay().max(), sim.hops().mean(),
-          sim.time_avg_population(), sim.peak_population(),
+          sim.time_avg_population(), stats.peak_population(),
           sim.final_population(),
-          static_cast<double>(sim.deliveries_in_window()),
-          static_cast<double>(sim.arrivals_in_window()), sim.throughput(),
+          static_cast<double>(stats.deliveries_in_window()),
+          static_cast<double>(stats.arrivals_in_window()), sim.throughput(),
           sim.little_check().relative_error(),
           static_cast<double>(sim.arc_counters()[3].total_arrivals),
           static_cast<double>(sim.arc_counters()[3].external_arrivals),
-          sim.node_mean_occupancy()[5], sim.max_node_occupancy(),
-          static_cast<double>(sim.delay_histogram()->bin_count(4)),
-          sim.delay_histogram()->quantile(0.9)});
+          stats.occupancy_means()[5], sim.max_node_occupancy(),
+          static_cast<double>(stats.delay_histogram()->bin_count(4)),
+          stats.delay_histogram()->quantile(0.9)});
   }
   {
-    GreedyHypercubeConfig c;
-    c.d = 5;
+    TopologyRoutingConfig c;
+    c.spec.d = 5;
     c.lambda = 0.9;
     c.destinations = DestinationDistribution::bit_flip(5, 0.4);
     c.seed = 3;
     c.slot = 0.5;
-    GreedyHypercubeSim sim(c);
+    TopologyGreedySim sim(c);
     sim.run(40.0, 540.0);
     emit("hypercube_slotted",
          {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
           sim.throughput(), sim.final_population(),
-          static_cast<double>(sim.deliveries_in_window())});
+          static_cast<double>(sim.kernel_stats().deliveries_in_window())});
   }
   {
     const auto dist = DestinationDistribution::uniform(5);
     const PacketTrace trace = generate_hypercube_trace(5, 0.8, dist, 400.0, 21);
-    GreedyHypercubeConfig c;
-    c.d = 5;
+    TopologyRoutingConfig c;
+    c.spec.d = 5;
     c.lambda = 0.8;
     c.destinations = dist;
     c.seed = 21;
     c.trace = &trace;
-    GreedyHypercubeSim sim(c);
+    TopologyGreedySim sim(c);
     sim.run(30.0, 400.0);
+    const KernelStats& stats = sim.kernel_stats();
     emit("hypercube_trace",
          {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
-          sim.throughput(), static_cast<double>(sim.deliveries_in_window())});
+          sim.throughput(), static_cast<double>(stats.deliveries_in_window())});
   }
   {
-    GreedyHypercubeConfig c;
-    c.d = 5;
+    TopologyRoutingConfig c;
+    c.spec.d = 5;
     c.lambda = 1.2;
     c.destinations = DestinationDistribution::uniform(5);
     c.seed = 8;
-    c.arc_service_order = ArcServiceOrder::kLifo;
+    c.service_order = ArcServiceOrder::kLifo;
     c.dimension_order = DimensionOrder::kRandomPerHop;
     c.buffer_capacity = 3;
-    GreedyHypercubeSim sim(c);
+    TopologyGreedySim sim(c);
     sim.run(25.0, 525.0);
+    const KernelStats& stats = sim.kernel_stats();
     emit("hypercube_ablation",
          {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
-          sim.throughput(), static_cast<double>(sim.drops_in_window()),
-          static_cast<double>(sim.deliveries_in_window())});
+          sim.throughput(), static_cast<double>(stats.drops_in_window()),
+          static_cast<double>(stats.deliveries_in_window())});
   }
   {
     GreedyButterflyConfig c;
@@ -206,19 +208,19 @@ int main() {
     // when the mode was introduced: the kernel consumes no destination
     // randomness, so these values regress any change to the fixed path.
     const Permutation perm = Permutation::bit_reversal(6);
-    GreedyHypercubeConfig c;
-    c.d = 6;
+    TopologyRoutingConfig c;
+    c.spec.d = 6;
     c.lambda = 0.3;
     c.destinations = DestinationDistribution::uniform(6);
     c.fixed_destinations = &perm.table();
     c.seed = 42;
     c.track_node_occupancy = true;
-    GreedyHypercubeSim sim(c);
+    TopologyGreedySim sim(c);
     sim.run(50.0, 550.0);
     emit("hypercube_bit_reversal",
          {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
           sim.throughput(), sim.max_node_occupancy(),
-          static_cast<double>(sim.deliveries_in_window())});
+          static_cast<double>(sim.kernel_stats().deliveries_in_window())});
   }
   {
     const Permutation perm = Permutation::bit_reversal(6);
@@ -256,8 +258,8 @@ int main() {
     // Fault-storm pins, captured when the storm process was introduced:
     // any change to the storm RNG stream (salt 0x5709), ball growth,
     // expiry ordering or base/composite state split shifts these values.
-    GreedyHypercubeConfig c;
-    c.d = 6;
+    TopologyRoutingConfig c;
+    c.spec.d = 6;
     c.lambda = 0.5;
     c.destinations = DestinationDistribution::uniform(6);
     c.seed = 31;
@@ -265,32 +267,34 @@ int main() {
     c.storm_rate = 0.05;
     c.storm_radius = 1;
     c.storm_duration = 20.0;
-    GreedyHypercubeSim sim(c);
+    TopologyGreedySim sim(c);
     sim.run(50.0, 550.0);
+    const KernelStats& stats = sim.kernel_stats();
     emit("hypercube_storm",
          {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
-          sim.throughput(), sim.delivery_ratio(), sim.mean_stretch(),
-          static_cast<double>(sim.fault_drops_in_window()),
-          static_cast<double>(sim.deliveries_in_window()),
+          sim.throughput(), stats.delivery_ratio(), stats.mean_stretch(),
+          static_cast<double>(stats.fault_drops_in_window()),
+          static_cast<double>(stats.deliveries_in_window()),
           static_cast<double>(sim.fault_model().storms().storms_started())});
   }
   {
     // Adaptive-policy pins under a static fault set: regress the one-hop
     // lookahead's probe order and deflection fallback.
-    GreedyHypercubeConfig c;
-    c.d = 6;
+    TopologyRoutingConfig c;
+    c.spec.d = 6;
     c.lambda = 0.5;
     c.destinations = DestinationDistribution::uniform(6);
     c.seed = 37;
     c.fault_policy = FaultPolicy::kAdaptive;
     c.arc_fault_rate = 0.15;
-    GreedyHypercubeSim sim(c);
+    TopologyGreedySim sim(c);
     sim.run(50.0, 550.0);
+    const KernelStats& stats = sim.kernel_stats();
     emit("hypercube_adaptive",
          {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
-          sim.throughput(), sim.delivery_ratio(), sim.mean_stretch(),
-          static_cast<double>(sim.fault_drops_in_window()),
-          static_cast<double>(sim.deliveries_in_window())});
+          sim.throughput(), stats.delivery_ratio(), stats.mean_stretch(),
+          static_cast<double>(stats.fault_drops_in_window()),
+          static_cast<double>(stats.deliveries_in_window())});
   }
   {
     // Valiant under a storm with the adaptive policy: pins the phase-target
