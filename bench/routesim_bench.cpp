@@ -196,9 +196,6 @@ int main(int argc, char** argv) {
       if (rec.workload == "permutation") {
         trace = routesim::generate_fixed_destination_trace(
             rec.d, rec.lambda, rec.permutation_table(), window.horizon, seed0);
-      } else if (rec.scheme == "butterfly_greedy") {
-        trace = routesim::generate_butterfly_trace(
-            rec.d, rec.lambda, rec.make_destinations(), window.horizon, seed0);
       } else {
         trace = routesim::generate_hypercube_trace(
             rec.d, rec.lambda, rec.make_destinations(), window.horizon, seed0);

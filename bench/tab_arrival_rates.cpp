@@ -8,8 +8,8 @@
 #include <iostream>
 
 #include "common/table.hpp"
-#include "routing/greedy_butterfly.hpp"
 #include "routing/topology_greedy.hpp"
+#include "topology/butterfly.hpp"
 
 using namespace routesim;
 
@@ -60,16 +60,17 @@ int main() {
     const int d = 4;
     const double lambda = 1.0, p = 0.3;
     std::cout << "butterfly d=" << d << ", lambda=" << lambda << ", p=" << p << ":\n";
-    GreedyButterflyConfig config;
-    config.d = d;
+    TopologyRoutingConfig config;
+    config.spec.name = "butterfly";
+    config.spec.d = d;
     config.lambda = lambda;
     config.destinations = DestinationDistribution::bit_flip(d, p);
     config.seed = 72;
-    GreedyButterflySim sim(config);
+    TopologyGreedySim sim(config);
     const double warmup = 500.0, horizon = 80500.0;
     sim.run(warmup, horizon);
     const double window = horizon - warmup;
-    const auto& bfly = sim.topology();
+    const Butterfly bfly(d);
 
     benchtab::Table table({"level", "straight sim", "P15 l(1-p)", "vertical sim",
                            "P15 lp"});

@@ -11,7 +11,6 @@
 #include "common/table.hpp"
 #include "core/bounds.hpp"
 #include "queueing/product_form.hpp"
-#include "routing/greedy_butterfly.hpp"
 #include "routing/topology_greedy.hpp"
 
 using namespace routesim;
@@ -31,7 +30,7 @@ int main() {
       config.lambda = 2.0 * rho;
       config.destinations = DestinationDistribution::uniform(d);
       config.seed = 303;
-      config.track_node_occupancy = true;
+      config.track_occupancy = true;
       TopologyGreedySim sim(config);
       sim.run(1000.0, 31000.0);
 
@@ -65,13 +64,14 @@ int main() {
     std::cout << "butterfly (d = 6, lambda = 1.2, p = 1/2):\n";
     const int d = 6;
     const double lambda = 1.2, p = 0.5;
-    GreedyButterflyConfig config;
-    config.d = d;
+    TopologyRoutingConfig config;
+    config.spec.name = "butterfly";
+    config.spec.d = d;
     config.lambda = lambda;
     config.destinations = DestinationDistribution::bit_flip(d, p);
     config.seed = 404;
-    config.track_level_occupancy = true;
-    GreedyButterflySim sim(config);
+    config.track_occupancy = true;
+    TopologyGreedySim sim(config);
     sim.run(1000.0, 41000.0);
 
     const double eta = bounds::bfly_mean_packets_per_node({d, lambda, p});
@@ -81,7 +81,7 @@ int main() {
     bool conjecture_holds = true;
     for (int level = 1; level <= d; ++level) {
       const double at_level =
-          sim.level_mean_occupancy()[static_cast<std::size_t>(level - 1)];
+          sim.kernel_stats().occupancy_means()[static_cast<std::size_t>(level - 1)];
       cumulative += at_level;
       const double conjectured = level * 64.0 * eta;
       conjecture_holds = conjecture_holds && cumulative <= conjectured * 1.1;

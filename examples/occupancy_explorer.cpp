@@ -31,7 +31,7 @@ int main() {
     config.lambda = 2.0 * rho;
     config.destinations = DestinationDistribution::uniform(d);
     config.seed = 31337;
-    config.track_node_occupancy = true;
+    config.track_occupancy = true;
     TopologyGreedySim sim(config);
     sim.run(1000.0, 31000.0);
 

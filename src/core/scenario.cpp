@@ -43,9 +43,22 @@ void check_mask_pmf_matches_d(const std::vector<double>& mask_pmf, int d) {
   }
 }
 
+/// Every scheme simulates d in [kMinDimension, kMaxDimension], the range
+/// make_topology builds the cube and the butterfly for; checked before any
+/// load rule, whose own preconditions would fail less clearly.
+void check_dimension(const Scenario& s) {
+  if (s.d < kMinDimension || s.d > kMaxDimension) {
+    throw ScenarioError("d=" + std::to_string(s.d) + " is out of range: scheme '" +
+                        s.scheme + "' needs d in [" +
+                        std::to_string(kMinDimension) + ", " +
+                        std::to_string(kMaxDimension) + "]");
+  }
+}
+
 }  // namespace
 
 double Scenario::rho() const {
+  check_dimension(*this);
   if (rho_target.has_value()) return resolved().rho();
   const auto* info = SchemeRegistry::instance().find(scheme);
   if (info != nullptr && info->load_factor) return info->load_factor(*this);
@@ -53,6 +66,7 @@ double Scenario::rho() const {
 }
 
 Scenario Scenario::resolved() const {
+  check_dimension(*this);
   if (!rho_target.has_value()) return *this;
   Scenario out = *this;
   out.rho_target.reset();

@@ -246,12 +246,14 @@ struct Scenario {
   /// Identity when no target is pending.  The engine resolves each cell
   /// before compiling it; call this yourself before reading `lambda` from
   /// a scenario configured via set("rho", ...).  Throws ScenarioError when
-  /// the load factor is zero (the linear solve has no solution).
+  /// the load factor is zero (the linear solve has no solution), or when d
+  /// lies outside [kMinDimension, kMaxDimension] (topology/topology.hpp).
   [[nodiscard]] Scenario resolved() const;
 
   /// Scheme-aware load factor: the scheme's registry load_factor rule when
   /// one is installed (the butterfly uses lambda*max{p,1-p}), default_rho()
-  /// otherwise.  A pending rho target is solved first.
+  /// otherwise.  A pending rho target is solved first.  Like resolved(),
+  /// it rejects an out-of-range d before any load rule runs.
   [[nodiscard]] double rho() const;
 
   /// The engine's default load-factor rule: lambda*max_j P[B_j] over the

@@ -51,7 +51,6 @@
 #include "util/assert.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
-#include "workload/destination.hpp"
 #include "workload/trace.hpp"
 
 namespace routesim {
@@ -64,8 +63,7 @@ namespace routesim {
 /// this insensitivity.
 enum class ArcServiceOrder : std::uint8_t { kFifo, kLifo, kRandom };
 
-/// Per-arc counters over the measurement window.  Schemes that only need
-/// one arrival count (the butterfly) read total_arrivals.
+/// Per-arc counters over the measurement window.
 struct ArcCounters {
   std::uint64_t external_arrivals = 0;  ///< packets starting their route here
   std::uint64_t total_arrivals = 0;     ///< all packets entering the queue
@@ -226,8 +224,8 @@ class KernelStats {
  public:
   struct Config {
     /// Number of time-weighted occupancy trackers (0 = tracking off).  The
-    /// hypercube indexes them by node, the butterfly by level, the levelled
-    /// network by server.
+    /// greedy simulator indexes them by its topology's occupancy group (a
+    /// node; a level on the butterfly), the levelled network by server.
     std::size_t occupancy_trackers = 0;
     bool delay_histogram = false;
     double histogram_lo = 0.0;
@@ -426,11 +424,6 @@ struct PacketKernelConfig {
   double birth_rate = 0.0;
   double slot = 0.0;  ///< > 0: slotted arrivals at k*slot (§3.4)
   const PacketTrace* trace = nullptr;  ///< replay instead of generating
-  /// Per-source fixed-destination mode (workload = permutation): entry x is
-  /// the destination of *every* packet generated at source x, instead of a
-  /// draw from the destination law.  Non-owning; must stay valid through
-  /// drive() and have one entry per source.  Null = sample destinations.
-  const std::vector<NodeId>* fixed_destinations = nullptr;
   ArcServiceOrder service_order = ArcServiceOrder::kFifo;
   std::uint32_t buffer_capacity = 0;  ///< max per arc incl. in service; 0 = infinite
   /// Pre-reserve hint: expected peak number of packets in flight.
@@ -517,34 +510,6 @@ class PacketKernel {
 
   /// Windowed arrival accounting for a freshly injected packet.
   void count_arrival(double now) { stats_.count_arrival(now); }
-
-  /// True when the per-source fixed-destination table is configured.
-  [[nodiscard]] bool has_fixed_destinations() const noexcept {
-    return config_.fixed_destinations != nullptr;
-  }
-
-  /// The fixed destination of packets generated at `origin` (precondition:
-  /// has_fixed_destinations() and origin indexes the table).
-  [[nodiscard]] NodeId fixed_destination(NodeId origin) const {
-    RS_DASSERT(config_.fixed_destinations != nullptr &&
-               origin < config_.fixed_destinations->size());
-    return (*config_.fixed_destinations)[origin];
-  }
-
-  /// The shared arrival-sampling step of on_spawn: a uniform origin over
-  /// `num_sources`, and its destination — the per-source fixed table when
-  /// configured (consuming no destination randomness), a draw from `law`
-  /// otherwise.  The origin draw and the law's consumption order are
-  /// identical to the pre-refactor per-scheme code, so sampled workloads
-  /// stay bit-identical (tests/test_kernel_parity.cpp).
-  [[nodiscard]] std::pair<NodeId, NodeId> sample_spawn(
-      std::uint64_t num_sources, const DestinationDistribution& law) {
-    const auto origin = static_cast<NodeId>(rng_.uniform_below(num_sources));
-    const NodeId dest = config_.fixed_destinations != nullptr
-                            ? fixed_destination(origin)
-                            : law.sample(rng_, origin);
-    return {origin, dest};
-  }
 
   /// Appends the packet to the arc's queue, schedules the arc's service
   /// completion if it was idle, and maintains counters / occupancy

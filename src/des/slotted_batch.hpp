@@ -62,7 +62,6 @@
 #include "util/assert.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
-#include "workload/destination.hpp"
 
 namespace routesim {
 
@@ -75,7 +74,6 @@ struct SlottedBatchContext {
   double slot = 0.0;        ///< slot length; must be > 0
   std::uint32_t buffer_capacity = 0;  ///< max per arc incl. in service; 0 = inf
   std::size_t expected_packets = 0;   ///< pre-reserve hint for the store
-  const std::vector<NodeId>* fixed_destinations = nullptr;  ///< permutation mode
   Rng* rng = nullptr;                        ///< the kernel's RNG (borrowed)
   KernelStats* stats = nullptr;              ///< the kernel's stats (borrowed)
   std::vector<ArcCounters>* arc_counters = nullptr;  ///< kernel's (borrowed)
@@ -127,24 +125,15 @@ class SlottedBatchDriver {
     return total;
   }
 
-  /// Mirror of PacketKernel::sample_spawn: identical draws in identical
-  /// order (the RNG is the kernel's own).
-  [[nodiscard]] std::pair<NodeId, NodeId> sample_spawn(
-      std::uint64_t num_sources, const DestinationDistribution& law) {
-    const auto origin = static_cast<NodeId>(ctx_.rng->uniform_below(num_sources));
-    const NodeId dest = ctx_.fixed_destinations != nullptr
-                            ? (*ctx_.fixed_destinations)[origin]
-                            : law.sample(*ctx_.rng, origin);
-    return {origin, dest};
-  }
-
   void count_arrival(double now) { ctx_.stats->count_arrival(now); }
 
   /// Mirror of PacketKernel::enqueue (FIFO service only): same buffer
   /// check, counters, occupancy and scheduling decision, with the service
-  /// ring replaced by a batch-wheel append.
-  bool enqueue(double now, std::uint32_t arc, std::uint32_t pkt, bool external,
-               std::size_t tracker = kNoTracker) {
+  /// ring replaced by a batch-wheel append.  Always inlined: it is the
+  /// per-hop step of every policy's Phase B.
+  [[gnu::always_inline]] bool enqueue(double now, std::uint32_t arc,
+                                      std::uint32_t pkt, bool external,
+                                      std::size_t tracker = kNoTracker) {
     auto& queue = queues_[arc];
     if (ctx_.buffer_capacity > 0 && queue.size() >= ctx_.buffer_capacity) {
       drop(now, pkt);

@@ -6,13 +6,14 @@
 /// (Pool<Pkt>).  The batch backend instead keeps one contiguous array per
 /// field, shared by every adopting scheme:
 ///
-///   node      — current node / row of the packet;
-///   dest      — destination node / row;
+///   node      — current node of the packet;
+///   dest      — destination node;
 ///   gen_time  — generation time (windowed statistics key);
-///   hops      — arcs traversed so far (vertical arcs for the butterfly);
-///   aux       — scheme-defined: the greedy metric at generation (the
-///               stretch baseline; Hamming distance on the cube), unused
-///               by the butterfly (its stretch is identically 1).
+///   hops      — hops so far (arcs of hop weight 1: vertical arcs on the
+///               butterfly);
+///   aux       — scheme-defined: the hop distance at generation under
+///               faults (the stretch baseline; Hamming distance on the
+///               cube, of the rows on the butterfly), 0 when fault-free.
 ///
 /// The routing phase of a batch step touches only node/dest/hops, so three
 /// small arrays cover the hot loop's working set and the loop body is a

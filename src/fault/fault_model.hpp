@@ -60,12 +60,13 @@ namespace routesim {
 ///                  dead, bounded by a TTL;
 ///   - kDeflect:    hypercube family — when the greedy arc is dead, take a
 ///                  uniformly random surviving out-arc (TTL-bounded);
-///   - kTwinDetour: butterfly — take the level's twin arc (straight for
-///                  vertical and vice versa).  The butterfly has a unique
-///                  path per origin/destination pair, so a detoured packet
-///                  exits at the wrong row and is counted as misrouted —
-///                  the policy measures the capacity cost of deflection in
-///                  a network with no path diversity.
+///   - kTwinDetour: butterfly — take the first live out-arc, i.e. the
+///                  level's twin arc (straight for vertical and vice
+///                  versa).  The butterfly has a unique path per
+///                  origin/destination pair, so a detoured packet exits at
+///                  the wrong row and is counted as misrouted — the policy
+///                  measures the capacity cost of deflection in a network
+///                  with no path diversity.
 ///   - kAdaptive:   hypercube family — bounded local exploration: probe the
 ///                  live unresolved out-arcs in increasing dimension order
 ///                  and take the first metric-descending survivor whose
@@ -104,30 +105,6 @@ struct FaultModelConfig {
   std::uint64_t seed = 1;        ///< replication seed (stream is derived)
   std::uint64_t stream_salt = 0xFA17;  ///< keeps fault draws off traffic streams
 };
-
-/// Maps the fault fields every fault-aware scheme config shares
-/// (arc_fault_rate, node_fault_rate, fault_mtbf, fault_mttr, seed — plus
-/// the storm knobs where the scheme has them) onto a FaultModelConfig, so
-/// the wiring lives in one place.
-template <typename SchemeConfig>
-[[nodiscard]] FaultModelConfig make_fault_model_config(
-    const SchemeConfig& config, std::uint32_t num_arcs,
-    std::uint32_t num_nodes) {
-  FaultModelConfig faults;
-  faults.num_arcs = num_arcs;
-  faults.num_nodes = num_nodes;
-  faults.arc_fault_rate = config.arc_fault_rate;
-  faults.node_fault_rate = config.node_fault_rate;
-  faults.mtbf = config.fault_mtbf;
-  faults.mttr = config.fault_mttr;
-  if constexpr (requires { config.storm_rate; }) {
-    faults.storm_rate = config.storm_rate;
-    faults.storm_radius = config.storm_radius;
-    faults.storm_duration = config.storm_duration;
-  }
-  faults.seed = config.seed;
-  return faults;
-}
 
 class FaultModel {
  public:

@@ -1,8 +1,8 @@
 #pragma once
 /// \file fault_routing.hpp
 /// \brief The fault reroute policies, written once over metric-descending
-///        out-arcs (greedy hypercube, Valiant mixing and every family of
-///        the Topology concept).
+///        out-arcs (greedy and Valiant mixing on every family of the
+///        Topology concept, the butterfly included).
 ///
 /// A scheme calls fault_reroute_arc once its preferred arc is known to be
 /// dead.  The policies see the network only through its out-arcs and which
@@ -16,6 +16,11 @@
 ///                head is the target or has a live descending continuation;
 ///                else the first live descending arc; else skip_dim's
 ///                detour.
+///   - kTwinDetour: the first live out-arc, with no draw.  On the
+///                butterfly's two ports that is the twin of the dead greedy
+///                arc; the row bit of that level then stays wrong (each
+///                level is crossed once), so the packet exits misrouted and
+///                the caller drops it at the exit level.
 /// On the hypercube the descending arcs are the unresolved dimensions in
 /// increasing order, so these are the skip-dimension rules of the paper's
 /// cube.  Keeping the logic here means a fix to the detour discipline
@@ -100,9 +105,14 @@ template <typename Net, typename ArcFaulty>
       }
       return fallback != kDropArc ? fallback : detour();
     }
+    case FaultPolicy::kTwinDetour:
+      for (int k = 0; k < degree; ++k) {
+        const ArcId arc = net.out_arc(cur, k);
+        if (!arc_faulty(arc)) return arc;
+      }
+      break;
     case FaultPolicy::kNone:
     case FaultPolicy::kDrop:
-    case FaultPolicy::kTwinDetour:  // a butterfly policy, excluded by callers
       break;
   }
   return kDropArc;

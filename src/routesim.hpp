@@ -31,7 +31,6 @@
 
 #include "routing/batch_router.hpp"
 #include "routing/deflection.hpp"
-#include "routing/greedy_butterfly.hpp"
 #include "routing/multicast.hpp"
 #include "routing/pipelined_baseline.hpp"
 #include "routing/topology_greedy.hpp"

@@ -16,28 +16,43 @@ namespace routesim {
 void RoutedNetwork::configure(const TopologyRoutingConfig& config) {
   topo_ = make_topology(config.spec);
   num_nodes_ = topo_->num_nodes();
+  layout_ = topo_->traffic_layout();
   diameter_ = std::max(1, topo_->diameter());
-  if (topo_->name() == "hypercube") {
+  // The XOR-mask law acts on d-bit identities: the cube's nodes and the
+  // butterfly's rows.
+  if (topo_->name() == "hypercube" || topo_->name() == "butterfly") {
     law_ = config.destinations.value_or(
         DestinationDistribution::uniform(config.spec.d));
     RS_EXPECTS_MSG(law_->dimension() == config.spec.d,
                    "destination distribution dimension must match d");
   } else {
     RS_EXPECTS_MSG(!config.destinations.has_value(),
-                   "an XOR-mask destination law needs topology=hypercube");
+                   "an XOR-mask destination law needs topology=hypercube "
+                   "or butterfly");
     law_.reset();
   }
   fixed_ = config.fixed_destinations;
-  RS_EXPECTS_MSG(fixed_ == nullptr || fixed_->size() == num_nodes_,
-                 "fixed-destination table must have num_nodes entries");
+  RS_EXPECTS_MSG(fixed_ == nullptr || fixed_->size() == layout_.num_sources,
+                 "fixed-destination table must have one entry per source");
   // Hop counters are 16-bit; a larger TTL could never fire (wraparound).
   ttl_ = std::min(config.ttl > 0 ? config.ttl : 64 * diameter_, 65535);
 }
 
 void RoutedNetwork::configure_faults(const TopologyRoutingConfig& config,
                                      FaultModel& faults) const {
+  FaultModelConfig model;
+  model.num_arcs = topo_->num_arcs();
+  model.num_nodes = num_nodes_;
+  model.arc_fault_rate = config.arc_fault_rate;
+  model.node_fault_rate = config.node_fault_rate;
+  model.mtbf = config.fault_mtbf;
+  model.mttr = config.fault_mttr;
+  model.storm_rate = config.storm_rate;
+  model.storm_radius = config.storm_radius;
+  model.storm_duration = config.storm_duration;
+  model.seed = config.seed;
   faults.configure(
-      make_fault_model_config(config, topo_->num_arcs(), num_nodes_),
+      model,
       [this](std::uint32_t node, std::vector<ArcId>& out) {
         topo_->append_incident_arcs(node, out);
       },
@@ -63,8 +78,10 @@ void TopologyGreedySim::configure_kernel() {
   if (config_.trace == nullptr) RS_EXPECTS(config_.lambda > 0.0);
   RS_EXPECTS_MSG(config_.trace == nullptr ||
                      (std::uint64_t{1} << config_.trace->dimension) ==
-                         net_.num_nodes(),
-                 "a trace replays on the 2^d nodes it was recorded for");
+                         net_.num_sources(),
+                 "a trace replays on the 2^d terminals it was recorded for");
+  RS_EXPECTS_MSG(!config_.valiant || net_.num_sources() == net_.num_nodes(),
+                 "Valiant mixing routes node to node");
   if (config_.slot > 0.0) {
     const double inv = 1.0 / config_.slot;
     RS_EXPECTS_MSG(config_.slot <= 1.0 && std::abs(inv - std::round(inv)) < 1e-9,
@@ -78,9 +95,6 @@ void TopologyGreedySim::configure_kernel() {
                                    config_.storm_rate == 0.0 &&
                                    config_.storm_duration == 0.0),
                  "fault rates need a fault_policy");
-  RS_EXPECTS_MSG(config_.fault_policy != FaultPolicy::kTwinDetour,
-                 "twin_detour is a butterfly policy; greedy and valiant "
-                 "support drop, skip_dim, deflect and adaptive");
 
   const Topology& topo = net_.topology();
   PacketKernelConfig kernel;
@@ -88,7 +102,7 @@ void TopologyGreedySim::configure_kernel() {
   kernel.seed = config_.seed;
   kernel.stream_salt =
       (config_.valiant ? kValiantSalts : kGreedySalts).for_family(topo.name());
-  kernel.birth_rate = config_.lambda * static_cast<double>(net_.num_nodes());
+  kernel.birth_rate = config_.lambda * static_cast<double>(net_.num_sources());
   kernel.slot = config_.slot;
   kernel.trace = config_.trace;
   kernel.service_order = config_.service_order;
@@ -101,8 +115,8 @@ void TopologyGreedySim::configure_kernel() {
         kernel.birth_rate * (config_.valiant ? 2.0 : 1.0) *
             static_cast<double>(net_.diameter())) + 64;
   }
-  if (config_.track_node_occupancy) {
-    kernel.stats.occupancy_trackers = net_.num_nodes();
+  if (config_.track_occupancy) {
+    kernel.stats.occupancy_trackers = net_.num_groups();
   }
   if (config_.track_delay_histogram) {
     enable_delay_tail_tracking(kernel.stats, net_.diameter());
@@ -154,12 +168,13 @@ struct TopologyGreedySim::Router {
 
   void on_spawn(double now) {
     const auto origin = static_cast<NodeId>(
-        sim.kernel_.rng().uniform_below(sim.net_.num_nodes()));
+        sim.kernel_.rng().uniform_below(sim.net_.num_sources()));
     inject(now, origin, sim.net_.draw_destination(sim.kernel_.rng(), origin));
   }
 
+  /// Traces, like the destination law, name terminals.
   void on_traced(double now, NodeId origin, NodeId dest) {
-    inject(now, origin, dest);
+    inject(now, origin, sim.net_.sink(dest));
   }
 
   void inject(double now, NodeId origin, NodeId dest) {
@@ -171,10 +186,11 @@ struct TopologyGreedySim::Router {
     if (sim.config_.valiant) {
       const auto intermediate =
           static_cast<NodeId>(kernel.rng().uniform_below(sim.net_.num_nodes()));
-      min_hops = topo.metric(origin, intermediate) + topo.metric(intermediate, dest);
+      min_hops = stretch_baseline(origin, intermediate) +
+                 stretch_baseline(intermediate, dest);
       if (intermediate != origin) target = intermediate;
     } else {
-      min_hops = topo.metric(origin, dest);
+      min_hops = stretch_baseline(origin, dest);
     }
     kernel.packet(id) =
         Pkt{origin, target, dest, 0, static_cast<std::uint16_t>(min_hops), now};
@@ -196,10 +212,12 @@ struct TopologyGreedySim::Router {
   /// the per-hop path, as they are in a single-topology simulator.
   [[gnu::flatten]] void on_arc_done(double now, ArcId arc) {
     PacketKernel<Pkt>& kernel = sim.kernel_;
-    const std::uint32_t pkt = kernel.finish_arc(now, arc, topo.arc_source(arc));
+    const std::uint32_t pkt =
+        kernel.finish_arc(now, arc, topo.occupancy_group(topo.arc_source(arc)));
     Pkt& packet = kernel.packet(pkt);
     packet.cur = topo.arc_target(arc);
-    ++packet.hop_count;
+    packet.hop_count =
+        static_cast<std::uint16_t>(packet.hop_count + topo.hop_weight(arc));
     if (packet.cur == packet.target) {
       if (packet.target == packet.final_dest) {
         const double stretch =
@@ -213,11 +231,27 @@ struct TopologyGreedySim::Router {
       // Reached the random intermediate node: head for the destination.
       packet.target = packet.final_dest;
     }
-    if (sim.fault_active_ && packet.hop_count >= sim.net_.ttl()) {
+    if (sim.fault_active_ && stranded(packet.cur, packet.hop_count)) {
       kernel.drop_faulty(now, pkt);
       return;
     }
     route(now, pkt, /*external=*/false);
+  }
+
+  /// The hops a greedy walk from `from` to `to` takes, against which a
+  /// delivered packet's stretch is measured — under faults only.  A
+  /// pristine walk takes exactly that many, so its stretch is 1, which is
+  /// what KernelStats reports with no observations; 0 records none and
+  /// saves the hop_distance call on the fault-free spawn path.
+  [[nodiscard]] int stretch_baseline(NodeId from, NodeId to) const {
+    return sim.fault_active_ ? topo.hop_distance(from, to) : 0;
+  }
+
+  /// Fault path only: the packet is lost when its TTL ran out or a detour
+  /// left it, not at its target, on a node with no out-arcs (a misrouted
+  /// packet at the butterfly's exit level).
+  [[nodiscard]] bool stranded(NodeId cur, std::uint16_t hop_count) const {
+    return hop_count >= sim.net_.ttl() || topo.out_degree(cur) == 0;
   }
 
   /// Enqueues the packet on its next arc toward the phase target.
@@ -229,7 +263,7 @@ struct TopologyGreedySim::Router {
       kernel.drop_faulty(now, pkt);
       return;
     }
-    kernel.enqueue(now, arc, pkt, external, packet.cur);
+    kernel.enqueue(now, arc, pkt, external, topo.occupancy_group(packet.cur));
   }
 
   /// The routing decision of both backends: the greedy arc (or the
@@ -288,7 +322,7 @@ struct TopologyGreedySim::BatchPolicy {
     TopologyGreedySim& sim = router.sim;
     SlottedBatchDriver& batch = sim.batch_;
     const auto origin =
-        static_cast<NodeId>(batch.rng().uniform_below(sim.net_.num_nodes()));
+        static_cast<NodeId>(batch.rng().uniform_below(sim.net_.num_sources()));
     const NodeId dest = sim.net_.draw_destination(batch.rng(), origin);
     batch.count_arrival(now);
     SoaPacketStore& store = batch.store();
@@ -298,7 +332,7 @@ struct TopologyGreedySim::BatchPolicy {
     store.gen_time[pkt] = now;
     store.hops[pkt] = 0;
     store.aux[pkt] =
-        static_cast<std::uint16_t>(router.topo.metric(origin, dest));
+        static_cast<std::uint16_t>(router.stretch_baseline(origin, dest));
     if (sim.fault_active_ && sim.fault_model_.is_node_faulty(origin)) {
       batch.drop_faulty(now, pkt);
       return;
@@ -312,7 +346,8 @@ struct TopologyGreedySim::BatchPolicy {
       batch.drop_faulty(now, pkt);
       return;
     }
-    batch.enqueue(now, arc, pkt, /*external=*/true, origin);
+    batch.enqueue(now, arc, pkt, /*external=*/true,
+                  router.topo.occupancy_group(origin));
   }
 
   /// Phase A: advance every packet one hop and pick its next arc.  The
@@ -330,7 +365,8 @@ struct TopologyGreedySim::BatchPolicy {
         const NodeId cur = topo.arc_target(arcs[i]);
         const NodeId dest = store.dest[pkt];
         store.node[pkt] = cur;
-        store.hops[pkt] = static_cast<std::uint16_t>(store.hops[pkt] + 1);
+        store.hops[pkt] =
+            static_cast<std::uint16_t>(store.hops[pkt] + topo.hop_weight(arcs[i]));
         next[i] = cur == dest ? SlottedBatchDriver::kDeliver
                               : topo.greedy_next_arc(cur, dest);
       }
@@ -340,10 +376,11 @@ struct TopologyGreedySim::BatchPolicy {
       const std::uint32_t pkt = pkts[i];
       const NodeId cur = topo.arc_target(arcs[i]);
       store.node[pkt] = cur;
-      store.hops[pkt] = static_cast<std::uint16_t>(store.hops[pkt] + 1);
+      store.hops[pkt] =
+          static_cast<std::uint16_t>(store.hops[pkt] + topo.hop_weight(arcs[i]));
       if (cur == store.dest[pkt]) {
         next[i] = SlottedBatchDriver::kDeliver;
-      } else if (store.hops[pkt] >= sim.net_.ttl()) {
+      } else if (router.stranded(cur, store.hops[pkt])) {
         next[i] = SlottedBatchDriver::kDropFault;
       } else {
         const ArcId arc = router.next_arc(cur, store.dest[pkt]);
@@ -369,13 +406,14 @@ struct TopologyGreedySim::BatchPolicy {
       batch.drop_faulty(now, pkt);
       return;
     }
-    batch.enqueue(now, next, pkt, /*external=*/false, store.node[pkt]);
+    batch.enqueue(now, next, pkt, /*external=*/false,
+                  router.topo.occupancy_group(store.node[pkt]));
   }
 
   /// Occupancy tracker decremented when a service at `arc` completes —
-  /// the arc's source node, as in the scalar finish_arc call.
+  /// the group of the arc's source node, as in the scalar finish_arc call.
   [[nodiscard]] std::size_t finish_tracker(std::uint32_t arc) const {
-    return router.topo.arc_source(arc);
+    return router.topo.occupancy_group(router.topo.arc_source(arc));
   }
 };
 
@@ -414,57 +452,97 @@ std::string resolved_routing_topology(const Scenario& s) {
 
 namespace {
 
-/// Greedy (valiant = false) or Valiant mixing over TopologyGreedySim, with
-/// the schemes' shared metric layout and resilience extras.
-CompiledScenario compile_routing(const Scenario& s, bool valiant) {
-  const std::string family = resolved_routing_topology(s);
-  if (valiant) s.reject_unsupported_keys({"tau", "buffers"});
-  const FaultPolicy fault_policy = s.resolved_fault_policy(
-      {FaultPolicy::kDrop, FaultPolicy::kSkipDim, FaultPolicy::kDeflect,
-       FaultPolicy::kAdaptive});
-  // Greedy on the cube also runs on soa_batch (resolved_routing_topology
-  // has already rejected it on the other families).
-  const KernelBackend backend =
-      valiant ? s.resolved_backend({})
-              : s.resolved_backend({KernelBackend::kSoaBatch});
-  if (backend == KernelBackend::kSoaBatch) {
-    if (s.tau <= 0.0) {
-      throw ScenarioError("backend=soa_batch needs slotted time: set tau > 0");
-    }
-    if (s.workload == "trace") {
-      throw ScenarioError(
-          "backend=soa_batch cannot replay traces (use backend=scalar)");
-    }
-    if (s.fault_mtbf > 0.0 || s.fault_mttr > 0.0 || s.storm_rate > 0.0) {
-      throw ScenarioError(
-          "backend=soa_batch needs a static fault set (clear "
-          "fault_mtbf/fault_mttr/storm_rate or use backend=scalar)");
-    }
+/// The schemes TopologyGreedySim compiles: greedy on the hypercube family,
+/// Valiant mixing, and greedy on the butterfly.
+enum class Routing : std::uint8_t { kGreedy, kValiant, kButterfly };
+
+/// backend=soa_batch's compile-time rules: slotted time, no trace and a
+/// static fault set.  `storms` names storm_rate in the message on the
+/// schemes that support storms.
+void check_soa_batch(const Scenario& s, bool storms) {
+  if (s.tau <= 0.0) {
+    throw ScenarioError("backend=soa_batch needs slotted time: set tau > 0");
   }
-  // Validated here so a bad permutation or trace fails at compile time,
-  // not inside a replication worker thread.
-  const auto perm = s.shared_permutation_table();
-  const auto replay = s.shared_trace();
-  const Window window = s.resolved_window();
+  if (s.workload == "trace") {
+    throw ScenarioError(
+        "backend=soa_batch cannot replay traces (use backend=scalar)");
+  }
+  if (s.fault_mtbf > 0.0 || s.fault_mttr > 0.0 || s.storm_rate > 0.0) {
+    throw ScenarioError(
+        std::string("backend=soa_batch needs a static fault set (clear "
+                    "fault_mtbf/fault_mttr") +
+        (storms ? "/storm_rate" : "") + " or use backend=scalar)");
+  }
+}
+
+/// Greedy or Valiant mixing over TopologyGreedySim, with the schemes'
+/// shared metric layout and resilience extras.
+CompiledScenario compile_routing(const Scenario& s, Routing routing) {
+  const bool valiant = routing == Routing::kValiant;
+  const bool butterfly = routing == Routing::kButterfly;
+  // Validated here so a bad topology, permutation, trace or fault
+  // combination fails at compile time, not inside a replication worker
+  // thread.  Each scheme keeps its own check order, so a scenario with
+  // several errors reports the one it always did.
+  const std::string family = butterfly ? s.resolved_topology({"butterfly"})
+                                       : resolved_routing_topology(s);
+  std::shared_ptr<const std::vector<NodeId>> perm;
+  std::shared_ptr<const PacketTrace> replay;
+  Window window;
+  FaultPolicy fault_policy = FaultPolicy::kNone;
+  KernelBackend backend = KernelBackend::kScalar;
+  if (butterfly) {
+    perm = s.shared_permutation_table();
+    replay = s.shared_trace();
+    window = s.resolved_window();
+    fault_policy = s.resolved_fault_policy(
+        {FaultPolicy::kDrop, FaultPolicy::kTwinDetour});
+    if (s.storm_rate > 0.0 || s.storm_duration > 0.0) {
+      throw ScenarioError(
+          "scheme 'butterfly_greedy' does not support fault storms "
+          "(clear storm_rate/storm_duration; storms are available on "
+          "hypercube_greedy and valiant_mixing)");
+    }
+    s.reject_unsupported_keys({"buffers"});
+    backend = s.resolved_backend({KernelBackend::kSoaBatch});
+    if (backend == KernelBackend::kSoaBatch) check_soa_batch(s, false);
+  } else {
+    if (valiant) s.reject_unsupported_keys({"tau", "buffers"});
+    fault_policy = s.resolved_fault_policy(
+        {FaultPolicy::kDrop, FaultPolicy::kSkipDim, FaultPolicy::kDeflect,
+         FaultPolicy::kAdaptive});
+    // Greedy on the cube also runs on soa_batch (resolved_routing_topology
+    // has already rejected it on the other families).
+    backend = valiant ? s.resolved_backend({})
+                      : s.resolved_backend({KernelBackend::kSoaBatch});
+    if (backend == KernelBackend::kSoaBatch) check_soa_batch(s, true);
+    perm = s.shared_permutation_table();
+    replay = s.shared_trace();
+    window = s.resolved_window();
+  }
   std::optional<DestinationDistribution> law;
-  if (family == "hypercube") law = s.make_destinations();
+  if (family == "hypercube" || family == "butterfly") {
+    law = s.make_destinations();
+  }
   const bool max_queue = perm != nullptr && !valiant;
 
   CompiledScenario compiled;
-  compiled.replicate = [s, valiant, max_queue, window, fault_policy, backend,
+  compiled.replicate = [s, routing, max_queue, window, fault_policy, backend,
                         perm, replay, law](std::uint64_t seed, int) {
     TopologyRoutingConfig config;
     config.spec = s.topology_spec();
+    // "native" is the butterfly here.
+    if (routing == Routing::kButterfly) config.spec.name = "butterfly";
     config.lambda = s.lambda;
     config.seed = seed;
     config.destinations = law;
     config.fixed_destinations = perm.get();
     config.slot = s.tau;  // 0 under valiant (rejected above)
-    config.valiant = valiant;
+    config.valiant = routing == Routing::kValiant;
     config.buffer_capacity = s.buffer_capacity;
     config.backend = backend;
-    // Greedy permutation runs track per-node occupancy for max_queue.
-    config.track_node_occupancy = max_queue;
+    // Greedy permutation runs track occupancy for max_queue.
+    config.track_occupancy = max_queue;
     // Tail metrics (delay_p50/p99) come from the delay histogram.
     config.track_delay_histogram = true;
     if (fault_policy != FaultPolicy::kNone) {
@@ -476,7 +554,9 @@ CompiledScenario compile_routing(const Scenario& s, bool valiant) {
       config.storm_rate = s.storm_rate;
       config.storm_radius = s.storm_radius;
       config.storm_duration = s.storm_duration;
-      config.ttl = s.ttl;
+      // Every butterfly path is d arcs, so the scheme has no use for a TTL
+      // and keeps the default, which never fires there.
+      if (routing != Routing::kButterfly) config.ttl = s.ttl;
     }
     // Thread-local so the cached sim's trace pointer stays valid for the
     // sim's whole lifetime (and the buffers are reused per rep).
@@ -507,22 +587,34 @@ CompiledScenario compile_routing(const Scenario& s, bool valiant) {
                             "delay_p50",      "delay_p99",
                             "fault_drops",    "buffer_drops"};
   if (max_queue) compiled.extra_metrics.emplace_back("max_queue");
-  // The paper's delay bracket is a theorem for direct greedy on the cube:
-  // the mixed network is not levelled (the point of the comparison), the
-  // other families have no closed form, and neither do faulty, general-law
-  // or permutation scenarios or an external trace_file, whose load the
-  // scenario's lambda/p do not describe.  Unstable points (rho >= 1) run
-  // fine — only the bracket is gone.
-  if (!valiant && family == "hypercube" && s.workload != "general" &&
-      s.workload != "permutation" && !s.faults_active() && replay == nullptr) {
-    const bounds::HypercubeParams params{s.d, s.lambda, s.effective_p()};
-    if (bounds::load_factor(params) < 1.0) {
+  // The paper's delay brackets are theorems for direct greedy on the cube
+  // (Props. 12/13) and the butterfly (Props. 14/17): the mixed network is
+  // not levelled (the point of the comparison), the other families have no
+  // closed form, and neither do faulty, general-law or permutation
+  // scenarios or an external trace_file, whose load the scenario's
+  // lambda/p do not describe.  Unstable points (rho >= 1) run fine — only
+  // the bracket is gone.
+  if (valiant || (family != "hypercube" && !butterfly) ||
+      s.workload == "general" || s.workload == "permutation" ||
+      s.faults_active() || replay != nullptr) {
+    return compiled;
+  }
+  if (butterfly) {
+    const bounds::ButterflyParams params{s.d, s.lambda, s.effective_p()};
+    if (bounds::bfly_load_factor(params) < 1.0) {
       compiled.has_bounds = true;
-      compiled.lower_bound = bounds::greedy_delay_lower_bound(params);
-      compiled.upper_bound =
-          s.tau > 0.0 ? bounds::slotted_delay_upper_bound(params, s.tau)
-                      : bounds::greedy_delay_upper_bound(params);
+      compiled.lower_bound = bounds::bfly_universal_delay_lower_bound(params);
+      compiled.upper_bound = bounds::bfly_greedy_delay_upper_bound(params);
     }
+    return compiled;
+  }
+  const bounds::HypercubeParams params{s.d, s.lambda, s.effective_p()};
+  if (bounds::load_factor(params) < 1.0) {
+    compiled.has_bounds = true;
+    compiled.lower_bound = bounds::greedy_delay_lower_bound(params);
+    compiled.upper_bound = s.tau > 0.0
+                               ? bounds::slotted_delay_upper_bound(params, s.tau)
+                               : bounds::greedy_delay_upper_bound(params);
   }
   return compiled;
 }
@@ -530,7 +622,7 @@ CompiledScenario compile_routing(const Scenario& s, bool valiant) {
 }  // namespace
 
 CompiledScenario compile_topology_greedy(const Scenario& s) {
-  return compile_routing(s, /*valiant=*/false);
+  return compile_routing(s, Routing::kGreedy);
 }
 
 void register_hypercube_greedy_scheme(SchemeRegistry& registry) {
@@ -540,12 +632,30 @@ void register_hypercube_greedy_scheme(SchemeRegistry& registry) {
                 compile_topology_greedy});
 }
 
+void register_butterfly_greedy_scheme(SchemeRegistry& registry) {
+  registry.add(
+      {"butterfly_greedy",
+       "greedy routing on the d-dimensional butterfly (§4; Props. 14/17)",
+       [](const Scenario& s) { return compile_routing(s, Routing::kButterfly); },
+       [](const Scenario& s) {
+         if (s.workload == "permutation") {
+           // Exact: every source row emits rate lambda down one fixed
+           // path, so the heaviest arc carries lambda * max_load.
+           const auto table = s.permutation_table();
+           return s.lambda *
+                  static_cast<double>(
+                      butterfly_greedy_congestion(s.d, table).max_load);
+         }
+         return bounds::bfly_load_factor({s.d, s.lambda, s.effective_p()});
+       }});
+}
+
 void register_valiant_mixing_scheme(SchemeRegistry& registry) {
   registry.add(
       {"valiant_mixing",
        "two-phase Valiant mixing: greedy to a random intermediate, then "
        "greedy to the destination (§5)",
-       [](const Scenario& s) { return compile_routing(s, /*valiant=*/true); },
+       [](const Scenario& s) { return compile_routing(s, Routing::kValiant); },
        [](const Scenario& s) {
          if (s.uses_generic_topology()) {
            // Mixing doubles the traffic over greedy arcs: each phase loads

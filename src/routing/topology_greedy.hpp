@@ -4,24 +4,29 @@
 ///        Valiant-mixing variant over any `Topology`, plus the pieces the
 ///        deflection simulator (routing/deflection.hpp) shares with it.
 ///
-/// TopologyGreedySim is the one simulator of the paper's greedy scheme
-/// (`hypercube_greedy`, §3: the d-cube crossed in increasing dimension
-/// order, FIFO arcs, slotted variant §3.4) on every family but the
-/// butterfly — ring / torus / mesh included — and of Valiant's two-phase
-/// mixing (`valiant_mixing`, §5) on every family.  It runs on the shared
-/// packet kernel (des/packet_kernel.hpp); the scheme-specific ingredients
-/// are `Topology::greedy_next_arc` and, under faults, the reroute policies
-/// of fault/fault_routing.hpp.  The routing hooks are a template on the
-/// topology, instantiated on the concrete HypercubeTopology (no virtual
-/// call) and on the Topology interface (every other family).
+/// TopologyGreedySim is the one simulator of the paper's greedy scheme on
+/// every family: `hypercube_greedy` (§3: the d-cube crossed in increasing
+/// dimension order, FIFO arcs, slotted variant §3.4) on the cube, ring,
+/// torus and mesh, and `butterfly_greedy` (§4: the same increasing-
+/// dimension step, unfolded into levels) on the butterfly; plus Valiant's
+/// two-phase mixing (`valiant_mixing`, §5).  It runs on the shared packet
+/// kernel (des/packet_kernel.hpp); the scheme-specific ingredients are
+/// `Topology::greedy_next_arc`, the family's terminals, hop weights and
+/// occupancy groups (`Topology::traffic_layout`, `hop_weight`,
+/// `occupancy_group`) and, under faults, the reroute policies of
+/// fault/fault_routing.hpp.  The routing hooks are a
+/// template on the topology, instantiated on the concrete
+/// HypercubeTopology and ButterflyTopology (no virtual call) and on the
+/// Topology interface (every other family).
 ///
 /// This class is the *direct* simulation of the model in §1.1; the
 /// Markovian equivalent network Q of §3.1 is implemented independently in
 /// queueing/levelled_network.hpp + core/equivalence.hpp, and the test suite
 /// checks that the two agree.  Three arrival modes: continuous (per-node
 /// Poisson), slotted (§3.4: Poisson(lambda*slot) per node at k*slot) and
-/// trace replay.  On the hypercube, greedy also runs on the soa_batch
-/// backend (des/slotted_batch.hpp) with bit-identical results.
+/// trace replay.  On the hypercube and the butterfly, greedy also runs on
+/// the soa_batch backend (des/slotted_batch.hpp) with bit-identical
+/// results.
 ///
 /// On ring / torus / mesh the compile hooks accept workload=uniform (and a
 /// permutation on the ring, whose 2^d nodes match the permutation
@@ -65,12 +70,13 @@ struct TopologyRoutingConfig {
   TopologySpec spec;
   double lambda = 0.1;  ///< packet generation rate per node
   std::uint64_t seed = 1;
-  /// Hypercube only: the XOR-mask destination law (dimension spec.d);
-  /// nullopt = uniform.  Other families draw a uniform destination node.
+  /// Hypercube and butterfly: the XOR-mask destination law over the 2^d
+  /// terminals (dimension spec.d); nullopt = uniform.  Other families draw
+  /// a uniform destination node.
   std::optional<DestinationDistribution> destinations;
-  /// Per-source fixed destinations (workload = permutation); entry x is the
-  /// destination of packets generated at node x.  Non-owning; num_nodes()
-  /// entries; null = sample destinations.
+  /// Per-source fixed destinations (workload = permutation); entry t is the
+  /// destination terminal of packets born at terminal t.  Non-owning; one
+  /// entry per source terminal; null = sample destinations.
   const std::vector<NodeId>* fixed_destinations = nullptr;
   /// Greedy: replay this trace instead of generating traffic (lambda and
   /// slot are then ignored).
@@ -90,16 +96,17 @@ struct TopologyRoutingConfig {
   /// Valiant phase, FIFO service, increasing order and a static fault set;
   /// its results are bit-identical to kScalar (tests/test_kernel_parity).
   KernelBackend backend = KernelBackend::kScalar;
-  /// Greedy: track a time-weighted occupancy per node.
-  bool track_node_occupancy = false;
+  /// Greedy: track a time-weighted occupancy per occupancy group of the
+  /// topology (per node; per level on the butterfly).
+  bool track_occupancy = false;
   /// Greedy: collect a delay histogram (bin width 1, range [0, 64 *
   /// diameter]); deflection always collects it.
   bool track_delay_histogram = false;
 
   // --- fault injection (src/fault/fault_model.hpp) ----------------------
   /// Greedy: kNone = the pristine path; kDrop / kSkipDim / kDeflect /
-  /// kAdaptive route around (or drop at) dead arcs within the current
-  /// phase.  Deflection ignores it: a dead arc is a port that is never
+  /// kAdaptive / kTwinDetour route around (or drop at) dead arcs within
+  /// the current phase.  Deflection ignores it: a dead arc is a port that is never
   /// free, so the rates alone switch its fault model on.
   FaultPolicy fault_policy = FaultPolicy::kNone;
   double arc_fault_rate = 0.0;
@@ -113,23 +120,25 @@ struct TopologyRoutingConfig {
   int ttl = 0;  ///< max hops for detouring packets; 0 = 64 * diameter
 };
 
-/// Kernel RNG stream salts of one scheme: the paper's cube keeps the salts
-/// its pins were captured with, and every other family draws a stream of
-/// its own.
+/// Kernel RNG stream salts of one scheme: the paper's cube and butterfly
+/// keep the salts their pins were captured with, and every other family
+/// draws a stream of its own.
 struct StreamSalts {
   std::uint64_t hypercube = 0;
+  std::uint64_t butterfly = 0;
   std::uint64_t other = 0;
   [[nodiscard]] std::uint64_t for_family(const std::string& family) const {
-    return family == "hypercube" ? hypercube : other;
+    if (family == "hypercube") return hypercube;
+    return family == "butterfly" ? butterfly : other;
   }
 };
-inline constexpr StreamSalts kGreedySalts{0xC0BE, 0x7090};
-inline constexpr StreamSalts kValiantSalts{0x3A1A, 0x7091};
-inline constexpr StreamSalts kDeflectionSalts{0xDEF1, 0xDEF2};
+inline constexpr StreamSalts kGreedySalts{0xC0BE, 0xBF17, 0x7090};
+inline constexpr StreamSalts kValiantSalts{0x3A1A, 0x7091, 0x7091};
+inline constexpr StreamSalts kDeflectionSalts{0xDEF1, 0xDEF2, 0xDEF2};
 
 /// What both topology-parametric simulators resolve from their config in
-/// the same way: the topology, the destination law, the TTL, the fault
-/// model and the destination draw.
+/// the same way: the topology and its traffic layout, the destination
+/// law, the TTL, the fault model and the destination draw.
 class RoutedNetwork {
  public:
   /// Builds the topology and checks the config against it.
@@ -145,16 +154,30 @@ class RoutedNetwork {
   [[nodiscard]] int diameter() const noexcept { return diameter_; }
   [[nodiscard]] int ttl() const noexcept { return ttl_; }
 
-  /// The destination of a packet born at `origin`: the fixed table entry
-  /// (no draw), else a draw from the hypercube's law, else a uniform node.
+  // --- the topology's traffic layout (Topology::TrafficLayout) ---
+  [[nodiscard]] std::uint32_t num_sources() const noexcept {
+    return layout_.num_sources;
+  }
+  /// The node where packets for `terminal` leave the network.
+  [[nodiscard]] NodeId sink(NodeId terminal) const noexcept {
+    return layout_.sink_base + terminal;
+  }
+  [[nodiscard]] std::uint32_t num_groups() const noexcept {
+    return layout_.num_groups;
+  }
+
+  /// The destination node of a packet born at `origin`: the sink of the
+  /// fixed table's terminal (no draw), else of a draw from the law, else
+  /// of a uniform terminal.
   [[nodiscard]] NodeId draw_destination(Rng& rng, NodeId origin) const {
-    if (fixed_ != nullptr) return (*fixed_)[origin];
-    if (law_.has_value()) return law_->sample(rng, origin);
-    return static_cast<NodeId>(rng.uniform_below(num_nodes_));
+    if (fixed_ != nullptr) return sink((*fixed_)[origin]);
+    if (law_.has_value()) return sink(law_->sample(rng, origin));
+    return sink(static_cast<NodeId>(rng.uniform_below(layout_.num_sources)));
   }
 
  private:
   std::unique_ptr<const Topology> topo_;
+  Topology::TrafficLayout layout_;
   std::optional<DestinationDistribution> law_;
   const std::vector<NodeId>* fixed_ = nullptr;
   std::uint32_t num_nodes_ = 0;
@@ -217,7 +240,9 @@ class TopologyGreedySim {
     NodeId target = 0;  ///< current phase's goal (intermediate, then dest)
     NodeId final_dest = 0;
     std::uint16_t hop_count = 0;
-    std::uint16_t min_hops = 0;  ///< metric along the routed path — stretch baseline
+    /// Stretch baseline: hop_distance along the routed path (0 when the
+    /// network is fault-free; see Router::stretch_baseline).
+    std::uint16_t min_hops = 0;
     double gen_time = 0.0;
   };
 
@@ -256,7 +281,8 @@ class SchemeRegistry;
 /// The compile hook of `hypercube_greedy` on every topology: greedy on
 /// TopologyGreedySim with the scheme's metric layout and extras (plus
 /// max_queue under a permutation), and on the hypercube the paper's
-/// closed-form delay bracket and backend=soa_batch.
+/// closed-form delay bracket and backend=soa_batch.  (`butterfly_greedy`
+/// compiles through the same routine with the butterfly's rules.)
 [[nodiscard]] CompiledScenario compile_topology_greedy(const Scenario& s);
 
 /// core/registry.hpp hookup: registers "hypercube_greedy" (continuous or,
@@ -269,6 +295,14 @@ class SchemeRegistry;
 /// through the delivery_ratio / mean_stretch / delay_p50 / delay_p99 /
 /// fault_drops / buffer_drops extras; topology= ring / torus / mesh).
 void register_hypercube_greedy_scheme(SchemeRegistry& registry);
+
+/// core/registry.hpp hookup: registers "butterfly_greedy" (§4, Props.
+/// 14/17, on TopologyGreedySim over the butterfly; workloads bit_flip,
+/// uniform, general, trace and permutation — the latter adds a max_queue
+/// extra and an exact lambda*max_congestion load factor; backend=soa_batch;
+/// fault injection with fault_policy drop | twin_detour, reported through
+/// the resilience extras).
+void register_butterfly_greedy_scheme(SchemeRegistry& registry);
 
 /// core/registry.hpp hookup: registers "valiant_mixing" (§5 two-phase
 /// mixing on TopologyGreedySim, on every topology; workload "trace"

@@ -78,18 +78,12 @@ class Butterfly {
   /// rows differ.
   [[nodiscard]] std::vector<BflyArcId> path(NodeId origin_row, NodeId dest_row) const;
 
-  /// Dense node index of [row; level] (level 1 .. d+1): nodes are grouped
-  /// by level, so node_index = (level-1) * 2^d + row.  Bijection onto
-  /// [0, (d+1)*2^d); used by the fault model's node bitset.
-  [[nodiscard]] std::uint32_t node_index(NodeId row, int level) const {
-    RS_DASSERT(row < rows_ && level >= 1 && level <= d_ + 1);
-    return static_cast<std::uint32_t>(level - 1) * rows_ + row;
-  }
-
   /// Appends every arc incident to the node with dense index `node` — its
   /// out-arcs (levels 1..d have a straight and a vertical one) and its
   /// in-arcs (levels 2..d+1: the straight arc from the same row and the
   /// vertical arc from the row differing in bit level-1) — to `out`.
+  /// Nodes are grouped by level: [row; level] has index
+  /// (level-1) * 2^d + row, a bijection onto [0, (d+1)*2^d).
   void append_incident_arcs(std::uint32_t node, std::vector<BflyArcId>& out) const {
     const int level = static_cast<int>(node / rows_) + 1;
     const NodeId row = node & (rows_ - 1u);

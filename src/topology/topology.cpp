@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "topology/butterfly.hpp"
 #include "topology/ring.hpp"
 #include "topology/torus.hpp"
 #include "util/assert.hpp"
@@ -11,80 +10,6 @@
 namespace routesim {
 
 namespace {
-
-/// Adapter over the paper's Butterfly.  Nodes are the dense
-/// (level-1)*2^d + row indexing of Butterfly::node_index; the graph is a
-/// DAG (packets only descend levels), so metric() is partial: (r1, l1)
-/// reaches (r2, l2) iff l2 >= l1 and the rows agree outside the crossed
-/// levels l1..l2-1, in which case the distance is exactly l2 - l1.
-class ButterflyTopology final : public Topology {
- public:
-  explicit ButterflyTopology(int d) : bfly_(d) {}
-
-  [[nodiscard]] const std::string& name() const noexcept override {
-    static const std::string kName = "butterfly";
-    return kName;
-  }
-  [[nodiscard]] std::uint32_t num_nodes() const noexcept override {
-    return static_cast<std::uint32_t>(bfly_.num_levels()) * bfly_.rows();
-  }
-  [[nodiscard]] std::uint32_t num_arcs() const noexcept override {
-    return bfly_.num_arcs();
-  }
-  [[nodiscard]] NodeId arc_source(ArcId a) const override {
-    return bfly_.node_index(bfly_.arc_row(a), bfly_.arc_level(a));
-  }
-  [[nodiscard]] NodeId arc_target(ArcId a) const override {
-    return bfly_.node_index(bfly_.arc_target_row(a), bfly_.arc_level(a) + 1);
-  }
-  [[nodiscard]] int out_degree(NodeId x) const override {
-    return level_of(x) <= bfly_.dimension() ? 2 : 0;
-  }
-  [[nodiscard]] ArcId out_arc(NodeId x, int k) const override {
-    RS_DASSERT(k >= 0 && k < out_degree(x));
-    return bfly_.arc_index(row_of(x), level_of(x),
-                           k == 0 ? Butterfly::ArcKind::kStraight
-                                  : Butterfly::ArcKind::kVertical);
-  }
-  void append_incident_arcs(NodeId x, std::vector<ArcId>& out) const override {
-    bfly_.append_incident_arcs(x, out);
-  }
-  [[nodiscard]] int metric(NodeId from, NodeId to) const override {
-    const int l1 = level_of(from);
-    const int l2 = level_of(to);
-    if (l2 < l1) {
-      return -1;
-    }
-    // Crossing levels l1..l2-1 can flip exactly the identity bits l1..l2-1
-    // of the row; every other bit must already agree.
-    const NodeId diff = row_of(from) ^ row_of(to);
-    const NodeId crossable =
-        ((NodeId{1} << (l2 - 1)) - 1u) ^ ((NodeId{1} << (l1 - 1)) - 1u);
-    return (diff & ~crossable) == 0 ? l2 - l1 : -1;
-  }
-  [[nodiscard]] int diameter() const override { return bfly_.dimension(); }
-  [[nodiscard]] ArcId greedy_next_arc(NodeId cur, NodeId dest) const override {
-    RS_DASSERT(metric(cur, dest) > 0);
-    const int level = level_of(cur);
-    const bool vertical = has_dimension(row_of(cur) ^ row_of(dest), level);
-    return bfly_.arc_index(row_of(cur), level,
-                           vertical ? Butterfly::ArcKind::kVertical
-                                    : Butterfly::ArcKind::kStraight);
-  }
-  /// Level-1 injection to a uniform exit row crosses each level once and
-  /// picks straight or vertical with probability 1/2 each (Lemma 3.1's
-  /// uniformity), so every arc carries lambda/2.
-  [[nodiscard]] double uniform_load_per_lambda() const override { return 0.5; }
-
- private:
-  [[nodiscard]] int level_of(NodeId x) const { return static_cast<int>(x / bfly_.rows()) + 1; }
-  [[nodiscard]] NodeId row_of(NodeId x) const { return x & (bfly_.rows() - 1u); }
-
-  Butterfly bfly_;
-};
-
-constexpr int kMinCubeD = 1;
-constexpr int kMaxCubeD = 20;
 
 [[noreturn]] void unknown_topology(const std::string& name) {
   std::string known;
@@ -126,10 +51,10 @@ const std::string& topology_summary(const std::string& name) {
 
 std::unique_ptr<const Topology> make_topology(const TopologySpec& spec) {
   if (spec.name == "hypercube" || spec.name == "butterfly") {
-    if (spec.d < kMinCubeD || spec.d > kMaxCubeD) {
+    if (spec.d < kMinDimension || spec.d > kMaxDimension) {
       throw std::invalid_argument(
           "topology=" + spec.name + " needs d in [" +
-          std::to_string(kMinCubeD) + ", " + std::to_string(kMaxCubeD) +
+          std::to_string(kMinDimension) + ", " + std::to_string(kMaxDimension) +
           "], got d=" + std::to_string(spec.d));
     }
     if (spec.name == "hypercube") {

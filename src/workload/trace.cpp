@@ -12,10 +12,9 @@
 
 namespace routesim {
 
-namespace {
-
-PacketTrace generate_trace(int d, double lambda, const DestinationDistribution& dist,
-                           double horizon, std::uint64_t seed) {
+PacketTrace generate_hypercube_trace(int d, double lambda,
+                                     const DestinationDistribution& dist,
+                                     double horizon, std::uint64_t seed) {
   RS_EXPECTS(d >= 1 && d <= 26);
   RS_EXPECTS(lambda > 0.0);
   RS_EXPECTS(horizon > 0.0);
@@ -36,20 +35,6 @@ PacketTrace generate_trace(int d, double lambda, const DestinationDistribution& 
         birth.time, birth.origin, dist.sample(dest_rng, birth.origin)});
   }
   return trace;
-}
-
-}  // namespace
-
-PacketTrace generate_hypercube_trace(int d, double lambda,
-                                     const DestinationDistribution& dist,
-                                     double horizon, std::uint64_t seed) {
-  return generate_trace(d, lambda, dist, horizon, seed);
-}
-
-PacketTrace generate_butterfly_trace(int d, double lambda,
-                                     const DestinationDistribution& dist,
-                                     double horizon, std::uint64_t seed) {
-  return generate_trace(d, lambda, dist, horizon, seed);
 }
 
 PacketTrace generate_fixed_destination_trace(int d, double lambda,

@@ -27,7 +27,7 @@ struct TracedPacket {
 /// A time-sorted packet trace plus the model parameters it was generated
 /// with; replaying it fixes the exogenous randomness of an experiment.
 struct PacketTrace {
-  int dimension = 0;         ///< cube dimension d (or butterfly d)
+  int dimension = 0;         ///< d: the trace indexes 2^d terminals
   double rate_per_node = 0;  ///< lambda used to generate the trace
   std::vector<TracedPacket> packets;  ///< sorted by time
 
@@ -37,15 +37,11 @@ struct PacketTrace {
   }
 };
 
-/// Generates a Poisson trace on the d-cube (origins uniform over nodes,
-/// destinations from `dist`) up to the given horizon.
+/// Generates a Poisson trace over 2^d terminals (origins uniform,
+/// destinations from `dist`) up to the given horizon.  The terminals are
+/// the d-cube's nodes, or the butterfly's rows: a level-1 origin row and a
+/// level-(d+1) destination row.
 [[nodiscard]] PacketTrace generate_hypercube_trace(int d, double lambda,
-                                                   const DestinationDistribution& dist,
-                                                   double horizon, std::uint64_t seed);
-
-/// Generates a trace for the butterfly: origins are level-1 rows, and
-/// `destination` holds the destination *row* at level d+1.
-[[nodiscard]] PacketTrace generate_butterfly_trace(int d, double lambda,
                                                    const DestinationDistribution& dist,
                                                    double horizon, std::uint64_t seed);
 

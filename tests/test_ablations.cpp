@@ -189,7 +189,7 @@ TEST(FiniteBuffers, LossRateDecreasesWithCapacity) {
 TEST(FiniteBuffers, OccupancyNeverExceedsCapacity) {
   auto config = base_config(4, 1.8, 53);
   config.buffer_capacity = 3;
-  config.track_node_occupancy = true;
+  config.track_occupancy = true;
   TopologyGreedySim sim(config);
   sim.run(500.0, 10500.0);
   // Each node has d out-arcs of capacity 3 each.

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/scenario.hpp"
-#include "routing/greedy_butterfly.hpp"
 #include "routing/topology_greedy.hpp"
 #include "topology/hypercube.hpp"
 #include "util/assert.hpp"

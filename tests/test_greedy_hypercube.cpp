@@ -165,7 +165,7 @@ TEST(GreedyHypercube, TraceReplayIsCoupledAcrossInstances) {
 
 TEST(GreedyHypercube, NodeOccupancyTracking) {
   auto config = make_config(4, 1.0, 0.5, 61);  // rho = 0.5
-  config.track_node_occupancy = true;
+  config.track_occupancy = true;
   TopologyGreedySim sim(config);
   sim.run(500.0, 10500.0);
   const auto& occupancy = sim.kernel_stats().occupancy_means();

@@ -15,7 +15,6 @@
 
 #include "core/campaign.hpp"
 #include "core/scenario.hpp"
-#include "routing/greedy_butterfly.hpp"
 #include "routing/topology_greedy.hpp"
 #include "workload/permutation.hpp"
 
@@ -124,7 +123,7 @@ TEST(KernelBackend, StatsHarvestMatchesScalarExactly) {
   config.destinations = DestinationDistribution::uniform(6);
   config.seed = 8;
   config.slot = 1.0;
-  config.track_node_occupancy = true;
+  config.track_occupancy = true;
   config.track_delay_histogram = true;
 
   config.backend = KernelBackend::kScalar;
@@ -158,29 +157,32 @@ TEST(KernelBackend, StatsHarvestMatchesScalarExactly) {
 }
 
 TEST(KernelBackend, ButterflySlottedMatchesScalarExactly) {
-  GreedyButterflyConfig config;
-  config.d = 5;
+  TopologyRoutingConfig config;
+  config.spec.name = "butterfly";
+  config.spec.d = 5;
   config.lambda = 0.6;
   config.destinations = DestinationDistribution::bit_flip(5, 0.4);
   config.seed = 23;
   config.slot = 1.0;
-  config.track_level_occupancy = true;
+  config.track_occupancy = true;
 
   config.backend = KernelBackend::kScalar;
-  GreedyButterflySim scalar_sim(config);
+  TopologyGreedySim scalar_sim(config);
   scalar_sim.run(30.0, 430.0);
   config.backend = KernelBackend::kSoaBatch;
-  GreedyButterflySim soa_sim(config);
+  TopologyGreedySim soa_sim(config);
   soa_sim.run(30.0, 430.0);
 
+  const KernelStats& scalar_stats = scalar_sim.kernel_stats();
+  const KernelStats& soa_stats = soa_sim.kernel_stats();
   EXPECT_EQ(scalar_sim.delay().mean(), soa_sim.delay().mean());
-  EXPECT_EQ(scalar_sim.vertical_hops().mean(), soa_sim.vertical_hops().mean());
+  EXPECT_EQ(scalar_sim.hops().mean(), soa_sim.hops().mean());
   EXPECT_EQ(scalar_sim.time_avg_population(), soa_sim.time_avg_population());
   EXPECT_EQ(scalar_sim.throughput(), soa_sim.throughput());
-  EXPECT_EQ(scalar_sim.deliveries_in_window(), soa_sim.deliveries_in_window());
-  EXPECT_EQ(scalar_sim.arrivals_in_window(), soa_sim.arrivals_in_window());
-  const auto& scalar_levels = scalar_sim.level_mean_occupancy();
-  const auto& soa_levels = soa_sim.level_mean_occupancy();
+  EXPECT_EQ(scalar_stats.deliveries_in_window(), soa_stats.deliveries_in_window());
+  EXPECT_EQ(scalar_stats.arrivals_in_window(), soa_stats.arrivals_in_window());
+  const auto& scalar_levels = scalar_stats.occupancy_means();
+  const auto& soa_levels = soa_stats.occupancy_means();
   ASSERT_EQ(scalar_levels.size(), soa_levels.size());
   for (std::size_t level = 0; level < scalar_levels.size(); ++level) {
     EXPECT_EQ(scalar_levels[level], soa_levels[level]) << "level " << level;

@@ -17,7 +17,6 @@
 #include "core/equivalence.hpp"
 #include "queueing/levelled_network.hpp"
 #include "routing/deflection.hpp"
-#include "routing/greedy_butterfly.hpp"
 #include "routing/multicast.hpp"
 #include "routing/pipelined_baseline.hpp"
 #include "routing/topology_greedy.hpp"
@@ -49,6 +48,17 @@ TopologyRoutingConfig cube_config(int d, double lambda,
   return config;
 }
 
+/// The same config on the paper's d-dimensional butterfly: its pins run
+/// through the one greedy simulator too.
+TopologyRoutingConfig butterfly_config(int d, double lambda,
+                                       const DestinationDistribution& destinations,
+                                       std::uint64_t seed) {
+  TopologyRoutingConfig config =
+      cube_config(d, lambda, destinations, seed);
+  config.spec.name = "butterfly";
+  return config;
+}
+
 void expect_exact(const std::vector<double>& actual,
                   const std::vector<double>& pinned) {
   ASSERT_EQ(actual.size(), pinned.size());
@@ -60,7 +70,7 @@ void expect_exact(const std::vector<double>& actual,
 TEST(KernelParity, HypercubeContinuousWithOccupancyAndHistogram) {
   TopologyRoutingConfig config =
       cube_config(6, 1.0, DestinationDistribution::uniform(6), 42);
-  config.track_node_occupancy = true;
+  config.track_occupancy = true;
   config.track_delay_histogram = true;
   TopologyGreedySim sim(config);
   sim.run(50.0, 550.0);
@@ -130,39 +140,35 @@ TEST(KernelParity, HypercubeAblationsLifoRandomOrderFiniteBuffers) {
 }
 
 TEST(KernelParity, ButterflyContinuousWithLevelOccupancy) {
-  GreedyButterflyConfig config;
-  config.d = 5;
-  config.lambda = 0.8;
-  config.destinations = DestinationDistribution::bit_flip(5, 0.4);
-  config.seed = 7;
-  config.track_level_occupancy = true;
-  GreedyButterflySim sim(config);
+  TopologyRoutingConfig config =
+      butterfly_config(5, 0.8, DestinationDistribution::bit_flip(5, 0.4), 7);
+  config.track_occupancy = true;
+  TopologyGreedySim sim(config);
   sim.run(50.0, 550.0);
+  const KernelStats& stats = sim.kernel_stats();
   expect_exact(
-      {sim.delay().mean(), sim.vertical_hops().mean(), sim.time_avg_population(),
+      {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
        sim.final_population(),
-       static_cast<double>(sim.deliveries_in_window()),
-       static_cast<double>(sim.arrivals_in_window()), sim.throughput(),
+       static_cast<double>(stats.deliveries_in_window()),
+       static_cast<double>(stats.arrivals_in_window()), sim.throughput(),
        sim.little_check().relative_error(),
        static_cast<double>(sim.arc_counters()[2].total_arrivals),
-       sim.level_mean_occupancy()[1]},
+       stats.occupancy_means()[1]},
       {0x1.8a5bd874387e6p+2, 0x1.016f2bb02d3dcp+1, 0x1.365e6a2b5ca5dp+7,
        0x1.5ap+7, 0x1.83a8p+13, 0x1.891p+13, 0x1.8cf5c28f5c28fp+4,
        0x1.2a96c18bbda8dp-10, 0x1.c8p+7, 0x1.e9cb4a3f37beep+4});
 }
 
 TEST(KernelParity, ButterflySlotted) {
-  GreedyButterflyConfig config;
-  config.d = 4;
-  config.lambda = 0.7;
-  config.destinations = DestinationDistribution::uniform(4);
-  config.seed = 5;
+  TopologyRoutingConfig config =
+      butterfly_config(4, 0.7, DestinationDistribution::uniform(4), 5);
   config.slot = 1.0;
-  GreedyButterflySim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(20.0, 520.0);
   expect_exact(
-      {sim.delay().mean(), sim.vertical_hops().mean(), sim.time_avg_population(),
-       sim.throughput(), static_cast<double>(sim.deliveries_in_window())},
+      {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
+       sim.throughput(),
+       static_cast<double>(sim.kernel_stats().deliveries_in_window())},
       {0x1.2e75dcc147709p+2, 0x1.01415fb12c26fp+1, 0x1.9bc6a7ef9db23p+5,
        0x1.59db22d0e5604p+3, 0x1.51cp+12});
 }
@@ -274,7 +280,7 @@ TEST(KernelParity, NetworkQFifoAndPs) {
 TEST(KernelParity, HypercubeFaultPathAtZeroRateIsBitIdentical) {
   TopologyRoutingConfig config =
       cube_config(6, 1.0, DestinationDistribution::uniform(6), 42);
-  config.track_node_occupancy = true;
+  config.track_occupancy = true;
   config.track_delay_histogram = true;
   for (const FaultPolicy policy :
        {FaultPolicy::kDrop, FaultPolicy::kSkipDim, FaultPolicy::kDeflect,
@@ -321,30 +327,69 @@ TEST(KernelParity, HypercubeSlottedFaultPathAtZeroRateIsBitIdentical) {
 }
 
 TEST(KernelParity, ButterflyFaultPathAtZeroRateIsBitIdentical) {
-  GreedyButterflyConfig config;
-  config.d = 5;
-  config.lambda = 0.8;
-  config.destinations = DestinationDistribution::bit_flip(5, 0.4);
-  config.seed = 7;
-  config.track_level_occupancy = true;
+  TopologyRoutingConfig config =
+      butterfly_config(5, 0.8, DestinationDistribution::bit_flip(5, 0.4), 7);
+  config.track_occupancy = true;
   for (const FaultPolicy policy :
        {FaultPolicy::kDrop, FaultPolicy::kTwinDetour}) {
     config.fault_policy = policy;
-    GreedyButterflySim sim(config);
+    TopologyGreedySim sim(config);
     sim.run(50.0, 550.0);
+    const KernelStats& stats = sim.kernel_stats();
     expect_exact(
-        {sim.delay().mean(), sim.vertical_hops().mean(),
-         sim.time_avg_population(), sim.final_population(),
-         static_cast<double>(sim.deliveries_in_window()),
-         static_cast<double>(sim.arrivals_in_window()), sim.throughput(),
+        {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
+         sim.final_population(),
+         static_cast<double>(stats.deliveries_in_window()),
+         static_cast<double>(stats.arrivals_in_window()), sim.throughput(),
          sim.little_check().relative_error(),
          static_cast<double>(sim.arc_counters()[2].total_arrivals),
-         sim.level_mean_occupancy()[1]},
+         stats.occupancy_means()[1]},
         {0x1.8a5bd874387e6p+2, 0x1.016f2bb02d3dcp+1, 0x1.365e6a2b5ca5dp+7,
          0x1.5ap+7, 0x1.83a8p+13, 0x1.891p+13, 0x1.8cf5c28f5c28fp+4,
          0x1.2a96c18bbda8dp-10, 0x1.c8p+7, 0x1.e9cb4a3f37beep+4});
-    EXPECT_EQ(sim.fault_drops_in_window(), 0u);
-    EXPECT_EQ(sim.delivery_ratio(), 1.0);
+    EXPECT_EQ(stats.fault_drops_in_window(), 0u);
+    EXPECT_EQ(stats.delivery_ratio(), 1.0);
+  }
+}
+
+// Twin detours at a live fault rate (arc and node faults): a detoured
+// packet keeps its wrong row bit and is fault-dropped at the exit level.
+// Captured by tools/capture_parity from the butterfly's former native
+// simulator; continuous, and slotted under both backends against the same
+// literals.
+TEST(KernelParity, ButterflyTwinDetourPinned) {
+  TopologyRoutingConfig config =
+      butterfly_config(6, 0.6, DestinationDistribution::bit_flip(6, 0.4), 43);
+  config.track_occupancy = true;
+  config.fault_policy = FaultPolicy::kTwinDetour;
+  config.arc_fault_rate = 0.05;
+  config.node_fault_rate = 0.01;
+  const auto run_pinned = [](const TopologyRoutingConfig& c) {
+    TopologyGreedySim sim(c);
+    sim.run(50.0, 550.0);
+    const KernelStats& stats = sim.kernel_stats();
+    return std::vector<double>{
+        sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
+        sim.throughput(), stats.delivery_ratio(), stats.mean_stretch(),
+        static_cast<double>(stats.fault_drops_in_window()),
+        static_cast<double>(stats.deliveries_in_window()),
+        static_cast<double>(sim.arc_counters()[70].total_arrivals),
+        stats.occupancy_means()[2], stats.max_occupancy()};
+  };
+  expect_exact(run_pinned(config),
+               {0x1.d02b1bfaeab5ep+2, 0x1.3080d40af0f08p+1, 0x1.2148ebb6705abp+8,
+                0x1.a947ae147ae14p+4, 0x1.68633fbd2ee63p-1, 0x1p+0,
+                0x1.5d7p+12, 0x1.9f5p+13, 0x1.dcp+7, 0x1.87c05b6530f1cp+5,
+                0x1.54p+6});
+  config.slot = 1.0;
+  for (const KernelBackend backend :
+       {KernelBackend::kScalar, KernelBackend::kSoaBatch}) {
+    config.backend = backend;
+    expect_exact(run_pinned(config),
+                 {0x1.ca6eed9d6e76ap+2, 0x1.2eafd1087f4dap+1,
+                  0x1.1b6872b020c4ap+8, 0x1.a83126e978d5p+4,
+                  0x1.66d6aa0d96ce7p-1, 0x1p+0, 0x1.61ap+12, 0x1.9e4p+13,
+                  0x1.03p+8, 0x1.ad9db22d0e56p+5, 0x1.4p+6});
   }
 }
 
@@ -396,7 +441,7 @@ TEST(KernelParity, ResetReusesStorageWithIdenticalResults) {
 
   TopologyRoutingConfig big =
       cube_config(6, 1.0, DestinationDistribution::uniform(6), 42);
-  big.track_node_occupancy = true;
+  big.track_occupancy = true;
   big.track_delay_histogram = true;
 
   // Warm the simulator on a *different* topology first, then reset into the
@@ -426,7 +471,7 @@ TEST(KernelParity, ResetReusesStorageWithIdenticalResults) {
 // --- per-source fixed-destination (permutation workload) pins ------------
 //
 // The arrival refactor routed every sampled workload through
-// PacketKernel::sample_spawn; the suites *above* prove that path is
+// one shared spawn path; the suites *above* prove that path is
 // bit-identical to the pre-kernel simulators.  The pins below (captured by
 // tools/capture_parity when the mode was introduced) freeze the new fixed
 // destination path: the kernel must consume *no* destination randomness
@@ -438,7 +483,7 @@ TEST(KernelParity, HypercubeFixedDestinationsBitReversal) {
   TopologyRoutingConfig config =
       cube_config(6, 0.3, DestinationDistribution::uniform(6), 42);
   config.fixed_destinations = &perm.table();
-  config.track_node_occupancy = true;
+  config.track_occupancy = true;
   TopologyGreedySim sim(config);
   sim.run(50.0, 550.0);
   expect_exact(
@@ -451,19 +496,16 @@ TEST(KernelParity, HypercubeFixedDestinationsBitReversal) {
 
 TEST(KernelParity, ButterflyFixedDestinationsBitReversal) {
   const Permutation perm = Permutation::bit_reversal(6);
-  GreedyButterflyConfig config;
-  config.d = 6;
-  config.lambda = 0.1;
-  config.destinations = DestinationDistribution::uniform(6);
+  TopologyRoutingConfig config =
+      butterfly_config(6, 0.1, DestinationDistribution::uniform(6), 42);
   config.fixed_destinations = &perm.table();
-  config.seed = 42;
-  config.track_level_occupancy = true;
-  GreedyButterflySim sim(config);
+  config.track_occupancy = true;
+  TopologyGreedySim sim(config);
   sim.run(50.0, 550.0);
   expect_exact(
-      {sim.delay().mean(), sim.vertical_hops().mean(),
-       sim.time_avg_population(), sim.throughput(),
-       static_cast<double>(sim.deliveries_in_window())},
+      {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
+       sim.throughput(),
+       static_cast<double>(sim.kernel_stats().deliveries_in_window())},
       {0x1.94dd748417b6bp+2, 0x1.814fa6d7aeb56p+1, 0x1.40fb2c6858ec9p+5,
        0x1.8fdf3b645a1cbp+2, 0x1.868p+11});
 }
@@ -490,8 +532,7 @@ TEST(KernelParity, ValiantFixedDestinationsTranspose) {
 // simulator was introduced: any change to the ring's / torus's arc
 // indexing, metric tables or greedy tie-break order shifts these values.
 // The hypercube and butterfly pins above double as the refactor guard —
-// dispatching through Scenario::resolved_topology must leave the native
-// paths bit-identical.
+// every family runs through the one TopologyGreedySim.
 
 TEST(KernelParity, TopologyRingWithChords) {
   TopologyRoutingConfig config;
@@ -552,18 +593,16 @@ TEST(KernelParity, HypercubeSlottedSoaBatch) {
 }
 
 TEST(KernelParity, ButterflySlottedSoaBatch) {
-  GreedyButterflyConfig config;
-  config.d = 4;
-  config.lambda = 0.7;
-  config.destinations = DestinationDistribution::uniform(4);
-  config.seed = 5;
+  TopologyRoutingConfig config =
+      butterfly_config(4, 0.7, DestinationDistribution::uniform(4), 5);
   config.slot = 1.0;
   config.backend = KernelBackend::kSoaBatch;
-  GreedyButterflySim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(20.0, 520.0);
   expect_exact(
-      {sim.delay().mean(), sim.vertical_hops().mean(), sim.time_avg_population(),
-       sim.throughput(), static_cast<double>(sim.deliveries_in_window())},
+      {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
+       sim.throughput(),
+       static_cast<double>(sim.kernel_stats().deliveries_in_window())},
       {0x1.2e75dcc147709p+2, 0x1.01415fb12c26fp+1, 0x1.9bc6a7ef9db23p+5,
        0x1.59db22d0e5604p+3, 0x1.51cp+12});
 }

@@ -6,8 +6,8 @@
 
 #include <cmath>
 
-#include "routing/greedy_butterfly.hpp"
 #include "routing/topology_greedy.hpp"
+#include "topology/butterfly.hpp"
 
 namespace routesim {
 namespace {
@@ -100,16 +100,17 @@ TEST(Rates, Prop15StraightAndVerticalRates) {
   // for every level (Prop. 15).
   const int d = 4;
   const double lambda = 1.0, p = 0.3;
-  GreedyButterflyConfig config;
-  config.d = d;
+  TopologyRoutingConfig config;
+  config.spec.name = "butterfly";
+  config.spec.d = d;
   config.lambda = lambda;
   config.destinations = DestinationDistribution::bit_flip(d, p);
   config.seed = 45;
-  GreedyButterflySim sim(config);
+  TopologyGreedySim sim(config);
   const double warmup = 500.0, horizon = 60500.0;
   sim.run(warmup, horizon);
   const double window = horizon - warmup;
-  const auto& bfly = sim.topology();
+  const Butterfly bfly(d);
 
   for (int level = 1; level <= d; ++level) {
     double straight = 0.0, vertical = 0.0;

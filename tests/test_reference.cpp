@@ -16,7 +16,6 @@
 #include "des/event_queue.hpp"
 #include "queueing/levelled_network.hpp"
 #include "queueing/ps_server.hpp"
-#include "routing/greedy_butterfly.hpp"
 #include "routing/topology_greedy.hpp"
 #include "util/rng.hpp"
 #include "workload/trace.hpp"
@@ -123,15 +122,17 @@ TEST(Reference, HypercubeConservationWithDrops) {
 }
 
 TEST(Reference, ButterflyConservationLawExact) {
-  GreedyButterflyConfig config;
-  config.d = 4;
+  TopologyRoutingConfig config;
+  config.spec.name = "butterfly";
+  config.spec.d = 4;
   config.lambda = 1.0;
   config.destinations = DestinationDistribution::uniform(4);
   config.seed = 19;
-  GreedyButterflySim sim(config);
+  TopologyGreedySim sim(config);
   sim.run(0.0, 5000.0);
-  EXPECT_EQ(sim.arrivals_in_window(),
-            sim.deliveries_in_window() +
+  const KernelStats& stats = sim.kernel_stats();
+  EXPECT_EQ(stats.arrivals_in_window(),
+            stats.deliveries_in_window() +
                 static_cast<std::uint64_t>(sim.final_population()));
 }
 

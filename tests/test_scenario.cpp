@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "core/registry.hpp"
 #include "store/result_store.hpp"
 #include "util/assert.hpp"
 
@@ -281,29 +282,40 @@ TEST(Scenario, GenericTopologyRunsRejectUnsupportedFeatures) {
   // A knob the scheme does not honour fails on every topology, naming the
   // key and the scheme, instead of being silently ignored.
   struct Ignored {
-    const char* scheme;
-    const char* topology;
-    const char* key;
-    const char* value;
+    std::string scheme;
+    std::string topology;
+    std::string key;
+    std::string value;
   };
-  for (const Ignored& c : std::vector<Ignored>{
-           {"valiant_mixing", "native", "tau", "1"},
-           {"valiant_mixing", "native", "buffers", "2"},
-           {"valiant_mixing", "torus", "tau", "1"},
-           {"valiant_mixing", "ring", "buffers", "2"},
-           {"deflection", "native", "tau", "1"},
-           {"deflection", "native", "buffers", "2"},
-           {"deflection", "ring", "tau", "1"},
-           {"deflection", "torus", "buffers", "2"},
-           {"butterfly_greedy", "native", "buffers", "1"},
-           {"network_q", "native", "tau", "1"},
-           {"network_q", "native", "buffers", "2"},
-           {"pipelined_baseline", "native", "tau", "1"},
-           {"pipelined_baseline", "native", "buffers", "2"},
-           {"batch_greedy", "native", "tau", "1"},
-           {"batch_greedy", "native", "buffers", "2"},
-           {"multicast", "native", "tau", "1"},
-           {"multicast", "native", "buffers", "2"}}) {
+  // A d outside [1, 20] fails the same way, on every scheme, before any
+  // load rule runs — not as an internal precondition failure, and not by
+  // starting a 2^21-row butterfly.
+  std::vector<Ignored> out_of_range;
+  for (const std::string& scheme : SchemeRegistry::instance().names()) {
+    out_of_range.push_back({scheme, "native", "d", "0"});
+  }
+  out_of_range.push_back({"butterfly_greedy", "native", "d", "21"});
+  out_of_range.push_back({"butterfly_greedy", "native", "d", "26"});
+  std::vector<Ignored> cases{
+      {"valiant_mixing", "native", "tau", "1"},
+      {"valiant_mixing", "native", "buffers", "2"},
+      {"valiant_mixing", "torus", "tau", "1"},
+      {"valiant_mixing", "ring", "buffers", "2"},
+      {"deflection", "native", "tau", "1"},
+      {"deflection", "native", "buffers", "2"},
+      {"deflection", "ring", "tau", "1"},
+      {"deflection", "torus", "buffers", "2"},
+      {"butterfly_greedy", "native", "buffers", "1"},
+      {"network_q", "native", "tau", "1"},
+      {"network_q", "native", "buffers", "2"},
+      {"pipelined_baseline", "native", "tau", "1"},
+      {"pipelined_baseline", "native", "buffers", "2"},
+      {"batch_greedy", "native", "tau", "1"},
+      {"batch_greedy", "native", "buffers", "2"},
+      {"multicast", "native", "tau", "1"},
+      {"multicast", "native", "buffers", "2"}};
+  cases.insert(cases.end(), out_of_range.begin(), out_of_range.end());
+  for (const Ignored& c : cases) {
     Scenario ignored;
     ignored.scheme = c.scheme;
     ignored.set("topology", c.topology);
@@ -315,7 +327,9 @@ TEST(Scenario, GenericTopologyRunsRejectUnsupportedFeatures) {
       FAIL() << c.scheme << " on " << c.topology << " accepted " << c.key;
     } catch (const ScenarioError& error) {
       const std::string message = error.what();
-      EXPECT_NE(message.find(c.key), std::string::npos) << message;
+      EXPECT_NE(message.find(c.key == "d" ? "d=" + c.value : c.key),
+                std::string::npos)
+          << message;
       EXPECT_NE(message.find(c.scheme), std::string::npos) << message;
     }
   }

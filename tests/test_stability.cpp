@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "routing/greedy_butterfly.hpp"
 #include "routing/topology_greedy.hpp"
 
 namespace routesim {
@@ -71,24 +70,26 @@ TEST(Stability, StableAcrossLoadSweep) {
 TEST(Stability, ButterflyStableBelowAndUnstableAbove) {
   const int d = 4;
   // Stable: lambda max{p,1-p} = 0.9.
-  GreedyButterflyConfig stable;
-  stable.d = d;
+  TopologyRoutingConfig stable;
+  stable.spec.name = "butterfly";
+  stable.spec.d = d;
   stable.lambda = 0.9;
   stable.destinations = DestinationDistribution::uniform(d);
   stable.seed = 7;
-  GreedyButterflySim stable_sim(stable);
+  TopologyGreedySim stable_sim(stable);
   stable_sim.run(2000.0, 42000.0);
   EXPECT_LT(stable_sim.final_population(), 4.0 * 16.0 * 2.0 * 9.0 * 3.0);
 
   // Unstable: p = 0.8 with lambda = 1.15 -> rho = 0.92... use lambda = 1.4,
   // p = 0.8: rho = 1.12 > 1 although lambda*p*... note lambda itself > 1 is
   // not required.
-  GreedyButterflyConfig unstable;
-  unstable.d = d;
+  TopologyRoutingConfig unstable;
+  unstable.spec.name = "butterfly";
+  unstable.spec.d = d;
   unstable.lambda = 1.4;
   unstable.destinations = DestinationDistribution::bit_flip(d, 0.8);
   unstable.seed = 7;
-  GreedyButterflySim unstable_sim(unstable);
+  TopologyGreedySim unstable_sim(unstable);
   unstable_sim.run(0.0, 20000.0);
   // Vertical arcs overflow at rate ~ (1.12 - 1) * 16 per level-1 arc-time.
   EXPECT_GT(unstable_sim.final_population(), 2000.0);

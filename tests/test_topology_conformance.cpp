@@ -23,6 +23,7 @@
 #include "topology/ring.hpp"
 #include "topology/torus.hpp"
 #include "util/assert.hpp"
+#include "util/bits.hpp"
 #include "workload/permutation.hpp"
 
 namespace routesim {
@@ -168,11 +169,109 @@ TEST_P(TopologyConformance, OutArcDescendsAgreesWithMetric) {
   }
 }
 
+// What the greedy simulator reads besides the graph (terminals, hop
+// weights, occupancy groups) must stay inside the topology, and on every
+// reachable pair a greedy walk crosses metric() arcs of which exactly
+// hop_distance() have hop weight 1.
+TEST_P(TopologyConformance, TrafficLayoutIsInRange) {
+  const auto topo = make_topology(GetParam());
+  const Topology::TrafficLayout layout = topo->traffic_layout();
+  ASSERT_GE(layout.num_sources, 1u);
+  ASSERT_LE(layout.num_sources, topo->num_nodes());
+  ASSERT_LE(std::uint64_t{layout.sink_base} + layout.num_sources,
+            topo->num_nodes());
+  for (ArcId a = 0; a < topo->num_arcs(); ++a) {
+    const int weight = topo->hop_weight(a);
+    EXPECT_TRUE(weight == 0 || weight == 1) << "arc " << a;
+    EXPECT_LT(topo->occupancy_group(topo->arc_source(a)), layout.num_groups)
+        << "arc " << a;
+  }
+  // Every source reaches every sink.
+  for (NodeId src = 0; src < layout.num_sources; ++src) {
+    for (NodeId t = 0; t < layout.num_sources; ++t) {
+      EXPECT_GE(topo->metric(src, layout.sink_base + t), 0) << src << " -> " << t;
+    }
+  }
+  for (NodeId src = 0; src < topo->num_nodes(); ++src) {
+    for (NodeId dst = 0; dst < topo->num_nodes(); ++dst) {
+      if (topo->metric(src, dst) < 0) continue;
+      NodeId at = src;
+      int arcs = 0;
+      int hops = 0;
+      while (at != dst) {
+        const ArcId arc = topo->greedy_next_arc(at, dst);
+        hops += topo->hop_weight(arc);
+        at = topo->arc_target(arc);
+        ++arcs;
+      }
+      EXPECT_EQ(arcs, topo->metric(src, dst)) << src << " -> " << dst;
+      EXPECT_EQ(hops, topo->hop_distance(src, dst)) << src << " -> " << dst;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllFamilies, TopologyConformance, ::testing::ValuesIn(conformance_specs()),
     [](const ::testing::TestParamInfo<TopologySpec>& info) {
       return spec_label(info.param);
     });
+
+// --- the butterfly's terminals and misrouting ---------------------------
+
+TEST(ButterflyTraffic, TerminalsAreRowsAndOnlyVerticalArcsAreHops) {
+  const int d = 3;
+  const auto bfly = make_topology({"butterfly", d, "", "4x4"});
+  const Topology::TrafficLayout layout = bfly->traffic_layout();
+  EXPECT_EQ(layout.num_sources, 8u);
+  EXPECT_EQ(layout.sink_base, 3u * 8u);  // level d+1 starts at d*2^d
+  EXPECT_EQ(layout.num_groups, 3u);      // levels 1..d
+  const Butterfly arcs(d);
+  for (ArcId a = 0; a < arcs.num_arcs(); ++a) {
+    EXPECT_EQ(bfly->hop_weight(a),
+              arcs.arc_kind(a) == Butterfly::ArcKind::kVertical ? 1 : 0);
+    EXPECT_EQ(bfly->occupancy_group(bfly->arc_source(a)),
+              static_cast<std::uint32_t>(arcs.arc_level(a) - 1));
+  }
+  for (NodeId src = 0; src < 8; ++src) {
+    for (NodeId row = 0; row < 8; ++row) {
+      const NodeId sink = layout.sink_base + row;
+      EXPECT_EQ(bfly->metric(src, sink), d);
+      EXPECT_EQ(bfly->hop_distance(src, sink), hamming_distance(src, row));
+    }
+  }
+}
+
+// A twin detour at any one level leaves the packet's row bit of that level
+// wrong for good; greedy_next_arc keeps taking each later level's row-bit
+// arc, so the walk still ends after d arcs at the exit level — on the
+// wrong row, where the simulator drops it as misrouted.
+TEST(ButterflyTraffic, MisroutedWalkEndsAtTheExitLevel) {
+  const int d = 3;
+  const auto bfly = make_topology({"butterfly", d, "", "4x4"});
+  const Topology::TrafficLayout layout = bfly->traffic_layout();
+  for (NodeId src = 0; src < layout.num_sources; ++src) {
+    for (NodeId row = 0; row < layout.num_sources; ++row) {
+      const NodeId sink = layout.sink_base + row;
+      for (int detour = 0; detour < d; ++detour) {
+        NodeId at = src;
+        int arcs = 0;
+        while (bfly->out_degree(at) > 0) {
+          ArcId arc = bfly->greedy_next_arc(at, sink);
+          if (arcs == detour) {
+            // The level's other arc: its twin.
+            arc = bfly->out_arc(at, bfly->out_arc(at, 0) == arc ? 1 : 0);
+          }
+          at = bfly->arc_target(arc);
+          ++arcs;
+        }
+        EXPECT_EQ(arcs, d);
+        EXPECT_GE(at, layout.sink_base);
+        EXPECT_EQ(at, sink ^ (NodeId{1} << detour))
+            << src << " -> " << row << " detour at level " << detour + 1;
+      }
+    }
+  }
+}
 
 // --- closed forms per family ----------------------------------------------
 

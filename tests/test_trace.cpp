@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "routing/topology_greedy.hpp"
 #include "util/assert.hpp"
 
 namespace routesim {
@@ -80,13 +81,28 @@ TEST(Trace, DestinationFrequenciesFollowDistribution) {
   }
 }
 
+// The butterfly replays the same generator's traces: its terminals are the
+// 2^d rows, so each record is a level-1 origin row and a level-(d+1)
+// destination row, and the packet crosses one vertical arc per differing
+// row bit.
 TEST(Trace, ButterflyTraceUsesRows) {
   const auto dist = DestinationDistribution::uniform(4);
-  const auto trace = generate_butterfly_trace(4, 0.4, dist, 500.0, 14);
+  const auto trace = generate_hypercube_trace(4, 0.4, dist, 500.0, 14);
+  double vertical = 0.0;
   for (const auto& packet : trace.packets) {
     EXPECT_LT(packet.origin, 16u);
     EXPECT_LT(packet.destination, 16u);
+    vertical += hamming_distance(packet.origin, packet.destination);
   }
+  TopologyRoutingConfig config;
+  config.spec.name = "butterfly";
+  config.spec.d = 4;
+  config.trace = &trace;
+  TopologyGreedySim sim(config);
+  sim.run(0.0, 600.0);  // past the last birth: every packet is delivered
+  EXPECT_EQ(sim.kernel_stats().deliveries_in_window(), trace.size());
+  EXPECT_NEAR(sim.hops().mean(),
+              vertical / static_cast<double>(trace.size()), 1e-12);
 }
 
 TEST(Trace, EmptyOnZeroHorizonRejected) {
@@ -101,7 +117,7 @@ TEST(Trace, EmptyOnZeroHorizonRejected) {
 
 TEST(Trace, ButterflyTraceIsSortedWithConformingRate) {
   const auto dist = DestinationDistribution::uniform(5);
-  const auto trace = generate_butterfly_trace(5, 0.25, dist, 4000.0, 15);
+  const auto trace = generate_hypercube_trace(5, 0.25, dist, 4000.0, 15);
   EXPECT_EQ(trace.dimension, 5);
   EXPECT_DOUBLE_EQ(trace.rate_per_node, 0.25);
   double last = 0.0;

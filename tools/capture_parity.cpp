@@ -10,7 +10,6 @@
 #include "core/equivalence.hpp"
 #include "queueing/levelled_network.hpp"
 #include "routing/deflection.hpp"
-#include "routing/greedy_butterfly.hpp"
 #include "routing/multicast.hpp"
 #include "routing/pipelined_baseline.hpp"
 #include "routing/topology_greedy.hpp"
@@ -36,7 +35,7 @@ int main() {
     c.lambda = 1.0;
     c.destinations = DestinationDistribution::uniform(6);
     c.seed = 42;
-    c.track_node_occupancy = true;
+    c.track_occupancy = true;
     c.track_delay_histogram = true;
     TopologyGreedySim sim(c);
     sim.run(50.0, 550.0);
@@ -102,36 +101,72 @@ int main() {
           static_cast<double>(stats.deliveries_in_window())});
   }
   {
-    GreedyButterflyConfig c;
-    c.d = 5;
+    TopologyRoutingConfig c;
+    c.spec.name = "butterfly";
+    c.spec.d = 5;
     c.lambda = 0.8;
     c.destinations = DestinationDistribution::bit_flip(5, 0.4);
     c.seed = 7;
-    c.track_level_occupancy = true;
-    GreedyButterflySim sim(c);
+    c.track_occupancy = true;
+    TopologyGreedySim sim(c);
     sim.run(50.0, 550.0);
+    const KernelStats& stats = sim.kernel_stats();
     emit("butterfly_continuous",
-         {sim.delay().mean(), sim.vertical_hops().mean(),
-          sim.time_avg_population(), sim.final_population(),
-          static_cast<double>(sim.deliveries_in_window()),
-          static_cast<double>(sim.arrivals_in_window()), sim.throughput(),
+         {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
+          sim.final_population(),
+          static_cast<double>(stats.deliveries_in_window()),
+          static_cast<double>(stats.arrivals_in_window()), sim.throughput(),
           sim.little_check().relative_error(),
           static_cast<double>(sim.arc_counters()[2].total_arrivals),
-          sim.level_mean_occupancy()[1]});
+          stats.occupancy_means()[1]});
   }
   {
-    GreedyButterflyConfig c;
-    c.d = 4;
+    TopologyRoutingConfig c;
+    c.spec.name = "butterfly";
+    c.spec.d = 4;
     c.lambda = 0.7;
     c.destinations = DestinationDistribution::uniform(4);
     c.seed = 5;
     c.slot = 1.0;
-    GreedyButterflySim sim(c);
+    TopologyGreedySim sim(c);
     sim.run(20.0, 520.0);
     emit("butterfly_slotted",
-         {sim.delay().mean(), sim.vertical_hops().mean(),
-          sim.time_avg_population(), sim.throughput(),
-          static_cast<double>(sim.deliveries_in_window())});
+         {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
+          sim.throughput(),
+          static_cast<double>(sim.kernel_stats().deliveries_in_window())});
+  }
+  for (const double slot : {0.0, 1.0}) {
+    // Twin detours at a live fault rate, continuous and slotted on both
+    // backends: misrouted packets are fault-dropped at the exit level.
+    for (const KernelBackend backend :
+         {KernelBackend::kScalar, KernelBackend::kSoaBatch}) {
+      if (slot == 0.0 && backend == KernelBackend::kSoaBatch) continue;
+      TopologyRoutingConfig c;
+      c.spec.name = "butterfly";
+      c.spec.d = 6;
+      c.lambda = 0.6;
+      c.destinations = DestinationDistribution::bit_flip(6, 0.4);
+      c.seed = 43;
+      c.slot = slot;
+      c.backend = backend;
+      c.track_occupancy = true;
+      c.fault_policy = FaultPolicy::kTwinDetour;
+      c.arc_fault_rate = 0.05;
+      c.node_fault_rate = 0.01;
+      TopologyGreedySim sim(c);
+      sim.run(50.0, 550.0);
+      const KernelStats& stats = sim.kernel_stats();
+      emit(slot == 0.0 ? "butterfly_twin_detour_continuous"
+                       : (backend == KernelBackend::kScalar
+                              ? "butterfly_twin_detour_slotted"
+                              : "butterfly_twin_detour_slotted_soa"),
+           {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
+            sim.throughput(), stats.delivery_ratio(), stats.mean_stretch(),
+            static_cast<double>(stats.fault_drops_in_window()),
+            static_cast<double>(stats.deliveries_in_window()),
+            static_cast<double>(sim.arc_counters()[70].total_arrivals),
+            stats.occupancy_means()[2], stats.max_occupancy()});
+    }
   }
   {
     TopologyRoutingConfig c;
@@ -214,7 +249,7 @@ int main() {
     c.destinations = DestinationDistribution::uniform(6);
     c.fixed_destinations = &perm.table();
     c.seed = 42;
-    c.track_node_occupancy = true;
+    c.track_occupancy = true;
     TopologyGreedySim sim(c);
     sim.run(50.0, 550.0);
     emit("hypercube_bit_reversal",
@@ -224,19 +259,20 @@ int main() {
   }
   {
     const Permutation perm = Permutation::bit_reversal(6);
-    GreedyButterflyConfig c;
-    c.d = 6;
+    TopologyRoutingConfig c;
+    c.spec.name = "butterfly";
+    c.spec.d = 6;
     c.lambda = 0.1;
     c.destinations = DestinationDistribution::uniform(6);
     c.fixed_destinations = &perm.table();
     c.seed = 42;
-    c.track_level_occupancy = true;
-    GreedyButterflySim sim(c);
+    c.track_occupancy = true;
+    TopologyGreedySim sim(c);
     sim.run(50.0, 550.0);
     emit("butterfly_bit_reversal",
-         {sim.delay().mean(), sim.vertical_hops().mean(),
-          sim.time_avg_population(), sim.throughput(),
-          static_cast<double>(sim.deliveries_in_window())});
+         {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
+          sim.throughput(),
+          static_cast<double>(sim.kernel_stats().deliveries_in_window())});
   }
   {
     const Permutation perm = Permutation::transpose(6);
