@@ -106,9 +106,9 @@ const std::vector<CatalogEntry>& backend_docs() {
        "event-driven scalar kernel — the default and the bit-exactness "
        "oracle; every scheme supports it"},
       {"soa_batch",
-       "structure-of-arrays batch kernel for slotted-time scenarios "
-       "(tau > 0): advances every busy arc per tick with vectorizable "
-       "updates, bit-identical to scalar on adopting schemes "
+       "the kernel's batched loop for slotted-time scenarios (tau > 0): "
+       "advances every busy arc per tick in two phases, route then "
+       "commit, bit-identical to scalar on adopting schemes "
        "(hypercube_greedy, butterfly_greedy); needs FIFO "
        "service and a static fault set, other schemes reject it"},
   };

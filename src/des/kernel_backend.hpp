@@ -1,23 +1,21 @@
 #pragma once
 /// \file kernel_backend.hpp
-/// \brief The kernel-backend seam: which execution engine advances a
-///        scheme's packets.
+/// \brief The kernel-backend knob: which drive loop of the packet kernel
+///        advances a scheme's packets.
 ///
-/// Every scheme runs on the scalar event-driven kernel
+/// Every scheme runs on the event loop of the packet kernel
 /// (des/packet_kernel.hpp) by default — it is the bit-exactness oracle the
 /// parity suite pins.  Schemes with slotted-time structure additionally
-/// accept the `soa_batch` backend (des/slotted_batch.hpp): a
-/// structure-of-arrays packet store advanced arc-batch by arc-batch, proven
-/// bit-identical to the scalar oracle (tests/test_kernel_parity.cpp,
-/// tests/test_kernel_backend.cpp) and substantially faster on heavy slotted
-/// traffic (bench/micro_engine.cpp, BM_BackendSpeedup).
+/// accept `soa_batch`: the same kernel's batched loop, which advances whole
+/// completion batches per tick through the scheme's advance/commit hooks,
+/// proven bit-identical to the event loop (tests/test_kernel_parity.cpp,
+/// tests/test_kernel_backend.cpp) and faster on heavy slotted traffic
+/// (bench/micro_engine.cpp, BM_BackendSpeedup).
 ///
 /// Backend selection is a first-class Scenario knob (`--set
-/// backend=scalar|soa_batch`); schemes without a batch implementation
-/// reject everything but `scalar` through Scenario::resolved_backend().  A
-/// future GPU or partitioned-PDES engine is one more enumerator here plus
-/// one more implementation behind the same seam (docs/KERNEL.md has the
-/// add-a-backend recipe).
+/// backend=scalar|soa_batch`); schemes without the batched hooks reject
+/// everything but `scalar` through Scenario::resolved_backend()
+/// (docs/KERNEL.md).
 
 #include <cstdint>
 #include <stdexcept>
@@ -29,7 +27,7 @@ namespace routesim {
 /// The available kernel execution engines.
 enum class KernelBackend : std::uint8_t {
   kScalar,    ///< event-driven scalar kernel (default; the parity oracle)
-  kSoaBatch,  ///< SoA packet store + per-arc batch slotted stepping
+  kSoaBatch,  ///< the kernel's batched loop (slotted time only)
 };
 
 /// Every backend's CLI name, in enumerator order (the catalog renders this).

@@ -17,20 +17,31 @@
 ///   - `FifoRing`        — cache-friendly ring-buffer queue of packet ids
 ///                         (replaces one std::deque per arc);
 ///   - `KernelStats`     — measurement-window accounting and harvest;
-///   - `PacketKernel<P>` — the event-driven core: event set, arc queues,
-///                         arrival process and the drive() loop.
+///   - `PacketKernel<P>` — the core: event set, arc queues, arrival
+///                         process and two drive loops over them.
 ///
-/// A scheme plugs in by implementing three hooks called by drive():
+/// A scheme plugs in through hooks called by drive():
 ///   `on_spawn(t)`              sample origin/destination and inject;
 ///   `on_traced(t, org, dst)`   inject one replayed packet (optional);
-///   `on_arc_done(t, arc)`      advance the head-of-line packet one hop.
+///   `on_arc_done(t, arc)`      event loop: finish the arc's service and
+///                              advance its packet one hop.
+/// A scheme that also runs the batched loop (PacketKernelConfig::batched)
+/// writes its hop once, split in two, and on_arc_done as finish_arc then
+/// commit(advance(...)):
+///   `advance(arc, pkt)`        move the packet across the arc and return
+///                              its next arc, kDeliver or kDropFault —
+///                              touching no statistics;
+///   `commit(t, pkt, next)`     deliver, fault-drop or enqueue the packet;
+///   `arc_tracker(arc)`         the occupancy tracker a completion at the
+///                              arc decrements (optional; default none).
 ///
 /// Everything here preserves the exact event order, RNG consumption order
 /// and floating-point arithmetic of the pre-kernel simulators, so results
-/// are bit-identical (pinned by tests/test_kernel_parity.cpp).  The event
-/// set is a 4-ary heap (des/event_queue.hpp); (time, seq) is a strict
-/// total order, so heap internals cannot affect results.
+/// are bit-identical (pinned by tests/test_kernel_parity.cpp) in either
+/// drive loop: both pop events in the strict (time, seq) total order a
+/// priority queue would.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -434,7 +445,18 @@ struct PacketKernelConfig {
   /// through its control-event slot in global (time, seq) order.
   FaultModel* fault_model = nullptr;
   KernelStats::Config stats{};
+  /// Run drive() as the batched loop (backend=soa_batch): slotted time, no
+  /// trace, FIFO service and a static fault set; same results as the event
+  /// loop (see PacketKernel).
+  bool batched = false;
 };
+
+/// advance()'s sentinels for "no next arc": the packet reached its
+/// destination, or is lost to a fault (dead arc / dead node / TTL).
+/// kDropFault equals fault_routing.hpp's kDropArc, so a reroute's verdict
+/// passes through unchanged.
+inline constexpr std::uint32_t kDeliver = 0xFFFFFFFEu;
+inline constexpr std::uint32_t kDropFault = 0xFFFFFFFFu;
 
 /// The event-driven core: pending-event set, per-arc queues, arrival
 /// process and statistics, generic over the scheme's packet type `Pkt`.
@@ -451,6 +473,41 @@ struct PacketKernelConfig {
 /// monotone ring plus a single control slot; each pop is one (time, seq)
 /// comparison — O(1) instead of O(log n) heap sifts — and extraction
 /// order is *identical* to the heap's strict (time, seq) total order.
+///
+/// **The batched loop** (config.batched; backend=soa_batch).  In slotted
+/// time every event time is a multiple of the slot length: packets spawn
+/// at k*slot and every service completes exactly 1.0 after it starts, so
+/// the events at one instant t are "every arc whose service completes at
+/// t", plus possibly the slot control.  The batched loop keeps the
+/// completions in a wheel of *batches* — one per future instant, its arcs
+/// distinct and in scheduling (= seq) order — and replays the event loop's
+/// order inside each:
+///   - services precede the slot control at equal times: a completion at t
+///     was scheduled at t - 1.0, the slot control at t - slot >= t - 1.0,
+///     and at slot == 1.0 the event loop injects the slot's spawns
+///     (scheduling their services) *before* re-arming the control — so the
+///     control's seq always exceeds every service seq at a tie;
+///   - appends during processing at time t always target t + 1.0, which is
+///     >= every outstanding batch time (the clock is nondecreasing and
+///     x -> x + 1.0 is monotone in floating point), so the wheel stays
+///     sorted by construction, with no per-event (time, seq) records;
+///   - two distinct times can round to the same t + 1.0; appending to the
+///     back batch whenever the time matches keeps the seq order within it.
+/// Each batch runs in two phases.  Phase A calls the scheme's advance()
+/// for every packet, in batch order; it needs no queue access, because a
+/// wheel item records the packet in service when it is scheduled (an
+/// arc's in-service head is immutable while its completion is
+/// outstanding).  Scheme RNG draws (fault reroutes) happen there in batch
+/// order, which is the event order; the RNG stream is disjoint from the
+/// statistics, so the coarser interleaving is unobservable.  Phase B then
+/// replays the event loop's bookkeeping packet by packet: finish_arc, then
+/// the scheme's commit().  The pop must stay in Phase B: a later packet of
+/// the same batch may enqueue onto an earlier arc, and the idle test
+/// (queue.size() == 1) must see the in-service head still in place.  The
+/// batched loop needs slotted time, no trace and a static fault set —
+/// anything else puts control events at arbitrary times, where the
+/// services-first rule above does not hold — and FIFO service (the
+/// service-order ablations stay on the event loop).
 template <typename Pkt>
 class PacketKernel {
  public:
@@ -469,6 +526,10 @@ class PacketKernel {
     has_control_ = false;
     has_fault_control_ = false;
     next_seq_ = 0;
+    wheel_head_ = 0;
+    wheel_size_ = 0;
+    wheel_back_time_ = -1.0;
+    wheel_back_items_ = nullptr;
     pool_.clear();
     // Default reserve hint for trace replay: a quarter of the trace is a
     // comfortable bound on simultaneously in-flight packets.
@@ -478,6 +539,17 @@ class PacketKernel {
     }
     if (expected > 0) pool_.reserve(expected);
     stats_.configure(config.stats);
+    if (config.batched) {
+      RS_EXPECTS_MSG(config.slot > 0.0,
+                     "the batched drive loop needs slotted time (slot > 0)");
+      RS_EXPECTS_MSG(config.trace == nullptr,
+                     "the batched drive loop cannot replay traces");
+      RS_EXPECTS_MSG(config.service_order == ArcServiceOrder::kFifo,
+                     "the batched drive loop needs FIFO arc service");
+      RS_EXPECTS_MSG(
+          config.fault_model == nullptr || !config.fault_model->dynamic(),
+          "the batched drive loop needs a static fault set");
+    }
   }
 
   [[nodiscard]] Rng& rng() noexcept { return rng_; }
@@ -492,11 +564,13 @@ class PacketKernel {
     return arc_counters_;
   }
 
-  /// Mutable arc counters: the borrow seam for the soa_batch backend
-  /// (des/slotted_batch.hpp), which drives the kernel's own RNG, stats and
-  /// counters so its results are bit-identical to this kernel's.
-  [[nodiscard]] std::vector<ArcCounters>& arc_counters_mutable() noexcept {
-    return arc_counters_;
+  /// Item capacity held by the batch wheel's slots.  Slots are reused in
+  /// place, so this is bounded by (live batches) x (arcs) — about
+  /// (1/slot + 2) x num_arcs — whatever the horizon.
+  [[nodiscard]] std::size_t retained_batch_capacity() const noexcept {
+    std::size_t total = 0;
+    for (const Batch& batch : wheel_) total += batch.items.capacity();
+    return total;
   }
 
   [[nodiscard]] const FaultModel* fault_model() const noexcept {
@@ -529,7 +603,7 @@ class PacketKernel {
     }
     if (tracker != kNoTracker) stats_.occupancy_add(tracker, now, +1.0);
     queue.push_back(pkt);
-    if (queue.size() == 1) schedule_service(now + 1.0, arc);
+    if (queue.size() == 1) schedule_service(now + 1.0, arc, pkt);
     return true;
   }
 
@@ -556,7 +630,7 @@ class PacketKernel {
         queue.erase(pick);
         queue.push_front(chosen);
       }
-      schedule_service(now + 1.0, arc);
+      schedule_service(now + 1.0, arc, queue.front());
     }
     if (tracker != kNoTracker) stats_.occupancy_add(tracker, now, -1.0);
     return pkt;
@@ -596,10 +670,18 @@ class PacketKernel {
 
   /// The main loop: seeds the arrival process, dispatches events on
   /// [0, horizon] to the scheme's hooks, and harvests the statistics over
-  /// [warmup, horizon].
+  /// [warmup, horizon].  With config.batched it runs the batched loop.
   template <typename Scheme>
   void drive(Scheme& scheme, double warmup, double horizon) {
     RS_EXPECTS(warmup >= 0.0 && warmup <= horizon);
+    if (config_.batched) {
+      constexpr bool kBatchable = requires(Scheme& s, std::uint32_t id) {
+        s.commit(0.0, id, s.advance(id, id));
+      };
+      RS_EXPECTS_MSG(kBatchable, "the batched drive loop needs the scheme's "
+                                 "advance and commit hooks");
+      if constexpr (kBatchable) return drive_batched(scheme, warmup, horizon);
+    }
     stats_.begin(warmup, horizon);
     // Observability (docs/OBSERVABILITY.md): one span per drive() call on
     // the ambient session — a single thread-local load plus branch when
@@ -736,11 +818,206 @@ class PacketKernel {
     std::uint32_t arc = 0;
   };
 
-  /// Service completions are pushed with nondecreasing times (now + 1.0
-  /// under a nondecreasing clock), so the ring stays sorted by (time, seq).
-  void schedule_service(double time, std::uint32_t arc) {
+  /// One completion in the batch wheel: the arc and the packet it serves.
+  struct Item {
+    std::uint32_t arc = 0;
+    std::uint32_t pkt = 0;
+  };
+
+  /// One future instant's completions, in scheduling (= seq) order; its
+  /// arcs are distinct (one outstanding completion per arc).
+  struct Batch {
+    double time = 0.0;
+    std::vector<Item> items;
+  };
+
+  /// Schedules the completion of `pkt`'s service at `arc` — the one place
+  /// that knows which event set holds it: the monotone service ring in the
+  /// event loop, the batch wheel in the batched loop.  Completions are
+  /// pushed with nondecreasing times (now + 1.0 under a nondecreasing
+  /// clock), so either set stays sorted by (time, seq).
+  void schedule_service(double time, std::uint32_t arc, std::uint32_t pkt) {
+    if (config_.batched) {
+      wheel_push(time, arc, pkt);
+      return;
+    }
     RS_DASSERT(service_events_.empty() || service_events_.back().time <= time);
     service_events_.push_back(ServiceEvent{time, next_seq_++, arc});
+  }
+
+  /// Cache-prefetch hint (no-op where unsupported); purely a performance
+  /// hint, never observable in results.
+  static void prefetch(const void* p) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(p);
+#else
+    (void)p;
+#endif
+  }
+
+  void wheel_push(double time, std::uint32_t arc, std::uint32_t pkt) {
+    // Hot path: almost every push within one instant targets the same
+    // (already open) back batch — one compare against the cached back time
+    // and a vector append.  The cache is refreshed whenever a batch opens
+    // and uses -1.0 as the "no open batch" sentinel (every push time is
+    // >= 1.0).
+    if (time == wheel_back_time_) {
+      wheel_back_items_->push_back(Item{arc, pkt});
+      return;
+    }
+    open_batch(time, arc, pkt);
+  }
+
+  /// Opens the wheel's next batch with its first item.  Out of line, so
+  /// the flattened hop paths of both loops stay small.
+  [[gnu::noinline]] void open_batch(double time, std::uint32_t arc,
+                                    std::uint32_t pkt) {
+    RS_DASSERT(wheel_back_time_ <= time);
+    if (wheel_size_ == wheel_.size()) {
+      // Every slot is live: unroll the ring so the head is slot 0, then
+      // add one.  The ring only grows to the most batches ever live at
+      // once, ~1/slot + 2.
+      std::rotate(wheel_.begin(),
+                  wheel_.begin() + static_cast<std::ptrdiff_t>(wheel_head_),
+                  wheel_.end());
+      wheel_head_ = 0;
+      wheel_.emplace_back();
+    }
+    std::size_t back = wheel_head_ + wheel_size_;
+    if (back >= wheel_.size()) back -= wheel_.size();
+    ++wheel_size_;
+    Batch& batch = wheel_[back];
+    batch.time = time;
+    batch.items.clear();  // keeps the capacity of the batch it held before
+    batch.items.push_back(Item{arc, pkt});
+    wheel_back_time_ = time;
+    wheel_back_items_ = &batch.items;
+  }
+
+  /// The batched loop (class comment): the wheel's batches and the slot
+  /// controls, services first at equal times.  Out of line, so drive()'s
+  /// event loop keeps its size.
+  template <typename Scheme>
+  [[gnu::noinline]] void drive_batched(Scheme& scheme, double warmup,
+                                       double horizon) {
+    stats_.begin(warmup, horizon);
+    // Same observability contract as the event loop: one ambient span per
+    // drive() call, per-tick counters only under ROUTESIM_KERNEL_TRACE.
+    obs::TraceSpan drive_span(obs::thread_trace(), "kernel.batch_drive",
+                              "kernel");
+    RS_KERNEL_TRACE_ONLY(
+        std::uint64_t ktrace_wheel_ticks = 0;
+        std::uint64_t ktrace_batch_events = 0;
+        std::uint64_t ktrace_batch_max = 0;)
+    // The tracker vector is sized by begin(), so this is valid from here.
+    const bool occupancy_on = stats_.occupancy_enabled();
+    double slot_time = 0.0;  // accumulated exactly like the slot control
+    bool stats_reset = warmup == 0.0;
+    for (;;) {
+      // Services precede the slot control at equal times (class comment).
+      const bool service =
+          wheel_size_ > 0 && wheel_[wheel_head_].time <= slot_time;
+      const double t = service ? wheel_[wheel_head_].time : slot_time;
+      if (t > horizon) break;
+      if (!stats_reset && t >= warmup) {
+        stats_.reset_at_warmup(warmup);
+        stats_reset = true;
+      }
+      if (service) {
+        RS_KERNEL_TRACE_ONLY(
+            ++ktrace_wheel_ticks;
+            const std::uint64_t ktrace_batch = wheel_[wheel_head_].items.size();
+            ktrace_batch_events += ktrace_batch;
+            if (ktrace_batch > ktrace_batch_max) ktrace_batch_max =
+                ktrace_batch;)
+        process_batch(scheme, t, occupancy_on);
+        continue;
+      }
+      const std::uint64_t births =
+          sample_poisson(rng_, config_.birth_rate * config_.slot);
+      for (std::uint64_t i = 0; i < births; ++i) scheme.on_spawn(slot_time);
+      slot_time += config_.slot;
+    }
+    stats_.finalize(warmup, horizon, !stats_reset);
+    RS_KERNEL_TRACE_ONLY({
+      if (obs::TraceSession* session = obs::thread_trace();
+          session != nullptr) {
+        session->instant(
+            "kernel.batch_summary", "kernel",
+            "{\"wheel_ticks\":" + std::to_string(ktrace_wheel_ticks) +
+                ",\"batch_events\":" + std::to_string(ktrace_batch_events) +
+                ",\"batch_max\":" + std::to_string(ktrace_batch_max) + "}");
+      }
+      auto& registry = obs::global_metrics();
+      registry.counter("routesim_kernel_events_total")
+          .add(static_cast<double>(ktrace_batch_events));
+      registry.counter("routesim_kernel_wheel_ticks_total")
+          .add(static_cast<double>(ktrace_wheel_ticks));
+    });
+  }
+
+  /// One batch in two phases (class comment).  Flattened, so the scheme's
+  /// advance/commit and the kernel's finish/enqueue steps inline into the
+  /// two loops.
+  template <typename Scheme>
+  [[gnu::flatten]] void process_batch(Scheme& scheme, double now,
+                                      bool occupancy_on) {
+    // Copying the items out first frees the head slot before Phase B,
+    // whose pushes may open new batches or grow the ring.
+    const std::size_t n = wheel_[wheel_head_].items.size();
+    const Item* items = wheel_[wheel_head_].items.data();
+    arcs_.resize(n);
+    pkts_.resize(n);
+    next_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      arcs_[i] = items[i].arc;
+      pkts_[i] = items[i].pkt;
+    }
+    if (++wheel_head_ == wheel_.size()) wheel_head_ = 0;
+    if (--wheel_size_ == 0) {
+      wheel_back_time_ = -1.0;
+      wheel_back_items_ = nullptr;
+    }
+    // Phase A: route every packet.
+    for (std::size_t i = 0; i < n; ++i) {
+      next_[i] = scheme.advance(arcs_[i], pkts_[i]);
+    }
+    // Phase B: the event loop's per-event bookkeeping, in its order.  The
+    // loop software-pipelines its random accesses — the batch knows every
+    // future pop and push target, the one thing the event loop cannot
+    // know — with ring headers requested kFar events ahead and their
+    // storage lines (reachable only once the header is in cache) kNear
+    // events ahead.  Prefetching is purely a hint: a stale target is a
+    // wasted fetch, never a wrong result.
+    constexpr std::size_t kFar = 16;
+    constexpr std::size_t kNear = 8;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i + kFar < n) {
+        prefetch(&arc_queue_[arcs_[i + kFar]]);
+        const std::uint32_t nx = next_[i + kFar];
+        if (nx < kDeliver) {
+          prefetch(&arc_queue_[nx]);
+          prefetch(&arc_counters_[nx]);
+        }
+      }
+      if (i + kNear < n) {
+        // The in-service head of a not-yet-processed batch arc is still in
+        // its queue, so front() is safe without an emptiness check.
+        prefetch(&arc_queue_[arcs_[i + kNear]].front());
+        const std::uint32_t nx = next_[i + kNear];
+        if (nx < kDeliver) {
+          const FifoRing& push_queue = arc_queue_[nx];
+          if (!push_queue.empty()) prefetch(&push_queue.back());
+        }
+      }
+      const std::uint32_t arc = arcs_[i];
+      std::size_t tracker = kNoTracker;
+      if constexpr (requires { scheme.arc_tracker(arc); }) {
+        if (occupancy_on) tracker = scheme.arc_tracker(arc);
+      }
+      finish_arc(now, arc, tracker);
+      scheme.commit(now, pkts_[i], next_[i]);
+    }
   }
 
   /// At most one arrival-process control event is outstanding at a time.
@@ -778,6 +1055,18 @@ class PacketKernel {
   std::uint64_t next_seq_ = 0;
   KernelStats stats_;
   std::size_t trace_pos_ = 0;
+  /// The batched loop's event set: a ring of batch slots, wheel_size_ live
+  /// batches from wheel_head_, sorted by time.  A popped slot keeps its
+  /// item capacity for the next batch it opens, so the wheel allocates
+  /// only while it grows.
+  std::vector<Batch> wheel_;
+  std::size_t wheel_head_ = 0;
+  std::size_t wheel_size_ = 0;
+  double wheel_back_time_ = -1.0;  ///< the newest live batch's time (-1 = none)
+  std::vector<Item>* wheel_back_items_ = nullptr;  ///< its item list
+  std::vector<std::uint32_t> arcs_;  ///< scratch: the batch's arcs
+  std::vector<std::uint32_t> pkts_;  ///< scratch: their in-service packets
+  std::vector<std::uint32_t> next_;  ///< scratch: Phase A routing decisions
 };
 
 }  // namespace routesim

@@ -9,6 +9,7 @@
 
 #include "fault/fault_routing.hpp"
 #include "util/assert.hpp"
+#include "util/json.hpp"
 #include "workload/permutation.hpp"
 
 namespace routesim {
@@ -125,46 +126,18 @@ void TopologyGreedySim::configure_kernel() {
     net_.configure_faults(config_, fault_model_);
     kernel.fault_model = &fault_model_;
   }
+  kernel.batched = config_.backend == KernelBackend::kSoaBatch;
   kernel_.configure(kernel);
-
-  if (config_.backend == KernelBackend::kSoaBatch) {
-    // The batch backend advances whole service batches per tick; that needs
-    // the slotted structure (every event time a multiple of the slot) and
-    // the paper's canonical discipline — the ablations, Valiant's phases
-    // and dynamic faults stay on the scalar oracle.
-    RS_EXPECTS_MSG(config_.slot > 0.0,
-                   "the soa_batch backend needs slotted time (tau > 0)");
-    RS_EXPECTS_MSG(config_.trace == nullptr,
-                   "the soa_batch backend cannot replay traces");
-    RS_EXPECTS_MSG(!config_.valiant,
-                   "the soa_batch backend routes greedy only");
-    RS_EXPECTS_MSG(config_.service_order == ArcServiceOrder::kFifo &&
-                       config_.dimension_order == DimensionOrder::kIncreasing,
-                   "the soa_batch backend needs FIFO service in increasing "
-                   "dimension order");
-    RS_EXPECTS_MSG(config_.fault_mtbf == 0.0 && config_.fault_mttr == 0.0 &&
-                       config_.storm_rate == 0.0,
-                   "the soa_batch backend needs a static fault set");
-    SlottedBatchContext ctx;
-    ctx.num_arcs = kernel.num_arcs;
-    ctx.birth_rate = kernel.birth_rate;
-    ctx.slot = config_.slot;
-    ctx.buffer_capacity = config_.buffer_capacity;
-    ctx.expected_packets = kernel.expected_packets;
-    // Borrow the kernel's RNG, stats and counters: every draw and every
-    // accumulator update goes through the same objects in the same order,
-    // which is what makes the backends bit-identical.
-    ctx.rng = &kernel_.rng();
-    ctx.stats = &kernel_.stats();
-    ctx.arc_counters = &kernel_.arc_counters_mutable();
-    batch_.configure(ctx);
-  }
 }
 
 template <typename Topo>
 struct TopologyGreedySim::Router {
   TopologyGreedySim& sim;
   const Topo& topo;
+  /// Fault-free greedy in increasing order with no Valiant phase: a hop is
+  /// arc_target, the hop weight, then greedy_next_arc.
+  const bool plain = !sim.fault_active_ && !sim.config_.valiant &&
+                     sim.config_.dimension_order == DimensionOrder::kIncreasing;
 
   void on_spawn(double now) {
     const auto origin = static_cast<NodeId>(
@@ -205,37 +178,70 @@ struct TopologyGreedySim::Router {
       kernel.deliver(now, id, now, 0.0);
       return;
     }
-    route(now, id, /*external=*/true);
+    forward(now, id, next_arc(origin, target), /*external=*/true);
   }
 
-  /// Flattened: the kernel's finish/deliver/enqueue steps are inlined into
-  /// the per-hop path, as they are in a single-topology simulator.
+  /// The event loop's hop.  Flattened: the kernel's finish/deliver/enqueue
+  /// steps are inlined into the per-hop path.
   [[gnu::flatten]] void on_arc_done(double now, ArcId arc) {
-    PacketKernel<Pkt>& kernel = sim.kernel_;
     const std::uint32_t pkt =
-        kernel.finish_arc(now, arc, topo.occupancy_group(topo.arc_source(arc)));
-    Pkt& packet = kernel.packet(pkt);
+        sim.kernel_.finish_arc(now, arc, arc_tracker(arc));
+    commit(now, pkt, advance(arc, pkt));
+  }
+
+  /// The occupancy tracker of the packets at an arc: its source node's
+  /// group, or none with tracking off.  Computed from the arc alone, so
+  /// forwarding needs no packet read.
+  [[nodiscard]] std::size_t arc_tracker(ArcId arc) const {
+    return sim.config_.track_occupancy
+               ? topo.occupancy_group(topo.arc_source(arc))
+               : kNoTracker;
+  }
+
+  /// Moves the packet across `arc`: its next arc toward the phase target,
+  /// kDeliver or kDropFault.
+  std::uint32_t advance(ArcId arc, std::uint32_t pkt) {
+    Pkt& packet = sim.kernel_.packet(pkt);
     packet.cur = topo.arc_target(arc);
     packet.hop_count =
         static_cast<std::uint16_t>(packet.hop_count + topo.hop_weight(arc));
+    if (plain) {
+      return packet.cur == packet.target
+                 ? kDeliver
+                 : topo.greedy_next_arc(packet.cur, packet.target);
+    }
     if (packet.cur == packet.target) {
-      if (packet.target == packet.final_dest) {
-        const double stretch =
-            packet.min_hops > 0
-                ? static_cast<double>(packet.hop_count) / packet.min_hops
-                : 0.0;
-        kernel.deliver(now, pkt, packet.gen_time,
-                       static_cast<double>(packet.hop_count), stretch);
-        return;
-      }
+      if (packet.target == packet.final_dest) return kDeliver;
       // Reached the random intermediate node: head for the destination.
       packet.target = packet.final_dest;
     }
     if (sim.fault_active_ && stranded(packet.cur, packet.hop_count)) {
-      kernel.drop_faulty(now, pkt);
+      return kDropFault;
+    }
+    return next_arc(packet.cur, packet.target);
+  }
+
+  void commit(double now, std::uint32_t pkt, std::uint32_t next) {
+    if (next == kDeliver) {
+      const Pkt& packet = sim.kernel_.packet(pkt);
+      const double stretch =
+          packet.min_hops > 0
+              ? static_cast<double>(packet.hop_count) / packet.min_hops
+              : 0.0;
+      sim.kernel_.deliver(now, pkt, packet.gen_time,
+                          static_cast<double>(packet.hop_count), stretch);
       return;
     }
-    route(now, pkt, /*external=*/false);
+    forward(now, pkt, next, /*external=*/false);
+  }
+
+  /// Enqueues the packet on `arc`, or drops it on kDropFault.
+  void forward(double now, std::uint32_t pkt, ArcId arc, bool external) {
+    if (arc == kDropFault) {
+      sim.kernel_.drop_faulty(now, pkt);
+      return;
+    }
+    sim.kernel_.enqueue(now, arc, pkt, external, arc_tracker(arc));
   }
 
   /// The hops a greedy walk from `from` to `to` takes, against which a
@@ -254,22 +260,10 @@ struct TopologyGreedySim::Router {
     return hop_count >= sim.net_.ttl() || topo.out_degree(cur) == 0;
   }
 
-  /// Enqueues the packet on its next arc toward the phase target.
-  void route(double now, std::uint32_t pkt, bool external) {
-    PacketKernel<Pkt>& kernel = sim.kernel_;
-    const Pkt& packet = kernel.packet(pkt);
-    const ArcId arc = next_arc(packet.cur, packet.target);
-    if (arc == kDropArc) {
-      kernel.drop_faulty(now, pkt);
-      return;
-    }
-    kernel.enqueue(now, arc, pkt, external, topo.occupancy_group(packet.cur));
-  }
-
-  /// The routing decision of both backends: the greedy arc (or the
-  /// dimension-order ablation's pick among the descending ports); with
-  /// faults, that arc when alive (always, at zero rates, so the pristine
-  /// path is reproduced), else the policy's reroute (kDropArc = drop).
+  /// The routing decision: the greedy arc (or the dimension-order
+  /// ablation's pick among the descending ports); with faults, that arc
+  /// when alive (always, at zero rates, so the pristine path is
+  /// reproduced), else the policy's reroute (kDropArc = drop).
   ArcId next_arc(NodeId cur, NodeId target) {
     const ArcId arc = sim.config_.dimension_order == DimensionOrder::kIncreasing
                           ? topo.greedy_next_arc(cur, target)
@@ -300,7 +294,7 @@ struct TopologyGreedySim::Router {
   }
 
   /// The policy's reroute around a dead arc (kDropArc = drop).  Out of
-  /// line, so the flattened hop path of on_arc_done stays small.
+  /// line, so the flattened hop path stays small.
   [[gnu::noinline]] ArcId reroute(NodeId cur, NodeId target) {
     PacketKernel<Pkt>& kernel = sim.kernel_;
     return fault_reroute_arc(
@@ -309,122 +303,12 @@ struct TopologyGreedySim::Router {
   }
 };
 
-/// The greedy routing decision over the SoA store.  route_batch is Phase A
-/// of SlottedBatchDriver::process_batch; spawn/complete replay the scalar
-/// inject/on_arc_done bookkeeping against the batch driver's mirrors.  The
-/// next arc is Router::next_arc, drawing from the same borrowed RNG.
-template <typename Topo>
-struct TopologyGreedySim::BatchPolicy {
-  Router<Topo> router;
-
-  /// Mirror of Router::on_spawn + inject for the batch store.
-  void spawn(double now) {
-    TopologyGreedySim& sim = router.sim;
-    SlottedBatchDriver& batch = sim.batch_;
-    const auto origin =
-        static_cast<NodeId>(batch.rng().uniform_below(sim.net_.num_sources()));
-    const NodeId dest = sim.net_.draw_destination(batch.rng(), origin);
-    batch.count_arrival(now);
-    SoaPacketStore& store = batch.store();
-    const std::uint32_t pkt = store.allocate();
-    store.node[pkt] = origin;
-    store.dest[pkt] = dest;
-    store.gen_time[pkt] = now;
-    store.hops[pkt] = 0;
-    store.aux[pkt] =
-        static_cast<std::uint16_t>(router.stretch_baseline(origin, dest));
-    if (sim.fault_active_ && sim.fault_model_.is_node_faulty(origin)) {
-      batch.drop_faulty(now, pkt);
-      return;
-    }
-    if (origin == dest) {
-      batch.deliver(now, pkt, now, 0.0);
-      return;
-    }
-    const ArcId arc = router.next_arc(origin, dest);
-    if (arc == kDropArc) {
-      batch.drop_faulty(now, pkt);
-      return;
-    }
-    batch.enqueue(now, arc, pkt, /*external=*/true,
-                  router.topo.occupancy_group(origin));
-  }
-
-  /// Phase A: advance every packet one hop and pick its next arc.  The
-  /// pristine loop is same-shape array arithmetic over node/dest/hops; the
-  /// fault loop stays sequential so reroute RNG draws keep the scalar order.
-  void route_batch(double /*now*/, const std::uint32_t* arcs,
-                   const std::uint32_t* pkts, std::uint32_t* next,
-                   std::size_t n) {
-    TopologyGreedySim& sim = router.sim;
-    const Topo& topo = router.topo;
-    SoaPacketStore& store = sim.batch_.store();
-    if (!sim.fault_active_) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t pkt = pkts[i];
-        const NodeId cur = topo.arc_target(arcs[i]);
-        const NodeId dest = store.dest[pkt];
-        store.node[pkt] = cur;
-        store.hops[pkt] =
-            static_cast<std::uint16_t>(store.hops[pkt] + topo.hop_weight(arcs[i]));
-        next[i] = cur == dest ? SlottedBatchDriver::kDeliver
-                              : topo.greedy_next_arc(cur, dest);
-      }
-      return;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t pkt = pkts[i];
-      const NodeId cur = topo.arc_target(arcs[i]);
-      store.node[pkt] = cur;
-      store.hops[pkt] =
-          static_cast<std::uint16_t>(store.hops[pkt] + topo.hop_weight(arcs[i]));
-      if (cur == store.dest[pkt]) {
-        next[i] = SlottedBatchDriver::kDeliver;
-      } else if (router.stranded(cur, store.hops[pkt])) {
-        next[i] = SlottedBatchDriver::kDropFault;
-      } else {
-        const ArcId arc = router.next_arc(cur, store.dest[pkt]);
-        next[i] = arc == kDropArc ? SlottedBatchDriver::kDropFault : arc;
-      }
-    }
-  }
-
-  /// Phase B tail: the scalar on_arc_done outcome for one routed packet.
-  void complete(double now, std::uint32_t pkt, std::uint32_t next) {
-    SlottedBatchDriver& batch = router.sim.batch_;
-    SoaPacketStore& store = batch.store();
-    if (next == SlottedBatchDriver::kDeliver) {
-      const std::uint16_t hops = store.hops[pkt];
-      const std::uint16_t min_hops = store.aux[pkt];
-      const double stretch =
-          min_hops > 0 ? static_cast<double>(hops) / min_hops : 0.0;
-      batch.deliver(now, pkt, store.gen_time[pkt], static_cast<double>(hops),
-                    stretch);
-      return;
-    }
-    if (next == SlottedBatchDriver::kDropFault) {
-      batch.drop_faulty(now, pkt);
-      return;
-    }
-    batch.enqueue(now, next, pkt, /*external=*/false,
-                  router.topo.occupancy_group(store.node[pkt]));
-  }
-
-  /// Occupancy tracker decremented when a service at `arc` completes —
-  /// the group of the arc's source node, as in the scalar finish_arc call.
-  [[nodiscard]] std::size_t finish_tracker(std::uint32_t arc) const {
-    return router.topo.occupancy_group(router.topo.arc_source(arc));
-  }
-};
+static_assert(kDropFault == kDropArc,
+              "a reroute's kDropArc is advance()'s kDropFault");
 
 void TopologyGreedySim::run(double warmup, double horizon) {
   with_concrete_topology(net_.topology(), [&](const auto& topo) {
     Router<std::decay_t<decltype(topo)>> router{*this, topo};
-    if (config_.backend == KernelBackend::kSoaBatch) {
-      BatchPolicy<std::decay_t<decltype(topo)>> policy{router};
-      batch_.drive(policy, warmup, horizon);
-      return;
-    }
     kernel_.drive(router, warmup, horizon);
   });
 }
@@ -519,6 +403,14 @@ CompiledScenario compile_routing(const Scenario& s, Routing routing) {
     perm = s.shared_permutation_table();
     replay = s.shared_trace();
     window = s.resolved_window();
+  }
+  // §3.4's slots divide the unit service time; any other tau would fail
+  // the simulator's precondition inside a worker.
+  const double slots = s.tau > 0.0 ? 1.0 / s.tau : 0.0;
+  if (s.tau > 1.0 || std::abs(slots - std::round(slots)) >= 1e-9) {
+    throw ScenarioError("tau=" + fmt_shortest(s.tau) + " is not a slot length: "
+                        "scheme '" + s.scheme + "' needs tau <= 1 with 1/tau "
+                        "an integer (§3.4), or tau=0 for continuous time");
   }
   std::optional<DestinationDistribution> law;
   if (family == "hypercube" || family == "butterfly") {

@@ -24,9 +24,10 @@
 /// queueing/levelled_network.hpp + core/equivalence.hpp, and the test suite
 /// checks that the two agree.  Three arrival modes: continuous (per-node
 /// Poisson), slotted (§3.4: Poisson(lambda*slot) per node at k*slot) and
-/// trace replay.  On the hypercube and the butterfly, greedy also runs on
-/// the soa_batch backend (des/slotted_batch.hpp) with bit-identical
-/// results.
+/// trace replay.  On the hypercube and the butterfly, slotted greedy also
+/// runs on the kernel's batched drive loop (backend=soa_batch) with
+/// bit-identical results: one Router serves both loops, its hop written
+/// once as advance() + commit().
 ///
 /// On ring / torus / mesh the compile hooks accept workload=uniform (and a
 /// permutation on the ring, whose 2^d nodes match the permutation
@@ -41,7 +42,6 @@
 
 #include "des/kernel_backend.hpp"
 #include "des/packet_kernel.hpp"
-#include "des/slotted_batch.hpp"
 #include "fault/fault_model.hpp"
 #include "stats/little.hpp"
 #include "stats/summary.hpp"
@@ -92,9 +92,9 @@ struct TopologyRoutingConfig {
   ArcServiceOrder service_order = ArcServiceOrder::kFifo;
   /// Greedy: dimension-order ablation (paper: increasing).
   DimensionOrder dimension_order = DimensionOrder::kIncreasing;
-  /// Greedy: execution engine.  kSoaBatch needs slotted time, no trace, no
-  /// Valiant phase, FIFO service, increasing order and a static fault set;
-  /// its results are bit-identical to kScalar (tests/test_kernel_parity).
+  /// Greedy: the kernel's drive loop.  kSoaBatch (the batched loop) needs
+  /// slotted time, no trace, FIFO service and a static fault set; its
+  /// results are bit-identical to kScalar (tests/test_kernel_parity).
   KernelBackend backend = KernelBackend::kScalar;
   /// Greedy: track a time-weighted occupancy per occupancy group of the
   /// topology (per node; per level on the butterfly).
@@ -246,15 +246,11 @@ class TopologyGreedySim {
     double gen_time = 0.0;
   };
 
-  /// The kernel hooks (on_spawn / on_traced / on_arc_done), templated on
-  /// the concrete topology type (routing/topology_greedy.cpp).
+  /// The kernel hooks of both drive loops (on_spawn / on_traced /
+  /// on_arc_done / advance / commit), templated on the concrete topology
+  /// type (routing/topology_greedy.cpp).
   template <typename Topo>
   struct Router;
-
-  /// The soa_batch policy: the same routing over the SoA store, driven by
-  /// SlottedBatchDriver against the kernel's own RNG and stats.
-  template <typename Topo>
-  struct BatchPolicy;
 
   void configure_kernel();
 
@@ -263,7 +259,6 @@ class TopologyGreedySim {
   FaultModel fault_model_;
   bool fault_active_ = false;
   PacketKernel<Pkt> kernel_;
-  SlottedBatchDriver batch_;  ///< engaged when backend == kSoaBatch
 };
 
 struct CompiledScenario;

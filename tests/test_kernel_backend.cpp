@@ -15,7 +15,10 @@
 
 #include "core/campaign.hpp"
 #include "core/scenario.hpp"
+#include "des/packet_kernel.hpp"
+#include "fault/fault_model.hpp"
 #include "routing/topology_greedy.hpp"
+#include "util/assert.hpp"
 #include "workload/permutation.hpp"
 
 namespace routesim {
@@ -82,6 +85,29 @@ TEST(KernelBackend, HypercubeTickBoundaryTauMatchesScalarExactly) {
   config.seed = 77;
   config.slot = 0.2;
   expect_equal_runs(config, 25.0, 325.0);
+}
+
+// Valiant's intermediate draw happens at spawn and the random-per-hop
+// ablation draws in advance(): both in event order under either loop.
+TEST(KernelBackend, ValiantAndRandomOrderMatchScalarExactly) {
+  TopologyRoutingConfig config;
+  config.spec.d = 6;
+  config.lambda = 0.5;
+  config.destinations = DestinationDistribution::uniform(6);
+  config.seed = 13;
+  config.slot = 0.5;
+  config.valiant = true;
+  expect_equal_runs(config, 30.0, 330.0);
+
+  config.valiant = false;
+  config.lambda = 1.0;
+  config.dimension_order = DimensionOrder::kRandomPerHop;
+  config.fault_policy = FaultPolicy::kAdaptive;
+  config.arc_fault_rate = 0.05;
+  expect_equal_runs(config, 30.0, 330.0);
+
+  config.dimension_order = DimensionOrder::kDecreasing;
+  expect_equal_runs(config, 30.0, 330.0);
 }
 
 TEST(KernelBackend, HypercubeFixedDestinationsMatchesScalarExactly) {
@@ -189,75 +215,127 @@ TEST(KernelBackend, ButterflySlottedMatchesScalarExactly) {
   }
 }
 
+// A toy scheme for the batched loop: every packet walks six arcs, with no
+// routing logic, so the kernel sees heavy slotted traffic on its own.
+struct HopScheme {
+  struct Pkt {
+    std::uint16_t hops = 0;
+    double gen_time = 0.0;
+  };
+  PacketKernel<Pkt>& kernel;
+  std::uint32_t num_arcs;
+  void on_spawn(double now) {
+    kernel.count_arrival(now);
+    const std::uint32_t pkt = kernel.allocate_packet();
+    kernel.packet(pkt) = Pkt{0, now};
+    const auto arc =
+        static_cast<std::uint32_t>(kernel.rng().uniform_below(num_arcs));
+    kernel.enqueue(now, arc, pkt, /*external=*/true);
+  }
+  std::uint32_t advance(std::uint32_t arc, std::uint32_t pkt) {
+    const std::uint16_t hops = ++kernel.packet(pkt).hops;
+    return hops == 6 ? kDeliver : (arc * 7 + 1) % num_arcs;
+  }
+  void commit(double now, std::uint32_t pkt, std::uint32_t next) {
+    if (next == kDeliver) {
+      const Pkt& packet = kernel.packet(pkt);
+      kernel.deliver(now, pkt, packet.gen_time, packet.hops);
+      return;
+    }
+    kernel.enqueue(now, next, pkt, /*external=*/false);
+  }
+  void on_arc_done(double now, std::uint32_t arc) {
+    const std::uint32_t pkt = kernel.finish_arc(now, arc);
+    commit(now, pkt, advance(arc, pkt));
+  }
+};
+
+constexpr std::uint32_t kToyArcs = 6 * 64;  // the arcs of the 6-cube
+
+PacketKernelConfig toy_batched_config() {
+  PacketKernelConfig config;
+  config.num_arcs = kToyArcs;
+  config.seed = 5;
+  config.birth_rate = 0.9 * kToyArcs / 6.0;  // per-arc load 0.9
+  config.slot = 1.0;
+  config.batched = true;
+  return config;
+}
+
 // The batch wheel reuses its slots in place: after a long drive the item
 // storage it keeps is bounded by (live batches) x (arcs), not by the number
-// of ticks driven.  A minimal policy walks every packet over a few arcs
-// so the driver sees heavy slotted traffic without any routing logic.
+// of ticks driven.
 TEST(KernelBackend, BatchWheelStorageIsIndependentOfHorizon) {
-  struct HopPolicy {
-    SlottedBatchDriver& batch;
-    std::uint32_t num_arcs;
-    void spawn(double now) {
-      batch.count_arrival(now);
-      SoaPacketStore& store = batch.store();
-      const std::uint32_t pkt = store.allocate();
-      store.gen_time[pkt] = now;
-      store.hops[pkt] = 0;
-      const auto arc =
-          static_cast<std::uint32_t>(batch.rng().uniform_below(num_arcs));
-      batch.enqueue(now, arc, pkt, /*external=*/true);
-    }
-    void route_batch(double, const std::uint32_t* arcs,
-                     const std::uint32_t* pkts, std::uint32_t* next,
-                     std::size_t n) {
-      SoaPacketStore& store = batch.store();
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint16_t hops = ++store.hops[pkts[i]];
-        next[i] = hops == 6 ? SlottedBatchDriver::kDeliver
-                            : (arcs[i] * 7 + 1) % num_arcs;
-      }
-    }
-    void complete(double now, std::uint32_t pkt, std::uint32_t next) {
-      SoaPacketStore& store = batch.store();
-      if (next == SlottedBatchDriver::kDeliver) {
-        batch.deliver(now, pkt, store.gen_time[pkt], store.hops[pkt]);
-        return;
-      }
-      batch.enqueue(now, next, pkt, /*external=*/false);
-    }
-    [[nodiscard]] std::size_t finish_tracker(std::uint32_t) const {
-      return kNoTracker;
-    }
-  };
-  const std::uint32_t num_arcs = 6 * 64;  // the arcs of the 6-cube
   const double slot = 1.0;
   const auto retained = [&](double horizon) {
-    Rng rng(5);
-    KernelStats stats;
-    std::vector<ArcCounters> counters(num_arcs);
-    SlottedBatchContext ctx;
-    ctx.num_arcs = num_arcs;
-    ctx.birth_rate = 0.9 * num_arcs / 6.0;  // per-arc load 0.9
-    ctx.slot = slot;
-    ctx.rng = &rng;
-    ctx.stats = &stats;
-    ctx.arc_counters = &counters;
-    SlottedBatchDriver driver;
-    driver.configure(ctx);
-    HopPolicy policy{driver, num_arcs};
-    driver.drive(policy, 0.0, horizon);
-    EXPECT_GT(stats.deliveries_in_window(), 0u);
-    return driver.retained_batch_capacity();
+    PacketKernel<HopScheme::Pkt> kernel;
+    kernel.configure(toy_batched_config());
+    HopScheme scheme{kernel, kToyArcs};
+    kernel.drive(scheme, 0.0, horizon);
+    EXPECT_GT(kernel.stats().deliveries_in_window(), 0u);
+    return kernel.retained_batch_capacity();
   };
   const std::size_t short_run = retained(200.0);
   const std::size_t long_run = retained(2000.0);
   // At most 1/slot + 2 batches are ever live, each of at most num_arcs
   // items; vector growth can double a slot's capacity past that.
   const std::size_t bound = 2 * (static_cast<std::size_t>(1.0 / slot) + 2) *
-                            static_cast<std::size_t>(num_arcs);
+                            static_cast<std::size_t>(kToyArcs);
   EXPECT_LE(short_run, bound);
   EXPECT_LE(long_run, bound);
-  EXPECT_LE(long_run, short_run + num_arcs);
+  EXPECT_LE(long_run, short_run + kToyArcs);
+}
+
+// The batched loop is only equivalent to the event loop under slotted
+// time, Poisson births, FIFO service and a static fault set, and only
+// drives a scheme that splits its hop into advance/commit: anything else
+// is a precondition failure, never a silent fallback.
+TEST(KernelBackend, BatchedDriveRejectsUnbatchableConfigs) {
+  const auto drive = [](const PacketKernelConfig& config) {
+    PacketKernel<HopScheme::Pkt> kernel;
+    kernel.configure(config);
+    HopScheme scheme{kernel, kToyArcs};
+    kernel.drive(scheme, 0.0, 50.0);
+  };
+  EXPECT_NO_THROW(drive(toy_batched_config()));
+
+  PacketKernelConfig continuous = toy_batched_config();
+  continuous.slot = 0.0;
+  EXPECT_THROW(drive(continuous), ContractViolation);
+
+  PacketTrace trace;
+  trace.dimension = 6;
+  trace.packets.push_back(TracedPacket{1.0, 0, 1});
+  PacketKernelConfig traced = toy_batched_config();
+  traced.trace = &trace;
+  EXPECT_THROW(drive(traced), ContractViolation);
+
+  PacketKernelConfig lifo = toy_batched_config();
+  lifo.service_order = ArcServiceOrder::kLifo;
+  EXPECT_THROW(drive(lifo), ContractViolation);
+
+  FaultModelConfig dynamic;
+  dynamic.num_arcs = kToyArcs;
+  dynamic.num_nodes = 64;
+  dynamic.mtbf = 50.0;
+  dynamic.mttr = 5.0;
+  FaultModel faults;
+  faults.configure(dynamic);
+  ASSERT_TRUE(faults.dynamic());
+  PacketKernelConfig faulty = toy_batched_config();
+  faulty.fault_model = &faults;
+  EXPECT_THROW(drive(faulty), ContractViolation);
+
+  // An event-loop-only scheme: on_arc_done, but no advance/commit split.
+  struct EventOnly {
+    PacketKernel<HopScheme::Pkt>& kernel;
+    void on_spawn(double) {}
+    void on_arc_done(double, std::uint32_t) {}
+  };
+  PacketKernel<HopScheme::Pkt> kernel;
+  kernel.configure(toy_batched_config());
+  EventOnly event_only{kernel};
+  EXPECT_THROW(kernel.drive(event_only, 0.0, 50.0), ContractViolation);
 }
 
 // The registry path: a full replicated run() must produce the identical

@@ -313,7 +313,11 @@ TEST(Scenario, GenericTopologyRunsRejectUnsupportedFeatures) {
       {"batch_greedy", "native", "tau", "1"},
       {"batch_greedy", "native", "buffers", "2"},
       {"multicast", "native", "tau", "1"},
-      {"multicast", "native", "buffers", "2"}};
+      {"multicast", "native", "buffers", "2"},
+      // A tau that is not a slot length (1/tau an integer, tau <= 1).
+      {"hypercube_greedy", "native", "tau", "0.3"},
+      {"hypercube_greedy", "native", "tau", "2"},
+      {"butterfly_greedy", "native", "tau", "0.3"}};
   cases.insert(cases.end(), out_of_range.begin(), out_of_range.end());
   for (const Ignored& c : cases) {
     Scenario ignored;
