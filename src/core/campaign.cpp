@@ -352,8 +352,9 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
   enum class Slot : std::uint8_t { kCached, kDuplicate, kScheduled };
   std::vector<Slot> status(campaign.size(), Slot::kScheduled);
 
-  // Phase 1 (this thread): resolve + compile every cell, so any
-  // ScenarioError surfaces before a single worker starts; serve cache and
+  // Phase 1 (this thread): resolve, check against the scheme's capability
+  // row (SchemeInfo::check) and compile every cell, so any ScenarioError
+  // surfaces before a single worker starts; serve cache and
   // persistent-store hits and coalesce in-campaign duplicates into one job
   // per distinct key.  The store lookup is what makes a rerun of an
   // interrupted campaign a *resume*: finished cells never reschedule.
@@ -400,6 +401,7 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
       continue;
     }
     const auto& info = find_scheme_or_throw(resolved.scheme);
+    info.check(resolved);
     RS_EXPECTS(resolved.plan.replications >= 1);
     auto job = std::make_unique<CellJob>();
     job->cell_indices = {i};

@@ -275,8 +275,8 @@ class Engine {
   Engine() = default;
   explicit Engine(EngineOptions options) : options_(std::move(options)) {}
 
-  /// Resolves and compiles every cell (ScenarioError surfaces here, before
-  /// any worker starts), serves cache hits and in-campaign duplicates
+  /// Resolves, checks (SchemeRegistry::SchemeInfo::check) and compiles
+  /// every cell (ScenarioError surfaces here, before any worker starts), serves cache hits and in-campaign duplicates
   /// without recomputation, then runs all remaining replications on one
   /// shared pool.  Returns the results in cell order.
   [[nodiscard]] std::vector<CellResult> run(const Campaign& campaign) const;

@@ -1,5 +1,6 @@
 #include "core/catalog.hpp"
 
+#include <iterator>
 #include <sstream>
 
 #include "core/registry.hpp"
@@ -108,9 +109,8 @@ const std::vector<CatalogEntry>& backend_docs() {
       {"soa_batch",
        "the kernel's batched loop for slotted-time scenarios (tau > 0): "
        "advances every busy arc per tick in two phases, route then "
-       "commit, bit-identical to scalar on adopting schemes "
-       "(hypercube_greedy, butterfly_greedy); needs FIFO "
-       "service and a static fault set, other schemes reject it"},
+       "commit, bit-identical to scalar; needs FIFO service and a static "
+       "fault set (the capability matrix lists the schemes that run it)"},
   };
   return backends;
 }
@@ -141,7 +141,14 @@ ScenarioCatalog scenario_catalog() {
 
   const auto& registry = SchemeRegistry::instance();
   for (const auto& name : registry.names()) {
-    catalog.schemes.push_back({name, registry.find(name)->summary});
+    const auto& info = *registry.find(name);
+    catalog.schemes.push_back({name, info.summary});
+    std::vector<std::string> backends{"scalar"};
+    backends.insert(backends.end(), info.backends.begin(), info.backends.end());
+    catalog.capabilities.push_back(
+        {name,
+         {info.topologies, info.workloads, info.fault_policies, backends,
+          info.keys}});
   }
 
   catalog.set_keys = Scenario::keys();
@@ -165,6 +172,13 @@ ScenarioCatalog scenario_catalog() {
 
 namespace {
 
+/// "a, b, c", or "—" for an empty column.
+std::string listed(const std::vector<std::string>& column) {
+  std::string out;
+  for (const auto& entry : column) out += out.empty() ? entry : ", " + entry;
+  return out.empty() ? "—" : out;
+}
+
 void json_entries(std::ostringstream& os, const char* section,
                   const std::vector<CatalogEntry>& entries) {
   os << "  \"" << section << "\": [";
@@ -182,7 +196,21 @@ std::string catalog_json(const ScenarioCatalog& catalog) {
   std::ostringstream os;
   os << "{\n";
   json_entries(os, "schemes", catalog.schemes);
-  os << ",\n  \"set_keys\": [";
+  os << ",\n  \"capabilities\": [";
+  for (std::size_t i = 0; i < catalog.capabilities.size(); ++i) {
+    const CapabilityRow& row = catalog.capabilities[i];
+    os << (i == 0 ? "" : ",") << "\n    {\"scheme\": \"" << json_escape(row.scheme)
+       << '"';
+    for (std::size_t c = 0; c < row.columns.size(); ++c) {
+      os << ", \"" << kCapabilityColumns[c] << "\": [";
+      for (std::size_t v = 0; v < row.columns[c].size(); ++v) {
+        os << (v == 0 ? "\"" : ", \"") << json_escape(row.columns[c][v]) << '"';
+      }
+      os << ']';
+    }
+    os << '}';
+  }
+  os << "\n  ],\n  \"set_keys\": [";
   for (std::size_t i = 0; i < catalog.set_keys.size(); ++i) {
     const ScenarioKey& key = catalog.set_keys[i];
     os << (i == 0 ? "" : ",") << "\n    {\"name\": \"" << json_escape(key.name)
@@ -253,6 +281,31 @@ std::string catalog_markdown(const ScenarioCatalog& catalog) {
   os << "## Schemes\n\n";
   markdown_table(os, "scheme", catalog.schemes);
 
+  os << "## Capability matrix\n\n"
+        "What each scheme accepts.  The engine checks every scenario against\n"
+        "its scheme's row before compiling it, and rejects anything else\n"
+        "with a `ScenarioError` naming the key and the scheme.\n"
+        "`topology=native` is the first family listed.  Fault policies\n"
+        "apply under active faults; none listed means no fault support.\n"
+        "`keys` are the scheme-specific keys the scheme reads, out of\n"
+        "`" << listed(SchemeRegistry::scheme_keys()) << "`;\n"
+        "every other one must stay at its default.  On top of the rows:\n"
+        "ring, torus and mesh take `workload=uniform` (plus `permutation` on\n"
+        "the ring), no faults and only `scalar`; `ring_chords` is read only\n"
+        "on the ring and `torus_dims` only on the torus and the mesh;\n"
+        "`soa_batch` needs `tau > 0`, no trace and a static fault set.\n\n"
+        "| scheme |";
+  for (const char* column : kCapabilityColumns) os << ' ' << column << " |";
+  os << "\n|---|";
+  for (std::size_t c = 0; c < std::size(kCapabilityColumns); ++c) os << "---|";
+  os << '\n';
+  for (const CapabilityRow& row : catalog.capabilities) {
+    os << "| `" << row.scheme << "` |";
+    for (const auto& column : row.columns) os << ' ' << listed(column) << " |";
+    os << '\n';
+  }
+  os << '\n';
+
   os << "## `--set` keys\n\n| key | type | description |\n|---|---|---|\n";
   for (const auto& key : catalog.set_keys) {
     os << "| `" << key.name << "` | " << key.type << " | " << md_cell(key.doc)
@@ -261,12 +314,7 @@ std::string catalog_markdown(const ScenarioCatalog& catalog) {
   os << '\n';
 
   os << "## Topologies (`topology=`)\n\n"
-        "`hypercube_greedy`, `valiant_mixing` and `deflection` accept\n"
-        "hypercube, ring, torus and mesh.  Greedy, Valiant mixing and\n"
-        "deflection each run one topology-parametric simulator on every\n"
-        "family, the native hypercube included.  On ring, torus and\n"
-        "mesh, faults, traces, XOR-mask workloads and soa_batch are\n"
-        "rejected at compile time.\n"
+        "The capability matrix lists the families each scheme runs;\n"
         "`topology=native` (the default) means the scheme's own network.\n"
         "See docs/TOPOLOGIES.md for the concept contract and closed forms.\n\n";
   markdown_table(os, "topology", catalog.topologies);
@@ -310,6 +358,15 @@ std::string catalog_text(const ScenarioCatalog& catalog) {
   os << "registered schemes:\n";
   for (const auto& scheme : catalog.schemes) {
     os << "  " << scheme.name << "\n      " << scheme.summary << '\n';
+  }
+  os << "\ncapability matrix (anything else is a ScenarioError; "
+        "topology=native is the first family):\n";
+  for (const CapabilityRow& row : catalog.capabilities) {
+    os << "  " << row.scheme << '\n';
+    for (std::size_t c = 0; c < row.columns.size(); ++c) {
+      os << "      " << kCapabilityColumns[c] << ": " << listed(row.columns[c])
+         << '\n';
+    }
   }
   os << "\nrecognized --set keys:\n";
   for (const auto& key : catalog.set_keys) {

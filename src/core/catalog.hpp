@@ -13,7 +13,9 @@
 ///     tests/test_catalog.cpp fail when the committed copy differs).
 ///
 /// The `--set` and sweep-key sections are the Scenario::keys() table
-/// itself, so a key cannot exist without its documentation.
+/// itself, so a key cannot exist without its documentation; the capability
+/// matrix is the registry's SchemeInfo columns, the data the engine checks
+/// scenarios against.
 
 #include <string>
 #include <vector>
@@ -28,9 +30,21 @@ struct CatalogEntry {
   std::string summary;  ///< one line, no trailing period required
 };
 
+/// One scheme's row of the capability matrix: SchemeInfo's topologies,
+/// workloads, fault_policies, backends (scalar first) and keys columns, in
+/// kCapabilityColumns order.
+struct CapabilityRow {
+  std::string scheme;
+  std::vector<std::vector<std::string>> columns;
+};
+
+inline constexpr const char* kCapabilityColumns[] = {
+    "topologies", "workloads", "fault_policies", "backends", "keys"};
+
 /// The full catalog; see scenario_catalog().
 struct ScenarioCatalog {
   std::vector<CatalogEntry> schemes;         ///< from SchemeRegistry (live)
+  std::vector<CapabilityRow> capabilities;   ///< one row per scheme (live)
   std::vector<ScenarioKey> set_keys;         ///< Scenario::keys(), in order
   std::vector<CatalogEntry> topologies;      ///< topology= values (live)
   std::vector<CatalogEntry> workloads;       ///< workload= values

@@ -128,15 +128,8 @@ LevelledNetworkConfig make_lemma9_network(double rate1, double rate2, double rat
 namespace {
 
 CompiledScenario compile_network_q(const Scenario& s, Discipline discipline) {
-  if (s.workload != "bit_flip" && s.workload != "uniform") {
-    throw ScenarioError("network_q supports only bit_flip/uniform workloads");
-  }
   const double p_eff = s.effective_p();
   CompiledScenario compiled;
-  (void)s.resolved_topology({"hypercube"});  // hypercube-native
-  (void)s.resolved_fault_policy({});  // no fault support: reject knobs
-  (void)s.resolved_backend({});       // scalar-only: reject soa_batch
-  s.reject_unsupported_keys({"tau", "buffers"});
   const Window window = s.resolved_window();
   compiled.replicate = [s, window, discipline, p_eff](std::uint64_t seed, int) {
     LevelledNetwork net(
@@ -173,12 +166,14 @@ CompiledScenario compile_network_q(const Scenario& s, Discipline discipline) {
 }  // namespace
 
 void register_network_q_schemes(SchemeRegistry& registry) {
-  registry.add({"network_q",
-                "equivalent Markovian network Q of §3.1 (discipline from the "
-                "scenario: FIFO = Q, PS = Q~)",
-                [](const Scenario& s) {
-                  return compile_network_q(s, s.discipline);
-                }});
+  registry.add({.name = "network_q",
+                .summary = "equivalent Markovian network Q of §3.1 "
+                           "(discipline from the scenario: FIFO = Q, PS = Q~)",
+                .compile =
+                    [](const Scenario& s) {
+                      return compile_network_q(s, s.discipline);
+                    },
+                .keys = {"discipline"}});
   registry.add({"network_q_fifo",
                 "network Q under FIFO (the real scheme's equivalent, §3.1)",
                 [](const Scenario& s) {

@@ -1,5 +1,6 @@
 #include "core/registry.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/equivalence.hpp"
@@ -8,6 +9,7 @@
 #include "routing/multicast.hpp"
 #include "routing/pipelined_baseline.hpp"
 #include "routing/topology_greedy.hpp"
+#include "util/assert.hpp"
 
 namespace routesim {
 
@@ -26,6 +28,132 @@ SchemeRegistry& SchemeRegistry::instance() {
     return r;
   }();
   return *registry;
+}
+
+namespace {
+
+bool lists(const std::vector<std::string>& column, const std::string& value) {
+  return std::ranges::find(column, value) != column.end();
+}
+
+std::string joined(const std::vector<std::string>& column) {
+  std::string out;
+  for (const auto& entry : column) out += out.empty() ? entry : ", " + entry;
+  return out;
+}
+
+}  // namespace
+
+const std::vector<std::string>& SchemeRegistry::scheme_keys() {
+  static const std::vector<std::string> keys{
+      "tau",        "buffers",    "fanout",       "unicast_baseline",
+      "discipline", "ttl",        "storm_rate",   "storm_radius",
+      "storm_duration",           "fault_policy"};
+  return keys;
+}
+
+void SchemeRegistry::SchemeInfo::check(const Scenario& s) const {
+  const auto unsupported = [&](const std::string& what) {
+    return ScenarioError("scheme '" + name + "' does not support " + what);
+  };
+  RS_EXPECTS(!topologies.empty());
+  const std::string& family =
+      s.topology == "native" ? topologies.front() : s.topology;
+  if (!lists(topologies, family)) {
+    throw unsupported("topology '" + s.topology +
+                      "' (supported: native, " + joined(topologies) + ")");
+  }
+  const bool generic = s.uses_generic_topology();
+
+  if (s.faults_active()) {
+    if (fault_policies.empty() || generic) {
+      throw unsupported(
+          "fault injection" + (generic ? " on topology=" + family : "") +
+          " (clear fault_rate, node_fault_rate, fault_mtbf, fault_mttr, "
+          "storm_rate and storm_duration)");
+    }
+    if ((s.fault_mtbf > 0.0) != (s.fault_mttr > 0.0)) {
+      throw ScenarioError(
+          "dynamic faults need both fault_mtbf and fault_mttr > 0 (got mtbf=" +
+          std::to_string(s.fault_mtbf) + ", mttr=" +
+          std::to_string(s.fault_mttr) + ")");
+    }
+    if ((s.storm_rate > 0.0) != (s.storm_duration > 0.0)) {
+      throw ScenarioError(
+          "fault storms need both storm_rate and storm_duration > 0 (got "
+          "storm_rate=" + fmt_shortest(s.storm_rate) + ", storm_duration=" +
+          fmt_shortest(s.storm_duration) + ") — did you mean to also set " +
+          (s.storm_rate > 0.0 ? "storm_duration" : "storm_rate") + "?");
+    }
+    if (!lists(fault_policies, s.fault_policy)) {
+      throw unsupported("fault_policy '" + s.fault_policy +
+                        "' (supported: " + joined(fault_policies) + ")");
+    }
+  }
+
+  static const Scenario kDefaults;
+  for (const ScenarioKey& row : Scenario::keys()) {
+    if (!lists(scheme_keys(), row.name) || lists(keys, row.name)) continue;
+    const std::optional<std::string> value = row.get(s);
+    const std::optional<std::string> fallback = row.get(kDefaults);
+    if (value == fallback) continue;
+    if (row.name == "storm_rate" || row.name == "storm_duration") {
+      std::vector<std::string> hosts;
+      for (const auto& [host, info] : instance().schemes_) {
+        if (lists(info.keys, "storm_rate")) hosts.push_back(host);
+      }
+      throw unsupported(
+          "fault storms (clear storm_rate/storm_duration; storms are "
+          "available on " + joined(hosts) + ")");
+    }
+    throw unsupported(row.name + "=" + value.value_or("") + " (leave " +
+                      row.name + " at its default " + fallback.value_or("") +
+                      ")");
+  }
+  if (!s.ring_chords.empty() && family != "ring") {
+    throw unsupported("ring_chords=" + s.ring_chords + " on topology=" +
+                      family + " (ring_chords is read only on topology=ring)");
+  }
+  if (s.torus_dims != kDefaults.torus_dims && family != "torus" &&
+      family != "mesh") {
+    throw unsupported("torus_dims=" + s.torus_dims + " on topology=" + family +
+                      " (torus_dims is read only on topology=torus|mesh)");
+  }
+
+  if (generic && s.workload != "uniform" &&
+      !(s.workload == "permutation" && family == "ring")) {
+    throw unsupported("workload '" + s.workload + "' on topology=" + family +
+                      " (ring, torus and mesh take workload=uniform, plus "
+                      "permutation on the ring, whose 2^d nodes it indexes)");
+  }
+  if (!lists(workloads, s.workload)) {
+    throw unsupported("workload '" + s.workload + "' (supported: " +
+                      joined(workloads) + ")");
+  }
+
+  if (s.backend != "scalar") {
+    if (generic || !lists(backends, s.backend)) {
+      throw unsupported(
+          "backend '" + s.backend + "' (supported: scalar" +
+          (generic || backends.empty() ? "" : ", " + joined(backends)) + ")");
+    }
+    // The batched loop's rules: slotted time, no trace, static faults.
+    if (s.tau <= 0.0) {
+      throw ScenarioError("backend=soa_batch needs slotted time: set tau > 0");
+    }
+    if (s.workload == "trace") {
+      throw ScenarioError(
+          "backend=soa_batch cannot replay traces (use backend=scalar)");
+    }
+    if (s.fault_mtbf > 0.0 || s.fault_mttr > 0.0 || s.storm_rate > 0.0) {
+      throw ScenarioError(
+          std::string("backend=soa_batch needs a static fault set (clear "
+                      "fault_mtbf/fault_mttr") +
+          (lists(keys, "storm_rate") ? "/storm_rate" : "") +
+          " or use backend=scalar)");
+    }
+  }
+  if (generic) (void)s.compiled_topology();  // size errors as ScenarioError
 }
 
 void SchemeRegistry::add(SchemeInfo info) {

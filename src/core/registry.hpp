@@ -71,12 +71,16 @@ template <typename Sim, typename Config>
 }
 
 /// The process-wide name -> scheme map behind run(): each entry compiles a
-/// `Scenario` into a replication body, and optionally overrides the load
-/// factor rule Scenario::rho() applies.
+/// `Scenario` into a replication body, optionally overrides the load
+/// factor rule Scenario::rho() applies, and declares what it accepts.
 class SchemeRegistry {
  public:
-  /// One registered scheme: its name, --list summary, compile hook, and
-  /// optional load-factor rule.
+  /// One registered scheme: its name, --list summary, compile hook,
+  /// optional load-factor rule, and its row of the capability matrix.  The
+  /// engine checks a scenario against that row (check()) before compiling
+  /// it, so a compile hook reads only values the row admits.  The columns
+  /// default to the plain cube: hypercube, bit_flip/uniform, no faults,
+  /// scalar only, no scheme-specific keys.
   struct SchemeInfo {
     std::string name;
     std::string summary;  ///< one line for --list and error messages
@@ -84,7 +88,32 @@ class SchemeRegistry {
     /// Scheme-specific load-factor rule consulted by Scenario::rho();
     /// null means the default lambda*max_j P[B_j] rule applies.
     std::function<double(const Scenario&)> load_factor = {};
+    /// topology= families; "native" resolves to the first.
+    std::vector<std::string> topologies = {"hypercube"};
+    /// workload= values.
+    std::vector<std::string> workloads = {"bit_flip", "uniform"};
+    /// fault_policy= values honoured under active faults; empty means the
+    /// scheme has no fault support.
+    std::vector<std::string> fault_policies = {};
+    /// backend= values besides scalar, which every scheme runs.
+    std::vector<std::string> backends = {};
+    /// The scheme-specific rows of Scenario::keys() the scheme reads, out
+    /// of scheme_keys(); every other one must stay at its default.
+    std::vector<std::string> keys = {};
+
+    /// Throws ScenarioError, naming the key and the scheme, when `s` sets
+    /// anything this row does not admit.  On top of the columns it applies
+    /// the family rules: ring, torus and mesh take workload=uniform (plus
+    /// permutation on the ring), no faults and only scalar; ring_chords is
+    /// read only on the ring and torus_dims only on the torus and the
+    /// mesh; soa_batch needs slotted time, no trace and a static fault
+    /// set.  It also checks the fault knobs' pairing and builds a generic
+    /// topology once, so its size errors surface here.
+    void check(const Scenario& s) const;
   };
+
+  /// The rows of Scenario::keys() a SchemeInfo::keys column may list.
+  [[nodiscard]] static const std::vector<std::string>& scheme_keys();
 
   /// The process-wide registry, with every built-in scheme registered.
   static SchemeRegistry& instance();

@@ -174,71 +174,6 @@ std::shared_ptr<const PacketTrace> Scenario::shared_trace() const {
   }
 }
 
-FaultPolicy Scenario::resolved_fault_policy(
-    std::initializer_list<FaultPolicy> supported) const {
-  if (!faults_active()) return FaultPolicy::kNone;
-  if (supported.size() == 0) {
-    throw ScenarioError("scheme '" + scheme +
-                        "' does not support fault injection (clear fault_rate,"
-                        " node_fault_rate, fault_mtbf, fault_mttr, storm_rate"
-                        " and storm_duration)");
-  }
-  if ((fault_mtbf > 0.0) != (fault_mttr > 0.0)) {
-    throw ScenarioError(
-        "dynamic faults need both fault_mtbf and fault_mttr > 0 (got mtbf=" +
-        std::to_string(fault_mtbf) + ", mttr=" + std::to_string(fault_mttr) +
-        ")");
-  }
-  if ((storm_rate > 0.0) != (storm_duration > 0.0)) {
-    throw ScenarioError(
-        "fault storms need both storm_rate and storm_duration > 0 (got "
-        "storm_rate=" + fmt_shortest(storm_rate) + ", storm_duration=" +
-        fmt_shortest(storm_duration) + ") — did you mean to also set " +
-        (storm_rate > 0.0 ? "storm_duration" : "storm_rate") + "?");
-  }
-  FaultPolicy policy = FaultPolicy::kNone;
-  try {
-    policy = parse_fault_policy(fault_policy);
-  } catch (const std::invalid_argument& error) {
-    throw ScenarioError(error.what());
-  }
-  for (const FaultPolicy candidate : supported) {
-    if (candidate == policy) return policy;
-  }
-  std::string names;
-  for (const FaultPolicy candidate : supported) {
-    if (!names.empty()) names += ", ";
-    names += fault_policy_name(candidate);
-  }
-  throw ScenarioError("fault_policy '" + fault_policy +
-                      "' is not supported by scheme '" + scheme +
-                      "' (supported: " + names + ")");
-}
-
-KernelBackend Scenario::resolved_backend(
-    std::initializer_list<KernelBackend> supported) const {
-  KernelBackend parsed = KernelBackend::kScalar;
-  try {
-    parsed = parse_kernel_backend(backend);
-  } catch (const std::invalid_argument& error) {
-    throw ScenarioError(error.what());
-  }
-  // The scalar kernel is every scheme's oracle; only alternatives need to be
-  // in the scheme's supported list.
-  if (parsed == KernelBackend::kScalar) return parsed;
-  for (const KernelBackend candidate : supported) {
-    if (candidate == parsed) return parsed;
-  }
-  std::string names = "scalar";
-  for (const KernelBackend candidate : supported) {
-    if (candidate == KernelBackend::kScalar) continue;
-    names += ", ";
-    names += kernel_backend_name(candidate);
-  }
-  throw ScenarioError("scheme '" + scheme + "' does not support backend '" +
-                      backend + "' (supported: " + names + ")");
-}
-
 Window Scenario::resolved_window() const {
   if (!window.is_auto()) {
     if (window.warmup < 0.0 || window.horizon < window.warmup) {
@@ -261,22 +196,6 @@ Window Scenario::resolved_window() const {
     effective_d = std::max(effective_d, compiled_topology()->diameter());
   }
   return Window::for_load(effective_d, load, measure);
-}
-
-std::string Scenario::resolved_topology(
-    std::initializer_list<const char*> supported) const {
-  RS_EXPECTS(supported.size() > 0);
-  if (topology == "native") return *supported.begin();
-  for (const char* candidate : supported) {
-    if (topology == candidate) return topology;
-  }
-  std::string names;
-  for (const char* candidate : supported) {
-    if (!names.empty()) names += ", ";
-    names += candidate;
-  }
-  throw ScenarioError("scheme '" + scheme + "' does not support topology '" +
-                      topology + "' (supported: native, " + names + ")");
 }
 
 TopologySpec Scenario::topology_spec() const {
@@ -526,14 +445,12 @@ const std::vector<ScenarioKey>& Scenario::keys() {
        .set = [](S& s, V v) { s.p = number(v); },
        .get = [](const S& s) { return text(s.p); }},
       {.name = "tau", .type = "double", .sweepable = true,
-       .doc = "> 0: slotted-time variant with this slot length (§3.4); "
-              "honoured by hypercube_greedy (every topology) and "
-              "butterfly_greedy; every other scheme rejects it",
+       .doc = "> 0: slotted-time variant with this slot length (§3.4), "
+              "tau <= 1 with 1/tau an integer (see the capability matrix)",
        .set = [](S& s, V v) { s.tau = number(v); },
        .get = [](const S& s) { return text(s.tau); }},
       {.name = "discipline", .type = "string",
-       .doc = "service discipline of the equivalent-network schemes: "
-              "fifo | ps",
+       .doc = "service discipline of network_q: fifo (network Q) | ps (Q~)",
        .set = [](S& s, V v) {
          if (v != "fifo" && v != "ps") {
            throw ScenarioError("must be fifo or ps");
@@ -603,8 +520,7 @@ const std::vector<ScenarioKey>& Scenario::keys() {
        .get = [](const S& s) { return text(s.unicast_baseline ? 1 : 0); }},
       {.name = "buffers", .type = "int",
        .doc = "per-arc buffer capacity including the packet in service; 0 = "
-              "infinite (the paper's model); honoured by hypercube_greedy "
-              "(every topology); every other scheme rejects it",
+              "infinite (the paper's model) (see the capability matrix)",
        .set = [](S& s, V v) {
          s.buffer_capacity =
              static_cast<std::uint32_t>(at_least(integer(v), 0));
@@ -728,23 +644,6 @@ void Scenario::set(const std::string& key, const std::string& value) {
     throw invalid(error.what());
   } catch (const std::invalid_argument& error) {
     throw invalid(error.what());
-  }
-}
-
-void Scenario::reject_unsupported_keys(
-    std::initializer_list<const char*> names) const {
-  static const Scenario kDefaults;
-  for (const char* name : names) {
-    const ScenarioKey* row = find_key(name);
-    RS_EXPECTS(row != nullptr);
-    const std::optional<std::string> value = row->get(*this);
-    const std::optional<std::string> fallback = row->get(kDefaults);
-    if (value != fallback) {
-      throw ScenarioError("scheme '" + scheme + "' does not support " +
-                          name + "=" + value.value_or("") + " (leave " +
-                          name + " at its default " + fallback.value_or("") +
-                          ")");
-    }
   }
 }
 

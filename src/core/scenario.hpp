@@ -14,7 +14,6 @@
 /// every key of that form is one row of Scenario::keys().
 
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -31,8 +30,6 @@
 
 namespace routesim {
 
-enum class FaultPolicy : std::uint8_t;     // fault/fault_model.hpp
-enum class KernelBackend : std::uint8_t;   // des/kernel_backend.hpp
 class Topology;                            // topology/topology.hpp
 struct TopologySpec;
 struct PacketTrace;                        // workload/trace.hpp
@@ -82,9 +79,11 @@ struct ScenarioKey {
   std::optional<std::string> (*get)(const Scenario&) = nullptr;
 };
 
-/// One point of the experiment space.  Every field has a usable default;
-/// scheme-specific fields (tau, fanout, ...) are ignored by schemes that do
-/// not consume them.
+/// One point of the experiment space.  Every field has a usable default.
+/// A scheme-specific field (tau, fanout, ...) set off its default on a
+/// scheme that does not read it is a ScenarioError: the engine checks every
+/// scenario against its scheme's capability row
+/// (SchemeRegistry::SchemeInfo) before compiling it.
 struct Scenario {
   /// Registry key: hypercube_greedy, butterfly_greedy, network_q,
   /// network_q_fifo, network_q_ps, pipelined_baseline, valiant_mixing,
@@ -96,8 +95,7 @@ struct Scenario {
   /// Network family: "native" (the scheme's own topology — the hypercube
   /// for the cube schemes, the butterfly for butterfly_greedy) or an
   /// explicit family from topology_names(): hypercube, butterfly, ring,
-  /// torus, mesh.  hypercube_greedy, valiant_mixing and deflection run
-  /// the topology-parametric sims (routing/topology_greedy.hpp) on each.
+  /// torus, mesh (SchemeInfo::topologies lists the ones a scheme runs).
   std::string topology = "native";
   /// topology=ring chord structure: "" (plain ring), "papillon" (the
   /// doubling-stride ladder) or a CSV of chord strides in [2, n/2 - 1].
@@ -112,8 +110,8 @@ struct Scenario {
   std::optional<double> rho_target;
   double p = 0.5;       ///< bit-flip probability of the destination law
   double tau = 0.0;     ///< > 0: slotted-time variant (§3.4)
-  /// Service discipline for the equivalent-network schemes: network Q
-  /// (FIFO) or Q~ (PS).  Packet-level schemes ignore it.
+  /// Service discipline of the scheme `network_q`: network Q (FIFO) or Q~
+  /// (PS).
   Discipline discipline = Discipline::kFifo;
 
   // --- workload ---------------------------------------------------------
@@ -170,8 +168,8 @@ struct Scenario {
   double measure = 4000.0;  ///< measurement length used by the auto window
   ReplicationPlan plan{};
   /// Kernel execution engine: "scalar" (event-driven oracle, every scheme)
-  /// or "soa_batch" (SoA batch slotted stepping — adopting schemes only,
-  /// bit-identical to scalar; see des/kernel_backend.hpp and docs/KERNEL.md).
+  /// or "soa_batch" (the kernel's batched slotted loop, bit-identical to
+  /// scalar; see des/kernel_backend.hpp and docs/KERNEL.md).
   std::string backend = "scalar";
 
   // --- derived ----------------------------------------------------------
@@ -184,53 +182,20 @@ struct Scenario {
 
   /// True when any fault source is configured; schemes attach a FaultModel
   /// (and drop the paper's bracket) exactly when this holds.  A lone
-  /// fault_mttr counts as "configured" so resolved_fault_policy() can
-  /// reject it instead of silently simulating a pristine network.
+  /// fault_mttr counts as "configured" so the engine's scheme check
+  /// (SchemeRegistry::SchemeInfo::check) can reject it instead of silently
+  /// simulating a pristine network.
   [[nodiscard]] bool faults_active() const noexcept {
     return fault_rate > 0.0 || node_fault_rate > 0.0 || fault_mtbf > 0.0 ||
            fault_mttr > 0.0 || storm_rate > 0.0 || storm_duration > 0.0;
   }
 
-  /// Validates the fault knobs against a scheme's supported policies and
-  /// returns the parsed policy — kNone when faults_active() is false.
-  /// Registry compile hooks call this *before* fanning replications out to
-  /// worker threads, so a bad combination (unsupported policy, mtbf
-  /// without mttr) surfaces as a catchable ScenarioError instead of a
-  /// contract violation inside a worker.  An empty `supported` list means
-  /// the scheme has no fault support at all: any active fault knob is
-  /// rejected rather than silently simulating a pristine network.
-  [[nodiscard]] FaultPolicy resolved_fault_policy(
-      std::initializer_list<FaultPolicy> supported) const;
-
-  /// Validates the backend knob against a scheme's supported backends and
-  /// returns the parsed value.  "scalar" is every scheme's oracle and is
-  /// always accepted, so a scheme with no alternative backend passes `{}`.
-  /// Registry compile hooks call this before fanning replications out, so
-  /// an unsupported backend surfaces as a catchable ScenarioError naming
-  /// the backends the scheme does support.
-  [[nodiscard]] KernelBackend resolved_backend(
-      std::initializer_list<KernelBackend> supported) const;
-
-  /// Rejects each named key that is not at its default: a scheme that does
-  /// not honour a knob (tau, buffers, ...) lists it here, so setting it
-  /// fails at compile time with a catchable ScenarioError naming the key
-  /// and the scheme instead of being silently ignored.
-  void reject_unsupported_keys(std::initializer_list<const char*> names) const;
   /// True when the scenario selects a family outside the paper (ring /
   /// torus / mesh), whose load factor and diameter come from the built
   /// topology rather than the cube formulas.
   [[nodiscard]] bool uses_generic_topology() const noexcept {
     return topology == "ring" || topology == "torus" || topology == "mesh";
   }
-
-  /// Validates the topology knob against a scheme's supported families and
-  /// returns the concrete family name — "native" resolves to the first
-  /// entry, the scheme's own topology.  Registry compile hooks call this
-  /// before fanning replications out, so a topology/scheme mismatch
-  /// (butterfly_greedy on a torus) surfaces as a catchable ScenarioError
-  /// naming the families the scheme does support.
-  [[nodiscard]] std::string resolved_topology(
-      std::initializer_list<const char*> supported) const;
 
   /// The TopologySpec these knobs describe ("native" maps to "hypercube",
   /// the engine-wide default family).

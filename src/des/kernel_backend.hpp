@@ -13,9 +13,9 @@
 /// (bench/micro_engine.cpp, BM_BackendSpeedup).
 ///
 /// Backend selection is a first-class Scenario knob (`--set
-/// backend=scalar|soa_batch`); schemes without the batched hooks reject
-/// everything but `scalar` through Scenario::resolved_backend()
-/// (docs/KERNEL.md).
+/// backend=scalar|soa_batch`); a scheme lists the backends it runs besides
+/// `scalar` in its SchemeInfo::backends column, and the engine rejects the
+/// rest before compiling (docs/KERNEL.md).
 
 #include <cstdint>
 #include <stdexcept>
@@ -34,16 +34,6 @@ enum class KernelBackend : std::uint8_t {
 [[nodiscard]] inline const std::vector<std::string>& kernel_backend_names() {
   static const std::vector<std::string> names{"scalar", "soa_batch"};
   return names;
-}
-
-/// The CLI name of a backend (inverse of parse_kernel_backend).
-[[nodiscard]] inline const char* kernel_backend_name(
-    KernelBackend backend) noexcept {
-  switch (backend) {
-    case KernelBackend::kScalar: return "scalar";
-    case KernelBackend::kSoaBatch: return "soa_batch";
-  }
-  return "scalar";  // unreachable
 }
 
 /// Parses a backend name; throws std::invalid_argument listing the valid

@@ -70,15 +70,11 @@ BatchRoutingResult route_batch_greedy(const Hypercube& cube,
 
 void register_batch_greedy_scheme(SchemeRegistry& registry) {
   registry.add(
-      {"batch_greedy",
-       "one synchronous greedy round: fanout packets per node, all present "
-       "at t = 0 (the §2.3 round primitive)",
-       [](const Scenario& s) {
+      {.name = "batch_greedy",
+       .summary = "one synchronous greedy round: fanout packets per node, all "
+                  "present at t = 0 (the §2.3 round primitive)",
+       .compile = [](const Scenario& s) {
          CompiledScenario compiled;
-         (void)s.resolved_topology({"hypercube"});  // hypercube-native
-         (void)s.resolved_fault_policy({});  // no fault support: reject knobs
-         (void)s.resolved_backend({});       // scalar-only: reject soa_batch
-         s.reject_unsupported_keys({"tau", "buffers"});
          // Permutation workload: all fanout packets of source x target
          // pi(x) — one synchronous greedy round of the permutation.
          const auto perm = s.shared_permutation_table();
@@ -113,7 +109,9 @@ void register_batch_greedy_scheme(SchemeRegistry& registry) {
          };
          compiled.extra_metrics = {"makespan"};
          return compiled;
-       }});
+       },
+       .workloads = {"bit_flip", "uniform", "general", "permutation"},
+       .keys = {"fanout"}});
 }
 
 }  // namespace routesim

@@ -181,29 +181,18 @@ void DeflectionSim::run_slots(const Topo& topo, std::uint64_t warmup_slots,
 
 void register_deflection_scheme(SchemeRegistry& registry) {
   registry.add(
-      {"deflection",
-       "bufferless hot-potato routing on the d-cube ([GrH89]; window in "
-       "slots, lambda in packets per node per slot)",
-       [](const Scenario& s) {
-         const std::string family = resolved_routing_topology(s);
-         s.reject_unsupported_keys({"tau", "buffers"});
-         // Deflection is natively fault-aware (dead arcs are permanently
-         // busy ports): any fault_policy is accepted and ignored, but the
-         // knob combination is still validated before the worker fan-out.
-         const FaultPolicy fault_policy = s.resolved_fault_policy(
-             {FaultPolicy::kDrop, FaultPolicy::kSkipDim, FaultPolicy::kDeflect,
-              FaultPolicy::kTwinDetour});
-         if (s.storm_rate > 0.0 || s.storm_duration > 0.0) {
-           throw ScenarioError(
-               "scheme 'deflection' does not support fault storms "
-               "(clear storm_rate/storm_duration; storms are available on "
-               "hypercube_greedy and valiant_mixing)");
-         }
-         (void)s.resolved_backend({});  // scalar-only: reject soa_batch
+      {.name = "deflection",
+       .summary = "bufferless hot-potato routing on the d-cube ([GrH89]; "
+                  "window in slots, lambda in packets per node per slot)",
+       // Deflection is natively fault-aware (dead arcs are permanently busy
+       // ports), so it reads no fault_policy: only the default is accepted.
+       .compile = [](const Scenario& s) {
+         const FaultPolicy fault_policy =
+             s.faults_active() ? FaultPolicy::kDrop : FaultPolicy::kNone;
          const auto perm = s.shared_permutation_table();
          const Window window = s.resolved_window();
          std::optional<DestinationDistribution> law;
-         if (family == "hypercube") law = s.make_destinations();
+         if (s.topology_spec().name == "hypercube") law = s.make_destinations();
          CompiledScenario compiled;
          compiled.replicate = [s, spec = s.topology_spec(), window,
                                fault_policy, perm,
@@ -244,7 +233,11 @@ void register_deflection_scheme(SchemeRegistry& registry) {
                                    "mean_stretch",        "delay_p50",
                                    "delay_p99",           "fault_drops"};
          return compiled;
-       }});
+       },
+       .topologies = {"hypercube", "ring", "torus", "mesh"},
+       .workloads = {"bit_flip", "uniform", "general", "permutation"},
+       .fault_policies = {"drop"},
+       .keys = {"ttl"}});
 }
 
 }  // namespace routesim

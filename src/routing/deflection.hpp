@@ -127,9 +127,7 @@ class SchemeRegistry;
 /// core/registry.hpp hookup: registers "deflection" ([GrH89] hot-potato
 /// comparator; window interpreted in slots) with extra metrics
 /// deflection_fraction plus the resilience extras (delivery_ratio,
-/// mean_stretch, delay_p50/p99, fault_drops).  Runs on every topology; on
-/// the hypercube it is natively fault-aware: fault_rate / node_fault_rate
-/// / fault_mtbf / fault_mttr apply, fault_policy does not.
+/// mean_stretch, delay_p50/p99, fault_drops).
 void register_deflection_scheme(SchemeRegistry& registry);
 
 }  // namespace routesim

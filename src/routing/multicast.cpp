@@ -166,15 +166,12 @@ void GreedyMulticastSim::run(double warmup, double horizon) {
 
 void register_multicast_scheme(SchemeRegistry& registry) {
   registry.add(
-      {"multicast",
-       "greedy dimension-order multicast trees, fanout destinations per "
-       "packet (§5; unicast_baseline=1 sends fanout independent unicasts)",
-       [](const Scenario& s) {
+      {.name = "multicast",
+       .summary = "greedy dimension-order multicast trees, fanout destinations "
+                  "per packet (§5; unicast_baseline=1 sends fanout "
+                  "independent unicasts)",
+       .compile = [](const Scenario& s) {
          CompiledScenario compiled;
-         (void)s.resolved_topology({"hypercube"});  // hypercube-native
-         (void)s.resolved_fault_policy({});  // no fault support: reject knobs
-         (void)s.resolved_backend({});       // scalar-only: reject soa_batch
-         s.reject_unsupported_keys({"tau", "buffers"});
          const auto perm = s.shared_permutation_table();
          const Window window = s.resolved_window();
          compiled.replicate = [s, window, perm](std::uint64_t seed, int) {
@@ -202,7 +199,11 @@ void register_multicast_scheme(SchemeRegistry& registry) {
          };
          compiled.extra_metrics = {"completion_delay", "transmissions_per_packet"};
          return compiled;
-       }});
+       },
+       // Destination sets are uniform; p only sets rho (and so the
+       // automatic window), and permutation orbits fix them.
+       .workloads = {"bit_flip", "uniform", "permutation"},
+       .keys = {"fanout", "unicast_baseline"}});
 }
 
 }  // namespace routesim

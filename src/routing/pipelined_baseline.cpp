@@ -90,15 +90,11 @@ void PipelinedBaselineSim::run(double warmup, double horizon) {
 
 void register_pipelined_baseline_scheme(SchemeRegistry& registry) {
   registry.add(
-      {"pipelined_baseline",
-       "non-greedy pipelined rounds of the Valiant-Brebner first phase "
-       "(§2.3; stable only for lambda*R*d < 1)",
-       [](const Scenario& s) {
+      {.name = "pipelined_baseline",
+       .summary = "non-greedy pipelined rounds of the Valiant-Brebner first "
+                  "phase (§2.3; stable only for lambda*R*d < 1)",
+       .compile = [](const Scenario& s) {
          CompiledScenario compiled;
-         (void)s.resolved_topology({"hypercube"});  // hypercube-native
-         (void)s.resolved_fault_policy({});  // no fault support: reject knobs
-         (void)s.resolved_backend({});       // scalar-only: reject soa_batch
-         s.reject_unsupported_keys({"tau", "buffers"});
          const auto perm = s.shared_permutation_table();
          const Window window = s.resolved_window();
          compiled.replicate = [s, window, perm, dist = s.make_destinations()](
@@ -120,7 +116,8 @@ void register_pipelined_baseline_scheme(SchemeRegistry& registry) {
          };
          compiled.extra_metrics = {"round_over_d"};
          return compiled;
-       }});
+       },
+       .workloads = {"bit_flip", "uniform", "general", "permutation"}});
 }
 
 }  // namespace routesim

@@ -313,97 +313,28 @@ void TopologyGreedySim::run(double warmup, double horizon) {
   });
 }
 
-std::string resolved_routing_topology(const Scenario& s) {
-  const std::string name =
-      s.resolved_topology({"hypercube", "ring", "torus", "mesh"});
-  if (name == "hypercube") return name;
-  (void)s.resolved_fault_policy({});  // faults are hypercube-only
-  (void)s.resolved_backend({});       // scalar-only: reject soa_batch
-  if (s.workload == "permutation") {
-    if (name != "ring") {
-      throw ScenarioError(
-          "workload=permutation needs 2^d nodes; among the generic "
-          "topologies only the ring has them (topology=" + name + ")");
-    }
-  } else if (s.workload != "uniform") {
-    throw ScenarioError(
-        "workload '" + s.workload + "' is hypercube-native; topology=" +
-        name + " supports workload=uniform (and permutation on the ring)");
-  }
-  (void)s.compiled_topology();  // size errors as ScenarioError
-  return name;
-}
-
 namespace {
 
 /// The schemes TopologyGreedySim compiles: greedy on the hypercube family,
 /// Valiant mixing, and greedy on the butterfly.
 enum class Routing : std::uint8_t { kGreedy, kValiant, kButterfly };
 
-/// backend=soa_batch's compile-time rules: slotted time, no trace and a
-/// static fault set.  `storms` names storm_rate in the message on the
-/// schemes that support storms.
-void check_soa_batch(const Scenario& s, bool storms) {
-  if (s.tau <= 0.0) {
-    throw ScenarioError("backend=soa_batch needs slotted time: set tau > 0");
-  }
-  if (s.workload == "trace") {
-    throw ScenarioError(
-        "backend=soa_batch cannot replay traces (use backend=scalar)");
-  }
-  if (s.fault_mtbf > 0.0 || s.fault_mttr > 0.0 || s.storm_rate > 0.0) {
-    throw ScenarioError(
-        std::string("backend=soa_batch needs a static fault set (clear "
-                    "fault_mtbf/fault_mttr") +
-        (storms ? "/storm_rate" : "") + " or use backend=scalar)");
-  }
-}
-
 /// Greedy or Valiant mixing over TopologyGreedySim, with the schemes'
 /// shared metric layout and resilience extras.
 CompiledScenario compile_routing(const Scenario& s, Routing routing) {
   const bool valiant = routing == Routing::kValiant;
   const bool butterfly = routing == Routing::kButterfly;
-  // Validated here so a bad topology, permutation, trace or fault
-  // combination fails at compile time, not inside a replication worker
-  // thread.  Each scheme keeps its own check order, so a scenario with
-  // several errors reports the one it always did.
-  const std::string family = butterfly ? s.resolved_topology({"butterfly"})
-                                       : resolved_routing_topology(s);
-  std::shared_ptr<const std::vector<NodeId>> perm;
-  std::shared_ptr<const PacketTrace> replay;
-  Window window;
-  FaultPolicy fault_policy = FaultPolicy::kNone;
-  KernelBackend backend = KernelBackend::kScalar;
-  if (butterfly) {
-    perm = s.shared_permutation_table();
-    replay = s.shared_trace();
-    window = s.resolved_window();
-    fault_policy = s.resolved_fault_policy(
-        {FaultPolicy::kDrop, FaultPolicy::kTwinDetour});
-    if (s.storm_rate > 0.0 || s.storm_duration > 0.0) {
-      throw ScenarioError(
-          "scheme 'butterfly_greedy' does not support fault storms "
-          "(clear storm_rate/storm_duration; storms are available on "
-          "hypercube_greedy and valiant_mixing)");
-    }
-    s.reject_unsupported_keys({"buffers"});
-    backend = s.resolved_backend({KernelBackend::kSoaBatch});
-    if (backend == KernelBackend::kSoaBatch) check_soa_batch(s, false);
-  } else {
-    if (valiant) s.reject_unsupported_keys({"tau", "buffers"});
-    fault_policy = s.resolved_fault_policy(
-        {FaultPolicy::kDrop, FaultPolicy::kSkipDim, FaultPolicy::kDeflect,
-         FaultPolicy::kAdaptive});
-    // Greedy on the cube also runs on soa_batch (resolved_routing_topology
-    // has already rejected it on the other families).
-    backend = valiant ? s.resolved_backend({})
-                      : s.resolved_backend({KernelBackend::kSoaBatch});
-    if (backend == KernelBackend::kSoaBatch) check_soa_batch(s, true);
-    perm = s.shared_permutation_table();
-    replay = s.shared_trace();
-    window = s.resolved_window();
-  }
+  // SchemeInfo::check has admitted the topology, workload, fault and
+  // backend knobs; the permutation table and the trace are built here, so
+  // their errors too surface before the worker fan-out.
+  const std::string family = butterfly ? "butterfly" : s.topology_spec().name;
+  const auto perm = s.shared_permutation_table();
+  const auto replay = s.shared_trace();
+  const Window window = s.resolved_window();
+  const FaultPolicy fault_policy = s.faults_active()
+                                       ? parse_fault_policy(s.fault_policy)
+                                       : FaultPolicy::kNone;
+  const KernelBackend backend = parse_kernel_backend(s.backend);
   // §3.4's slots divide the unit service time; any other tau would fail
   // the simulator's precondition inside a worker.
   const double slots = s.tau > 0.0 ? 1.0 / s.tau : 0.0;
@@ -429,7 +360,7 @@ CompiledScenario compile_routing(const Scenario& s, Routing routing) {
     config.seed = seed;
     config.destinations = law;
     config.fixed_destinations = perm.get();
-    config.slot = s.tau;  // 0 under valiant (rejected above)
+    config.slot = s.tau;  // 0 under valiant (SchemeInfo::check)
     config.valiant = routing == Routing::kValiant;
     config.buffer_capacity = s.buffer_capacity;
     config.backend = backend;
@@ -446,9 +377,7 @@ CompiledScenario compile_routing(const Scenario& s, Routing routing) {
       config.storm_rate = s.storm_rate;
       config.storm_radius = s.storm_radius;
       config.storm_duration = s.storm_duration;
-      // Every butterfly path is d arcs, so the scheme has no use for a TTL
-      // and keeps the default, which never fires there.
-      if (routing != Routing::kButterfly) config.ttl = s.ttl;
+      config.ttl = s.ttl;
     }
     // Thread-local so the cached sim's trace pointer stays valid for the
     // sim's whole lifetime (and the buffers are reused per rep).
@@ -518,57 +447,84 @@ CompiledScenario compile_topology_greedy(const Scenario& s) {
 }
 
 void register_hypercube_greedy_scheme(SchemeRegistry& registry) {
-  registry.add({"hypercube_greedy",
-                "greedy dimension-order routing on the d-cube (§3; Props. "
-                "12/13, slotted §3.4 when tau > 0)",
-                compile_topology_greedy});
+  registry.add({.name = "hypercube_greedy",
+                .summary = "greedy dimension-order routing on the d-cube (§3; "
+                           "Props. 12/13, slotted §3.4 when tau > 0)",
+                .compile = compile_topology_greedy,
+                .topologies = {"hypercube", "ring", "torus", "mesh"},
+                .workloads = {"bit_flip", "uniform", "general", "trace",
+                              "permutation"},
+                .fault_policies = {"drop", "skip_dim", "deflect", "adaptive"},
+                .backends = {"soa_batch"},
+                .keys = {"tau", "buffers", "ttl", "storm_rate", "storm_radius",
+                         "storm_duration", "fault_policy"}});
 }
 
 void register_butterfly_greedy_scheme(SchemeRegistry& registry) {
   registry.add(
-      {"butterfly_greedy",
-       "greedy routing on the d-dimensional butterfly (§4; Props. 14/17)",
-       [](const Scenario& s) { return compile_routing(s, Routing::kButterfly); },
-       [](const Scenario& s) {
-         if (s.workload == "permutation") {
-           // Exact: every source row emits rate lambda down one fixed
-           // path, so the heaviest arc carries lambda * max_load.
-           const auto table = s.permutation_table();
-           return s.lambda *
-                  static_cast<double>(
-                      butterfly_greedy_congestion(s.d, table).max_load);
-         }
-         return bounds::bfly_load_factor({s.d, s.lambda, s.effective_p()});
-       }});
+      {.name = "butterfly_greedy",
+       .summary =
+           "greedy routing on the d-dimensional butterfly (§4; Props. 14/17)",
+       .compile =
+           [](const Scenario& s) {
+             return compile_routing(s, Routing::kButterfly);
+           },
+       .load_factor =
+           [](const Scenario& s) {
+             if (s.workload == "permutation") {
+               // Exact: every source row emits rate lambda down one fixed
+               // path, so the heaviest arc carries lambda * max_load.
+               const auto table = s.permutation_table();
+               return s.lambda *
+                      static_cast<double>(
+                          butterfly_greedy_congestion(s.d, table).max_load);
+             }
+             return bounds::bfly_load_factor({s.d, s.lambda, s.effective_p()});
+           },
+       .topologies = {"butterfly"},
+       .workloads = {"bit_flip", "uniform", "general", "trace", "permutation"},
+       .fault_policies = {"drop", "twin_detour"},
+       .backends = {"soa_batch"},
+       .keys = {"tau", "fault_policy"}});
 }
 
 void register_valiant_mixing_scheme(SchemeRegistry& registry) {
   registry.add(
-      {"valiant_mixing",
-       "two-phase Valiant mixing: greedy to a random intermediate, then "
-       "greedy to the destination (§5)",
-       [](const Scenario& s) { return compile_routing(s, Routing::kValiant); },
-       [](const Scenario& s) {
-         if (s.uses_generic_topology()) {
-           // Mixing doubles the traffic over greedy arcs: each phase loads
-           // the heaviest arc at ~lambda * uniform_load_per_lambda.
-           return 2.0 * s.lambda *
-                  s.compiled_topology()->uniform_load_per_lambda();
-         }
-         if (s.workload == "permutation") {
-           // Mixing spreads any bijection uniformly: both phases load
-           // every arc at ~lambda/2, so rho ~ lambda.  A non-bijective
-           // map (hotspot) keeps its inherent fan-in bottleneck — the
-           // hot node's d in-arcs must carry lambda * max_fan_in.  The
-           // table comes from permutation_table() so bad knobs surface
-           // as the same catchable ScenarioError every scheme throws.
-           const double fan_in =
-               static_cast<double>(max_fan_in(s.permutation_table()));
-           return s.lambda * std::max(1.0, fan_in / static_cast<double>(s.d));
-         }
-         // Other workloads keep the engine's default rule.
-         return s.default_rho();
-       }});
+      {.name = "valiant_mixing",
+       .summary = "two-phase Valiant mixing: greedy to a random intermediate, "
+                  "then greedy to the destination (§5)",
+       .compile =
+           [](const Scenario& s) {
+             return compile_routing(s, Routing::kValiant);
+           },
+       .load_factor =
+           [](const Scenario& s) {
+             if (s.uses_generic_topology()) {
+               // Mixing doubles the traffic over greedy arcs: each phase
+               // loads the heaviest arc at ~lambda * uniform_load_per_lambda.
+               return 2.0 * s.lambda *
+                      s.compiled_topology()->uniform_load_per_lambda();
+             }
+             if (s.workload == "permutation") {
+               // Mixing spreads any bijection uniformly: both phases load
+               // every arc at ~lambda/2, so rho ~ lambda.  A non-bijective
+               // map (hotspot) keeps its inherent fan-in bottleneck — the
+               // hot node's d in-arcs must carry lambda * max_fan_in.  The
+               // table comes from permutation_table() so bad knobs surface
+               // as the same catchable ScenarioError every scheme throws.
+               const double fan_in =
+                   static_cast<double>(max_fan_in(s.permutation_table()));
+               return s.lambda *
+                      std::max(1.0, fan_in / static_cast<double>(s.d));
+             }
+             // Other workloads keep the engine's default rule.
+             return s.default_rho();
+           },
+       .topologies = {"hypercube", "ring", "torus", "mesh"},
+       .workloads = {"bit_flip", "uniform", "general", "trace", "permutation"},
+       .fault_policies = {"drop", "skip_dim", "deflect", "adaptive"},
+       .keys = {"ttl", "storm_rate", "storm_radius", "storm_duration",
+                "fault_policy"}});
 }
 
 }  // namespace routesim

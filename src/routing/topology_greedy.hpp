@@ -29,10 +29,9 @@
 /// bit-identical results: one Router serves both loops, its hop written
 /// once as advance() + commit().
 ///
-/// On ring / torus / mesh the compile hooks accept workload=uniform (and a
-/// permutation on the ring, whose 2^d nodes match the permutation
-/// families) and reject faults, traces and backend=soa_batch with
-/// catchable ScenarioErrors; those limits live only at compile time.
+/// What each scheme accepts on which family is its SchemeInfo capability
+/// row, checked by the engine before compiling (core/registry.hpp); those
+/// limits live only there, not in the simulators.
 
 #include <cstdint>
 #include <memory>
@@ -265,49 +264,19 @@ struct CompiledScenario;
 class Scenario;
 class SchemeRegistry;
 
-/// Compile-time validation shared by the topology-parametric schemes:
-/// resolves topology= against hypercube / ring / torus / mesh ("native" is
-/// the hypercube) and returns the family.  On ring / torus / mesh it
-/// rejects what only the cube supports — faults, traces, XOR-mask
-/// workloads and soa_batch — with catchable ScenarioErrors, and builds the
-/// topology once so size errors surface before the worker fan-out.
-[[nodiscard]] std::string resolved_routing_topology(const Scenario& s);
-
 /// The compile hook of `hypercube_greedy` on every topology: greedy on
 /// TopologyGreedySim with the scheme's metric layout and extras (plus
 /// max_queue under a permutation), and on the hypercube the paper's
-/// closed-form delay bracket and backend=soa_batch.  (`butterfly_greedy`
-/// compiles through the same routine with the butterfly's rules.)
+/// closed-form delay bracket.  (`butterfly_greedy` and `valiant_mixing`
+/// compile through the same routine.)
 [[nodiscard]] CompiledScenario compile_topology_greedy(const Scenario& s);
 
-/// core/registry.hpp hookup: registers "hypercube_greedy" (continuous or,
-/// with tau > 0, the slotted variant of §3.4; workloads bit_flip, uniform,
-/// general, trace and permutation — the latter adds a max_queue extra;
-/// trace replay of an external file via trace_file; finite buffers via
-/// buffer_capacity; fault injection via fault_rate / node_fault_rate /
-/// fault_mtbf / fault_mttr / storm_rate / storm_radius / storm_duration
-/// with fault_policy drop | skip_dim | deflect | adaptive, reported
-/// through the delivery_ratio / mean_stretch / delay_p50 / delay_p99 /
-/// fault_drops / buffer_drops extras; topology= ring / torus / mesh).
+/// core/registry.hpp hookups: "hypercube_greedy" (§3; continuous or, with
+/// tau > 0, the slotted variant of §3.4), "butterfly_greedy" (§4) and
+/// "valiant_mixing" (§5).  Each declares what it accepts as its
+/// SchemeInfo capability row (`routesim_bench --list`).
 void register_hypercube_greedy_scheme(SchemeRegistry& registry);
-
-/// core/registry.hpp hookup: registers "butterfly_greedy" (§4, Props.
-/// 14/17, on TopologyGreedySim over the butterfly; workloads bit_flip,
-/// uniform, general, trace and permutation — the latter adds a max_queue
-/// extra and an exact lambda*max_congestion load factor; backend=soa_batch;
-/// fault injection with fault_policy drop | twin_detour, reported through
-/// the resilience extras).
 void register_butterfly_greedy_scheme(SchemeRegistry& registry);
-
-/// core/registry.hpp hookup: registers "valiant_mixing" (§5 two-phase
-/// mixing on TopologyGreedySim, on every topology; workload "trace"
-/// couples it to an equal-seed greedy scenario, and trace_file replays a
-/// recorded file; workload "permutation" is the scheme's raison d'etre —
-/// mixing keeps rho ~ lambda where greedy collapses to lambda *
-/// Theta(sqrt(N)), and the scheme installs a matching load-factor rule;
-/// on the hypercube, fault injection with fault_policy drop | skip_dim |
-/// deflect | adaptive plus correlated storms, reported through the
-/// resilience extras).
 void register_valiant_mixing_scheme(SchemeRegistry& registry);
 
 }  // namespace routesim

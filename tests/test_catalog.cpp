@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -24,9 +25,19 @@ TEST(Catalog, CoversRegistryAndKeysExactly) {
 
   const auto names = SchemeRegistry::instance().names();
   ASSERT_EQ(catalog.schemes.size(), names.size());
+  ASSERT_EQ(catalog.capabilities.size(), names.size());
   for (std::size_t i = 0; i < names.size(); ++i) {
     EXPECT_EQ(catalog.schemes[i].name, names[i]);
     EXPECT_FALSE(catalog.schemes[i].summary.empty());
+    const auto& info = *SchemeRegistry::instance().find(names[i]);
+    const CapabilityRow& row = catalog.capabilities[i];
+    EXPECT_EQ(row.scheme, names[i]);
+    ASSERT_EQ(row.columns.size(), std::size(kCapabilityColumns));
+    EXPECT_EQ(row.columns[0], info.topologies);
+    EXPECT_EQ(row.columns[1], info.workloads);
+    EXPECT_EQ(row.columns[2], info.fault_policies);
+    EXPECT_EQ(row.columns[3].front(), "scalar");
+    EXPECT_EQ(row.columns[4], info.keys);
   }
 
   const auto& keys = Scenario::keys();
@@ -64,7 +75,7 @@ TEST(Catalog, RenderersEmitAllSections) {
 
   const std::string json = catalog_json(catalog);
   for (const auto* needle :
-       {"\"schemes\"", "\"set_keys\"", "\"topologies\"", "\"workloads\"",
+       {"\"schemes\"", "\"capabilities\"", "\"set_keys\"", "\"topologies\"", "\"workloads\"",
         "\"permutations\"",
         "\"fault_policies\"", "\"backends\"", "\"sweep_keys\"", "\"cli_flags\"",
         "\"hypercube_greedy\"", "\"bit_reversal\"", "\"hotspot_frac\"",
@@ -75,7 +86,8 @@ TEST(Catalog, RenderersEmitAllSections) {
 
   const std::string markdown = catalog_markdown(catalog);
   for (const auto* needle :
-       {"# Scenario reference", "## Schemes", "## `--set` keys",
+       {"# Scenario reference", "## Schemes", "## Capability matrix",
+       "## `--set` keys",
         "## Topologies", "## Workloads", "## Permutation families",
         "## Fault policies",
         "## Kernel backends", "`soa_batch`",
@@ -86,6 +98,7 @@ TEST(Catalog, RenderersEmitAllSections) {
 
   const std::string text = catalog_text(catalog);
   EXPECT_NE(text.find("registered schemes:"), std::string::npos);
+  EXPECT_NE(text.find("capability matrix"), std::string::npos);
   EXPECT_NE(text.find("permutation families"), std::string::npos);
   EXPECT_NE(text.find("routesim_bench flags:"), std::string::npos);
   EXPECT_FALSE(catalog.cli_flags.empty());

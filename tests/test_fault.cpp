@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/registry.hpp"
 #include "core/scenario.hpp"
 #include "routing/topology_greedy.hpp"
 #include "topology/hypercube.hpp"
@@ -206,9 +207,16 @@ TEST(FaultResilience, InvalidFaultCombinationsFailAtCompileTime) {
   EXPECT_TRUE(mttr_only.faults_active());
   EXPECT_THROW((void)run(mttr_only), ScenarioError);
 
-  // resolved_fault_policy is kNone exactly when no fault source is set.
-  EXPECT_EQ(Scenario{}.resolved_fault_policy({FaultPolicy::kDrop}),
-            FaultPolicy::kNone);
+  // fault_policy is consulted exactly when a fault source is set: with
+  // none, even a policy outside the scheme's column passes the check.
+  const auto& butterfly = *SchemeRegistry::instance().find("butterfly_greedy");
+  Scenario quiet;
+  quiet.scheme = "butterfly_greedy";
+  quiet.fault_policy = "skip_dim";
+  EXPECT_FALSE(quiet.faults_active());
+  EXPECT_NO_THROW(butterfly.check(quiet));
+  quiet.fault_rate = 0.1;
+  EXPECT_THROW(butterfly.check(quiet), ScenarioError);
 
   // Schemes without fault support must reject active fault knobs instead
   // of silently simulating a pristine network under a faulty label.

@@ -7,9 +7,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "des/kernel_backend.hpp"
+#include "topology/topology.hpp"
 
 namespace routesim {
 namespace {
+
+const std::vector<std::string> kBuiltInSchemes{
+    "hypercube_greedy", "butterfly_greedy", "network_q",
+    "network_q_fifo",   "network_q_ps",     "pipelined_baseline",
+    "valiant_mixing",   "deflection",       "batch_greedy",
+    "multicast"};
 
 /// A small, fast scenario valid for every built-in scheme.
 Scenario tiny_scenario(const std::string& scheme) {
@@ -18,7 +30,7 @@ Scenario tiny_scenario(const std::string& scheme) {
   scenario.d = 3;
   scenario.lambda = 0.4;  // rho = 0.2 for the packet-level schemes
   scenario.p = 0.5;
-  scenario.fanout = 2;
+  if (scheme == "multicast" || scheme == "batch_greedy") scenario.fanout = 2;
   scenario.window = {20.0, 120.0};
   scenario.plan = {2, 42, 1};
   if (scheme == "pipelined_baseline") scenario.lambda = 0.02;  // inside 1/(Rd)
@@ -27,10 +39,7 @@ Scenario tiny_scenario(const std::string& scheme) {
 
 TEST(SchemeRegistry, AllBuiltInSchemesAreRegistered) {
   const auto names = SchemeRegistry::instance().names();
-  for (const char* expected :
-       {"hypercube_greedy", "butterfly_greedy", "network_q", "network_q_fifo",
-        "network_q_ps", "pipelined_baseline", "valiant_mixing", "deflection",
-        "batch_greedy", "multicast"}) {
+  for (const std::string& expected : kBuiltInSchemes) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << "missing scheme: " << expected;
   }
@@ -63,6 +72,92 @@ TEST(SchemeRegistry, EverySchemeRunsByNameWithConsistentMetricLayout) {
     EXPECT_GE(result.delay.mean, 0.0) << name;
     if (compiled.has_bounds) {
       EXPECT_LT(result.lower_bound, result.upper_bound) << name;
+    }
+  }
+}
+
+bool lists(const std::vector<std::string>& column, const std::string& value) {
+  return std::find(column.begin(), column.end(), value) != column.end();
+}
+
+// The capability matrix claims no support the compile hook lacks, and
+// misses none it has: one column at a time against a valid tiny base,
+// every listed value runs, and every other value is a ScenarioError naming
+// the key and the scheme.
+TEST(SchemeRegistry, CapabilityMatrixMatchesCompile) {
+  struct Variant {
+    std::string value;
+    Scenario scenario;
+    std::string key;  // the key the rejection must name
+  };
+  for (const std::string& name : kBuiltInSchemes) {
+    const auto& info = *SchemeRegistry::instance().find(name);
+    std::vector<std::pair<Variant, bool>> variants;  // (variant, listed)
+
+    for (const std::string& topology : topology_names()) {
+      Scenario s = tiny_scenario(name);
+      s.set("workload", "uniform");
+      s.set("topology", topology);
+      variants.push_back({{topology, s, "topology"},
+                          lists(info.topologies, topology)});
+    }
+    for (const char* workload :
+         {"bit_flip", "uniform", "general", "trace", "permutation"}) {
+      Scenario s = tiny_scenario(name);
+      s.set("workload", workload);
+      if (s.workload == "general") s.set("mask_pmf", "1,1,1,1,1,1,1,1");
+      variants.push_back({{workload, s, "workload"},
+                          lists(info.workloads, workload)});
+    }
+    for (const char* policy :
+         {"drop", "skip_dim", "deflect", "twin_detour", "adaptive"}) {
+      Scenario s = tiny_scenario(name);
+      s.set("fault_rate", "0.05");
+      s.set("fault_policy", policy);
+      variants.push_back(
+          {{policy, s, info.fault_policies.empty() ? "fault_rate" : "fault_policy"},
+           lists(info.fault_policies, policy)});
+    }
+    for (const std::string& backend : kernel_backend_names()) {
+      Scenario s = tiny_scenario(name);
+      if (lists(info.keys, "tau")) s.set("tau", "1");
+      s.set("backend", backend);
+      variants.push_back({{backend, s, "backend"},
+                          backend == "scalar" || lists(info.backends, backend)});
+    }
+    for (const std::string& key : SchemeRegistry::scheme_keys()) {
+      Scenario s = tiny_scenario(name);
+      if (key == "storm_rate" || key == "storm_duration") {
+        s.set("storm_rate", "0.01");
+        s.set("storm_duration", "5");
+      } else if (key == "fault_policy") {
+        s.set(key, info.fault_policies.size() > 1 ? info.fault_policies.back()
+                                                  : "skip_dim");
+      } else {
+        const std::map<std::string, std::string> values{
+            {"tau", "0.5"},       {"buffers", "4"},
+            {"fanout", "3"},      {"unicast_baseline", "1"},
+            {"discipline", "ps"}, {"ttl", "8"},
+            {"storm_radius", "2"}};
+        s.set(key, values.at(key));
+      }
+      variants.push_back({{key, s, key}, lists(info.keys, key)});
+    }
+
+    for (const auto& [variant, listed] : variants) {
+      const std::string label = name + " " + variant.key + "=" + variant.value;
+      if (listed) {
+        EXPECT_NO_THROW((void)run(variant.scenario)) << label;
+        continue;
+      }
+      try {
+        (void)run(variant.scenario);
+        ADD_FAILURE() << label << " was accepted but is not in the matrix";
+      } catch (const ScenarioError& error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find(variant.key), std::string::npos) << message;
+        EXPECT_NE(message.find(name), std::string::npos) << message;
+      }
     }
   }
 }

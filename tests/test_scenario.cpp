@@ -10,6 +10,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -224,12 +225,13 @@ TEST(Scenario, TopologyKeysRoundTripThroughTextualForm) {
   EXPECT_EQ(Scenario::parse(args), torus);
 }
 
-TEST(Scenario, ResolvedTopologyRejectsUnsupportedFamilies) {
+TEST(Scenario, SchemeCheckResolvesAndRejectsTopologies) {
   Scenario scenario;
+  scenario.scheme = "butterfly_greedy";
   scenario.set("topology", "torus");
   // butterfly_greedy is butterfly-native: a torus scenario must fail loudly.
   try {
-    (void)scenario.resolved_topology({"butterfly"});
+    SchemeRegistry::instance().find("butterfly_greedy")->check(scenario);
     FAIL() << "expected ScenarioError";
   } catch (const ScenarioError& error) {
     const std::string message = error.what();
@@ -237,10 +239,22 @@ TEST(Scenario, ResolvedTopologyRejectsUnsupportedFamilies) {
         << message;
     EXPECT_NE(message.find("butterfly"), std::string::npos) << message;
   }
-  // 'native' resolves to the scheme's first supported family.
-  Scenario native;
-  EXPECT_EQ(native.resolved_topology({"hypercube", "ring"}), "hypercube");
-  EXPECT_EQ(native.resolved_topology({"butterfly"}), "butterfly");
+  // 'native' resolves to the scheme's first supported family: the same
+  // run as naming that family explicitly.
+  for (const auto& [scheme, first] :
+       {std::pair<std::string, std::string>{"hypercube_greedy", "hypercube"},
+        {"butterfly_greedy", "butterfly"}}) {
+    EXPECT_EQ(SchemeRegistry::instance().find(scheme)->topologies.front(),
+              first);
+    Scenario native;
+    native.scheme = scheme;
+    native.d = 3;
+    native.window = {10.0, 60.0};
+    native.plan = {1, 5, 1};
+    Scenario named = native;
+    named.set("topology", first);
+    EXPECT_EQ(run(native).delay.mean, run(named).delay.mean) << scheme;
+  }
 }
 
 TEST(Scenario, GenericTopologyRunsRejectUnsupportedFeatures) {
@@ -317,7 +331,22 @@ TEST(Scenario, GenericTopologyRunsRejectUnsupportedFeatures) {
       // A tau that is not a slot length (1/tau an integer, tau <= 1).
       {"hypercube_greedy", "native", "tau", "0.3"},
       {"hypercube_greedy", "native", "tau", "2"},
-      {"butterfly_greedy", "native", "tau", "0.3"}};
+      {"butterfly_greedy", "native", "tau", "0.3"},
+      // Knobs no scheme-specific code reads on these schemes.
+      {"hypercube_greedy", "native", "fanout", "2"},
+      {"network_q_ps", "native", "fanout", "2"},
+      {"butterfly_greedy", "native", "ttl", "8"},
+      {"network_q_fifo", "native", "discipline", "ps"},
+      {"deflection", "native", "fault_policy", "skip_dim"},
+      {"deflection", "native", "workload", "trace"},
+      {"multicast", "native", "workload", "general"},
+      {"multicast", "native", "workload", "trace"},
+      {"pipelined_baseline", "native", "workload", "trace"},
+      {"batch_greedy", "native", "workload", "trace"},
+      {"hypercube_greedy", "native", "ring_chords", "papillon"},
+      {"hypercube_greedy", "torus", "ring_chords", "papillon"},
+      {"hypercube_greedy", "native", "torus_dims", "8x8"},
+      {"hypercube_greedy", "ring", "torus_dims", "8x8"}};
   cases.insert(cases.end(), out_of_range.begin(), out_of_range.end());
   for (const Ignored& c : cases) {
     Scenario ignored;
