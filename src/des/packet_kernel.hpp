@@ -14,10 +14,10 @@
 /// arrival and measurement machinery, so that machinery lives here once:
 ///
 ///   - `Pool<T>`         — index-based object pool with a free list;
-///   - `FifoRing`        — cache-friendly ring-buffer queue of packet ids
-///                         (replaces one std::deque per arc);
+///   - `Ring<T>`         — ring-buffer FIFO (the kernel's service-event
+///                         set, the levelled network's server queues);
 ///   - `KernelStats`     — measurement-window accounting and harvest;
-///   - `PacketKernel<P>` — the core: event set, arc queues, arrival
+///   - `PacketKernel<P>` — the core: event set, flat arc queues, arrival
 ///                         process and two drive loops over them.
 ///
 /// A scheme plugs in through hooks called by drive():
@@ -111,9 +111,6 @@ class Pool {
     return items_[id];
   }
 
-  /// Slots ever allocated (live + free).
-  [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
-
   void reserve(std::size_t n) {
     items_.reserve(n);
     free_.reserve(n);
@@ -129,12 +126,10 @@ class Pool {
   std::vector<std::uint32_t> free_;
 };
 
-/// Ring-buffer FIFO with power-of-two capacity.  Supports the deque subset
-/// the kernel needs — push_back/pop_front for FIFO service, push_front /
-/// pop_back/erase for the LIFO and random ablations — in one contiguous
-/// allocation instead of std::deque's chunk map.  An empty ring owns no
-/// memory, which matters when a scenario instantiates one queue per arc
-/// (d * 2^d of them) and most are idle.
+/// Ring-buffer FIFO with power-of-two capacity: push_back/pop_front in one
+/// contiguous allocation instead of std::deque's chunk map.  An empty ring
+/// owns no memory, which matters when a network instantiates one queue per
+/// server and most are idle.
 template <typename T>
 class Ring {
  public:
@@ -144,10 +139,6 @@ class Ring {
   [[nodiscard]] const T& front() const {
     RS_DASSERT(count_ > 0);
     return buf_[head_];
-  }
-  [[nodiscard]] const T& back() const {
-    RS_DASSERT(count_ > 0);
-    return buf_[wrap(head_ + count_ - 1)];
   }
   /// i-th element counted from the front (deque-compatible indexing).
   [[nodiscard]] const T& operator[](std::size_t i) const {
@@ -161,34 +152,12 @@ class Ring {
     ++count_;
   }
 
-  void push_front(T value) {
-    if (count_ == buf_.size()) grow();
-    head_ = wrap(head_ + buf_.size() - 1);
-    buf_[head_] = value;
-    ++count_;
-  }
-
   T pop_front() {
     RS_DASSERT(count_ > 0);
     const T value = buf_[head_];
     head_ = wrap(head_ + 1);
     --count_;
     return value;
-  }
-
-  void pop_back() {
-    RS_DASSERT(count_ > 0);
-    --count_;
-  }
-
-  /// Removes the i-th element from the front, shifting later elements
-  /// toward the front (only the random-service ablation uses this).
-  void erase(std::size_t i) {
-    RS_DASSERT(i < count_);
-    for (std::size_t j = i; j + 1 < count_; ++j) {
-      buf_[wrap(head_ + j)] = buf_[wrap(head_ + j + 1)];
-    }
-    --count_;
   }
 
   void clear() noexcept {
@@ -221,9 +190,6 @@ class Ring {
   std::size_t head_ = 0;
   std::size_t count_ = 0;
 };
-
-/// Queue of packet ids (one per arc).
-using FifoRing = Ring<std::uint32_t>;
 
 /// Measurement-window accounting shared by every simulator: the delay /
 /// hops / population accumulators, the windowed arrival / delivery / drop
@@ -474,6 +440,11 @@ inline constexpr std::uint32_t kDropFault = 0xFFFFFFFFu;
 /// comparison — O(1) instead of O(log n) heap sifts — and extraction
 /// order is *identical* to the heap's strict (time, seq) total order.
 ///
+/// **The arc queues.**  A packet waits at one arc at a time, so every arc's
+/// FIFO is threaded through one per-packet array (`link_[p]` is the packet
+/// behind p) and an arc keeps only a 12-byte head/tail/size header — no
+/// separately allocated buffer per arc.
+///
 /// **The batched loop** (config.batched; backend=soa_batch).  In slotted
 /// time every event time is a multiple of the slot length: packets spawn
 /// at k*slot and every service completes exactly 1.0 after it starts, so
@@ -516,8 +487,7 @@ class PacketKernel {
   void configure(const PacketKernelConfig& config) {
     config_ = config;
     rng_.reseed(derive_stream(config.seed, config.stream_salt));
-    if (arc_queue_.size() != config.num_arcs) arc_queue_.resize(config.num_arcs);
-    for (auto& queue : arc_queue_) queue.clear();
+    arc_queue_.assign(config.num_arcs, ArcQueue{});
     arc_counters_.assign(config.num_arcs, ArcCounters{});
     service_events_.clear();
     // Pre-reserve from the expected load: the event set holds at most one
@@ -531,13 +501,15 @@ class PacketKernel {
     wheel_back_time_ = -1.0;
     wheel_back_items_ = nullptr;
     pool_.clear();
+    link_.clear();
     // Default reserve hint for trace replay: a quarter of the trace is a
     // comfortable bound on simultaneously in-flight packets.
     std::size_t expected = config.expected_packets;
     if (expected == 0 && config.trace != nullptr) {
       expected = config.trace->packets.size() / 4 + 64;
     }
-    if (expected > 0) pool_.reserve(expected);
+    pool_.reserve(expected);
+    link_.reserve(expected);
     stats_.configure(config.stats);
     if (config.batched) {
       RS_EXPECTS_MSG(config.slot > 0.0,
@@ -558,7 +530,11 @@ class PacketKernel {
 
   [[nodiscard]] Pkt& packet(std::uint32_t id) { return pool_[id]; }
   [[nodiscard]] const Pkt& packet(std::uint32_t id) const { return pool_[id]; }
-  [[nodiscard]] std::uint32_t allocate_packet() { return pool_.allocate(); }
+  [[nodiscard]] std::uint32_t allocate_packet() {
+    const std::uint32_t id = pool_.allocate();
+    if (id == link_.size()) link_.push_back(0);  // a new slot, not a reuse
+    return id;
+  }
 
   [[nodiscard]] const std::vector<ArcCounters>& arc_counters() const noexcept {
     return arc_counters_;
@@ -591,8 +567,8 @@ class PacketKernel {
   /// Returns false when a finite buffer was full and the packet dropped.
   bool enqueue(double now, std::uint32_t arc, std::uint32_t pkt, bool external,
                std::size_t tracker = kNoTracker) {
-    auto& queue = arc_queue_[arc];
-    if (config_.buffer_capacity > 0 && queue.size() >= config_.buffer_capacity) {
+    ArcQueue& queue = arc_queue_[arc];
+    if (config_.buffer_capacity > 0 && queue.size >= config_.buffer_capacity) {
       drop(now, pkt);
       return false;
     }
@@ -602,8 +578,9 @@ class PacketKernel {
       if (external) ++counters.external_arrivals;
     }
     if (tracker != kNoTracker) stats_.occupancy_add(tracker, now, +1.0);
-    queue.push_back(pkt);
-    if (queue.size() == 1) schedule_service(now + 1.0, arc, pkt);
+    (queue.size == 0 ? queue.head : link_[queue.tail]) = pkt;
+    queue.tail = pkt;
+    if (++queue.size == 1) schedule_service(now + 1.0, arc, pkt);
     return true;
   }
 
@@ -612,25 +589,20 @@ class PacketKernel {
   /// the arc if packets wait, and returns the completed packet's id.
   std::uint32_t finish_arc(double now, std::uint32_t arc,
                            std::size_t tracker = kNoTracker) {
-    auto& queue = arc_queue_[arc];
-    RS_DASSERT(!queue.empty());
-    const std::uint32_t pkt = queue.pop_front();
-    if (!queue.empty()) {
-      // Select the next packet to serve and rotate it to the head.  The
-      // head is always the packet in service; the rest of the queue stays
-      // in arrival order, so LIFO really serves the most recent arrival
-      // and random picks uniformly among the waiting packets.
+    ArcQueue& queue = arc_queue_[arc];
+    RS_DASSERT(queue.size > 0);
+    const std::uint32_t pkt = queue.head;
+    if (--queue.size > 0) {
+      queue.head = link_[pkt];
+      // The head is always the packet in service and the rest stay in
+      // arrival order, so LIFO serves the most recent arrival and random
+      // picks uniformly among the waiting packets.
       if (config_.service_order == ArcServiceOrder::kLifo) {
-        const std::uint32_t chosen = queue.back();
-        queue.pop_back();
-        queue.push_front(chosen);
+        move_to_head(queue, queue.size - 1);
       } else if (config_.service_order == ArcServiceOrder::kRandom) {
-        const auto pick = static_cast<std::size_t>(rng_.uniform_below(queue.size()));
-        const std::uint32_t chosen = queue[pick];
-        queue.erase(pick);
-        queue.push_front(chosen);
+        move_to_head(queue, rng_.uniform_below(queue.size));
       }
-      schedule_service(now + 1.0, arc, queue.front());
+      schedule_service(now + 1.0, arc, queue.head);
     }
     if (tracker != kNoTracker) stats_.occupancy_add(tracker, now, -1.0);
     return pkt;
@@ -748,6 +720,12 @@ class PacketKernel {
 
       if (source == Source::kService) {
         RS_KERNEL_TRACE_ONLY(++ktrace_service;)
+        // The service ring lists the next completions in order, each with
+        // its arc and packet: request the arc header kFar events ahead and
+        // the packet record kNear ahead (a hint only, as in process_batch).
+        const std::size_t pending = service_events_.size();
+        if (pending > kFar) prefetch(&arc_queue_[service_events_[kFar].arc]);
+        if (pending > kNear) prefetch(&pool_[service_events_[kNear].pkt]);
         const std::uint32_t arc = service_events_.pop_front().arc;
         scheme.on_arc_done(t, arc);
         continue;
@@ -816,7 +794,29 @@ class PacketKernel {
     double time = 0.0;
     std::uint64_t seq = 0;  ///< global insertion sequence (tie-break)
     std::uint32_t arc = 0;
+    std::uint32_t pkt = 0;  ///< the packet in service (a prefetch target)
   };
+
+  /// One arc's FIFO (class comment): `head` is the packet in service and
+  /// `link_` leads from it to `tail`; both are meaningless when size is 0.
+  struct ArcQueue { std::uint32_t head = 0, tail = 0, size = 0; };
+
+  /// Software-pipelining distances of both loops' prefetches, in events.
+  static constexpr std::size_t kFar = 16;
+  static constexpr std::size_t kNear = 8;
+
+  /// Moves the packet i places behind the head to the head, keeping the
+  /// others in order — the LIFO and random ablations' pick.  O(i).
+  void move_to_head(ArcQueue& queue, std::uint64_t i) {
+    if (i == 0) return;
+    std::uint32_t prev = queue.head;
+    for (std::uint64_t j = 1; j < i; ++j) prev = link_[prev];
+    const std::uint32_t chosen = link_[prev];
+    link_[prev] = link_[chosen];
+    if (chosen == queue.tail) queue.tail = prev;
+    link_[chosen] = queue.head;
+    queue.head = chosen;
+  }
 
   /// One completion in the batch wheel: the arc and the packet it serves.
   struct Item {
@@ -841,8 +841,9 @@ class PacketKernel {
       wheel_push(time, arc, pkt);
       return;
     }
-    RS_DASSERT(service_events_.empty() || service_events_.back().time <= time);
-    service_events_.push_back(ServiceEvent{time, next_seq_++, arc});
+    RS_DASSERT(service_events_.empty() ||
+               service_events_[service_events_.size() - 1].time <= time);
+    service_events_.push_back(ServiceEvent{time, next_seq_++, arc, pkt});
   }
 
   /// Cache-prefetch hint (no-op where unsupported); purely a performance
@@ -984,13 +985,11 @@ class PacketKernel {
     }
     // Phase B: the event loop's per-event bookkeeping, in its order.  The
     // loop software-pipelines its random accesses — the batch knows every
-    // future pop and push target, the one thing the event loop cannot
-    // know — with ring headers requested kFar events ahead and their
-    // storage lines (reachable only once the header is in cache) kNear
-    // events ahead.  Prefetching is purely a hint: a stale target is a
-    // wasted fetch, never a wrong result.
-    constexpr std::size_t kFar = 16;
-    constexpr std::size_t kNear = 8;
+    // future pop and push target (the event loop knows only its pops) —
+    // with arc headers requested kFar events ahead and the push arc's tail
+    // link (reachable only once the header is in cache) kNear events ahead.
+    // Prefetching is purely a hint: a stale target is a wasted fetch, never
+    // a wrong result.
     for (std::size_t i = 0; i < n; ++i) {
       if (i + kFar < n) {
         prefetch(&arc_queue_[arcs_[i + kFar]]);
@@ -1001,13 +1000,10 @@ class PacketKernel {
         }
       }
       if (i + kNear < n) {
-        // The in-service head of a not-yet-processed batch arc is still in
-        // its queue, so front() is safe without an emptiness check.
-        prefetch(&arc_queue_[arcs_[i + kNear]].front());
         const std::uint32_t nx = next_[i + kNear];
         if (nx < kDeliver) {
-          const FifoRing& push_queue = arc_queue_[nx];
-          if (!push_queue.empty()) prefetch(&push_queue.back());
+          const ArcQueue& push_queue = arc_queue_[nx];
+          if (push_queue.size > 0) prefetch(&link_[push_queue.tail]);
         }
       }
       const std::uint32_t arc = arcs_[i];
@@ -1042,7 +1038,9 @@ class PacketKernel {
   PacketKernelConfig config_{};
   Rng rng_;
   Pool<Pkt> pool_;
-  std::vector<FifoRing> arc_queue_;
+  std::vector<ArcQueue> arc_queue_;
+  /// Per packet id, the next packet in its arc's queue; one slot per pool slot.
+  std::vector<std::uint32_t> link_;
   std::vector<ArcCounters> arc_counters_;
   Ring<ServiceEvent> service_events_;
   bool has_control_ = false;

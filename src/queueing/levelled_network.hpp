@@ -16,7 +16,7 @@
 /// is the shared KernelStats of des/packet_kernel.hpp — the same path the
 /// packet-level simulators use — so Q's metrics are directly comparable
 /// with the direct simulation's.  The customer pool and the FIFO queues
-/// reuse the kernel's Pool/FifoRing storage as well; only the PS virtual
+/// reuse the kernel's Pool/Ring storage as well; only the PS virtual
 /// time and the coupled routing uniforms are specific to this class.
 ///
 /// **Sample-path coupling.**  The dominance results (Lemmas 9-10, Prop. 11)
@@ -157,7 +157,7 @@ class LevelledNetwork {
 
   struct ServerState {
     // FIFO: customers in arrival order; front is in service.
-    FifoRing fifo;
+    Ring<std::uint32_t> fifo;
     // PS: active customers keyed by the virtual time at which they finish.
     std::multimap<double, std::uint32_t> ps_active;
     double virtual_time = 0.0;

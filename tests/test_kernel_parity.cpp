@@ -139,6 +139,38 @@ TEST(KernelParity, HypercubeAblationsLifoRandomOrderFiniteBuffers) {
        0x1.15a1cac083127p+5, 0x1.a54p+10, 0x1.0f2p+14});
 }
 
+// Random service order draws its pick from the kernel RNG after each pop,
+// so any change to the queue's indexing or to the draw's timing shows here.
+// Pinned with infinite buffers and with buffer_capacity = 3 (drops).
+TEST(KernelParity, HypercubeRandomServiceOrderPinned) {
+  const auto run = [](std::uint32_t buffers) {
+    TopologyRoutingConfig config =
+        cube_config(5, 1.2, DestinationDistribution::uniform(5), 13);
+    config.service_order = ArcServiceOrder::kRandom;
+    config.buffer_capacity = buffers;
+    config.track_delay_histogram = true;
+    TopologyGreedySim sim(config);
+    sim.run(25.0, 525.0);
+    const KernelStats& stats = sim.kernel_stats();
+    return std::vector<double>{
+        sim.delay().mean(), sim.delay().max(), sim.delay().variance(),
+        sim.hops().mean(), sim.time_avg_population(), sim.throughput(),
+        static_cast<double>(stats.drops_in_window()),
+        static_cast<double>(stats.deliveries_in_window()),
+        stats.delay_histogram()->quantile(0.9)};
+  };
+  expect_exact(run(0),
+               {0x1.ffc5304479bedp+1, 0x1.b1c288e7c702p+4, 0x1.a8455f589e2fp+2,
+                0x1.3d857e346944ap+1, 0x1.348e4573c0d7ap+7,
+                0x1.31ba5e353f7cfp+5, 0x0p+0, 0x1.2a9p+14,
+                0x1.c4d542004d543p+2});
+  expect_exact(run(3),
+               {0x1.b66d83588851dp+1, 0x1.9e5ee1d8fcdfp+3, 0x1.95ff6b074618cp+1,
+                0x1.3c2396bbb888p+1, 0x1.f81b8336d6c7p+6,
+                0x1.1c0c49ba5e354p+5, 0x1.634p+10, 0x1.1564p+14,
+                0x1.72efc9c7079a3p+2});
+}
+
 TEST(KernelParity, ButterflyContinuousWithLevelOccupancy) {
   TopologyRoutingConfig config =
       butterfly_config(5, 0.8, DestinationDistribution::bit_flip(5, 0.4), 7);

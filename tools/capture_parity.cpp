@@ -100,6 +100,26 @@ int main() {
           sim.throughput(), static_cast<double>(stats.drops_in_window()),
           static_cast<double>(stats.deliveries_in_window())});
   }
+  for (const std::uint32_t buffers : {0u, 3u}) {
+    TopologyRoutingConfig c;
+    c.spec.d = 5;
+    c.lambda = 1.2;
+    c.destinations = DestinationDistribution::uniform(5);
+    c.seed = 13;
+    c.service_order = ArcServiceOrder::kRandom;
+    c.buffer_capacity = buffers;
+    c.track_delay_histogram = true;
+    TopologyGreedySim sim(c);
+    sim.run(25.0, 525.0);
+    const KernelStats& stats = sim.kernel_stats();
+    emit(buffers == 0 ? "hypercube_random_order"
+                      : "hypercube_random_order_buffers",
+         {sim.delay().mean(), sim.delay().max(), sim.delay().variance(),
+          sim.hops().mean(), sim.time_avg_population(), sim.throughput(),
+          static_cast<double>(stats.drops_in_window()),
+          static_cast<double>(stats.deliveries_in_window()),
+          stats.delay_histogram()->quantile(0.9)});
+  }
   {
     TopologyRoutingConfig c;
     c.spec.name = "butterfly";
