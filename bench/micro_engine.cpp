@@ -128,17 +128,15 @@ void BM_KernelHypercubeStorageReuse(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelHypercubeStorageReuse);
 
-// The heavy-traffic workload on the soa_batch backend: slotted time (the
-// backend's requirement), same d=10 / rho=0.9 / seed as the scalar headline
-// above, so packets-per-second is directly comparable across backends.
-void BM_KernelSoaHeavyTraffic(benchmark::State& state) {
+// The heavy-traffic workload in slotted time (§3.4, tau = 1): same d=10 /
+// rho=0.9 / seed as the continuous headline above, through reset().
+void BM_KernelSlottedHeavyTraffic(benchmark::State& state) {
   TopologyRoutingConfig config;
   config.spec.d = 10;
   config.lambda = 1.8;  // rho = 0.9
   config.destinations = DestinationDistribution::uniform(10);
   config.seed = 6;
   config.slot = 1.0;
-  config.backend = KernelBackend::kSoaBatch;
   TopologyGreedySim sim(config);
   std::uint64_t delivered = 0;
   for (auto _ : state) {
@@ -149,66 +147,63 @@ void BM_KernelSoaHeavyTraffic(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
   state.SetLabel("packets");
 }
-BENCHMARK(BM_KernelSoaHeavyTraffic);
+BENCHMARK(BM_KernelSlottedHeavyTraffic);
 
-// Scalar vs soa_batch on the *same* slotted heavy-traffic scenario — the
-// perf-trajectory headline for the backend seam.  Both sides run the
-// identical simulation (they are pinned bit-identical by the parity suite),
-// so speedup_vs_scalar is a pure execution-engine ratio.  Min-of-N on both
-// sides, per the BM_CampaignVsSerial pattern, so one noisy sample cannot
-// bias the ratio in either direction.
-void BM_BackendSpeedup(benchmark::State& state) {
+// Marginal cost per hop as the cube grows (the paper's d-scaling): the
+// continuous greedy run at rho = 0.9 on d=8 and d=12.  Each side times two
+// horizons, min-of-N each, and divides the time difference by the hop
+// difference (every enqueue onto an arc is one hop), so set-up and the
+// warm-up transient before the shorter horizon cancel.  d12_over_d8 is how
+// much that cost grows from 2^8 to 2^12 nodes, as the arc headers and
+// packet records outgrow the caches (ROADMAP item B gates it at 2).
+void BM_KernelHopScaling(benchmark::State& state) {
   using clock = std::chrono::steady_clock;
-  TopologyRoutingConfig config;
-  config.spec.d = 10;
-  config.lambda = 1.8;  // rho = 0.9
-  config.destinations = DestinationDistribution::uniform(10);
-  config.seed = 6;
-  config.slot = 1.0;
-
-  config.backend = KernelBackend::kScalar;
-  TopologyGreedySim scalar_sim(config);
-  config.backend = KernelBackend::kSoaBatch;
-  TopologyGreedySim soa_sim(config);
-
-  // One untimed warm-up pass per backend so neither side is charged for
-  // first-touch allocation of kernel storage.
-  config.backend = KernelBackend::kScalar;
-  scalar_sim.reset(config);
-  scalar_sim.run(0.0, 300.0);
-  config.backend = KernelBackend::kSoaBatch;
-  soa_sim.reset(config);
-  soa_sim.run(0.0, 300.0);
-
-  double best_scalar_s = 1e300;
-  double best_soa_s = 1e300;
-  std::uint64_t delivered = 0;
+  struct Side {
+    int d;
+    double short_horizon;
+    double long_horizon;
+    double best_short_s = 1e300;
+    double best_long_s = 1e300;
+    std::uint64_t short_hops = 0;
+    std::uint64_t long_hops = 0;
+  };
+  // Horizons sized so each side differences several million hops.
+  Side sides[] = {{8, 1000.0, 4000.0}, {12, 100.0, 300.0}};
+  const auto hops_of = [](const TopologyGreedySim& sim) {
+    std::uint64_t hops = 0;
+    for (const ArcCounters& arc : sim.arc_counters()) hops += arc.total_arrivals;
+    return hops;
+  };
   for (auto _ : state) {
-    config.backend = KernelBackend::kScalar;
-    scalar_sim.reset(config);
-    const auto scalar_start = clock::now();
-    scalar_sim.run(0.0, 300.0);
-    const double scalar_elapsed =
-        std::chrono::duration<double>(clock::now() - scalar_start).count();
-    best_scalar_s = std::min(best_scalar_s, scalar_elapsed);
-
-    config.backend = KernelBackend::kSoaBatch;
-    soa_sim.reset(config);
-    const auto soa_start = clock::now();
-    soa_sim.run(0.0, 300.0);
-    const double soa_elapsed =
-        std::chrono::duration<double>(clock::now() - soa_start).count();
-    best_soa_s = std::min(best_soa_s, soa_elapsed);
-
-    delivered += soa_sim.kernel_stats().deliveries_in_window();
+    for (Side& side : sides) {
+      TopologyRoutingConfig config;
+      config.spec.d = side.d;
+      config.lambda = 1.8;  // rho = 0.9
+      config.destinations = DestinationDistribution::uniform(side.d);
+      config.seed = 6;
+      TopologyGreedySim sim(config);
+      for (const double horizon : {side.short_horizon, side.long_horizon}) {
+        sim.reset(config);
+        const auto start = clock::now();
+        sim.run(0.0, horizon);
+        const double elapsed =
+            std::chrono::duration<double>(clock::now() - start).count();
+        const bool is_short = horizon == side.short_horizon;
+        double& best = is_short ? side.best_short_s : side.best_long_s;
+        best = std::min(best, elapsed);
+        (is_short ? side.short_hops : side.long_hops) = hops_of(sim);
+      }
+    }
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
-  state.SetLabel("packets");
-  state.counters["scalar_s"] = best_scalar_s;
-  state.counters["soa_s"] = best_soa_s;
-  state.counters["speedup_vs_scalar"] = best_scalar_s / best_soa_s;
+  const auto ns_per_hop = [](const Side& side) {
+    return 1e9 * (side.best_long_s - side.best_short_s) /
+           static_cast<double>(side.long_hops - side.short_hops);
+  };
+  state.counters["d8_ns_per_hop"] = ns_per_hop(sides[0]);
+  state.counters["d12_ns_per_hop"] = ns_per_hop(sides[1]);
+  state.counters["d12_over_d8"] = ns_per_hop(sides[1]) / ns_per_hop(sides[0]);
 }
-BENCHMARK(BM_BackendSpeedup)->Unit(benchmark::kMillisecond)->Iterations(3);
+BENCHMARK(BM_KernelHopScaling)->Unit(benchmark::kMillisecond)->Iterations(5);
 
 // Tracing cost on the heavy-traffic kernel workload.  With no ambient
 // session the kernel's entire added work is one disabled TraceSpan per

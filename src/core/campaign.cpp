@@ -99,7 +99,7 @@ Campaign& Campaign::grid(const Scenario& base,
 
 std::string ResultCache::key(const Scenario& scenario) {
   Scenario canonical = scenario.resolved();
-  // Keys that never change results (thread count, kernel backend) are
+  // Keys that never change results (thread count, backend spelling) are
   // written at their defaults, so such runs share one entry.
   static const Scenario defaults;
   for (const ScenarioKey& row : Scenario::keys()) {
@@ -320,19 +320,6 @@ RunResult assemble(const Scenario& resolved, const CompiledScenario& compiled,
   return result;
 }
 
-const SchemeRegistry::SchemeInfo& find_scheme_or_throw(
-    const std::string& name) {
-  const auto* info = SchemeRegistry::instance().find(name);
-  if (info == nullptr) {
-    std::string known;
-    for (const auto& candidate : SchemeRegistry::instance().names()) {
-      known += known.empty() ? candidate : ", " + candidate;
-    }
-    throw ScenarioError("unknown scheme '" + name + "' (known: " + known + ")");
-  }
-  return *info;
-}
-
 }  // namespace
 
 std::vector<CellResult> Engine::run(const Campaign& campaign) const {
@@ -352,12 +339,14 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
   enum class Slot : std::uint8_t { kCached, kDuplicate, kScheduled };
   std::vector<Slot> status(campaign.size(), Slot::kScheduled);
 
-  // Phase 1 (this thread): resolve, check against the scheme's capability
-  // row (SchemeInfo::check) and compile every cell, so any ScenarioError
-  // surfaces before a single worker starts; serve cache and
-  // persistent-store hits and coalesce in-campaign duplicates into one job
-  // per distinct key.  The store lookup is what makes a rerun of an
-  // interrupted campaign a *resume*: finished cells never reschedule.
+  // Phase 1 (this thread): resolve every cell and check it against its
+  // scheme's capability row (SchemeInfo::check) before any lookup, so a
+  // record stored under a knob the row now rejects is never answered;
+  // serve cache and persistent-store hits, coalesce in-campaign
+  // duplicates into one job per distinct key and compile the rest, so
+  // any ScenarioError surfaces before a single worker starts.  The store
+  // lookup is what makes a rerun of an interrupted campaign a *resume*:
+  // finished cells never reschedule.
   std::vector<std::unique_ptr<CellJob>> jobs;
   std::unordered_map<std::string, CellJob*> job_by_key;
   std::optional<obs::TraceSpan> compile_span(std::in_place, trace,
@@ -365,6 +354,7 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
   for (std::size_t i = 0; i < campaign.size(); ++i) {
     const CampaignCell& cell = campaign.cells()[i];
     Scenario resolved = cell.scenario.resolved();
+    const auto& info = SchemeRegistry::instance().check(resolved);
     const std::string key = ResultCache::key(resolved);
     out[i].index = i;
     out[i].label = cell.label;
@@ -400,8 +390,6 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
       status[i] = Slot::kDuplicate;
       continue;
     }
-    const auto& info = find_scheme_or_throw(resolved.scheme);
-    info.check(resolved);
     RS_EXPECTS(resolved.plan.replications >= 1);
     auto job = std::make_unique<CellJob>();
     job->cell_indices = {i};

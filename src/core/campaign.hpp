@@ -197,9 +197,10 @@ class JsonlSink final : public ResultSink {
 /// In-process result memoisation, shared across campaigns (and across
 /// Suite instances in a bench binary).  Thread-safe.  The key is the
 /// canonical textual form of the resolved scenario with the worker-thread
-/// count and the kernel backend normalised out — neither changes results
-/// (backends are pinned bit-identical to the scalar oracle), so threads=1
-/// and threads=8 runs, and scalar and soa_batch runs, share an entry;
+/// count and the legacy backend spelling normalised out — neither changes
+/// results (both backend values run the kernel's one drive loop), so
+/// threads=1 and threads=8 runs, and scalar and soa_batch runs, share an
+/// entry;
 /// seeds and replication counts stay in the key because they *do* change
 /// results.
 class ResultCache {

@@ -101,20 +101,6 @@ const std::vector<CatalogEntry>& serve_flag_docs() {
   return flags;
 }
 
-const std::vector<CatalogEntry>& backend_docs() {
-  static const std::vector<CatalogEntry> backends{
-      {"scalar",
-       "event-driven scalar kernel — the default and the bit-exactness "
-       "oracle; every scheme supports it"},
-      {"soa_batch",
-       "the kernel's batched loop for slotted-time scenarios (tau > 0): "
-       "advances every busy arc per tick in two phases, route then "
-       "commit, bit-identical to scalar; needs FIFO service and a static "
-       "fault set (the capability matrix lists the schemes that run it)"},
-  };
-  return backends;
-}
-
 const std::vector<CatalogEntry>& fault_policy_docs() {
   static const std::vector<CatalogEntry> policies{
       {"drop", "lose packets whose next arc is dead (all fault-aware schemes)"},
@@ -143,11 +129,9 @@ ScenarioCatalog scenario_catalog() {
   for (const auto& name : registry.names()) {
     const auto& info = *registry.find(name);
     catalog.schemes.push_back({name, info.summary});
-    std::vector<std::string> backends{"scalar"};
-    backends.insert(backends.end(), info.backends.begin(), info.backends.end());
     catalog.capabilities.push_back(
         {name,
-         {info.topologies, info.workloads, info.fault_policies, backends,
+         {info.topologies, info.workloads, info.fault_policies,
           info.keys}});
   }
 
@@ -164,7 +148,6 @@ ScenarioCatalog scenario_catalog() {
     catalog.permutations.push_back({name, Permutation::summary(name)});
   }
   catalog.fault_policies = fault_policy_docs();
-  catalog.backends = backend_docs();
   catalog.cli_flags = cli_flag_docs();
   catalog.serve_flags = serve_flag_docs();
   return catalog;
@@ -225,8 +208,6 @@ std::string catalog_json(const ScenarioCatalog& catalog) {
   json_entries(os, "permutations", catalog.permutations);
   os << ",\n";
   json_entries(os, "fault_policies", catalog.fault_policies);
-  os << ",\n";
-  json_entries(os, "backends", catalog.backends);
   os << ",\n  \"sweep_keys\": [";
   for (std::size_t i = 0; i < catalog.sweep_keys.size(); ++i) {
     os << (i == 0 ? "" : ", ") << '"' << json_escape(catalog.sweep_keys[i])
@@ -291,9 +272,8 @@ std::string catalog_markdown(const ScenarioCatalog& catalog) {
         "`" << listed(SchemeRegistry::scheme_keys()) << "`;\n"
         "every other one must stay at its default.  On top of the rows:\n"
         "ring, torus and mesh take `workload=uniform` (plus `permutation` on\n"
-        "the ring), no faults and only `scalar`; `ring_chords` is read only\n"
-        "on the ring and `torus_dims` only on the torus and the mesh;\n"
-        "`soa_batch` needs `tau > 0`, no trace and a static fault set.\n\n"
+        "the ring) and no faults; `ring_chords` is read only on the ring\n"
+        "and `torus_dims` only on the torus and the mesh.\n\n"
         "| scheme |";
   for (const char* column : kCapabilityColumns) os << ' ' << column << " |";
   os << "\n|---|";
@@ -328,9 +308,6 @@ std::string catalog_markdown(const ScenarioCatalog& catalog) {
 
   os << "## Fault policies (`fault_policy=`)\n\n";
   markdown_table(os, "policy", catalog.fault_policies);
-
-  os << "## Kernel backends (`backend=`)\n\n";
-  markdown_table(os, "backend", catalog.backends);
 
   os << "## Sweep keys (`--grid` / `--sweep key=start:stop[:step]`)\n\n";
   for (std::size_t i = 0; i < catalog.sweep_keys.size(); ++i) {
@@ -388,10 +365,6 @@ std::string catalog_text(const ScenarioCatalog& catalog) {
         "node_fault_rate, fault_mtbf/fault_mttr or storm_rate is set):\n";
   for (const auto& policy : catalog.fault_policies) {
     os << "  " << policy.name << ": " << policy.summary << '\n';
-  }
-  os << "\nkernel backends (backend=...):\n";
-  for (const auto& backend : catalog.backends) {
-    os << "  " << backend.name << ": " << backend.summary << '\n';
   }
   os << "\nsweep keys (--grid / --sweep):";
   for (const auto& key : catalog.sweep_keys) os << ' ' << key;

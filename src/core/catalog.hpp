@@ -31,15 +31,14 @@ struct CatalogEntry {
 };
 
 /// One scheme's row of the capability matrix: SchemeInfo's topologies,
-/// workloads, fault_policies, backends (scalar first) and keys columns, in
-/// kCapabilityColumns order.
+/// workloads, fault_policies and keys columns, in kCapabilityColumns order.
 struct CapabilityRow {
   std::string scheme;
   std::vector<std::vector<std::string>> columns;
 };
 
 inline constexpr const char* kCapabilityColumns[] = {
-    "topologies", "workloads", "fault_policies", "backends", "keys"};
+    "topologies", "workloads", "fault_policies", "keys"};
 
 /// The full catalog; see scenario_catalog().
 struct ScenarioCatalog {
@@ -50,7 +49,6 @@ struct ScenarioCatalog {
   std::vector<CatalogEntry> workloads;       ///< workload= values
   std::vector<CatalogEntry> permutations;    ///< permutation= values (live)
   std::vector<CatalogEntry> fault_policies;  ///< fault_policy= values
-  std::vector<CatalogEntry> backends;        ///< backend= values
   std::vector<std::string> sweep_keys;       ///< names of the sweepable set_keys
   std::vector<CatalogEntry> cli_flags;       ///< routesim_bench flags
   std::vector<CatalogEntry> serve_flags;     ///< routesim_serve daemon flags

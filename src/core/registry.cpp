@@ -131,28 +131,6 @@ void SchemeRegistry::SchemeInfo::check(const Scenario& s) const {
                       joined(workloads) + ")");
   }
 
-  if (s.backend != "scalar") {
-    if (generic || !lists(backends, s.backend)) {
-      throw unsupported(
-          "backend '" + s.backend + "' (supported: scalar" +
-          (generic || backends.empty() ? "" : ", " + joined(backends)) + ")");
-    }
-    // The batched loop's rules: slotted time, no trace, static faults.
-    if (s.tau <= 0.0) {
-      throw ScenarioError("backend=soa_batch needs slotted time: set tau > 0");
-    }
-    if (s.workload == "trace") {
-      throw ScenarioError(
-          "backend=soa_batch cannot replay traces (use backend=scalar)");
-    }
-    if (s.fault_mtbf > 0.0 || s.fault_mttr > 0.0 || s.storm_rate > 0.0) {
-      throw ScenarioError(
-          std::string("backend=soa_batch needs a static fault set (clear "
-                      "fault_mtbf/fault_mttr") +
-          (lists(keys, "storm_rate") ? "/storm_rate" : "") +
-          " or use backend=scalar)");
-    }
-  }
   if (generic) (void)s.compiled_topology();  // size errors as ScenarioError
 }
 
@@ -165,6 +143,17 @@ const SchemeRegistry::SchemeInfo* SchemeRegistry::find(
     const std::string& name) const {
   const auto it = schemes_.find(name);
   return it == schemes_.end() ? nullptr : &it->second;
+}
+
+const SchemeRegistry::SchemeInfo& SchemeRegistry::check(
+    const Scenario& s) const {
+  const SchemeInfo* info = find(s.scheme);
+  if (info == nullptr) {
+    throw ScenarioError("unknown scheme '" + s.scheme + "' (known: " +
+                        joined(names()) + ")");
+  }
+  info->check(s);
+  return *info;
 }
 
 std::vector<std::string> SchemeRegistry::names() const {

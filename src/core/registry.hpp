@@ -79,8 +79,8 @@ class SchemeRegistry {
   /// optional load-factor rule, and its row of the capability matrix.  The
   /// engine checks a scenario against that row (check()) before compiling
   /// it, so a compile hook reads only values the row admits.  The columns
-  /// default to the plain cube: hypercube, bit_flip/uniform, no faults,
-  /// scalar only, no scheme-specific keys.
+  /// default to the plain cube: hypercube, bit_flip/uniform, no faults, no
+  /// scheme-specific keys.
   struct SchemeInfo {
     std::string name;
     std::string summary;  ///< one line for --list and error messages
@@ -95,8 +95,6 @@ class SchemeRegistry {
     /// fault_policy= values honoured under active faults; empty means the
     /// scheme has no fault support.
     std::vector<std::string> fault_policies = {};
-    /// backend= values besides scalar, which every scheme runs.
-    std::vector<std::string> backends = {};
     /// The scheme-specific rows of Scenario::keys() the scheme reads, out
     /// of scheme_keys(); every other one must stay at its default.
     std::vector<std::string> keys = {};
@@ -104,11 +102,10 @@ class SchemeRegistry {
     /// Throws ScenarioError, naming the key and the scheme, when `s` sets
     /// anything this row does not admit.  On top of the columns it applies
     /// the family rules: ring, torus and mesh take workload=uniform (plus
-    /// permutation on the ring), no faults and only scalar; ring_chords is
-    /// read only on the ring and torus_dims only on the torus and the
-    /// mesh; soa_batch needs slotted time, no trace and a static fault
-    /// set.  It also checks the fault knobs' pairing and builds a generic
-    /// topology once, so its size errors surface here.
+    /// permutation on the ring) and no faults; ring_chords is read only on
+    /// the ring and torus_dims only on the torus and the mesh.  It also
+    /// checks the fault knobs' pairing and builds a generic topology once,
+    /// so its size errors surface here.
     void check(const Scenario& s) const;
   };
 
@@ -123,6 +120,11 @@ class SchemeRegistry {
   void add(SchemeInfo info);
 
   [[nodiscard]] const SchemeInfo* find(const std::string& name) const;
+
+  /// The row of `s.scheme` once `s` passed its SchemeInfo::check; a
+  /// ScenarioError naming the known schemes when there is no such scheme.
+  const SchemeInfo& check(const Scenario& s) const;
+
   [[nodiscard]] bool contains(const std::string& name) const {
     return find(name) != nullptr;
   }

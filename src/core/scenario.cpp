@@ -9,7 +9,6 @@
 
 #include "core/campaign.hpp"
 #include "core/registry.hpp"
-#include "des/kernel_backend.hpp"
 #include "fault/fault_model.hpp"
 #include "topology/ring.hpp"
 #include "topology/topology.hpp"
@@ -601,12 +600,17 @@ const std::vector<ScenarioKey>& Scenario::keys() {
        .set = [](S& s, V v) { s.plan.threads = integer(v); },
        .get = [](const S& s) { return text(s.plan.threads); }},
       {.name = "backend", .type = "string", .result_neutral = true,
-       .doc = "kernel execution engine: scalar | soa_batch (see the backend "
-              "table)",
-       // Pinned bit-identical to the scalar oracle (test_kernel_parity),
-       // so equal scenarios on either backend share one cache entry.
+       .doc = "legacy spelling: scalar | soa_batch, both run the kernel's "
+              "one drive loop; kept while perfbench's hc_slot_soa cell and "
+              "persisted store keys carry it",
+       // Both values run the same code, so equal scenarios share one
+       // cache entry.  The row goes once the benchmark retires hc_slot_soa
+       // and the store re-keys without it and threads (ROADMAP item D).
        .set = [](S& s, V v) {
-         (void)parse_kernel_backend(v);
+         if (v != "scalar" && v != "soa_batch") {
+           throw ScenarioError("unknown kernel backend '" + v +
+                               "' (valid values: scalar, soa_batch)");
+         }
          s.backend = v;
        },
        .get = [](const S& s) { return text(s.backend); }},

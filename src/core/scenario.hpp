@@ -167,9 +167,10 @@ struct Scenario {
   Window window{};          ///< {0,0} => auto window from load
   double measure = 4000.0;  ///< measurement length used by the auto window
   ReplicationPlan plan{};
-  /// Kernel execution engine: "scalar" (event-driven oracle, every scheme)
-  /// or "soa_batch" (the kernel's batched slotted loop, bit-identical to
-  /// scalar; see des/kernel_backend.hpp and docs/KERNEL.md).
+  /// Legacy spelling, "scalar" or "soa_batch": both run the kernel's one
+  /// drive loop.  Kept because perfbench's hc_slot_soa cell and persisted
+  /// store keys carry it; it leaves once the benchmark retires that cell
+  /// and the store re-keys without it and `threads` (ROADMAP item D).
   std::string backend = "scalar";
 
   // --- derived ----------------------------------------------------------

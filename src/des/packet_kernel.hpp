@@ -18,30 +18,20 @@
 ///                         set, the levelled network's server queues);
 ///   - `KernelStats`     — measurement-window accounting and harvest;
 ///   - `PacketKernel<P>` — the core: event set, flat arc queues, arrival
-///                         process and two drive loops over them.
+///                         process and the drive loop over them.
 ///
 /// A scheme plugs in through hooks called by drive():
 ///   `on_spawn(t)`              sample origin/destination and inject;
 ///   `on_traced(t, org, dst)`   inject one replayed packet (optional);
-///   `on_arc_done(t, arc)`      event loop: finish the arc's service and
-///                              advance its packet one hop.
-/// A scheme that also runs the batched loop (PacketKernelConfig::batched)
-/// writes its hop once, split in two, and on_arc_done as finish_arc then
-/// commit(advance(...)):
-///   `advance(arc, pkt)`        move the packet across the arc and return
-///                              its next arc, kDeliver or kDropFault —
-///                              touching no statistics;
-///   `commit(t, pkt, next)`     deliver, fault-drop or enqueue the packet;
-///   `arc_tracker(arc)`         the occupancy tracker a completion at the
-///                              arc decrements (optional; default none).
+///   `on_arc_done(t, arc)`      finish the arc's service and advance its
+///                              packet one hop.
 ///
 /// Everything here preserves the exact event order, RNG consumption order
 /// and floating-point arithmetic of the pre-kernel simulators, so results
-/// are bit-identical (pinned by tests/test_kernel_parity.cpp) in either
-/// drive loop: both pop events in the strict (time, seq) total order a
-/// priority queue would.
+/// are bit-identical (pinned by tests/test_kernel_parity.cpp): drive()
+/// pops events in the strict (time, seq) total order a priority queue
+/// would.
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -264,12 +254,6 @@ class KernelStats {
     if (!occupancy_.empty()) occupancy_[tracker].add(now, delta);
   }
 
-  /// Whether occupancy trackers are configured — lets batch loops hoist the
-  /// occupancy_add() no-op check out of their per-event path.
-  [[nodiscard]] bool occupancy_enabled() const noexcept {
-    return !occupancy_.empty();
-  }
-
   /// Direct accumulator access for scheme-specific bookkeeping.
   [[nodiscard]] Summary& delay() noexcept { return delay_; }
   [[nodiscard]] const Summary& delay() const noexcept { return delay_; }
@@ -411,18 +395,7 @@ struct PacketKernelConfig {
   /// through its control-event slot in global (time, seq) order.
   FaultModel* fault_model = nullptr;
   KernelStats::Config stats{};
-  /// Run drive() as the batched loop (backend=soa_batch): slotted time, no
-  /// trace, FIFO service and a static fault set; same results as the event
-  /// loop (see PacketKernel).
-  bool batched = false;
 };
-
-/// advance()'s sentinels for "no next arc": the packet reached its
-/// destination, or is lost to a fault (dead arc / dead node / TTL).
-/// kDropFault equals fault_routing.hpp's kDropArc, so a reroute's verdict
-/// passes through unchanged.
-inline constexpr std::uint32_t kDeliver = 0xFFFFFFFEu;
-inline constexpr std::uint32_t kDropFault = 0xFFFFFFFFu;
 
 /// The event-driven core: pending-event set, per-arc queues, arrival
 /// process and statistics, generic over the scheme's packet type `Pkt`.
@@ -444,45 +417,10 @@ inline constexpr std::uint32_t kDropFault = 0xFFFFFFFFu;
 /// FIFO is threaded through one per-packet array (`link_[p]` is the packet
 /// behind p) and an arc keeps only a 12-byte head/tail/size header — no
 /// separately allocated buffer per arc.
-///
-/// **The batched loop** (config.batched; backend=soa_batch).  In slotted
-/// time every event time is a multiple of the slot length: packets spawn
-/// at k*slot and every service completes exactly 1.0 after it starts, so
-/// the events at one instant t are "every arc whose service completes at
-/// t", plus possibly the slot control.  The batched loop keeps the
-/// completions in a wheel of *batches* — one per future instant, its arcs
-/// distinct and in scheduling (= seq) order — and replays the event loop's
-/// order inside each:
-///   - services precede the slot control at equal times: a completion at t
-///     was scheduled at t - 1.0, the slot control at t - slot >= t - 1.0,
-///     and at slot == 1.0 the event loop injects the slot's spawns
-///     (scheduling their services) *before* re-arming the control — so the
-///     control's seq always exceeds every service seq at a tie;
-///   - appends during processing at time t always target t + 1.0, which is
-///     >= every outstanding batch time (the clock is nondecreasing and
-///     x -> x + 1.0 is monotone in floating point), so the wheel stays
-///     sorted by construction, with no per-event (time, seq) records;
-///   - two distinct times can round to the same t + 1.0; appending to the
-///     back batch whenever the time matches keeps the seq order within it.
-/// Each batch runs in two phases.  Phase A calls the scheme's advance()
-/// for every packet, in batch order; it needs no queue access, because a
-/// wheel item records the packet in service when it is scheduled (an
-/// arc's in-service head is immutable while its completion is
-/// outstanding).  Scheme RNG draws (fault reroutes) happen there in batch
-/// order, which is the event order; the RNG stream is disjoint from the
-/// statistics, so the coarser interleaving is unobservable.  Phase B then
-/// replays the event loop's bookkeeping packet by packet: finish_arc, then
-/// the scheme's commit().  The pop must stay in Phase B: a later packet of
-/// the same batch may enqueue onto an earlier arc, and the idle test
-/// (queue.size() == 1) must see the in-service head still in place.  The
-/// batched loop needs slotted time, no trace and a static fault set —
-/// anything else puts control events at arbitrary times, where the
-/// services-first rule above does not hold — and FIFO service (the
-/// service-order ablations stay on the event loop).
 template <typename Pkt>
 class PacketKernel {
  public:
-  enum class EventKind : std::uint8_t { kBirth, kSlot, kArcDone };
+  enum class EventKind : std::uint8_t { kBirth, kSlot };
 
   void configure(const PacketKernelConfig& config) {
     config_ = config;
@@ -496,10 +434,6 @@ class PacketKernel {
     has_control_ = false;
     has_fault_control_ = false;
     next_seq_ = 0;
-    wheel_head_ = 0;
-    wheel_size_ = 0;
-    wheel_back_time_ = -1.0;
-    wheel_back_items_ = nullptr;
     pool_.clear();
     link_.clear();
     // Default reserve hint for trace replay: a quarter of the trace is a
@@ -511,17 +445,6 @@ class PacketKernel {
     pool_.reserve(expected);
     link_.reserve(expected);
     stats_.configure(config.stats);
-    if (config.batched) {
-      RS_EXPECTS_MSG(config.slot > 0.0,
-                     "the batched drive loop needs slotted time (slot > 0)");
-      RS_EXPECTS_MSG(config.trace == nullptr,
-                     "the batched drive loop cannot replay traces");
-      RS_EXPECTS_MSG(config.service_order == ArcServiceOrder::kFifo,
-                     "the batched drive loop needs FIFO arc service");
-      RS_EXPECTS_MSG(
-          config.fault_model == nullptr || !config.fault_model->dynamic(),
-          "the batched drive loop needs a static fault set");
-    }
   }
 
   [[nodiscard]] Rng& rng() noexcept { return rng_; }
@@ -538,15 +461,6 @@ class PacketKernel {
 
   [[nodiscard]] const std::vector<ArcCounters>& arc_counters() const noexcept {
     return arc_counters_;
-  }
-
-  /// Item capacity held by the batch wheel's slots.  Slots are reused in
-  /// place, so this is bounded by (live batches) x (arcs) — about
-  /// (1/slot + 2) x num_arcs — whatever the horizon.
-  [[nodiscard]] std::size_t retained_batch_capacity() const noexcept {
-    std::size_t total = 0;
-    for (const Batch& batch : wheel_) total += batch.items.capacity();
-    return total;
   }
 
   [[nodiscard]] const FaultModel* fault_model() const noexcept {
@@ -642,18 +556,10 @@ class PacketKernel {
 
   /// The main loop: seeds the arrival process, dispatches events on
   /// [0, horizon] to the scheme's hooks, and harvests the statistics over
-  /// [warmup, horizon].  With config.batched it runs the batched loop.
+  /// [warmup, horizon].
   template <typename Scheme>
   void drive(Scheme& scheme, double warmup, double horizon) {
     RS_EXPECTS(warmup >= 0.0 && warmup <= horizon);
-    if (config_.batched) {
-      constexpr bool kBatchable = requires(Scheme& s, std::uint32_t id) {
-        s.commit(0.0, id, s.advance(id, id));
-      };
-      RS_EXPECTS_MSG(kBatchable, "the batched drive loop needs the scheme's "
-                                 "advance and commit hooks");
-      if constexpr (kBatchable) return drive_batched(scheme, warmup, horizon);
-    }
     stats_.begin(warmup, horizon);
     // Observability (docs/OBSERVABILITY.md): one span per drive() call on
     // the ambient session — a single thread-local load plus branch when
@@ -722,7 +628,8 @@ class PacketKernel {
         RS_KERNEL_TRACE_ONLY(++ktrace_service;)
         // The service ring lists the next completions in order, each with
         // its arc and packet: request the arc header kFar events ahead and
-        // the packet record kNear ahead (a hint only, as in process_batch).
+        // the packet record kNear ahead.  Prefetching is purely a hint: a
+        // stale target is a wasted fetch, never a wrong result.
         const std::size_t pending = service_events_.size();
         if (pending > kFar) prefetch(&arc_queue_[service_events_[kFar].arc]);
         if (pending > kNear) prefetch(&pool_[service_events_[kNear].pkt]);
@@ -801,7 +708,7 @@ class PacketKernel {
   /// `link_` leads from it to `tail`; both are meaningless when size is 0.
   struct ArcQueue { std::uint32_t head = 0, tail = 0, size = 0; };
 
-  /// Software-pipelining distances of both loops' prefetches, in events.
+  /// Software-pipelining distances of drive()'s prefetches, in events.
   static constexpr std::size_t kFar = 16;
   static constexpr std::size_t kNear = 8;
 
@@ -818,29 +725,11 @@ class PacketKernel {
     queue.head = chosen;
   }
 
-  /// One completion in the batch wheel: the arc and the packet it serves.
-  struct Item {
-    std::uint32_t arc = 0;
-    std::uint32_t pkt = 0;
-  };
-
-  /// One future instant's completions, in scheduling (= seq) order; its
-  /// arcs are distinct (one outstanding completion per arc).
-  struct Batch {
-    double time = 0.0;
-    std::vector<Item> items;
-  };
-
-  /// Schedules the completion of `pkt`'s service at `arc` — the one place
-  /// that knows which event set holds it: the monotone service ring in the
-  /// event loop, the batch wheel in the batched loop.  Completions are
-  /// pushed with nondecreasing times (now + 1.0 under a nondecreasing
-  /// clock), so either set stays sorted by (time, seq).
+  /// Schedules the completion of `pkt`'s service at `arc` on the monotone
+  /// service ring.  Completions are pushed with nondecreasing times (now +
+  /// 1.0 under a nondecreasing clock), so the ring stays sorted by (time,
+  /// seq).
   void schedule_service(double time, std::uint32_t arc, std::uint32_t pkt) {
-    if (config_.batched) {
-      wheel_push(time, arc, pkt);
-      return;
-    }
     RS_DASSERT(service_events_.empty() ||
                service_events_[service_events_.size() - 1].time <= time);
     service_events_.push_back(ServiceEvent{time, next_seq_++, arc, pkt});
@@ -854,166 +743,6 @@ class PacketKernel {
 #else
     (void)p;
 #endif
-  }
-
-  void wheel_push(double time, std::uint32_t arc, std::uint32_t pkt) {
-    // Hot path: almost every push within one instant targets the same
-    // (already open) back batch — one compare against the cached back time
-    // and a vector append.  The cache is refreshed whenever a batch opens
-    // and uses -1.0 as the "no open batch" sentinel (every push time is
-    // >= 1.0).
-    if (time == wheel_back_time_) {
-      wheel_back_items_->push_back(Item{arc, pkt});
-      return;
-    }
-    open_batch(time, arc, pkt);
-  }
-
-  /// Opens the wheel's next batch with its first item.  Out of line, so
-  /// the flattened hop paths of both loops stay small.
-  [[gnu::noinline]] void open_batch(double time, std::uint32_t arc,
-                                    std::uint32_t pkt) {
-    RS_DASSERT(wheel_back_time_ <= time);
-    if (wheel_size_ == wheel_.size()) {
-      // Every slot is live: unroll the ring so the head is slot 0, then
-      // add one.  The ring only grows to the most batches ever live at
-      // once, ~1/slot + 2.
-      std::rotate(wheel_.begin(),
-                  wheel_.begin() + static_cast<std::ptrdiff_t>(wheel_head_),
-                  wheel_.end());
-      wheel_head_ = 0;
-      wheel_.emplace_back();
-    }
-    std::size_t back = wheel_head_ + wheel_size_;
-    if (back >= wheel_.size()) back -= wheel_.size();
-    ++wheel_size_;
-    Batch& batch = wheel_[back];
-    batch.time = time;
-    batch.items.clear();  // keeps the capacity of the batch it held before
-    batch.items.push_back(Item{arc, pkt});
-    wheel_back_time_ = time;
-    wheel_back_items_ = &batch.items;
-  }
-
-  /// The batched loop (class comment): the wheel's batches and the slot
-  /// controls, services first at equal times.  Out of line, so drive()'s
-  /// event loop keeps its size.
-  template <typename Scheme>
-  [[gnu::noinline]] void drive_batched(Scheme& scheme, double warmup,
-                                       double horizon) {
-    stats_.begin(warmup, horizon);
-    // Same observability contract as the event loop: one ambient span per
-    // drive() call, per-tick counters only under ROUTESIM_KERNEL_TRACE.
-    obs::TraceSpan drive_span(obs::thread_trace(), "kernel.batch_drive",
-                              "kernel");
-    RS_KERNEL_TRACE_ONLY(
-        std::uint64_t ktrace_wheel_ticks = 0;
-        std::uint64_t ktrace_batch_events = 0;
-        std::uint64_t ktrace_batch_max = 0;)
-    // The tracker vector is sized by begin(), so this is valid from here.
-    const bool occupancy_on = stats_.occupancy_enabled();
-    double slot_time = 0.0;  // accumulated exactly like the slot control
-    bool stats_reset = warmup == 0.0;
-    for (;;) {
-      // Services precede the slot control at equal times (class comment).
-      const bool service =
-          wheel_size_ > 0 && wheel_[wheel_head_].time <= slot_time;
-      const double t = service ? wheel_[wheel_head_].time : slot_time;
-      if (t > horizon) break;
-      if (!stats_reset && t >= warmup) {
-        stats_.reset_at_warmup(warmup);
-        stats_reset = true;
-      }
-      if (service) {
-        RS_KERNEL_TRACE_ONLY(
-            ++ktrace_wheel_ticks;
-            const std::uint64_t ktrace_batch = wheel_[wheel_head_].items.size();
-            ktrace_batch_events += ktrace_batch;
-            if (ktrace_batch > ktrace_batch_max) ktrace_batch_max =
-                ktrace_batch;)
-        process_batch(scheme, t, occupancy_on);
-        continue;
-      }
-      const std::uint64_t births =
-          sample_poisson(rng_, config_.birth_rate * config_.slot);
-      for (std::uint64_t i = 0; i < births; ++i) scheme.on_spawn(slot_time);
-      slot_time += config_.slot;
-    }
-    stats_.finalize(warmup, horizon, !stats_reset);
-    RS_KERNEL_TRACE_ONLY({
-      if (obs::TraceSession* session = obs::thread_trace();
-          session != nullptr) {
-        session->instant(
-            "kernel.batch_summary", "kernel",
-            "{\"wheel_ticks\":" + std::to_string(ktrace_wheel_ticks) +
-                ",\"batch_events\":" + std::to_string(ktrace_batch_events) +
-                ",\"batch_max\":" + std::to_string(ktrace_batch_max) + "}");
-      }
-      auto& registry = obs::global_metrics();
-      registry.counter("routesim_kernel_events_total")
-          .add(static_cast<double>(ktrace_batch_events));
-      registry.counter("routesim_kernel_wheel_ticks_total")
-          .add(static_cast<double>(ktrace_wheel_ticks));
-    });
-  }
-
-  /// One batch in two phases (class comment).  Flattened, so the scheme's
-  /// advance/commit and the kernel's finish/enqueue steps inline into the
-  /// two loops.
-  template <typename Scheme>
-  [[gnu::flatten]] void process_batch(Scheme& scheme, double now,
-                                      bool occupancy_on) {
-    // Copying the items out first frees the head slot before Phase B,
-    // whose pushes may open new batches or grow the ring.
-    const std::size_t n = wheel_[wheel_head_].items.size();
-    const Item* items = wheel_[wheel_head_].items.data();
-    arcs_.resize(n);
-    pkts_.resize(n);
-    next_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      arcs_[i] = items[i].arc;
-      pkts_[i] = items[i].pkt;
-    }
-    if (++wheel_head_ == wheel_.size()) wheel_head_ = 0;
-    if (--wheel_size_ == 0) {
-      wheel_back_time_ = -1.0;
-      wheel_back_items_ = nullptr;
-    }
-    // Phase A: route every packet.
-    for (std::size_t i = 0; i < n; ++i) {
-      next_[i] = scheme.advance(arcs_[i], pkts_[i]);
-    }
-    // Phase B: the event loop's per-event bookkeeping, in its order.  The
-    // loop software-pipelines its random accesses — the batch knows every
-    // future pop and push target (the event loop knows only its pops) —
-    // with arc headers requested kFar events ahead and the push arc's tail
-    // link (reachable only once the header is in cache) kNear events ahead.
-    // Prefetching is purely a hint: a stale target is a wasted fetch, never
-    // a wrong result.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i + kFar < n) {
-        prefetch(&arc_queue_[arcs_[i + kFar]]);
-        const std::uint32_t nx = next_[i + kFar];
-        if (nx < kDeliver) {
-          prefetch(&arc_queue_[nx]);
-          prefetch(&arc_counters_[nx]);
-        }
-      }
-      if (i + kNear < n) {
-        const std::uint32_t nx = next_[i + kNear];
-        if (nx < kDeliver) {
-          const ArcQueue& push_queue = arc_queue_[nx];
-          if (push_queue.size > 0) prefetch(&link_[push_queue.tail]);
-        }
-      }
-      const std::uint32_t arc = arcs_[i];
-      std::size_t tracker = kNoTracker;
-      if constexpr (requires { scheme.arc_tracker(arc); }) {
-        if (occupancy_on) tracker = scheme.arc_tracker(arc);
-      }
-      finish_arc(now, arc, tracker);
-      scheme.commit(now, pkts_[i], next_[i]);
-    }
   }
 
   /// At most one arrival-process control event is outstanding at a time.
@@ -1053,18 +782,6 @@ class PacketKernel {
   std::uint64_t next_seq_ = 0;
   KernelStats stats_;
   std::size_t trace_pos_ = 0;
-  /// The batched loop's event set: a ring of batch slots, wheel_size_ live
-  /// batches from wheel_head_, sorted by time.  A popped slot keeps its
-  /// item capacity for the next batch it opens, so the wheel allocates
-  /// only while it grows.
-  std::vector<Batch> wheel_;
-  std::size_t wheel_head_ = 0;
-  std::size_t wheel_size_ = 0;
-  double wheel_back_time_ = -1.0;  ///< the newest live batch's time (-1 = none)
-  std::vector<Item>* wheel_back_items_ = nullptr;  ///< its item list
-  std::vector<std::uint32_t> arcs_;  ///< scratch: the batch's arcs
-  std::vector<std::uint32_t> pkts_;  ///< scratch: their in-service packets
-  std::vector<std::uint32_t> next_;  ///< scratch: Phase A routing decisions
 };
 
 }  // namespace routesim

@@ -18,11 +18,10 @@ void DeflectionSim::reset(TopologyRoutingConfig config) {
   RS_EXPECTS_MSG(config_.trace == nullptr && config_.slot == 0.0 &&
                      !config_.valiant && config_.buffer_capacity == 0 &&
                      config_.service_order == ArcServiceOrder::kFifo &&
-                     config_.dimension_order == DimensionOrder::kIncreasing &&
-                     config_.backend == KernelBackend::kScalar,
+                     config_.dimension_order == DimensionOrder::kIncreasing,
                  "deflection is slotted and bufferless: trace, slot, valiant, "
-                 "buffer_capacity, service_order, dimension_order and backend "
-                 "do not apply");
+                 "buffer_capacity, service_order and dimension_order do not "
+                 "apply");
   net_.configure(config_);
   rng_.reseed(derive_stream(
       config_.seed, kDeflectionSalts.for_family(net_.topology().name())));

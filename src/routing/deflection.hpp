@@ -44,7 +44,7 @@ class DeflectionSim {
   /// Reads spec, lambda (packets per node per slot), seed, destinations,
   /// fixed_destinations, the fault rates and ttl; the greedy-only fields
   /// (trace, slot, valiant, buffer_capacity, service_order,
-  /// dimension_order, backend) must stay at their defaults.
+  /// dimension_order) must stay at their defaults.
   explicit DeflectionSim(TopologyRoutingConfig config);
 
   /// Reconfigures for another replication, reusing storage.

@@ -126,7 +126,6 @@ void TopologyGreedySim::configure_kernel() {
     net_.configure_faults(config_, fault_model_);
     kernel.fault_model = &fault_model_;
   }
-  kernel.batched = config_.backend == KernelBackend::kSoaBatch;
   kernel_.configure(kernel);
 }
 
@@ -181,8 +180,12 @@ struct TopologyGreedySim::Router {
     forward(now, id, next_arc(origin, target), /*external=*/true);
   }
 
-  /// The event loop's hop.  Flattened: the kernel's finish/deliver/enqueue
-  /// steps are inlined into the per-hop path.
+  /// advance()'s verdict for a packet at its destination; kDropArc (a
+  /// reroute's verdict, passed through) for one lost to a fault.
+  static constexpr ArcId kDeliver = kDropArc - 1;
+
+  /// One hop.  Flattened: the kernel's finish/deliver/enqueue steps are
+  /// inlined into the per-hop path.
   [[gnu::flatten]] void on_arc_done(double now, ArcId arc) {
     const std::uint32_t pkt =
         sim.kernel_.finish_arc(now, arc, arc_tracker(arc));
@@ -199,8 +202,8 @@ struct TopologyGreedySim::Router {
   }
 
   /// Moves the packet across `arc`: its next arc toward the phase target,
-  /// kDeliver or kDropFault.
-  std::uint32_t advance(ArcId arc, std::uint32_t pkt) {
+  /// kDeliver or kDropArc.
+  ArcId advance(ArcId arc, std::uint32_t pkt) {
     Pkt& packet = sim.kernel_.packet(pkt);
     packet.cur = topo.arc_target(arc);
     packet.hop_count =
@@ -216,12 +219,12 @@ struct TopologyGreedySim::Router {
       packet.target = packet.final_dest;
     }
     if (sim.fault_active_ && stranded(packet.cur, packet.hop_count)) {
-      return kDropFault;
+      return kDropArc;
     }
     return next_arc(packet.cur, packet.target);
   }
 
-  void commit(double now, std::uint32_t pkt, std::uint32_t next) {
+  void commit(double now, std::uint32_t pkt, ArcId next) {
     if (next == kDeliver) {
       const Pkt& packet = sim.kernel_.packet(pkt);
       const double stretch =
@@ -235,9 +238,9 @@ struct TopologyGreedySim::Router {
     forward(now, pkt, next, /*external=*/false);
   }
 
-  /// Enqueues the packet on `arc`, or drops it on kDropFault.
+  /// Enqueues the packet on `arc`, or drops it on kDropArc.
   void forward(double now, std::uint32_t pkt, ArcId arc, bool external) {
-    if (arc == kDropFault) {
+    if (arc == kDropArc) {
       sim.kernel_.drop_faulty(now, pkt);
       return;
     }
@@ -303,9 +306,6 @@ struct TopologyGreedySim::Router {
   }
 };
 
-static_assert(kDropFault == kDropArc,
-              "a reroute's kDropArc is advance()'s kDropFault");
-
 void TopologyGreedySim::run(double warmup, double horizon) {
   with_concrete_topology(net_.topology(), [&](const auto& topo) {
     Router<std::decay_t<decltype(topo)>> router{*this, topo};
@@ -324,8 +324,8 @@ enum class Routing : std::uint8_t { kGreedy, kValiant, kButterfly };
 CompiledScenario compile_routing(const Scenario& s, Routing routing) {
   const bool valiant = routing == Routing::kValiant;
   const bool butterfly = routing == Routing::kButterfly;
-  // SchemeInfo::check has admitted the topology, workload, fault and
-  // backend knobs; the permutation table and the trace are built here, so
+  // SchemeInfo::check has admitted the topology, workload and fault
+  // knobs; the permutation table and the trace are built here, so
   // their errors too surface before the worker fan-out.
   const std::string family = butterfly ? "butterfly" : s.topology_spec().name;
   const auto perm = s.shared_permutation_table();
@@ -334,7 +334,6 @@ CompiledScenario compile_routing(const Scenario& s, Routing routing) {
   const FaultPolicy fault_policy = s.faults_active()
                                        ? parse_fault_policy(s.fault_policy)
                                        : FaultPolicy::kNone;
-  const KernelBackend backend = parse_kernel_backend(s.backend);
   // §3.4's slots divide the unit service time; any other tau would fail
   // the simulator's precondition inside a worker.
   const double slots = s.tau > 0.0 ? 1.0 / s.tau : 0.0;
@@ -350,8 +349,8 @@ CompiledScenario compile_routing(const Scenario& s, Routing routing) {
   const bool max_queue = perm != nullptr && !valiant;
 
   CompiledScenario compiled;
-  compiled.replicate = [s, routing, max_queue, window, fault_policy, backend,
-                        perm, replay, law](std::uint64_t seed, int) {
+  compiled.replicate = [s, routing, max_queue, window, fault_policy, perm,
+                        replay, law](std::uint64_t seed, int) {
     TopologyRoutingConfig config;
     config.spec = s.topology_spec();
     // "native" is the butterfly here.
@@ -363,7 +362,6 @@ CompiledScenario compile_routing(const Scenario& s, Routing routing) {
     config.slot = s.tau;  // 0 under valiant (SchemeInfo::check)
     config.valiant = routing == Routing::kValiant;
     config.buffer_capacity = s.buffer_capacity;
-    config.backend = backend;
     // Greedy permutation runs track occupancy for max_queue.
     config.track_occupancy = max_queue;
     // Tail metrics (delay_p50/p99) come from the delay histogram.
@@ -455,7 +453,6 @@ void register_hypercube_greedy_scheme(SchemeRegistry& registry) {
                 .workloads = {"bit_flip", "uniform", "general", "trace",
                               "permutation"},
                 .fault_policies = {"drop", "skip_dim", "deflect", "adaptive"},
-                .backends = {"soa_batch"},
                 .keys = {"tau", "buffers", "ttl", "storm_rate", "storm_radius",
                          "storm_duration", "fault_policy"}});
 }
@@ -484,7 +481,6 @@ void register_butterfly_greedy_scheme(SchemeRegistry& registry) {
        .topologies = {"butterfly"},
        .workloads = {"bit_flip", "uniform", "general", "trace", "permutation"},
        .fault_policies = {"drop", "twin_detour"},
-       .backends = {"soa_batch"},
        .keys = {"tau", "fault_policy"}});
 }
 

@@ -24,10 +24,7 @@
 /// queueing/levelled_network.hpp + core/equivalence.hpp, and the test suite
 /// checks that the two agree.  Three arrival modes: continuous (per-node
 /// Poisson), slotted (§3.4: Poisson(lambda*slot) per node at k*slot) and
-/// trace replay.  On the hypercube and the butterfly, slotted greedy also
-/// runs on the kernel's batched drive loop (backend=soa_batch) with
-/// bit-identical results: one Router serves both loops, its hop written
-/// once as advance() + commit().
+/// trace replay.
 ///
 /// What each scheme accepts on which family is its SchemeInfo capability
 /// row, checked by the engine before compiling (core/registry.hpp); those
@@ -39,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "des/kernel_backend.hpp"
 #include "des/packet_kernel.hpp"
 #include "fault/fault_model.hpp"
 #include "stats/little.hpp"
@@ -91,10 +87,6 @@ struct TopologyRoutingConfig {
   ArcServiceOrder service_order = ArcServiceOrder::kFifo;
   /// Greedy: dimension-order ablation (paper: increasing).
   DimensionOrder dimension_order = DimensionOrder::kIncreasing;
-  /// Greedy: the kernel's drive loop.  kSoaBatch (the batched loop) needs
-  /// slotted time, no trace, FIFO service and a static fault set; its
-  /// results are bit-identical to kScalar (tests/test_kernel_parity).
-  KernelBackend backend = KernelBackend::kScalar;
   /// Greedy: track a time-weighted occupancy per occupancy group of the
   /// topology (per node; per level on the butterfly).
   bool track_occupancy = false;
@@ -245,9 +237,8 @@ class TopologyGreedySim {
     double gen_time = 0.0;
   };
 
-  /// The kernel hooks of both drive loops (on_spawn / on_traced /
-  /// on_arc_done / advance / commit), templated on the concrete topology
-  /// type (routing/topology_greedy.cpp).
+  /// The kernel hooks (on_spawn / on_traced / on_arc_done), templated on
+  /// the concrete topology type (routing/topology_greedy.cpp).
   template <typename Topo>
   struct Router;
 

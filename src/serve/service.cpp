@@ -5,6 +5,7 @@
 #include <sstream>
 #include <vector>
 
+#include "core/registry.hpp"
 #include "obs/metrics.hpp"
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
@@ -114,11 +115,23 @@ QueryService::QueryResult QueryService::query_impl(const Scenario& scenario) {
   }
   qr.key = ResultCache::key(qr.scenario);
 
+  // Cache hits need no check: every entry came from a checked computation
+  // or a checked store hit below.
   if (cache_.lookup(qr.key, &qr.result)) {
     qr.ok = true;
     qr.source = "cache";
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.cache_hits;
+    return qr;
+  }
+  // A stored record may predate a capability row that now rejects its
+  // knobs: check before answering from the store.
+  try {
+    SchemeRegistry::instance().check(qr.scenario);
+  } catch (const std::exception& error) {
+    qr.error = error.what();
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.errors;
     return qr;
   }
   if (options_.store != nullptr && options_.store->fetch(qr.key, &qr.result)) {

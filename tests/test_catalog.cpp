@@ -36,8 +36,7 @@ TEST(Catalog, CoversRegistryAndKeysExactly) {
     EXPECT_EQ(row.columns[0], info.topologies);
     EXPECT_EQ(row.columns[1], info.workloads);
     EXPECT_EQ(row.columns[2], info.fault_policies);
-    EXPECT_EQ(row.columns[3].front(), "scalar");
-    EXPECT_EQ(row.columns[4], info.keys);
+    EXPECT_EQ(row.columns[3], info.keys);
   }
 
   const auto& keys = Scenario::keys();
@@ -77,7 +76,7 @@ TEST(Catalog, RenderersEmitAllSections) {
   for (const auto* needle :
        {"\"schemes\"", "\"capabilities\"", "\"set_keys\"", "\"topologies\"", "\"workloads\"",
         "\"permutations\"",
-        "\"fault_policies\"", "\"backends\"", "\"sweep_keys\"", "\"cli_flags\"",
+        "\"fault_policies\"", "\"sweep_keys\"", "\"cli_flags\"",
         "\"hypercube_greedy\"", "\"bit_reversal\"", "\"hotspot_frac\"",
         "\"ring_chords\"", "\"torus_dims\"",
         "\"--grid key=a:b[:s]\"", "\"--jsonl PATH\""}) {
@@ -90,7 +89,6 @@ TEST(Catalog, RenderersEmitAllSections) {
        "## `--set` keys",
         "## Topologies", "## Workloads", "## Permutation families",
         "## Fault policies",
-        "## Kernel backends", "`soa_batch`",
         "## Sweep keys", "## Campaign CLI", "`valiant_mixing`",
         "`random_permutation`", "`--grid key=a:b[:s]`", "`--cells`"}) {
     EXPECT_NE(markdown.find(needle), std::string::npos) << needle;

@@ -84,9 +84,6 @@ TEST(Deflection, ConfigValidation) {
   TopologyRoutingConfig decreasing = make_config(4, 0.2, 0.5, 1);
   decreasing.dimension_order = DimensionOrder::kDecreasing;
   EXPECT_THROW(DeflectionSim sim(decreasing), ContractViolation);
-  TopologyRoutingConfig soa = make_config(4, 0.2, 0.5, 1);
-  soa.backend = KernelBackend::kSoaBatch;
-  EXPECT_THROW(DeflectionSim sim(soa), ContractViolation);
 }
 
 }  // namespace

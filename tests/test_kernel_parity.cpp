@@ -107,6 +107,31 @@ TEST(KernelParity, HypercubeSlotted) {
        0x1.c91eb851eb852p+4, 0x1.0cp+6, 0x1.be68p+13});
 }
 
+// tau = 0.2: five slot controls per unit service time, so most service
+// completions land exactly on a slot tick and tie with its control — the
+// (time, seq) tie the other slotted pins (tau = 0.5 and 1) rarely reach.
+// Captured by tools/capture_parity.
+TEST(KernelParity, HypercubeSlottedTickBoundary) {
+  TopologyRoutingConfig config =
+      cube_config(5, 0.8, DestinationDistribution::bit_flip(5, 0.5), 77);
+  config.slot = 0.2;
+  TopologyGreedySim sim(config);
+  sim.run(25.0, 325.0);
+  const KernelStats& stats = sim.kernel_stats();
+  expect_exact(
+      {sim.delay().mean(), sim.delay().max(), sim.hops().mean(),
+       sim.time_avg_population(), stats.peak_population(),
+       sim.final_population(),
+       static_cast<double>(stats.deliveries_in_window()),
+       static_cast<double>(stats.arrivals_in_window()), sim.throughput(),
+       sim.little_check().relative_error(),
+       static_cast<double>(sim.arc_counters()[3].total_arrivals),
+       static_cast<double>(sim.arc_counters()[3].external_arrivals)},
+      {0x1.98694d1871e9ap+1, 0x1.8cccccccccdp+3, 0x1.40ce4de6bfcbfp+1,
+       0x1.496508dfea349p+6, 0x1.c8p+6, 0x1.84p+6, 0x1.dc8p+12, 0x1.e29p+12,
+       0x1.969d0369d036ap+4, 0x1.6e9e7db1aefb2p-9, 0x1.ep+6, 0x1.ep+6});
+}
+
 TEST(KernelParity, HypercubeTraceReplay) {
   const auto dist = DestinationDistribution::uniform(5);
   const PacketTrace trace = generate_hypercube_trace(5, 0.8, dist, 400.0, 21);
@@ -387,8 +412,7 @@ TEST(KernelParity, ButterflyFaultPathAtZeroRateIsBitIdentical) {
 // Twin detours at a live fault rate (arc and node faults): a detoured
 // packet keeps its wrong row bit and is fault-dropped at the exit level.
 // Captured by tools/capture_parity from the butterfly's former native
-// simulator; continuous, and slotted under both backends against the same
-// literals.
+// simulator; continuous and slotted.
 TEST(KernelParity, ButterflyTwinDetourPinned) {
   TopologyRoutingConfig config =
       butterfly_config(6, 0.6, DestinationDistribution::bit_flip(6, 0.4), 43);
@@ -414,15 +438,11 @@ TEST(KernelParity, ButterflyTwinDetourPinned) {
                 0x1.5d7p+12, 0x1.9f5p+13, 0x1.dcp+7, 0x1.87c05b6530f1cp+5,
                 0x1.54p+6});
   config.slot = 1.0;
-  for (const KernelBackend backend :
-       {KernelBackend::kScalar, KernelBackend::kSoaBatch}) {
-    config.backend = backend;
-    expect_exact(run_pinned(config),
-                 {0x1.ca6eed9d6e76ap+2, 0x1.2eafd1087f4dap+1,
-                  0x1.1b6872b020c4ap+8, 0x1.a83126e978d5p+4,
-                  0x1.66d6aa0d96ce7p-1, 0x1p+0, 0x1.61ap+12, 0x1.9e4p+13,
-                  0x1.03p+8, 0x1.ad9db22d0e56p+5, 0x1.4p+6});
-  }
+  expect_exact(run_pinned(config),
+               {0x1.ca6eed9d6e76ap+2, 0x1.2eafd1087f4dap+1,
+                0x1.1b6872b020c4ap+8, 0x1.a83126e978d5p+4,
+                0x1.66d6aa0d96ce7p-1, 0x1p+0, 0x1.61ap+12, 0x1.9e4p+13,
+                0x1.03p+8, 0x1.ad9db22d0e56p+5, 0x1.4p+6});
 }
 
 TEST(KernelParity, ValiantMixingFaultPathAtZeroRateIsBitIdentical) {
@@ -601,63 +621,6 @@ TEST(KernelParity, TopologyTorus3D) {
        0x1.f4fp+13});
 }
 
-// --- soa_batch backend pins ----------------------------------------------
-//
-// The batch backend replays the slotted suites above against the *same*
-// hexfloat pins: same event order, same RNG consumption, same floating-
-// point arithmetic, different execution engine.  A batch-order bug that
-// slips past the cross-backend equality tests (tests/test_kernel_backend)
-// would still have to reproduce these frozen constants bit for bit.
-
-TEST(KernelParity, HypercubeSlottedSoaBatch) {
-  TopologyRoutingConfig config =
-      cube_config(5, 0.9, DestinationDistribution::bit_flip(5, 0.4), 3);
-  config.slot = 0.5;
-  config.backend = KernelBackend::kSoaBatch;
-  TopologyGreedySim sim(config);
-  sim.run(40.0, 540.0);
-  expect_exact(
-      {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
-       sim.throughput(), sim.final_population(),
-       static_cast<double>(sim.kernel_stats().deliveries_in_window())},
-      {0x1.3c437449e7e1ep+1, 0x1.fdebd231b667p+0, 0x1.1bbe76c8b4396p+6,
-       0x1.c91eb851eb852p+4, 0x1.0cp+6, 0x1.be68p+13});
-}
-
-TEST(KernelParity, ButterflySlottedSoaBatch) {
-  TopologyRoutingConfig config =
-      butterfly_config(4, 0.7, DestinationDistribution::uniform(4), 5);
-  config.slot = 1.0;
-  config.backend = KernelBackend::kSoaBatch;
-  TopologyGreedySim sim(config);
-  sim.run(20.0, 520.0);
-  expect_exact(
-      {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
-       sim.throughput(),
-       static_cast<double>(sim.kernel_stats().deliveries_in_window())},
-      {0x1.2e75dcc147709p+2, 0x1.01415fb12c26fp+1, 0x1.9bc6a7ef9db23p+5,
-       0x1.59db22d0e5604p+3, 0x1.51cp+12});
-}
-
-// The fault-aware routing path (policy attached, all rates zero) must stay
-// invisible under the batch backend too.
-TEST(KernelParity, HypercubeSlottedSoaBatchFaultPathAtZeroRateIsBitIdentical) {
-  TopologyRoutingConfig config =
-      cube_config(5, 0.9, DestinationDistribution::bit_flip(5, 0.4), 3);
-  config.slot = 0.5;
-  config.fault_policy = FaultPolicy::kSkipDim;
-  config.backend = KernelBackend::kSoaBatch;
-  TopologyGreedySim sim(config);
-  sim.run(40.0, 540.0);
-  expect_exact(
-      {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
-       sim.throughput(), sim.final_population(),
-       static_cast<double>(sim.kernel_stats().deliveries_in_window())},
-      {0x1.3c437449e7e1ep+1, 0x1.fdebd231b667p+0, 0x1.1bbe76c8b4396p+6,
-       0x1.c91eb851eb852p+4, 0x1.0cp+6, 0x1.be68p+13});
-  EXPECT_EQ(sim.kernel_stats().fault_drops_in_window(), 0u);
-}
-
 // --- fault-storm and adaptive-policy pins --------------------------------
 //
 // Captured from tools/capture_parity.cpp when the storm process and the
@@ -724,34 +687,6 @@ TEST(KernelParity, ValiantStormAdaptivePinned) {
       {0x1.14a54f963b133p+3, 0x1.a1574f212232ep+2, 0x1.3b1ae2555d27p+7,
        0x1.146a7ef9db22dp+4, 0x1.cc1e41695c93ep-1, 0x1.189216ef22c5ep+0,
        0x1.e7p+9, 0x1.0dfp+13});
-}
-
-// The adaptive policy is the one reroute policy the soa_batch backend also
-// supports under a *static* fault set; it must agree with scalar bit for
-// bit (the cross-backend contract of tests/test_kernel_backend.cpp, pinned
-// here at a live fault rate).
-TEST(KernelParity, HypercubeSlottedAdaptiveSoaBatchMatchesScalar) {
-  TopologyRoutingConfig config =
-      cube_config(5, 0.9, DestinationDistribution::bit_flip(5, 0.4), 3);
-  config.slot = 0.5;
-  config.fault_policy = FaultPolicy::kAdaptive;
-  config.arc_fault_rate = 0.1;
-  TopologyGreedySim scalar(config);
-  scalar.run(40.0, 540.0);
-  config.backend = KernelBackend::kSoaBatch;
-  TopologyGreedySim batch(config);
-  batch.run(40.0, 540.0);
-  const KernelStats& batch_stats = batch.kernel_stats();
-  const KernelStats& scalar_stats = scalar.kernel_stats();
-  expect_exact(
-      {batch.delay().mean(), batch.hops().mean(), batch.time_avg_population(),
-       batch.throughput(), batch_stats.delivery_ratio(),
-       batch_stats.mean_stretch(),
-       static_cast<double>(batch_stats.fault_drops_in_window())},
-      {scalar.delay().mean(), scalar.hops().mean(),
-       scalar.time_avg_population(), scalar.throughput(),
-       scalar_stats.delivery_ratio(), scalar_stats.mean_stretch(),
-       static_cast<double>(scalar_stats.fault_drops_in_window())});
 }
 
 // --- external trace-file replay pins -------------------------------------

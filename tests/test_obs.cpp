@@ -228,14 +228,13 @@ TEST(Trace, ArgsLandInTheExportedJson) {
 
 // ------------------------------------------- tracing never perturbs results
 
-/// A cheap campaign covering the continuous kernel, the slotted batch
-/// path, and the butterfly shape — the surfaces tracing instruments.
+/// A cheap campaign covering the continuous and slotted kernel and the
+/// butterfly shape — the surfaces tracing instruments.
 Campaign traced_parity_campaign() {
   Campaign campaign("traced_parity");
   for (const char* text :
        {"hypercube_greedy d=5 rho=0.6 measure=200 reps=3 seed=31",
-        "hypercube_greedy d=4 rho=0.5 tau=1 measure=200 reps=2 seed=32 "
-        "backend=soa_batch",
+        "hypercube_greedy d=4 rho=0.5 tau=1 measure=200 reps=2 seed=32",
         "butterfly_greedy d=4 rho=0.4 measure=200 reps=2 seed=33",
         "valiant_mixing d=4 rho=0.3 measure=200 reps=2 seed=34"}) {
     campaign.add(Scenario::parse_text(text));

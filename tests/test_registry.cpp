@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "des/kernel_backend.hpp"
 #include "topology/topology.hpp"
 
 namespace routesim {
@@ -117,13 +116,6 @@ TEST(SchemeRegistry, CapabilityMatrixMatchesCompile) {
       variants.push_back(
           {{policy, s, info.fault_policies.empty() ? "fault_rate" : "fault_policy"},
            lists(info.fault_policies, policy)});
-    }
-    for (const std::string& backend : kernel_backend_names()) {
-      Scenario s = tiny_scenario(name);
-      if (lists(info.keys, "tau")) s.set("tau", "1");
-      s.set("backend", backend);
-      variants.push_back({{backend, s, "backend"},
-                          backend == "scalar" || lists(info.backends, backend)});
     }
     for (const std::string& key : SchemeRegistry::scheme_keys()) {
       Scenario s = tiny_scenario(name);

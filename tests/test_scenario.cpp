@@ -260,15 +260,6 @@ TEST(Scenario, SchemeCheckResolvesAndRejectsTopologies) {
 TEST(Scenario, GenericTopologyRunsRejectUnsupportedFeatures) {
   const auto compile = [](const Scenario& scenario) { return run(scenario); };
 
-  Scenario soa;
-  soa.scheme = "hypercube_greedy";
-  soa.set("topology", "ring");
-  soa.set("workload", "uniform");
-  soa.set("backend", "soa_batch");
-  soa.set("tau", "1");
-  soa.measure = 50.0;
-  EXPECT_THROW((void)compile(soa), ScenarioError);
-
   Scenario faulty;
   faulty.scheme = "hypercube_greedy";
   faulty.set("topology", "ring");

@@ -97,6 +97,40 @@ TEST(QueryService, StoreAnswersAcrossRestart) {
   EXPECT_EQ(stats.computed, 0u);
 }
 
+// A record stored under a knob its scheme's capability row rejects
+// (fanout on hypercube_greedy, say from an older build) is never answered:
+// the engine and the query service check a scenario before they fetch it.
+TEST(QueryService, StoreRecordsAreCheckedBeforeTheyAreAnswered) {
+  const std::string path = temp_store("rejected.jsonl");
+  const std::string text = std::string(kTinyText) + " fanout=2";
+  {
+    ResultStore store(path);
+    ASSERT_TRUE(store.ok()) << store.error();
+    store.put(Scenario::parse_text(text).resolved(),
+              run(Scenario::parse_text(kTinyText)));
+  }
+  ResultStore store(path);
+  ASSERT_TRUE(store.ok());
+  ASSERT_EQ(store.size(), 1u);
+
+  EngineOptions options;
+  options.store = &store;
+  try {
+    (void)Engine(options).run_one(Scenario::parse_text(text));
+    FAIL() << "the engine answered a rejected scenario from the store";
+  } catch (const ScenarioError& error) {
+    EXPECT_NE(std::string(error.what()).find("fanout"), std::string::npos)
+        << error.what();
+  }
+
+  QueryService service({0, &store});
+  const auto qr = service.query_text(text);
+  EXPECT_FALSE(qr.ok);
+  EXPECT_NE(qr.error.find("fanout"), std::string::npos) << qr.error;
+  EXPECT_EQ(service.stats().store_hits, 0u);
+  EXPECT_EQ(service.stats().errors, 1u);
+}
+
 TEST(ResultCacheKey, TraceFileContentIsHashedIntoTheKey) {
   const std::string path = temp_store("trace_key.jsonl");
   {

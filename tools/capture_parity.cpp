@@ -68,6 +68,28 @@ int main() {
           static_cast<double>(sim.kernel_stats().deliveries_in_window())});
   }
   {
+    // tau = 0.2: five slot controls per unit service time, so most service
+    // completions land exactly on a slot tick and tie with its control.
+    TopologyRoutingConfig c;
+    c.spec.d = 5;
+    c.lambda = 0.8;
+    c.destinations = DestinationDistribution::bit_flip(5, 0.5);
+    c.seed = 77;
+    c.slot = 0.2;
+    TopologyGreedySim sim(c);
+    sim.run(25.0, 325.0);
+    const KernelStats& stats = sim.kernel_stats();
+    emit("hypercube_tick_boundary",
+         {sim.delay().mean(), sim.delay().max(), sim.hops().mean(),
+          sim.time_avg_population(), stats.peak_population(),
+          sim.final_population(),
+          static_cast<double>(stats.deliveries_in_window()),
+          static_cast<double>(stats.arrivals_in_window()), sim.throughput(),
+          sim.little_check().relative_error(),
+          static_cast<double>(sim.arc_counters()[3].total_arrivals),
+          static_cast<double>(sim.arc_counters()[3].external_arrivals)});
+  }
+  {
     const auto dist = DestinationDistribution::uniform(5);
     const PacketTrace trace = generate_hypercube_trace(5, 0.8, dist, 400.0, 21);
     TopologyRoutingConfig c;
@@ -156,37 +178,30 @@ int main() {
           static_cast<double>(sim.kernel_stats().deliveries_in_window())});
   }
   for (const double slot : {0.0, 1.0}) {
-    // Twin detours at a live fault rate, continuous and slotted on both
-    // backends: misrouted packets are fault-dropped at the exit level.
-    for (const KernelBackend backend :
-         {KernelBackend::kScalar, KernelBackend::kSoaBatch}) {
-      if (slot == 0.0 && backend == KernelBackend::kSoaBatch) continue;
-      TopologyRoutingConfig c;
-      c.spec.name = "butterfly";
-      c.spec.d = 6;
-      c.lambda = 0.6;
-      c.destinations = DestinationDistribution::bit_flip(6, 0.4);
-      c.seed = 43;
-      c.slot = slot;
-      c.backend = backend;
-      c.track_occupancy = true;
-      c.fault_policy = FaultPolicy::kTwinDetour;
-      c.arc_fault_rate = 0.05;
-      c.node_fault_rate = 0.01;
-      TopologyGreedySim sim(c);
-      sim.run(50.0, 550.0);
-      const KernelStats& stats = sim.kernel_stats();
-      emit(slot == 0.0 ? "butterfly_twin_detour_continuous"
-                       : (backend == KernelBackend::kScalar
-                              ? "butterfly_twin_detour_slotted"
-                              : "butterfly_twin_detour_slotted_soa"),
-           {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
-            sim.throughput(), stats.delivery_ratio(), stats.mean_stretch(),
-            static_cast<double>(stats.fault_drops_in_window()),
-            static_cast<double>(stats.deliveries_in_window()),
-            static_cast<double>(sim.arc_counters()[70].total_arrivals),
-            stats.occupancy_means()[2], stats.max_occupancy()});
-    }
+    // Twin detours at a live fault rate, continuous and slotted: misrouted
+    // packets are fault-dropped at the exit level.
+    TopologyRoutingConfig c;
+    c.spec.name = "butterfly";
+    c.spec.d = 6;
+    c.lambda = 0.6;
+    c.destinations = DestinationDistribution::bit_flip(6, 0.4);
+    c.seed = 43;
+    c.slot = slot;
+    c.track_occupancy = true;
+    c.fault_policy = FaultPolicy::kTwinDetour;
+    c.arc_fault_rate = 0.05;
+    c.node_fault_rate = 0.01;
+    TopologyGreedySim sim(c);
+    sim.run(50.0, 550.0);
+    const KernelStats& stats = sim.kernel_stats();
+    emit(slot == 0.0 ? "butterfly_twin_detour_continuous"
+                     : "butterfly_twin_detour_slotted",
+         {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
+          sim.throughput(), stats.delivery_ratio(), stats.mean_stretch(),
+          static_cast<double>(stats.fault_drops_in_window()),
+          static_cast<double>(stats.deliveries_in_window()),
+          static_cast<double>(sim.arc_counters()[70].total_arrivals),
+          stats.occupancy_means()[2], stats.max_occupancy()});
   }
   {
     TopologyRoutingConfig c;
