@@ -352,6 +352,11 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
   std::optional<obs::TraceSpan> compile_span(std::in_place, trace,
                                              "campaign.compile", "engine");
   for (std::size_t i = 0; i < campaign.size(); ++i) {
+    // One span per cell, so a trace shows whose set-up (a trace file's
+    // load, a topology's build) holds the pool back.
+    obs::TraceSpan cell_span(
+        trace, "cell.compile", "engine",
+        trace != nullptr ? "{\"cell\":" + std::to_string(i) + "}" : std::string());
     const CampaignCell& cell = campaign.cells()[i];
     Scenario resolved = cell.scenario.resolved();
     const auto& info = SchemeRegistry::instance().check(resolved);

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/registry.hpp"
 #include "obs/metrics.hpp"
 #include "util/assert.hpp"
 #include "util/atomic_file.hpp"
@@ -317,6 +318,7 @@ void ResultStore::persist(const std::string& key, const Scenario& scenario,
 
 void ResultStore::put(const Scenario& scenario, const RunResult& result) {
   const Scenario resolved = scenario.resolved();
+  (void)SchemeRegistry::instance().check(resolved);
   persist(ResultCache::key(resolved), resolved, result);
 }
 

@@ -100,7 +100,10 @@ class ResultStore final : public ResultBackend {
   void persist(const std::string& key, const Scenario& scenario,
                const RunResult& result) override;
 
-  /// persist() with the key derived from the scenario (ResultCache::key).
+  /// persist() with the key derived from the scenario (ResultCache::key),
+  /// once the scenario passed its scheme's SchemeRegistry::check: a
+  /// scenario the row rejects throws that ScenarioError and writes
+  /// nothing.  persist() itself appends whatever it is given.
   void put(const Scenario& scenario, const RunResult& result);
 
   /// Key-presence probe without copying the result (no hit/miss counting).

@@ -1,6 +1,7 @@
 #include "util/json_parse.hpp"
 
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <system_error>
@@ -14,6 +15,65 @@ const Value* Value::find(std::string_view key) const {
     if (member.first == key) found = &member.second;
   }
   return found;
+}
+
+NumberScan scan_number(const char* first, const char* last) {
+  const auto is_digit = [last](const char* p) {
+    return p < last && *p >= '0' && *p <= '9';
+  };
+  NumberScan scan;
+  const char* p = first;
+  if (p < last && *p == '-') ++p;
+  const char* const integer = p;
+  std::uint64_t integer_value = 0;  // wraps past 19 digits; read only up to 15
+  while (is_digit(p)) {
+    integer_value = integer_value * 10 + static_cast<unsigned>(*p++ - '0');
+  }
+  if (p == integer) {
+    scan.end = first;
+    scan.error = "expected a value";
+    return scan;
+  }
+  if (p - integer > 1 && *integer == '0') {
+    scan.end = first;
+    scan.error = "leading zero in number";
+    return scan;
+  }
+  // Up to 15 digits an integer is exact in a double, which is what any
+  // correctly rounding conversion returns; only the others need one.
+  if (p - integer <= 15 && (p == last || (*p != '.' && *p != 'e' && *p != 'E'))) {
+    const auto value = static_cast<double>(integer_value);
+    scan.value = *first == '-' ? -value : value;
+    scan.end = p;
+    return scan;
+  }
+  if (p < last && *p == '.') {
+    const char* const fraction = ++p;
+    while (is_digit(p)) ++p;
+    if (p == fraction) {
+      scan.end = p;
+      scan.error = "digits required after decimal point";
+      return scan;
+    }
+  }
+  if (p < last && (*p == 'e' || *p == 'E')) {
+    ++p;
+    if (p < last && (*p == '+' || *p == '-')) ++p;
+    const char* const exponent = p;
+    while (is_digit(p)) ++p;
+    if (p == exponent) {
+      scan.end = p;
+      scan.error = "digits required in exponent";
+      return scan;
+    }
+  }
+  // Out of range (overflow to inf, underflow to 0) from_chars leaves the
+  // value untouched; strtod then gives the ±inf / ±0 it always gave.
+  if (std::from_chars(first, p, scan.value).ec == std::errc::result_out_of_range) {
+    scan.value = std::strtod(std::string(first, p).c_str(), nullptr);
+  }
+  scan.end = p;
+  return scan;
 }
 
 namespace {
@@ -109,54 +169,12 @@ class Parser {
   }
 
   bool parse_number(Value* out) {
-    // Validate the JSON number grammar first (strtod accepts more: hex,
-    // "inf", leading '+', ...), then convert the exact same span with
-    // strtod so fmt_shortest() emissions round-trip bit-identically.
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    std::size_t digits = 0;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      ++pos_;
-      ++digits;
-    }
-    if (digits == 0) {
-      pos_ = start;
-      return fail("expected a value");
-    }
-    if (digits > 1 && text_[start + (text_[start] == '-' ? 1u : 0u)] == '0') {
-      pos_ = start;
-      return fail("leading zero in number");
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      std::size_t fraction = 0;
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-        ++fraction;
-      }
-      if (fraction == 0) return fail("digits required after decimal point");
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
-      std::size_t exponent = 0;
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-        ++exponent;
-      }
-      if (exponent == 0) return fail("digits required in exponent");
-    }
-    // from_chars rounds correctly, as glibc's strtod does, so the two agree
-    // bit for bit.  Out of range (overflow to inf, underflow to 0) it leaves
-    // `number` untouched; strtod then gives the ±inf / ±0 it always gave.
-    const char* first = text_.data() + start;
-    const char* last = text_.data() + pos_;
-    double number = 0.0;
-    if (std::from_chars(first, last, number).ec == std::errc::result_out_of_range) {
-      number = std::strtod(std::string(first, last).c_str(), nullptr);
-    }
+    const char* const base = text_.data();
+    const NumberScan scan = scan_number(base + pos_, base + text_.size());
+    pos_ = static_cast<std::size_t>(scan.end - base);
+    if (scan.error != nullptr) return fail(scan.error);
     out->type = Value::Type::kNumber;
-    out->number = number;
+    out->number = scan.value;
     return true;
   }
 

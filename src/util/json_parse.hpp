@@ -9,13 +9,10 @@
 /// recursive-descent parser over the full JSON grammar — objects preserve
 /// key order (the store round-trips extras vectors in order), and any
 /// syntax error is reported with a character offset instead of throwing.
-/// Numbers are checked against the JSON grammar and the same span is then
-/// converted with std::from_chars, which rounds correctly and so gives the
-/// double strtod gives, bit for bit: every fmt_shortest() emission
-/// round-trips to the identical double.  Only out of range (overflow to
-/// ±inf, underflow to ±0) does the span go through strtod, for the ±inf /
-/// ±0 it returns.  It is *not* a general-purpose JSON API: no DOM
-/// mutation, no serialisation (the emitters own that side).
+/// Numbers are read by scan_number(), so every fmt_shortest() emission
+/// round-trips to the identical double.  It is *not* a general-purpose
+/// JSON API: no DOM mutation, no serialisation (the emitters own that
+/// side).
 
 #include <cstddef>
 #include <string>
@@ -50,6 +47,26 @@ struct Value {
   /// Duplicate keys resolve to the last occurrence.
   [[nodiscard]] const Value* find(std::string_view key) const;
 };
+
+/// One number read by scan_number().  On success `error` is null, `end`
+/// points one past the number's last character and `value` holds it; on
+/// failure `error` names the broken grammar rule and `end` points where
+/// the parser reports it.
+struct NumberScan {
+  double value = 0.0;
+  const char* end = nullptr;
+  const char* error = nullptr;
+};
+
+/// Reads the JSON number that starts at `first` (it ends at the first
+/// character the grammar cannot extend it with, or at `last`).  The span
+/// is checked against the JSON grammar (strtod accepts more: hex, "inf",
+/// a leading '+', ...) and then converted with std::from_chars, which
+/// rounds correctly and so gives the double strtod gives, bit for bit.
+/// Only out of range (overflow to ±inf, underflow to ±0) does the span go
+/// through strtod, for the ±inf / ±0 it returns.  parse() reads every
+/// number through this; the trace loader's fast path calls it directly.
+[[nodiscard]] NumberScan scan_number(const char* first, const char* last);
 
 /// Parses one complete JSON document from `text` (leading/trailing
 /// whitespace allowed, nothing else may follow).  Returns false and fills

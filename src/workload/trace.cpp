@@ -1,9 +1,14 @@
 #include "workload/trace.hpp"
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 #include "util/assert.hpp"
 #include "util/json.hpp"
@@ -62,44 +67,122 @@ PacketTrace generate_fixed_destination_trace(int d, double lambda,
 
 namespace {
 
-[[noreturn]] void trace_line_error(const std::string& path, std::size_t line,
-                                   const std::string& reason) {
-  std::ostringstream os;
-  os << "trace file '" << path << "' line " << line << ": " << reason;
-  throw std::invalid_argument(os.str());
-}
+/// Turns the lines of one trace file into packets.  A line in the layout
+/// save_trace_jsonl writes, {"t":N,"src":N,"dst":N}, is read in place;
+/// any other line goes through json::parse.  Both readers hand their
+/// numbers to the same checks, in the order they report, so a record
+/// loads to the same packet or fails with the same message whichever
+/// reader took it.
+class TraceLineReader {
+ public:
+  TraceLineReader(const std::string& path, int d, PacketTrace* trace)
+      : path_(path), nodes_(std::uint64_t{1} << d), trace_(trace) {}
 
-/// Extracts a required numeric field, rejecting non-finite values.
-double trace_number(const std::string& path, std::size_t line,
-                    const json::Value& record, const char* key) {
-  const json::Value* field = record.find(key);
-  if (field == nullptr) {
-    trace_line_error(path, line, std::string("missing field \"") + key + "\"");
+  /// Reads the next line (as std::getline splits it, without its '\n').
+  void line(const char* first, const char* last) {
+    ++line_number_;
+    if (first == last) return;
+    double fields[3];
+    if (read_canonical(first, last, fields)) {
+      trace_->packets.push_back(TracedPacket{time(fields[0]),
+                                             identity("src", fields[1]),
+                                             identity("dst", fields[2])});
+      return;
+    }
+    text_.assign(first, last);
+    if (!json::parse(text_, &record_, &error_)) fail(error_);
+    if (!record_.is_object()) fail("expected a JSON object");
+    trace_->packets.push_back(TracedPacket{
+        time(number_field("t")), identity("src", number_field("src")),
+        identity("dst", number_field("dst"))});
   }
-  if (!field->is_number()) {
-    trace_line_error(path, line,
-                     std::string("field \"") + key + "\" is not a number");
-  }
-  if (!std::isfinite(field->number)) {
-    trace_line_error(path, line,
-                     std::string("field \"") + key + "\" is not finite");
-  }
-  return field->number;
-}
 
-NodeId trace_identity(const std::string& path, std::size_t line,
-                      const json::Value& record, const char* key,
-                      std::uint64_t nodes) {
-  const double value = trace_number(path, line, record, key);
-  if (value < 0.0 || value != std::floor(value) ||
-      value >= static_cast<double>(nodes)) {
+ private:
+  /// Matches the canonical layout's bytes exactly, numbers read by the
+  /// JSON reader's own number routine; false on anything else.
+  static bool read_canonical(const char* p, const char* last,
+                             double (&fields)[3]) {
+    return skip(p, last, "{\"t\":") && number(p, last, &fields[0]) &&
+           skip(p, last, ",\"src\":") && number(p, last, &fields[1]) &&
+           skip(p, last, ",\"dst\":") && number(p, last, &fields[2]) &&
+           skip(p, last, "}") && p == last;
+  }
+
+  template <std::size_t N>
+  static bool skip(const char*& p, const char* last, const char (&literal)[N]) {
+    if (static_cast<std::size_t>(last - p) < N - 1 ||
+        std::memcmp(p, literal, N - 1) != 0) {
+      return false;
+    }
+    p += N - 1;
+    return true;
+  }
+
+  static bool number(const char*& p, const char* last, double* out) {
+    const json::NumberScan scan = json::scan_number(p, last);
+    *out = scan.value;
+    p = scan.end;
+    return scan.error == nullptr;
+  }
+
+  [[noreturn]] void fail(const std::string& reason) const {
     std::ostringstream os;
-    os << "field \"" << key << "\" must be an integer in [0, " << nodes
-       << "), got " << fmt_shortest(value);
-    trace_line_error(path, line, os.str());
+    os << "trace file '" << path_ << "' line " << line_number_ << ": " << reason;
+    throw std::invalid_argument(os.str());
   }
-  return static_cast<NodeId>(value);
-}
+
+  double number_field(const char* key) const {
+    const json::Value* field = record_.find(key);
+    if (field == nullptr) {
+      fail(std::string("missing field \"") + key + "\"");
+    }
+    if (!field->is_number()) {
+      fail(std::string("field \"") + key + "\" is not a number");
+    }
+    return field->number;
+  }
+
+  void require_finite(const char* key, double value) const {
+    if (!std::isfinite(value)) {
+      fail(std::string("field \"") + key + "\" is not finite");
+    }
+  }
+
+  double time(double value) {
+    require_finite("t", value);
+    if (value < 0.0) fail("time is negative");
+    if (value < previous_time_) {
+      std::ostringstream os;
+      os << "times must be non-decreasing (" << fmt_shortest(value)
+         << " after " << fmt_shortest(previous_time_) << ")";
+      fail(os.str());
+    }
+    previous_time_ = value;
+    return value;
+  }
+
+  NodeId identity(const char* key, double value) const {
+    require_finite(key, value);
+    if (value < 0.0 || value != std::floor(value) ||
+        value >= static_cast<double>(nodes_)) {
+      std::ostringstream os;
+      os << "field \"" << key << "\" must be an integer in [0, " << nodes_
+         << "), got " << fmt_shortest(value);
+      fail(os.str());
+    }
+    return static_cast<NodeId>(value);
+  }
+
+  const std::string& path_;
+  const std::uint64_t nodes_;
+  PacketTrace* const trace_;
+  std::size_t line_number_ = 0;
+  double previous_time_ = 0.0;
+  // The JSON reader's line, record and error, reused across lines.
+  std::string text_;
+  json::Value record_;
+  std::string error_;
+};
 
 }  // namespace
 
@@ -121,46 +204,61 @@ void save_trace_jsonl(const PacketTrace& trace, const std::string& path) {
 
 PacketTrace load_trace_jsonl(const std::string& path, int d) {
   RS_EXPECTS(d >= 1 && d <= 26);
-  std::ifstream in(path);
-  if (!in) {
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
+  if (!file) {
     throw std::runtime_error("trace file '" + path + "': cannot open");
   }
-  const std::uint64_t nodes = std::uint64_t{1} << d;
   PacketTrace trace;
   trace.dimension = d;
-  // One line buffer and one parsed record for the whole file: once warm,
-  // a line costs no allocation beyond its packet.
-  std::string line;
-  json::Value record;
-  std::string error;
-  std::size_t line_number = 0;
-  double previous_time = 0.0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty()) continue;
-    if (!json::parse(line, &record, &error)) {
-      trace_line_error(path, line_number, error);
+  // The shortest record, {"t":0,"src":0,"dst":0} and its newline, is 24
+  // bytes, so this bound never reallocates; the pages past the last
+  // packet are never touched.
+  std::error_code size_error;
+  const std::uintmax_t bytes = std::filesystem::file_size(path, size_error);
+  if (!size_error) trace.packets.reserve(bytes / 24 + 1);
+
+  // The file streams through one fixed buffer; a line cut by the buffer's
+  // end moves to its front, and only a line longer than the whole buffer
+  // is gathered in `long_line`.
+  constexpr std::size_t kBufferBytes = 64 * 1024;
+  const std::unique_ptr<char[]> buffer(new char[kBufferBytes]);
+  std::string long_line;
+  std::size_t held = 0;  // bytes of an unfinished line at the buffer's front
+  TraceLineReader reader(path, d, &trace);
+  for (;;) {
+    const std::size_t got =
+        std::fread(buffer.get() + held, 1, kBufferBytes - held, file.get());
+    if (got == 0) break;
+    const char* p = buffer.get();
+    const char* const end = p + held + got;
+    while (const auto* newline = static_cast<const char*>(
+               std::memchr(p, '\n', static_cast<std::size_t>(end - p)))) {
+      if (long_line.empty()) {
+        reader.line(p, newline);
+      } else {
+        long_line.append(p, newline);
+        reader.line(long_line.data(), long_line.data() + long_line.size());
+        long_line.clear();
+      }
+      p = newline + 1;
     }
-    if (!record.is_object()) {
-      trace_line_error(path, line_number, "expected a JSON object");
+    held = static_cast<std::size_t>(end - p);
+    if (!long_line.empty() || held == kBufferBytes) {
+      long_line.append(p, held);
+      held = 0;
+    } else {
+      std::memmove(buffer.get(), p, held);
     }
-    const double time = trace_number(path, line_number, record, "t");
-    if (time < 0.0) {
-      trace_line_error(path, line_number, "time is negative");
-    }
-    if (time < previous_time) {
-      std::ostringstream os;
-      os << "times must be non-decreasing (" << fmt_shortest(time)
-         << " after " << fmt_shortest(previous_time) << ")";
-      trace_line_error(path, line_number, os.str());
-    }
-    previous_time = time;
-    trace.packets.push_back(TracedPacket{
-        time, trace_identity(path, line_number, record, "src", nodes),
-        trace_identity(path, line_number, record, "dst", nodes)});
   }
-  if (in.bad()) {
+  if (std::ferror(file.get()) != 0) {
     throw std::runtime_error("trace file '" + path + "': read failed");
+  }
+  // The last line may end without a newline.
+  if (!long_line.empty()) {
+    reader.line(long_line.data(), long_line.data() + long_line.size());
+  } else if (held > 0) {
+    reader.line(buffer.get(), buffer.get() + held);
   }
   return trace;
 }

@@ -64,7 +64,10 @@ void save_trace_jsonl(const PacketTrace& trace, const std::string& path);
 /// network: every line must be a JSON object with finite numeric "t"
 /// (non-negative, non-decreasing across lines) and integer "src"/"dst"
 /// in [0, 2^d).  Throws std::runtime_error when the file cannot be read
-/// and std::invalid_argument naming the offending line otherwise.
+/// and std::invalid_argument naming the offending line otherwise.  The
+/// file streams through one fixed buffer; a line in save_trace_jsonl's
+/// exact layout is read without building a JSON tree, any other line goes
+/// through json::parse, with the same values and errors either way.
 [[nodiscard]] PacketTrace load_trace_jsonl(const std::string& path, int d);
 
 /// FNV-1a 64-bit hash of the file's raw bytes; 0 when the file cannot be

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -19,6 +21,7 @@
 
 #include "core/scenario.hpp"
 #include "store/result_store.hpp"
+#include "util/json.hpp"
 #include "util/json_parse.hpp"
 #include "util/rng.hpp"
 #include "workload/trace.hpp"
@@ -185,6 +188,128 @@ std::string join_lines(Rng& rng, const std::vector<std::string>& lines,
   return content;
 }
 
+/// The trace loader's documented rules written the plain way, as the
+/// differential reference: std::getline splits the file and json::parse
+/// reads every non-empty line, which must be an object with a finite
+/// number "t" (>= 0, non-decreasing) and integer numbers "src"/"dst" in
+/// [0, 2^d).  Returns the packets, or the exception's type and message.
+struct TraceOutcome {
+  std::vector<TracedPacket> packets;
+  std::string error;
+};
+
+TraceOutcome reference_trace_load(const std::string& path, int d) {
+  TraceOutcome outcome;
+  std::ifstream in(path);
+  if (!in) return {{}, "runtime_error: trace file '" + path + "': cannot open"};
+  const double nodes = std::ldexp(1.0, d);
+  std::size_t line_number = 0;
+  double previous = 0.0;
+  const auto fail = [&](const std::string& reason) {
+    return TraceOutcome{{}, "invalid_argument: trace file '" + path + "' line " +
+                                std::to_string(line_number) + ": " + reason};
+  };
+  for (std::string line; std::getline(in, line);) {
+    ++line_number;
+    if (line.empty()) continue;
+    json::Value record;
+    std::string error;
+    if (!json::parse(line, &record, &error)) return fail(error);
+    if (!record.is_object()) return fail("expected a JSON object");
+    double values[3];
+    const char* const keys[3] = {"t", "src", "dst"};
+    for (int i = 0; i < 3; ++i) {
+      const std::string key = keys[i];
+      const json::Value* field = record.find(key);
+      if (field == nullptr) return fail("missing field \"" + key + "\"");
+      if (!field->is_number()) return fail("field \"" + key + "\" is not a number");
+      const double value = field->number;
+      if (!std::isfinite(value)) return fail("field \"" + key + "\" is not finite");
+      if (i == 0) {
+        if (value < 0.0) return fail("time is negative");
+        if (value < previous) {
+          return fail("times must be non-decreasing (" + fmt_shortest(value) +
+                      " after " + fmt_shortest(previous) + ")");
+        }
+        previous = value;
+      } else if (value < 0.0 || value != std::floor(value) || value >= nodes) {
+        return fail("field \"" + key + "\" must be an integer in [0, " +
+                    std::to_string(static_cast<std::uint64_t>(nodes)) + "), got " +
+                    fmt_shortest(value));
+      }
+      values[i] = value;
+    }
+    outcome.packets.push_back(TracedPacket{values[0], static_cast<NodeId>(values[1]),
+                                           static_cast<NodeId>(values[2])});
+  }
+  if (in.bad()) return {{}, "runtime_error: trace file '" + path + "': read failed"};
+  return outcome;
+}
+
+/// Loads `content` through load_trace_jsonl and the reference and checks
+/// that both give bit-identical packets or the identical error.  Returns
+/// whether the file loaded.
+bool expect_trace_matches_reference(const std::string& path,
+                                    const std::string& content) {
+  write_file(path, content);
+  TraceOutcome loaded;
+  try {
+    loaded.packets = load_trace_jsonl(path, 4).packets;
+  } catch (const std::invalid_argument& e) {
+    loaded.error = std::string("invalid_argument: ") + e.what();
+  } catch (const std::runtime_error& e) {
+    loaded.error = std::string("runtime_error: ") + e.what();
+  }
+  const TraceOutcome reference = reference_trace_load(path, 4);
+  EXPECT_EQ(loaded.error, reference.error) << content.substr(0, 400);
+  EXPECT_EQ(loaded.packets.size(), reference.packets.size()) << content.substr(0, 400);
+  if (loaded.error != reference.error ||
+      loaded.packets.size() != reference.packets.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < loaded.packets.size(); ++i) {
+    const TracedPacket& a = loaded.packets[i];
+    const TracedPacket& b = reference.packets[i];
+    EXPECT_EQ(std::memcmp(&a.time, &b.time, sizeof a.time), 0)
+        << "packet " << i << ": " << a.time << " vs " << b.time;
+    EXPECT_EQ(a.origin, b.origin) << "packet " << i;
+    EXPECT_EQ(a.destination, b.destination) << "packet " << i;
+  }
+  return reference.error.empty();
+}
+
+/// Lines at the edges of the number grammar and the record layout.
+std::vector<std::string> trace_edge_lines() {
+  return {
+      R"({"t":-0,"src":-0,"dst":0})",
+      R"({"t":1e-400,"src":0,"dst":1})",
+      R"({"t":1e400,"src":0,"dst":1})",
+      R"({"t":0.5,"src":1e400,"dst":1})",
+      R"({"t":01,"src":0,"dst":1})",
+      R"({"t":1.,"src":0,"dst":1})",
+      R"({"t":.5,"src":0,"dst":1})",
+      R"({"t":1E+2,"src":0,"dst":1})",
+      R"({"t":2,"src":1.5,"dst":1})",
+      R"({"t":-1,"src":16,"dst":0})",
+      R"({"t":0,"src":16,"dst":-1})",
+      R"({"t":1e400,"src":0.5,"dst":0})",
+      R"({"t":2,"src":3,"dst":16})",
+      R"({"t":"2","src":3,"dst":4})",
+      "{\"t\":3,\"src\":1,\"dst\":2}\r",
+      R"({"t":3,"src":1,"dst":2}  )",
+      R"( {"t":3,"src":1,"dst":2})",
+      R"({"t": 3,"src":1,"dst":2})",
+      R"({"src":1,"t":3,"dst":2})",
+      R"({"t":3,"src":1,"dst":2,"dst":5})",
+      R"({"t":3,"t":3.5,"src":1,"dst":2})",
+      R"({"t":3,"src":1,"dst":2,"x":[null]})",
+      R"({"t":3,"src":1})",
+      R"({"t":3,"src":1,"dst":2}})",
+      R"([3,1,2])",
+      "",
+  };
+}
+
 // ------------------------------------------------------------------ targets
 
 TEST(Fuzz, JsonParseAcceptsOrReportsAnOffset) {
@@ -246,6 +371,84 @@ TEST(Fuzz, TraceLoaderReturnsOrNamesALine) {
   std::remove(path.c_str());
   EXPECT_GT(loaded, 0u);
   EXPECT_LT(loaded, static_cast<std::size_t>(kMutants));
+}
+
+TEST(Fuzz, TraceLoaderMatchesTheJsonParseReference) {
+  const std::string path = ::testing::TempDir() + "fuzz_trace_reference.jsonl";
+  std::vector<std::string> lines = trace_corpus();
+  for (std::string& line : trace_edge_lines()) lines.push_back(std::move(line));
+  Rng rng(0xF028);
+  std::vector<std::string> files;
+  for (int i = 0; i < 24; ++i) {
+    std::string file = join_lines(rng, lines, 1 + rng.uniform_below(6));
+    if (rng.bernoulli(0.5)) file.pop_back();  // no final newline
+    files.push_back(std::move(file));
+  }
+  // Every seed file as it is, then mutants of them.
+  std::size_t loaded = 0;
+  for (const std::string& file : files) {
+    loaded += expect_trace_matches_reference(path, file) ? 1 : 0;
+  }
+  Mutator mutator(0xF029, files);
+  constexpr int kMutants = 3000;
+  for (int i = 0; i < kMutants; ++i) {
+    loaded += expect_trace_matches_reference(path, mutator.next()) ? 1 : 0;
+    if (HasFailure()) break;
+  }
+  std::remove(path.c_str());
+  EXPECT_GT(loaded, 0u);
+  EXPECT_LT(loaded, static_cast<std::size_t>(kMutants));
+}
+
+TEST(Fuzz, TraceLoaderMatchesTheReferenceAcrossBufferBoundaries) {
+  // The loader streams through a 64 KiB buffer: these files cross it
+  // mid-line, end a line on its last byte, and hold lines longer than it.
+  constexpr std::size_t kBuffer = 64 * 1024;
+  const std::string path = ::testing::TempDir() + "fuzz_trace_boundary.jsonl";
+  std::string canonical;
+  {
+    const std::string seed_path = ::testing::TempDir() + "fuzz_trace_boundary_seed.jsonl";
+    save_trace_jsonl(generate_hypercube_trace(4, 2.0, DestinationDistribution::uniform(4),
+                                              400.0, 9),
+                     seed_path);
+    canonical = read_file(seed_path);
+    std::remove(seed_path.c_str());
+  }
+  ASSERT_GT(canonical.size(), 2 * kBuffer);
+  // A line of every length around the buffer's size, at time `t`, padded
+  // inside the record (not canonical) or inside its time (canonical).
+  const auto padded_line = [](const std::string& t, std::size_t length,
+                              bool canonical_layout) {
+    const std::string head = R"({"t":)" + t;
+    const std::string tail = R"(,"src":1,"dst":2})";
+    const std::size_t padding = length - head.size() - tail.size() - 2;
+    return canonical_layout ? head + ".0" + std::string(padding, '0') + tail
+                            : head + std::string(padding + 2, ' ') + tail;
+  };
+  std::size_t loaded = 0;
+  for (const std::size_t length : {kBuffer - 2, kBuffer - 1, kBuffer, kBuffer + 1}) {
+    for (const bool canonical_layout : {false, true}) {
+      const std::string first = padded_line("0", length, canonical_layout);
+      const std::string last = padded_line("400", length, canonical_layout);
+      ASSERT_EQ(first.size(), length);
+      loaded += expect_trace_matches_reference(path, first + "\n" + canonical) ? 1 : 0;
+      loaded += expect_trace_matches_reference(path, canonical + last) ? 1 : 0;
+      loaded += expect_trace_matches_reference(path, first) ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(loaded, 24u);
+  // Mutants of a multi-buffer file whose middle line is padded past the
+  // buffer's length.
+  const std::size_t middle = canonical.find('\n', canonical.size() / 2) + 1;
+  const std::string big = canonical.substr(0, middle + 1) +
+                          std::string(kBuffer + 100, ' ') + canonical.substr(middle + 1);
+  EXPECT_TRUE(expect_trace_matches_reference(path, big));
+  Mutator mutator(0xF02A, {big});
+  for (int i = 0; i < 40; ++i) {
+    (void)expect_trace_matches_reference(path, mutator.next());
+    if (HasFailure()) break;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Fuzz, ResultStoreLoadsAndReplaysAnyFile) {

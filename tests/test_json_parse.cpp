@@ -137,8 +137,16 @@ TEST(JsonParse, NumberBitsEqualStrtodOnAMillionTokens) {
                      (rng.bernoulli(0.5) ? "-" : "+") +
                      std::to_string(rng.uniform_below(320)));
   }
+  for (int i = 0; i < 100'000; ++i) {
+    // Plain integers of 1 to 20 digits, across the 15 digits up to which
+    // the reader converts them without from_chars.
+    std::string integer = random_digits(rng, 1 + rng.uniform_below(20));
+    if (integer[0] == '0') integer = "0";
+    tokens.push_back((rng.bernoulli(0.5) ? "-" : "") + integer);
+  }
   const std::vector<std::string> edges = {
-      "0", "-0", "-0.0", "0e999999999", "-0E-999999999", "1e400", "-1e400",
+      "0", "-0", "999999999999999", "-999999999999999", "1000000000000000",
+      "9999999999999999", "-0.0", "0e999999999", "-0E-999999999", "1e400", "-1e400",
       "1e-400", "-1e-400", "2.4e-324", "-2.4e-324", "2.5e-324",
       "2.4703282292062327e-324", "2.4703282292062328e-324", "4.9e-324",
       "5e-324", "2.2250738585072011e-308", "2.2250738585072014e-308",

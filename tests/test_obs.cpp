@@ -266,8 +266,9 @@ TEST(Trace, TracedCampaignIsBitIdenticalToUntraced) {
   // The traced run actually recorded the engine and kernel span taxonomy.
   const auto events = check_trace_contract(session);
   ASSERT_FALSE(events.empty());
-  for (const char* name : {"campaign.run", "campaign.compile", "worker",
-                           "replication", "cell.assemble", "kernel.drive"}) {
+  for (const char* name : {"campaign.run", "campaign.compile", "cell.compile",
+                           "worker", "replication", "cell.assemble",
+                           "kernel.drive"}) {
     EXPECT_TRUE(has_event(events, name)) << name;
   }
 }

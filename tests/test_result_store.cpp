@@ -177,6 +177,19 @@ TEST(ResultStore, DropsTruncatedFinalRecord) {
   EXPECT_EQ(reloaded.load_stats().skipped_garbage, 1u);
 }
 
+TEST(ResultStore, PutWritesNothingForAScenarioItsSchemeRejects) {
+  const std::string path = temp_store("rejected_put.jsonl");
+  ResultStore store(path);
+  ASSERT_TRUE(store.ok()) << store.error();
+  Scenario rejected = sample_scenario();
+  rejected.set("fanout", "2");  // a multicast knob the greedy row lacks
+  EXPECT_THROW(store.put(rejected, sample_result()), ScenarioError);
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(read_file(path), "");
+  store.put(sample_scenario(), sample_result());
+  EXPECT_EQ(store.size(), 1u);
+}
+
 TEST(ResultStore, SkipsInterleavedGarbageLines) {
   const std::string path = temp_store("garbage.jsonl");
   const std::string record =
