@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/driver.hpp"
+#include "topology/topology.hpp"
 #include "workload/permutation.hpp"
 
 namespace {
@@ -53,10 +54,12 @@ int main(int argc, char** argv) {
                               "closed form", "hcube max"});
   std::vector<std::uint64_t> bitrev_max;
   for (const int d : {4, 6, 8, 10}) {
+    const routesim::ButterflyTopology butterfly(d);
+    const routesim::HypercubeTopology hypercube(d);
     for (const auto& family : Permutation::names()) {
       const Permutation perm = Permutation::by_name(family, d, 0.1, 808);
-      const auto bfly = routesim::butterfly_greedy_congestion(d, perm.table());
-      const auto cube = routesim::hypercube_greedy_congestion(d, perm.table());
+      const auto bfly = routesim::topology_greedy_congestion(butterfly, perm.table());
+      const auto cube = routesim::topology_greedy_congestion(hypercube, perm.table());
       const bool is_bitrev = family == "bit_reversal";
       if (is_bitrev) bitrev_max.push_back(bfly.max_load);
       congestion.add_row(
@@ -89,8 +92,8 @@ int main(int argc, char** argv) {
   {
     // The in-family control: a random permutation's congestion stays far
     // below sqrt(N) (O(d) with high probability).
-    const auto random10 = routesim::butterfly_greedy_congestion(
-        10, Permutation::random(10, 808).table());
+    const auto random10 = routesim::topology_greedy_congestion(
+        routesim::ButterflyTopology(10), Permutation::random(10, 808).table());
     suite.checker().require(
         2 * random10.max_load <= routesim::butterfly_bit_reversal_max_congestion(10),
         "d=10: random-permutation congestion is at most half the "

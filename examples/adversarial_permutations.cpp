@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "core/scenario.hpp"
+#include "topology/topology.hpp"
 #include "workload/permutation.hpp"
 
 int main() {
@@ -22,10 +23,11 @@ int main() {
   std::printf("%4s %6s %14s %14s %14s\n", "d", "N", "bit_reversal",
               "closed form", "random perm");
   for (const int d : {4, 6, 8, 10}) {
+    const ButterflyTopology bfly(d);
     const auto bitrev =
-        butterfly_greedy_congestion(d, Permutation::bit_reversal(d).table());
+        topology_greedy_congestion(bfly, Permutation::bit_reversal(d).table());
     const auto random =
-        butterfly_greedy_congestion(d, Permutation::random(d, 1).table());
+        topology_greedy_congestion(bfly, Permutation::random(d, 1).table());
     std::printf("%4d %6u %14llu %14llu %14llu\n", d, 1u << d,
                 static_cast<unsigned long long>(bitrev.max_load),
                 static_cast<unsigned long long>(

@@ -84,30 +84,25 @@ Scenario Scenario::resolved() const {
 }
 
 double Scenario::default_rho() const {
-  if (uses_generic_topology()) {
-    const auto topo = compiled_topology();
-    if (workload == "permutation") {
-      const auto table = permutation_table();
-      if (table.size() != topo->num_nodes()) {
-        throw ScenarioError(
-            "workload=permutation needs a topology with 2^d nodes; topology=" +
-            topology + " has " + std::to_string(topo->num_nodes()) +
-            " (permutation families index 2^d sources)");
-      }
-      return lambda * static_cast<double>(
-                          topology_greedy_congestion(*topo, table).max_load);
-    }
-    // The stability condition of the uniform-destination experiment:
-    // lambda times the heaviest per-arc utilisation per unit rate.
-    return lambda * topo->uniform_load_per_lambda();
-  }
   if (workload == "permutation") {
     // Every packet of source x follows the fixed greedy path to pi(x), so
     // the heaviest arc carries lambda * max_load — the exact utilisation
-    // for hypercube_greedy and a worst-case proxy for the other schemes.
+    // for the greedy schemes and a worst-case proxy for the others.
+    const auto topo = compiled_topology();
     const auto table = permutation_table();
+    if (table.size() != topo->traffic_layout().num_sources) {
+      throw ScenarioError(
+          "workload=permutation needs a topology with 2^d nodes; topology=" +
+          topology + " has " + std::to_string(topo->num_nodes()) +
+          " (permutation families index 2^d sources)");
+    }
     return lambda * static_cast<double>(
-                        hypercube_greedy_congestion(d, table).max_load);
+                        topology_greedy_congestion(*topo, table).max_load);
+  }
+  if (uses_generic_topology()) {
+    // The stability condition of the uniform-destination experiment:
+    // lambda times the heaviest per-arc utilisation per unit rate.
+    return lambda * compiled_topology()->uniform_load_per_lambda();
   }
   if (workload == "general" && !mask_pmf.empty()) {
     check_mask_pmf_matches_d(mask_pmf, d);
@@ -510,7 +505,7 @@ const std::vector<ScenarioKey>& Scenario::keys() {
       {.name = "fanout", .type = "int", .sweepable = true,
        .doc = "multicast destinations per packet / batch_greedy packets per "
               "node",
-       .set = [](S& s, V v) { s.fanout = integer(v); },
+       .set = [](S& s, V v) { s.fanout = at_least(integer(v), 1); },
        .get = [](const S& s) { return text(s.fanout); }},
       {.name = "unicast_baseline", .type = "int",
        .doc = "multicast: 1 sends fanout independent unicasts instead of a "

@@ -3,25 +3,27 @@
 /// \brief The shared packet-simulation kernel under every packet-level
 ///        routing simulator.
 ///
-/// All six routing simulators (greedy hypercube, greedy butterfly,
-/// deflection, multicast, pipelined baseline, Valiant mixing) used to carry
-/// private copies of the same machinery: a packet store with a free list,
-/// per-arc FIFO queues with windowed counters, the Poisson / slotted /
-/// trace arrival process, warmup-window accounting, population / delay /
-/// hops accumulators, optional occupancy and delay-histogram tracking, and
-/// the Little's-law harvest.  The paper's coupled comparisons (Props.
-/// 12-17) only mean something when every scheme runs on *identical*
-/// arrival and measurement machinery, so that machinery lives here once:
+/// Every packet-level routing simulator runs on this one machinery: a
+/// packet store with a free list, per-arc FIFO queues with windowed
+/// counters, the Poisson / slotted / trace arrival process, warmup-window
+/// accounting, population / delay / hops accumulators, optional occupancy
+/// and delay-histogram tracking, and the Little's-law harvest.  The
+/// paper's coupled comparisons (Props. 12-17) only mean something when
+/// every scheme runs on *identical* arrival and measurement machinery, so
+/// that machinery lives here once:
 ///
 ///   - `Pool<T>`         — index-based object pool with a free list;
 ///   - `Ring<T>`         — ring-buffer FIFO (the kernel's service-event
-///                         set, the levelled network's server queues);
+///                         ring; the levelled network's server queues);
 ///   - `KernelStats`     — measurement-window accounting and harvest;
 ///   - `PacketKernel<P>` — the core: event set, flat arc queues, arrival
-///                         process and the drive loop over them.
+///                         process and the drive loop over them, under
+///                         TopologyGreedySim, GreedyMulticastSim and the
+///                         static rounds' GreedyRound.
 ///
 /// A scheme plugs in through hooks called by drive():
-///   `on_spawn(t)`              sample origin/destination and inject;
+///   `on_spawn(t)`              sample origin/destination and inject
+///                              (optional for a trace-only scheme);
 ///   `on_traced(t, org, dst)`   inject one replayed packet (optional);
 ///   `on_arc_done(t, arc)`      finish the arc's service and advance its
 ///                              packet one hop.
@@ -660,7 +662,7 @@ class PacketKernel {
                              EventKind::kBirth);
           }
         } else {
-          scheme.on_spawn(t);
+          spawn(scheme, t);
           schedule_control(t + sample_exponential(rng_, config_.birth_rate),
                            EventKind::kBirth);
         }
@@ -670,7 +672,7 @@ class PacketKernel {
         RS_KERNEL_TRACE_ONLY(
             ++ktrace_slot_ticks; ktrace_slot_packets += batch;
             if (batch > ktrace_slot_batch_max) ktrace_slot_batch_max = batch;)
-        for (std::uint64_t i = 0; i < batch; ++i) scheme.on_spawn(t);
+        for (std::uint64_t i = 0; i < batch; ++i) spawn(scheme, t);
         schedule_control(t + config_.slot, EventKind::kSlot);
       }
     }
@@ -711,6 +713,16 @@ class PacketKernel {
   /// Software-pipelining distances of drive()'s prefetches, in events.
   static constexpr std::size_t kFar = 16;
   static constexpr std::size_t kNear = 8;
+
+  /// The scheme's on_spawn hook; a trace-only scheme has none.
+  template <typename Scheme>
+  static void spawn(Scheme& scheme, double t) {
+    if constexpr (requires { scheme.on_spawn(t); }) {
+      scheme.on_spawn(t);
+    } else {
+      RS_EXPECTS_MSG(false, "scheme has no spawn hook");
+    }
+  }
 
   /// Moves the packet i places behind the head to the head, keeping the
   /// others in order — the LIFO and random ablations' pick.  O(i).

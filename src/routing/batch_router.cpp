@@ -1,71 +1,63 @@
 #include "routing/batch_router.hpp"
 
 #include "core/registry.hpp"
-#include "util/bits.hpp"
-
-#include "des/event_queue.hpp"
 #include "util/assert.hpp"
+#include "util/bits.hpp"
 
 namespace routesim {
 
-namespace {
-
-struct BatchEv {
-  ArcId arc = 0;
-};
-
-}  // namespace
-
-BatchRoutingResult route_batch_greedy(const Hypercube& cube,
-                                      std::span<const BatchPacket> batch,
-                                      double start_time) {
-  BatchRoutingResult result;
-  result.completion_times.assign(batch.size(), start_time);
-  result.makespan = start_time;
-
-  struct Flight {
-    NodeId cur;
-    NodeId dest;
-  };
-  std::vector<Flight> flights(batch.size());
-  std::vector<std::vector<std::uint32_t>> arc_queue(cube.num_arcs());
-  std::vector<std::size_t> arc_head(cube.num_arcs(), 0);
-  EventQueue<BatchEv> events;
-
-  const auto enqueue = [&](double now, std::uint32_t idx) {
-    const auto& flight = flights[idx];
-    const int dim = lowest_dimension(flight.cur ^ flight.dest);
-    const ArcId arc = cube.arc_index(flight.cur, dim);
-    arc_queue[arc].push_back(idx);
-    if (arc_queue[arc].size() - arc_head[arc] == 1) {
-      events.push(now + 1.0, BatchEv{arc});
-    }
-  };
-
-  for (std::uint32_t i = 0; i < batch.size(); ++i) {
-    RS_EXPECTS(cube.valid_node(batch[i].origin) && cube.valid_node(batch[i].destination));
-    flights[i] = Flight{batch[i].origin, batch[i].destination};
-    if (batch[i].origin != batch[i].destination) enqueue(start_time, i);
+const BatchRoutingResult& GreedyRound::route(const HypercubeTopology& cube,
+                                             std::span<const BatchPacket> batch,
+                                             double start_time) {
+  cube_ = &cube;
+  result_.completion_times.assign(batch.size(), start_time);
+  result_.makespan = start_time;
+  next_index_ = 0;
+  in_flight_ = 0;
+  trace_.packets.clear();
+  for (const BatchPacket& packet : batch) {
+    RS_EXPECTS(packet.origin < cube.num_nodes() &&
+               packet.destination < cube.num_nodes());
+    trace_.packets.push_back({start_time, packet.origin, packet.destination});
   }
 
-  while (!events.empty()) {
-    const auto event = events.pop();
-    const double t = event.time;
-    const ArcId arc = event.payload.arc;
-    const std::uint32_t idx = arc_queue[arc][arc_head[arc]++];
-    if (arc_queue[arc].size() > arc_head[arc]) {
-      events.push(t + 1.0, BatchEv{arc});
-    }
-    Flight& flight = flights[idx];
-    flight.cur = flip_dimension(flight.cur, cube.arc_dimension(arc));
-    if (flight.cur == flight.dest) {
-      result.completion_times[idx] = t;
-      if (t > result.makespan) result.makespan = t;
-    } else {
-      enqueue(t, idx);
-    }
+  PacketKernelConfig config;
+  config.num_arcs = cube.num_arcs();
+  config.trace = &trace_;
+  kernel_.configure(config);
+  // Work bound: until the last delivery some arc is busy in every unit, and
+  // the batch needs at most batch.size() * diameter() arc services.
+  const double horizon =
+      start_time + static_cast<double>(batch.size()) * cube.diameter() + 1.0;
+  kernel_.drive(*this, start_time, horizon);
+  RS_ENSURES(in_flight_ == 0);
+  return result_;
+}
+
+void GreedyRound::on_traced(double now, NodeId origin, NodeId destination) {
+  const std::uint32_t index = next_index_++;
+  if (origin == destination) return;  // completes at start_time
+  const std::uint32_t id = kernel_.allocate_packet();
+  kernel_.packet(id) = Pkt{origin, destination, index};
+  ++in_flight_;
+  kernel_.enqueue(now, cube_->greedy_next_arc(origin, destination), id,
+                  /*external=*/true);
+}
+
+void GreedyRound::on_arc_done(double now, ArcId arc) {
+  const std::uint32_t id = kernel_.finish_arc(now, arc);
+  Pkt& packet = kernel_.packet(id);
+  packet.cur = cube_->arc_target(arc);
+  if (packet.cur != packet.dest) {
+    kernel_.enqueue(now, cube_->greedy_next_arc(packet.cur, packet.dest), id,
+                    /*external=*/false);
+    return;
   }
-  return result;
+  // A round's packet ids are never recycled: the next configure() clears
+  // the pool.
+  result_.completion_times[packet.index] = now;
+  if (now > result_.makespan) result_.makespan = now;
+  --in_flight_;
 }
 
 void register_batch_greedy_scheme(SchemeRegistry& registry) {
@@ -80,7 +72,7 @@ void register_batch_greedy_scheme(SchemeRegistry& registry) {
          const auto perm = s.shared_permutation_table();
          compiled.replicate = [s, perm, destinations = s.make_destinations()](
                                   std::uint64_t seed, int) {
-           const Hypercube cube(s.d);
+           const HypercubeTopology cube(s.d);
            Rng rng(seed);
            std::vector<BatchPacket> batch;
            batch.reserve(cube.num_nodes() * static_cast<std::size_t>(s.fanout));
@@ -94,7 +86,8 @@ void register_batch_greedy_scheme(SchemeRegistry& registry) {
                hops_total += static_cast<double>(hamming_distance(origin, dest));
              }
            }
-           const auto result = route_batch_greedy(cube, batch, 0.0);
+           GreedyRound round;
+           const BatchRoutingResult& result = round.route(cube, batch, 0.0);
            double completion_total = 0.0;
            for (const double t : result.completion_times) completion_total += t;
            const double n = static_cast<double>(batch.size());

@@ -7,13 +7,21 @@
 /// FIFO arc queues, and returns each packet's completion time.  This is the
 /// "one round" primitive of the §2.3 pipelined baseline (the first phase of
 /// the Valiant-Brebner permutation algorithm applied to the packets'
-/// actual destinations) and is also used by the static-routing tests.
+/// actual destinations) and of the batch_greedy scheme.
+///
+/// A round is the dynamic greedy scheme from a static start: the batch
+/// replays through the packet kernel as a trace with every record at the
+/// start time, in input order, each hop is HypercubeTopology::
+/// greedy_next_arc, and the kernel's FIFO arc queues and (time, seq) event
+/// order serve ties at an arc in input order.
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "topology/hypercube.hpp"
+#include "des/packet_kernel.hpp"
+#include "topology/topology.hpp"
+#include "workload/trace.hpp"
 
 namespace routesim {
 
@@ -31,12 +39,36 @@ struct BatchRoutingResult {
   double makespan = 0.0;
 };
 
-/// Runs one synchronous greedy round starting at start_time on an otherwise
-/// empty network.  Ties at an arc at the same instant are served in input
-/// order (the batch analogue of FIFO priority).
-[[nodiscard]] BatchRoutingResult route_batch_greedy(const Hypercube& cube,
-                                                    std::span<const BatchPacket> batch,
-                                                    double start_time);
+/// One synchronous greedy round on an otherwise empty network.  The kernel,
+/// the replayed trace and the result keep their storage across calls, so a
+/// caller running many rounds (the pipelined baseline) reuses one instance.
+class GreedyRound {
+ public:
+  /// Routes `batch` from `start_time`.  The result stays valid until the
+  /// next call.
+  const BatchRoutingResult& route(const HypercubeTopology& cube,
+                                  std::span<const BatchPacket> batch,
+                                  double start_time);
+
+  // --- kernel hooks (called by PacketKernel::drive) ---
+
+  void on_traced(double now, NodeId origin, NodeId destination);
+  void on_arc_done(double now, ArcId arc);
+
+ private:
+  struct Pkt {
+    NodeId cur = 0;
+    NodeId dest = 0;
+    std::uint32_t index = 0;  ///< position in the batch
+  };
+
+  const HypercubeTopology* cube_ = nullptr;
+  PacketKernel<Pkt> kernel_;
+  PacketTrace trace_;
+  BatchRoutingResult result_;
+  std::uint32_t next_index_ = 0;  ///< batch position of the next replayed record
+  std::size_t in_flight_ = 0;     ///< packets not yet at their destination
+};
 
 class SchemeRegistry;
 

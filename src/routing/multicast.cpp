@@ -3,6 +3,7 @@
 #include "core/registry.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -17,7 +18,7 @@ GreedyMulticastSim::GreedyMulticastSim(MulticastConfig config)
 
 void GreedyMulticastSim::reset(MulticastConfig config) {
   config_ = std::move(config);
-  cube_ = Hypercube(config_.d);
+  cube_ = HypercubeTopology(config_.d);
   configure_kernel();
 }
 
@@ -127,15 +128,15 @@ void GreedyMulticastSim::process_at_node(double now, std::uint32_t copy_index) {
     return;
   }
 
-  // Partition the remaining destinations by their next (lowest differing)
-  // dimension — the dimension-order multicast tree branches.
-  std::vector<std::pair<int, std::vector<NodeId>>> branches;
+  // Partition the remaining destinations by their greedy next arc — the
+  // dimension-order multicast tree branches.
+  std::vector<std::pair<ArcId, std::vector<NodeId>>> branches;
   for (const NodeId dest : dests) {
-    const int dim = lowest_dimension(cur ^ dest);
+    const ArcId arc = cube_.greedy_next_arc(cur, dest);
     auto it = std::find_if(branches.begin(), branches.end(),
-                           [dim](const auto& branch) { return branch.first == dim; });
+                           [arc](const auto& branch) { return branch.first == arc; });
     if (it == branches.end()) {
-      branches.emplace_back(dim, std::vector<NodeId>{dest});
+      branches.emplace_back(arc, std::vector<NodeId>{dest});
     } else {
       it->second.push_back(dest);
     }
@@ -146,15 +147,14 @@ void GreedyMulticastSim::process_at_node(double now, std::uint32_t copy_index) {
     const std::uint32_t forwarded = b == 0 ? copy_index : kernel_.allocate_packet();
     kernel_.packet(forwarded) = Copy{cur, std::move(branches[b].second), packet};
     if (b > 0) kernel_.stats().population().add(now, +1.0);
-    kernel_.enqueue(now, cube_.arc_index(cur, branches[b].first), forwarded,
-                    /*external=*/false);
+    kernel_.enqueue(now, branches[b].first, forwarded, /*external=*/false);
   }
 }
 
 void GreedyMulticastSim::on_arc_done(double now, ArcId arc) {
   const std::uint32_t copy_index = kernel_.finish_arc(now, arc);
   Copy& copy = kernel_.packet(copy_index);
-  copy.cur = flip_dimension(copy.cur, cube_.arc_dimension(arc));
+  copy.cur = cube_.arc_target(arc);
   PacketState& state = packet_pool_[copy.packet];
   if (state.counted) ++state.transmissions;
   process_at_node(now, copy_index);
@@ -171,6 +171,12 @@ void register_multicast_scheme(SchemeRegistry& registry) {
                   "per packet (§5; unicast_baseline=1 sends fanout "
                   "independent unicasts)",
        .compile = [](const Scenario& s) {
+         if (s.fanout < 1 || s.fanout > (1 << s.d)) {
+           throw ScenarioError("fanout=" + std::to_string(s.fanout) +
+                               " on multicast must be between 1 and 2^d = " +
+                               std::to_string(1 << s.d) +
+                               " (distinct destinations per packet)");
+         }
          CompiledScenario compiled;
          const auto perm = s.shared_permutation_table();
          const Window window = s.resolved_window();

@@ -7,9 +7,10 @@
 ///
 /// A packet carries a destination *set*.  At a node y holding destination
 /// set S, the scheme delivers the copy addressed to y (if y in S), splits
-/// the remainder by the lowest differing dimension of each destination
-/// (increasing index order, as in the unicast scheme), and forwards one
-/// copy per required outgoing arc carrying the matching subset.  The union
+/// the remainder by each destination's greedy next arc
+/// (HypercubeTopology::greedy_next_arc: the lowest differing dimension, as
+/// in the unicast scheme), and forwards one copy per required outgoing arc
+/// carrying the matching subset.  The union
 /// of the copies' trajectories is exactly the union of the canonical
 /// unicast paths — a dimension-ordered multicast tree — so a k-destination
 /// packet uses |tree| <= k * E[H] arcs, strictly fewer than k unicasts
@@ -25,7 +26,7 @@
 
 #include "des/packet_kernel.hpp"
 #include "stats/summary.hpp"
-#include "topology/hypercube.hpp"
+#include "topology/topology.hpp"
 #include "util/rng.hpp"
 
 namespace routesim {
@@ -105,7 +106,7 @@ class GreedyMulticastSim {
   void finish_packet_if_done(double now, std::uint32_t packet);
 
   MulticastConfig config_;
-  Hypercube cube_;
+  HypercubeTopology cube_;
   PacketKernel<Copy> kernel_;
   Pool<PacketState> packet_pool_;
 

@@ -2,7 +2,6 @@
 
 #include "core/registry.hpp"
 
-#include "routing/batch_router.hpp"
 #include "util/assert.hpp"
 #include "util/distributions.hpp"
 
@@ -16,7 +15,7 @@ void PipelinedBaselineSim::reset(PipelinedBaselineConfig config) {
   config_ = std::move(config);
   RS_EXPECTS(config_.lambda > 0.0);
   RS_EXPECTS(config_.destinations.dimension() == config_.d);
-  cube_ = Hypercube(config_.d);
+  cube_ = HypercubeTopology(config_.d);
   RS_EXPECTS_MSG(config_.fixed_destinations == nullptr ||
                      config_.fixed_destinations->size() == cube_.num_nodes(),
                  "fixed-destination table must have 2^d entries");
@@ -45,14 +44,15 @@ void PipelinedBaselineSim::run(double warmup, double horizon) {
   RS_EXPECTS(warmup >= 0.0 && warmup <= horizon);
   stats_.begin(warmup, horizon);
   double now = 0.0;
+  std::vector<BatchPacket> batch;
+  std::vector<double> gen_times;
 
   while (now < horizon) {
     generate_until(now);
 
     // Select one waiting packet per node (§2.3); record who waits.
-    std::vector<BatchPacket> batch;
-    std::vector<double> gen_times;
-    batch.reserve(cube_.num_nodes());
+    batch.clear();
+    gen_times.clear();
     for (NodeId node = 0; node < cube_.num_nodes(); ++node) {
       auto& queue = node_queue_[node];
       if (queue.empty()) continue;
@@ -67,7 +67,7 @@ void PipelinedBaselineSim::run(double warmup, double horizon) {
       continue;
     }
 
-    const BatchRoutingResult routed = route_batch_greedy(cube_, batch, now);
+    const BatchRoutingResult& routed = round_.route(cube_, batch, now);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       if (routed.completion_times[i] <= horizon) {
         stats_.record_delivery(routed.completion_times[i], gen_times[i], 0.0);

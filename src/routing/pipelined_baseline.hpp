@@ -15,16 +15,18 @@
 /// and the empirical round length (the paper's constant R is *measured*,
 /// not assumed).
 ///
-/// Round-stepped, so no event set is needed; delay / delivery accounting
-/// goes through the shared KernelStats of des/packet_kernel.hpp.
+/// Every round runs on one reused GreedyRound (routing/batch_router.hpp),
+/// i.e. on the packet kernel; delay / delivery accounting goes through the
+/// shared KernelStats of des/packet_kernel.hpp.
 
 #include <cstdint>
 #include <deque>
 #include <vector>
 
 #include "des/packet_kernel.hpp"
+#include "routing/batch_router.hpp"
 #include "stats/summary.hpp"
-#include "topology/hypercube.hpp"
+#include "topology/topology.hpp"
 #include "util/rng.hpp"
 #include "workload/destination.hpp"
 
@@ -83,10 +85,11 @@ class PipelinedBaselineSim {
   void generate_until(double t);
 
   PipelinedBaselineConfig config_;
-  Hypercube cube_{1};  ///< placeholder; reset() installs the real topology
+  HypercubeTopology cube_{1};  ///< placeholder; reset() installs the real topology
   Rng rng_;
   std::vector<std::deque<Waiting>> node_queue_;
   double next_birth_ = 0.0;
+  GreedyRound round_;
 
   KernelStats stats_;
   Summary round_length_;

@@ -472,9 +472,10 @@ void register_butterfly_greedy_scheme(SchemeRegistry& registry) {
                // Exact: every source row emits rate lambda down one fixed
                // path, so the heaviest arc carries lambda * max_load.
                const auto table = s.permutation_table();
-               return s.lambda *
-                      static_cast<double>(
-                          butterfly_greedy_congestion(s.d, table).max_load);
+               return s.lambda * static_cast<double>(
+                                     topology_greedy_congestion(
+                                         ButterflyTopology(s.d), table)
+                                         .max_load);
              }
              return bounds::bfly_load_factor({s.d, s.lambda, s.effective_p()});
            },

@@ -34,6 +34,9 @@ std::uint64_t poisson_ptrs(Rng& rng, double mean) {
   const double inv_alpha = 1.1239 + 1.1328 / (b - 3.4);
   const double v_r = 0.9277 - 3.6224 / (b - 2.0);
   const double log_mean = std::log(mean);
+  // lgamma_r, not std::lgamma: the same bits without the write to glibc's
+  // global signgam, which races when engine workers draw slotted batches.
+  int sign = 0;
 
   for (;;) {
     const double u = rng.uniform() - 0.5;
@@ -43,7 +46,7 @@ std::uint64_t poisson_ptrs(Rng& rng, double mean) {
     if (us >= 0.07 && v <= v_r) return static_cast<std::uint64_t>(k);
     if (k < 0.0 || (us < 0.013 && v > us)) continue;
     if (std::log(v * inv_alpha / (a / (us * us) + b)) <=
-        k * log_mean - mean - std::lgamma(k + 1.0)) {
+        k * log_mean - mean - ::lgamma_r(k + 1.0, &sign)) {
       return static_cast<std::uint64_t>(k);
     }
   }

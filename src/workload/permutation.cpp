@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "topology/butterfly.hpp"
-#include "topology/hypercube.hpp"
 #include "topology/topology.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -223,56 +221,20 @@ CongestionReport summarize_loads(const std::vector<std::uint64_t>& load) {
 
 }  // namespace
 
-CongestionReport hypercube_greedy_congestion(int d,
-                                             std::span<const NodeId> destination) {
-  const Hypercube cube(d);
-  RS_EXPECTS_MSG(destination.size() == cube.num_nodes(),
-                 "destination table must have 2^d entries");
-  std::vector<std::uint64_t> load(cube.num_arcs(), 0);
-  for (NodeId x = 0; x < cube.num_nodes(); ++x) {
-    NodeId cur = x;
-    const NodeId dest = destination[x];
-    while (cur != dest) {
-      const int dim = lowest_dimension(cur ^ dest);
-      ++load[cube.arc_index(cur, dim)];
-      cur = flip_dimension(cur, dim);
-    }
-  }
-  return summarize_loads(load);
-}
-
-CongestionReport butterfly_greedy_congestion(int d,
-                                             std::span<const NodeId> destination) {
-  const Butterfly bfly(d);
-  RS_EXPECTS_MSG(destination.size() == bfly.rows(),
-                 "destination table must have 2^d entries");
-  std::vector<std::uint64_t> load(bfly.num_arcs(), 0);
-  for (NodeId x = 0; x < bfly.rows(); ++x) {
-    NodeId row = x;
-    const NodeId dest = destination[x];
-    for (int level = 1; level <= d; ++level) {
-      const bool vertical = has_dimension(row ^ dest, level);
-      ++load[bfly.arc_index(row, level,
-                            vertical ? Butterfly::ArcKind::kVertical
-                                     : Butterfly::ArcKind::kStraight)];
-      if (vertical) row = flip_dimension(row, level);
-    }
-  }
-  return summarize_loads(load);
-}
-
 CongestionReport topology_greedy_congestion(const Topology& topo,
                                             std::span<const NodeId> destination) {
-  RS_EXPECTS_MSG(destination.size() == topo.num_nodes(),
-                 "destination table must have num_nodes entries");
+  const Topology::TrafficLayout layout = topo.traffic_layout();
+  RS_EXPECTS_MSG(destination.size() == layout.num_sources,
+                 "destination table must have one entry per source terminal");
   std::vector<std::uint64_t> load(topo.num_arcs(), 0);
-  for (NodeId x = 0; x < topo.num_nodes(); ++x) {
-    NodeId cur = x;
-    const NodeId dest = destination[x];
-    RS_EXPECTS_MSG(topo.metric(cur, dest) >= 0,
-                   "destination unreachable from its source");
-    while (cur != dest) {
-      const ArcId arc = topo.greedy_next_arc(cur, dest);
+  for (NodeId source = 0; source < layout.num_sources; ++source) {
+    NodeId cur = source;
+    const NodeId sink = layout.sink_base + destination[source];
+    RS_EXPECTS_MSG(destination[source] < layout.num_sources &&
+                       topo.metric(cur, sink) >= 0,
+                   "destination not a terminal reachable from its source");
+    while (cur != sink) {
+      const ArcId arc = topo.greedy_next_arc(cur, sink);
       ++load[arc];
       cur = topo.arc_target(arc);
     }

@@ -121,26 +121,16 @@ struct CongestionReport {
   std::uint64_t num_arcs = 0;   ///< arcs in the topology
 };
 
-/// Greedy (increasing dimension order) path system on the d-cube.
-/// `destination` must have 2^d entries; a source with destination == source
-/// contributes no arcs (delivered in place, as in the simulator).
-[[nodiscard]] CongestionReport hypercube_greedy_congestion(
-    int d, std::span<const NodeId> destination);
-
-/// The unique-path system on the d-dimensional butterfly: every source row
-/// crosses one arc per level (vertical exactly where source and destination
-/// rows differ), so each source contributes d arcs.
-[[nodiscard]] CongestionReport butterfly_greedy_congestion(
-    int d, std::span<const NodeId> destination);
-
 class Topology;
 
-/// The greedy path system of an arbitrary Topology (topology/topology.hpp):
-/// walk greedy_next_arc from every source to `destination[source]` and
-/// count per-arc path loads.  `destination` must have num_nodes() entries,
-/// each reachable from its source.  The ring's tornado permutation makes
-/// this Theta(n) while uniform traffic stays Theta(1) per unit rate — the
-/// generic-topology analogue of the hypercube's transpose collapse.
+/// The greedy path system of a Topology (topology/topology.hpp): walk
+/// greedy_next_arc from every source terminal t (traffic_layout()) to node
+/// sink_base + destination[t], each reachable, and count per-arc path
+/// loads; a packet for its own node uses no arc.  On the butterfly these
+/// are the unique level-by-level paths.  The ring's tornado permutation
+/// makes the maximum Theta(n) while uniform traffic stays Theta(1) per unit
+/// rate — the generic-topology analogue of the hypercube's transpose
+/// collapse.
 [[nodiscard]] CongestionReport topology_greedy_congestion(
     const Topology& topo, std::span<const NodeId> destination);
 

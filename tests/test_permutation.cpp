@@ -98,7 +98,8 @@ TEST(Congestion, HandComputedHypercubeAllToZero) {
   // (1, dim1); 2 -> 0 via (2, dim2); 3 -> 0 via (3, dim1) then (2, dim2).
   // Arc (2, dim2) carries two paths; two arcs carry one; five carry none.
   const std::vector<NodeId> all_to_zero{0, 0, 0, 0};
-  const CongestionReport report = hypercube_greedy_congestion(2, all_to_zero);
+  const CongestionReport report =
+      topology_greedy_congestion(HypercubeTopology(2), all_to_zero);
   EXPECT_EQ(report.max_load, 2u);
   EXPECT_EQ(report.arcs_used, 3u);
   EXPECT_EQ(report.num_arcs, 8u);
@@ -110,7 +111,8 @@ TEST(Congestion, HandComputedButterflyBitReversal) {
   // the 16 arcs used), so the max load is 1 — matching the closed form
   // 2^(ceil(2/2)-1) = 1.
   const CongestionReport report =
-      butterfly_greedy_congestion(2, Permutation::bit_reversal(2).table());
+      topology_greedy_congestion(ButterflyTopology(2),
+                                 Permutation::bit_reversal(2).table());
   EXPECT_EQ(report.max_load, 1u);
   EXPECT_EQ(report.arcs_used, 8u);
   EXPECT_EQ(report.num_arcs, 16u);
@@ -121,7 +123,8 @@ TEST(Congestion, BitComplementHypercubePathsAreArcDisjoint) {
   // Antipodal routing in increasing dimension order uses every arc exactly
   // once: max = mean = 1.
   const CongestionReport report =
-      hypercube_greedy_congestion(3, Permutation::bit_complement(3).table());
+      topology_greedy_congestion(HypercubeTopology(3),
+                                 Permutation::bit_complement(3).table());
   EXPECT_EQ(report.max_load, 1u);
   EXPECT_EQ(report.arcs_used, report.num_arcs);
   EXPECT_DOUBLE_EQ(report.mean_load, 1.0);
@@ -130,7 +133,8 @@ TEST(Congestion, BitComplementHypercubePathsAreArcDisjoint) {
 TEST(Congestion, BitReversalClosedFormMatchesBruteForce) {
   for (int d = 1; d <= 10; ++d) {
     const CongestionReport report =
-        butterfly_greedy_congestion(d, Permutation::bit_reversal(d).table());
+        topology_greedy_congestion(ButterflyTopology(d),
+                                   Permutation::bit_reversal(d).table());
     EXPECT_EQ(report.max_load, butterfly_bit_reversal_max_congestion(d))
         << "d=" << d;
   }
@@ -138,7 +142,8 @@ TEST(Congestion, BitReversalClosedFormMatchesBruteForce) {
 
 TEST(Congestion, IdentityLoadsNothingOnTheHypercube) {
   const std::vector<NodeId> identity{0, 1, 2, 3};
-  const CongestionReport report = hypercube_greedy_congestion(2, identity);
+  const CongestionReport report =
+      topology_greedy_congestion(HypercubeTopology(2), identity);
   EXPECT_EQ(report.max_load, 0u);
   EXPECT_EQ(report.arcs_used, 0u);
 }

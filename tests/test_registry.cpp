@@ -154,6 +154,30 @@ TEST(SchemeRegistry, CapabilityMatrixMatchesCompile) {
   }
 }
 
+TEST(SchemeRegistry, FanoutOutOfRangeIsAScenarioError) {
+  // A bad fanout is rejected as a ScenarioError naming the key, before any
+  // replication runs (not a contract failure or a std::length_error from a
+  // worker).
+  for (const std::string name : {"batch_greedy", "multicast"}) {
+    for (const char* value : {"0", "-1"}) {
+      Scenario s = tiny_scenario(name);
+      EXPECT_THROW(s.set("fanout", value), ScenarioError) << name << value;
+    }
+  }
+  Scenario wide = tiny_scenario("multicast");
+  wide.set("fanout", "9");  // d = 3: at most 8 distinct destinations
+  try {
+    (void)run(wide);
+    ADD_FAILURE() << "multicast fanout=9 at d=3 was accepted";
+  } catch (const ScenarioError& error) {
+    EXPECT_NE(std::string(error.what()).find("fanout"), std::string::npos)
+        << error.what();
+  }
+  Scenario full = tiny_scenario("multicast");
+  full.set("fanout", "8");
+  EXPECT_NO_THROW((void)run(full));
+}
+
 TEST(SchemeRegistry, FindReturnsNullForUnknownName) {
   EXPECT_EQ(SchemeRegistry::instance().find("no_such_scheme"), nullptr);
   EXPECT_FALSE(SchemeRegistry::instance().contains("no_such_scheme"));

@@ -416,19 +416,32 @@ TEST(TopologyCongestion, ChordsDefuseTheTornado) {
 
 TEST(TopologyCongestion, HypercubeAdapterMatchesNativeOracle) {
   // The generic path walker over the hypercube adapter must reproduce the
-  // specialised hypercube_greedy_congestion exactly (same canonical paths).
+  // loads summed over the paper's canonical paths (Hypercube::
+  // canonical_path, increasing dimension order) exactly.
   const int d = 5;
+  const Hypercube native(d);
   const auto cube = make_topology({"hypercube", d, "", "4x4"});
   for (const auto* family : {"bit_reversal", "transpose", "tornado"}) {
     const Permutation perm = Permutation::by_name(family, d);
     const CongestionReport generic =
         topology_greedy_congestion(*cube, perm.table());
-    const CongestionReport native =
-        hypercube_greedy_congestion(d, perm.table());
-    EXPECT_EQ(generic.max_load, native.max_load) << family;
-    EXPECT_EQ(generic.arcs_used, native.arcs_used) << family;
-    EXPECT_EQ(generic.num_arcs, native.num_arcs) << family;
-    EXPECT_DOUBLE_EQ(generic.mean_load, native.mean_load) << family;
+    std::vector<std::uint64_t> load(native.num_arcs(), 0);
+    for (NodeId x = 0; x < native.num_nodes(); ++x) {
+      for (const ArcId arc : native.canonical_path(x, perm.table()[x])) ++load[arc];
+    }
+    std::uint64_t total = 0;
+    std::uint64_t used = 0;
+    for (const std::uint64_t l : load) {
+      total += l;
+      used += l > 0 ? 1 : 0;
+    }
+    EXPECT_EQ(generic.max_load, *std::max_element(load.begin(), load.end()))
+        << family;
+    EXPECT_EQ(generic.arcs_used, used) << family;
+    EXPECT_EQ(generic.num_arcs, load.size()) << family;
+    EXPECT_DOUBLE_EQ(generic.mean_load, static_cast<double>(total) /
+                                            static_cast<double>(load.size()))
+        << family;
   }
 }
 
