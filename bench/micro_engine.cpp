@@ -286,7 +286,7 @@ void BM_CampaignVsSerial(benchmark::State& state) {
   using clock = std::chrono::steady_clock;
   Scenario base;
   base.scheme = "hypercube_greedy";
-  base.plan = {2, 9, 0};
+  base.plan = {2, 9};
   base.measure = 300.0;
   Campaign campaign("micro_campaign_vs_serial");
   campaign.grid(base, {SweepSpec::parse("rho=0.2:0.8:0.2"),

@@ -16,7 +16,7 @@ routesim::Scenario scheme_at(const std::string& scheme, int d, double lambda,
   scenario.workload = "uniform";
   scenario.lambda = lambda;
   scenario.window = {0.0, horizon};
-  scenario.plan = {2, 11, 0};
+  scenario.plan = {2, 11};
   return scenario;
 }
 

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
       const routesim::bounds::ButterflyParams params{d, lambda, p};
       if (routesim::bounds::bfly_load_factor(params) >= 0.99) continue;
       routesim::Scenario scenario = butterfly(d, lambda, p);
-      scenario.plan = {6, 4242, 0};
+      scenario.plan = {6, 4242};
       suite.add({"p=" + benchtab::fmt(p, 1) + " lambda=" + benchtab::fmt(lambda, 1),
                  scenario});
     }
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   {
     routesim::Scenario low = butterfly(d, 1.0, 0.3);
     routesim::Scenario high = butterfly(d, 1.0, 0.7);
-    low.plan = high.plan = {6, 31, 0};
+    low.plan = high.plan = {6, 31};
     const double t_low = suite.add({"symmetry p=0.3", low, false, false}).delay.mean;
     const double t_high =
         suite.add({"symmetry p=0.7", high, false, false}).delay.mean;
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   {
     routesim::Scenario balanced = butterfly(d, 1.3, 0.5);
     routesim::Scenario skewed = butterfly(d, 1.3, 0.7);
-    balanced.plan = skewed.plan = {6, 17, 0};
+    balanced.plan = skewed.plan = {6, 17};
     const double t_balanced =
         suite.add({"bottleneck p=0.5", balanced, false, false}).delay.mean;
     const double t_skewed =

@@ -18,7 +18,7 @@ routesim::Scenario slotted(const std::string& scheme, double lambda) {
   scenario.lambda = lambda;
   if (scheme == "hypercube_greedy") scenario.tau = 1.0;
   scenario.window = {500.0, 20500.0};  // slots for deflection
-  scenario.plan = {2, 929, 0};
+  scenario.plan = {2, 929};
   return scenario;
 }
 

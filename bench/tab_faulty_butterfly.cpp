@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
       scenario.fault_rate = fault_rate;
       scenario.fault_policy = policy;
       scenario.measure = 1500.0;
-      scenario.plan = {6, 777, 0};
+      scenario.plan = {6, 777};
 
       benchdrive::Case spec;
       spec.label = "f=" + benchtab::fmt(fault_rate, 2) + " " + policy;

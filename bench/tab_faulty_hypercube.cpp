@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
         scenario.fault_rate = fault_rate;
         scenario.fault_policy = policy;
         scenario.measure = 1500.0;
-        scenario.plan = {4, 4242, 0};
+        scenario.plan = {4, 4242};
 
         benchdrive::Case spec;
         spec.label = "rho=" + benchtab::fmt(rho, 1) + " f=" +

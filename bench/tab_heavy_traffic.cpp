@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     scenario.p = 0.5;
     scenario.lambda = rho / scenario.p;
     scenario.measure = 20000.0 / (1 - rho) / 10.0;  // longer near 1
-    scenario.plan = {6, 555, 0};
+    scenario.plan = {6, 555};
     const auto& result =
         suite.add({"p=0.5 rho=" + benchtab::fmt(rho, 2), scenario, false, false});
     const double scaled = (1 - rho) * result.delay.mean;
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     scenario.p = 1.0;
     scenario.lambda = rho;
     scenario.measure = 20000.0;
-    scenario.plan = {6, 777, 0};
+    scenario.plan = {6, 777};
     const auto& result =
         suite.add({"p=1 rho=" + benchtab::fmt(rho, 2), scenario, false, false});
     const double exact = routesim::bounds::greedy_delay_exact_p1(d, rho);

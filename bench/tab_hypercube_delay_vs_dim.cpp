@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
       scenario.p = p;
       scenario.lambda = rho / p;
       scenario.measure = 3000.0;
-      scenario.plan = {5, 77, 0};
+      scenario.plan = {5, 77};
       const auto& result =
           suite.add({"rho=" + benchtab::fmt(rho, 1) + " d=" + std::to_string(d),
                      scenario, true, true, 0.05, 0.05});

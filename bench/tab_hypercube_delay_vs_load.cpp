@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
     scenario.p = 0.5;
     scenario.lambda = rho / scenario.p;
     scenario.measure = rho < 0.9 ? 4000.0 : 12000.0;
-    scenario.plan = {6, 1234, 0};
+    scenario.plan = {6, 1234};
     suite.add({"rho=" + benchtab::fmt(rho, 2), scenario});
   }
 

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
       scenario.p = 0.5;
       scenario.lambda = 2.0 * rho;
       scenario.measure = rho < 0.9 ? 4000.0 : 10000.0;
-      scenario.plan = {5, 606, 0};
+      scenario.plan = {5, 606};
       const std::string tag =
           "d=" + std::to_string(d) + " rho=" + benchtab::fmt(rho, 1);
       const auto& result = suite.add({tag, scenario});

@@ -18,7 +18,7 @@ routesim::Scenario multicast(int fanout, bool unicast_baseline) {
   scenario.fanout = fanout;
   scenario.unicast_baseline = unicast_baseline;
   scenario.window = {500.0, 20500.0};
-  scenario.plan = {2, 606, 0};
+  scenario.plan = {2, 606};
   return scenario;
 }
 

@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
       scenario.fault_rate = fault_rate;
       scenario.fault_policy = policy;
       scenario.measure = 200.0;
-      scenario.plan = {3, kBaseSeed, 0};
+      scenario.plan = {3, kBaseSeed};
 
       benchdrive::Case spec;
       spec.label = "f=" + benchtab::fmt(fault_rate, 2) + " " + policy;

@@ -34,7 +34,7 @@ routesim::Scenario perm_scenario(const std::string& scheme,
   s.lambda = lambda;
   s.workload = "permutation";
   s.permutation = family;
-  s.plan = {2, 808, 0};
+  s.plan = {2, 808};
   s.measure = 2000.0;
   return s;
 }
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
   uniform_greedy.d = d;
   uniform_greedy.lambda = lambda;
   uniform_greedy.workload = "uniform";
-  uniform_greedy.plan = {2, 808, 0};
+  uniform_greedy.plan = {2, 808};
   uniform_greedy.measure = 2000.0;
   const routesim::RunResult greedy_uniform = suite.add({"hcube greedy uniform", uniform_greedy});
 

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   base.p = 0.5;
   base.lambda = 0.6 / base.p;
   base.measure = 6000.0;
-  base.plan = {6, 3000, 0};
+  base.plan = {6, 3000};
   const double continuous_lb =
       routesim::bounds::greedy_delay_lower_bound(base.hypercube_params());
 

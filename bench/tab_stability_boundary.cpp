@@ -16,7 +16,7 @@ routesim::Scenario at_horizon(double rho, double horizon) {
   scenario.workload = "uniform";
   scenario.lambda = 2.0 * rho;  // p = 1/2
   scenario.window = {0.0, horizon};
-  scenario.plan = {3, 1, 0};
+  scenario.plan = {3, 1};
   return scenario;
 }
 

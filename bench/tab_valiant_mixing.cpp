@@ -16,7 +16,7 @@ routesim::Scenario traced(const std::string& scheme, double lambda,
   scenario.workload = "trace";  // uniform destinations: p = 1/2
   scenario.lambda = lambda;
   scenario.window = {warmup, 12000.0};
-  scenario.plan = {2, seed, 0};
+  scenario.plan = {2, seed};
   return scenario;
 }
 

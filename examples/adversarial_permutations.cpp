@@ -44,7 +44,7 @@ int main() {
   Scenario base;
   base.d = d;
   base.lambda = lambda;
-  base.plan = {2, 99, 0};
+  base.plan = {2, 99};
   base.measure = 1500.0;
 
   Scenario uniform = base;  // the paper's regime

@@ -284,6 +284,15 @@ struct EngineMetrics {
   }
 };
 
+/// `{"cell":N}` (with `,"rep":R` when rep >= 0) span args, built only when
+/// a session is live: an untraced campaign renders none.
+std::string cell_args(const obs::TraceSession* trace, std::size_t cell,
+                      int rep = -1) {
+  if (trace == nullptr) return {};
+  return "{\"cell\":" + std::to_string(cell) +
+         (rep >= 0 ? ",\"rep\":" + std::to_string(rep) : std::string()) + "}";
+}
+
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -328,8 +337,10 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
   obs::ThreadTraceScope run_trace_scope(trace);
   obs::TraceSpan campaign_span(
       trace, "campaign.run", "engine",
-      "{\"campaign\":\"" + json_escape(campaign.name()) +
-          "\",\"cells\":" + std::to_string(campaign.size()) + "}");
+      trace != nullptr ? "{\"campaign\":\"" + json_escape(campaign.name()) +
+                             "\",\"cells\":" +
+                             std::to_string(campaign.size()) + "}"
+                       : std::string());
 
   for (ResultSink* sink : options_.sinks) {
     if (sink != nullptr) sink->on_begin(campaign);
@@ -354,9 +365,8 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
   for (std::size_t i = 0; i < campaign.size(); ++i) {
     // One span per cell, so a trace shows whose set-up (a trace file's
     // load, a topology's build) holds the pool back.
-    obs::TraceSpan cell_span(
-        trace, "cell.compile", "engine",
-        trace != nullptr ? "{\"cell\":" + std::to_string(i) + "}" : std::string());
+    obs::TraceSpan cell_span(trace, "cell.compile", "engine",
+                             cell_args(trace, i));
     const CampaignCell& cell = campaign.cells()[i];
     Scenario resolved = cell.scenario.resolved();
     const auto& info = SchemeRegistry::instance().check(resolved);
@@ -370,8 +380,7 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
       status[i] = Slot::kCached;
       metrics.cells_cache.add();
       if (trace != nullptr) {
-        trace->instant("cache.hit", "engine",
-                       "{\"cell\":" + std::to_string(i) + "}");
+        trace->instant("cache.hit", "engine", cell_args(trace, i));
       }
       continue;
     }
@@ -381,8 +390,7 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
       status[i] = Slot::kCached;
       metrics.cells_store.add();
       if (trace != nullptr) {
-        trace->instant("store.hit", "engine",
-                       "{\"cell\":" + std::to_string(i) + "}");
+        trace->instant("store.hit", "engine", cell_args(trace, i));
       }
       // Promote into the in-process cache so repeated lookups in this
       // process skip the store's mutex.
@@ -445,9 +453,8 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
     // sharing the key.
     RunResult result;
     {
-      obs::TraceSpan assemble_span(
-          obs::thread_trace(), "cell.assemble", "engine",
-          "{\"cell\":" + std::to_string(job.cell_indices.front()) + "}");
+      obs::TraceSpan assemble_span(trace, "cell.assemble", "engine",
+                                   cell_args(trace, job.cell_indices.front()));
       result = assemble(job.scenario, job.compiled, job.rows);
     }
     if (options_.store != nullptr) {
@@ -495,8 +502,7 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
         {
           obs::TraceSpan replication_span(
               trace, "replication", "engine",
-              "{\"cell\":" + std::to_string(job.cell_indices.front()) +
-                  ",\"rep\":" + std::to_string(rep) + "}");
+              cell_args(trace, job.cell_indices.front(), rep));
           job.rows[static_cast<std::size_t>(rep)] = job.compiled.replicate(
               derive_stream(job.scenario.plan.base_seed,
                             static_cast<std::uint64_t>(rep)),
@@ -521,18 +527,22 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
     metrics.worker_seconds.add(seconds_since(worker_start));
   };
 
-  const int requested = options_.threads > 0
-                            ? options_.threads
-                            : static_cast<int>(std::thread::hardware_concurrency());
-  const int workers = std::max(
-      1, std::min<int>(requested, static_cast<int>(tasks.size())));
-  metrics.pool_workers.set(static_cast<double>(workers));
-  if (workers <= 1) {
-    work();
-  } else {
-    std::vector<std::jthread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) pool.emplace_back(work);
+  // An all-hit campaign (every serve store touch is one) starts no pool.
+  if (!tasks.empty()) {
+    const int requested =
+        options_.threads > 0
+            ? options_.threads
+            : static_cast<int>(std::thread::hardware_concurrency());
+    const int workers = std::max(
+        1, std::min<int>(requested, static_cast<int>(tasks.size())));
+    metrics.pool_workers.set(static_cast<double>(workers));
+    if (workers <= 1) {
+      work();
+    } else {
+      std::vector<std::jthread> pool;
+      pool.reserve(static_cast<std::size_t>(workers));
+      for (int w = 0; w < workers; ++w) pool.emplace_back(work);
+    }
   }
   if (first_error) std::rethrow_exception(first_error);
 
@@ -554,11 +564,9 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
 }
 
 RunResult Engine::run_one(const Scenario& scenario) const {
-  EngineOptions options = options_;
-  if (options.threads == 0) options.threads = scenario.plan.threads;
   Campaign single("run");
   single.add(scenario);
-  auto results = Engine(std::move(options)).run(single);
+  auto results = run(single);
   RS_ENSURES(results.size() == 1);
   return std::move(results.front().result);
 }

@@ -196,13 +196,10 @@ class JsonlSink final : public ResultSink {
 
 /// In-process result memoisation, shared across campaigns (and across
 /// Suite instances in a bench binary).  Thread-safe.  The key is the
-/// canonical textual form of the resolved scenario with the worker-thread
-/// count and the legacy backend spelling normalised out — neither changes
-/// results (both backend values run the kernel's one drive loop), so
-/// threads=1 and threads=8 runs, and scalar and soa_batch runs, share an
-/// entry;
-/// seeds and replication counts stay in the key because they *do* change
-/// results.
+/// canonical textual form of the resolved scenario with the legacy backend
+/// spelling normalised out — both values run the kernel's one drive loop,
+/// so scalar and soa_batch runs share an entry; seeds and replication
+/// counts stay in the key because they *do* change results.
 class ResultCache {
  public:
   [[nodiscard]] static std::string key(const Scenario& scenario);
@@ -245,10 +242,9 @@ class ResultBackend {
 };
 
 struct EngineOptions {
-  /// Width of the shared worker pool for a whole campaign; 0 = hardware
-  /// concurrency.  (Per-cell `plan.threads` is ignored inside a campaign —
-  /// the pool is shared — except by run_one(), which honours it when this
-  /// is 0, preserving `run(Scenario)` semantics.)
+  /// Width of the shared worker pool, capped by the campaign's
+  /// replication count; 0 = hardware concurrency.  The only pool-width
+  /// setting: it never changes results, so no scenario carries it.
   int threads = 0;
   ResultCache* cache = nullptr;        ///< optional, not owned
   ResultBackend* store = nullptr;      ///< optional durable tier, not owned
@@ -277,14 +273,15 @@ class Engine {
   explicit Engine(EngineOptions options) : options_(std::move(options)) {}
 
   /// Resolves, checks (SchemeRegistry::SchemeInfo::check) and compiles
-  /// every cell (ScenarioError surfaces here, before any worker starts), serves cache hits and in-campaign duplicates
-  /// without recomputation, then runs all remaining replications on one
-  /// shared pool.  Returns the results in cell order.
+  /// every cell (ScenarioError surfaces here, before any worker starts),
+  /// serves cache and store hits and in-campaign duplicates without
+  /// recomputation, then runs all remaining replications on one shared
+  /// pool.  Returns the results in cell order; CellResult::tier() names
+  /// the tier that answered each cell.
   [[nodiscard]] std::vector<CellResult> run(const Campaign& campaign) const;
 
   /// One scenario as a one-cell campaign — the engine behind
-  /// routesim::run().  When options().threads is 0 the scenario's own
-  /// plan.threads picks the pool width, exactly as run() always has.
+  /// routesim::run().
   [[nodiscard]] RunResult run_one(const Scenario& scenario) const;
 
   [[nodiscard]] const EngineOptions& options() const noexcept {

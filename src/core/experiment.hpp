@@ -19,13 +19,12 @@
 
 namespace routesim {
 
-/// How many independent replications to run, from which base seed, on how
-/// many worker threads (results are identical for any thread count).
+/// How many independent replications to run, and from which base seed.
+/// The worker-pool width is the engine's (EngineOptions::threads), not the
+/// plan's: results are identical for any thread count.
 struct ReplicationPlan {
   int replications = 8;        ///< independent replications (t intervals need >= 2)
   std::uint64_t base_seed = 1; ///< replication r uses derive_stream(base_seed, r)
-  /// 0 = use std::thread::hardware_concurrency().
-  int threads = 0;
 
   friend bool operator==(const ReplicationPlan&, const ReplicationPlan&) = default;
 };

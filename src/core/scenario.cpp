@@ -298,6 +298,11 @@ T at_least(T value, T low) {
   return value;
 }
 
+double positive(double value) {
+  if (!(value > 0.0)) throw ScenarioError("must be > 0");
+  return value;
+}
+
 double probability(double value) {
   if (!(value >= 0.0 && value <= 1.0)) throw ScenarioError("must be in [0, 1]");
   return value;
@@ -418,30 +423,31 @@ const std::vector<ScenarioKey>& Scenario::keys() {
        },
        .get = [](const S& s) { return text(s.torus_dims); }},
       {.name = "lambda", .type = "double", .sweepable = true,
-       .doc = "per-node packet generation rate",
+       .doc = "per-node packet generation rate, > 0",
        .set = [](S& s, V v) {
-         s.lambda = number(v);
+         s.lambda = positive(number(v));
          s.rho_target.reset();  // an explicit lambda drops a pending target
        },
        .get = [](const S& s) { return text(s.lambda); }},
       {.name = "rho", .type = "double", .sweepable = true,
-       .doc = "target load factor; solves for the lambda giving that load "
-              "under the current scheme/workload (set p/workload first)",
+       .doc = "target load factor, > 0; solves for the lambda giving that "
+              "load under the current scheme/workload (set p/workload first)",
        // Deferred: resolved() solves target -> lambda once every other knob
        // is final, so `--set rho=0.6 --set p=0.7` and the reverse agree.
-       .set = [](S& s, V v) { s.rho_target = at_least(number(v), 0.0); },
+       .set = [](S& s, V v) { s.rho_target = positive(number(v)); },
        .get = [](const S& s) -> std::optional<std::string> {
          if (!s.rho_target.has_value()) return std::nullopt;
          return text(*s.rho_target);
        }},
       {.name = "p", .type = "double", .sweepable = true,
-       .doc = "bit-flip probability of destination law (1)",
-       .set = [](S& s, V v) { s.p = number(v); },
+       .doc = "bit-flip probability of destination law (1), in [0, 1]",
+       .set = [](S& s, V v) { s.p = probability(number(v)); },
        .get = [](const S& s) { return text(s.p); }},
       {.name = "tau", .type = "double", .sweepable = true,
-       .doc = "> 0: slotted-time variant with this slot length (§3.4), "
-              "tau <= 1 with 1/tau an integer (see the capability matrix)",
-       .set = [](S& s, V v) { s.tau = number(v); },
+       .doc = "0 = continuous time; > 0: slotted-time variant with this "
+              "slot length (§3.4), tau <= 1 with 1/tau an integer (see the "
+              "capability matrix)",
+       .set = [](S& s, V v) { s.tau = at_least(number(v), 0.0); },
        .get = [](const S& s) { return text(s.tau); }},
       {.name = "discipline", .type = "string",
        .doc = "service discipline of network_q: fifo (network Q) | ps (Q~)",
@@ -579,28 +585,25 @@ const std::vector<ScenarioKey>& Scenario::keys() {
        .set = [](S& s, V v) { s.window.horizon = number(v); },
        .get = [](const S& s) { return text(s.window.horizon); }},
       {.name = "measure", .type = "double", .sweepable = true,
-       .doc = "measurement length used by the automatic window",
-       .set = [](S& s, V v) { s.measure = number(v); },
+       .doc = "measurement length used by the automatic window, > 0",
+       .set = [](S& s, V v) { s.measure = positive(number(v)); },
        .get = [](const S& s) { return text(s.measure); }},
       {.name = "reps", .type = "int", .sweepable = true,
-       .doc = "independent replications",
-       .set = [](S& s, V v) { s.plan.replications = integer(v); },
+       .doc = "independent replications, >= 1",
+       .set = [](S& s, V v) { s.plan.replications = at_least(integer(v), 1); },
        .get = [](const S& s) { return text(s.plan.replications); }},
       {.name = "seed", .type = "uint64", .sweepable = true,
        .doc = "base seed; replication r runs with derive_stream(seed, r)",
        .set = [](S& s, V v) { s.plan.base_seed = unsigned64(v); },
        .get = [](const S& s) { return text(s.plan.base_seed); }},
-      {.name = "threads", .type = "int", .result_neutral = true,
-       .doc = "worker threads for the replication fan-out; 0 = auto",
-       .set = [](S& s, V v) { s.plan.threads = integer(v); },
-       .get = [](const S& s) { return text(s.plan.threads); }},
       {.name = "backend", .type = "string", .result_neutral = true,
        .doc = "legacy spelling: scalar | soa_batch, both run the kernel's "
               "one drive loop; kept while perfbench's hc_slot_soa cell and "
               "persisted store keys carry it",
        // Both values run the same code, so equal scenarios share one
-       // cache entry.  The row goes once the benchmark retires hc_slot_soa
-       // and the store re-keys without it and threads (ROADMAP item D).
+       // cache entry.  The row goes once the benchmark retires hc_slot_soa;
+       // the store then drops it from old records as it drops `threads`
+       // (ROADMAP item D).
        .set = [](S& s, V v) {
          if (v != "scalar" && v != "soa_batch") {
            throw ScenarioError("unknown kernel backend '" + v +

@@ -169,8 +169,9 @@ struct Scenario {
   ReplicationPlan plan{};
   /// Legacy spelling, "scalar" or "soa_batch": both run the kernel's one
   /// drive loop.  Kept because perfbench's hc_slot_soa cell and persisted
-  /// store keys carry it; it leaves once the benchmark retires that cell
-  /// and the store re-keys without it and `threads` (ROADMAP item D).
+  /// store keys carry it; it leaves once the benchmark retires that cell,
+  /// and the store then drops it from old records as it drops the retired
+  /// `threads` key (ROADMAP item D).
   std::string backend = "scalar";
 
   // --- derived ----------------------------------------------------------

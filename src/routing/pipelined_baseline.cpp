@@ -1,7 +1,7 @@
 #include "routing/pipelined_baseline.hpp"
 
 #include "core/registry.hpp"
-
+#include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/distributions.hpp"
 
@@ -42,6 +42,11 @@ void PipelinedBaselineSim::generate_until(double t) {
 
 void PipelinedBaselineSim::run(double warmup, double horizon) {
   RS_EXPECTS(warmup >= 0.0 && warmup <= horizon);
+  // One kernel.drive span for the whole replication, as every other
+  // scheme records; the rounds drive with no ambient session, so a traced
+  // run's size does not grow with its round count.
+  obs::TraceSpan drive_span(obs::thread_trace(), "kernel.drive", "kernel");
+  const obs::ThreadTraceScope untraced_rounds(nullptr);
   stats_.begin(warmup, horizon);
   double now = 0.0;
   std::vector<BatchPacket> batch;

@@ -1,11 +1,13 @@
 #include "serve/service.hpp"
 
+#include <array>
 #include <chrono>
 #include <exception>
+#include <map>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
-#include "core/registry.hpp"
 #include "obs/metrics.hpp"
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
@@ -18,30 +20,36 @@ namespace {
 /// once.  Touching get() registers every serve metric, so a `metrics`
 /// scrape shows all tiers (zero-valued) even before the first query.
 struct ServeMetrics {
+  /// One answer tier: its QueryResult::source, its Stats tally, its
+  /// counter and its latency histogram.
+  struct Tier {
+    std::string_view source;
+    std::uint64_t QueryService::Stats::*tally;
+    obs::Counter& answers;
+    obs::HistogramMetric& seconds;
+  };
   obs::Counter& queries;
-  obs::Counter& cache_hits;
-  obs::Counter& store_hits;
-  obs::Counter& computed;
-  obs::Counter& coalesced;
   obs::Counter& errors;
-  obs::HistogramMetric& cache_seconds;
-  obs::HistogramMetric& store_seconds;
-  obs::HistogramMetric& computed_seconds;
-  obs::HistogramMetric& inflight_seconds;
+  std::array<Tier, 4> tiers;
 
   static ServeMetrics& get() {
-    auto& registry = obs::global_metrics();
+    using Stats = QueryService::Stats;
+    auto& r = obs::global_metrics();
     static ServeMetrics metrics{
-        registry.counter("routesim_serve_queries_total"),
-        registry.counter("routesim_serve_cache_hits_total"),
-        registry.counter("routesim_serve_store_hits_total"),
-        registry.counter("routesim_serve_computed_total"),
-        registry.counter("routesim_serve_coalesced_total"),
-        registry.counter("routesim_serve_errors_total"),
-        registry.histogram("routesim_serve_query_seconds_cache"),
-        registry.histogram("routesim_serve_query_seconds_store"),
-        registry.histogram("routesim_serve_query_seconds_computed"),
-        registry.histogram("routesim_serve_query_seconds_inflight")};
+        r.counter("routesim_serve_queries_total"),
+        r.counter("routesim_serve_errors_total"),
+        {{{"cache", &Stats::cache_hits,
+           r.counter("routesim_serve_cache_hits_total"),
+           r.histogram("routesim_serve_query_seconds_cache")},
+          {"store", &Stats::store_hits,
+           r.counter("routesim_serve_store_hits_total"),
+           r.histogram("routesim_serve_query_seconds_store")},
+          {"computed", &Stats::computed,
+           r.counter("routesim_serve_computed_total"),
+           r.histogram("routesim_serve_query_seconds_computed")},
+          {"inflight", &Stats::coalesced,
+           r.counter("routesim_serve_coalesced_total"),
+           r.histogram("routesim_serve_query_seconds_inflight")}}}};
     return metrics;
   }
 };
@@ -49,103 +57,68 @@ struct ServeMetrics {
 }  // namespace
 
 EngineOptions QueryService::engine_options() {
-  EngineOptions options;
-  options.threads = options_.threads;
-  options.cache = &cache_;
-  options.store = options_.store;
-  return options;
+  return {.threads = options_.threads, .cache = &cache_, .store = options_.store};
 }
 
 QueryService::QueryResult QueryService::query_text(
     const std::string& scenario_text) {
+  Scenario scenario;
   try {
-    return query(Scenario::parse_text(scenario_text));
+    scenario = Scenario::parse_text(scenario_text);
   } catch (const std::exception& error) {
-    ServeMetrics& metrics = ServeMetrics::get();
-    metrics.queries.add();
-    metrics.errors.add();
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.queries;
-    ++stats_.errors;
-    QueryResult result;
-    result.error = error.what();
-    return result;
+    QueryResult qr;
+    qr.error = error.what();
+    count(qr, 0.0);
+    return qr;
   }
+  return query(scenario);
 }
 
 QueryService::QueryResult QueryService::query(const Scenario& scenario) {
-  ServeMetrics& metrics = ServeMetrics::get();
   const auto start = std::chrono::steady_clock::now();
-  QueryResult qr = query_impl(scenario);
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  metrics.queries.add();
-  if (!qr.ok) {
-    metrics.errors.add();
-  } else if (qr.source == "cache") {
-    metrics.cache_hits.add();
-    metrics.cache_seconds.observe(seconds);
-  } else if (qr.source == "store") {
-    metrics.store_hits.add();
-    metrics.store_seconds.observe(seconds);
-  } else if (qr.source == "inflight") {
-    metrics.coalesced.add();
-    metrics.inflight_seconds.observe(seconds);
-  } else {
-    metrics.computed.add();
-    metrics.computed_seconds.observe(seconds);
-  }
+  QueryResult qr = answer(scenario);
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  count(qr, elapsed.count());
   return qr;
 }
 
-QueryService::QueryResult QueryService::query_impl(const Scenario& scenario) {
-  QueryResult qr;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.queries;
+void QueryService::count(const QueryResult& answered, double seconds) {
+  ServeMetrics& metrics = ServeMetrics::get();
+  metrics.queries.add();
+  std::uint64_t Stats::*tally = &Stats::errors;
+  for (ServeMetrics::Tier& tier : metrics.tiers) {
+    if (!answered.ok || tier.source != answered.source) continue;
+    tally = tier.tally;
+    tier.answers.add();
+    tier.seconds.observe(seconds);
   }
+  if (!answered.ok) metrics.errors.add();
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  ++stats_.queries;
+  ++(stats_.*tally);
+}
+
+QueryService::QueryResult QueryService::answer(const Scenario& scenario) {
+  QueryResult qr;
   try {
     qr.scenario = scenario.resolved();
   } catch (const std::exception& error) {
     qr.error = error.what();
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.errors;
     return qr;
   }
   qr.key = ResultCache::key(qr.scenario);
 
-  // Cache hits need no check: every entry came from a checked computation
-  // or a checked store hit below.
+  // Cache hits need no check: every entry came from the engine, which
+  // checks a cell before it looks the cell up or computes it.
   if (cache_.lookup(qr.key, &qr.result)) {
     qr.ok = true;
     qr.source = "cache";
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.cache_hits;
-    return qr;
-  }
-  // A stored record may predate a capability row that now rejects its
-  // knobs: check before answering from the store.
-  try {
-    SchemeRegistry::instance().check(qr.scenario);
-  } catch (const std::exception& error) {
-    qr.error = error.what();
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.errors;
-    return qr;
-  }
-  if (options_.store != nullptr && options_.store->fetch(qr.key, &qr.result)) {
-    cache_.insert(qr.key, qr.result);
-    qr.ok = true;
-    qr.source = "store";
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.store_hits;
     return qr;
   }
 
-  // Miss on both tiers: join (or become) the one in-flight computation for
-  // this key, so N concurrent clients asking the same scenario fund one
-  // engine run.
+  // Join (or become) the one in-flight answer for this key, so N
+  // concurrent clients asking the same scenario fund one engine run.
   std::shared_ptr<Inflight> entry;
   bool leader = false;
   {
@@ -163,48 +136,35 @@ QueryService::QueryResult QueryService::query_impl(const Scenario& scenario) {
   if (!leader) {
     std::unique_lock<std::mutex> wait_lock(entry->mutex);
     entry->cv.wait(wait_lock, [&] { return entry->done; });
-    qr.ok = entry->ok;
-    qr.error = entry->error;
-    qr.result = entry->result;
+    qr.ok = entry->answer.ok;
+    qr.error = entry->answer.error;
+    qr.result = entry->answer.result;
     qr.source = "inflight";
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.coalesced;
-    if (!qr.ok) ++stats_.errors;
     return qr;
   }
 
-  bool ok = false;
-  std::string error;
-  RunResult result;
+  // The engine checks the cell against its scheme's row, then answers it
+  // from the cache (another client may have just filled it), the store,
+  // or a computation it persists and caches.
   try {
-    // run_one inserts into the cache and persists to the store itself
-    // (finish_job), so followers and future processes see the result.
-    result = Engine(engine_options()).run_one(qr.scenario);
-    ok = true;
-  } catch (const std::exception& compute_error) {
-    error = compute_error.what();
+    Campaign single("serve");
+    single.add(qr.scenario);
+    CellResult cell = std::move(Engine(engine_options()).run(single).front());
+    qr.result = std::move(cell.result);
+    qr.source = cell.tier();
+    qr.ok = true;
+  } catch (const std::exception& error) {
+    qr.error = error.what();
   }
   {
     std::lock_guard<std::mutex> publish_lock(entry->mutex);
     entry->done = true;
-    entry->ok = ok;
-    entry->error = error;
-    entry->result = result;
+    entry->answer = qr;
   }
   entry->cv.notify_all();
   {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
     inflight_.erase(qr.key);
-  }
-  qr.ok = ok;
-  qr.error = error;
-  qr.result = result;
-  qr.source = "computed";
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  if (ok) {
-    ++stats_.computed;
-  } else {
-    ++stats_.errors;
   }
   return qr;
 }
@@ -272,22 +232,14 @@ void handle_grid(QueryService& service, const json::Value& request,
     Campaign campaign("serve_grid");
     campaign.grid(base, axes);
 
-    std::size_t computed = 0;
-    std::size_t from_store = 0;
-    std::size_t from_cache = 0;
+    std::map<std::string_view, std::size_t> by_tier;
     ProgressSink stream([&](const CellResult& cell) {
-      if (cell.from_store) {
-        ++from_store;
-      } else if (cell.from_cache) {
-        ++from_cache;
-      } else {
-        ++computed;
-      }
+      ++by_tier[cell.tier()];
       std::ostringstream os;
       os << "{\"op\":\"cell\"" << id << ",\"cell\":" << cell.index
          << ",\"label\":\"" << json_escape(cell.label) << "\",\"source\":\""
-         << (cell.from_store ? "store" : cell.from_cache ? "cache" : "computed")
-         << "\",\"scenario\":\"" << json_escape(cell.scenario.to_string())
+         << cell.tier() << "\",\"scenario\":\""
+         << json_escape(cell.scenario.to_string())
          << "\",\"result\":" << result_to_json(cell.result) << '}';
       emit(os.str());
     });
@@ -296,8 +248,9 @@ void handle_grid(QueryService& service, const json::Value& request,
     const auto cells = Engine(options).run(campaign);
     std::ostringstream os;
     os << "{\"op\":\"grid\"" << id << ",\"ok\":true,\"cells\":" << cells.size()
-       << ",\"computed\":" << computed << ",\"from_cache\":" << from_cache
-       << ",\"from_store\":" << from_store << '}';
+       << ",\"computed\":" << by_tier["computed"]
+       << ",\"from_cache\":" << by_tier["cache"]
+       << ",\"from_store\":" << by_tier["store"] << '}';
     emit(os.str());
   } catch (const std::exception& error) {
     emit(error_response("grid", id, error.what()));

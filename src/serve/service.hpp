@@ -1,10 +1,11 @@
 #pragma once
 /// \file service.hpp
 /// \brief The query service behind the `routesim_serve` daemon: many
-///        concurrent clients against one warm engine, with a three-tier
-///        answer path (in-process cache -> persistent store -> compute)
-///        and in-flight deduplication so identical concurrent queries
-///        fund exactly one computation.
+///        concurrent clients against one warm engine.  A query is
+///        answered from the in-process cache, else by joining an identical
+///        in-flight query, else by a one-cell `Engine::run` (check, store,
+///        compute), so identical concurrent queries fund exactly one
+///        computation.
 ///
 /// This is the "millions of users" story of the ROADMAP made concrete:
 /// the daemon process stays warm, the `ResultStore` makes its answers
@@ -41,7 +42,8 @@
 namespace routesim::serve {
 
 struct ServiceOptions {
-  /// Worker-pool width per computation; 0 = scenario plan / hardware.
+  /// Engine worker-pool width per computation (EngineOptions::threads);
+  /// 0 = hardware concurrency.
   int threads = 0;
   /// Durable tier, shared with other processes via its file; optional.
   ResultStore* store = nullptr;
@@ -56,11 +58,11 @@ class QueryService {
     bool ok = false;
     std::string error;        ///< set when !ok
     /// Which tier answered: "cache" (in-process), "store" (persistent,
-    /// incl. records another process wrote), "computed" (this call ran
-    /// the engine), "inflight" (coalesced onto a concurrent identical
-    /// computation).
+    /// incl. records another process wrote), "computed" (this call's
+    /// engine run computed it) — these three are CellResult::tier() —
+    /// or "inflight" (coalesced onto a concurrent identical query).
     std::string source;
-    std::string key;          ///< canonical threads-normalized store key
+    std::string key;          ///< ResultCache::key, the store key
     Scenario scenario;        ///< resolved form actually answered
     RunResult result;
   };
@@ -85,22 +87,21 @@ class QueryService {
   [[nodiscard]] const ServiceOptions& options() const noexcept {
     return options_;
   }
-  /// Engine options wired to this service's cache + store, for campaign
-  /// (grid) requests that bypass the single-query path.
+  /// Engine options wired to this service's cache + store: the engine
+  /// behind every cache miss and every grid request.
   [[nodiscard]] EngineOptions engine_options();
 
  private:
-  /// The tier-resolution path, shared by query() (which wraps it with
-  /// timing + metrics).
-  [[nodiscard]] QueryResult query_impl(const Scenario& scenario);
+  /// The answer path: cache, else in-flight, else the engine.
+  [[nodiscard]] QueryResult answer(const Scenario& scenario);
+  /// Counts one answer in stats_ and the serve metrics, by its source.
+  void count(const QueryResult& answered, double seconds);
 
   struct Inflight {
     std::mutex mutex;
     std::condition_variable cv;
     bool done = false;
-    bool ok = false;
-    std::string error;
-    RunResult result;
+    QueryResult answer;  ///< the leader's, valid once done
   };
 
   ServiceOptions options_;

@@ -2,10 +2,13 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "core/registry.hpp"
@@ -74,10 +77,36 @@ bool read_interval(const json::Value& object, const std::string& name,
          read_double(object.find(name + "_half_width"), &out->half_width);
 }
 
-/// Scenario::parse_text, with a malformed one-liner reported as false.
+/// Scenario keys that have left the textual form.  Records written while
+/// a key existed carry ` key=value` in their key and scenario text; with
+/// the token dropped, such a record reads as the current form writes it
+/// (every retired key was result-neutral, so its value never mattered).
+constexpr std::array<std::string_view, 1> kRetiredKeys{"threads"};
+
+/// `text` without its retired ` key=value` tokens.  Values never contain
+/// a space, so every " key=" starts a token.  memmem, not string::find:
+/// find stops at every space of a ~450-byte key, and every store record
+/// on load pays for the search.
+std::string without_retired_keys(std::string text) {
+  for (const std::string_view key : kRetiredKeys) {
+    std::string token(1, ' ');
+    token.append(key).push_back('=');
+    while (const void* hit = ::memmem(text.data(), text.size(), token.data(),
+                                      token.size())) {
+      const auto at = static_cast<std::size_t>(static_cast<const char*>(hit) -
+                                               text.data());
+      const auto end = text.find(' ', at + 1);
+      text.erase(at, end == std::string::npos ? std::string::npos : end - at);
+    }
+  }
+  return text;
+}
+
+/// Scenario::parse_text of a record's scenario text, retired keys
+/// dropped, with a malformed one-liner reported as false.
 bool scenario_from_text(const std::string& text, Scenario* out) {
   try {
-    *out = Scenario::parse_text(text);
+    *out = Scenario::parse_text(without_retired_keys(text));
   } catch (const ScenarioError&) {
     return false;
   }
@@ -215,12 +244,11 @@ bool ResultStore::apply_record(const json::Value& record) {
   if (!result_from_json(*result_value, &entry.result)) return false;
   if (const json::Value* scenario = record.find("scenario");
       scenario != nullptr && scenario->is_string()) {
-    entry.scenario_text = scenario->string;
+    entry.scenario_text = without_retired_keys(scenario->string);
   }
-  const auto [it, inserted] = index_.insert_or_assign(key->string, std::move(entry));
-  (void)it;
-  if (inserted) {
-    order_.push_back(key->string);
+  std::string current_key = without_retired_keys(key->string);
+  if (index_.insert_or_assign(current_key, std::move(entry)).second) {
+    order_.push_back(std::move(current_key));
   } else {
     ++stats_.duplicate_keys;  // append-only history: last record wins
   }
@@ -404,7 +432,7 @@ std::size_t replay_results(
           !scenario_from_text(scenario_text->string, &scenario)) {
         continue;
       }
-      consume(key->string, scenario, result);
+      consume(without_retired_keys(key->string), scenario, result);
       ++consumed;
       continue;
     }

@@ -1,8 +1,8 @@
 #pragma once
 /// \file result_store.hpp
 /// \brief The persistent result tier: a disk-backed, append-only store of
-///        finished `RunResult`s keyed by the canonical threads-normalized
-///        resolved-scenario string, surviving restarts and mid-write kills.
+///        finished `RunResult`s keyed by `ResultCache::key` (the canonical
+///        resolved-scenario string), surviving restarts and mid-write kills.
 ///
 /// The Campaign engine's `ResultCache` dies with the process, so every
 /// long sweep started cold and a killed campaign lost all finished cells.
@@ -20,7 +20,11 @@
 ///   - duplicate keys resolve last-wins (an append-only file never
 ///     rewrites history — compact() folds it);
 ///   - records whose "v" field mismatches kStoreVersion are skipped, so a
-///     future format change cannot be misread as data.
+///     future format change cannot be misread as data;
+///   - a key retired from the textual form (`threads`) is dropped from a
+///     record's key and scenario text on load, so records written while it
+///     existed are still served and resumed (and compact() rewrites them
+///     in the current form).
 ///
 /// Numbers round-trip *bit-identically*: finite doubles are written in
 /// fmt_shortest() form (the first of %.1g/%.3g/%.6g/%.9g/%.12g/%.15g that

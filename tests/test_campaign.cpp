@@ -28,7 +28,7 @@ Scenario tiny(const std::string& scheme, int d, double rho, std::uint64_t seed) 
   scenario.d = d;
   scenario.set("rho", fmt_shortest(rho));
   scenario.measure = 200.0;
-  scenario.plan = {3, seed, 0};
+  scenario.plan = {3, seed};
   return scenario;
 }
 
@@ -146,12 +146,12 @@ TEST(Engine, CacheHitReturnsIdenticalResultWithoutRecompute) {
     expect_identical(first[i].result, second[i].result);
   }
 
-  // The key normalises the worker-thread count (it cannot change
-  // results), so a threads=3 variant of a cached cell still hits.
-  Scenario retimed = campaign.cells()[0].scenario;
-  retimed.plan.threads = 3;
+  // The key normalises the legacy backend spelling (both values run one
+  // drive loop), so a soa_batch variant of a cached cell still hits.
+  Scenario respelled = campaign.cells()[0].scenario;
+  respelled.backend = "soa_batch";
   RunResult from_cache;
-  ASSERT_TRUE(cache.lookup(ResultCache::key(retimed), &from_cache));
+  ASSERT_TRUE(cache.lookup(ResultCache::key(respelled), &from_cache));
   expect_identical(from_cache, first[0].result);
 
   // A different seed is a different experiment: distinct key, cache miss.

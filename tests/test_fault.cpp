@@ -244,7 +244,7 @@ TEST(FaultResilience, DropPolicyDeliveryRatioMatchesClosedFormOnOneCube) {
   scenario.fault_rate = f;
   scenario.fault_policy = "drop";
   scenario.window = {50.0, 1050.0};
-  scenario.plan = {200, 2024, 0};
+  scenario.plan = {200, 2024};
   const RunResult result = run(scenario);
   const auto* ratio = result.extra("delivery_ratio");
   ASSERT_NE(ratio, nullptr);
@@ -269,7 +269,7 @@ TEST(FaultResilience, ButterflyDropDeliveryRatioMatchesUniquePathClosedForm) {
   scenario.fault_rate = f;
   scenario.fault_policy = "drop";
   scenario.window = {50.0, 1050.0};
-  scenario.plan = {100, 77, 0};
+  scenario.plan = {100, 77};
   const RunResult result = run(scenario);
   const auto* ratio = result.extra("delivery_ratio");
   ASSERT_NE(ratio, nullptr);
@@ -289,7 +289,7 @@ TEST(FaultResilience, ButterflyTwinDetourMisroutesInsteadOfSaving) {
   scenario.fault_rate = 0.15;
   scenario.fault_policy = "twin_detour";
   scenario.window = {50.0, 550.0};
-  scenario.plan = {8, 9, 0};
+  scenario.plan = {8, 9};
   const RunResult result = run(scenario);
   EXPECT_GT(result.extra("fault_drops")->mean, 0.0);
   EXPECT_LT(result.extra("delivery_ratio")->mean, 1.0);
@@ -370,7 +370,7 @@ TEST(FaultResilience, StretchIsOneOnFaultFreeRunsAndAtLeastOneUnderFaults) {
   scenario.lambda = 1.0;
   scenario.p = 0.5;
   scenario.window = {50.0, 550.0};
-  scenario.plan = {4, 31, 0};
+  scenario.plan = {4, 31};
   const RunResult pristine = run(scenario);
   ASSERT_NE(pristine.extra("mean_stretch"), nullptr);
   EXPECT_DOUBLE_EQ(pristine.extra("mean_stretch")->mean, 1.0);
@@ -392,7 +392,7 @@ TEST(FaultResilience, DeflectPolicyAlsoRunsAndKeepsStretchAboveOne) {
   scenario.fault_rate = 0.15;
   scenario.fault_policy = "deflect";
   scenario.window = {50.0, 550.0};
-  scenario.plan = {4, 13, 0};
+  scenario.plan = {4, 13};
   const RunResult result = run(scenario);
   EXPECT_GE(result.extra("mean_stretch")->mean, 1.0);
   EXPECT_GT(result.extra("delivery_ratio")->mean, 0.0);
@@ -410,7 +410,7 @@ TEST(FaultResilience, BufferDropsAndFaultDropsAreSeparatelyAccounted) {
   scenario.fault_rate = 0.15;
   scenario.fault_policy = "drop";
   scenario.window = {50.0, 550.0};
-  scenario.plan = {4, 101, 0};
+  scenario.plan = {4, 101};
   const RunResult result = run(scenario);
   const auto* fault_drops = result.extra("fault_drops");
   const auto* buffer_drops = result.extra("buffer_drops");
@@ -442,7 +442,7 @@ TEST(FaultResilience, DynamicUpDownProcessIsDeterministicAndHarvested) {
   scenario.fault_mttr = 15.0;
   scenario.fault_policy = "skip_dim";
   scenario.window = {50.0, 550.0};
-  scenario.plan = {4, 55, 0};
+  scenario.plan = {4, 55};
   const RunResult first = run(scenario);
   const RunResult second = run(scenario);
   EXPECT_DOUBLE_EQ(first.delay.mean, second.delay.mean);
@@ -464,7 +464,7 @@ TEST(FaultResilience, ValiantMixingAndDeflectionReportResilienceExtras) {
   valiant.fault_rate = 0.1;
   valiant.fault_policy = "skip_dim";
   valiant.window = {50.0, 550.0};
-  valiant.plan = {4, 21, 0};
+  valiant.plan = {4, 21};
   const RunResult mixed = run(valiant);
   EXPECT_GE(mixed.extra("mean_stretch")->mean, 1.0);
   EXPECT_GT(mixed.extra("delivery_ratio")->mean, 0.0);
@@ -476,7 +476,7 @@ TEST(FaultResilience, ValiantMixingAndDeflectionReportResilienceExtras) {
   deflection.lambda = 0.05;
   deflection.fault_rate = 0.1;
   deflection.window = {50.0, 1050.0};
-  deflection.plan = {4, 23, 0};
+  deflection.plan = {4, 23};
   const RunResult deflected = run(deflection);
   EXPECT_GT(deflected.extra("delivery_ratio")->mean, 0.0);
   EXPECT_LE(deflected.extra("delivery_ratio")->mean, 1.0);

@@ -273,6 +273,30 @@ TEST(Trace, TracedCampaignIsBitIdenticalToUntraced) {
   }
 }
 
+// The pipelined baseline drives the kernel once per round; its trace still
+// shows one kernel.drive span per replication, however many rounds the
+// window holds.
+TEST(Trace, PipelinedBaselineRecordsOneDriveSpanPerReplication) {
+  for (const char* measure : {"500", "2000"}) {
+    SCOPED_TRACE(measure);
+    Campaign campaign("pipelined");
+    campaign.add(Scenario::parse_text(
+        std::string("pipelined_baseline d=6 lambda=0.01 reps=2 measure=") +
+        measure));
+    obs::TraceSession session;
+    EngineOptions options;
+    options.threads = 2;
+    options.trace = &session;
+    (void)Engine(options).run(campaign);
+    std::size_t drives = 0;
+    for (const json::Value& event : check_trace_contract(session)) {
+      drives += event.find("name")->string == "kernel.drive" &&
+                event.find("ph")->string == "B";
+    }
+    EXPECT_EQ(drives, 2u);
+  }
+}
+
 TEST(Trace, EngineRecordsCacheAndStoreInstants) {
   const std::string path = ::testing::TempDir() + "obs_store_instants.jsonl";
   std::remove(path.c_str());

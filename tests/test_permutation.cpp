@@ -207,7 +207,7 @@ TEST(PermutationScenario, EverySupportingSchemeRuns) {
     scenario.permutation = "shuffle";  // congestion 1: stable everywhere
     scenario.lambda = 0.05;
     scenario.window = {20.0, 220.0};
-    scenario.plan = {1, 7, 1};
+    scenario.plan = {1, 7};
     const RunResult result = run(scenario);
     if (std::string(scheme) != "batch_greedy") {
       EXPECT_GT(result.throughput.mean, 0.0) << scheme;
@@ -233,7 +233,7 @@ TEST(PermutationScenario, MaxQueueExtraAppearsOnlyForPermutations) {
   scenario.workload = "permutation";
   scenario.permutation = "bit_complement";
   scenario.window = {20.0, 220.0};
-  scenario.plan = {1, 7, 1};
+  scenario.plan = {1, 7};
   const RunResult perm_result = run(scenario);
   ASSERT_NE(perm_result.extra("max_queue"), nullptr);
   EXPECT_GT(perm_result.extra("max_queue")->mean, 0.0);

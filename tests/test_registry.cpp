@@ -31,7 +31,7 @@ Scenario tiny_scenario(const std::string& scheme) {
   scenario.p = 0.5;
   if (scheme == "multicast" || scheme == "batch_greedy") scenario.fanout = 2;
   scenario.window = {20.0, 120.0};
-  scenario.plan = {2, 42, 1};
+  scenario.plan = {2, 42};
   if (scheme == "pipelined_baseline") scenario.lambda = 0.02;  // inside 1/(Rd)
   return scenario;
 }
@@ -199,7 +199,7 @@ TEST(SchemeRegistry, DownstreamSchemesCanBePluggedIn) {
   Scenario scenario;
   scenario.scheme = "test_constant_delay";
   scenario.d = 6;
-  scenario.plan = {3, 1, 1};
+  scenario.plan = {3, 1};
   const RunResult result = run(scenario);
   EXPECT_DOUBLE_EQ(result.delay.mean, 6.0);
   EXPECT_DOUBLE_EQ(result.delay.half_width, 0.0);

@@ -68,7 +68,7 @@ Scenario sample_scenario(std::uint64_t seed = 7) {
   scenario.d = 4;
   scenario.set("rho", "0.5");
   scenario.measure = 100.0;
-  scenario.plan = {2, seed, 0};
+  scenario.plan = {2, seed};
   return scenario.resolved();
 }
 
@@ -353,6 +353,124 @@ TEST(ReplayResults, ReadsCampaignSinkLinesAndRederivesKeys) {
     ++consumed;
   });
   EXPECT_EQ(consumed, 1u);
+}
+
+// Records written while `threads` was a scenario key: a store record (key
+// `threads=0`, scenario `threads=3`) and a campaign --jsonl line
+// (`threads=2`), byte for byte as the old writers left them.  Loading
+// drops the retired token, so both are served and resumed under the
+// current key without recompute.
+TEST(ResultStore, RecordsWrittenWithTheRetiredThreadsKeyStillLoad) {
+  const std::string store_line =
+      R"({"v":1,"key":"hypercube_greedy d=4 topology=native torus_dims=4x4 )"
+      R"(lambda=1 p=0.5 tau=0 discipline=fifo workload=bit_flip )"
+      R"(permutation=bit_reversal hotspot_frac=0.1 fanout=4 )"
+      R"(unicast_baseline=0 buffers=0 fault_rate=0 node_fault_rate=0 )"
+      R"(fault_mtbf=0 fault_mttr=0 storm_rate=0 storm_radius=1 )"
+      R"(storm_duration=0 fault_policy=drop ttl=0 warmup=0 horizon=0 )"
+      R"(measure=1e+02 reps=2 seed=61 threads=0 backend=scalar",)"
+      R"("scenario":"hypercube_greedy d=4 topology=native torus_dims=4x4 )"
+      R"(lambda=1 p=0.5 tau=0 discipline=fifo workload=bit_flip )"
+      R"(permutation=bit_reversal hotspot_frac=0.1 fanout=4 )"
+      R"(unicast_baseline=0 buffers=0 fault_rate=0 node_fault_rate=0 )"
+      R"(fault_mtbf=0 fault_mttr=0 storm_rate=0 storm_radius=1 )"
+      R"(storm_duration=0 fault_policy=drop ttl=0 warmup=0 horizon=0 )"
+      R"(measure=1e+02 reps=2 seed=61 threads=3 backend=scalar",)"
+      R"("result":{"rho":0.5,"delay_mean":2.7332869076300188,)"
+      R"("delay_half_width":0.7987963323567745,)"
+      R"("population_mean":42.923391885113773,)"
+      R"("population_half_width":14.966364375574484,"throughput_mean":15.04,)"
+      R"("throughput_half_width":0.38118614208517448,)"
+      R"("mean_hops":1.9900477761563067,)"
+      R"("max_little_error":0.021057434523984078,"mean_final_backlog":4e+01,)"
+      R"("has_bounds":true,"lower_bound":2.25,"upper_bound":4,)"
+      R"("extras":{"delivery_ratio":{"mean":1,"half_width":0},)"
+      R"("mean_stretch":{"mean":1,"half_width":0},)"
+      R"("delay_p50":{"mean":2.7399265405722848,)"
+      R"("half_width":0.6731701262269999},)"
+      R"("delay_p99":{"mean":7.331845238095239,)"
+      R"("half_width":4.24825904780245},"fault_drops":{"mean":0,)"
+      R"("half_width":0},"buffer_drops":{"mean":0,"half_width":0}}}})";
+  const std::string sink_line =
+      R"({"campaign":"routesim_bench","cell":0,"label":"butterfly_greedy",)"
+      R"("scenario":"butterfly_greedy d=4 topology=native torus_dims=4x4 )"
+      R"(lambda=0.8 p=0.5 tau=0 discipline=fifo workload=bit_flip )"
+      R"(permutation=bit_reversal hotspot_frac=0.1 fanout=4 )"
+      R"(unicast_baseline=0 buffers=0 fault_rate=0 node_fault_rate=0 )"
+      R"(fault_mtbf=0 fault_mttr=0 storm_rate=0 storm_radius=1 )"
+      R"(storm_duration=0 fault_policy=drop ttl=0 warmup=0 horizon=0 )"
+      R"(measure=1e+02 reps=2 seed=62 threads=2 backend=scalar",)"
+      R"("from_cache":false,"from_store":false,"tier":"computed",)"
+      R"("wall_time_s":0.001293197,"rho":0.4,"delay_mean":4.8386274584730753,)"
+      R"("delay_half_width":0.098181578472565562,)"
+      R"("population_mean":59.012042104752048,)"
+      R"("population_half_width":3.3046995592882049,"throughput_mean":11.605,)"
+      R"("throughput_half_width":0.31765511840431865,)"
+      R"("mean_hops":1.9995533705487412,)"
+      R"("max_little_error":0.01284910652146542,"mean_final_backlog":62,)"
+      R"("has_bounds":true,"lower_bound":4.3333333333333339,)"
+      R"("upper_bound":6.666666666666667,)"
+      R"("extras":{"delivery_ratio":{"mean":1,"half_width":0},)"
+      R"("mean_stretch":{"mean":1,"half_width":0},)"
+      R"("delay_p50":{"mean":4.7220371732090047,)"
+      R"("half_width":0.043247255665222958},)"
+      R"("delay_p99":{"mean":8.2696825396825364,)"
+      R"("half_width":1.4924748420267262},"fault_drops":{"mean":0,)"
+      R"("half_width":0},"buffer_drops":{"mean":0,"half_width":0}}})";
+  const Scenario stored =
+      Scenario::parse_text("hypercube_greedy d=4 rho=0.5 measure=100 reps=2 seed=61")
+          .resolved();
+  const Scenario streamed =
+      Scenario::parse_text("butterfly_greedy d=4 rho=0.4 measure=100 reps=2 seed=62")
+          .resolved();
+
+  const std::string path = temp_store("retired_threads.jsonl");
+  write_file(path, store_line + "\n");
+  std::string stored_result;
+  {
+    ResultStore store(path);
+    ASSERT_EQ(store.size(), 1u);
+    RunResult result;
+    ASSERT_TRUE(store.fetch(ResultCache::key(stored), &result));
+    EXPECT_EQ(result.delay.mean, 2.7332869076300188);
+    stored_result = result_to_json(result);
+
+    Campaign resume("resume");
+    resume.add(stored);
+    const auto cells = Engine(EngineOptions{.store = &store}).run(resume);
+    ASSERT_EQ(cells.size(), 1u);
+    EXPECT_STREQ(cells[0].tier(), "store");
+    EXPECT_EQ(result_to_json(cells[0].result), stored_result);
+    ASSERT_TRUE(store.compact());  // rewrites the record in the current form
+  }
+  EXPECT_EQ(read_file(path).find("threads="), std::string::npos);
+  {
+    ResultStore compacted(path);
+    RunResult result;
+    ASSERT_TRUE(compacted.fetch(ResultCache::key(stored), &result));
+    EXPECT_EQ(result_to_json(result), stored_result);
+  }
+
+  const std::string replay_path = temp_store("retired_threads_replay.jsonl");
+  write_file(replay_path, store_line + "\n" + sink_line + "\n");
+  ResultCache cache;
+  const std::size_t consumed = replay_results(
+      replay_path, [&](const std::string& key, const Scenario& scenario,
+                       const RunResult& result) {
+        EXPECT_EQ(key, ResultCache::key(scenario));
+        cache.insert(key, result);
+      });
+  EXPECT_EQ(consumed, 2u);
+  Campaign resume("resume");
+  resume.add(stored);
+  resume.add(streamed);
+  const auto cells = Engine(EngineOptions{.cache = &cache}).run(resume);
+  ASSERT_EQ(cells.size(), 2u);
+  for (const CellResult& cell : cells) EXPECT_STREQ(cell.tier(), "cache") << cell.label;
+  EXPECT_EQ(result_to_json(cells[0].result), stored_result);
+  EXPECT_EQ(cells[1].result.delay.mean, 4.8386274584730753);
+  std::remove(path.c_str());
+  std::remove(replay_path.c_str());
 }
 
 TEST(ReplayResults, MissingFileConsumesNothing) {

@@ -10,6 +10,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -44,7 +45,7 @@ TEST(Scenario, NonDefaultRoundTripThroughTextualForm) {
   original.buffer_capacity = 12;
   original.window = {123.5, 4567.25};
   original.measure = 777.125;
-  original.plan = {11, 987654321, 3};
+  original.plan = {11, 987654321};
 
   std::vector<std::string> args{original.scheme};
   for (const auto& [key, value] : original.to_key_values()) {
@@ -97,6 +98,16 @@ TEST(Scenario, UnknownKeySuggestsNearestValidKeys) {
     FAIL() << "expected ScenarioError";
   } catch (const ScenarioError& error) {
     EXPECT_NE(std::string(error.what()).find("lambda"), std::string::npos);
+  }
+  // The worker-pool width is the engine's (EngineOptions::threads), not a
+  // scenario key: it never changes results.
+  try {
+    scenario.set("threads", "2");
+    FAIL() << "expected ScenarioError";
+  } catch (const ScenarioError& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("unknown scenario key 'threads'"), std::string::npos)
+        << message;
   }
 }
 
@@ -250,7 +261,7 @@ TEST(Scenario, SchemeCheckResolvesAndRejectsTopologies) {
     native.scheme = scheme;
     native.d = 3;
     native.window = {10.0, 60.0};
-    native.plan = {1, 5, 1};
+    native.plan = {1, 5};
     Scenario named = native;
     named.set("topology", first);
     EXPECT_EQ(run(native).delay.mean, run(named).delay.mean) << scheme;
@@ -762,7 +773,7 @@ TEST(Scenario, TextualFormIsPinned) {
             "unicast_baseline=0 buffers=0 fault_rate=0 node_fault_rate=0 "
             "fault_mtbf=0 fault_mttr=0 storm_rate=0 storm_radius=1 "
             "storm_duration=0 fault_policy=drop ttl=0 warmup=0 horizon=0 "
-            "measure=4e+03 reps=8 seed=1 threads=0 backend=scalar");
+            "measure=4e+03 reps=8 seed=1 backend=scalar");
   Scenario optional;
   optional.set("ring_chords", "papillon");
   optional.set("rho", "0.5");
@@ -806,6 +817,29 @@ TEST(Scenario, BadValueNamesKeyValueAndReason) {
   EXPECT_DOUBLE_EQ(scenario.fault_rate, 0.0);  // nothing committed
   EXPECT_THROW(scenario.set("buffers", "-1"), ScenarioError);
   EXPECT_THROW(scenario.set("rho", "nan"), ScenarioError);
+
+  // Out-of-range values fail at set(), naming the key, before any cell
+  // compiles or any worker starts.
+  for (const auto& [key, value, reason] :
+       std::vector<std::tuple<std::string, std::string, std::string>>{
+           {"reps", "0", "must be >= 1"},
+           {"measure", "0", "must be > 0"},
+           {"lambda", "-0.1", "must be > 0"},
+           {"lambda", "0", "must be > 0"},
+           {"rho", "0", "must be > 0"},
+           {"p", "-0.2", "must be in [0, 1]"},
+           {"p", "1.5", "must be in [0, 1]"},
+           {"tau", "-1", "must be >= 0"}}) {
+    const Scenario before = scenario;
+    try {
+      scenario.set(key, value);
+      ADD_FAILURE() << key << "=" << value << " was accepted";
+    } catch (const ScenarioError& error) {
+      EXPECT_EQ(std::string(error.what()),
+                "bad value '" + value + "' for key '" + key + "': " + reason);
+    }
+    EXPECT_EQ(scenario, before) << key;
+  }
 }
 
 TEST(SweepSpec, RejectsKeysThatAreNotSweepable) {
@@ -828,12 +862,10 @@ TEST(SweepSpec, RejectsKeysThatAreNotSweepable) {
 // those: every other key changes the cache key.
 TEST(Scenario, CacheKeyNormalisesExactlyTheResultNeutralKeys) {
   Scenario tuned;
-  tuned.set("threads", "3");
   tuned.set("backend", "soa_batch");
   EXPECT_EQ(ResultCache::key(tuned), ResultCache::key(Scenario()));
   for (const ScenarioKey& key : Scenario::keys()) {
-    EXPECT_EQ(key.result_neutral, key.name == "threads" || key.name == "backend")
-        << key.name;
+    EXPECT_EQ(key.result_neutral, key.name == "backend") << key.name;
   }
   Scenario seeded;
   seeded.set("seed", "2");

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/campaign.hpp"
 #include "core/scenario.hpp"
 #include "util/assert.hpp"
 
@@ -92,10 +93,9 @@ TEST(Simulation, PsNetworkDelayNearProductFormPrediction) {
 
 TEST(Simulation, DeterministicForPlanSeedAcrossThreadCounts) {
   const auto window = Window::for_load(4, 0.4, 1000.0);
-  const RunResult a =
-      run(point("hypercube_greedy", 4, 0.8, 0.5, window, {4, 5, 1}));
-  const RunResult b =
-      run(point("hypercube_greedy", 4, 0.8, 0.5, window, {4, 5, 4}));
+  const Scenario scenario = point("hypercube_greedy", 4, 0.8, 0.5, window, {4, 5});
+  const RunResult a = Engine(EngineOptions{.threads = 1}).run_one(scenario);
+  const RunResult b = Engine(EngineOptions{.threads = 4}).run_one(scenario);
   EXPECT_DOUBLE_EQ(a.delay.mean, b.delay.mean);
   EXPECT_DOUBLE_EQ(a.population.mean, b.population.mean);
 }
