@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -30,6 +31,11 @@ Campaign& Campaign::add(Scenario scenario) {
 
 Campaign& Campaign::add(std::string label, Scenario scenario) {
   cells_.push_back({std::move(label), std::move(scenario)});
+  return *this;
+}
+
+Campaign& Campaign::add(KeyedScenario keyed) {
+  cells_.push_back({keyed.scenario().scheme, keyed.scenario(), std::move(keyed)});
   return *this;
 }
 
@@ -98,10 +104,15 @@ Campaign& Campaign::grid(const Scenario& base,
 // ------------------------------------------------------------------- cache
 
 std::string ResultCache::key(const Scenario& scenario) {
-  Scenario canonical = scenario.resolved();
-  // Keys that never change results (thread count, backend spelling) are
-  // written at their defaults, so such runs share one entry.
+  return KeyedScenario::admit(scenario).key();
+}
+
+KeyedScenario KeyedScenario::admit(const Scenario& scenario) {
+  Scenario resolved = scenario.resolved();
+  // Keys that never change results (the backend spelling) are written at
+  // their defaults, so such runs share one entry.
   static const Scenario defaults;
+  Scenario canonical = resolved;
   for (const ScenarioKey& row : Scenario::keys()) {
     if (row.result_neutral) row.set(canonical, *row.get(defaults));
   }
@@ -117,7 +128,7 @@ std::string ResultCache::key(const Scenario& scenario) {
                       trace_file_fingerprint(canonical.trace_file)));
     key += fingerprint;
   }
-  return key;
+  return {std::move(resolved), std::move(key)};
 }
 
 bool ResultCache::lookup(const std::string& key, RunResult* out) const {
@@ -145,26 +156,47 @@ std::size_t ResultCache::size() const {
 
 // -------------------------------------------------------------- JSONL sink
 
-namespace {
-
-/// JSON has no NaN/Inf literals; emit null for them.
-void json_number(std::ostringstream& os, double value) {
-  if (!std::isfinite(value)) {
-    os << "null";
-  } else {
-    os << fmt_shortest(value);
+void append_result_fields(std::string& out, const RunResult& result,
+                          bool exact) {
+  // JSON has no NaN/Inf literals: null, or strings the reader maps back.
+  const auto number = [&](double value) {
+    if (std::isfinite(value)) {
+      out += fmt_shortest(value);
+    } else if (!exact) {
+      out += "null";
+    } else {
+      out += std::isnan(value) ? "\"nan\"" : value > 0 ? "\"inf\"" : "\"-inf\"";
+    }
+  };
+  const auto member = [&](const char* prefix, double value) {
+    out += prefix;
+    number(value);
+  };
+  member("\"rho\":", result.rho);
+  member(",\"delay_mean\":", result.delay.mean);
+  member(",\"delay_half_width\":", result.delay.half_width);
+  member(",\"population_mean\":", result.population.mean);
+  member(",\"population_half_width\":", result.population.half_width);
+  member(",\"throughput_mean\":", result.throughput.mean);
+  member(",\"throughput_half_width\":", result.throughput.half_width);
+  member(",\"mean_hops\":", result.mean_hops);
+  member(",\"max_little_error\":", result.max_little_error);
+  member(",\"mean_final_backlog\":", result.mean_final_backlog);
+  out += result.has_bounds ? ",\"has_bounds\":true" : ",\"has_bounds\":false";
+  if (exact || result.has_bounds) {
+    member(",\"lower_bound\":", result.lower_bound);
+    member(",\"upper_bound\":", result.upper_bound);
   }
+  out += ",\"extras\":{";
+  for (std::size_t i = 0; i < result.extras.size(); ++i) {
+    out += i == 0 ? "\"" : ",\"";
+    out += json_escape(result.extras[i].first);
+    member("\":{\"mean\":", result.extras[i].second.mean);
+    member(",\"half_width\":", result.extras[i].second.half_width);
+    out += '}';
+  }
+  out += '}';
 }
-
-void json_interval(std::ostringstream& os, const char* name,
-                   const ConfidenceInterval& interval) {
-  os << "\"" << name << "_mean\":";
-  json_number(os, interval.mean);
-  os << ",\"" << name << "_half_width\":";
-  json_number(os, interval.half_width);
-}
-
-}  // namespace
 
 JsonlSink::JsonlSink(const std::string& path, FileOptions options)
     : file_(std::fopen(path.c_str(), options.append ? "ab" : "wb")),
@@ -195,47 +227,20 @@ void JsonlSink::on_cell(const CellResult& cell) {
 
 std::string JsonlSink::to_json(const std::string& campaign,
                                const CellResult& cell) {
-  const RunResult& r = cell.result;
   std::ostringstream os;
   os << "{\"campaign\":\"" << json_escape(campaign) << "\",\"cell\":"
      << cell.index << ",\"label\":\"" << json_escape(cell.label)
      << "\",\"scenario\":\"" << json_escape(cell.scenario.to_string())
      << "\",\"from_cache\":" << (cell.from_cache ? "true" : "false")
      << ",\"from_store\":" << (cell.from_store ? "true" : "false")
-     << ",\"tier\":\"" << cell.tier() << "\",\"wall_time_s\":";
-  json_number(os, cell.wall_time_s);
-  os << ",\"rho\":";
-  json_number(os, r.rho);
-  os << ',';
-  json_interval(os, "delay", r.delay);
-  os << ',';
-  json_interval(os, "population", r.population);
-  os << ',';
-  json_interval(os, "throughput", r.throughput);
-  os << ",\"mean_hops\":";
-  json_number(os, r.mean_hops);
-  os << ",\"max_little_error\":";
-  json_number(os, r.max_little_error);
-  os << ",\"mean_final_backlog\":";
-  json_number(os, r.mean_final_backlog);
-  os << ",\"has_bounds\":" << (r.has_bounds ? "true" : "false");
-  if (r.has_bounds) {
-    os << ",\"lower_bound\":";
-    json_number(os, r.lower_bound);
-    os << ",\"upper_bound\":";
-    json_number(os, r.upper_bound);
-  }
-  os << ",\"extras\":{";
-  for (std::size_t i = 0; i < r.extras.size(); ++i) {
-    os << (i == 0 ? "" : ",") << "\"" << json_escape(r.extras[i].first)
-       << "\":{\"mean\":";
-    json_number(os, r.extras[i].second.mean);
-    os << ",\"half_width\":";
-    json_number(os, r.extras[i].second.half_width);
-    os << '}';
-  }
-  os << "}}";
-  return os.str();
+     << ",\"tier\":\"" << cell.tier() << "\",\"wall_time_s\":"
+     << (std::isfinite(cell.wall_time_s) ? fmt_shortest(cell.wall_time_s)
+                                         : "null")
+     << ',';
+  std::string line = os.str();
+  append_result_fields(line, cell.result, /*exact=*/false);
+  line += '}';
+  return line;
 }
 
 // ------------------------------------------------------------------ engine
@@ -246,9 +251,10 @@ namespace {
 /// job, whose replication rows are filled by the shared pool and
 /// aggregated exactly once.
 struct CellJob {
+  explicit CellJob(KeyedScenario admitted) : cell(std::move(admitted)) {}
+
   std::vector<std::size_t> cell_indices;  ///< front() computed, rest copies
-  Scenario scenario;                      ///< resolved form
-  std::string key;
+  KeyedScenario cell;
   CompiledScenario compiled;
   std::vector<std::vector<double>> rows;
   std::atomic<int> remaining{0};
@@ -347,15 +353,13 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
   }
 
   std::vector<CellResult> out(campaign.size());
-  enum class Slot : std::uint8_t { kCached, kDuplicate, kScheduled };
-  std::vector<Slot> status(campaign.size(), Slot::kScheduled);
 
-  // Phase 1 (this thread): resolve every cell and check it against its
-  // scheme's capability row (SchemeInfo::check) before any lookup, so a
-  // record stored under a knob the row now rejects is never answered;
-  // serve cache and persistent-store hits, coalesce in-campaign
-  // duplicates into one job per distinct key and compile the rest, so
-  // any ScenarioError surfaces before a single worker starts.  The store
+  // Phase 1 (this thread): admit each cell (unless it came admitted) and
+  // check it against its scheme's capability row (SchemeInfo::check)
+  // before any lookup, so a record stored under a knob the row rejects is
+  // never answered; serve cache and store hits, coalesce in-campaign
+  // duplicates into one job per distinct key and compile the rest, so any
+  // ScenarioError surfaces before a single worker starts.  The store
   // lookup is what makes a rerun of an interrupted campaign a *resume*:
   // finished cells never reschedule.
   std::vector<std::unique_ptr<CellJob>> jobs;
@@ -368,17 +372,16 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
     obs::TraceSpan cell_span(trace, "cell.compile", "engine",
                              cell_args(trace, i));
     const CampaignCell& cell = campaign.cells()[i];
-    Scenario resolved = cell.scenario.resolved();
-    const auto& info = SchemeRegistry::instance().check(resolved);
-    const std::string key = ResultCache::key(resolved);
+    KeyedScenario keyed =
+        cell.keyed ? *cell.keyed : KeyedScenario::admit(cell.scenario);
+    const auto& info = SchemeRegistry::instance().check(keyed.scenario());
+    const std::string& key = keyed.key();
     out[i].index = i;
     out[i].label = cell.label;
-    out[i].scenario = resolved;
+    out[i].scenario = keyed.scenario();
 
     if (options_.cache != nullptr && options_.cache->lookup(key, &out[i].result)) {
       out[i].from_cache = true;
-      status[i] = Slot::kCached;
-      metrics.cells_cache.add();
       if (trace != nullptr) {
         trace->instant("cache.hit", "engine", cell_args(trace, i));
       }
@@ -387,8 +390,6 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
     if (options_.store != nullptr && options_.store->fetch(key, &out[i].result)) {
       out[i].from_cache = true;
       out[i].from_store = true;
-      status[i] = Slot::kCached;
-      metrics.cells_store.add();
       if (trace != nullptr) {
         trace->instant("store.hit", "engine", cell_args(trace, i));
       }
@@ -398,21 +399,17 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
       continue;
     }
     if (const auto it = job_by_key.find(key); it != job_by_key.end()) {
-      it->second->cell_indices.push_back(i);
-      out[i].from_cache = true;  // shares another cell's computation
-      status[i] = Slot::kDuplicate;
+      it->second->cell_indices.push_back(i);  // from_cache once it finishes
       continue;
     }
-    RS_EXPECTS(resolved.plan.replications >= 1);
-    auto job = std::make_unique<CellJob>();
+    const int replications = keyed.scenario().plan.replications;
+    RS_EXPECTS(replications >= 1);
+    auto job = std::make_unique<CellJob>(std::move(keyed));
     job->cell_indices = {i};
-    job->scenario = std::move(resolved);
-    job->key = key;
-    job->compiled = info.compile(job->scenario);
-    job->rows.resize(static_cast<std::size_t>(job->scenario.plan.replications));
-    job->remaining.store(job->scenario.plan.replications,
-                         std::memory_order_relaxed);
-    job_by_key.emplace(job->key, job.get());
+    job->compiled = info.compile(job->cell.scenario());
+    job->rows.resize(static_cast<std::size_t>(replications));
+    job->remaining.store(replications, std::memory_order_relaxed);
+    job_by_key.emplace(job->cell.key(), job.get());
     jobs.push_back(std::move(job));
   }
 
@@ -421,7 +418,7 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
   // Cache hits are final already: emit them up front, in cell order (no
   // worker is running yet, so no lock is needed).
   for (std::size_t i = 0; i < out.size(); ++i) {
-    if (status[i] != Slot::kCached) continue;
+    if (!out[i].from_cache) continue;
     for (ResultSink* sink : options_.sinks) {
       if (sink != nullptr) sink->on_cell(out[i]);
     }
@@ -435,7 +432,7 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
   };
   std::vector<Task> tasks;
   for (const auto& job : jobs) {
-    for (int rep = 0; rep < job->scenario.plan.replications; ++rep) {
+    for (int rep = 0; rep < job->cell.scenario().plan.replications; ++rep) {
       tasks.push_back({job.get(), rep});
     }
   }
@@ -450,24 +447,24 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
     // Last replication of this job: aggregate once (replication order),
     // publish durably (store first, so no sink ever reports a cell the
     // store could lose), then to the cache, then fan out to every cell
-    // sharing the key.
+    // sharing the key (all but the first are served from_cache).
     RunResult result;
     {
       obs::TraceSpan assemble_span(trace, "cell.assemble", "engine",
                                    cell_args(trace, job.cell_indices.front()));
-      result = assemble(job.scenario, job.compiled, job.rows);
+      result = assemble(job.cell.scenario(), job.compiled, job.rows);
     }
     if (options_.store != nullptr) {
       obs::TraceSpan persist_span(obs::thread_trace(), "store.persist",
                                   "engine");
-      options_.store->persist(job.key, job.scenario, result);
+      options_.store->persist(job.cell.key(), job.cell.scenario(), result);
     }
-    if (options_.cache != nullptr) options_.cache->insert(job.key, result);
-    metrics.cells_computed.add(static_cast<double>(job.cell_indices.size()));
+    if (options_.cache != nullptr) options_.cache->insert(job.cell.key(), result);
     const double wall = job.compute_seconds.load(std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(sink_mutex);
     obs::TraceSpan flush_span(obs::thread_trace(), "sink.flush", "engine");
     for (const std::size_t cell_index : job.cell_indices) {
+      out[cell_index].from_cache = cell_index != job.cell_indices.front();
       out[cell_index].result = result;
       out[cell_index].wall_time_s = wall;
       for (ResultSink* sink : options_.sinks) {
@@ -504,7 +501,7 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
               trace, "replication", "engine",
               cell_args(trace, job.cell_indices.front(), rep));
           job.rows[static_cast<std::size_t>(rep)] = job.compiled.replicate(
-              derive_stream(job.scenario.plan.base_seed,
+              derive_stream(job.cell.scenario().plan.base_seed,
                             static_cast<std::uint64_t>(rep)),
               rep);
         }
@@ -544,18 +541,26 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
       for (int w = 0; w < workers; ++w) pool.emplace_back(work);
     }
   }
-  if (first_error) std::rethrow_exception(first_error);
 
-  // A cooperative stop leaves jobs with unadmitted replications; their
-  // cells (including duplicates funnelled into them) report
-  // completed == false so callers can count checkpointed vs pending work.
+  // A cooperative stop (or a failed replication) leaves jobs with
+  // unadmitted replications; their cells (including duplicates funnelled
+  // into them) report completed == false so callers can count
+  // checkpointed vs pending work.  Every finished cell is counted once,
+  // under the tier its CellResult names.
   for (const auto& job : jobs) {
     if (job->remaining.load(std::memory_order_acquire) == 0) continue;
     for (const std::size_t cell_index : job->cell_indices) {
       out[cell_index].completed = false;
-      out[cell_index].from_cache = false;
     }
   }
+  for (const CellResult& cell : out) {
+    if (!cell.completed) continue;
+    const std::string_view tier = cell.tier();
+    (tier == "store"   ? metrics.cells_store
+     : tier == "cache" ? metrics.cells_cache
+                       : metrics.cells_computed).add();
+  }
+  if (first_error) std::rethrow_exception(first_error);
 
   for (ResultSink* sink : options_.sinks) {
     if (sink != nullptr) sink->on_end(campaign);

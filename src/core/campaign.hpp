@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <unordered_map>
@@ -42,10 +43,35 @@ namespace obs {
 class TraceSession;  // obs/trace.hpp — EngineOptions::trace
 }
 
+/// A scenario resolved once (a pending rho target solved to lambda) and
+/// keyed once (ResultCache::key, a trace file's fingerprint included).
+/// Only admit() builds one, so the key always belongs to the scenario.
+/// It is not checked against its scheme's row: the engine checks every
+/// cell before any lookup or compile.
+class KeyedScenario {
+ public:
+  /// Throws the ScenarioError Scenario::resolved() throws.
+  [[nodiscard]] static KeyedScenario admit(const Scenario& scenario);
+
+  [[nodiscard]] const Scenario& scenario() const noexcept { return scenario_; }
+  [[nodiscard]] const std::string& key() const& noexcept { return key_; }
+  [[nodiscard]] std::string key() && noexcept { return std::move(key_); }
+
+ private:
+  KeyedScenario(Scenario scenario, std::string key)
+      : scenario_(std::move(scenario)), key_(std::move(key)) {}
+
+  Scenario scenario_;
+  std::string key_;
+};
+
 /// One cell of a campaign: a labelled experiment point.
 struct CampaignCell {
   std::string label;
   Scenario scenario;
+  /// Set when the cell was added admitted (serve's leader hands over the
+  /// form it keyed): the engine uses it instead of admitting `scenario`.
+  std::optional<KeyedScenario> keyed = std::nullopt;
 };
 
 /// A named, ordered set of cells.  Build with add() (one cell at a time)
@@ -58,6 +84,8 @@ class Campaign {
   /// Appends one cell; the label defaults to the scheme name.
   Campaign& add(Scenario scenario);
   Campaign& add(std::string label, Scenario scenario);
+  /// Appends an admitted cell, labelled by its scheme name.
+  Campaign& add(KeyedScenario keyed);
 
   /// Appends the full cross product of the axes' values applied to `base`
   /// (first axis slowest-varying, so rows group naturally in tables).
@@ -148,6 +176,13 @@ class MemorySink final : public ResultSink {
  private:
   std::vector<CellResult> results_;
 };
+
+/// Appends `result`'s fields as JSON members, without enclosing braces.
+/// `exact` is the store's round-trip form (non-finite values as
+/// "nan"/"inf"/"-inf", bounds always written); otherwise non-finite values
+/// are null and the bounds appear only under has_bounds (JsonlSink).
+void append_result_fields(std::string& out, const RunResult& result,
+                          bool exact);
 
 /// Streams one self-contained JSON object per finished cell — the
 /// machine-readable incremental form behind `routesim_bench --jsonl PATH`.

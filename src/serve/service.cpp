@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string_view>
 #include <vector>
@@ -101,13 +102,15 @@ void QueryService::count(const QueryResult& answered, double seconds) {
 
 QueryService::QueryResult QueryService::answer(const Scenario& scenario) {
   QueryResult qr;
+  std::optional<KeyedScenario> keyed;
   try {
-    qr.scenario = scenario.resolved();
+    keyed.emplace(KeyedScenario::admit(scenario));
   } catch (const std::exception& error) {
     qr.error = error.what();
     return qr;
   }
-  qr.key = ResultCache::key(qr.scenario);
+  qr.scenario = keyed->scenario();
+  qr.key = keyed->key();
 
   // Cache hits need no check: every entry came from the engine, which
   // checks a cell before it looks the cell up or computes it.
@@ -119,36 +122,29 @@ QueryService::QueryResult QueryService::answer(const Scenario& scenario) {
 
   // Join (or become) the one in-flight answer for this key, so N
   // concurrent clients asking the same scenario fund one engine run.
-  std::shared_ptr<Inflight> entry;
-  bool leader = false;
+  std::promise<QueryResult> leading;
+  std::shared_future<QueryResult> led;
   {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
-    const auto it = inflight_.find(qr.key);
-    if (it != inflight_.end()) {
-      entry = it->second;
-    } else {
-      entry = std::make_shared<Inflight>();
-      inflight_.emplace(qr.key, entry);
-      leader = true;
-    }
+    const auto [it, leader] =
+        inflight_.try_emplace(qr.key, leading.get_future().share());
+    if (!leader) led = it->second;
   }
-
-  if (!leader) {
-    std::unique_lock<std::mutex> wait_lock(entry->mutex);
-    entry->cv.wait(wait_lock, [&] { return entry->done; });
-    qr.ok = entry->answer.ok;
-    qr.error = entry->answer.error;
-    qr.result = entry->answer.result;
+  if (led.valid()) {
+    const QueryResult& answer = led.get();
+    qr.ok = answer.ok;
+    qr.error = answer.error;
+    qr.result = answer.result;
     qr.source = "inflight";
     return qr;
   }
 
-  // The engine checks the cell against its scheme's row, then answers it
-  // from the cache (another client may have just filled it), the store,
-  // or a computation it persists and caches.
+  // The engine takes the cell as keyed here, checks it against its
+  // scheme's row, then answers it from the cache (another client may have
+  // just filled it), the store, or a computation it persists and caches.
   try {
     Campaign single("serve");
-    single.add(qr.scenario);
+    single.add(std::move(*keyed));
     CellResult cell = std::move(Engine(engine_options()).run(single).front());
     qr.result = std::move(cell.result);
     qr.source = cell.tier();
@@ -156,12 +152,7 @@ QueryService::QueryResult QueryService::answer(const Scenario& scenario) {
   } catch (const std::exception& error) {
     qr.error = error.what();
   }
-  {
-    std::lock_guard<std::mutex> publish_lock(entry->mutex);
-    entry->done = true;
-    entry->answer = qr;
-  }
-  entry->cv.notify_all();
+  leading.set_value(qr);
   {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
     inflight_.erase(qr.key);

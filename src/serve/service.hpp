@@ -27,10 +27,9 @@
 /// (routesim_serve_*) plus the engine/kernel metrics; docs/OBSERVABILITY.md
 /// catalogs the names.
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <future>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -97,19 +96,13 @@ class QueryService {
   /// Counts one answer in stats_ and the serve metrics, by its source.
   void count(const QueryResult& answered, double seconds);
 
-  struct Inflight {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-    QueryResult answer;  ///< the leader's, valid once done
-  };
-
   ServiceOptions options_;
   ResultCache cache_;
   mutable std::mutex stats_mutex_;
   Stats stats_{};
   std::mutex inflight_mutex_;
-  std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight_;
+  /// The leader's answer per key being answered, for coalesced followers.
+  std::unordered_map<std::string, std::shared_future<QueryResult>> inflight_;
 };
 
 /// Executes one protocol line against `service`, emitting zero or more

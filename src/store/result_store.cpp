@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -20,27 +21,6 @@
 namespace routesim {
 
 namespace {
-
-/// Exact-round-trip number emission: fmt_shortest for finite values (each
-/// of its outputs parses back to the identical double), string literals
-/// for the values JSON cannot spell.
-void exact_number(std::ostringstream& os, double value) {
-  if (std::isnan(value)) {
-    os << "\"nan\"";
-  } else if (std::isinf(value)) {
-    os << (value > 0 ? "\"inf\"" : "\"-inf\"");
-  } else {
-    os << fmt_shortest(value);
-  }
-}
-
-void exact_interval(std::ostringstream& os, const char* name,
-                    const ConfidenceInterval& interval) {
-  os << '"' << name << "_mean\":";
-  exact_number(os, interval.mean);
-  os << ",\"" << name << "_half_width\":";
-  exact_number(os, interval.half_width);
-}
 
 /// Reads one double back: a JSON number, one of the non-finite string
 /// spellings, or null (the campaign sink's lossy non-finite form).
@@ -103,50 +83,53 @@ std::string without_retired_keys(std::string text) {
 }
 
 /// Scenario::parse_text of a record's scenario text, retired keys
-/// dropped, with a malformed one-liner reported as false.
-bool scenario_from_text(const std::string& text, Scenario* out) {
+/// dropped, and admitted into `*keyed` when given; a malformed one-liner,
+/// or one that cannot resolve (d out of range), is reported as false.
+bool scenario_from_text(const std::string& text, Scenario* out,
+                        std::optional<KeyedScenario>* keyed = nullptr) {
   try {
     *out = Scenario::parse_text(without_retired_keys(text));
+    if (keyed != nullptr) keyed->emplace(KeyedScenario::admit(*out));
   } catch (const ScenarioError&) {
     return false;
   }
   return true;
 }
 
+/// How a parsed line reads as a store record.
+enum class RecordKind { kCurrent, kOtherVersion, kNotARecord };
+
+/// A store record's key, scenario text (empty when absent) and result,
+/// with retired keys dropped from both texts.
+RecordKind read_record(const json::Value& record, std::string* key,
+                       std::string* scenario_text, RunResult* result) {
+  if (!record.is_object()) return RecordKind::kNotARecord;
+  const json::Value* version = record.find("v");
+  const json::Value* key_value = record.find("key");
+  const json::Value* result_value = record.find("result");
+  if (version == nullptr || !version->is_number() || key_value == nullptr ||
+      !key_value->is_string() || key_value->string.empty() ||
+      result_value == nullptr) {
+    return RecordKind::kNotARecord;
+  }
+  // Compared as a double: casting a file's 1e400 or 3e9 to int is undefined.
+  if (version->number != kResultStoreVersion) return RecordKind::kOtherVersion;
+  if (!result_from_json(*result_value, result)) return RecordKind::kNotARecord;
+  if (const json::Value* scenario = record.find("scenario");
+      scenario != nullptr && scenario->is_string()) {
+    *scenario_text = without_retired_keys(scenario->string);
+  }
+  *key = without_retired_keys(key_value->string);
+  return RecordKind::kCurrent;
+}
+
 }  // namespace
 
 std::string result_to_json(const RunResult& result) {
-  std::ostringstream os;
-  os << "{\"rho\":";
-  exact_number(os, result.rho);
-  os << ',';
-  exact_interval(os, "delay", result.delay);
-  os << ',';
-  exact_interval(os, "population", result.population);
-  os << ',';
-  exact_interval(os, "throughput", result.throughput);
-  os << ",\"mean_hops\":";
-  exact_number(os, result.mean_hops);
-  os << ",\"max_little_error\":";
-  exact_number(os, result.max_little_error);
-  os << ",\"mean_final_backlog\":";
-  exact_number(os, result.mean_final_backlog);
-  os << ",\"has_bounds\":" << (result.has_bounds ? "true" : "false")
-     << ",\"lower_bound\":";
-  exact_number(os, result.lower_bound);
-  os << ",\"upper_bound\":";
-  exact_number(os, result.upper_bound);
-  os << ",\"extras\":{";
-  for (std::size_t i = 0; i < result.extras.size(); ++i) {
-    os << (i == 0 ? "" : ",") << '"' << json_escape(result.extras[i].first)
-       << "\":{\"mean\":";
-    exact_number(os, result.extras[i].second.mean);
-    os << ",\"half_width\":";
-    exact_number(os, result.extras[i].second.half_width);
-    os << '}';
-  }
-  os << "}}";
-  return os.str();
+  std::string out = "{";
+  append_result_fields(out, result, /*exact=*/true);
+  out += '}';
+  return out;
 }
 
 bool result_from_json(const json::Value& value, RunResult* out) {
@@ -194,13 +177,24 @@ bool result_from_json(const json::Value& value, RunResult* out) {
   return true;
 }
 
+namespace {
+
+/// One store record line (no trailing newline) for a scenario's text.
+std::string record_json(const std::string& key, const std::string& scenario_text,
+                        const RunResult& result) {
+  std::string out = "{\"v\":" + std::to_string(kResultStoreVersion) +
+                    ",\"key\":\"" + json_escape(key) + "\",\"scenario\":\"" +
+                    json_escape(scenario_text) + "\",\"result\":{";
+  append_result_fields(out, result, /*exact=*/true);
+  out += "}}";
+  return out;
+}
+
+}  // namespace
+
 std::string store_record_json(const std::string& key, const Scenario& scenario,
                               const RunResult& result) {
-  std::ostringstream os;
-  os << "{\"v\":" << kResultStoreVersion << ",\"key\":\"" << json_escape(key)
-     << "\",\"scenario\":\"" << json_escape(scenario.to_string())
-     << "\",\"result\":" << result_to_json(result) << '}';
-  return os.str();
+  return record_json(key, scenario.to_string(), result);
 }
 
 // ------------------------------------------------------------------- store
@@ -227,28 +221,19 @@ ResultStore::~ResultStore() {
 }
 
 bool ResultStore::apply_record(const json::Value& record) {
-  if (!record.is_object()) return false;
-  const json::Value* version = record.find("v");
-  const json::Value* key = record.find("key");
-  const json::Value* result_value = record.find("result");
-  if (version == nullptr || !version->is_number() || key == nullptr ||
-      !key->is_string() || key->string.empty() || result_value == nullptr) {
-    return false;
-  }
-  // Compared as a double: casting a file's 1e400 or 3e9 to int is undefined.
-  if (version->number != kResultStoreVersion) {
-    ++stats_.skipped_version;
-    return true;  // a well-formed record we must not interpret — not garbage
-  }
+  std::string key;
   Entry entry;
-  if (!result_from_json(*result_value, &entry.result)) return false;
-  if (const json::Value* scenario = record.find("scenario");
-      scenario != nullptr && scenario->is_string()) {
-    entry.scenario_text = without_retired_keys(scenario->string);
+  switch (read_record(record, &key, &entry.scenario_text, &entry.result)) {
+    case RecordKind::kNotARecord:
+      return false;
+    case RecordKind::kOtherVersion:
+      ++stats_.skipped_version;
+      return true;  // a well-formed record we must not interpret — not garbage
+    case RecordKind::kCurrent:
+      break;
   }
-  std::string current_key = without_retired_keys(key->string);
-  if (index_.insert_or_assign(current_key, std::move(entry)).second) {
-    order_.push_back(std::move(current_key));
+  if (index_.insert_or_assign(key, std::move(entry)).second) {
+    order_.push_back(std::move(key));
   } else {
     ++stats_.duplicate_keys;  // append-only history: last record wins
   }
@@ -331,10 +316,11 @@ bool ResultStore::fetch(const std::string& key, RunResult* out) {
 void ResultStore::persist(const std::string& key, const Scenario& scenario,
                           const RunResult& result) {
   StoreMetrics::get().persists.add();
-  const std::string line = store_record_json(key, scenario, result) + "\n";
+  std::string text = scenario.to_string();
+  const std::string line = record_json(key, text, result) + "\n";
   std::lock_guard<std::mutex> lock(mutex_);
   if (index_.find(key) == index_.end()) order_.push_back(key);
-  index_.insert_or_assign(key, Entry{scenario.to_string(), result});
+  index_.insert_or_assign(key, Entry{std::move(text), result});
   if (file_ == nullptr) return;  // unopenable store: in-memory tier only
   std::fwrite(line.data(), 1, line.size(), file_);
   std::fflush(file_);
@@ -345,9 +331,9 @@ void ResultStore::persist(const std::string& key, const Scenario& scenario,
 }
 
 void ResultStore::put(const Scenario& scenario, const RunResult& result) {
-  const Scenario resolved = scenario.resolved();
-  (void)SchemeRegistry::instance().check(resolved);
-  persist(ResultCache::key(resolved), resolved, result);
+  const KeyedScenario cell = KeyedScenario::admit(scenario);
+  (void)SchemeRegistry::instance().check(cell.scenario());
+  persist(cell.key(), cell.scenario(), result);
 }
 
 bool ResultStore::contains(const std::string& key) const {
@@ -380,11 +366,7 @@ bool ResultStore::compact() {
   std::string content;
   for (const std::string& key : order_) {
     const Entry& entry = index_.at(key);
-    std::ostringstream os;
-    os << "{\"v\":" << kResultStoreVersion << ",\"key\":\"" << json_escape(key)
-       << "\",\"scenario\":\"" << json_escape(entry.scenario_text)
-       << "\",\"result\":" << result_to_json(entry.result) << "}\n";
-    content += os.str();
+    content += record_json(key, entry.scenario_text, entry.result) + '\n';
   }
   if (!write_file_atomic(path_, content)) return false;
   if (file_ != nullptr) std::fclose(file_);
@@ -393,10 +375,7 @@ bool ResultStore::compact() {
     error_ = "cannot reopen result store '" + path_ + "' after compaction";
     return false;
   }
-  stats_.duplicate_keys = 0;
-  stats_.skipped_garbage = 0;
-  stats_.skipped_version = 0;
-  stats_.truncated_tail = false;
+  stats_ = {.records_loaded = stats_.records_loaded};
   return true;
 }
 
@@ -415,25 +394,16 @@ std::size_t replay_results(
     if (!json::parse(line, &record) || !record.is_object()) continue;
 
     // Store record: {"v":..,"key":..,"scenario":..,"result":{...}}.
-    if (const json::Value* result_value = record.find("result");
-        result_value != nullptr) {
-      const json::Value* version = record.find("v");
-      const json::Value* key = record.find("key");
-      const json::Value* scenario_text = record.find("scenario");
-      if (version == nullptr || !version->is_number() ||
-          version->number != kResultStoreVersion ||
-          key == nullptr || !key->is_string() || scenario_text == nullptr ||
-          !scenario_text->is_string()) {
-        continue;
-      }
+    if (record.find("result") != nullptr) {
+      std::string key;
+      std::string text;
       RunResult result;
       Scenario scenario;
-      if (!result_from_json(*result_value, &result) ||
-          !scenario_from_text(scenario_text->string, &scenario)) {
-        continue;
+      if (read_record(record, &key, &text, &result) == RecordKind::kCurrent &&
+          scenario_from_text(text, &scenario)) {
+        consume(key, scenario, result);
+        ++consumed;
       }
-      consume(without_retired_keys(key->string), scenario, result);
-      ++consumed;
       continue;
     }
 
@@ -442,13 +412,13 @@ std::size_t replay_results(
     const json::Value* scenario_text = record.find("scenario");
     if (scenario_text == nullptr || !scenario_text->is_string()) continue;
     Scenario scenario;
+    std::optional<KeyedScenario> cell;
     RunResult result;
-    if (!scenario_from_text(scenario_text->string, &scenario) ||
+    if (!scenario_from_text(scenario_text->string, &scenario, &cell) ||
         !result_from_json(record, &result)) {
       continue;
     }
-    const Scenario resolved = scenario.resolved();
-    consume(ResultCache::key(resolved), resolved, result);
+    consume(cell->key(), cell->scenario(), result);
     ++consumed;
   }
   return consumed;

@@ -104,8 +104,8 @@ class ResultStore final : public ResultBackend {
   void persist(const std::string& key, const Scenario& scenario,
                const RunResult& result) override;
 
-  /// persist() with the key derived from the scenario (ResultCache::key),
-  /// once the scenario passed its scheme's SchemeRegistry::check: a
+  /// persist() of the scenario as KeyedScenario::admit() resolves and keys
+  /// it, once it passed its scheme's SchemeRegistry::check: a
   /// scenario the row rejects throws that ScenarioError and writes
   /// nothing.  persist() itself appends whatever it is given.
   void put(const Scenario& scenario, const RunResult& result);

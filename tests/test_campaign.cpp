@@ -1,8 +1,9 @@
 // Campaign engine tests: grid construction, bit-identical parity between
 // the shared-pool scheduler and per-cell run(), thread-count independence,
-// in-campaign deduplication, the result cache, the JSONL sink's textual
-// round trip, and the production checkpoint/resume contract (durable
-// store tier, cooperative stop, resume-equals-cold bit-identity).
+// in-campaign deduplication, the result cache, the per-tier cell counters
+// (one per finished cell, by CellResult::tier()), the JSONL sink's
+// textual round trip, and the production checkpoint/resume contract
+// (durable store tier, cooperative stop, resume-equals-cold bit-identity).
 
 #include "core/campaign.hpp"
 
@@ -10,12 +11,15 @@
 
 #include <atomic>
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "obs/metrics.hpp"
 #include "store/result_store.hpp"
 
 namespace routesim {
@@ -437,6 +441,58 @@ TEST(Engine, StopBeforeAnyWorkLeavesEverythingPending) {
     EXPECT_FALSE(cell.completed);
     EXPECT_FALSE(cell.from_cache);
   }
+}
+
+/// The process-wide routesim_engine_cells_<tier>_total counter.
+double engine_cells(const std::string& tier) {
+  const auto snapshot = obs::global_metrics().snapshot();
+  const auto* item = snapshot.find("routesim_engine_cells_" + tier + "_total");
+  return item != nullptr ? item->value : 0.0;
+}
+
+/// How much each tier counter grew while `body` ran.
+std::map<std::string, double> tier_deltas(const std::function<void()>& body) {
+  const std::vector<std::string> tiers{"cache", "store", "computed"};
+  std::map<std::string, double> deltas;
+  for (const auto& tier : tiers) deltas[tier] = -engine_cells(tier);
+  body();
+  for (const auto& tier : tiers) deltas[tier] += engine_cells(tier);
+  return deltas;
+}
+
+TEST(Engine, TierCountersCountEachFinishedCellOnceByItsTier) {
+  using Deltas = std::map<std::string, double>;
+  Campaign twice("twice");
+  twice.add("a", tiny("hypercube_greedy", 4, 0.5, 81));
+  twice.add("b", tiny("hypercube_greedy", 4, 0.5, 81));
+
+  // An in-campaign duplicate is answered by the cache tier, as its
+  // CellResult::tier() says.
+  std::vector<CellResult> cells;
+  EXPECT_EQ(tier_deltas([&] { cells = Engine().run(twice); }),
+            (Deltas{{"cache", 1.0}, {"store", 0.0}, {"computed", 1.0}}));
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_STREQ(cells[0].tier(), "computed");
+  EXPECT_STREQ(cells[1].tier(), "cache");
+
+  const std::string path = temp_store_path("tier_counters.jsonl");
+  ResultStore store(path);
+  ASSERT_TRUE(store.ok()) << store.error();
+  Campaign once("once");
+  once.add(tiny("hypercube_greedy", 4, 0.5, 82));
+  (void)Engine(EngineOptions{.store = &store}).run(once);
+  EXPECT_EQ(tier_deltas([&] {
+              (void)Engine(EngineOptions{.store = &store}).run(once);
+            }),
+            (Deltas{{"cache", 0.0}, {"store", 1.0}, {"computed", 0.0}}));
+
+  // Cells a stop leaves pending finished nowhere, so no tier counts them.
+  std::atomic<bool> stop{true};
+  EXPECT_EQ(tier_deltas([&] {
+              (void)Engine(EngineOptions{.threads = 1, .stop = &stop})
+                  .run(twice);
+            }),
+            (Deltas{{"cache", 0.0}, {"store", 0.0}, {"computed", 0.0}}));
 }
 
 TEST(Engine, ReplayedJsonlStreamResumesBitIdentically) {

@@ -355,6 +355,30 @@ TEST(ReplayResults, ReadsCampaignSinkLinesAndRederivesKeys) {
   EXPECT_EQ(consumed, 1u);
 }
 
+// A sink line whose one-liner parses but cannot resolve (d outside the
+// simulated range) is skipped like a garbage line, not thrown out of the
+// replay: one bad line must not abort a --resume.
+TEST(ReplayResults, SkipsSinkLinesWhoseScenarioCannotResolve) {
+  const std::string path = temp_store("replay_unresolvable.jsonl");
+  CellResult cell;
+  cell.label = "cell a";
+  cell.scenario = sample_scenario(5);
+  cell.result = sample_result();
+  const std::string good = JsonlSink::to_json("replay", cell);
+  std::string bad = good;
+  const std::string d_token = " d=" + std::to_string(cell.scenario.d) + " ";
+  ASSERT_NE(bad.find(d_token), std::string::npos) << bad;
+  bad.replace(bad.find(d_token), d_token.size(), " d=25 ");
+  write_file(path, bad + "\n" + good + "\n");
+
+  std::vector<std::string> keys;
+  EXPECT_EQ(replay_results(path,
+                           [&](const std::string& key, const Scenario&,
+                               const RunResult&) { keys.push_back(key); }),
+            1u);
+  EXPECT_EQ(keys, std::vector<std::string>{ResultCache::key(cell.scenario)});
+}
+
 // Records written while `threads` was a scenario key: a store record (key
 // `threads=0`, scenario `threads=3`) and a campaign --jsonl line
 // (`threads=2`), byte for byte as the old writers left them.  Loading

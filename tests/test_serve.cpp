@@ -17,6 +17,8 @@
 #include "core/scenario.hpp"
 #include "store/result_store.hpp"
 #include "util/json_parse.hpp"
+#include "workload/destination.hpp"
+#include "workload/trace.hpp"
 
 namespace routesim {
 namespace {
@@ -126,12 +128,65 @@ TEST(QueryService, StoreRecordsAreCheckedBeforeTheyAreAnswered) {
         << error.what();
   }
 
+  // The service's leader hands the engine the cell it keyed; the engine
+  // still checks it before the store lookup.
   QueryService service({0, &store});
   const auto qr = service.query_text(text);
   EXPECT_FALSE(qr.ok);
   EXPECT_NE(qr.error.find("fanout"), std::string::npos) << qr.error;
   EXPECT_EQ(service.stats().store_hits, 0u);
   EXPECT_EQ(service.stats().errors, 1u);
+
+  // Concurrent clients: whether a client leads the query or is coalesced
+  // onto another client's, it gets the leader's error, never the record.
+  constexpr int kClients = 8;
+  std::vector<QueryService::QueryResult> results(kClients);
+  {
+    std::vector<std::jthread> clients;
+    clients.reserve(kClients);
+    for (int i = 0; i < kClients; ++i) {
+      clients.emplace_back([&, i] { results[i] = service.query_text(text); });
+    }
+  }
+  for (const auto& client : results) {
+    EXPECT_FALSE(client.ok);
+    EXPECT_EQ(client.error, qr.error);
+  }
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.store_hits, 0u);
+  EXPECT_EQ(stats.errors, 1u + kClients);
+  EXPECT_EQ(store.hits(), 0u);
+}
+
+// The key a query reports is the key the engine persisted it under: the
+// leader's keyed cell reaches the engine as is, so a rho target is solved
+// and a trace file fingerprinted once for both.
+TEST(QueryService, AnswerKeyIsTheKeyTheEnginePersists) {
+  const std::string trace_path = temp_store("key_trace.jsonl");
+  save_trace_jsonl(generate_hypercube_trace(
+                       4, 0.5, DestinationDistribution::uniform(4), 300.0, 9),
+                   trace_path);
+  const std::string store_path = temp_store("one_key.jsonl");
+  ResultStore store(store_path);
+  ASSERT_TRUE(store.ok()) << store.error();
+  QueryService service({0, &store});
+
+  const std::vector<std::string> texts{
+      kTinyText,  // a rho= target
+      "hypercube_greedy d=4 workload=trace trace_file=" + trace_path +
+          " warmup=50 horizon=250 reps=2 seed=5"};
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    SCOPED_TRACE(texts[i]);
+    const auto qr = service.query_text(texts[i]);
+    ASSERT_TRUE(qr.ok) << qr.error;
+    EXPECT_EQ(qr.source, "computed");
+    const std::vector<std::string> keys = store.keys();
+    ASSERT_EQ(keys.size(), i + 1);
+    EXPECT_EQ(keys.back(), qr.key);
+    EXPECT_EQ(qr.key, ResultCache::key(Scenario::parse_text(texts[i])));
+  }
+  EXPECT_NE(store.keys().back().find(" trace_hash="), std::string::npos);
+  std::remove(trace_path.c_str());
 }
 
 TEST(ResultCacheKey, TraceFileContentIsHashedIntoTheKey) {
