@@ -8,22 +8,24 @@
 
 #include <cmath>
 #include <iostream>
+#include <string>
 
 #include "common/table.hpp"
 #include "core/equivalence.hpp"
-#include "topology/butterfly.hpp"
-#include "topology/hypercube.hpp"
+#include "topology/topology.hpp"
 
 using namespace routesim;
 
 namespace {
 
-void emit_hypercube_dot(const Hypercube& cube) {
-  std::cout << "// Fig. 1a — the " << cube.dimension() << "-cube\n";
-  std::cout << "digraph hypercube_d" << cube.dimension() << " {\n";
+void emit_hypercube_dot(const HypercubeTopology& cube) {
+  std::cout << "// Fig. 1a — the " << cube.diameter() << "-cube\n";
+  std::cout << "digraph hypercube_d" << cube.diameter() << " {\n";
   for (ArcId arc = 0; arc < cube.num_arcs(); ++arc) {
-    std::cout << "  n" << cube.arc_source(arc) << " -> n" << cube.arc_target(arc)
-              << " [label=\"dim" << cube.arc_dimension(arc) << "\"];\n";
+    const NodeId source = cube.arc_source(arc);
+    const NodeId target = cube.arc_target(arc);
+    std::cout << "  n" << source << " -> n" << target << " [label=\"dim"
+              << lowest_dimension(source ^ target) << "\"];\n";
   }
   std::cout << "}\n\n";
 }
@@ -46,15 +48,19 @@ void emit_network_q_dot(int d, double lambda, double p) {
   std::cout << "}\n\n";
 }
 
-void emit_butterfly_dot(const Butterfly& bfly) {
-  std::cout << "// Fig. 3a — the " << bfly.dimension() << "-dimensional butterfly\n";
-  std::cout << "digraph butterfly_d" << bfly.dimension() << " {\n  rankdir=LR;\n";
-  for (BflyArcId arc = 0; arc < bfly.num_arcs(); ++arc) {
-    const char* style =
-        bfly.arc_kind(arc) == Butterfly::ArcKind::kStraight ? "solid" : "dashed";
-    std::cout << "  \"[" << bfly.arc_row(arc) << ";" << bfly.arc_level(arc)
-              << "]\" -> \"[" << bfly.arc_target_row(arc) << ";"
-              << bfly.arc_level(arc) + 1 << "]\" [style=" << style << "];\n";
+void emit_butterfly_dot(const ButterflyTopology& bfly) {
+  const int d = bfly.diameter();
+  // Node [row; level] has index (level-1) * 2^d + row.
+  const auto label = [d](NodeId node) {
+    return "\"[" + std::to_string(node & ((NodeId{1} << d) - 1u)) + ";" +
+           std::to_string((node >> d) + 1) + "]\"";
+  };
+  std::cout << "// Fig. 3a — the " << d << "-dimensional butterfly\n";
+  std::cout << "digraph butterfly_d" << d << " {\n  rankdir=LR;\n";
+  for (ArcId arc = 0; arc < bfly.num_arcs(); ++arc) {
+    const char* style = bfly.hop_weight(arc) == 0 ? "solid" : "dashed";
+    std::cout << "  " << label(bfly.arc_source(arc)) << " -> "
+              << label(bfly.arc_target(arc)) << " [style=" << style << "];\n";
   }
   std::cout << "}\n\n";
 }
@@ -64,10 +70,10 @@ void emit_butterfly_dot(const Butterfly& bfly) {
 int main() {
   std::cout << "X1: structural reproduction of Figures 1a, 1b, 3a, 3b\n\n";
 
-  const Hypercube cube(3);
+  const HypercubeTopology cube(3);
   emit_hypercube_dot(cube);
   emit_network_q_dot(3, 1.0, 0.5);
-  const Butterfly bfly(2);
+  const ButterflyTopology bfly(2);
   emit_butterfly_dot(bfly);
 
   benchtab::Table counts({"object", "nodes", "arcs/servers", "paper"});
@@ -116,11 +122,17 @@ int main() {
   checker.require(r_config.servers.size() == 16,
                   "Fig 3b: network R has one server per butterfly arc");
 
-  // Every origin-destination pair of the butterfly has a unique d-arc path.
+  // Every origin-destination pair of the butterfly has a unique d-arc path:
+  // greedy descent from [origin; 1] reaches [dest; d+1] in exactly d arcs.
   bool paths_ok = true;
+  const NodeId exit_base = bfly.traffic_layout().sink_base;
   for (NodeId origin = 0; origin < 4; ++origin) {
     for (NodeId dest = 0; dest < 4; ++dest) {
-      paths_ok = paths_ok && bfly.path(origin, dest).size() == 2;
+      int arcs = 0;
+      for (NodeId at = origin; at != exit_base + dest; ++arcs) {
+        at = bfly.arc_target(bfly.greedy_next_arc(at, exit_base + dest));
+      }
+      paths_ok = paths_ok && arcs == 2;
     }
   }
   checker.require(paths_ok, "Fig 3a: unique d-arc path per origin/destination pair");

@@ -9,7 +9,7 @@
 
 #include "common/table.hpp"
 #include "routing/topology_greedy.hpp"
-#include "topology/butterfly.hpp"
+#include "topology/topology.hpp"
 
 using namespace routesim;
 
@@ -27,7 +27,7 @@ int main() {
     config.destinations = DestinationDistribution::bit_flip(d, p);
     config.seed = 71;
     TopologyGreedySim sim(config);
-    const Hypercube cube(d);
+    const HypercubeTopology cube(d);
     const double warmup = 500.0, horizon = 100500.0;
     sim.run(warmup, horizon);
     const double window = horizon - warmup;
@@ -70,7 +70,8 @@ int main() {
     const double warmup = 500.0, horizon = 80500.0;
     sim.run(warmup, horizon);
     const double window = horizon - warmup;
-    const Butterfly bfly(d);
+    const ButterflyTopology bfly(d);
+    using ArcKind = ButterflyTopology::ArcKind;
 
     benchtab::Table table({"level", "straight sim", "P15 l(1-p)", "vertical sim",
                            "P15 lp"});
@@ -78,12 +79,10 @@ int main() {
       double straight = 0.0, vertical = 0.0;
       for (NodeId row = 0; row < 16; ++row) {
         straight += static_cast<double>(
-            sim.arc_counters()[bfly.arc_index(row, level,
-                                              Butterfly::ArcKind::kStraight)]
+            sim.arc_counters()[bfly.arc_index(row, level, ArcKind::kStraight)]
                 .total_arrivals);
         vertical += static_cast<double>(
-            sim.arc_counters()[bfly.arc_index(row, level,
-                                              Butterfly::ArcKind::kVertical)]
+            sim.arc_counters()[bfly.arc_index(row, level, ArcKind::kVertical)]
                 .total_arrivals);
       }
       const double straight_rate = straight / 16.0 / window;

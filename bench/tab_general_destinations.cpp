@@ -36,7 +36,7 @@ int main() {
   config.destinations = DestinationDistribution::general(d, pmf);
   config.seed = 1001;
   TopologyGreedySim sim(config);
-  const Hypercube cube(d);
+  const HypercubeTopology cube(d);
   sim.run(500.0, 60500.0);
   const double window = 60000.0;
 

@@ -23,7 +23,7 @@ int main() {
   config.destinations = DestinationDistribution::bit_flip(d, p);
   config.seed = 83;
   TopologyGreedySim sim(config);
-  const Hypercube cube(d);
+  const HypercubeTopology cube(d);
   sim.run(500.0, 120500.0);
 
   // Dimension-level arrival accounting.

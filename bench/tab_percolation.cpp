@@ -26,7 +26,7 @@
 
 #include "common/driver.hpp"
 #include "fault/fault_model.hpp"
-#include "topology/hypercube.hpp"
+#include "topology/topology.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -38,14 +38,12 @@ constexpr std::uint64_t kBaseSeed = 4242;
 /// where a link survives iff *both* directed arcs are alive (the
 /// conservative, routing-usable notion) — replication-0 fault set.
 double giant_component_fraction(double fault_rate) {
-  const routesim::Hypercube cube(kDim);
+  const routesim::HypercubeTopology cube(kDim);
   routesim::FaultModelConfig config;
-  config.num_arcs = cube.num_arcs();
-  config.num_nodes = cube.num_nodes();
   config.arc_fault_rate = fault_rate;
   config.seed = routesim::derive_stream(kBaseSeed, 0);
   routesim::FaultModel model;
-  model.configure(config);
+  model.configure(config, cube);
 
   const std::uint32_t n = cube.num_nodes();
   std::vector<std::uint8_t> seen(n, 0);

@@ -10,17 +10,21 @@
 
 namespace routesim {
 
+namespace {
+using ArcKind = ButterflyTopology::ArcKind;
+}  // namespace
+
 std::uint32_t q_server_index(int d, NodeId x, int dim) {
   RS_EXPECTS(d >= 1 && dim >= 1 && dim <= d);
   RS_EXPECTS(x < (NodeId{1} << d));
-  return static_cast<std::uint32_t>(dim - 1) * (std::uint32_t{1} << d) + x;
+  return HypercubeTopology(d).arc_index(x, dim);
 }
 
-std::uint32_t r_server_index(int d, NodeId row, int level, Butterfly::ArcKind kind) {
+std::uint32_t r_server_index(int d, NodeId row, int level, ArcKind kind) {
   RS_EXPECTS(d >= 1 && level >= 1 && level <= d);
   RS_EXPECTS(row < (NodeId{1} << d));
   const auto rows = std::uint32_t{1} << d;
-  const std::uint32_t kind_offset = kind == Butterfly::ArcKind::kStraight ? 0 : rows;
+  const std::uint32_t kind_offset = kind == ArcKind::kStraight ? 0 : rows;
   return static_cast<std::uint32_t>(level - 1) * (2u * rows) + kind_offset + row;
 }
 
@@ -74,7 +78,7 @@ LevelledNetworkConfig make_butterfly_network_r(int d, double lambda, double p,
   config.track_per_server = track_per_server;
   config.servers.resize(static_cast<std::size_t>(d) * 2 * rows);
 
-  const auto fill = [&](int level, NodeId row, Butterfly::ArcKind kind) {
+  const auto fill = [&](int level, NodeId row, ArcKind kind) {
     auto& spec = config.servers[r_server_index(d, row, level, kind)];
     spec.service_rate = 1.0;
     // Packets enter the network only at level 1; the Poisson(lambda) stream
@@ -82,25 +86,25 @@ LevelledNetworkConfig make_butterfly_network_r(int d, double lambda, double p,
     // lambda*(1-p) on the straight arc (§4.2).
     if (level == 1) {
       spec.external_rate =
-          kind == Butterfly::ArcKind::kVertical ? lambda * p : lambda * (1.0 - p);
+          kind == ArcKind::kVertical ? lambda * p : lambda * (1.0 - p);
     }
     if (level < d) {
       // Property B (§4.3): straight next with probability 1-p, vertical next
       // with probability p, from the row reached by this arc.
       const NodeId next_row =
-          kind == Butterfly::ArcKind::kVertical ? flip_dimension(row, level) : row;
+          kind == ArcKind::kVertical ? flip_dimension(row, level) : row;
       spec.routing = {
           RoutingChoice{1.0 - p, r_server_index(d, next_row, level + 1,
-                                                Butterfly::ArcKind::kStraight)},
+                                                ArcKind::kStraight)},
           RoutingChoice{p, r_server_index(d, next_row, level + 1,
-                                          Butterfly::ArcKind::kVertical)}};
+                                          ArcKind::kVertical)}};
     }
   };
 
   for (int level = 1; level <= d; ++level) {
     for (NodeId row = 0; row < rows; ++row) {
-      fill(level, row, Butterfly::ArcKind::kStraight);
-      fill(level, row, Butterfly::ArcKind::kVertical);
+      fill(level, row, ArcKind::kStraight);
+      fill(level, row, ArcKind::kVertical);
     }
   }
   return config;
@@ -171,7 +175,9 @@ void register_network_q_schemes(SchemeRegistry& registry) {
                            "(discipline from the scenario: FIFO = Q, PS = Q~)",
                 .compile =
                     [](const Scenario& s) {
-                      return compile_network_q(s, s.discipline);
+                      return compile_network_q(s, s.discipline == "ps"
+                                                      ? Discipline::kPs
+                                                      : Discipline::kFifo);
                     },
                 .keys = {"discipline"}});
   registry.add({"network_q_fifo",

@@ -21,21 +21,24 @@
 #include <cstdint>
 
 #include "queueing/levelled_network.hpp"
-#include "topology/butterfly.hpp"
-#include "topology/hypercube.hpp"
+#include "topology/topology.hpp"
 
 namespace routesim {
 
-/// Server index of hypercube arc (x, x XOR e_dim) inside network Q.
-/// Identical to Hypercube::arc_index (dimension-major = level-major).
+/// Server index of hypercube arc (x, x XOR e_dim) inside network Q: the
+/// cube's HypercubeTopology::arc_index, whose dimension-major order is
+/// already level-major.
 [[nodiscard]] std::uint32_t q_server_index(int d, NodeId x, int dim);
 
 /// Server index of butterfly arc (row; level; kind) inside network R.
-/// Level-major so that the levelled (target > source) property holds:
+/// Not ButterflyTopology::arc_index: that puts every straight arc before
+/// every vertical one, so a level-j vertical arc would precede the
+/// level-(j+1) straight arc it feeds and R would not be levelled (target >
+/// source).  Interleaving the two kinds level by level keeps it levelled:
 ///   (row; j; s) -> (j-1)*2^(d+1) + row
 ///   (row; j; v) -> (j-1)*2^(d+1) + 2^d + row
 [[nodiscard]] std::uint32_t r_server_index(int d, NodeId row, int level,
-                                           Butterfly::ArcKind kind);
+                                           ButterflyTopology::ArcKind kind);
 
 /// Network Q for the d-cube with parameters (lambda, p).  Runs the paper's
 /// Properties A-C literally.  `discipline` selects Q (FIFO) or Q~ (PS).

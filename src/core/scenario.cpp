@@ -381,7 +381,6 @@ std::optional<std::string> text(T value) {
 }
 std::optional<std::string> text(double value) { return fmt_shortest(value); }
 std::optional<std::string> text(const std::string& value) { return value; }
-std::optional<std::string> text(const char* value) { return value; }
 
 /// Optional string knobs stay out of the textual form while empty.
 std::optional<std::string> text_if_set(const std::string& value) {
@@ -455,11 +454,9 @@ const std::vector<ScenarioKey>& Scenario::keys() {
          if (v != "fifo" && v != "ps") {
            throw ScenarioError("must be fifo or ps");
          }
-         s.discipline = v == "ps" ? Discipline::kPs : Discipline::kFifo;
+         s.discipline = v;
        },
-       .get = [](const S& s) {
-         return text(s.discipline == Discipline::kPs ? "ps" : "fifo");
-       }},
+       .get = [](const S& s) { return text(s.discipline); }},
       {.name = "workload", .type = "string",
        .doc = "destination workload: bit_flip | uniform | general | trace | "
               "permutation",

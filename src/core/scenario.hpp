@@ -23,7 +23,6 @@
 
 #include "core/bounds.hpp"
 #include "core/experiment.hpp"
-#include "queueing/levelled_network.hpp"
 #include "stats/ci.hpp"
 #include "util/json.hpp"  // fmt_shortest is part of this API
 #include "workload/destination.hpp"
@@ -110,9 +109,9 @@ struct Scenario {
   std::optional<double> rho_target;
   double p = 0.5;       ///< bit-flip probability of the destination law
   double tau = 0.0;     ///< > 0: slotted-time variant (§3.4)
-  /// Service discipline of the scheme `network_q`: network Q (FIFO) or Q~
-  /// (PS).
-  Discipline discipline = Discipline::kFifo;
+  /// Service discipline of the scheme `network_q`: "fifo" (network Q) or
+  /// "ps" (Q~).
+  std::string discipline = "fifo";
 
   // --- workload ---------------------------------------------------------
   /// "bit_flip" (law (1) with parameter p), "uniform" (p = 1/2),

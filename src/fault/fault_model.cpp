@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "topology/topology.hpp"
 #include "util/assert.hpp"
 #include "util/distributions.hpp"
 
@@ -76,26 +77,20 @@ void FaultModel::storm_delta(std::uint32_t arc, int delta) noexcept {
 }
 
 void FaultModel::configure(const FaultModelConfig& config,
-                           const IncidentArcs& incident_arcs,
-                           const Neighbours& neighbours) {
+                           const Topology& topology) {
   RS_EXPECTS(config.arc_fault_rate >= 0.0 && config.arc_fault_rate <= 1.0);
   RS_EXPECTS(config.node_fault_rate >= 0.0 && config.node_fault_rate <= 1.0);
   RS_EXPECTS((config.mtbf > 0.0) == (config.mttr > 0.0));
   RS_EXPECTS(config.storm_rate >= 0.0);
   RS_EXPECTS((config.storm_rate > 0.0) == (config.storm_duration > 0.0));
   RS_EXPECTS(config.storm_radius >= 0);
-  RS_EXPECTS_MSG(config.node_fault_rate == 0.0 || incident_arcs != nullptr,
-                 "node faults need the topology's incident-arc enumeration");
-  RS_EXPECTS_MSG(config.storm_rate == 0.0 ||
-                     (incident_arcs != nullptr && neighbours != nullptr),
-                 "storms need the topology's incident-arc and neighbour "
-                 "enumerations");
   config_ = config;
-  num_arcs_ = config.num_arcs;
+  num_arcs_ = topology.num_arcs();
+  const std::uint32_t num_nodes = topology.num_nodes();
   rng_.reseed(derive_stream(config.seed, config.stream_salt));
 
-  arc_down_.assign((config.num_arcs + 63) / 64, 0);
-  node_down_.assign((config.num_nodes + 63) / 64, 0);
+  arc_down_.assign((num_arcs_ + 63) / 64, 0);
+  node_down_.assign((num_nodes + 63) / 64, 0);
   faulty_arcs_ = 0;
   faulty_nodes_ = 0;
   heap_.clear();
@@ -105,14 +100,13 @@ void FaultModel::configure(const FaultModelConfig& config,
     // Storm composition state: the base (static + dynamic) bitset plus
     // per-arc coverage counts; the queried arc_down_ is their OR.
     base_down_.assign(arc_down_.size(), 0);
-    storm_count_.assign(config.num_arcs, 0);
+    storm_count_.assign(num_arcs_, 0);
     StormConfig storm_config;
-    storm_config.num_nodes = config.num_nodes;
     storm_config.rate = config.storm_rate;
     storm_config.radius = config.storm_radius;
     storm_config.duration = config.storm_duration;
     storm_config.seed = config.seed;
-    storms_.configure(storm_config, incident_arcs, neighbours);
+    storms_.configure(storm_config, topology);
   }
   active_ = config.arc_fault_rate > 0.0 || config.node_fault_rate > 0.0 ||
             dynamic_ || storms_on_;
@@ -122,18 +116,18 @@ void FaultModel::configure(const FaultModelConfig& config,
   // Static arc faults, then node faults projected onto incident arcs — in
   // index order, so the sample depends only on the seed.
   if (config.arc_fault_rate > 0.0) {
-    for (std::uint32_t arc = 0; arc < config.num_arcs; ++arc) {
+    for (std::uint32_t arc = 0; arc < num_arcs_; ++arc) {
       if (rng_.bernoulli(config.arc_fault_rate)) set_arc(arc, true);
     }
   }
   node_killed_.assign(arc_down_.size(), 0);
   if (config.node_fault_rate > 0.0) {
-    for (std::uint32_t node = 0; node < config.num_nodes; ++node) {
+    for (std::uint32_t node = 0; node < num_nodes; ++node) {
       if (!rng_.bernoulli(config.node_fault_rate)) continue;
       node_down_[node >> 6] |= std::uint64_t{1} << (node & 63u);
       ++faulty_nodes_;
       scratch_.clear();
-      incident_arcs(node, scratch_);
+      topology.append_incident_arcs(node, scratch_);
       for (const std::uint32_t arc : scratch_) {
         set_arc(arc, true);
         node_killed_[arc >> 6] |= std::uint64_t{1} << (arc & 63u);
@@ -148,8 +142,8 @@ void FaultModel::configure(const FaultModelConfig& config,
     // down permanently — the up/down process models link flapping, and a
     // dead node must not resume forwarding while is_node_faulty() still
     // reports it dead.
-    heap_.reserve(config.num_arcs);
-    for (std::uint32_t arc = 0; arc < config.num_arcs; ++arc) {
+    heap_.reserve(num_arcs_);
+    for (std::uint32_t arc = 0; arc < num_arcs_; ++arc) {
       if ((node_killed_[arc >> 6] >> (arc & 63u)) & 1u) continue;
       const double rate = is_faulty(arc) ? 1.0 / config.mttr : 1.0 / config.mtbf;
       heap_push({sample_exponential(rng_, rate), arc});

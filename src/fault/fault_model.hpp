@@ -13,10 +13,10 @@
 ///   - **Static faults.**  At configure() every arc fails independently
 ///     with probability `arc_fault_rate` and every node with probability
 ///     `node_fault_rate`; a faulty node takes all of its incident arcs
-///     down (the topology supplies the incidence enumeration).  The fault
-///     set is sampled from the model's own RNG stream (derived from the
-///     replication seed), so the traffic process is untouched and every
-///     replication sees an independent fault set.
+///     down (Topology::append_incident_arcs).  The fault set is sampled
+///     from the model's own RNG stream (derived from the replication
+///     seed), so the traffic process is untouched and every replication
+///     sees an independent fault set.
 ///
 ///   - **Dynamic faults.**  When `mtbf > 0 && mttr > 0`, every arc
 ///     alternates between up and down states with independent exponential
@@ -41,7 +41,6 @@
 /// down is the routing scheme's decision, named by `FaultPolicy`.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -49,6 +48,8 @@
 #include "util/rng.hpp"
 
 namespace routesim {
+
+class Topology;
 
 /// What a scheme does with a packet whose desired next arc is down.
 /// Schemes support the subset that makes sense for their topology:
@@ -93,8 +94,6 @@ enum class FaultPolicy : std::uint8_t {
 [[nodiscard]] const char* fault_policy_name(FaultPolicy policy) noexcept;
 
 struct FaultModelConfig {
-  std::uint32_t num_arcs = 0;
-  std::uint32_t num_nodes = 0;
   double arc_fault_rate = 0.0;   ///< P[arc statically down], in [0, 1]
   double node_fault_rate = 0.0;  ///< P[node down]; kills its incident arcs
   double mtbf = 0.0;             ///< mean up-time; > 0 with mttr => dynamic
@@ -108,23 +107,13 @@ struct FaultModelConfig {
 
 class FaultModel {
  public:
-  /// Enumerates the arcs taken down by a node fault; called once per
-  /// faulty node with the node index and an output vector to append to.
-  using IncidentArcs =
-      std::function<void(std::uint32_t node, std::vector<std::uint32_t>&)>;
-  /// Enumerates a node's neighbours; required only when storms are
-  /// configured (the storm process grows its incidence ball with it).
-  using Neighbours = StormProcess::Neighbours;
-
   FaultModel() = default;
 
-  /// (Re)samples the fault set.  Storage is reused across replications;
-  /// with all rates zero no RNG is consumed and every query returns false.
-  /// `incident_arcs` is required when node_fault_rate > 0 or
-  /// storm_rate > 0; `neighbours` when storm_rate > 0.
-  void configure(const FaultModelConfig& config,
-                 const IncidentArcs& incident_arcs = {},
-                 const Neighbours& neighbours = {});
+  /// (Re)samples the fault set over `topology`'s arcs and nodes.  Storage
+  /// is reused across replications; with all rates zero no RNG is
+  /// consumed and every query returns false.  With storms on, `topology`
+  /// must outlive the model's use (the storm process walks it).
+  void configure(const FaultModelConfig& config, const Topology& topology);
 
   /// O(1): is the arc down right now?  With a dynamic process the caller
   /// (the kernel's fault control event) is responsible for having advanced

@@ -33,7 +33,7 @@
 #include <cstdint>
 
 #include "fault/fault_model.hpp"
-#include "topology/hypercube.hpp"  // ArcId, NodeId
+#include "topology/topology.hpp"  // ArcId, NodeId
 #include "util/rng.hpp"
 
 namespace routesim {

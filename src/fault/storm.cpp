@@ -4,24 +4,19 @@
 #include <limits>
 #include <utility>
 
+#include "topology/topology.hpp"
 #include "util/assert.hpp"
 #include "util/distributions.hpp"
 
 namespace routesim {
 
 void StormProcess::configure(const StormConfig& config,
-                             IncidentArcs incident_arcs,
-                             Neighbours neighbours) {
+                             const Topology& topology) {
   RS_EXPECTS(config.rate >= 0.0);
   RS_EXPECTS(config.radius >= 0);
   RS_EXPECTS((config.rate > 0.0) == (config.duration > 0.0));
-  RS_EXPECTS_MSG(config.rate == 0.0 ||
-                     (incident_arcs != nullptr && neighbours != nullptr),
-                 "storms need the topology's incidence and neighbour "
-                 "enumerations");
   config_ = config;
-  incident_arcs_ = std::move(incident_arcs);
-  neighbours_ = std::move(neighbours);
+  topology_ = &topology;
   active_.clear();
   storms_started_ = 0;
   if (!active()) {
@@ -29,16 +24,15 @@ void StormProcess::configure(const StormConfig& config,
     next_event_ = next_arrival_;
     return;
   }
-  RS_EXPECTS(config.num_nodes > 0);
   rng_.reseed(derive_stream(config.seed, config.stream_salt));
-  visited_.assign((config.num_nodes + 63) / 64, 0);
+  visited_.assign((topology.num_nodes() + 63) / 64, 0);
   next_arrival_ = sample_exponential(rng_, config.rate);
   next_event_ = next_arrival_;
 }
 
 void StormProcess::compute_ball(std::uint32_t seed_node,
                                 std::vector<std::uint32_t>& out) {
-  // BFS to depth `radius` over the neighbour relation; the visited bitset
+  // BFS to depth `radius` over out-arc targets; the visited bitset
   // is cleared lazily (only the bits we set) so repeated storms stay
   // O(ball size), not O(network size).
   ball_nodes_.clear();
@@ -48,9 +42,9 @@ void StormProcess::compute_ball(std::uint32_t seed_node,
   for (int depth = 0; depth < config_.radius; ++depth) {
     const std::size_t level_end = ball_nodes_.size();
     for (std::size_t i = level_begin; i < level_end; ++i) {
-      neighbour_scratch_.clear();
-      neighbours_(ball_nodes_[i], neighbour_scratch_);
-      for (const std::uint32_t next : neighbour_scratch_) {
+      const NodeId node = ball_nodes_[i];
+      for (int k = 0; k < topology_->out_degree(node); ++k) {
+        const NodeId next = topology_->arc_target(topology_->out_arc(node, k));
         auto& word = visited_[next >> 6];
         const std::uint64_t bit = std::uint64_t{1} << (next & 63u);
         if ((word & bit) != 0) continue;
@@ -63,7 +57,7 @@ void StormProcess::compute_ball(std::uint32_t seed_node,
   out.clear();
   for (const std::uint32_t node : ball_nodes_) {
     visited_[node >> 6] &= ~(std::uint64_t{1} << (node & 63u));
-    incident_arcs_(node, out);
+    topology_->append_incident_arcs(node, out);
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -90,7 +84,7 @@ void StormProcess::advance_to(double now, const ArcDelta& delta) {
     }
     if (next_arrival_ <= now) {
       const auto seed_node = static_cast<std::uint32_t>(
-          rng_.uniform_below(config_.num_nodes));
+          rng_.uniform_below(topology_->num_nodes()));
       ActiveStorm storm;
       storm.expiry = next_arrival_ + config_.duration;
       compute_ball(seed_node, storm.arcs);

@@ -11,9 +11,9 @@
 ///   - **Regional.**  Each storm picks a uniformly random seed node and
 ///     takes down every arc incident to the seed's *incidence ball* of
 ///     radius `radius` — the set of nodes within `radius` hops of the
-///     seed under the topology's neighbour relation.  Radius 0 downs the
-///     seed's own in/out arcs; radius 1 additionally downs its
-///     neighbours' arcs, and so on.
+///     seed, a hop being an out-arc of the scenario's Topology (walked in
+///     port order).  Radius 0 downs the seed's own in/out arcs; radius 1
+///     additionally downs its out-neighbours' arcs, and so on.
 ///
 ///   - **Temporally bursty.**  Storm arrivals form a Poisson process of
 ///     rate `rate`; each storm lives for exactly `duration` and then
@@ -34,15 +34,16 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <functional>  // ArcDelta
 #include <vector>
 
 #include "util/rng.hpp"
 
 namespace routesim {
 
+class Topology;
+
 struct StormConfig {
-  std::uint32_t num_nodes = 0;
   double rate = 0.0;      ///< storm arrivals per unit time (Poisson)
   int radius = 1;         ///< incidence-ball radius around the seed node
   double duration = 0.0;  ///< storm lifetime; > 0 whenever rate > 0
@@ -52,25 +53,17 @@ struct StormConfig {
 
 class StormProcess {
  public:
-  /// Enumerates the arcs incident to a node (appended to the vector);
-  /// same contract as FaultModel::IncidentArcs.
-  using IncidentArcs =
-      std::function<void(std::uint32_t node, std::vector<std::uint32_t>&)>;
-  /// Enumerates the neighbours of a node (appended to the vector); used
-  /// to grow the incidence ball.
-  using Neighbours =
-      std::function<void(std::uint32_t node, std::vector<std::uint32_t>&)>;
   /// Coverage callback: +1 when a storm starts covering `arc`, -1 when
   /// it stops.  The consumer (FaultModel) keeps the per-arc counts.
   using ArcDelta = std::function<void(std::uint32_t arc, int delta)>;
 
   StormProcess() = default;
 
-  /// (Re)starts the process at time 0 with no active storms.  Storage is
-  /// reused across replications.  With rate == 0 the process is inert:
-  /// no RNG is consumed and next_event_time() is +infinity.
-  void configure(const StormConfig& config, IncidentArcs incident_arcs,
-                 Neighbours neighbours);
+  /// (Re)starts the process at time 0 with no active storms on
+  /// `topology`, which must outlive the process's use.  Storage is reused
+  /// across replications.  With rate == 0 the process is inert: no RNG is
+  /// consumed and next_event_time() is +infinity.
+  void configure(const StormConfig& config, const Topology& topology);
 
   [[nodiscard]] bool active() const noexcept { return config_.rate > 0.0; }
 
@@ -106,15 +99,12 @@ class StormProcess {
 
   StormConfig config_{};
   Rng rng_;
-  IncidentArcs incident_arcs_;
-  Neighbours neighbours_;
+  const Topology* topology_ = nullptr;
   double next_arrival_ = 0.0;
   double next_event_ = 0.0;
   std::uint64_t storms_started_ = 0;
   std::deque<ActiveStorm> active_;  ///< expiries are monotone (FIFO)
   std::vector<std::uint32_t> ball_nodes_;   ///< BFS scratch
-  std::vector<std::uint32_t> frontier_;     ///< BFS scratch
-  std::vector<std::uint32_t> neighbour_scratch_;
   std::vector<std::uint64_t> visited_;      ///< one bit per node
 };
 

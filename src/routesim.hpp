@@ -41,8 +41,9 @@
 #include "stats/summary.hpp"
 #include "stats/timeavg.hpp"
 
-#include "topology/butterfly.hpp"
-#include "topology/hypercube.hpp"
+#include "topology/ring.hpp"
+#include "topology/topology.hpp"     // the concept, the paper's cube and butterfly
+#include "topology/torus.hpp"
 
 #include "util/bits.hpp"
 #include "util/distributions.hpp"

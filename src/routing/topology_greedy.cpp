@@ -42,8 +42,6 @@ void RoutedNetwork::configure(const TopologyRoutingConfig& config) {
 void RoutedNetwork::configure_faults(const TopologyRoutingConfig& config,
                                      FaultModel& faults) const {
   FaultModelConfig model;
-  model.num_arcs = topo_->num_arcs();
-  model.num_nodes = num_nodes_;
   model.arc_fault_rate = config.arc_fault_rate;
   model.node_fault_rate = config.node_fault_rate;
   model.mtbf = config.fault_mtbf;
@@ -52,16 +50,7 @@ void RoutedNetwork::configure_faults(const TopologyRoutingConfig& config,
   model.storm_radius = config.storm_radius;
   model.storm_duration = config.storm_duration;
   model.seed = config.seed;
-  faults.configure(
-      model,
-      [this](std::uint32_t node, std::vector<ArcId>& out) {
-        topo_->append_incident_arcs(node, out);
-      },
-      [this](std::uint32_t node, std::vector<std::uint32_t>& out) {
-        for (int k = 0; k < topo_->out_degree(node); ++k) {
-          out.push_back(topo_->arc_target(topo_->out_arc(node, k)));
-        }
-      });
+  faults.configure(model, *topo_);
 }
 
 TopologyGreedySim::TopologyGreedySim(TopologyRoutingConfig config)

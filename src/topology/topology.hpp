@@ -34,8 +34,8 @@
 ///     closed forms per family are pinned in the conformance tests and
 ///     documented in docs/TOPOLOGIES.md).
 ///
-/// Families: "hypercube" and "butterfly" (adapters over the paper's
-/// classes, HypercubeTopology and ButterflyTopology below), "ring" (with
+/// Families: "hypercube" and "butterfly" (the paper's two networks,
+/// HypercubeTopology and ButterflyTopology below), "ring" (with
 /// chord strides / the papillon ladder, topology/ring.hpp) and "torus" /
 /// "mesh" (topology/torus.hpp).
 
@@ -44,11 +44,13 @@
 #include <string>
 #include <vector>
 
-#include "topology/butterfly.hpp"
-#include "topology/hypercube.hpp"  // ArcId, NodeId
-#include "util/bits.hpp"
+#include "util/assert.hpp"
+#include "util/bits.hpp"  // NodeId
 
 namespace routesim {
+
+/// Dense identifier of a directed arc, in [0, Topology::num_arcs()).
+using ArcId = std::uint32_t;
 
 class Topology {
  public:
@@ -132,97 +134,143 @@ class Topology {
   [[nodiscard]] virtual double uniform_load_per_lambda() const = 0;
 };
 
-/// Adapter over the paper's Hypercube: out_arc(x, k) is the dimension-(k+1)
-/// arc, so greedy descent crosses the lowest required dimension first (the
-/// canonical path of §3) — the paper's greedy scheme step for step.  It is
-/// final and defined inline so the routing loops, instantiated on it
-/// through with_concrete_topology(), compile to the Hypercube arithmetic
-/// with no virtual call.
+/// The paper's d-cube (§1.1).  Nodes are 0 .. 2^d - 1, the binary identity
+/// of node z being its binary representation (z_d, ..., z_1); the directed
+/// arc (x, x XOR e_m) is "of the m-th type", and the arcs of type m form
+/// the m-th *dimension*.  Arcs are grouped by dimension (arc_index), so
+/// the index doubles as the level index of the equivalent network Q
+/// (§3.1).  out_arc(x, k) is the dimension-(k+1) arc, so greedy descent
+/// crosses the lowest required dimension first (the canonical path of
+/// §3) — the paper's greedy scheme step for step.  It is final and
+/// defined inline so the routing loops, instantiated on it through
+/// with_concrete_topology(), compile to shift arithmetic with no virtual
+/// call.
 class HypercubeTopology final : public Topology {
  public:
-  explicit HypercubeTopology(int d) : cube_(d) {}
+  /// Precondition: 1 <= d <= 26 (arc ids must fit in 32 bits).
+  explicit HypercubeTopology(int d) : d_(d) {
+    RS_EXPECTS_MSG(d >= 1 && d <= 26, "hypercube dimension must be in [1, 26]");
+    num_nodes_ = NodeId{1} << d;
+  }
 
   [[nodiscard]] const std::string& name() const noexcept override {
     static const std::string kName = "hypercube";
     return kName;
   }
   [[nodiscard]] std::uint32_t num_nodes() const noexcept override {
-    return cube_.num_nodes();
+    return num_nodes_;
   }
   [[nodiscard]] std::uint32_t num_arcs() const noexcept override {
-    return cube_.num_arcs();
+    return static_cast<std::uint32_t>(d_) << d_;
+  }
+
+  /// Index of arc (x, x XOR e_dim): (dim-1) * 2^d + x, a bijection onto
+  /// [0, d*2^d).
+  [[nodiscard]] ArcId arc_index(NodeId x, int dim) const {
+    RS_DASSERT(x < num_nodes_ && dim >= 1 && dim <= d_);
+    return static_cast<ArcId>(dim - 1) * num_nodes_ + x;
   }
   [[nodiscard]] NodeId arc_source(ArcId a) const override {
-    return cube_.arc_source(a);
+    RS_DASSERT(a < num_arcs());
+    return a & (num_nodes_ - 1u);
   }
+  /// The source with the identity bit of the arc's dimension flipped.
   [[nodiscard]] NodeId arc_target(ArcId a) const override {
-    return cube_.arc_target(a);
+    return arc_source(a) ^ (NodeId{1} << (a >> d_));
   }
-  [[nodiscard]] int out_degree(NodeId x) const override {
-    return cube_.out_degree(x);
-  }
+  [[nodiscard]] int out_degree(NodeId /*x*/) const override { return d_; }
   [[nodiscard]] ArcId out_arc(NodeId x, int k) const override {
-    return cube_.out_arc(x, k);
+    RS_DASSERT(k >= 0 && k < d_);
+    return arc_index(x, k + 1);
   }
+  /// The out-arc and the in-arc of each dimension, in dimension order.
   void append_incident_arcs(NodeId x, std::vector<ArcId>& out) const override {
-    cube_.append_incident_arcs(x, out);
+    RS_DASSERT(x < num_nodes_);
+    for (int dim = 1; dim <= d_; ++dim) {
+      out.push_back(arc_index(x, dim));
+      out.push_back(arc_index(flip_dimension(x, dim), dim));
+    }
   }
+  /// The Hamming distance (§1.1).
   [[nodiscard]] int metric(NodeId from, NodeId to) const override {
-    return cube_.distance(from, to);
+    RS_DASSERT(from < num_nodes_ && to < num_nodes_);
+    return hamming_distance(from, to);
   }
-  [[nodiscard]] int diameter() const override { return cube_.dimension(); }
+  [[nodiscard]] int diameter() const override { return d_; }
   [[nodiscard]] ArcId greedy_next_arc(NodeId cur, NodeId dest) const override {
     RS_DASSERT(cur != dest);
-    return cube_.arc_index(cur, lowest_dimension(cur ^ dest));
+    return arc_index(cur, lowest_dimension(cur ^ dest));
   }
+  /// Port k descends exactly when x and dest differ in dimension k+1.
   [[nodiscard]] bool out_arc_descends(NodeId x, int k,
                                       NodeId dest) const override {
-    return cube_.out_arc_descends(x, k, dest);
+    return has_dimension(x ^ dest, k + 1);
   }
   [[nodiscard]] int hop_distance(NodeId from, NodeId to) const override {
-    return cube_.distance(from, to);
+    return metric(from, to);
   }
   /// Each of the d*2^d arcs is crossed by a uniform-destination packet with
   /// probability 1/2 per dimension, so the per-arc load is lambda/2.
   [[nodiscard]] double uniform_load_per_lambda() const override { return 0.5; }
 
  private:
-  Hypercube cube_;
+  int d_;
+  std::uint32_t num_nodes_ = 0;
 };
 
-/// Adapter over the paper's Butterfly, the d-cube unfolded (§4).  Nodes
-/// are indexed (level-1)*2^d + row, as in Butterfly::append_incident_arcs,
-/// and arcs by Butterfly::arc_index, straight arcs first: a straight
-/// arc's index is its source node, a vertical arc's is its source plus
-/// d*2^d, so every adjacency below is shift arithmetic.  The graph is a
-/// DAG (packets only descend levels), so metric() is partial: (r1, l1)
-/// reaches (r2, l2) iff l2 >= l1 and the rows agree outside the crossed
-/// levels l1..l2-1, in which case the distance is exactly l2 - l1.  A
-/// packet enters at a level-1 node and leaves at its row's level-(d+1)
-/// node after exactly d arcs; only the vertical ones count as hops, one
-/// per row bit the packet corrects.  Final and inline, like the cube.
+/// The paper's d-dimensional butterfly (§4.1), the d-cube unfolded: d+1
+/// levels of 2^d rows.  Node [x; j] of level j <= d connects to [x; j+1]
+/// by the *straight* arc (x; j; s) and to [x XOR e_j; j+1] by the
+/// *vertical* arc (x; j; v).  Node [x; j] has index (j-1)*2^d + x, and
+/// arcs come straight first (arc_index): a straight arc's index is its
+/// source node, a vertical arc's is its source plus d*2^d, so every
+/// adjacency below is shift arithmetic.  The graph is a DAG (packets only
+/// descend levels), so metric() is partial: (r1, l1) reaches (r2, l2) iff
+/// l2 >= l1 and the rows agree outside the crossed levels l1..l2-1, in
+/// which case the distance is exactly l2 - l1.  A packet enters at a
+/// level-1 node and leaves at its row's level-(d+1) node after exactly d
+/// arcs, vertical exactly at the levels where origin and destination rows
+/// differ; only the vertical ones count as hops.  Final and inline, like
+/// the cube.
 class ButterflyTopology final : public Topology {
  public:
-  explicit ButterflyTopology(int d)
-      : bfly_(d), d_(d), verticals_(static_cast<ArcId>(d) << d) {}
+  enum class ArcKind : std::uint8_t { kStraight, kVertical };
+
+  /// Precondition: 1 <= d <= 25.
+  explicit ButterflyTopology(int d) : d_(d) {
+    RS_EXPECTS_MSG(d >= 1 && d <= 25, "butterfly dimension must be in [1, 25]");
+    rows_ = std::uint32_t{1} << d;
+    verticals_ = static_cast<ArcId>(d) << d;
+  }
 
   [[nodiscard]] const std::string& name() const noexcept override {
     static const std::string kName = "butterfly";
     return kName;
   }
   [[nodiscard]] std::uint32_t num_nodes() const noexcept override {
-    return verticals_ + bfly_.rows();
+    return verticals_ + rows_;
   }
+  /// d levels of 2^d straight plus 2^d vertical arcs.
   [[nodiscard]] std::uint32_t num_arcs() const noexcept override {
-    return bfly_.num_arcs();
+    return 2u * verticals_;
+  }
+
+  /// Index of the arc (row; level; kind), level in [1, d]:
+  ///   (x; j; s) -> (j-1) * 2^d + x
+  ///   (x; j; v) -> d * 2^d + (j-1) * 2^d + x
+  [[nodiscard]] ArcId arc_index(NodeId row, int level, ArcKind kind) const {
+    RS_DASSERT(row < rows_ && level >= 1 && level <= d_);
+    const ArcId base = kind == ArcKind::kStraight ? 0u : verticals_;
+    return base + (static_cast<ArcId>(level - 1) << d_) + row;
   }
   [[nodiscard]] NodeId arc_source(ArcId a) const override {
+    RS_DASSERT(a < num_arcs());
     return a >= verticals_ ? a - verticals_ : a;
   }
   [[nodiscard]] NodeId arc_target(ArcId a) const override {
     const ArcId vertical = a >= verticals_ ? 1u : 0u;
     const NodeId source = a - vertical * verticals_;
-    return (source + bfly_.rows()) ^ (vertical << (source >> d_));
+    return (source + rows_) ^ (vertical << (source >> d_));
   }
   [[nodiscard]] int out_degree(NodeId x) const override {
     return x < verticals_ ? 2 : 0;
@@ -232,8 +280,22 @@ class ButterflyTopology final : public Topology {
     RS_DASSERT(k >= 0 && k < out_degree(x));
     return x + static_cast<ArcId>(k) * verticals_;
   }
+  /// The out-arcs (levels 1..d: straight, then vertical), then the in-arcs
+  /// (levels 2..d+1: the straight arc from the same row, then the vertical
+  /// arc from the row differing in bit level-1).
   void append_incident_arcs(NodeId x, std::vector<ArcId>& out) const override {
-    bfly_.append_incident_arcs(x, out);
+    RS_DASSERT(x < num_nodes());
+    const int level = level_of(x);
+    const NodeId row = row_of(x);
+    if (level <= d_) {
+      out.push_back(arc_index(row, level, ArcKind::kStraight));
+      out.push_back(arc_index(row, level, ArcKind::kVertical));
+    }
+    if (level >= 2) {
+      out.push_back(arc_index(row, level - 1, ArcKind::kStraight));
+      out.push_back(arc_index(flip_dimension(row, level - 1), level - 1,
+                              ArcKind::kVertical));
+    }
   }
   [[nodiscard]] int metric(NodeId from, NodeId to) const override {
     const int l1 = level_of(from);
@@ -266,7 +328,7 @@ class ButterflyTopology final : public Topology {
   }
   /// Terminals are the 2^d rows, born at level 1 and leaving at d+1.
   [[nodiscard]] TrafficLayout traffic_layout() const override {
-    return {bfly_.rows(), verticals_, static_cast<std::uint32_t>(d_)};
+    return {rows_, verticals_, static_cast<std::uint32_t>(d_)};
   }
   /// Level-1 injection to a uniform exit row crosses each level once and
   /// picks straight or vertical with probability 1/2 each (Lemma 3.1's
@@ -275,11 +337,11 @@ class ButterflyTopology final : public Topology {
 
  private:
   [[nodiscard]] int level_of(NodeId x) const { return static_cast<int>(x >> d_) + 1; }
-  [[nodiscard]] NodeId row_of(NodeId x) const { return x & (bfly_.rows() - 1u); }
+  [[nodiscard]] NodeId row_of(NodeId x) const { return x & (rows_ - 1u); }
 
-  Butterfly bfly_;
   int d_;
-  ArcId verticals_;  ///< d*2^d: the first vertical arc, and the exit level's first node
+  std::uint32_t rows_ = 0;  ///< 2^d
+  ArcId verticals_ = 0;  ///< d*2^d: the first vertical arc, and the exit level's first node
 };
 
 /// Calls `fn` with the concrete HypercubeTopology or ButterflyTopology

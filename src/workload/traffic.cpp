@@ -43,25 +43,4 @@ PacketBirth PerNodePoissonSource::next() {
   return birth;
 }
 
-SlottedBatchSource::SlottedBatchSource(std::uint32_t num_nodes, double rate_per_node,
-                                       double slot, Rng rng)
-    : num_nodes_(num_nodes),
-      mean_batch_(rate_per_node * static_cast<double>(num_nodes) * slot),
-      slot_(slot),
-      rng_(rng) {
-  RS_EXPECTS(num_nodes >= 1);
-  RS_EXPECTS(rate_per_node > 0.0);
-  RS_EXPECTS_MSG(slot > 0.0 && slot <= 1.0, "slot duration must be in (0, 1]");
-}
-
-std::vector<NodeId> SlottedBatchSource::next_batch() {
-  ++slot_index_;
-  const std::uint64_t size = sample_poisson(rng_, mean_batch_);
-  std::vector<NodeId> origins(size);
-  for (auto& origin : origins) {
-    origin = static_cast<NodeId>(rng_.uniform_below(num_nodes_));
-  }
-  return origins;
-}
-
 }  // namespace routesim

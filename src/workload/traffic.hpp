@@ -9,10 +9,7 @@
 /// exploits this (it is an exact, not approximate, representation and keeps
 /// the pending-event set small).  PerNodePoissonSource keeps one stream per
 /// node and is used by the tests to cross-validate the superposition.
-///
-/// SlottedBatchSource implements §3.4: at every slot boundary k*tau each
-/// node generates a Poisson(lambda*tau)-sized batch; equivalently the total
-/// batch is Poisson(lambda*2^d*tau) with uniform origins.
+/// (The slotted arrivals of §3.4 are the packet kernel's kSlot process.)
 
 #include <cstdint>
 #include <vector>
@@ -69,30 +66,6 @@ class PerNodePoissonSource {
   double rate_;
   std::vector<Rng> rngs_;
   std::vector<NodeClock> heap_;  // binary min-heap via std::*_heap with greater
-};
-
-/// §3.4 slotted arrivals: batches at slot boundaries.
-class SlottedBatchSource {
- public:
-  SlottedBatchSource(std::uint32_t num_nodes, double rate_per_node, double slot,
-                     Rng rng);
-
-  /// Origins of the batch generated at the k-th slot boundary (time k*slot).
-  /// Sizes are Poisson(rate*num_nodes*slot); origins i.i.d. uniform.
-  [[nodiscard]] std::vector<NodeId> next_batch();
-
-  [[nodiscard]] double slot() const noexcept { return slot_; }
-  [[nodiscard]] std::uint64_t slots_emitted() const noexcept { return slot_index_; }
-  [[nodiscard]] double current_time() const noexcept {
-    return static_cast<double>(slot_index_) * slot_;
-  }
-
- private:
-  std::uint32_t num_nodes_;
-  double mean_batch_;
-  double slot_;
-  std::uint64_t slot_index_ = 0;
-  Rng rng_;
 };
 
 }  // namespace routesim

@@ -9,7 +9,7 @@
 
 #include "core/bounds.hpp"
 #include "routing/topology_greedy.hpp"
-#include "topology/hypercube.hpp"
+#include "topology/topology.hpp"
 
 namespace routesim {
 namespace {
@@ -72,7 +72,7 @@ TEST(DimensionOrderAblation, FirstHopTakesTheOrderedDimension) {
   // increasing order, dimension 4 under decreasing, any of the three under
   // random-per-hop.  Dimension 3 is never crossed.
   const int d = 4;
-  const Hypercube cube(d);
+  const HypercubeTopology cube(d);
   std::vector<NodeId> table(cube.num_nodes());
   for (NodeId x = 0; x < cube.num_nodes(); ++x) table[x] = x ^ 0b1011u;
   const auto external_on = [&](const TopologyGreedySim& sim, int dim) {

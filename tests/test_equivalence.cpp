@@ -14,6 +14,8 @@
 namespace routesim {
 namespace {
 
+using ArcKind = ButterflyTopology::ArcKind;
+
 TEST(NetworkQ, ServerCountIsArcCount) {
   const auto config = make_hypercube_network_q(4, 0.5, 0.3, Discipline::kFifo, 1);
   EXPECT_EQ(config.servers.size(), 4u * 16u);
@@ -143,10 +145,10 @@ TEST(NetworkR, OnlyLevelOneHasExternalArrivals) {
   for (int level = 1; level <= d; ++level) {
     for (NodeId row = 0; row < 16; ++row) {
       const double straight =
-          config.servers[r_server_index(d, row, level, Butterfly::ArcKind::kStraight)]
+          config.servers[r_server_index(d, row, level, ArcKind::kStraight)]
               .external_rate;
       const double vertical =
-          config.servers[r_server_index(d, row, level, Butterfly::ArcKind::kVertical)]
+          config.servers[r_server_index(d, row, level, ArcKind::kVertical)]
               .external_rate;
       if (level == 1) {
         EXPECT_NEAR(straight, lambda * (1 - p), 1e-12);
@@ -166,23 +168,23 @@ TEST(NetworkR, RoutingFollowsRowsAndSplitsByP) {
   // After vertical arc (row; 1; v) the packet is at row^e_1 on level 2.
   const NodeId row = 0b011;
   const auto& spec =
-      config.servers[r_server_index(d, row, 1, Butterfly::ArcKind::kVertical)];
+      config.servers[r_server_index(d, row, 1, ArcKind::kVertical)];
   ASSERT_EQ(spec.routing.size(), 2u);
   const NodeId next = flip_dimension(row, 1);
   EXPECT_NEAR(spec.routing[0].probability, 1 - p, 1e-12);
   EXPECT_EQ(spec.routing[0].target,
-            r_server_index(d, next, 2, Butterfly::ArcKind::kStraight));
+            r_server_index(d, next, 2, ArcKind::kStraight));
   EXPECT_NEAR(spec.routing[1].probability, p, 1e-12);
   EXPECT_EQ(spec.routing[1].target,
-            r_server_index(d, next, 2, Butterfly::ArcKind::kVertical));
+            r_server_index(d, next, 2, ArcKind::kVertical));
 }
 
 TEST(NetworkR, LastLevelExits) {
   const auto config = make_butterfly_network_r(4, 1.0, 0.5, Discipline::kFifo, 1);
   for (NodeId row = 0; row < 16; ++row) {
-    EXPECT_TRUE(config.servers[r_server_index(4, row, 4, Butterfly::ArcKind::kStraight)]
+    EXPECT_TRUE(config.servers[r_server_index(4, row, 4, ArcKind::kStraight)]
                     .routing.empty());
-    EXPECT_TRUE(config.servers[r_server_index(4, row, 4, Butterfly::ArcKind::kVertical)]
+    EXPECT_TRUE(config.servers[r_server_index(4, row, 4, ArcKind::kVertical)]
                     .routing.empty());
   }
 }
@@ -199,10 +201,10 @@ TEST(NetworkR, Prop15ArrivalRatesByKind) {
     double straight = 0.0, vertical = 0.0;
     for (NodeId row = 0; row < 8; ++row) {
       straight += static_cast<double>(
-          net.server_stats()[r_server_index(d, row, level, Butterfly::ArcKind::kStraight)]
+          net.server_stats()[r_server_index(d, row, level, ArcKind::kStraight)]
               .total_arrivals);
       vertical += static_cast<double>(
-          net.server_stats()[r_server_index(d, row, level, Butterfly::ArcKind::kVertical)]
+          net.server_stats()[r_server_index(d, row, level, ArcKind::kVertical)]
               .total_arrivals);
     }
     EXPECT_NEAR(straight / 8.0 / window, lambda * (1 - p), 0.02) << "level " << level;

@@ -15,7 +15,7 @@
 #include "core/registry.hpp"
 #include "core/scenario.hpp"
 #include "routing/topology_greedy.hpp"
-#include "topology/hypercube.hpp"
+#include "topology/topology.hpp"
 #include "util/assert.hpp"
 
 namespace routesim {
@@ -32,11 +32,10 @@ TEST(FaultPolicyNames, ParseAndNameRoundTrip) {
 }
 
 TEST(FaultModel, ZeroRatesAreInactiveAndAllUp) {
+  const HypercubeTopology cube(4);  // 64 arcs, 16 nodes
   FaultModel model;
   FaultModelConfig config;
-  config.num_arcs = 64;
-  config.num_nodes = 16;
-  model.configure(config);
+  model.configure(config, cube);
   EXPECT_FALSE(model.active());
   EXPECT_FALSE(model.dynamic());
   EXPECT_EQ(model.faulty_arc_count(), 0u);
@@ -46,20 +45,21 @@ TEST(FaultModel, ZeroRatesAreInactiveAndAllUp) {
 }
 
 TEST(FaultModel, RateOneKillsEveryArcAndSamplingIsDeterministic) {
+  // 16 nodes with strides {1, 2, 4} both ways: 96 arcs.
+  const auto ring = make_topology({"ring", 4, "2,4", "4x4"});
+  ASSERT_EQ(ring->num_arcs(), 96u);
   FaultModelConfig config;
-  config.num_arcs = 96;
-  config.num_nodes = 16;
   config.arc_fault_rate = 1.0;
   config.seed = 5;
   FaultModel all_down;
-  all_down.configure(config);
+  all_down.configure(config, *ring);
   EXPECT_EQ(all_down.faulty_arc_count(), 96u);
 
   config.arc_fault_rate = 0.3;
   FaultModel a;
   FaultModel b;
-  a.configure(config);
-  b.configure(config);
+  a.configure(config, *ring);
+  b.configure(config, *ring);
   EXPECT_GT(a.faulty_arc_count(), 0u);
   EXPECT_LT(a.faulty_arc_count(), 96u);
   for (std::uint32_t arc = 0; arc < 96; ++arc) {
@@ -68,7 +68,7 @@ TEST(FaultModel, RateOneKillsEveryArcAndSamplingIsDeterministic) {
 
   config.seed = 6;  // a different replication sees a different fault set
   FaultModel c;
-  c.configure(config);
+  c.configure(config, *ring);
   bool any_difference = false;
   for (std::uint32_t arc = 0; arc < 96; ++arc) {
     any_difference = any_difference || (a.is_faulty(arc) != c.is_faulty(arc));
@@ -77,38 +77,37 @@ TEST(FaultModel, RateOneKillsEveryArcAndSamplingIsDeterministic) {
 }
 
 TEST(FaultModel, NodeFaultKillsAllIncidentArcs) {
-  const Hypercube cube(4);
+  const HypercubeTopology cube(4);
+  const ButterflyTopology bfly(3);
   FaultModelConfig config;
-  config.num_arcs = cube.num_arcs();
-  config.num_nodes = cube.num_nodes();
   config.node_fault_rate = 0.2;
   config.seed = 11;
-  FaultModel model;
-  model.configure(config, [&cube](std::uint32_t node, std::vector<ArcId>& out) {
-    cube.append_incident_arcs(node, out);
-  });
-  ASSERT_GT(model.faulty_node_count(), 0u);
-  for (NodeId node = 0; node < cube.num_nodes(); ++node) {
-    if (!model.is_node_faulty(node)) continue;
-    for (int dim = 1; dim <= 4; ++dim) {
-      EXPECT_TRUE(model.is_faulty(cube.arc_index(node, dim)));
-      EXPECT_TRUE(model.is_faulty(cube.arc_index(flip_dimension(node, dim), dim)));
+  for (const Topology* topo : {static_cast<const Topology*>(&cube),
+                               static_cast<const Topology*>(&bfly)}) {
+    FaultModel model;
+    model.configure(config, *topo);
+    ASSERT_GT(model.faulty_node_count(), 0u) << topo->name();
+    std::uint32_t arcs_of_dead_nodes = 0;
+    for (ArcId arc = 0; arc < topo->num_arcs(); ++arc) {
+      if (model.is_node_faulty(topo->arc_source(arc)) ||
+          model.is_node_faulty(topo->arc_target(arc))) {
+        EXPECT_TRUE(model.is_faulty(arc)) << topo->name() << " arc " << arc;
+        ++arcs_of_dead_nodes;
+      }
     }
+    // No arc rate: exactly the dead nodes' arcs are down.
+    EXPECT_EQ(model.faulty_arc_count(), arcs_of_dead_nodes) << topo->name();
   }
-  // Node faults require the incidence enumeration.
-  FaultModel missing;
-  EXPECT_THROW(missing.configure(config), ContractViolation);
 }
 
 TEST(FaultModel, DynamicProcessTogglesArcsInTimeOrder) {
+  const auto ring = make_topology({"ring", 4, "", "4x4"});  // 32 arcs
   FaultModelConfig config;
-  config.num_arcs = 32;
-  config.num_nodes = 16;
   config.mtbf = 10.0;
   config.mttr = 5.0;
   config.seed = 3;
   FaultModel model;
-  model.configure(config);
+  model.configure(config, *ring);
   EXPECT_TRUE(model.active());
   EXPECT_TRUE(model.dynamic());
   EXPECT_EQ(model.faulty_arc_count(), 0u);  // all arcs start up
@@ -132,9 +131,9 @@ TEST(FaultModel, DynamicProcessTogglesArcsInTimeOrder) {
   // The is_faulty(arc, now) convenience form advances on demand: a lazily
   // queried copy agrees with an explicitly advanced one.
   FaultModel lazy;
-  lazy.configure(config);
+  lazy.configure(config, *ring);
   FaultModel eager;
-  eager.configure(config);
+  eager.configure(config, *ring);
   eager.advance_to(500.0);
   bool agree = true;
   for (std::uint32_t arc = 0; arc < 32; ++arc) {
@@ -144,18 +143,14 @@ TEST(FaultModel, DynamicProcessTogglesArcsInTimeOrder) {
 }
 
 TEST(FaultModel, NodeKilledArcsAreNeverRepairedByTheDynamicProcess) {
-  const Hypercube cube(3);
+  const HypercubeTopology cube(3);
   FaultModelConfig config;
-  config.num_arcs = cube.num_arcs();
-  config.num_nodes = cube.num_nodes();
   config.node_fault_rate = 0.3;
   config.mtbf = 5.0;
   config.mttr = 1.0;
   config.seed = 4;
   FaultModel model;
-  model.configure(config, [&cube](std::uint32_t node, std::vector<ArcId>& out) {
-    cube.append_incident_arcs(node, out);
-  });
+  model.configure(config, cube);
   ASSERT_GT(model.faulty_node_count(), 0u);
   // Long after every link has flapped many times, a dead node's incident
   // arcs are still down — the up/down process models link flapping, not
@@ -171,11 +166,11 @@ TEST(FaultModel, NodeKilledArcsAreNeverRepairedByTheDynamicProcess) {
 }
 
 TEST(FaultModel, RejectsHalfSpecifiedDynamicProcess) {
+  const HypercubeTopology cube(2);  // 8 arcs
   FaultModelConfig config;
-  config.num_arcs = 8;
   config.mtbf = 10.0;  // mttr missing
   FaultModel model;
-  EXPECT_THROW(model.configure(config), ContractViolation);
+  EXPECT_THROW(model.configure(config, cube), ContractViolation);
 }
 
 // Bad fault combinations must fail as catchable ScenarioErrors when the
@@ -300,7 +295,7 @@ TEST(FaultResilience, ButterflyTwinDetourMisroutesInsteadOfSaving) {
 
 // True iff the subgraph of live arcs is strongly connected (every node
 // reaches every other along live arcs).
-bool surviving_graph_strongly_connected(const Hypercube& cube,
+bool surviving_graph_strongly_connected(const HypercubeTopology& cube,
                                         const FaultModel& model) {
   const auto n = cube.num_nodes();
   for (const bool reverse : {false, true}) {
@@ -312,7 +307,7 @@ bool surviving_graph_strongly_connected(const Hypercube& cube,
     while (!frontier.empty()) {
       const NodeId node = frontier.front();
       frontier.pop();
-      for (int dim = 1; dim <= cube.dimension(); ++dim) {
+      for (int dim = 1; dim <= cube.diameter(); ++dim) {
         const NodeId other = flip_dimension(node, dim);
         const ArcId arc = reverse ? cube.arc_index(other, dim)
                                   : cube.arc_index(node, dim);
@@ -339,7 +334,7 @@ TEST(FaultResilience, SkipDimDeliversEverythingOnConnectedSurvivingGraph) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     config.seed = seed;
     TopologyGreedySim sim(config);
-    if (!surviving_graph_strongly_connected(Hypercube(4),
+    if (!surviving_graph_strongly_connected(HypercubeTopology(4),
                                             sim.fault_model())) {
       continue;
     }

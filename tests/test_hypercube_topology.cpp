@@ -1,32 +1,61 @@
 // Tests for the d-cube topology and the canonical (greedy) paths of §3.
 
-#include "topology/hypercube.hpp"
-
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
+#include "topology/topology.hpp"
 #include "util/assert.hpp"
 
 namespace routesim {
 namespace {
 
+// Test-local oracles written from the paper's definitions (§1.1, §3).
+
+/// The dimensions a packet from x to z must cross, in increasing order.
+std::vector<int> required_dimensions(NodeId x, NodeId z, int d) {
+  std::vector<int> dims;
+  for (int m = 1; m <= d; ++m) {
+    if (has_dimension(x ^ z, m)) dims.push_back(m);
+  }
+  return dims;
+}
+
+/// The canonical path: the arcs crossing the required dimensions in
+/// increasing index order.
+std::vector<ArcId> canonical_path(const HypercubeTopology& cube, NodeId x,
+                                  NodeId z) {
+  std::vector<ArcId> path;
+  NodeId cur = x;
+  for (const int m : required_dimensions(x, z, cube.diameter())) {
+    path.push_back(cube.arc_index(cur, m));
+    cur = flip_dimension(cur, m);
+  }
+  return path;
+}
+
+/// The dimension of an arc: the identity bit its endpoints differ in.
+int arc_dimension(const HypercubeTopology& cube, ArcId arc) {
+  return lowest_dimension(cube.arc_source(arc) ^ cube.arc_target(arc));
+}
+
 TEST(HypercubeTopology, CountsMatchPaper) {
-  const Hypercube cube(3);
+  const HypercubeTopology cube(3);
   EXPECT_EQ(cube.num_nodes(), 8u);
   EXPECT_EQ(cube.num_arcs(), 24u);  // d * 2^d
-  EXPECT_EQ(cube.dimension(), 3);
+  EXPECT_EQ(cube.diameter(), 3);
 }
 
 TEST(HypercubeTopology, DimensionBoundsEnforced) {
-  EXPECT_THROW(Hypercube(0), ContractViolation);
-  EXPECT_THROW(Hypercube(27), ContractViolation);
-  EXPECT_NO_THROW(Hypercube(1));
-  EXPECT_NO_THROW(Hypercube(26));
+  EXPECT_THROW(HypercubeTopology(0), ContractViolation);
+  EXPECT_THROW(HypercubeTopology(27), ContractViolation);
+  EXPECT_NO_THROW(HypercubeTopology(1));
+  EXPECT_NO_THROW(HypercubeTopology(26));
 }
 
 TEST(HypercubeTopology, ArcIndexIsBijective) {
-  const Hypercube cube(5);
+  const HypercubeTopology cube(5);
   std::set<ArcId> seen;
   for (int dim = 1; dim <= 5; ++dim) {
     for (NodeId x = 0; x < cube.num_nodes(); ++x) {
@@ -34,8 +63,9 @@ TEST(HypercubeTopology, ArcIndexIsBijective) {
       EXPECT_LT(arc, cube.num_arcs());
       EXPECT_TRUE(seen.insert(arc).second);
       EXPECT_EQ(cube.arc_source(arc), x);
-      EXPECT_EQ(cube.arc_dimension(arc), dim);
+      EXPECT_EQ(arc_dimension(cube, arc), dim);
       EXPECT_EQ(cube.arc_target(arc), flip_dimension(x, dim));
+      EXPECT_EQ(cube.out_arc(x, dim - 1), arc);
     }
   }
   EXPECT_EQ(seen.size(), cube.num_arcs());
@@ -44,7 +74,7 @@ TEST(HypercubeTopology, ArcIndexIsBijective) {
 TEST(HypercubeTopology, ArcsGroupedByDimension) {
   // Arc indexing doubles as the level index of network Q: all dimension-1
   // arcs precede all dimension-2 arcs, etc.
-  const Hypercube cube(4);
+  const HypercubeTopology cube(4);
   for (int dim = 1; dim < 4; ++dim) {
     for (NodeId x = 0; x < cube.num_nodes(); ++x) {
       EXPECT_LT(cube.arc_index(x, dim), cube.arc_index(0, dim + 1));
@@ -53,9 +83,9 @@ TEST(HypercubeTopology, ArcsGroupedByDimension) {
 }
 
 TEST(HypercubeTopology, ArcsConnectHammingNeighbours) {
-  const Hypercube cube(6);
+  const HypercubeTopology cube(6);
   for (ArcId arc = 0; arc < cube.num_arcs(); ++arc) {
-    EXPECT_EQ(cube.distance(cube.arc_source(arc), cube.arc_target(arc)), 1);
+    EXPECT_EQ(cube.metric(cube.arc_source(arc), cube.arc_target(arc)), 1);
   }
 }
 
@@ -63,13 +93,12 @@ TEST(HypercubeTopology, PaperPathExample) {
   // §3: identity (1,0,1,1) is node 0b1011; a packet from (0,0,0,0) crosses
   // dimensions 1, 2, 4 in increasing order:
   // (0,0,0,0) -> (0,0,0,1) -> (0,0,1,1) -> (1,0,1,1).
-  const Hypercube cube(4);
+  const HypercubeTopology cube(4);
   const NodeId origin = 0b0000;
   const NodeId dest = 0b1011;
-  const auto dims = cube.required_dimensions(origin, dest);
-  EXPECT_EQ(dims, (std::vector<int>{1, 2, 4}));
+  EXPECT_EQ(required_dimensions(origin, dest, 4), (std::vector<int>{1, 2, 4}));
 
-  const auto path = cube.canonical_path(origin, dest);
+  const auto path = canonical_path(cube, origin, dest);
   ASSERT_EQ(path.size(), 3u);
   EXPECT_EQ(cube.arc_source(path[0]), 0b0000u);
   EXPECT_EQ(cube.arc_target(path[0]), 0b0001u);
@@ -79,41 +108,42 @@ TEST(HypercubeTopology, PaperPathExample) {
   EXPECT_EQ(cube.arc_target(path[2]), 0b1011u);
 }
 
-TEST(HypercubeTopology, CanonicalPathIsEmptyForSelf) {
-  const Hypercube cube(4);
-  EXPECT_TRUE(cube.canonical_path(9, 9).empty());
-  EXPECT_TRUE(cube.required_dimensions(9, 9).empty());
-}
-
-TEST(HypercubeTopology, NeighboursAreAllDistinctAtDistanceOne) {
-  const Hypercube cube(5);
+TEST(HypercubeTopology, OutNeighboursAreAllDistinctAtDistanceOne) {
+  const HypercubeTopology cube(5);
   for (NodeId x = 0; x < cube.num_nodes(); ++x) {
-    const auto neighbours = cube.neighbours(x);
-    ASSERT_EQ(neighbours.size(), 5u);
-    std::set<NodeId> unique(neighbours.begin(), neighbours.end());
+    ASSERT_EQ(cube.out_degree(x), 5);
+    std::set<NodeId> unique;
+    for (int k = 0; k < cube.out_degree(x); ++k) {
+      const NodeId y = cube.arc_target(cube.out_arc(x, k));
+      EXPECT_EQ(y, flip_dimension(x, k + 1));
+      EXPECT_EQ(cube.metric(x, y), 1);
+      unique.insert(y);
+    }
     EXPECT_EQ(unique.size(), 5u);
-    for (const NodeId y : neighbours) EXPECT_EQ(cube.distance(x, y), 1);
   }
 }
 
-// Exhaustive property check over all origin/destination pairs of a 6-cube.
+// Exhaustive property check over all origin/destination pairs: greedy
+// descent walks exactly the canonical path of §3.
 class CanonicalPathProperty : public ::testing::TestWithParam<int> {};
 
-TEST_P(CanonicalPathProperty, ShortestIncreasingAndConsistent) {
+TEST_P(CanonicalPathProperty, GreedyWalksTheShortestIncreasingPath) {
   const int d = GetParam();
-  const Hypercube cube(d);
+  const HypercubeTopology cube(d);
   for (NodeId x = 0; x < cube.num_nodes(); ++x) {
     for (NodeId z = 0; z < cube.num_nodes(); ++z) {
-      const auto path = cube.canonical_path(x, z);
+      const auto path = canonical_path(cube, x, z);
       // Shortest: length equals the Hamming distance (§1.1).
-      ASSERT_EQ(path.size(), static_cast<std::size_t>(cube.distance(x, z)));
-      // Contiguous, starts at x, ends at z, dimensions strictly increasing.
+      ASSERT_EQ(path.size(), static_cast<std::size_t>(cube.metric(x, z)));
+      // Contiguous, starts at x, ends at z, dimensions strictly increasing,
+      // and each arc is the greedy decision at its source.
       NodeId cur = x;
       int last_dim = 0;
       for (const ArcId arc : path) {
         ASSERT_EQ(cube.arc_source(arc), cur);
-        ASSERT_GT(cube.arc_dimension(arc), last_dim);
-        last_dim = cube.arc_dimension(arc);
+        ASSERT_EQ(cube.greedy_next_arc(cur, z), arc);
+        ASSERT_GT(arc_dimension(cube, arc), last_dim);
+        last_dim = arc_dimension(cube, arc);
         cur = cube.arc_target(arc);
       }
       ASSERT_EQ(cur, z);
@@ -127,10 +157,10 @@ TEST(HypercubeTopology, AntipodalPathsOfDifferentOriginsAreArcDisjoint) {
   // End of §3.3: at p = 1 every packet goes to the complement of its origin
   // and canonical paths from different origins are arc-disjoint.
   const int d = 5;
-  const Hypercube cube(d);
+  const HypercubeTopology cube(d);
   std::set<ArcId> used;
   for (NodeId x = 0; x < cube.num_nodes(); ++x) {
-    for (const ArcId arc : cube.canonical_path(x, antipode(x, d))) {
+    for (const ArcId arc : canonical_path(cube, x, antipode(x, d))) {
       EXPECT_TRUE(used.insert(arc).second) << "arc shared between antipodal paths";
     }
   }

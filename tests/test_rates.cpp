@@ -7,10 +7,12 @@
 #include <cmath>
 
 #include "routing/topology_greedy.hpp"
-#include "topology/butterfly.hpp"
+#include "topology/topology.hpp"
 
 namespace routesim {
 namespace {
+
+using ArcKind = ButterflyTopology::ArcKind;
 
 TEST(Rates, PropertyAExternalArrivalRates) {
   // External (first-hop) arrivals at arc (x, x^e_i) occur at rate
@@ -23,7 +25,7 @@ TEST(Rates, PropertyAExternalArrivalRates) {
   config.destinations = DestinationDistribution::bit_flip(d, p);
   config.seed = 42;
   TopologyGreedySim sim(config);
-  const Hypercube cube(d);
+  const HypercubeTopology cube(d);
   const double warmup = 200.0, horizon = 50200.0;
   sim.run(warmup, horizon);
   const double window = horizon - warmup;
@@ -52,7 +54,7 @@ TEST(Rates, Prop5TotalRatePerArcIsRhoEveryDimension) {
   config.destinations = DestinationDistribution::bit_flip(d, p);
   config.seed = 43;
   TopologyGreedySim sim(config);
-  const Hypercube cube(d);
+  const HypercubeTopology cube(d);
   const double warmup = 500.0, horizon = 60500.0;
   sim.run(warmup, horizon);
   const double window = horizon - warmup;
@@ -79,7 +81,7 @@ TEST(Rates, Prop5HoldsForSkewedP) {
   config.destinations = DestinationDistribution::bit_flip(d, p);
   config.seed = 44;
   TopologyGreedySim sim(config);
-  const Hypercube cube(d);
+  const HypercubeTopology cube(d);
   const double warmup = 500.0, horizon = 100500.0;
   sim.run(warmup, horizon);
   const double window = horizon - warmup;
@@ -110,16 +112,16 @@ TEST(Rates, Prop15StraightAndVerticalRates) {
   const double warmup = 500.0, horizon = 60500.0;
   sim.run(warmup, horizon);
   const double window = horizon - warmup;
-  const Butterfly bfly(d);
+  const ButterflyTopology bfly(d);
 
   for (int level = 1; level <= d; ++level) {
     double straight = 0.0, vertical = 0.0;
     for (NodeId row = 0; row < 16; ++row) {
       straight += static_cast<double>(
-          sim.arc_counters()[bfly.arc_index(row, level, Butterfly::ArcKind::kStraight)]
+          sim.arc_counters()[bfly.arc_index(row, level, ArcKind::kStraight)]
               .total_arrivals);
       vertical += static_cast<double>(
-          sim.arc_counters()[bfly.arc_index(row, level, Butterfly::ArcKind::kVertical)]
+          sim.arc_counters()[bfly.arc_index(row, level, ArcKind::kVertical)]
               .total_arrivals);
     }
     EXPECT_NEAR(straight / 16.0 / window / (lambda * (1 - p)), 1.0, 0.03)
@@ -143,7 +145,7 @@ TEST(Rates, MarkovPropertyCOnPacketLevelSimulator) {
   config.destinations = DestinationDistribution::bit_flip(d, p);
   config.seed = 46;
   TopologyGreedySim sim(config);
-  const Hypercube cube(d);
+  const HypercubeTopology cube(d);
   const double warmup = 500.0, horizon = 80500.0;
   sim.run(warmup, horizon);
 

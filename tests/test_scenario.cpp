@@ -38,7 +38,7 @@ TEST(Scenario, NonDefaultRoundTripThroughTextualForm) {
   original.lambda = 1.7342;
   original.p = 0.3125;
   original.tau = 0.25;
-  original.discipline = Discipline::kPs;
+  original.discipline = "ps";
   original.workload = "uniform";
   original.fanout = 7;
   original.unicast_baseline = true;

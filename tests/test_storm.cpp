@@ -12,31 +12,16 @@
 #include <vector>
 
 #include "fault/fault_model.hpp"
-#include "topology/hypercube.hpp"
+#include "topology/topology.hpp"
 #include "util/assert.hpp"
 #include "util/bits.hpp"
 
 namespace routesim {
 namespace {
 
-StormProcess::IncidentArcs cube_incident_arcs(const Hypercube& cube) {
-  return [&cube](std::uint32_t node, std::vector<std::uint32_t>& out) {
-    cube.append_incident_arcs(node, out);
-  };
-}
-
-StormProcess::Neighbours cube_neighbours(const Hypercube& cube) {
-  return [&cube](std::uint32_t node, std::vector<std::uint32_t>& out) {
-    for (int dim = 1; dim <= cube.dimension(); ++dim) {
-      out.push_back(flip_dimension(node, dim));
-    }
-  };
-}
-
-StormConfig cube_storm_config(const Hypercube& cube, double rate, int radius,
-                              double duration, std::uint64_t seed = 7) {
+StormConfig storm_config(double rate, int radius, double duration,
+                         std::uint64_t seed = 7) {
   StormConfig config;
-  config.num_nodes = cube.num_nodes();
   config.rate = rate;
   config.radius = radius;
   config.duration = duration;
@@ -45,10 +30,9 @@ StormConfig cube_storm_config(const Hypercube& cube, double rate, int radius,
 }
 
 TEST(Storm, InertWithZeroRateConsumesNothing) {
-  const Hypercube cube(4);
+  const HypercubeTopology cube(4);
   StormProcess storms;
-  storms.configure(cube_storm_config(cube, 0.0, 1, 0.0),
-                   cube_incident_arcs(cube), cube_neighbours(cube));
+  storms.configure(storm_config(0.0, 1, 0.0), cube);
   EXPECT_FALSE(storms.active());
   EXPECT_EQ(storms.next_event_time(), std::numeric_limits<double>::infinity());
   storms.advance_to(1e9, [](std::uint32_t, int) { FAIL() << "inert delta"; });
@@ -57,10 +41,9 @@ TEST(Storm, InertWithZeroRateConsumesNothing) {
 }
 
 TEST(Storm, BallArcsRadiusZeroIsTheSeedsIncidence) {
-  const Hypercube cube(4);
+  const HypercubeTopology cube(4);
   StormProcess storms;
-  storms.configure(cube_storm_config(cube, 0.1, 0, 5.0),
-                   cube_incident_arcs(cube), cube_neighbours(cube));
+  storms.configure(storm_config(0.1, 0, 5.0), cube);
   const NodeId seed_node = 5;
   const auto arcs = storms.ball_arcs(seed_node);
   // d out-arcs + d in-arcs, all distinct.
@@ -76,10 +59,9 @@ TEST(Storm, BallArcsRadiusZeroIsTheSeedsIncidence) {
 }
 
 TEST(Storm, BallArcsRadiusOneCoversTheNeighbourhood) {
-  const Hypercube cube(4);
+  const HypercubeTopology cube(4);
   StormProcess storms;
-  storms.configure(cube_storm_config(cube, 0.1, 1, 5.0),
-                   cube_incident_arcs(cube), cube_neighbours(cube));
+  storms.configure(storm_config(0.1, 1, 5.0), cube);
   const NodeId seed_node = 0;
   const auto arcs = storms.ball_arcs(seed_node);
   EXPECT_TRUE(std::is_sorted(arcs.begin(), arcs.end()));
@@ -97,10 +79,9 @@ TEST(Storm, BallArcsRadiusOneCoversTheNeighbourhood) {
 }
 
 TEST(Storm, ArrivalsExpireAfterExactlyTheDuration) {
-  const Hypercube cube(5);
+  const HypercubeTopology cube(5);
   StormProcess storms;
-  storms.configure(cube_storm_config(cube, 0.05, 1, 10.0),
-                   cube_incident_arcs(cube), cube_neighbours(cube));
+  storms.configure(storm_config(0.05, 1, 10.0), cube);
   EXPECT_TRUE(storms.active());
 
   std::map<std::uint32_t, int> coverage;
@@ -139,10 +120,9 @@ TEST(Storm, ArrivalsExpireAfterExactlyTheDuration) {
 }
 
 TEST(Storm, OverlappingStormsStackPerArcCounts) {
-  const Hypercube cube(3);  // tiny cube: storms overlap almost surely
+  const HypercubeTopology cube(3);  // tiny cube: storms overlap almost surely
   StormProcess storms;
-  storms.configure(cube_storm_config(cube, 2.0, 1, 50.0, 3),
-                   cube_incident_arcs(cube), cube_neighbours(cube));
+  storms.configure(storm_config(2.0, 1, 50.0, 3), cube);
   std::map<std::uint32_t, int> coverage;
   int max_count = 0;
   storms.advance_to(100.0, [&](std::uint32_t arc, int delta) {
@@ -159,12 +139,11 @@ TEST(Storm, OverlappingStormsStackPerArcCounts) {
 }
 
 TEST(Storm, DeterministicForSeed) {
-  const Hypercube cube(4);
+  const HypercubeTopology cube(4);
   std::vector<std::pair<std::uint32_t, int>> a_deltas, b_deltas;
   for (auto* deltas : {&a_deltas, &b_deltas}) {
     StormProcess storms;
-    storms.configure(cube_storm_config(cube, 0.5, 1, 8.0, 21),
-                     cube_incident_arcs(cube), cube_neighbours(cube));
+    storms.configure(storm_config(0.5, 1, 8.0, 21), cube);
     storms.advance_to(200.0, [deltas](std::uint32_t arc, int delta) {
       deltas->emplace_back(arc, delta);
     });
@@ -173,42 +152,22 @@ TEST(Storm, DeterministicForSeed) {
 }
 
 TEST(Storm, ConfigureRejectsInconsistentKnobs) {
-  const Hypercube cube(4);
+  const HypercubeTopology cube(4);
   StormProcess storms;
   // rate without duration (and vice versa) is a contract violation.
-  EXPECT_THROW(storms.configure(cube_storm_config(cube, 0.5, 1, 0.0),
-                                cube_incident_arcs(cube),
-                                cube_neighbours(cube)),
+  EXPECT_THROW(storms.configure(storm_config(0.5, 1, 0.0), cube),
                ContractViolation);
-  EXPECT_THROW(storms.configure(cube_storm_config(cube, 0.0, 1, 5.0),
-                                cube_incident_arcs(cube),
-                                cube_neighbours(cube)),
+  EXPECT_THROW(storms.configure(storm_config(0.0, 1, 5.0), cube),
                ContractViolation);
-  // Active storms need both enumerations.
-  EXPECT_THROW(storms.configure(cube_storm_config(cube, 0.5, 1, 5.0), {},
-                                cube_neighbours(cube)),
-               ContractViolation);
-  EXPECT_THROW(storms.configure(cube_storm_config(cube, 0.5, 1, 5.0),
-                                cube_incident_arcs(cube), {}),
-               ContractViolation);
-  EXPECT_THROW(storms.configure(cube_storm_config(cube, -0.1, 1, 5.0),
-                                cube_incident_arcs(cube),
-                                cube_neighbours(cube)),
+  EXPECT_THROW(storms.configure(storm_config(-0.1, 1, 5.0), cube),
                ContractViolation);
 }
 
 // --- composition with the FaultModel -------------------------------------
 
-FaultModelConfig cube_fault_config(const Hypercube& cube) {
-  FaultModelConfig config;
-  config.num_arcs = cube.num_arcs();
-  config.num_nodes = cube.num_nodes();
-  return config;
-}
-
 TEST(Storm, FaultModelComposesStormCoverageByOr) {
-  const Hypercube cube(4);
-  FaultModelConfig config = cube_fault_config(cube);
+  const HypercubeTopology cube(4);
+  FaultModelConfig config;
   config.arc_fault_rate = 0.2;
   config.storm_rate = 0.3;
   config.storm_radius = 1;
@@ -216,16 +175,16 @@ TEST(Storm, FaultModelComposesStormCoverageByOr) {
   config.seed = 5;
 
   FaultModel model;
-  model.configure(config, cube_incident_arcs(cube), cube_neighbours(cube));
+  model.configure(config, cube);
   EXPECT_TRUE(model.active());
   EXPECT_TRUE(model.dynamic());  // storms alone make the model time-driven
 
   // The static base state, for comparison: same seed, storms off.
-  FaultModelConfig base_config = cube_fault_config(cube);
+  FaultModelConfig base_config;
   base_config.arc_fault_rate = 0.2;
   base_config.seed = 5;
   FaultModel base;
-  base.configure(base_config, cube_incident_arcs(cube));
+  base.configure(base_config, cube);
   EXPECT_FALSE(base.dynamic());
 
   // The static sample must be unchanged by the storm machinery (the
@@ -266,25 +225,12 @@ TEST(Storm, FaultModelComposesStormCoverageByOr) {
   EXPECT_GT(model.storms().storms_started(), 0u);
 }
 
-TEST(Storm, FaultModelStormsRequireTopologyCallbacks) {
-  const Hypercube cube(4);
-  FaultModelConfig config = cube_fault_config(cube);
-  config.storm_rate = 0.1;
-  config.storm_duration = 5.0;
-  FaultModel model;
-  EXPECT_THROW(model.configure(config, cube_incident_arcs(cube)),
-               ContractViolation);
-  EXPECT_THROW(model.configure(config), ContractViolation);
-}
-
 TEST(Storm, FaultModelRejectsHalfConfiguredStorm) {
-  const Hypercube cube(4);
-  FaultModelConfig config = cube_fault_config(cube);
+  const HypercubeTopology cube(4);
+  FaultModelConfig config;
   config.storm_rate = 0.1;  // no duration
   FaultModel model;
-  EXPECT_THROW(model.configure(config, cube_incident_arcs(cube),
-                               cube_neighbours(cube)),
-               ContractViolation);
+  EXPECT_THROW(model.configure(config, cube), ContractViolation);
 }
 
 }  // namespace

@@ -225,12 +225,15 @@ TEST(ButterflyTraffic, TerminalsAreRowsAndOnlyVerticalArcsAreHops) {
   EXPECT_EQ(layout.num_sources, 8u);
   EXPECT_EQ(layout.sink_base, 3u * 8u);  // level d+1 starts at d*2^d
   EXPECT_EQ(layout.num_groups, 3u);      // levels 1..d
-  const Butterfly arcs(d);
-  for (ArcId a = 0; a < arcs.num_arcs(); ++a) {
-    EXPECT_EQ(bfly->hop_weight(a),
-              arcs.arc_kind(a) == Butterfly::ArcKind::kVertical ? 1 : 0);
-    EXPECT_EQ(bfly->occupancy_group(bfly->arc_source(a)),
-              static_cast<std::uint32_t>(arcs.arc_level(a) - 1));
+  // The paper's arc layout (§4.1): the d*2^d straight arcs (x; j; s) at
+  // (j-1)*2^d + x, then the vertical arcs (x; j; v) in the same order.
+  const ArcId straight_arcs = static_cast<ArcId>(d) << d;
+  ASSERT_EQ(bfly->num_arcs(), 2 * straight_arcs);
+  for (ArcId a = 0; a < bfly->num_arcs(); ++a) {
+    const bool vertical = a >= straight_arcs;
+    const ArcId level_minus_one = (vertical ? a - straight_arcs : a) >> d;
+    EXPECT_EQ(bfly->hop_weight(a), vertical ? 1 : 0);
+    EXPECT_EQ(bfly->occupancy_group(bfly->arc_source(a)), level_minus_one);
   }
   for (NodeId src = 0; src < 8; ++src) {
     for (NodeId row = 0; row < 8; ++row) {
@@ -414,20 +417,26 @@ TEST(TopologyCongestion, ChordsDefuseTheTornado) {
   EXPECT_LT(papillon_report.max_load, plain_report.max_load / 2);
 }
 
-TEST(TopologyCongestion, HypercubeAdapterMatchesNativeOracle) {
-  // The generic path walker over the hypercube adapter must reproduce the
-  // loads summed over the paper's canonical paths (Hypercube::
-  // canonical_path, increasing dimension order) exactly.
+TEST(TopologyCongestion, HypercubeMatchesCanonicalPathOracle) {
+  // The generic path walker over the hypercube must reproduce the loads
+  // summed over the paper's canonical paths (§3: the required dimensions
+  // crossed in increasing order, arc (x, x XOR e_m) at (m-1)*2^d + x)
+  // exactly.
   const int d = 5;
-  const Hypercube native(d);
+  const NodeId nodes = NodeId{1} << d;
   const auto cube = make_topology({"hypercube", d, "", "4x4"});
   for (const auto* family : {"bit_reversal", "transpose", "tornado"}) {
     const Permutation perm = Permutation::by_name(family, d);
     const CongestionReport generic =
         topology_greedy_congestion(*cube, perm.table());
-    std::vector<std::uint64_t> load(native.num_arcs(), 0);
-    for (NodeId x = 0; x < native.num_nodes(); ++x) {
-      for (const ArcId arc : native.canonical_path(x, perm.table()[x])) ++load[arc];
+    std::vector<std::uint64_t> load(static_cast<std::size_t>(d) * nodes, 0);
+    for (NodeId x = 0; x < nodes; ++x) {
+      NodeId cur = x;
+      for (int m = 1; m <= d; ++m) {
+        if (!has_dimension(cur ^ perm.table()[x], m)) continue;
+        ++load[static_cast<std::size_t>(m - 1) * nodes + cur];
+        cur = flip_dimension(cur, m);
+      }
     }
     std::uint64_t total = 0;
     std::uint64_t used = 0;

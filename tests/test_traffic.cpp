@@ -105,47 +105,6 @@ TEST(SuperpositionEquivalence, MergedAndPerNodeAgreeStatistically) {
   EXPECT_NEAR(per_node_count, expected, 4.0 * std::sqrt(expected));
 }
 
-TEST(SlottedBatch, BatchSizesArePoisson) {
-  SlottedBatchSource source(32, 0.25, 0.5, Rng(8));
-  // mean batch = 32 * 0.25 * 0.5 = 4.
-  Summary sizes;
-  for (int k = 0; k < 100000; ++k) {
-    sizes.add(static_cast<double>(source.next_batch().size()));
-  }
-  EXPECT_NEAR(sizes.mean(), 4.0, 0.05);
-  EXPECT_NEAR(sizes.variance(), 4.0, 0.1);  // Poisson: var = mean
-}
-
-TEST(SlottedBatch, ClockAdvancesBySlot) {
-  SlottedBatchSource source(4, 0.5, 0.25, Rng(9));
-  EXPECT_DOUBLE_EQ(source.current_time(), 0.0);
-  (void)source.next_batch();
-  EXPECT_DOUBLE_EQ(source.current_time(), 0.25);
-  (void)source.next_batch();
-  EXPECT_DOUBLE_EQ(source.current_time(), 0.5);
-  EXPECT_EQ(source.slots_emitted(), 2u);
-}
-
-TEST(SlottedBatch, OriginsUniform) {
-  SlottedBatchSource source(4, 2.0, 1.0, Rng(10));
-  std::vector<int> counts(4, 0);
-  int total = 0;
-  for (int k = 0; k < 50000; ++k) {
-    for (const NodeId origin : source.next_batch()) {
-      ++counts[origin];
-      ++total;
-    }
-  }
-  for (const int c : counts) {
-    EXPECT_NEAR(static_cast<double>(c) / total, 0.25, 5e-3);
-  }
-}
-
-TEST(SlottedBatch, RejectsBadSlot) {
-  EXPECT_THROW(SlottedBatchSource(4, 0.5, 0.0, Rng(1)), ContractViolation);
-  EXPECT_THROW(SlottedBatchSource(4, 0.5, 1.5, Rng(1)), ContractViolation);
-}
-
 TEST(Sources, RejectBadRates) {
   EXPECT_THROW(MergedPoissonSource(0, 0.5, Rng(1)), ContractViolation);
   EXPECT_THROW(MergedPoissonSource(4, 0.0, Rng(1)), ContractViolation);

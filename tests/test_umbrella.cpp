@@ -26,8 +26,8 @@ TEST(Umbrella, EndToEndSmoke) {
 
 TEST(Umbrella, AllModuleTypesVisible) {
   // One declaration per module proves the header wiring.
-  [[maybe_unused]] Hypercube cube(3);
-  [[maybe_unused]] Butterfly bfly(2);
+  [[maybe_unused]] HypercubeTopology cube(3);
+  [[maybe_unused]] ButterflyTopology bfly(2);
   [[maybe_unused]] Rng rng(1);
   [[maybe_unused]] Summary summary;
   [[maybe_unused]] TimeWeighted weighted;
@@ -35,7 +35,7 @@ TEST(Umbrella, AllModuleTypesVisible) {
   [[maybe_unused]] EventQueue<int> events;
   [[maybe_unused]] FifoClock clock(1.0);
   EXPECT_EQ(cube.num_nodes(), 8u);
-  EXPECT_EQ(bfly.num_levels(), 3);
+  EXPECT_EQ(bfly.num_nodes(), 12u);
 }
 
 }  // namespace
