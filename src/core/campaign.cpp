@@ -109,15 +109,21 @@ std::string ResultCache::key(const Scenario& scenario) {
 
 KeyedScenario KeyedScenario::admit(const Scenario& scenario) {
   Scenario resolved = scenario.resolved();
+  std::string text = resolved.to_string();
   // Keys that never change results (the backend spelling) are written at
-  // their defaults, so such runs share one entry.
+  // their defaults, so such runs share one entry; with every such key at
+  // its default already, the key is the text.
   static const Scenario defaults;
-  Scenario canonical = resolved;
+  std::optional<Scenario> canonical;
   for (const ScenarioKey& row : Scenario::keys()) {
-    if (row.result_neutral) row.set(canonical, *row.get(defaults));
+    if (!row.result_neutral) continue;
+    const std::optional<std::string> fallback = row.get(defaults);
+    if (row.get(resolved) == fallback) continue;
+    if (!canonical) canonical = resolved;
+    row.set(*canonical, *fallback);
   }
-  std::string key = canonical.to_string();
-  if (!canonical.trace_file.empty()) {
+  std::string key = canonical ? canonical->to_string() : text;
+  if (!resolved.trace_file.empty()) {
     // A trace path names mutable content: hash the bytes into the key so
     // a rewritten file misses the cache instead of returning stale rows
     // (fingerprint 0 — unreadable — still keys consistently; the load
@@ -125,28 +131,32 @@ KeyedScenario KeyedScenario::admit(const Scenario& scenario) {
     char fingerprint[32];
     std::snprintf(fingerprint, sizeof fingerprint, " trace_hash=%016llx",
                   static_cast<unsigned long long>(
-                      trace_file_fingerprint(canonical.trace_file)));
+                      trace_file_fingerprint(resolved.trace_file)));
     key += fingerprint;
   }
-  return {std::move(resolved), std::move(key)};
+  return {std::move(resolved), std::move(text), std::move(key)};
 }
 
-bool ResultCache::lookup(const std::string& key, RunResult* out) const {
-  RS_EXPECTS(out != nullptr);
+std::shared_ptr<const RenderedResult> ResultCache::lookup(
+    const std::string& key) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find(key);
   if (it == entries_.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+    return nullptr;
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
-  *out = it->second;
-  return true;
+  return it->second;
 }
 
-void ResultCache::insert(const std::string& key, const RunResult& result) {
+std::shared_ptr<const RenderedResult> ResultCache::insert(
+    const std::string& key, RunResult result) {
+  std::string json = result_to_json(result);
+  auto entry = std::make_shared<const RenderedResult>(
+      RenderedResult{std::move(result), std::move(json)});
   std::lock_guard<std::mutex> lock(mutex_);
-  entries_.insert_or_assign(key, result);
+  entries_.insert_or_assign(key, entry);
+  return entry;
 }
 
 std::size_t ResultCache::size() const {
@@ -196,6 +206,13 @@ void append_result_fields(std::string& out, const RunResult& result,
     out += '}';
   }
   out += '}';
+}
+
+std::string result_to_json(const RunResult& result) {
+  std::string out = "{";
+  append_result_fields(out, result, /*exact=*/true);
+  out += '}';
+  return out;
 }
 
 JsonlSink::JsonlSink(const std::string& path, FileOptions options)
@@ -372,15 +389,20 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
     obs::TraceSpan cell_span(trace, "cell.compile", "engine",
                              cell_args(trace, i));
     const CampaignCell& cell = campaign.cells()[i];
-    KeyedScenario keyed =
-        cell.keyed ? *cell.keyed : KeyedScenario::admit(cell.scenario);
+    std::optional<KeyedScenario> admitted;
+    const KeyedScenario& keyed =
+        cell.keyed ? *cell.keyed
+                   : admitted.emplace(KeyedScenario::admit(cell.scenario));
     const auto& info = SchemeRegistry::instance().check(keyed.scenario());
     const std::string& key = keyed.key();
     out[i].index = i;
     out[i].label = cell.label;
     out[i].scenario = keyed.scenario();
 
-    if (options_.cache != nullptr && options_.cache->lookup(key, &out[i].result)) {
+    if (auto entry = options_.cache != nullptr ? options_.cache->lookup(key)
+                                               : nullptr) {
+      out[i].result = entry->result;
+      out[i].cached = std::move(entry);
       out[i].from_cache = true;
       if (trace != nullptr) {
         trace->instant("cache.hit", "engine", cell_args(trace, i));
@@ -395,7 +417,9 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
       }
       // Promote into the in-process cache so repeated lookups in this
       // process skip the store's mutex.
-      if (options_.cache != nullptr) options_.cache->insert(key, out[i].result);
+      if (options_.cache != nullptr) {
+        out[i].cached = options_.cache->insert(key, out[i].result);
+      }
       continue;
     }
     if (const auto it = job_by_key.find(key); it != job_by_key.end()) {
@@ -404,7 +428,8 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
     }
     const int replications = keyed.scenario().plan.replications;
     RS_EXPECTS(replications >= 1);
-    auto job = std::make_unique<CellJob>(std::move(keyed));
+    auto job = admitted ? std::make_unique<CellJob>(std::move(*admitted))
+                        : std::make_unique<CellJob>(keyed);
     job->cell_indices = {i};
     job->compiled = info.compile(job->cell.scenario());
     job->rows.resize(static_cast<std::size_t>(replications));
@@ -459,13 +484,16 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
                                   "engine");
       options_.store->persist(job.cell.key(), job.cell.scenario(), result);
     }
-    if (options_.cache != nullptr) options_.cache->insert(job.cell.key(), result);
+    const std::shared_ptr<const RenderedResult> cached =
+        options_.cache != nullptr ? options_.cache->insert(job.cell.key(), result)
+                                  : nullptr;
     const double wall = job.compute_seconds.load(std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(sink_mutex);
     obs::TraceSpan flush_span(obs::thread_trace(), "sink.flush", "engine");
     for (const std::size_t cell_index : job.cell_indices) {
       out[cell_index].from_cache = cell_index != job.cell_indices.front();
       out[cell_index].result = result;
+      out[cell_index].cached = cached;
       out[cell_index].wall_time_s = wall;
       for (ResultSink* sink : options_.sinks) {
         if (sink != nullptr) sink->on_cell(out[cell_index]);

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <ostream>
@@ -43,26 +44,41 @@ namespace obs {
 class TraceSession;  // obs/trace.hpp — EngineOptions::trace
 }
 
-/// A scenario resolved once (a pending rho target solved to lambda) and
-/// keyed once (ResultCache::key, a trace file's fingerprint included).
-/// Only admit() builds one, so the key always belongs to the scenario.
-/// It is not checked against its scheme's row: the engine checks every
-/// cell before any lookup or compile.
+/// A scenario resolved once (a pending rho target solved to lambda),
+/// rendered once (text()) and keyed once (ResultCache::key, a trace file's
+/// fingerprint included).  Only admit() builds one, so the text and the
+/// key always belong to the scenario.  It is not checked against its
+/// scheme's row: the engine checks every cell before any lookup or
+/// compile.
 class KeyedScenario {
  public:
   /// Throws the ScenarioError Scenario::resolved() throws.
   [[nodiscard]] static KeyedScenario admit(const Scenario& scenario);
 
   [[nodiscard]] const Scenario& scenario() const noexcept { return scenario_; }
+  /// scenario().to_string(), rendered at admission.
+  [[nodiscard]] const std::string& text() const noexcept { return text_; }
   [[nodiscard]] const std::string& key() const& noexcept { return key_; }
   [[nodiscard]] std::string key() && noexcept { return std::move(key_); }
 
  private:
-  KeyedScenario(Scenario scenario, std::string key)
-      : scenario_(std::move(scenario)), key_(std::move(key)) {}
+  KeyedScenario(Scenario scenario, std::string text, std::string key)
+      : scenario_(std::move(scenario)),
+        text_(std::move(text)),
+        key_(std::move(key)) {}
 
   Scenario scenario_;
+  std::string text_;
   std::string key_;
+};
+
+/// A finished RunResult together with its exact result_to_json() text,
+/// rendered once when the ResultCache entry holding it is inserted.  The
+/// cache hands entries out as shared, immutable pointers, so a serve
+/// answer splices the text instead of copying and re-rendering the result.
+struct RenderedResult {
+  RunResult result;
+  std::string json;
 };
 
 /// One cell of a campaign: a labelled experiment point.
@@ -133,6 +149,9 @@ struct CellResult {
   /// job's cost.  Telemetry only: never part of RunResult, the cache key,
   /// or store records, which stay bit-identical across runs.
   double wall_time_s = 0.0;
+  /// The ResultCache entry holding `result` and its JSON, when the engine
+  /// ran with a cache (null without one, and for cells left pending).
+  std::shared_ptr<const RenderedResult> cached;
   /// Which tier served the cell: "store" (persistent), "cache"
   /// (in-process hit or in-campaign duplicate), or "computed".
   [[nodiscard]] const char* tier() const noexcept {
@@ -184,6 +203,11 @@ class MemorySink final : public ResultSink {
 void append_result_fields(std::string& out, const RunResult& result,
                           bool exact);
 
+/// Serialises one RunResult as the store's exact-round-trip JSON object
+/// (no surrounding record envelope).  Two results are bit-identical iff
+/// their serialisations are byte-identical — tests lean on this.
+[[nodiscard]] std::string result_to_json(const RunResult& result);
+
 /// Streams one self-contained JSON object per finished cell — the
 /// machine-readable incremental form behind `routesim_bench --jsonl PATH`.
 /// Schema (tests/test_campaign.cpp round-trips it): campaign, cell, label,
@@ -234,15 +258,21 @@ class JsonlSink final : public ResultSink {
 /// canonical textual form of the resolved scenario with the legacy backend
 /// spelling normalised out — both values run the kernel's one drive loop,
 /// so scalar and soa_batch runs share an entry; seeds and replication
-/// counts stay in the key because they *do* change results.
+/// counts stay in the key because they *do* change results.  Entries are
+/// immutable and shared: a holder's entry stays valid after an insert
+/// replaces it.
 class ResultCache {
  public:
   [[nodiscard]] static std::string key(const Scenario& scenario);
 
-  /// Copies the entry for `key` into `*out` and counts a hit; returns
-  /// false (counting a miss) when absent.
-  [[nodiscard]] bool lookup(const std::string& key, RunResult* out) const;
-  void insert(const std::string& key, const RunResult& result);
+  /// The entry for `key`, counting a hit; null (counting a miss) when
+  /// absent.
+  [[nodiscard]] std::shared_ptr<const RenderedResult> lookup(
+      const std::string& key) const;
+  /// Renders `result` (outside the lock) into a new entry for `key`,
+  /// replacing any entry there, and returns it.
+  std::shared_ptr<const RenderedResult> insert(const std::string& key,
+                                               RunResult result);
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::uint64_t hits() const noexcept {
@@ -254,7 +284,8 @@ class ResultCache {
 
  private:
   mutable std::mutex mutex_;
-  std::unordered_map<std::string, RunResult> entries_;
+  std::unordered_map<std::string, std::shared_ptr<const RenderedResult>>
+      entries_;
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
 };

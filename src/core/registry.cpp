@@ -92,12 +92,24 @@ void SchemeRegistry::SchemeInfo::check(const Scenario& s) const {
   }
 
   static const Scenario kDefaults;
-  for (const ScenarioKey& row : Scenario::keys()) {
-    if (!lists(scheme_keys(), row.name) || lists(keys, row.name)) continue;
-    const std::optional<std::string> value = row.get(s);
-    const std::optional<std::string> fallback = row.get(kDefaults);
+  // Each scheme-specific row with its default value, rendered once.
+  struct SchemeKeyDefault {
+    const ScenarioKey* row;
+    std::optional<std::string> fallback;
+  };
+  static const std::vector<SchemeKeyDefault> kSchemeKeyDefaults = [] {
+    std::vector<SchemeKeyDefault> table;
+    for (const ScenarioKey& row : Scenario::keys()) {
+      if (!lists(scheme_keys(), row.name)) continue;
+      table.push_back({&row, row.get(kDefaults)});
+    }
+    return table;
+  }();
+  for (const auto& [row, fallback] : kSchemeKeyDefaults) {
+    if (lists(keys, row->name)) continue;
+    const std::optional<std::string> value = row->get(s);
     if (value == fallback) continue;
-    if (row.name == "storm_rate" || row.name == "storm_duration") {
+    if (row->name == "storm_rate" || row->name == "storm_duration") {
       std::vector<std::string> hosts;
       for (const auto& [host, info] : instance().schemes_) {
         if (lists(info.keys, "storm_rate")) hosts.push_back(host);
@@ -106,8 +118,8 @@ void SchemeRegistry::SchemeInfo::check(const Scenario& s) const {
           "fault storms (clear storm_rate/storm_duration; storms are "
           "available on " + joined(hosts) + ")");
     }
-    throw unsupported(row.name + "=" + value.value_or("") + " (leave " +
-                      row.name + " at its default " + fallback.value_or("") +
+    throw unsupported(row->name + "=" + value.value_or("") + " (leave " +
+                      row->name + " at its default " + fallback.value_or("") +
                       ")");
   }
   if (!s.ring_chords.empty() && family != "ring") {

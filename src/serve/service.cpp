@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "util/assert.hpp"
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
 
@@ -102,19 +103,17 @@ void QueryService::count(const QueryResult& answered, double seconds) {
 
 QueryService::QueryResult QueryService::answer(const Scenario& scenario) {
   QueryResult qr;
-  std::optional<KeyedScenario> keyed;
   try {
-    keyed.emplace(KeyedScenario::admit(scenario));
+    qr.cell.emplace(KeyedScenario::admit(scenario));
   } catch (const std::exception& error) {
     qr.error = error.what();
     return qr;
   }
-  qr.scenario = keyed->scenario();
-  qr.key = keyed->key();
+  const std::string& key = qr.cell->key();
 
   // Cache hits need no check: every entry came from the engine, which
   // checks a cell before it looks the cell up or computes it.
-  if (cache_.lookup(qr.key, &qr.result)) {
+  if ((qr.answer = cache_.lookup(key))) {
     qr.ok = true;
     qr.source = "cache";
     return qr;
@@ -122,40 +121,45 @@ QueryService::QueryResult QueryService::answer(const Scenario& scenario) {
 
   // Join (or become) the one in-flight answer for this key, so N
   // concurrent clients asking the same scenario fund one engine run.
-  std::promise<QueryResult> leading;
-  std::shared_future<QueryResult> led;
+  std::promise<std::shared_ptr<const RenderedResult>> leading;
+  std::shared_future<std::shared_ptr<const RenderedResult>> led;
   {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
     const auto [it, leader] =
-        inflight_.try_emplace(qr.key, leading.get_future().share());
+        inflight_.try_emplace(key, leading.get_future().share());
     if (!leader) led = it->second;
   }
   if (led.valid()) {
-    const QueryResult& answer = led.get();
-    qr.ok = answer.ok;
-    qr.error = answer.error;
-    qr.result = answer.result;
     qr.source = "inflight";
+    try {
+      qr.answer = led.get();
+      qr.ok = true;
+    } catch (const std::exception& error) {
+      qr.error = error.what();
+    }
     return qr;
   }
 
   // The engine takes the cell as keyed here, checks it against its
   // scheme's row, then answers it from the cache (another client may have
-  // just filled it), the store, or a computation it persists and caches.
+  // just filled it), the store, or a computation it persists and caches;
+  // either way the answer is the cache entry it read or inserted.
   try {
     Campaign single("serve");
-    single.add(std::move(*keyed));
+    single.add(*qr.cell);
     CellResult cell = std::move(Engine(engine_options()).run(single).front());
-    qr.result = std::move(cell.result);
+    qr.answer = std::move(cell.cached);
+    RS_ENSURES(qr.answer != nullptr);  // the engine runs with cache_
     qr.source = cell.tier();
     qr.ok = true;
+    leading.set_value(qr.answer);
   } catch (const std::exception& error) {
     qr.error = error.what();
+    leading.set_exception(std::current_exception());
   }
-  leading.set_value(qr);
   {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
-    inflight_.erase(qr.key);
+    inflight_.erase(key);
   }
   return qr;
 }
@@ -186,15 +190,27 @@ std::string error_response(const std::string& op, const std::string& id,
          ",\"ok\":false,\"error\":\"" + json_escape(message) + "\"}";
 }
 
+/// One answer line, built in one string: the key is escaped once (and
+/// reused as the scenario text when the two are equal, as they are unless
+/// a result-neutral key is off its default or a trace file is hashed in),
+/// and the result is the cache entry's pre-rendered JSON.
 std::string query_response(const std::string& id,
                            const QueryService::QueryResult& qr) {
   if (!qr.ok) return error_response("query", id, qr.error);
-  std::ostringstream os;
-  os << "{\"op\":\"query\"" << id << ",\"ok\":true,\"source\":\"" << qr.source
-     << "\",\"key\":\"" << json_escape(qr.key) << "\",\"scenario\":\""
-     << json_escape(qr.scenario.to_string())
-     << "\",\"result\":" << result_to_json(qr.result) << '}';
-  return os.str();
+  const KeyedScenario& cell = *qr.cell;
+  const std::string key = json_escape(cell.key());
+  const bool same = cell.text() == cell.key();
+  const std::string text = same ? std::string() : json_escape(cell.text());
+  const std::string& result = qr.answer->json;
+  std::string out;
+  out.reserve(64 + id.size() + 2 * key.size() + text.size() + result.size());
+  out.append("{\"op\":\"query\"").append(id)
+      .append(",\"ok\":true,\"source\":\"").append(qr.source)
+      .append("\",\"key\":\"").append(key)
+      .append("\",\"scenario\":\"").append(same ? key : text)
+      .append("\",\"result\":").append(result)
+      .append("}");
+  return out;
 }
 
 void handle_grid(QueryService& service, const json::Value& request,
@@ -231,7 +247,7 @@ void handle_grid(QueryService& service, const json::Value& request,
          << ",\"label\":\"" << json_escape(cell.label) << "\",\"source\":\""
          << cell.tier() << "\",\"scenario\":\""
          << json_escape(cell.scenario.to_string())
-         << "\",\"result\":" << result_to_json(cell.result) << '}';
+         << "\",\"result\":" << cell.cached->json << '}';
       emit(os.str());
     });
     EngineOptions options = service.engine_options();

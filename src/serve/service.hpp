@@ -30,7 +30,9 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -61,9 +63,13 @@ class QueryService {
     /// engine run computed it) — these three are CellResult::tier() —
     /// or "inflight" (coalesced onto a concurrent identical query).
     std::string source;
-    std::string key;          ///< ResultCache::key, the store key
-    Scenario scenario;        ///< resolved form actually answered
-    RunResult result;
+    /// The query as admitted: the resolved form actually answered, its
+    /// text and its key (ResultCache::key, the store key).  Empty when
+    /// the scenario did not resolve.
+    std::optional<KeyedScenario> cell;
+    /// The cache entry that answered (set when ok): every tier answers
+    /// from the entry the cache holds, JSON rendered once.
+    std::shared_ptr<const RenderedResult> answer;
   };
 
   /// Answers one scenario; never throws (errors come back in the result).
@@ -101,8 +107,11 @@ class QueryService {
   mutable std::mutex stats_mutex_;
   Stats stats_{};
   std::mutex inflight_mutex_;
-  /// The leader's answer per key being answered, for coalesced followers.
-  std::unordered_map<std::string, std::shared_future<QueryResult>> inflight_;
+  /// The leader's answer per key being answered, for coalesced followers
+  /// (its error as the future's exception).
+  std::unordered_map<std::string,
+                     std::shared_future<std::shared_ptr<const RenderedResult>>>
+      inflight_;
 };
 
 /// Executes one protocol line against `service`, emitting zero or more

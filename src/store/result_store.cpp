@@ -125,13 +125,6 @@ RecordKind read_record(const json::Value& record, std::string* key,
 
 }  // namespace
 
-std::string result_to_json(const RunResult& result) {
-  std::string out = "{";
-  append_result_fields(out, result, /*exact=*/true);
-  out += '}';
-  return out;
-}
-
 bool result_from_json(const json::Value& value, RunResult* out) {
   if (!value.is_object()) return false;
   RunResult result;

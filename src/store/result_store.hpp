@@ -57,15 +57,10 @@ namespace routesim {
 /// Current on-disk record version ("v" field); bump on schema change.
 inline constexpr int kResultStoreVersion = 1;
 
-/// Serialises one RunResult as the store's exact-round-trip JSON object
-/// (no surrounding record envelope).  Two results are bit-identical iff
-/// their serialisations are byte-identical — tests lean on this.
-[[nodiscard]] std::string result_to_json(const RunResult& result);
-
-/// Reconstructs a RunResult from result_to_json() output *or* from a
-/// campaign JSONL sink line (same field names at top level; its `null`
-/// non-finites read back as NaN).  Returns false when the core metric
-/// fields are absent or malformed.
+/// Reconstructs a RunResult from result_to_json() (core/campaign.hpp)
+/// output *or* from a campaign JSONL sink line (same field names at top
+/// level; its `null` non-finites read back as NaN).  Returns false when
+/// the core metric fields are absent or malformed.
 [[nodiscard]] bool result_from_json(const json::Value& value, RunResult* out);
 
 /// One full store record as a single JSON line (no trailing newline).

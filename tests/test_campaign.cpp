@@ -15,7 +15,9 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -154,14 +156,68 @@ TEST(Engine, CacheHitReturnsIdenticalResultWithoutRecompute) {
   // drive loop), so a soa_batch variant of a cached cell still hits.
   Scenario respelled = campaign.cells()[0].scenario;
   respelled.backend = "soa_batch";
-  RunResult from_cache;
-  ASSERT_TRUE(cache.lookup(ResultCache::key(respelled), &from_cache));
-  expect_identical(from_cache, first[0].result);
+  const auto from_cache = cache.lookup(ResultCache::key(respelled));
+  ASSERT_NE(from_cache, nullptr);
+  expect_identical(from_cache->result, first[0].result);
 
   // A different seed is a different experiment: distinct key, cache miss.
   Scenario reseeded = campaign.cells()[0].scenario;
   reseeded.plan.base_seed += 1;
-  EXPECT_FALSE(cache.lookup(ResultCache::key(reseeded), &from_cache));
+  EXPECT_EQ(cache.lookup(ResultCache::key(reseeded)), nullptr);
+}
+
+// Entries are immutable and shared: one a caller holds outlives the insert
+// that replaces it, and lookups racing an insert see a whole entry, old or
+// new, never a torn one.
+TEST(ResultCache, HeldEntrySurvivesReinsertAndConcurrentLookups) {
+  const std::string key = ResultCache::key(tiny("hypercube_greedy", 4, 0.5, 41));
+  RunResult first;
+  first.delay = {2.5, 0.125};
+  first.extras.emplace_back("slot_wait", ConfidenceInterval{0.5, 0.25});
+  RunResult second = first;
+  second.delay.mean = 3.75;
+
+  ResultCache cache;
+  cache.insert(key, first);
+  const std::shared_ptr<const RenderedResult> held = cache.lookup(key);
+  ASSERT_NE(held, nullptr);
+  EXPECT_EQ(held->json, result_to_json(first));
+
+  const std::string first_json = result_to_json(first);
+  const std::string second_json = result_to_json(second);
+  constexpr int kReaders = 4;
+  constexpr int kRounds = 200;
+  std::atomic<int> torn{0};
+  {
+    std::vector<std::jthread> threads;
+    for (int r = 0; r < kReaders; ++r) {
+      threads.emplace_back([&] {
+        for (int i = 0; i < kRounds; ++i) {
+          const auto entry = cache.lookup(key);
+          const bool whole =
+              entry != nullptr &&
+              (entry->json == first_json || entry->json == second_json) &&
+              entry->json == result_to_json(entry->result);
+          if (!whole) torn.fetch_add(1);
+        }
+      });
+    }
+    threads.emplace_back([&] {
+      for (int i = 0; i < kRounds; ++i) {
+        (void)cache.insert(key, i % 2 == 0 ? second : first);
+      }
+    });
+  }
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.hits(), 1u + kReaders * kRounds);
+
+  // The held entry is still the first result, whatever replaced it.
+  const auto replaced = cache.insert(key, second);
+  EXPECT_EQ(replaced->json, second_json);
+  EXPECT_EQ(cache.lookup(key), replaced);
+  EXPECT_EQ(held->json, first_json);
+  EXPECT_EQ(result_to_json(held->result), first_json);
 }
 
 TEST(Engine, CacheKeyDistinguishesTopologyKnobs) {

@@ -9,6 +9,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <latch>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,13 +43,13 @@ TEST(QueryService, ComputesThenServesFromCache) {
   const auto first = service.query_text(kTinyText);
   ASSERT_TRUE(first.ok) << first.error;
   EXPECT_EQ(first.source, "computed");
-  EXPECT_FALSE(first.key.empty());
+  EXPECT_FALSE(first.cell->key().empty());
 
   const auto second = service.query_text(kTinyText);
   ASSERT_TRUE(second.ok);
   EXPECT_EQ(second.source, "cache");
-  EXPECT_EQ(second.key, first.key);
-  EXPECT_EQ(result_to_json(second.result), result_to_json(first.result));
+  EXPECT_EQ(second.cell->key(), first.cell->key());
+  EXPECT_EQ(result_to_json(second.answer->result), result_to_json(first.answer->result));
 
   const auto stats = service.stats();
   EXPECT_EQ(stats.queries, 2u);
@@ -75,8 +77,8 @@ TEST(QueryService, StoreAnswersAcrossRestart) {
     const auto computed = service.query_text(kTinyText);
     ASSERT_TRUE(computed.ok) << computed.error;
     EXPECT_EQ(computed.source, "computed");
-    key = computed.key;
-    result_json = result_to_json(computed.result);
+    key = computed.cell->key();
+    result_json = result_to_json(computed.answer->result);
     EXPECT_TRUE(store.contains(key));  // run_one persisted through the seam
   }
 
@@ -88,8 +90,8 @@ TEST(QueryService, StoreAnswersAcrossRestart) {
   const auto from_disk = service.query_text(kTinyText);
   ASSERT_TRUE(from_disk.ok);
   EXPECT_EQ(from_disk.source, "store");
-  EXPECT_EQ(from_disk.key, key);
-  EXPECT_EQ(result_to_json(from_disk.result), result_json);
+  EXPECT_EQ(from_disk.cell->key(), key);
+  EXPECT_EQ(result_to_json(from_disk.answer->result), result_json);
 
   // The store hit was promoted into the in-process cache.
   EXPECT_EQ(service.query_text(kTinyText).source, "cache");
@@ -182,8 +184,8 @@ TEST(QueryService, AnswerKeyIsTheKeyTheEnginePersists) {
     EXPECT_EQ(qr.source, "computed");
     const std::vector<std::string> keys = store.keys();
     ASSERT_EQ(keys.size(), i + 1);
-    EXPECT_EQ(keys.back(), qr.key);
-    EXPECT_EQ(qr.key, ResultCache::key(Scenario::parse_text(texts[i])));
+    EXPECT_EQ(keys.back(), qr.cell->key());
+    EXPECT_EQ(qr.cell->key(), ResultCache::key(Scenario::parse_text(texts[i])));
   }
   EXPECT_NE(store.keys().back().find(" trace_hash="), std::string::npos);
   std::remove(trace_path.c_str());
@@ -217,6 +219,40 @@ TEST(ResultCacheKey, TraceFileContentIsHashedIntoTheKey) {
   // Scenarios without a trace file keep their plain canonical-text keys.
   Scenario plain;
   EXPECT_EQ(ResultCache::key(plain).find("trace_hash="), std::string::npos);
+  std::remove(path.c_str());
+}
+
+// admit() renders the resolved scenario once; the key reuses that text
+// unless a result-neutral key is off its default, and a trace file's
+// fingerprint is appended to it either way.
+TEST(KeyedScenario, TextIsRenderedOnceAndTheKeyReusesIt) {
+  const Scenario plain = Scenario::parse_text(kTinyText);
+  const KeyedScenario defaults = KeyedScenario::admit(plain);
+  EXPECT_EQ(defaults.text(), defaults.scenario().to_string());
+  EXPECT_EQ(defaults.key(), defaults.text());
+
+  Scenario respelled = plain;
+  respelled.set("backend", "soa_batch");
+  const KeyedScenario legacy = KeyedScenario::admit(respelled);
+  EXPECT_EQ(legacy.text(), legacy.scenario().to_string());
+  EXPECT_NE(legacy.text().find("backend=soa_batch"), std::string::npos);
+  EXPECT_NE(legacy.key(), legacy.text());
+  EXPECT_EQ(legacy.key(), defaults.key());
+
+  const std::string path = temp_store("keyed_trace.jsonl");
+  {
+    std::ofstream out(path);
+    out << "{\"t\":0.5,\"src\":0,\"dst\":1}\n";
+  }
+  Scenario traced = plain;
+  traced.set("workload", "trace");
+  traced.set("trace_file", path);
+  const KeyedScenario from_file = KeyedScenario::admit(traced);
+  EXPECT_EQ(from_file.text(), from_file.scenario().to_string());
+  char fingerprint[32];
+  std::snprintf(fingerprint, sizeof fingerprint, " trace_hash=%016llx",
+                static_cast<unsigned long long>(trace_file_fingerprint(path)));
+  EXPECT_EQ(from_file.key(), from_file.text() + fingerprint);
   std::remove(path.c_str());
 }
 
@@ -267,10 +303,10 @@ TEST(QueryService, ConcurrentIdenticalQueriesFundOneComputation) {
           [&, i] { results[i] = service.query_text(kTinyText); });
     }
   }
-  const std::string expected = result_to_json(results[0].result);
+  const std::string expected = result_to_json(results[0].answer->result);
   for (const auto& qr : results) {
     ASSERT_TRUE(qr.ok) << qr.error;
-    EXPECT_EQ(result_to_json(qr.result), expected);
+    EXPECT_EQ(result_to_json(qr.answer->result), expected);
   }
   // Exactly one engine run; every other client either coalesced onto it
   // or arrived after it finished and hit the cache.
@@ -362,6 +398,109 @@ TEST(ServeProtocol, QueryCarriesSourceKeyAndExactResult) {
   EXPECT_EQ(field(stats[0], "queries")->number, 2.0);
   EXPECT_EQ(field(stats[0], "computed")->number, 1.0);
   EXPECT_EQ(field(stats[0], "cache_hits")->number, 1.0);
+}
+
+/// The raw text of a query response's string member `name`.
+std::string string_slice(const std::string& response, const std::string& name) {
+  const std::string marker = "\"" + name + "\":\"";
+  const auto begin = response.find(marker);
+  if (begin == std::string::npos) return {};
+  const auto from = begin + marker.size();
+  return response.substr(from, response.find('"', from) - from);
+}
+
+/// The raw text of a query response's "result" object (its last member).
+std::string result_slice(const std::string& response) {
+  const std::string marker = "\"result\":";
+  const auto begin = response.find(marker);
+  if (begin == std::string::npos) return {};
+  const auto from = begin + marker.size();
+  return response.substr(from, response.size() - from - 1);
+}
+
+// Whichever tier answers a query, the response carries the same key,
+// scenario and result bytes, and the result is the exact serialisation of
+// a direct engine run.
+TEST(ServeProtocol, EveryTierAnswersTheSameBytes) {
+  // Long enough (a few ms) that concurrent clients find it in flight.
+  const std::string text = "hypercube_greedy d=6 rho=0.5 measure=1000 reps=2 seed=11";
+  const std::string request =
+      R"({"op":"query","id":1,"scenario":")" + text + "\"}";
+  const auto ask = [&](QueryService& service) {
+    std::string response;
+    serve::handle_request(service, request,
+                          [&](const std::string& line) { response = line; });
+    return response;
+  };
+  std::map<std::string, std::string> by_tier;
+  const auto keep = [&](const std::string& response) {
+    by_tier.emplace(string_slice(response, "source"), response);
+  };
+
+  const std::string path = temp_store("every_tier.jsonl");
+  {
+    ResultStore store(path);
+    ASSERT_TRUE(store.ok()) << store.error();
+    QueryService service({1, &store});
+    keep(ask(service));  // computed, and persisted
+    keep(ask(service));  // cache
+  }
+  {
+    ResultStore store(path);
+    ASSERT_TRUE(store.ok()) << store.error();
+    QueryService service({1, &store});
+    keep(ask(service));  // store: a fresh service on the same file
+  }
+  // inflight: clients released together onto a fresh service, whose one
+  // computation the others join; retried in the unlikely case every
+  // client arrived after the leader finished.
+  constexpr int kClients = 8;
+  for (int attempt = 0; attempt < 5 && by_tier.count("inflight") == 0;
+       ++attempt) {
+    QueryService service({1, nullptr});
+    std::vector<std::string> responses(kClients);
+    std::latch start(kClients);
+    {
+      std::vector<std::jthread> clients;
+      clients.reserve(kClients);
+      for (int i = 0; i < kClients; ++i) {
+        clients.emplace_back([&, i] {
+          start.arrive_and_wait();
+          responses[i] = ask(service);
+        });
+      }
+    }
+    for (const std::string& response : responses) keep(response);
+  }
+  for (const char* tier : {"computed", "cache", "store", "inflight"}) {
+    EXPECT_EQ(by_tier.count(tier), 1u) << tier << " never answered";
+  }
+
+  const std::string expected_key = ResultCache::key(Scenario::parse_text(text));
+  const std::string expected_result =
+      result_to_json(Engine().run_one(Scenario::parse_text(text)));
+  for (const auto& [tier, response] : by_tier) {
+    SCOPED_TRACE(tier);
+    EXPECT_EQ(string_slice(response, "key"), expected_key);
+    EXPECT_EQ(string_slice(response, "scenario"), expected_key);
+    EXPECT_EQ(result_slice(response), expected_result);
+  }
+
+  // A respelled query shares the entry and the key but echoes its own
+  // resolved text.
+  QueryService service({1, nullptr});
+  (void)ask(service);
+  std::string respelled;
+  serve::handle_request(
+      service,
+      R"({"op":"query","id":2,"scenario":")" + text + " backend=soa_batch\"}",
+      [&](const std::string& line) { respelled = line; });
+  EXPECT_EQ(string_slice(respelled, "source"), "cache");
+  EXPECT_EQ(string_slice(respelled, "key"), expected_key);
+  EXPECT_EQ(string_slice(respelled, "scenario"),
+            Scenario::parse_text(text + " backend=soa_batch").resolved().to_string());
+  EXPECT_EQ(result_slice(respelled), expected_result);
+  std::remove(path.c_str());
 }
 
 TEST(ServeProtocol, GridStreamsOneCellLinePerCellThenASummary) {
