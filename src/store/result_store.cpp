@@ -5,10 +5,8 @@
 #include <array>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <string_view>
 #include <utility>
 
@@ -17,6 +15,7 @@
 #include "util/assert.hpp"
 #include "util/atomic_file.hpp"
 #include "util/json.hpp"
+#include "util/line_reader.hpp"
 
 namespace routesim {
 
@@ -123,6 +122,132 @@ RecordKind read_record(const json::Value& record, std::string* key,
   return RecordKind::kCurrent;
 }
 
+/// Reads a line in the exact layout record_json writes, in place:
+/// {"v":1,"key":"…","scenario":"…","result":{…}} with the result's members
+/// in append_result_fields' order, numbers read by json::scan_number or
+/// spelled "nan"/"inf"/"-inf", and strings with no escape, control byte or
+/// non-ASCII byte.  Any other byte makes read() return false, and the line
+/// goes through json::parse + read_record instead; a line read() takes
+/// gives what that path gives.  The layout is frozen with its writers: a
+/// change to record_json or append_result_fields changes this reader in
+/// step (LoadStats::fallback_lines counts the lines that miss it).
+class CanonicalRecord {
+ public:
+  CanonicalRecord(const char* first, const char* last) : p_(first), last_(last) {}
+
+  /// The record's key and scenario text, retired keys dropped, and result;
+  /// the outputs are written only when the whole line matched.
+  bool read(std::string* key, std::string* scenario_text, RunResult* out) {
+    std::string_view key_text;
+    std::string_view scenario;
+    RunResult result;
+    if (!(literal("{\"v\":1,\"key\":") && string(&key_text) && !key_text.empty() &&
+          literal(",\"scenario\":") && string(&scenario) &&
+          literal(",\"result\":{\"rho\":") && number(&result.rho) &&
+          literal(",\"delay_mean\":") && number(&result.delay.mean) &&
+          literal(",\"delay_half_width\":") && number(&result.delay.half_width) &&
+          literal(",\"population_mean\":") && number(&result.population.mean) &&
+          literal(",\"population_half_width\":") &&
+          number(&result.population.half_width) &&
+          literal(",\"throughput_mean\":") && number(&result.throughput.mean) &&
+          literal(",\"throughput_half_width\":") &&
+          number(&result.throughput.half_width) &&
+          literal(",\"mean_hops\":") && number(&result.mean_hops) &&
+          literal(",\"max_little_error\":") && number(&result.max_little_error) &&
+          literal(",\"mean_final_backlog\":") && number(&result.mean_final_backlog))) {
+      return false;
+    }
+    if (literal(",\"has_bounds\":true")) {
+      result.has_bounds = true;
+    } else if (!literal(",\"has_bounds\":false")) {
+      return false;
+    }
+    if (!(literal(",\"lower_bound\":") && number(&result.lower_bound) &&
+          literal(",\"upper_bound\":") && number(&result.upper_bound) &&
+          literal(",\"extras\":{"))) {
+      return false;
+    }
+    if (!literal("}")) {
+      do {
+        std::string_view name;
+        ConfidenceInterval interval;
+        if (!(string(&name) && literal(":{\"mean\":") && number(&interval.mean) &&
+              literal(",\"half_width\":") && number(&interval.half_width) &&
+              literal("}"))) {
+          return false;
+        }
+        result.extras.emplace_back(name, interval);
+      } while (literal(","));
+      if (!literal("}")) return false;
+    }
+    if (!literal("}}") || p_ != last_) return false;
+    *key = without_retired_keys(std::string(key_text));
+    *scenario_text = without_retired_keys(std::string(scenario));
+    *out = std::move(result);
+    return true;
+  }
+
+ private:
+  template <std::size_t N>
+  bool literal(const char (&text)[N]) {
+    if (static_cast<std::size_t>(last_ - p_) < N - 1 ||
+        std::memcmp(p_, text, N - 1) != 0) {
+      return false;
+    }
+    p_ += N - 1;
+    return true;
+  }
+
+  bool number(double* out) {
+    if (p_ != last_ && *p_ == '"') {
+      if (literal("\"nan\"")) {
+        *out = std::nan("");
+      } else if (literal("\"inf\"")) {
+        *out = std::numeric_limits<double>::infinity();
+      } else if (literal("\"-inf\"")) {
+        *out = -std::numeric_limits<double>::infinity();
+      } else {
+        return false;
+      }
+      return true;
+    }
+    const json::NumberScan scan = json::scan_number(p_, last_);
+    *out = scan.value;
+    p_ = scan.end;
+    return scan.error == nullptr;
+  }
+
+  bool string(std::string_view* out) {
+    if (p_ == last_ || *p_ != '"') return false;
+    const char* const first = p_ + 1;
+    const auto* const quote = static_cast<const char*>(
+        std::memchr(first, '"', static_cast<std::size_t>(last_ - first)));
+    if (quote == nullptr) return false;
+    // One pass with no early exit, which the compiler vectorises.
+    const auto length = static_cast<std::size_t>(quote - first);
+    unsigned char bad = 0;
+    for (std::size_t i = 0; i < length; ++i) {
+      const auto c = static_cast<unsigned char>(first[i]);
+      bad |= static_cast<unsigned char>((c < 0x20) | (c >= 0x80) | (c == '\\'));
+    }
+    if (bad != 0) return false;
+    *out = std::string_view(first, length);
+    p_ = quote + 1;
+    return true;
+  }
+
+  const char* p_;
+  const char* const last_;
+};
+
+/// Whether a line holds only blanks (std::getline leaves a CRLF's '\r').
+bool blank(const char* first, const char* last) {
+  for (; first != last; ++first) {
+    if (*first != ' ' && *first != '\t' && *first != '\r') return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 bool result_from_json(const json::Value& value, RunResult* out) {
@@ -213,57 +338,54 @@ ResultStore::~ResultStore() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-bool ResultStore::apply_record(const json::Value& record) {
-  std::string key;
-  Entry entry;
-  switch (read_record(record, &key, &entry.scenario_text, &entry.result)) {
-    case RecordKind::kNotARecord:
-      return false;
-    case RecordKind::kOtherVersion:
-      ++stats_.skipped_version;
-      return true;  // a well-formed record we must not interpret — not garbage
-    case RecordKind::kCurrent:
-      break;
-  }
+void ResultStore::index(std::string key, Entry entry) {
   if (index_.insert_or_assign(key, std::move(entry)).second) {
     order_.push_back(std::move(key));
   } else {
     ++stats_.duplicate_keys;  // append-only history: last record wins
   }
   ++stats_.records_loaded;
-  return true;
 }
 
 void ResultStore::load_existing() {
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) return;  // no file yet: an empty store
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-
-  std::string line;
+  const auto file = open_for_reading(path_);
+  if (!file) return;  // no file yet: an empty store
+  std::string text;
   json::Value record;
-  std::size_t begin = 0;
-  while (begin < content.size()) {
-    std::size_t end = content.find('\n', begin);
-    const bool has_newline = end != std::string::npos;
-    if (!has_newline) end = content.size();
-    line.assign(content, begin, end - begin);
-    begin = end + (has_newline ? 1 : 0);
-    if (!has_newline) tail_unterminated_ = true;
-
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    const bool parsed = json::parse(line, &record) && apply_record(record);
-    if (!parsed) {
-      // A cut final record (kill mid-append, no newline written) is the
-      // expected crash shape; anything else is interleaved garbage.
-      if (!has_newline) {
-        stats_.truncated_tail = true;
-      } else {
-        ++stats_.skipped_garbage;
-      }
+  (void)for_each_line(file.get(), [&](const char* first, const char* last,
+                                      bool ended_with_newline) {
+    if (!ended_with_newline) tail_unterminated_ = true;
+    if (blank(first, last)) return;
+    std::string key;
+    Entry entry;
+    if (CanonicalRecord(first, last).read(&key, &entry.scenario_text, &entry.result)) {
+      index(std::move(key), std::move(entry));
+      return;
     }
-  }
+    ++stats_.fallback_lines;
+    text.assign(first, last);
+    const RecordKind kind =
+        json::parse(text, &record)
+            ? read_record(record, &key, &entry.scenario_text, &entry.result)
+            : RecordKind::kNotARecord;
+    switch (kind) {
+      case RecordKind::kCurrent:
+        index(std::move(key), std::move(entry));
+        break;
+      case RecordKind::kOtherVersion:
+        ++stats_.skipped_version;  // well-formed, must not be interpreted
+        break;
+      case RecordKind::kNotARecord:
+        // A cut final record (kill mid-append, no newline written) is the
+        // expected crash shape; anything else is interleaved garbage.
+        if (ended_with_newline) {
+          ++stats_.skipped_garbage;
+        } else {
+          stats_.truncated_tail = true;
+        }
+        break;
+    }
+  });
 }
 
 ResultStore::LoadStats ResultStore::load_stats() const {
@@ -378,42 +500,49 @@ std::size_t replay_results(
     const std::string& path,
     const std::function<void(const std::string& key, const Scenario& scenario,
                              const RunResult& result)>& consume) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return 0;
+  const auto file = open_for_reading(path);
+  if (!file) return 0;
   std::size_t consumed = 0;
+  std::string line;
   json::Value record;
-  for (std::string line; std::getline(in, line);) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    if (!json::parse(line, &record) || !record.is_object()) continue;
+  (void)for_each_line(file.get(), [&](const char* first, const char* last, bool) {
+    if (blank(first, last)) return;
+    std::string key;
+    std::string text;
+    RunResult result;
+    Scenario scenario;
+    if (CanonicalRecord(first, last).read(&key, &text, &result)) {
+      if (scenario_from_text(text, &scenario)) {
+        consume(key, scenario, result);
+        ++consumed;
+      }
+      return;
+    }
+    line.assign(first, last);
+    if (!json::parse(line, &record) || !record.is_object()) return;
 
     // Store record: {"v":..,"key":..,"scenario":..,"result":{...}}.
     if (record.find("result") != nullptr) {
-      std::string key;
-      std::string text;
-      RunResult result;
-      Scenario scenario;
       if (read_record(record, &key, &text, &result) == RecordKind::kCurrent &&
           scenario_from_text(text, &scenario)) {
         consume(key, scenario, result);
         ++consumed;
       }
-      continue;
+      return;
     }
 
     // Campaign sink line: the same metric fields at top level plus the
     // resolved scenario one-liner; the key is re-derived from it.
     const json::Value* scenario_text = record.find("scenario");
-    if (scenario_text == nullptr || !scenario_text->is_string()) continue;
-    Scenario scenario;
+    if (scenario_text == nullptr || !scenario_text->is_string()) return;
     std::optional<KeyedScenario> cell;
-    RunResult result;
     if (!scenario_from_text(scenario_text->string, &scenario, &cell) ||
         !result_from_json(record, &result)) {
-      continue;
+      return;
     }
     consume(cell->key(), cell->scenario(), result);
     ++consumed;
-  }
+  });
   return consumed;
 }
 

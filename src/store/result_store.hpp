@@ -25,6 +25,8 @@
 ///     record's key and scenario text on load, so records written while it
 ///     existed are still served and resumed (and compact() rewrites them
 ///     in the current form).
+/// A line in the exact layout the store writes is read in place; any other
+/// line goes through json::parse, under the same rules (docs/SERVE.md).
 ///
 /// Numbers round-trip *bit-identically*: finite doubles are written in
 /// fmt_shortest() form (the first of %.1g/%.3g/%.6g/%.9g/%.12g/%.15g that
@@ -77,6 +79,9 @@ class ResultStore final : public ResultBackend {
     std::size_t duplicate_keys = 0;    ///< overwrites resolved last-wins
     std::size_t skipped_garbage = 0;   ///< unparseable / non-record lines
     std::size_t skipped_version = 0;   ///< "v" mismatch records
+    /// Non-blank lines not in the layout the store writes, so read through
+    /// json::parse (garbage, version-skipped and cut lines among them).
+    std::size_t fallback_lines = 0;
     bool truncated_tail = false;       ///< final record cut mid-write, dropped
   };
 
@@ -126,7 +131,7 @@ class ResultStore final : public ResultBackend {
   };
 
   void load_existing();  ///< constructor helper; fills index_ + stats_
-  bool apply_record(const json::Value& record);
+  void index(std::string key, Entry entry);  ///< one loaded record, last wins
 
   mutable std::mutex mutex_;
   std::string path_;

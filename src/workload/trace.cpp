@@ -1,11 +1,9 @@
 #include "workload/trace.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
@@ -13,6 +11,7 @@
 #include "util/assert.hpp"
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
+#include "util/line_reader.hpp"
 #include "workload/traffic.hpp"
 
 namespace routesim {
@@ -204,8 +203,7 @@ void save_trace_jsonl(const PacketTrace& trace, const std::string& path) {
 
 PacketTrace load_trace_jsonl(const std::string& path, int d) {
   RS_EXPECTS(d >= 1 && d <= 26);
-  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
-      std::fopen(path.c_str(), "rb"), &std::fclose);
+  const auto file = open_for_reading(path);
   if (!file) {
     throw std::runtime_error("trace file '" + path + "': cannot open");
   }
@@ -218,47 +216,10 @@ PacketTrace load_trace_jsonl(const std::string& path, int d) {
   const std::uintmax_t bytes = std::filesystem::file_size(path, size_error);
   if (!size_error) trace.packets.reserve(bytes / 24 + 1);
 
-  // The file streams through one fixed buffer; a line cut by the buffer's
-  // end moves to its front, and only a line longer than the whole buffer
-  // is gathered in `long_line`.
-  constexpr std::size_t kBufferBytes = 64 * 1024;
-  const std::unique_ptr<char[]> buffer(new char[kBufferBytes]);
-  std::string long_line;
-  std::size_t held = 0;  // bytes of an unfinished line at the buffer's front
   TraceLineReader reader(path, d, &trace);
-  for (;;) {
-    const std::size_t got =
-        std::fread(buffer.get() + held, 1, kBufferBytes - held, file.get());
-    if (got == 0) break;
-    const char* p = buffer.get();
-    const char* const end = p + held + got;
-    while (const auto* newline = static_cast<const char*>(
-               std::memchr(p, '\n', static_cast<std::size_t>(end - p)))) {
-      if (long_line.empty()) {
-        reader.line(p, newline);
-      } else {
-        long_line.append(p, newline);
-        reader.line(long_line.data(), long_line.data() + long_line.size());
-        long_line.clear();
-      }
-      p = newline + 1;
-    }
-    held = static_cast<std::size_t>(end - p);
-    if (!long_line.empty() || held == kBufferBytes) {
-      long_line.append(p, held);
-      held = 0;
-    } else {
-      std::memmove(buffer.get(), p, held);
-    }
-  }
-  if (std::ferror(file.get()) != 0) {
+  if (!for_each_line(file.get(), [&reader](const char* first, const char* last,
+                                           bool) { reader.line(first, last); })) {
     throw std::runtime_error("trace file '" + path + "': read failed");
-  }
-  // The last line may end without a newline.
-  if (!long_line.empty()) {
-    reader.line(long_line.data(), long_line.data() + long_line.size());
-  } else if (held > 0) {
-    reader.line(buffer.get(), buffer.get() + held);
   }
   return trace;
 }

@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -310,6 +312,225 @@ std::vector<std::string> trace_edge_lines() {
   };
 }
 
+/// The store loader's documented rules written the plain way, as the
+/// differential reference: lines split as std::getline splits them, and
+/// json::parse reads every non-blank one.  A record is an object with a
+/// number "v", a non-empty string "key" and a "result" member; "v" other
+/// than 1 is version-skipped, then result_from_json must read the result.
+/// A string "scenario" is kept (else empty), ` threads=` tokens leave key
+/// and scenario, and the last record of a key wins.  Any other line is
+/// garbage, or the truncated tail when it has no newline.
+struct StoreOutcome {
+  ResultStore::LoadStats stats;
+  std::vector<std::string> keys;
+  std::vector<std::string> results;  ///< result_to_json, in key order
+  std::string compacted;             ///< the file compact() writes
+};
+
+std::string without_threads(std::string text) {
+  for (std::size_t at; (at = text.find(" threads=")) != std::string::npos;) {
+    const std::size_t end = text.find(' ', at + 1);
+    text.erase(at, end == std::string::npos ? std::string::npos : end - at);
+  }
+  return text;
+}
+
+StoreOutcome reference_store_load(const std::string& content) {
+  StoreOutcome outcome;
+  ResultStore::LoadStats& stats = outcome.stats;
+  std::map<std::string, std::pair<std::string, RunResult>> index;
+  std::istringstream in(content);
+  for (std::string line; std::getline(in, line);) {
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    json::Value record;
+    const json::Value* version = nullptr;
+    const json::Value* key = nullptr;
+    const json::Value* result = nullptr;
+    const bool is_record = json::parse(line, &record) && record.is_object() &&
+                           (version = record.find("v")) != nullptr &&
+                           version->is_number() &&
+                           (key = record.find("key")) != nullptr && key->is_string() &&
+                           !key->string.empty() &&
+                           (result = record.find("result")) != nullptr;
+    if (is_record && version->number != 1.0) {
+      ++stats.skipped_version;
+      continue;
+    }
+    RunResult value;
+    if (is_record && result_from_json(*result, &value)) {
+      const json::Value* scenario = record.find("scenario");
+      std::string text = scenario != nullptr && scenario->is_string()
+                             ? without_threads(scenario->string)
+                             : std::string();
+      const std::string name = without_threads(key->string);
+      if (index.count(name) == 0) {
+        outcome.keys.push_back(name);
+      } else {
+        ++stats.duplicate_keys;
+      }
+      index[name] = {std::move(text), std::move(value)};
+      ++stats.records_loaded;
+      continue;
+    }
+    if (in.eof()) {
+      stats.truncated_tail = true;
+    } else {
+      ++stats.skipped_garbage;
+    }
+  }
+  for (const std::string& key : outcome.keys) {
+    const auto& [text, result] = index.at(key);
+    outcome.results.push_back(result_to_json(result));
+    outcome.compacted += "{\"v\":1,\"key\":\"" + json_escape(key) +
+                         "\",\"scenario\":\"" + json_escape(text) +
+                         "\",\"result\":" + result_to_json(result) + "}\n";
+  }
+  return outcome;
+}
+
+/// Opens `content` as a ResultStore and checks its LoadStats (all but
+/// fallback_lines), keys, fetched results and compact() file against the
+/// reference.  Returns the store's LoadStats.
+ResultStore::LoadStats expect_store_matches_reference(const std::string& path,
+                                                      const std::string& content) {
+  write_file(path, content);
+  const StoreOutcome reference = reference_store_load(content);
+  ResultStore store(path);
+  const ResultStore::LoadStats stats = store.load_stats();
+  const std::string shown = content.substr(0, 400);
+  EXPECT_EQ(stats.records_loaded, reference.stats.records_loaded) << shown;
+  EXPECT_EQ(stats.duplicate_keys, reference.stats.duplicate_keys) << shown;
+  EXPECT_EQ(stats.skipped_garbage, reference.stats.skipped_garbage) << shown;
+  EXPECT_EQ(stats.skipped_version, reference.stats.skipped_version) << shown;
+  EXPECT_EQ(stats.truncated_tail, reference.stats.truncated_tail) << shown;
+  EXPECT_EQ(store.keys(), reference.keys) << shown;
+  std::vector<std::string> results;
+  RunResult result;
+  for (const std::string& key : store.keys()) {
+    EXPECT_TRUE(store.fetch(key, &result)) << shown;
+    results.push_back(result_to_json(result));
+  }
+  EXPECT_EQ(results, reference.results) << shown;
+  EXPECT_TRUE(store.compact()) << store.error();
+  EXPECT_EQ(read_file(path), reference.compacted) << shown;
+  return stats;
+}
+
+/// `text` with its first `from` (searched from `after`'s first match on)
+/// replaced by `to`.
+std::string replace_first(std::string text, const std::string& from,
+                          const std::string& to, const std::string& after = "") {
+  const std::size_t at = text.find(from, after.empty() ? 0 : text.find(after));
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+/// `record` with the value of its first member `name` replaced by `value`.
+std::string with_value(const std::string& record, const std::string& name,
+                       const std::string& value) {
+  const std::string head = "\"" + name + "\":";
+  std::string text = record;
+  const std::size_t at = text.find(head);
+  if (at == std::string::npos) return text;
+  const std::size_t begin = at + head.size();
+  text.replace(begin, text.find_first_of(",}", begin) - begin, value);
+  return text;
+}
+
+/// Store lines at the edges of the record layout: the store's own layout
+/// and respellings of it the JSON reader gives the same meaning, records
+/// that are garbage or of another version either way, and the values the
+/// layout spells as strings.
+std::vector<std::string> store_edge_lines() {
+  const std::string r = store_corpus().front();
+  const std::string key_head = R"({"v":1,"key":")";
+  const std::string scenario_head = R"(","scenario":")";
+  const std::string result_head = R"(","result":)";
+  const std::size_t key_end = r.find(scenario_head);
+  const std::size_t scenario_end = r.find(result_head);
+  const std::string key = r.substr(key_head.size(), key_end - key_head.size());
+  const std::size_t scenario_begin = key_end + scenario_head.size();
+  const std::string scenario = r.substr(scenario_begin, scenario_end - scenario_begin);
+  const std::size_t result_begin = scenario_end + result_head.size();
+  const std::string result = r.substr(result_begin, r.size() - 1 - result_begin);
+  const auto record = [&](const std::string& k, const std::string& text,
+                          const std::string& res) {
+    return key_head + k + scenario_head + text + result_head + res + "}";
+  };
+  EXPECT_EQ(record(key, scenario, result), r);
+  std::string respelled = r;
+  for (std::size_t at = 0; (at = respelled.find("\":", at)) != std::string::npos;
+       at += 3) {
+    respelled.insert(at + 2, 1, ' ');
+  }
+  const std::string threads_key = replace_first(key, " backend=", " threads=3 backend=");
+  const std::string threads_scenario =
+      replace_first(scenario, " backend=", " threads=2 backend=");
+  return {
+      r,
+      respelled,
+      r + "\r",
+      " " + r,
+      r + "  ",
+      replace_first(r, R"({"v":1,)", R"({"v":1.0,)"),
+      replace_first(r, R"({"v":1,)", R"({"v":1e0,)"),
+      replace_first(r, R"({"v":1,)", R"({"v":2,)"),
+      replace_first(r, R"({"v":1,)", R"({"v":"1",)"),
+      replace_first(r, R"({"v":1,)", R"({)"),
+      replace_first(r, R"("key":"h)", R"("key":"\u0068)"),
+      replace_first(r, " d=", R"(\u0020d=)", R"("scenario")"),
+      replace_first(r, R"("scenario":")", R"("scenario":"\/)"),
+      R"({"v":1,"scenario":")" + scenario + R"(","key":")" + key + R"(","result":)" +
+          result + "}",
+      R"({"v":1,"key":"other","key":")" + key + r.substr(key_end),
+      record(threads_key, threads_scenario, result),
+      record(" threads=1", scenario, result),
+      record("", scenario, result),
+      record("caf\xc3\xa9", scenario, result),
+      record("tab\there", scenario, result),
+      record("del\x7f", scenario, result),
+      R"({"v":1,"key":")" + key + R"(","result":)" + result + "}",
+      replace_first(r, R"("scenario":")" + scenario + "\"", R"("scenario":7)"),
+      record(key, scenario, with_value(result, "mean_hops", "null")),
+      record(key, scenario, with_value(result, "mean_hops", "\"nan\"")),
+      record(key, scenario, with_value(result, "delay_mean", "\"inf\"")),
+      record(key, scenario, with_value(result, "delay_half_width", "\"-inf\"")),
+      record(key, scenario, with_value(result, "rho", "\"Inf\"")),
+      record(key, scenario, with_value(result, "rho", "1e400")),
+      record(key, scenario, with_value(result, "rho", "-0")),
+      record(key, scenario, with_value(result, "rho", "01")),
+      record(key, scenario, with_value(result, "rho", "1E+2")),
+      record(key, scenario, with_value(result, "has_bounds", "null")),
+      record(key, scenario,
+             with_value(with_value(result, "has_bounds", "false"), "lower_bound",
+                        "\"junk\"")),
+      record(key, scenario, with_value(result, "has_bounds", "false")),
+      record(key, scenario, replace_first(result, R"(,"upper_bound":3.75)", "")),
+      record(key, scenario, replace_first(result, R"({"rho":0.6,)", "{")),
+      record(key, scenario,
+             replace_first(replace_first(result, R"({"rho":0.6,)", "{"),
+                           R"("extras")", R"("rho":0.6,"extras")")),
+      record(key, scenario, replace_first(result, R"("extras":{"delivery_ratio")",
+                                          R"("extras":{"delay_p99")")),
+      record(key, scenario, replace_first(result, R"("extras":{"delivery_ratio")",
+                                          R"("extras":{"caf\u00e9")")),
+      record(key, scenario, replace_first(result, R"("extras":{"delivery_ratio")",
+                                          R"("extras":{"\xc3\xa9")")),
+      record(key, scenario, replace_first(result, R"("extras":{"delivery_ratio")",
+                                          R"("extras":{"")")),
+      record(key, scenario, result.substr(0, result.find(R"("extras":{)") + 10) + "}}"),
+      record(key, scenario, result.substr(0, result.find(R"(,"extras":{)")) + "}"),
+      record(key, scenario, replace_first(result, R"("extras":{)", R"("extras":[)")),
+      record(key, scenario, replace_first(result, R"({"mean":1,)", R"({"mean":1,"mean":2,)")),
+      r + "x",
+      r + "}",
+      r.substr(0, r.size() - 1),
+      "[1,2]",
+      "\"a string\"",
+      "not json",
+  };
+}
+
 // ------------------------------------------------------------------ targets
 
 TEST(Fuzz, JsonParseAcceptsOrReportsAnOffset) {
@@ -486,6 +707,102 @@ TEST(Fuzz, ResultStoreLoadsAndReplaysAnyFile) {
   }
   std::remove(path.c_str());
   EXPECT_GT(loaded, 0u);
+}
+
+TEST(Fuzz, StoreLoaderMatchesTheJsonParseReference) {
+  const std::string path = ::testing::TempDir() + "fuzz_store_reference.jsonl";
+  std::vector<std::string> lines = store_corpus();
+  for (std::string& line : store_edge_lines()) lines.push_back(std::move(line));
+  Rng rng(0xF02B);
+  std::vector<std::string> files;
+  for (int i = 0; i < 40; ++i) {
+    std::string file = join_lines(rng, lines, 1 + rng.uniform_below(8));
+    if (rng.bernoulli(0.3)) file.pop_back();  // no final newline
+    files.push_back(std::move(file));
+  }
+  // Every line alone (most share one key, so in a file the last wins),
+  // every seed file as it is, then mutants of them.  Both readers take
+  // part: the store's own layout loads in place, the rest falls back.
+  for (const std::string& line : lines) {
+    (void)expect_store_matches_reference(path, line + "\n");
+    (void)expect_store_matches_reference(path, line);
+    if (HasFailure()) break;
+  }
+  std::size_t lines_read = 0;
+  std::size_t fallbacks = 0;
+  for (const std::string& file : files) {
+    fallbacks += expect_store_matches_reference(path, file).fallback_lines;
+    std::istringstream in(file);
+    for (std::string line; std::getline(in, line);) {
+      lines_read += line.find_first_not_of(" \t\r") != std::string::npos ? 1 : 0;
+    }
+    if (HasFailure()) break;
+  }
+  EXPECT_GT(fallbacks, 0u);
+  EXPECT_LT(fallbacks, lines_read);
+  Mutator mutator(0xF02C, files);
+  std::size_t loaded = 0;
+  constexpr int kMutants = 1500;
+  for (int i = 0; i < kMutants; ++i) {
+    loaded += expect_store_matches_reference(path, mutator.next()).records_loaded;
+    if (HasFailure()) break;
+  }
+  std::remove(path.c_str());
+  EXPECT_GT(loaded, 0u);
+}
+
+TEST(Fuzz, StoreLoaderMatchesTheReferenceAcrossBufferBoundaries) {
+  // The loader streams through a 64 KiB buffer: these files put a record
+  // across its edge at every offset near it, end one on its last byte,
+  // and hold a record longer than it.
+  constexpr std::size_t kBuffer = 64 * 1024;
+  const std::string path = ::testing::TempDir() + "fuzz_store_boundary.jsonl";
+  const std::vector<std::string> records = store_corpus();
+  std::string canonical;
+  for (std::size_t i = 0; canonical.size() < 2 * kBuffer; ++i) {
+    canonical += records[i % records.size()] + "\n";
+  }
+  // The last newline well before the buffer's end; a blank first line of
+  // `shift` bytes moves it to each offset around that end.
+  const std::size_t newline = canonical.rfind('\n', kBuffer - 4);
+  ASSERT_GT(kBuffer - newline, 16u);
+  std::size_t files = 0;
+  for (std::size_t end = kBuffer - 3; end <= kBuffer + 2; ++end) {
+    const std::string blank(end - newline - 1, ' ');
+    const std::string content = blank + "\n" + canonical;
+    ASSERT_EQ(content[end], '\n');
+    const ResultStore::LoadStats stats = expect_store_matches_reference(path, content);
+    EXPECT_EQ(stats.fallback_lines, 0u) << "newline at " << end;
+    EXPECT_EQ(stats.records_loaded, static_cast<std::size_t>(
+                                        std::count(canonical.begin(), canonical.end(), '\n')));
+    ++files;
+    if (HasFailure()) break;
+  }
+  EXPECT_EQ(files, 6u);
+
+  // A record longer than the buffer, in the store's layout: first, in
+  // the middle, last, last without its newline, and cut.
+  const Scenario scenario = Scenario::parse_text(scenario_corpus().front()).resolved();
+  const std::string long_record = store_record_json(
+      "long " + std::string(kBuffer + 100, 'k'), scenario, sample_result());
+  const std::size_t middle = canonical.find('\n', canonical.size() / 2) + 1;
+  const std::vector<std::string> long_files = {
+      long_record + "\n" + canonical,
+      canonical.substr(0, middle) + long_record + "\n" + canonical.substr(middle),
+      canonical + long_record + "\n",
+      canonical + long_record,
+      canonical + long_record.substr(0, kBuffer + 50),
+  };
+  for (const std::string& content : long_files) {
+    const ResultStore::LoadStats stats = expect_store_matches_reference(path, content);
+    EXPECT_EQ(stats.fallback_lines, stats.truncated_tail ? 1u : 0u);
+  }
+  Mutator mutator(0xF02D, {long_files[1]});
+  for (int i = 0; i < 40; ++i) {
+    (void)expect_store_matches_reference(path, mutator.next());
+    if (HasFailure()) break;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Fuzz, ScenarioParseReturnsOrThrowsScenarioError) {

@@ -72,6 +72,15 @@ Scenario sample_scenario(std::uint64_t seed = 7) {
   return scenario.resolved();
 }
 
+/// A store line respelled with a space after every member name's colon:
+/// the same record, no longer in the exact layout the store writes.
+std::string respelled(std::string line) {
+  for (std::size_t at = 0; (at = line.find("\":", at)) != std::string::npos; at += 3) {
+    line.insert(at + 2, 1, ' ');
+  }
+  return line;
+}
+
 TEST(ResultJson, RoundTripsBitIdentically) {
   const RunResult original = sample_result();
   const std::string text = result_to_json(original);
@@ -300,6 +309,65 @@ TEST(ResultStore, CompactFoldsHistoryToOneRecordPerKey) {
   EXPECT_DOUBLE_EQ(fetched.delay.mean, 2.0);  // last write won, then survived
 }
 
+// Every line put, persist and compact write is in the layout the loader
+// reads in place, so none of them takes the json::parse fallback; a
+// respelled record takes it and loads to the same result.
+TEST(ResultStore, RecordsItWritesLoadWithoutTheFallback) {
+  const std::string path = temp_store("canonical.jsonl");
+  RunResult unbounded = sample_result();  // sample_result has NaN and +-inf
+  unbounded.has_bounds = false;
+  unbounded.extras.clear();
+  std::vector<std::string> written;
+  {
+    ResultStore store(path);
+    store.put(sample_scenario(1), sample_result());
+    store.put(sample_scenario(2), unbounded);
+    store.persist("persisted key", sample_scenario(3), sample_result());
+    store.put(sample_scenario(1), unbounded);  // a superseded record
+    RunResult result;
+    for (const std::string& key : store.keys()) {
+      ASSERT_TRUE(store.fetch(key, &result));
+      written.push_back(result_to_json(result));
+    }
+  }
+  const auto fetch_all = [](ResultStore& store) {
+    std::vector<std::string> fetched;
+    RunResult result;
+    for (const std::string& key : store.keys()) {
+      EXPECT_TRUE(store.fetch(key, &result)) << key;
+      fetched.push_back(result_to_json(result));
+    }
+    return fetched;
+  };
+  {
+    ResultStore reopened(path);
+    const ResultStore::LoadStats stats = reopened.load_stats();
+    EXPECT_EQ(stats.records_loaded, 4u);
+    EXPECT_EQ(stats.duplicate_keys, 1u);
+    EXPECT_EQ(stats.fallback_lines, 0u);
+    EXPECT_EQ(fetch_all(reopened), written);
+    ASSERT_TRUE(reopened.compact());
+  }
+  const std::string compacted = read_file(path);
+  {
+    ResultStore reopened(path);
+    EXPECT_EQ(reopened.load_stats().records_loaded, 3u);
+    EXPECT_EQ(reopened.load_stats().fallback_lines, 0u);
+    EXPECT_EQ(fetch_all(reopened), written);
+  }
+
+  const std::string first_line = compacted.substr(0, compacted.find('\n'));
+  write_file(path, respelled(first_line) + "\n");
+  ResultStore respelled_store(path);
+  EXPECT_EQ(respelled_store.load_stats().records_loaded, 1u);
+  EXPECT_EQ(respelled_store.load_stats().fallback_lines, 1u);
+  EXPECT_EQ(respelled_store.keys(),
+            std::vector<std::string>{ResultCache::key(sample_scenario(1))});
+  EXPECT_EQ(fetch_all(respelled_store), std::vector<std::string>{written[0]});
+  ASSERT_TRUE(respelled_store.compact());
+  EXPECT_EQ(read_file(path), first_line + "\n");
+}
+
 TEST(ResultStore, UnopenablePathDegradesToInMemoryTier) {
   ResultStore store("/no/such/directory/store.jsonl");
   EXPECT_FALSE(store.ok());
@@ -353,6 +421,47 @@ TEST(ReplayResults, ReadsCampaignSinkLinesAndRederivesKeys) {
     ++consumed;
   });
   EXPECT_EQ(consumed, 1u);
+}
+
+// replay_results reads a store record in place and its respelled copy
+// through json::parse, to the same key, scenario and result; a campaign
+// sink line in the same file still replays with its key re-derived.
+TEST(ReplayResults, ReadsCanonicalAndRespelledStoreRecordsAlike) {
+  const std::string path = temp_store("replay_respelled.jsonl");
+  const Scenario scenario = sample_scenario(4);
+  const std::string record =
+      store_record_json(ResultCache::key(scenario), scenario, sample_result());
+  CellResult cell;
+  cell.label = "cell a";
+  cell.scenario = sample_scenario(5);
+  cell.result = sample_result();
+  cell.result.population.half_width = 0.5;  // finite: sink JSON is lossless
+  cell.result.throughput.mean = 2.25;
+  cell.result.mean_final_backlog = 0.0;
+  write_file(path, record + "\n" + respelled(record) + "\n" +
+                       JsonlSink::to_json("replay", cell) + "\n");
+
+  struct Replayed {
+    std::string key;
+    std::string scenario;
+    std::string result;
+  };
+  std::vector<Replayed> replayed;
+  EXPECT_EQ(replay_results(path,
+                           [&](const std::string& key, const Scenario& read,
+                               const RunResult& result) {
+                             replayed.push_back(
+                                 {key, read.to_string(), result_to_json(result)});
+                           }),
+            3u);
+  ASSERT_EQ(replayed.size(), 3u);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(replayed[i].key, ResultCache::key(scenario)) << i;
+    EXPECT_EQ(replayed[i].scenario, scenario.to_string()) << i;
+    EXPECT_EQ(replayed[i].result, result_to_json(sample_result())) << i;
+  }
+  EXPECT_EQ(replayed[2].key, ResultCache::key(cell.scenario));
+  EXPECT_EQ(replayed[2].result, result_to_json(cell.result));
 }
 
 // A sink line whose one-liner parses but cannot resolve (d outside the

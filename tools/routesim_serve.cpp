@@ -276,7 +276,8 @@ int main(int argc, char** argv) {
               << stats.records_loaded << " records, "
               << stats.duplicate_keys << " superseded, "
               << stats.skipped_garbage << " garbage, "
-              << stats.skipped_version << " version-skipped"
+              << stats.skipped_version << " version-skipped, "
+              << stats.fallback_lines << " fallback lines"
               << (stats.truncated_tail ? ", truncated tail dropped" : "")
               << ")\n";
     if (compact && !store->compact()) {
