@@ -264,22 +264,6 @@ std::string JsonlSink::to_json(const std::string& campaign,
 
 namespace {
 
-/// One unit of compute: every cell sharing a cache key funnels into one
-/// job, whose replication rows are filled by the shared pool and
-/// aggregated exactly once.
-struct CellJob {
-  explicit CellJob(KeyedScenario admitted) : cell(std::move(admitted)) {}
-
-  std::vector<std::size_t> cell_indices;  ///< front() computed, rest copies
-  KeyedScenario cell;
-  CompiledScenario compiled;
-  std::vector<std::vector<double>> rows;
-  std::atomic<int> remaining{0};
-  /// Summed wall time of this job's replication tasks (telemetry only —
-  /// reported as CellResult::wall_time_s, never part of the result).
-  std::atomic<double> compute_seconds{0.0};
-};
-
 /// Handles into the process-wide registry, resolved once — engine
 /// increments are then single relaxed RMWs on pre-registered metrics.
 struct EngineMetrics {
@@ -354,33 +338,61 @@ RunResult assemble(const Scenario& resolved, const CompiledScenario& compiled,
 
 }  // namespace
 
+/// One unit of compute: every cell sharing a cache key funnels into one
+/// job, whose replication rows are filled by whichever threads join the
+/// run and aggregated exactly once.
+struct EngineRun::Job {
+  explicit Job(KeyedScenario admitted) : cell(std::move(admitted)) {}
+
+  std::vector<std::size_t> cell_indices;  ///< front() computed, rest copies
+  KeyedScenario cell;
+  CompiledScenario compiled;
+  std::vector<std::vector<double>> rows;
+  std::atomic<int> remaining{0};
+  /// Summed wall time of this job's replication tasks (telemetry only —
+  /// reported as CellResult::wall_time_s, never part of the result).
+  std::atomic<double> compute_seconds{0.0};
+};
+
+EngineRun::EngineRun(const Campaign& campaign, EngineOptions options)
+    : campaign_(&campaign),
+      options_(std::move(options)),
+      out_(campaign.size()) {}
+
+EngineRun::~EngineRun() = default;
+
 std::vector<CellResult> Engine::run(const Campaign& campaign) const {
   obs::TraceSession* const trace = options_.trace;
-  EngineMetrics& metrics = EngineMetrics::get();
-  obs::ThreadTraceScope run_trace_scope(trace);
   obs::TraceSpan campaign_span(
       trace, "campaign.run", "engine",
       trace != nullptr ? "{\"campaign\":\"" + json_escape(campaign.name()) +
                              "\",\"cells\":" +
                              std::to_string(campaign.size()) + "}"
                        : std::string());
+  const std::shared_ptr<EngineRun> started = start(campaign);
+  started->join_pool();
+  return started->finish();
+}
+
+std::shared_ptr<EngineRun> Engine::start(const Campaign& campaign) const {
+  obs::TraceSession* const trace = options_.trace;
+  obs::ThreadTraceScope start_trace_scope(trace);
+  std::shared_ptr<EngineRun> run(new EngineRun(campaign, options_));
+  std::vector<CellResult>& out = run->out_;
 
   for (ResultSink* sink : options_.sinks) {
     if (sink != nullptr) sink->on_begin(campaign);
   }
-
-  std::vector<CellResult> out(campaign.size());
 
   // Phase 1 (this thread): admit each cell (unless it came admitted) and
   // check it against its scheme's capability row (SchemeInfo::check)
   // before any lookup, so a record stored under a knob the row rejects is
   // never answered; serve cache and store hits, coalesce in-campaign
   // duplicates into one job per distinct key and compile the rest, so any
-  // ScenarioError surfaces before a single worker starts.  The store
+  // ScenarioError surfaces before a single task is taken.  The store
   // lookup is what makes a rerun of an interrupted campaign a *resume*:
   // finished cells never reschedule.
-  std::vector<std::unique_ptr<CellJob>> jobs;
-  std::unordered_map<std::string, CellJob*> job_by_key;
+  std::unordered_map<std::string, EngineRun::Job*> job_by_key;
   std::optional<obs::TraceSpan> compile_span(std::in_place, trace,
                                              "campaign.compile", "engine");
   for (std::size_t i = 0; i < campaign.size(); ++i) {
@@ -428,172 +440,181 @@ std::vector<CellResult> Engine::run(const Campaign& campaign) const {
     }
     const int replications = keyed.scenario().plan.replications;
     RS_EXPECTS(replications >= 1);
-    auto job = admitted ? std::make_unique<CellJob>(std::move(*admitted))
-                        : std::make_unique<CellJob>(keyed);
+    auto job = admitted ? std::make_unique<EngineRun::Job>(std::move(*admitted))
+                        : std::make_unique<EngineRun::Job>(keyed);
     job->cell_indices = {i};
     job->compiled = info.compile(job->cell.scenario());
     job->rows.resize(static_cast<std::size_t>(replications));
     job->remaining.store(replications, std::memory_order_relaxed);
     job_by_key.emplace(job->cell.key(), job.get());
-    jobs.push_back(std::move(job));
+    run->jobs_.push_back(std::move(job));
   }
 
   compile_span.reset();
 
   // Cache hits are final already: emit them up front, in cell order (no
-  // worker is running yet, so no lock is needed).
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (!out[i].from_cache) continue;
+  // task has been taken yet, so no lock is needed).
+  for (const CellResult& cell : out) {
+    if (!cell.from_cache) continue;
     for (ResultSink* sink : options_.sinks) {
-      if (sink != nullptr) sink->on_cell(out[i]);
+      if (sink != nullptr) sink->on_cell(cell);
     }
   }
 
-  // Phase 2: one flat (job, rep) task list for all remaining cells — the
-  // shared pool crosses cell boundaries instead of draining per cell.
-  struct Task {
-    CellJob* job;
-    int rep;
-  };
-  std::vector<Task> tasks;
-  for (const auto& job : jobs) {
+  // One flat (job, rep) task list for all remaining cells: the joining
+  // threads cross cell boundaries instead of draining per cell.
+  for (const auto& job : run->jobs_) {
     for (int rep = 0; rep < job->cell.scenario().plan.replications; ++rep) {
-      tasks.push_back({job.get(), rep});
+      run->tasks_.push_back({job.get(), rep});
     }
   }
+  return run;
+}
 
-  std::mutex sink_mutex;
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  std::atomic<bool> abort{false};
-  std::atomic<std::size_t> next{0};
+void EngineRun::finish_job(Job& job) {
+  // Last replication of this job: aggregate once (replication order),
+  // publish durably (store first, so no sink ever reports a cell the store
+  // could lose), then to the cache, then fan out to every cell sharing the
+  // key (all but the first are served from_cache).
+  obs::TraceSession* const trace = options_.trace;
+  RunResult result;
+  {
+    obs::TraceSpan assemble_span(trace, "cell.assemble", "engine",
+                                 cell_args(trace, job.cell_indices.front()));
+    result = assemble(job.cell.scenario(), job.compiled, job.rows);
+  }
+  if (options_.store != nullptr) {
+    obs::TraceSpan persist_span(trace, "store.persist", "engine");
+    options_.store->persist(job.cell.key(), job.cell.scenario(), result);
+  }
+  const std::shared_ptr<const RenderedResult> cached =
+      options_.cache != nullptr ? options_.cache->insert(job.cell.key(), result)
+                                : nullptr;
+  const double wall = job.compute_seconds.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(sink_mutex_);
+  obs::TraceSpan flush_span(trace, "sink.flush", "engine");
+  for (const std::size_t cell_index : job.cell_indices) {
+    out_[cell_index].from_cache = cell_index != job.cell_indices.front();
+    out_[cell_index].result = result;
+    out_[cell_index].cached = cached;
+    out_[cell_index].wall_time_s = wall;
+    for (ResultSink* sink : options_.sinks) {
+      if (sink != nullptr) sink->on_cell(out_[cell_index]);
+    }
+  }
+}
 
-  const auto finish_job = [&](CellJob& job) {
-    // Last replication of this job: aggregate once (replication order),
-    // publish durably (store first, so no sink ever reports a cell the
-    // store could lose), then to the cache, then fan out to every cell
-    // sharing the key (all but the first are served from_cache).
-    RunResult result;
+void EngineRun::run_task(const Task& task) {
+  obs::TraceSession* const trace = options_.trace;
+  EngineMetrics& metrics = EngineMetrics::get();
+  Job& job = *task.job;
+  metrics.busy_workers.add(1.0);
+  const auto task_start = std::chrono::steady_clock::now();
+  try {
     {
-      obs::TraceSpan assemble_span(trace, "cell.assemble", "engine",
-                                   cell_args(trace, job.cell_indices.front()));
-      result = assemble(job.cell.scenario(), job.compiled, job.rows);
+      obs::TraceSpan replication_span(
+          trace, "replication", "engine",
+          cell_args(trace, job.cell_indices.front(), task.rep));
+      job.rows[static_cast<std::size_t>(task.rep)] = job.compiled.replicate(
+          derive_stream(job.cell.scenario().plan.base_seed,
+                        static_cast<std::uint64_t>(task.rep)),
+          task.rep);
     }
-    if (options_.store != nullptr) {
-      obs::TraceSpan persist_span(obs::thread_trace(), "store.persist",
-                                  "engine");
-      options_.store->persist(job.cell.key(), job.cell.scenario(), result);
+    const double task_seconds = seconds_since(task_start);
+    obs::atomic_add(job.compute_seconds, task_seconds);
+    metrics.tasks.add();
+    metrics.task_seconds.add(task_seconds);
+    metrics.busy_workers.add(-1.0);
+    // acq_rel: the final decrement observes every thread's row writes.
+    if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      finish_job(job);
     }
-    const std::shared_ptr<const RenderedResult> cached =
-        options_.cache != nullptr ? options_.cache->insert(job.cell.key(), result)
-                                  : nullptr;
-    const double wall = job.compute_seconds.load(std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(sink_mutex);
-    obs::TraceSpan flush_span(obs::thread_trace(), "sink.flush", "engine");
-    for (const std::size_t cell_index : job.cell_indices) {
-      out[cell_index].from_cache = cell_index != job.cell_indices.front();
-      out[cell_index].result = result;
-      out[cell_index].cached = cached;
-      out[cell_index].wall_time_s = wall;
-      for (ResultSink* sink : options_.sinks) {
-        if (sink != nullptr) sink->on_cell(out[cell_index]);
-      }
-    }
-  };
+  } catch (...) {
+    metrics.busy_workers.add(-1.0);
+    std::lock_guard<std::mutex> lock(error_mutex_);
+    if (!first_error_) first_error_ = std::current_exception();
+    abort_.store(true, std::memory_order_relaxed);
+  }
+}
 
-  const auto work = [&]() {
-    // Workers get the campaign's trace session as their ambient
-    // thread_trace(), so replication spans and the kernel's drive spans
-    // land in the same per-thread buffers.
-    obs::ThreadTraceScope worker_trace_scope(trace);
-    obs::TraceSpan worker_span(trace, "worker", "engine");
-    const auto worker_start = std::chrono::steady_clock::now();
-    for (;;) {
-      if (abort.load(std::memory_order_relaxed)) break;
-      // Cooperative stop: cease *admitting* replications (the one in
-      // flight was allowed to finish), so every job either completes —
-      // and flushes durably — or stays wholly pending for a resume.
-      if (options_.stop != nullptr &&
-          options_.stop->load(std::memory_order_relaxed)) {
-        break;
-      }
-      const std::size_t t = next.fetch_add(1, std::memory_order_relaxed);
-      if (t >= tasks.size()) break;
-      CellJob& job = *tasks[t].job;
-      const int rep = tasks[t].rep;
-      metrics.busy_workers.add(1.0);
-      const auto task_start = std::chrono::steady_clock::now();
-      try {
-        {
-          obs::TraceSpan replication_span(
-              trace, "replication", "engine",
-              cell_args(trace, job.cell_indices.front(), rep));
-          job.rows[static_cast<std::size_t>(rep)] = job.compiled.replicate(
-              derive_stream(job.cell.scenario().plan.base_seed,
-                            static_cast<std::uint64_t>(rep)),
-              rep);
-        }
-        const double task_seconds = seconds_since(task_start);
-        obs::atomic_add(job.compute_seconds, task_seconds);
-        metrics.tasks.add();
-        metrics.task_seconds.add(task_seconds);
-        metrics.busy_workers.add(-1.0);
-        // acq_rel: the final decrement observes every worker's row writes.
-        if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          finish_job(job);
-        }
-      } catch (...) {
-        metrics.busy_workers.add(-1.0);
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        abort.store(true, std::memory_order_relaxed);
-      }
+void EngineRun::join() {
+  // A joining thread gets the campaign's trace session as its ambient
+  // thread_trace(), so replication spans and the kernel's drive spans land
+  // in the same per-thread buffers.
+  obs::TraceSession* const trace = options_.trace;
+  obs::ThreadTraceScope worker_trace_scope(trace);
+  obs::TraceSpan worker_span(trace, "worker", "engine");
+  const auto worker_start = std::chrono::steady_clock::now();
+  for (;;) {
+    if (abort_.load(std::memory_order_relaxed)) break;
+    // Cooperative stop: cease *taking* replications (the one in flight
+    // was allowed to finish), so every job either completes — and flushes
+    // durably — or stays wholly pending for a resume.
+    if (options_.stop != nullptr &&
+        options_.stop->load(std::memory_order_relaxed)) {
+      break;
     }
-    metrics.worker_seconds.add(seconds_since(worker_start));
-  };
+    const std::size_t t = next_.fetch_add(1, std::memory_order_relaxed);
+    if (t >= tasks_.size()) break;
+    run_task(tasks_[t]);
+    // release: finish() reads the rows, cells and error this task wrote.
+    done_.fetch_add(1, std::memory_order_release);
+    done_.notify_all();
+  }
+  EngineMetrics::get().worker_seconds.add(seconds_since(worker_start));
+}
 
+void EngineRun::join_pool() {
   // An all-hit campaign (every serve store touch is one) starts no pool.
-  if (!tasks.empty()) {
-    const int requested =
-        options_.threads > 0
-            ? options_.threads
-            : static_cast<int>(std::thread::hardware_concurrency());
-    const int workers = std::max(
-        1, std::min<int>(requested, static_cast<int>(tasks.size())));
-    metrics.pool_workers.set(static_cast<double>(workers));
-    if (workers <= 1) {
-      work();
-    } else {
-      std::vector<std::jthread> pool;
-      pool.reserve(static_cast<std::size_t>(workers));
-      for (int w = 0; w < workers; ++w) pool.emplace_back(work);
-    }
+  if (tasks_.empty()) return;
+  const int requested = options_.threads > 0
+                            ? options_.threads
+                            : static_cast<int>(std::thread::hardware_concurrency());
+  const int workers =
+      std::max(1, std::min<int>(requested, static_cast<int>(tasks_.size())));
+  EngineMetrics::get().pool_workers.set(static_cast<double>(workers));
+  std::vector<std::jthread> pool;
+  pool.reserve(static_cast<std::size_t>(workers - 1));
+  for (int w = 1; w < workers; ++w) pool.emplace_back([this] { join(); });
+  join();  // the calling thread is the pool's last worker
+}
+
+std::vector<CellResult> EngineRun::finish() {
+  // Close the task list (a later fetch_add reads past its end), then wait
+  // for every task taken before that, whichever thread runs it.
+  const std::size_t taken =
+      std::min(next_.exchange(tasks_.size(), std::memory_order_relaxed),
+               tasks_.size());
+  for (std::size_t done = done_.load(std::memory_order_acquire); done < taken;
+       done = done_.load(std::memory_order_acquire)) {
+    done_.wait(done, std::memory_order_acquire);
   }
 
-  // A cooperative stop (or a failed replication) leaves jobs with
-  // unadmitted replications; their cells (including duplicates funnelled
-  // into them) report completed == false so callers can count
-  // checkpointed vs pending work.  Every finished cell is counted once,
-  // under the tier its CellResult names.
-  for (const auto& job : jobs) {
+  // A cooperative stop (or a failed replication) leaves jobs with untaken
+  // replications; their cells (including duplicates funnelled into them)
+  // report completed == false so callers can count checkpointed vs
+  // pending work.  Every finished cell is counted once, under the tier its
+  // CellResult names.
+  EngineMetrics& metrics = EngineMetrics::get();
+  for (const auto& job : jobs_) {
     if (job->remaining.load(std::memory_order_acquire) == 0) continue;
     for (const std::size_t cell_index : job->cell_indices) {
-      out[cell_index].completed = false;
+      out_[cell_index].completed = false;
     }
   }
-  for (const CellResult& cell : out) {
+  for (const CellResult& cell : out_) {
     if (!cell.completed) continue;
     const std::string_view tier = cell.tier();
     (tier == "store"   ? metrics.cells_store
      : tier == "cache" ? metrics.cells_cache
                        : metrics.cells_computed).add();
   }
-  if (first_error) std::rethrow_exception(first_error);
+  if (first_error_) std::rethrow_exception(first_error_);
 
   for (ResultSink* sink : options_.sinks) {
-    if (sink != nullptr) sink->on_end(campaign);
+    if (sink != nullptr) sink->on_end(*campaign_);
   }
-  return out;
+  return std::move(out_);
 }
 
 RunResult Engine::run_one(const Scenario& scenario) const {

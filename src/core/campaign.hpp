@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -330,6 +331,8 @@ struct EngineOptions {
   obs::TraceSession* trace = nullptr;  ///< optional, not owned
 };
 
+class EngineRun;
+
 /// The campaign executor.  Scheduling never changes numbers: results are
 /// bit-identical to a serial `run()` per cell for equal seeds and plans,
 /// for any thread count.
@@ -338,13 +341,21 @@ class Engine {
   Engine() = default;
   explicit Engine(EngineOptions options) : options_(std::move(options)) {}
 
-  /// Resolves, checks (SchemeRegistry::SchemeInfo::check) and compiles
-  /// every cell (ScenarioError surfaces here, before any worker starts),
-  /// serves cache and store hits and in-campaign duplicates without
-  /// recomputation, then runs all remaining replications on one shared
-  /// pool.  Returns the results in cell order; CellResult::tier() names
-  /// the tier that answered each cell.
+  /// start(), then join_pool(), then finish(): resolves, checks
+  /// (SchemeRegistry::SchemeInfo::check) and compiles every cell
+  /// (ScenarioError surfaces here, before any worker starts), serves cache
+  /// and store hits and in-campaign duplicates without recomputation, then
+  /// runs all remaining replications on one shared pool.  Returns the
+  /// results in cell order; CellResult::tier() names the tier that
+  /// answered each cell.
   [[nodiscard]] std::vector<CellResult> run(const Campaign& campaign) const;
+
+  /// Phase 1 of run() on the calling thread: calls each sink's on_begin,
+  /// admits, checks, looks up and compiles every cell, emits the cache and
+  /// store hits, and returns the run with its flat (job, rep) task list.
+  /// Throws what phase 1 throws (a ScenarioError, a compile's error).
+  /// `campaign` must outlive the run's finish().
+  [[nodiscard]] std::shared_ptr<EngineRun> start(const Campaign& campaign) const;
 
   /// One scenario as a one-cell campaign — the engine behind
   /// routesim::run().
@@ -356,6 +367,61 @@ class Engine {
 
  private:
   EngineOptions options_{};
+};
+
+/// A campaign Engine::start() has admitted and compiled: its remaining
+/// replications wait in one flat (job, rep) task list that any thread may
+/// join().  Each task runs once, on whichever thread takes it; a cell's
+/// rows are aggregated in replication order by the thread that finishes
+/// its last replication, so who joins never changes a number.  The thread
+/// that started the run calls finish() once; joins may still be running
+/// then, and a join that arrives after it finds no task.
+class EngineRun {
+ public:
+  EngineRun(const EngineRun&) = delete;
+  EngineRun& operator=(const EngineRun&) = delete;
+  ~EngineRun();
+
+  /// Takes and runs tasks on the calling thread until none is left, a
+  /// replication failed or EngineOptions::stop is set.  Never throws: a
+  /// replication's error is kept for finish().
+  void join();
+
+  /// join() by EngineOptions::threads workers (0 = hardware concurrency),
+  /// capped by the task count, the calling thread one of them; returns
+  /// once they all returned.  Sets routesim_engine_pool_workers.
+  void join_pool();
+
+  /// Takes no further task, waits until every task some thread took has
+  /// completed, counts each finished cell under its tier, rethrows the
+  /// first replication error, calls each sink's on_end and returns the
+  /// cells in cell order.  Cells whose replications were not all run (a
+  /// stop, a failure) come back with CellResult::completed == false.
+  [[nodiscard]] std::vector<CellResult> finish();
+
+ private:
+  friend class Engine;
+  struct Job;
+  struct Task {
+    Job* job;
+    int rep;
+  };
+
+  EngineRun(const Campaign& campaign, EngineOptions options);
+  void run_task(const Task& task);
+  void finish_job(Job& job);
+
+  const Campaign* campaign_;
+  EngineOptions options_;
+  std::vector<CellResult> out_;
+  std::vector<std::unique_ptr<Job>> jobs_;
+  std::vector<Task> tasks_;
+  std::atomic<std::size_t> next_{0};  ///< next task index to take
+  std::atomic<std::size_t> done_{0};  ///< tasks taken and completed
+  std::atomic<bool> abort_{false};    ///< a replication failed
+  std::mutex sink_mutex_;
+  std::mutex error_mutex_;
+  std::exception_ptr first_error_;
 };
 
 }  // namespace routesim

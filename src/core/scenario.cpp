@@ -5,6 +5,7 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <type_traits>
 
 #include "core/campaign.hpp"
@@ -688,9 +689,17 @@ Scenario Scenario::parse(const std::vector<std::string>& args) {
 }
 
 Scenario Scenario::parse_text(const std::string& text) {
-  std::istringstream words(text);
+  // The tokens `>>` would read, split in place: an istringstream copies
+  // the global locale per call, and serve parses every query's text.
+  static constexpr std::string_view kSpace = " \t\n\v\f\r";
+  const std::string_view words(text);
   std::vector<std::string> tokens;
-  for (std::string token; words >> token;) tokens.push_back(token);
+  for (std::size_t begin = words.find_first_not_of(kSpace);
+       begin != std::string_view::npos;) {
+    const std::size_t end = words.find_first_of(kSpace, begin);
+    tokens.emplace_back(words.substr(begin, end - begin));
+    begin = words.find_first_not_of(kSpace, end);
+  }
   return parse(tokens);
 }
 

@@ -121,18 +121,24 @@ QueryService::QueryResult QueryService::answer(const Scenario& scenario) {
 
   // Join (or become) the one in-flight answer for this key, so N
   // concurrent clients asking the same scenario fund one engine run.
+  std::promise<std::shared_ptr<EngineRun>> starting;
   std::promise<std::shared_ptr<const RenderedResult>> leading;
-  std::shared_future<std::shared_ptr<const RenderedResult>> led;
+  InFlight led;
   {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
-    const auto [it, leader] =
-        inflight_.try_emplace(key, leading.get_future().share());
+    const auto [it, leader] = inflight_.try_emplace(
+        key, InFlight{starting.get_future().share(), leading.get_future().share()});
     if (!leader) led = it->second;
   }
-  if (led.valid()) {
+  if (led.answer.valid()) {
+    // A follower runs the leader's remaining replications instead of
+    // blocking (waiting first for phase 1 to hand out the task list), then
+    // takes the answer the leader publishes.  Which thread runs a
+    // replication never changes a number.
     qr.source = "inflight";
     try {
-      qr.answer = led.get();
+      if (const std::shared_ptr<EngineRun> run = led.run.get()) run->join();
+      qr.answer = led.answer.get();
       qr.ok = true;
     } catch (const std::exception& error) {
       qr.error = error.what();
@@ -147,7 +153,16 @@ QueryService::QueryResult QueryService::answer(const Scenario& scenario) {
   try {
     Campaign single("serve");
     single.add(*qr.cell);
-    CellResult cell = std::move(Engine(engine_options()).run(single).front());
+    std::shared_ptr<EngineRun> run;
+    try {
+      run = Engine(engine_options()).start(single);
+    } catch (...) {
+      starting.set_value(nullptr);  // nothing to join: followers take the error
+      throw;
+    }
+    starting.set_value(run);
+    run->join_pool();
+    CellResult cell = std::move(run->finish().front());
     qr.answer = std::move(cell.cached);
     RS_ENSURES(qr.answer != nullptr);  // the engine runs with cache_
     qr.source = cell.tier();

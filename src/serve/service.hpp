@@ -3,9 +3,9 @@
 /// \brief The query service behind the `routesim_serve` daemon: many
 ///        concurrent clients against one warm engine.  A query is
 ///        answered from the in-process cache, else by joining an identical
-///        in-flight query, else by a one-cell `Engine::run` (check, store,
+///        in-flight query, else by a one-cell engine run (check, store,
 ///        compute), so identical concurrent queries fund exactly one
-///        computation.
+///        computation, and the clients waiting on it help compute it.
 ///
 /// This is the "millions of users" story of the ROADMAP made concrete:
 /// the daemon process stays warm, the `ResultStore` makes its answers
@@ -44,7 +44,9 @@ namespace routesim::serve {
 
 struct ServiceOptions {
   /// Engine worker-pool width per computation (EngineOptions::threads);
-  /// 0 = hardware concurrency.
+  /// 0 = hardware concurrency.  Clients coalesced onto a computation also
+  /// run its replications on their own threads while they wait, so one
+  /// cell is computed by at most `reps` threads, whatever the width.
   int threads = 0;
   /// Durable tier, shared with other processes via its file; optional.
   ResultStore* store = nullptr;
@@ -106,12 +108,16 @@ class QueryService {
   ResultCache cache_;
   mutable std::mutex stats_mutex_;
   Stats stats_{};
+  /// One key being answered, as its coalesced followers see it: the
+  /// leader's engine run, set once phase 1 returns (null when phase 1
+  /// threw), which they join; and its answer (its error as the future's
+  /// exception), which they take once no task is left to join.
+  struct InFlight {
+    std::shared_future<std::shared_ptr<EngineRun>> run;
+    std::shared_future<std::shared_ptr<const RenderedResult>> answer;
+  };
   std::mutex inflight_mutex_;
-  /// The leader's answer per key being answered, for coalesced followers
-  /// (its error as the future's exception).
-  std::unordered_map<std::string,
-                     std::shared_future<std::shared_ptr<const RenderedResult>>>
-      inflight_;
+  std::unordered_map<std::string, InFlight> inflight_;
 };
 
 /// Executes one protocol line against `service`, emitting zero or more

@@ -182,7 +182,9 @@ class CanonicalRecord {
     }
     if (!literal("}}") || p_ != last_) return false;
     *key = without_retired_keys(std::string(key_text));
-    *scenario_text = without_retired_keys(std::string(scenario));
+    // Most records' text is their key: copy it instead of scanning it again.
+    *scenario_text =
+        scenario == key_text ? *key : without_retired_keys(std::string(scenario));
     *out = std::move(result);
     return true;
   }
@@ -338,13 +340,14 @@ ResultStore::~ResultStore() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-void ResultStore::index(std::string key, Entry entry) {
-  if (index_.insert_or_assign(key, std::move(entry)).second) {
-    order_.push_back(std::move(key));
-  } else {
-    ++stats_.duplicate_keys;  // append-only history: last record wins
-  }
-  ++stats_.records_loaded;
+bool ResultStore::assign(std::string key, std::string scenario_text,
+                         RunResult result) {
+  const bool text_is_key = scenario_text == key;
+  Entry entry{text_is_key ? std::string() : std::move(scenario_text),
+              text_is_key, std::move(result)};
+  const auto [it, inserted] = index_.insert_or_assign(std::move(key), std::move(entry));
+  if (inserted) order_.push_back(&*it);
+  return inserted;
 }
 
 void ResultStore::load_existing() {
@@ -357,20 +360,28 @@ void ResultStore::load_existing() {
     if (!ended_with_newline) tail_unterminated_ = true;
     if (blank(first, last)) return;
     std::string key;
-    Entry entry;
-    if (CanonicalRecord(first, last).read(&key, &entry.scenario_text, &entry.result)) {
-      index(std::move(key), std::move(entry));
+    std::string scenario_text;
+    RunResult result;
+    // One loaded record; an append-only history resolves last-wins.
+    const auto load = [&] {
+      if (!assign(std::move(key), std::move(scenario_text), std::move(result))) {
+        ++stats_.duplicate_keys;
+      }
+      ++stats_.records_loaded;
+    };
+    if (CanonicalRecord(first, last).read(&key, &scenario_text, &result)) {
+      load();
       return;
     }
     ++stats_.fallback_lines;
     text.assign(first, last);
     const RecordKind kind =
         json::parse(text, &record)
-            ? read_record(record, &key, &entry.scenario_text, &entry.result)
+            ? read_record(record, &key, &scenario_text, &result)
             : RecordKind::kNotARecord;
     switch (kind) {
       case RecordKind::kCurrent:
-        index(std::move(key), std::move(entry));
+        load();
         break;
       case RecordKind::kOtherVersion:
         ++stats_.skipped_version;  // well-formed, must not be interpreted
@@ -434,8 +445,7 @@ void ResultStore::persist(const std::string& key, const Scenario& scenario,
   std::string text = scenario.to_string();
   const std::string line = record_json(key, text, result) + "\n";
   std::lock_guard<std::mutex> lock(mutex_);
-  if (index_.find(key) == index_.end()) order_.push_back(key);
-  index_.insert_or_assign(key, Entry{std::move(text), result});
+  (void)assign(key, std::move(text), result);
   if (file_ == nullptr) return;  // unopenable store: in-memory tier only
   std::fwrite(line.data(), 1, line.size(), file_);
   std::fflush(file_);
@@ -463,7 +473,10 @@ std::size_t ResultStore::size() const {
 
 std::vector<std::string> ResultStore::keys() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return order_;
+  std::vector<std::string> keys;
+  keys.reserve(order_.size());
+  for (const Index::value_type* record : order_) keys.push_back(record->first);
+  return keys;
 }
 
 std::uint64_t ResultStore::hits() const {
@@ -479,9 +492,11 @@ std::uint64_t ResultStore::misses() const {
 bool ResultStore::compact() {
   std::lock_guard<std::mutex> lock(mutex_);
   std::string content;
-  for (const std::string& key : order_) {
-    const Entry& entry = index_.at(key);
-    content += record_json(key, entry.scenario_text, entry.result) + '\n';
+  for (const auto* record : order_) {
+    const auto& [key, entry] = *record;
+    content += record_json(key, entry.text_is_key ? key : entry.scenario_text,
+                           entry.result) +
+               '\n';
   }
   if (!write_file_atomic(path_, content)) return false;
   if (file_ != nullptr) std::fclose(file_);

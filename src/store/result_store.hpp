@@ -125,13 +125,21 @@ class ResultStore final : public ResultBackend {
   bool compact();
 
  private:
+  /// A record's scenario text is kept only when it differs from its key
+  /// (it equals the key unless a result-neutral knob is off its default
+  /// or a trace file is hashed in); a flag, not an empty text, says so,
+  /// since a record may store an empty text.
   struct Entry {
-    std::string scenario_text;
+    std::string scenario_text;  ///< empty when text_is_key
+    bool text_is_key = false;
     RunResult result;
   };
+  using Index = std::unordered_map<std::string, Entry>;
 
   void load_existing();  ///< constructor helper; fills index_ + stats_
-  void index(std::string key, Entry entry);  ///< one loaded record, last wins
+  /// Sets `key`'s entry (last wins), appending a new key to order_;
+  /// returns whether the key was new.
+  bool assign(std::string key, std::string scenario_text, RunResult result);
 
   mutable std::mutex mutex_;
   std::string path_;
@@ -140,8 +148,10 @@ class ResultStore final : public ResultBackend {
   /// terminates it so appends never merge into the existing tail.
   bool tail_unterminated_ = false;
   std::FILE* file_ = nullptr;
-  std::unordered_map<std::string, Entry> index_;
-  std::vector<std::string> order_;  ///< keys in first-seen order
+  Index index_;
+  /// index_'s records in first-seen key order.  Node-based, so a record
+  /// stays where it is across a rehash: each key is held once.
+  std::vector<const Index::value_type*> order_;
   LoadStats stats_{};
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

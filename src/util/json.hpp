@@ -4,7 +4,9 @@
 ///        and the library's one number formatter, fmt_shortest.
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 namespace routesim {
@@ -37,22 +39,23 @@ inline std::string json_escape(const std::string& text) {
   return out;
 }
 
-/// The first of `%.1g`, `%.3g`, `%.6g`, `%.9g`, `%.12g`, `%.15g` whose text
-/// parses back to exactly `value`, else `%.17g` ("inf", "nan", "-nan", ...).
-/// Scenario values, store keys and records, serve responses and trace files
-/// are written with it.  The text is frozen (store keys are made of it):
-/// any change must keep every byte (tests/test_json_parse.cpp checks).
-inline std::string fmt_shortest(double value) {
-  char text[32];
-  char* const last = text + sizeof text;
-  // The shortest round-trip form has n significant digits and no precision
-  // below n can round-trip, so the ladder starts at n.
-  const char* const shortest_end =
-      std::to_chars(text, last, value, std::chars_format::scientific).ptr;
+namespace detail {
+
+/// The significant digits of to_chars' shortest scientific text
+/// [first, last) ("inf" and "nan" have none).
+inline int significant_digits(const char* first, const char* last) {
   int digits = 0;
-  for (const char* c = text; c != shortest_end && *c != 'e'; ++c) {
+  for (const char* c = first; c != last && *c != 'e'; ++c) {
     if (*c >= '0' && *c <= '9') ++digits;
   }
+  return digits;
+}
+
+/// The `%.Pg` ladder from the first rung >= `digits`, the digit count of
+/// value's shortest round-trip form: no rung below it can round-trip.
+inline std::string shortest_ladder(double value, int digits) {
+  char text[32];
+  char* const last = text + sizeof text;
   for (const int precision : {1, 3, 6, 9, 12, 15}) {
     if (precision < digits) continue;
     char* const end =
@@ -67,6 +70,84 @@ inline std::string fmt_shortest(double value) {
   }
   return std::string(
       text, std::to_chars(text, last, value, std::chars_format::general, 17).ptr);
+}
+
+}  // namespace detail
+
+/// fmt_shortest by its definition: the first rung of the `%.Pg` ladder
+/// whose text parses back to exactly `value`, else `%.17g`.  fmt_shortest
+/// takes it where its fast path does not apply; tests/test_json_parse.cpp
+/// checks the two against each other.
+inline std::string fmt_shortest_ladder(double value) {
+  char text[32];
+  const char* const end =
+      std::to_chars(text, text + sizeof text, value, std::chars_format::scientific)
+          .ptr;
+  return detail::shortest_ladder(value, detail::significant_digits(text, end));
+}
+
+/// The first of `%.1g`, `%.3g`, `%.6g`, `%.9g`, `%.12g`, `%.15g` whose text
+/// parses back to exactly `value`, else `%.17g` ("inf", "nan", "-nan", ...).
+/// Scenario values, store keys and records, serve responses and trace files
+/// are written with it.  The text is frozen (store keys are made of it):
+/// any change must keep every byte (tests/test_json_parse.cpp checks).
+///
+/// Fast path: a normal double whose shortest round-trip form has n <= 15
+/// digits is those digits laid out as `%.Pg` lays them out, P the first
+/// rung >= n.  That is the ladder's answer: a rung below n cannot
+/// round-trip (n is shortest), and at P <= 15 half an ulp is below half a
+/// unit in the P-th digit, so `%.Pg` rounds `value` to the shortest digits
+/// (padded with zeros, which %g strips), and those parse back to `value`.
+/// Zeros, subnormals, non-finite values and n >= 16 take the ladder.
+inline std::string fmt_shortest(double value) {
+  char text[32];
+  char* const end =
+      std::to_chars(text, text + sizeof text, value, std::chars_format::scientific)
+          .ptr;
+  if (!std::isnormal(value)) {
+    return detail::shortest_ladder(value, detail::significant_digits(text, end));
+  }
+  // text is [-]d[.ddd]e(+|-)xx[x]: split it into sign, digits and exponent.
+  const bool negative = text[0] == '-';
+  const char* const lead = text + (negative ? 1 : 0);
+  const char* const e = static_cast<const char*>(
+      std::memchr(lead, 'e', static_cast<std::size_t>(end - lead)));
+  const int digits = e - lead > 1 ? static_cast<int>(e - lead) - 1 : 1;
+  if (digits > 15) return detail::shortest_ladder(value, digits);
+  int exponent = 0;
+  std::from_chars(e + (e[1] == '+' ? 2 : 1), end, exponent);
+  const int precision = digits <= 1    ? 1
+                        : digits <= 3  ? 3
+                        : digits <= 6  ? 6
+                        : digits <= 9  ? 9
+                        : digits <= 12 ? 12
+                                       : 15;
+  // %g's rule: scientific below 1e-4 and from 1e(precision) up.
+  if (exponent < -4 || exponent >= precision) return std::string(text, end);
+  // Fixed: the digits (the lead one, then those after the point) with the
+  // point moved `exponent` places, padded with zeros on whichever side.
+  char significand[16];
+  significand[0] = lead[0];
+  if (digits > 1) {
+    std::memcpy(significand + 1, lead + 2, static_cast<std::size_t>(digits - 1));
+  }
+  std::string out;
+  out.reserve(24);
+  if (negative) out += '-';
+  if (exponent < 0) {
+    out += "0.";
+    out.append(static_cast<std::size_t>(-exponent - 1), '0');
+    out.append(significand, static_cast<std::size_t>(digits));
+  } else if (digits <= exponent + 1) {
+    out.append(significand, static_cast<std::size_t>(digits));
+    out.append(static_cast<std::size_t>(exponent + 1 - digits), '0');
+  } else {
+    out.append(significand, static_cast<std::size_t>(exponent + 1));
+    out += '.';
+    out.append(significand + exponent + 1,
+               static_cast<std::size_t>(digits - exponent - 1));
+  }
+  return out;
 }
 
 }  // namespace routesim

@@ -823,5 +823,56 @@ TEST(Fuzz, ScenarioParseReturnsOrThrowsScenarioError) {
   EXPECT_LT(accepted, static_cast<std::size_t>(kMutants));
 }
 
+/// parse() of the tokens `>>` reads from `text`: parse_text's reference,
+/// as parse_text was first written.
+Scenario parse_stream_tokens(const std::string& text) {
+  std::istringstream words(text);
+  std::vector<std::string> tokens;
+  for (std::string token; words >> token;) tokens.push_back(token);
+  return Scenario::parse(tokens);
+}
+
+TEST(Fuzz, ScenarioParseTextSplitsLikeStreamExtraction) {
+  Mutator mutator(0xF028, scenario_corpus());
+  Rng rng(0xF029);
+  static constexpr char kSpaces[] = " \t\n\v\f\r";
+  std::size_t accepted = 0;
+  for (int i = 0; i < 20'000; ++i) {
+    std::string text = mutator.next();
+    // Every separator becomes a run of random whitespace, sometimes at the
+    // ends too, so each of the six characters splits tokens.
+    std::string spaced = rng.bernoulli(0.5) ? "\r\n" : "";
+    for (const char c : text) {
+      if (c != ' ') {
+        spaced += c;
+        continue;
+      }
+      const int run = 1 + static_cast<int>(rng.uniform_below(3));
+      for (int k = 0; k < run; ++k) spaced += kSpaces[rng.uniform_below(6)];
+    }
+    if (rng.bernoulli(0.5)) spaced += "\r\n";
+    for (const std::string& input : {text, spaced}) {
+      std::string want_error;
+      std::string got_error;
+      Scenario want;
+      Scenario got;
+      try {
+        want = parse_stream_tokens(input);
+      } catch (const ScenarioError& error) {
+        want_error = error.what();
+      }
+      try {
+        got = Scenario::parse_text(input);
+      } catch (const ScenarioError& error) {
+        got_error = error.what();
+      }
+      ASSERT_EQ(got_error, want_error) << input;
+      ASSERT_EQ(got, want) << input;
+      accepted += want_error.empty();
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+}
+
 }  // namespace
 }  // namespace routesim

@@ -349,6 +349,47 @@ TEST(FmtShortest, MatchesLadderOnPowersAndTheGSwitch) {
   expect_matches_oracle(values);
 }
 
+/// fmt_shortest (fast path where it applies) against fmt_shortest_ladder
+/// (its definition) on every value; fails on any byte of difference.
+void expect_fast_path_matches_ladder(const std::vector<double>& values) {
+  std::size_t mismatches = 0;
+  for (const double value : values) {
+    const std::string got = fmt_shortest(value);
+    const std::string want = fmt_shortest_ladder(value);
+    if (got == want) continue;
+    if (++mismatches <= 5) {
+      ADD_FAILURE() << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(value)
+                    << ": fmt_shortest \"" << got << "\", ladder \"" << want << '"';
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";
+}
+
+TEST(FmtShortest, FastPathMatchesTheLadder) {
+  using limits = std::numeric_limits<double>;
+  Rng rng(0x540A);
+  std::vector<double> values;
+  values.reserve(2'700'000);
+  for (int i = 0; i < 1'000'000; ++i) {
+    values.push_back(std::bit_cast<double>(rng.next()));
+  }
+  // k/1000: the short decimals scenario keys and rates are made of.
+  for (int k = -1'000'000; k < 1'000'000; k += 2) {
+    values.push_back(static_cast<double>(k) / 1000.0);
+  }
+  for (int e = -1074; e <= 1023; ++e) {
+    push_with_neighbours(values, std::ldexp(1.0, e), 2);
+    push_with_neighbours(values, -std::ldexp(1.0, e), 2);
+  }
+  for (int i = 0; i < 100'000; ++i) {
+    values.push_back(std::bit_cast<double>(rng.next() & 0x800f'ffff'ffff'ffffull));
+  }
+  for (std::uint64_t k = 1; k <= 4096; ++k) {
+    values.push_back(static_cast<double>(k) * limits::denorm_min());
+  }
+  expect_fast_path_matches_ladder(values);
+}
+
 TEST(JsonParse, StringEscapesAndSurrogatePairs) {
   EXPECT_EQ(parsed(R"("a\"b\\c\/d\n\t\r\f\b")").string, "a\"b\\c/d\n\t\r\f\b");
   EXPECT_EQ(parsed(R"("Aé")").string, "A\xc3\xa9");

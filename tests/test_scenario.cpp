@@ -765,6 +765,21 @@ TEST(SweepSpec, StormRateIsSweepable) {
 
 // The textual form is the persistent store's key format: pin it byte for
 // byte so a key-table change cannot silently orphan stored results.
+TEST(Scenario, ParseTextSplitsOnTabsAndLineEnds) {
+  const Scenario want =
+      Scenario::parse_text("hypercube_greedy d=5 rho=0.6 reps=4 seed=7");
+  for (const char* text :
+       {"hypercube_greedy\td=5\trho=0.6\treps=4\tseed=7",
+        "hypercube_greedy d=5 rho=0.6 reps=4 seed=7\r\n",
+        "\r\n hypercube_greedy \t d=5\r\nrho=0.6\nreps=4\r seed=7 \r\n",
+        "  hypercube_greedy\vd=5\frho=0.6  reps=4\t\tseed=7\n\n"}) {
+    EXPECT_EQ(Scenario::parse_text(text), want) << text;
+  }
+  // A byte outside the six stays inside its token.
+  EXPECT_THROW((void)Scenario::parse_text("hypercube_greedy d=5\x01"), ScenarioError);
+  EXPECT_THROW((void)Scenario::parse_text(" \t\r\n"), ScenarioError);
+}
+
 TEST(Scenario, TextualFormIsPinned) {
   EXPECT_EQ(Scenario().to_string(),
             "hypercube_greedy d=4 topology=native torus_dims=4x4 lambda=0.1 "

@@ -7,18 +7,24 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <latch>
 #include <map>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "core/registry.hpp"
 #include "core/scenario.hpp"
 #include "store/result_store.hpp"
 #include "util/json_parse.hpp"
+#include "util/rng.hpp"
 #include "workload/destination.hpp"
 #include "workload/trace.hpp"
 
@@ -315,6 +321,230 @@ TEST(QueryService, ConcurrentIdenticalQueriesFundOneComputation) {
   EXPECT_EQ(stats.computed, 1u);
   EXPECT_EQ(stats.coalesced + stats.cache_hits,
             static_cast<std::uint64_t>(kClients - 1));
+}
+
+// -------------------------------------------- coalesced followers compute
+
+/// A one-shot gate: wait() blocks until open().
+class Gate {
+ public:
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  void wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return open_; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+/// Records the thread each replication of the probe scheme ran on, and
+/// holds each replication until `quorum` threads are inside one (or 10 s
+/// pass): a cell of `quorum` replications then completes in time only
+/// when that many threads run it side by side.
+class Rendezvous {
+ public:
+  explicit Rendezvous(int quorum) : quorum_(quorum) {}
+
+  void arrive(int rep) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    runs_[rep].push_back(std::this_thread::get_id());
+    ++arrived_;
+    cv_.notify_all();
+    if (!cv_.wait_for(lock, std::chrono::seconds(10),
+                      [&] { return arrived_ >= quorum_; })) {
+      timed_out_ = true;
+    }
+  }
+  /// The threads that ran each replication, by replication.
+  std::map<int, std::vector<std::thread::id>> runs() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return runs_;
+  }
+  bool timed_out() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return timed_out_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  const int quorum_;
+  int arrived_ = 0;
+  bool timed_out_ = false;
+  std::map<int, std::vector<std::thread::id>> runs_;
+};
+
+/// What the probe scheme's compile and replications do; set by each test
+/// before any thread starts.
+struct Probe {
+  Gate* entered = nullptr;  ///< opened when compile starts
+  Gate* release = nullptr;  ///< compile waits on it when set
+  bool compile_throws = false;
+  Rendezvous* meet = nullptr;
+};
+Probe probe;
+
+/// A toy scheme whose replications return numbers drawn from their seed,
+/// so a result depends on every replication's seed and nothing else.
+Scenario probe_cell(int reps, std::uint64_t seed) {
+  SchemeRegistry::instance().add(
+      {"test_serve_probe", "serve coalescing probe", [](const Scenario&) {
+         if (probe.entered != nullptr) probe.entered->open();
+         if (probe.release != nullptr) probe.release->wait();
+         if (probe.compile_throws) throw ScenarioError("probe compile failed");
+         CompiledScenario compiled;
+         compiled.replicate = [](std::uint64_t stream, int rep) {
+           if (probe.meet != nullptr) probe.meet->arrive(rep);
+           Rng rng(stream);
+           return std::vector<double>{rng.uniform(), rng.uniform(), rng.uniform(),
+                                      static_cast<double>(rep), 0.0, 0.0};
+         };
+         return compiled;
+       }});
+  Scenario scenario;
+  scenario.scheme = "test_serve_probe";
+  scenario.d = 4;
+  scenario.plan = {reps, seed};
+  return scenario;
+}
+
+/// `clients` threads ask `cell` of `service` at once.
+std::vector<QueryService::QueryResult> ask_together(QueryService& service,
+                                                    const Scenario& cell,
+                                                    int clients) {
+  std::vector<QueryService::QueryResult> results(static_cast<std::size_t>(clients));
+  std::vector<std::jthread> threads;
+  for (int i = 0; i < clients; ++i) {
+    threads.emplace_back([&, i] { results[i] = service.query(cell); });
+  }
+  return results;
+}
+
+TEST(QueryService, CoalescedFollowersRunTheLeadersReplications) {
+  constexpr int kClients = 4;
+  const Scenario cell = probe_cell(kClients, 301);
+  Rendezvous meet(kClients);
+  probe = {.meet = &meet};
+  // One pool thread per computation: the leader alone could run one
+  // replication at a time, so the quorum is met only by its followers.
+  QueryService service({1, nullptr});
+  const auto results = ask_together(service, cell, kClients);
+
+  EXPECT_FALSE(meet.timed_out()) << "the followers did not join the leader's run";
+  std::set<std::thread::id> threads;
+  const auto runs = meet.runs();
+  ASSERT_EQ(runs.size(), static_cast<std::size_t>(kClients));
+  for (const auto& [rep, ran_on] : runs) {
+    EXPECT_EQ(ran_on.size(), 1u) << "replication " << rep << " ran more than once";
+    threads.insert(ran_on.begin(), ran_on.end());
+  }
+  EXPECT_EQ(threads.size(), static_cast<std::size_t>(kClients));
+
+  Rendezvous alone(1);
+  probe = {.meet = &alone};
+  const std::string direct = result_to_json(Engine().run_one(cell));
+  std::map<std::string, int> sources;
+  for (const auto& qr : results) {
+    ASSERT_TRUE(qr.ok) << qr.error;
+    ++sources[qr.source];
+    EXPECT_EQ(qr.answer->json, direct);
+  }
+  EXPECT_EQ(sources["computed"], 1);
+  EXPECT_EQ(sources["inflight"], kClients - 1);
+  probe = {};
+}
+
+TEST(QueryService, FollowersArrivingDuringCompileWaitForTheTaskList) {
+  constexpr int kClients = 3;
+  const Scenario cell = probe_cell(kClients, 302);
+  Gate entered;
+  Gate release;
+  Rendezvous meet(kClients);
+  probe = {.entered = &entered, .release = &release, .meet = &meet};
+  QueryService service({1, nullptr});
+  std::vector<QueryService::QueryResult> results(kClients);
+  {
+    std::vector<std::jthread> threads;
+    threads.emplace_back([&] { results[0] = service.query(cell); });
+    entered.wait();  // the leader is in phase 1 and holds the key
+    for (int i = 1; i < kClients; ++i) {
+      threads.emplace_back([&, i] { results[i] = service.query(cell); });
+    }
+    // Let the followers reach the in-flight entry before the task list
+    // exists; one that comes later joins the same way.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    release.open();
+  }
+  EXPECT_FALSE(meet.timed_out()) << "a follower skipped helping";
+  EXPECT_EQ(results[0].source, "computed");
+  for (const auto& qr : results) {
+    ASSERT_TRUE(qr.ok) << qr.error;
+    EXPECT_EQ(qr.answer->json, results[0].answer->json);
+  }
+  for (int i = 1; i < kClients; ++i) EXPECT_EQ(results[i].source, "inflight");
+  probe = {};
+}
+
+TEST(QueryService, APhaseOneErrorReleasesEveryFollower) {
+  constexpr int kClients = 4;
+  const Scenario cell = probe_cell(2, 303);
+  Gate entered;
+  Gate release;
+  probe = {.entered = &entered, .release = &release, .compile_throws = true};
+  QueryService service({1, nullptr});
+  std::vector<QueryService::QueryResult> results(kClients);
+  {
+    std::vector<std::jthread> threads;
+    threads.emplace_back([&] { results[0] = service.query(cell); });
+    entered.wait();
+    for (int i = 1; i < kClients; ++i) {
+      threads.emplace_back([&, i] { results[i] = service.query(cell); });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    release.open();
+  }
+  for (const auto& qr : results) {
+    EXPECT_FALSE(qr.ok);
+    EXPECT_NE(qr.error.find("probe compile failed"), std::string::npos) << qr.error;
+  }
+  EXPECT_EQ(service.stats().errors, static_cast<std::uint64_t>(kClients));
+  probe = {};
+}
+
+TEST(Engine, CellsAreTheSameForEveryPoolWidth) {
+  Campaign campaign("widths");
+  campaign.add("a", Scenario::parse_text(
+                        "hypercube_greedy d=4 rho=0.5 measure=100 reps=3 seed=71"));
+  campaign.add("b", Scenario::parse_text(
+                        "butterfly_greedy d=3 rho=0.4 measure=100 reps=5 seed=72"));
+  campaign.add("a again", Scenario::parse_text(
+                              "hypercube_greedy d=4 rho=0.5 measure=100 reps=3 seed=71"));
+  campaign.add("c", Scenario::parse_text(
+                        "hypercube_greedy d=5 rho=0.3 measure=100 reps=2 seed=73"));
+  std::vector<std::string> reference;
+  for (int threads = 1; threads <= 4; ++threads) {
+    SCOPED_TRACE(threads);
+    const auto cells = Engine(EngineOptions{.threads = threads}).run(campaign);
+    ASSERT_EQ(cells.size(), campaign.size());
+    std::vector<std::string> rendered;
+    for (const CellResult& cell : cells) {
+      EXPECT_TRUE(cell.completed);
+      rendered.push_back(std::string(cell.tier()) + " " + result_to_json(cell.result));
+    }
+    if (reference.empty()) reference = rendered;
+    EXPECT_EQ(rendered, reference);
+  }
+  EXPECT_EQ(reference[0].substr(reference[0].find(' ')),
+            reference[2].substr(reference[2].find(' ')));
 }
 
 // ---------------------------------------------------------------- protocol

@@ -15,6 +15,9 @@ production contracts that unit tests cannot see from inside the process:
                  daemon answers from the store — verified via the stats
                  op's cache_hits / store_hits / computed counters
   throughput     warm queries clear a conservative latency floor
+  burst          N socket clients asking one new cell at once get one
+                 computation (each replication run once, per the metrics
+                 op's routesim_engine_tasks_total) and identical bytes
 
 Usage:  python3 tools/production_test.py [--build BUILDDIR]
 
@@ -28,6 +31,7 @@ import json
 import os
 import selectors
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -311,12 +315,92 @@ def check_warm_throughput(bench, serve, tmp):
         daemon.kill()
 
 
+def raw_result(line):
+    """The "result" object of a query response line, byte for byte."""
+    marker = '"result":'
+    at = line.find(marker)
+    return line[at + len(marker):line.rindex("}")] if at >= 0 else ""
+
+
+def engine_tasks_total(connection, reader):
+    """routesim_engine_tasks_total, read through the metrics op (0 until
+    the first engine run registers it)."""
+    connection.sendall(b'{"op":"metrics"}\n')
+    response = json.loads(reader.readline())
+    require(response.get("ok") is True, "metrics op failed: %r" % response)
+    for line in response["metrics"].splitlines():
+        if line.startswith("routesim_engine_tasks_total "):
+            return float(line.split()[1])
+    return 0.0
+
+
+def check_burst_computes_once(bench, serve, tmp):
+    """N connections asking one new cell at once: one computation whose
+    replications each run once, every answer the same bytes."""
+    clients = 4
+    reps = 4
+    scenario = "hypercube_greedy d=6 rho=0.6 measure=2000 reps=%d seed=31" % reps
+    path = os.path.join(tmp, "burst.sock")
+    proc = subprocess.Popen(
+        [serve, "--socket", path, "--threads", "1",
+         "--store", os.path.join(tmp, "burst_store.jsonl")],
+        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True)
+    connections = []
+    try:
+        deadline = time.monotonic() + RPC_TIMEOUT
+        while not os.path.exists(path):
+            require(proc.poll() is None, "daemon exited before listening")
+            require(time.monotonic() < deadline, "daemon never listened")
+            time.sleep(0.05)
+        for _ in range(clients + 1):
+            connection = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            connection.settimeout(RPC_TIMEOUT)
+            connection.connect(path)
+            connections.append(connection)
+        readers = [connection.makefile("r") for connection in connections]
+        control, burst = connections[0], connections[1:]
+        tasks_before = engine_tasks_total(control, readers[0])
+
+        request = (json.dumps({"op": "query", "scenario": scenario}) + "\n").encode()
+        for connection in burst:
+            connection.sendall(request)
+        lines = [reader.readline() for reader in readers[1:]]
+        responses = [json.loads(line) for line in lines]
+        require(all(r.get("ok") is True for r in responses),
+                "burst query failed: %r" % responses)
+        sources = sorted(r.get("source") for r in responses)
+        require(sources.count("computed") == 1,
+                "burst sources %r, want exactly one computed" % sources)
+        require(set(sources) <= {"computed", "inflight", "cache"},
+                "burst sources %r" % sources)
+        results = {raw_result(line) for line in lines}
+        require(len(results) == 1, "burst answers differ: %r" % results)
+
+        tasks = engine_tasks_total(control, readers[0]) - tasks_before
+        require(tasks == reps,
+                "the burst ran %r replication tasks, want %d" % (tasks, reps))
+        control.sendall(b'{"op":"shutdown"}\n')
+        readers[0].readline()
+        code = proc.wait(timeout=RPC_TIMEOUT)
+        require(code == 0, "daemon exited %d after shutdown" % code)
+        print("  %d clients, sources %s, %d replication tasks"
+              % (clients, ",".join(sources), tasks))
+    finally:
+        for connection in connections:
+            connection.close()
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
 CHECKS = [
     ("exit codes and usage errors", check_exit_codes),
     ("kill mid-campaign, then resume", check_kill_and_resume),
     ("serve: cold computes, warm hits cache", check_serve_rounds),
     ("serve: restart answers from store", check_restart_serves_from_store),
     ("serve: warm throughput floor", check_warm_throughput),
+    ("serve: a burst of identical queries computes once", check_burst_computes_once),
 ]
 
 

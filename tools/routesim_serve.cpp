@@ -66,6 +66,9 @@ int usage(const char* argv0, int code) {
                "  --port N        serve TCP on 127.0.0.1:N (0 = pick a port,\n"
                "                  printed on stderr)\n"
                "  --threads N     engine worker-pool width per computation\n"
+               "                  (default: hardware concurrency); clients\n"
+               "                  waiting on an identical query also run\n"
+               "                  its replications\n"
                "  --compact       fold duplicate store records before serving\n"
                "\nprotocol: one JSON request per line (docs/SERVE.md);\n"
                "ops: query, grid, stats, metrics, ping, shutdown\n";
