@@ -122,8 +122,10 @@ KeyedScenario KeyedScenario::admit(const Scenario& scenario) {
     if (!canonical) canonical = resolved;
     row.set(*canonical, *fallback);
   }
-  std::string key = canonical ? canonical->to_string() : text;
+  // Empty: the key is the text (KeyedScenario keeps one copy).
+  std::string key = canonical ? canonical->to_string() : std::string();
   if (!resolved.trace_file.empty()) {
+    if (key.empty()) key = text;
     // A trace path names mutable content: hash the bytes into the key so
     // a rewritten file misses the cache instead of returning stale rows
     // (fingerprint 0 — unreadable — still keys consistently; the load
@@ -171,7 +173,7 @@ void append_result_fields(std::string& out, const RunResult& result,
   // JSON has no NaN/Inf literals: null, or strings the reader maps back.
   const auto number = [&](double value) {
     if (std::isfinite(value)) {
-      out += fmt_shortest(value);
+      append_shortest(out, value);
     } else if (!exact) {
       out += "null";
     } else {
@@ -290,6 +292,12 @@ struct EngineMetrics {
     return metrics;
   }
 };
+
+}  // namespace
+
+void Engine::register_metrics() { (void)EngineMetrics::get(); }
+
+namespace {
 
 /// `{"cell":N}` (with `,"rep":R` when rep >= 0) span args, built only when
 /// a session is live: an untraced campaign renders none.

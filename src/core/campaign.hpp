@@ -59,8 +59,12 @@ class KeyedScenario {
   [[nodiscard]] const Scenario& scenario() const noexcept { return scenario_; }
   /// scenario().to_string(), rendered at admission.
   [[nodiscard]] const std::string& text() const noexcept { return text_; }
-  [[nodiscard]] const std::string& key() const& noexcept { return key_; }
-  [[nodiscard]] std::string key() && noexcept { return std::move(key_); }
+  [[nodiscard]] const std::string& key() const& noexcept {
+    return key_.empty() ? text_ : key_;
+  }
+  [[nodiscard]] std::string key() && noexcept {
+    return std::move(key_.empty() ? text_ : key_);
+  }
 
  private:
   KeyedScenario(Scenario scenario, std::string text, std::string key)
@@ -70,6 +74,8 @@ class KeyedScenario {
 
   Scenario scenario_;
   std::string text_;
+  /// Empty while the key is the text (every result-neutral row at its
+  /// default, no trace file), as it is for most cells: one copy, not two.
   std::string key_;
 };
 
@@ -364,6 +370,11 @@ class Engine {
   [[nodiscard]] const EngineOptions& options() const noexcept {
     return options_;
   }
+
+  /// Registers every `routesim_engine_*` series in obs::global_metrics()
+  /// (zero-valued until the first run), so a scrape tells "0" from
+  /// "absent".  Idempotent; serve's `metrics` op calls it.
+  static void register_metrics();
 
  private:
   EngineOptions options_{};

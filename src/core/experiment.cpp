@@ -17,10 +17,12 @@ std::vector<Summary> summarize_replications(
 std::vector<ConfidenceInterval> replication_intervals(
     const std::vector<std::vector<double>>& per_replication, double confidence) {
   const auto summaries = summarize_replications(per_replication);
+  // Every column has one observation per replication: one quantile.
+  const double t = t_interval_quantile(per_replication.size(), confidence);
   std::vector<ConfidenceInterval> intervals;
   intervals.reserve(summaries.size());
   for (const auto& summary : summaries) {
-    intervals.push_back(t_confidence_interval(summary, confidence));
+    intervals.push_back(t_confidence_interval(summary, confidence, t));
   }
   return intervals;
 }

@@ -1,8 +1,10 @@
 #include "core/scenario.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string_view>
@@ -70,11 +72,11 @@ Scenario Scenario::resolved() const {
   if (!rho_target.has_value()) return *this;
   Scenario out = *this;
   out.rho_target.reset();
-  // Every load factor is linear in lambda, so probe it at lambda = 1 and
-  // solve; this stays correct for any registry load-factor rule.
-  Scenario probe = out;
-  probe.lambda = 1.0;
-  const double per_unit_lambda = probe.rho();
+  // Every load factor is linear in lambda, so probe it at lambda = 1 on
+  // the copy and solve; this stays correct for any registry load-factor
+  // rule.
+  out.lambda = 1.0;
+  const double per_unit_lambda = out.rho();
   if (per_unit_lambda <= 0.0) {
     throw ScenarioError(
         "cannot resolve rho=" + std::to_string(*rho_target) +
@@ -253,8 +255,9 @@ std::string suggest(const std::string& name,
 // --- value parsers for the key table: each throws ScenarioError with the
 // reason only (Scenario::set() names the key and value).
 
-/// Whole-string decimal parse (stod alone accepts trailing garbage).
-double number(const std::string& text) {
+/// Whole-string decimal parse (stod alone accepts trailing garbage): the
+/// reference number() keeps to, value for value and error for error.
+double number_by_stod(const std::string& text) {
   std::size_t pos = 0;
   double parsed = 0.0;
   try {
@@ -266,7 +269,25 @@ double number(const std::string& text) {
   return parsed;
 }
 
-int integer(const std::string& text) {
+/// number_by_stod's result, read in place with from_chars where the two
+/// agree: a whole-text read to zero or to a finite value above the
+/// smallest normal (from_chars, like stod, reports an underflow to zero as
+/// out of range).  Every other text (a leading '+' or space, hex, inf and
+/// nan, a subnormal, an overflow, garbage) takes stod itself, so the
+/// accepted values and the error messages are stod's.
+double number(std::string_view text) {
+  const char* const last = text.data() + text.size();
+  double parsed = 0.0;
+  if (const auto [end, error] = std::from_chars(text.data(), last, parsed);
+      error == std::errc{} && end == last &&
+      (parsed == 0.0 || (std::abs(parsed) > std::numeric_limits<double>::min() &&
+                         std::isfinite(parsed)))) {
+    return parsed;
+  }
+  return number_by_stod(std::string(text));
+}
+
+int integer(std::string_view text) {
   const double parsed = number(text);
   const int rounded = static_cast<int>(std::lround(parsed));
   if (static_cast<double>(rounded) != parsed) {
@@ -276,16 +297,24 @@ int integer(const std::string& text) {
 }
 
 /// Full 64-bit parse: going through a double would corrupt seeds above
-/// 2^53, and stoull silently wraps negatives.
-std::uint64_t unsigned64(const std::string& text) {
-  std::size_t pos = 0;
+/// 2^53, and stoull silently wraps negatives.  from_chars reads the plain
+/// digit strings; anything else (a sign, a space, out of range, garbage)
+/// takes stoull, whose acceptance and errors this keeps.
+std::uint64_t unsigned64(std::string_view text) {
+  const char* const last = text.data() + text.size();
   std::uint64_t parsed = 0;
+  if (const auto [end, error] = std::from_chars(text.data(), last, parsed);
+      error == std::errc{} && end == last) {
+    return parsed;
+  }
+  const std::string copy(text);
+  std::size_t pos = 0;
   try {
-    if (text.find('-') == std::string::npos) parsed = std::stoull(text, &pos);
+    if (copy.find('-') == std::string::npos) parsed = std::stoull(copy, &pos);
   } catch (const std::exception&) {
     pos = 0;
   }
-  if (pos == 0 || pos != text.size()) {
+  if (pos == 0 || pos != copy.size()) {
     throw ScenarioError("needs an unsigned 64-bit integer");
   }
   return parsed;
@@ -314,25 +343,26 @@ double finite(double value) {
   return value;
 }
 
-std::string known_topology(const std::string& value) {
-  std::vector<std::string> candidates = topology_names();
-  candidates.insert(candidates.begin(), "native");
-  if (std::ranges::find(candidates, value) == candidates.end()) {
-    throw ScenarioError("unknown topology '" + value + "'" +
-                        suggest(value, candidates));
+std::string_view known_topology(std::string_view value) {
+  const std::vector<std::string>& names = topology_names();
+  if (value == "native" || std::ranges::find(names, value) != names.end()) {
+    return value;
   }
-  return value;
+  std::vector<std::string> candidates = names;
+  candidates.insert(candidates.begin(), "native");
+  const std::string name(value);
+  throw ScenarioError("unknown topology '" + name + "'" +
+                      suggest(name, candidates));
 }
 
 /// Inline comma/whitespace-separated list, or @path to read the same
 /// format from a file; needs 2^d entries (set d before mask_pmf).
-std::vector<double> parse_mask_pmf(const std::string& value, int d) {
-  std::string text = value;
+std::vector<double> parse_mask_pmf(std::string_view value, int d) {
+  std::string text(value);
   if (!value.empty() && value.front() == '@') {
-    std::ifstream file(value.substr(1));
-    if (!file) {
-      throw ScenarioError("cannot open file '" + value.substr(1) + "'");
-    }
+    const std::string path(value.substr(1));
+    std::ifstream file(path);
+    if (!file) throw ScenarioError("cannot open file '" + path + "'");
     std::ostringstream contents;
     contents << file.rdbuf();
     text = contents.str();
@@ -366,89 +396,98 @@ std::vector<double> parse_mask_pmf(const std::string& value, int d) {
   // Normalise, but only when the sum is meaningfully off 1: dividing an
   // already-normalised pmf by its 1-plus-rounding sum would perturb the
   // entries by an ulp on every parse and break the exact textual round
-  // trip (the get side emits the stored values exactly).
+  // trip (the append side writes the stored values exactly).
   if (std::abs(sum - 1.0) > 1e-9) {
     for (double& p : pmf) p /= sum;
   }
   return pmf;
 }
 
-// --- formatters for the key table's get side.
+// --- formatters for the key table's append side: each appends its value
+// to `out` and reports whether the key is written.
 
 template <typename T>
   requires std::is_integral_v<T>
-std::optional<std::string> text(T value) {
-  return std::to_string(value);
+bool text(std::string& out, T value) {
+  char digits[24];
+  out.append(digits, std::to_chars(digits, digits + sizeof digits, value).ptr);
+  return true;
 }
-std::optional<std::string> text(double value) { return fmt_shortest(value); }
-std::optional<std::string> text(const std::string& value) { return value; }
+bool text(std::string& out, double value) {
+  append_shortest(out, value);
+  return true;
+}
+bool text(std::string& out, const std::string& value) {
+  out += value;
+  return true;
+}
 
 /// Optional string knobs stay out of the textual form while empty.
-std::optional<std::string> text_if_set(const std::string& value) {
-  if (value.empty()) return std::nullopt;
-  return value;
+bool text_if_set(std::string& out, const std::string& value) {
+  out += value;
+  return !value.empty();
 }
 
 }  // namespace
 
 const std::vector<ScenarioKey>& Scenario::keys() {
   using S = Scenario;
-  using V = const std::string&;
+  using V = std::string_view;
+  using Out = std::string&;
   static const std::vector<ScenarioKey> table{
       {.name = "d", .type = "int", .sweepable = true,
        .doc = "cube / butterfly dimension (N = 2^d nodes per level)",
        .set = [](S& s, V v) { s.d = integer(v); },
-       .get = [](const S& s) { return text(s.d); }},
+       .append = [](const S& s, Out out) { return text(out, s.d); }},
       {.name = "topology", .type = "string",
        .doc = "network family: native (the scheme's own) | hypercube | "
               "butterfly | ring | torus | mesh (see the topology table)",
        .set = [](S& s, V v) { s.topology = known_topology(v); },
-       .get = [](const S& s) { return text(s.topology); }},
+       .append = [](const S& s, Out out) { return text(out, s.topology); }},
       {.name = "ring_chords", .type = "string",
        .doc = "topology=ring: '' (plain cycle), 'papillon' (doubling-ladder "
               "strides) or a CSV of distinct chord strides in [2, n/2 - 1]",
        // Format check now, against the widest supported ring; the strides
        // are re-validated against n = 2^d at compile time, when d is final.
        .set = [](S& s, V v) {
-         (void)parse_ring_chords(v, /*d=*/14);
+         (void)parse_ring_chords(std::string(v), /*d=*/14);
          s.ring_chords = v;
        },
-       .get = [](const S& s) { return text_if_set(s.ring_chords); }},
+       .append = [](const S& s, Out out) { return text_if_set(out, s.ring_chords); }},
       {.name = "torus_dims", .type = "string",
        .doc = "topology=torus|mesh: per-dimension extents 'AxB' or 'AxBxC', "
               "each in [2, 256] (d is ignored)",
        .set = [](S& s, V v) {
-         (void)parse_torus_dims(v);
+         (void)parse_torus_dims(std::string(v));
          s.torus_dims = v;
        },
-       .get = [](const S& s) { return text(s.torus_dims); }},
+       .append = [](const S& s, Out out) { return text(out, s.torus_dims); }},
       {.name = "lambda", .type = "double", .sweepable = true,
        .doc = "per-node packet generation rate, > 0",
        .set = [](S& s, V v) {
          s.lambda = positive(number(v));
          s.rho_target.reset();  // an explicit lambda drops a pending target
        },
-       .get = [](const S& s) { return text(s.lambda); }},
+       .append = [](const S& s, Out out) { return text(out, s.lambda); }},
       {.name = "rho", .type = "double", .sweepable = true,
        .doc = "target load factor, > 0; solves for the lambda giving that "
               "load under the current scheme/workload (set p/workload first)",
        // Deferred: resolved() solves target -> lambda once every other knob
        // is final, so `--set rho=0.6 --set p=0.7` and the reverse agree.
        .set = [](S& s, V v) { s.rho_target = positive(number(v)); },
-       .get = [](const S& s) -> std::optional<std::string> {
-         if (!s.rho_target.has_value()) return std::nullopt;
-         return text(*s.rho_target);
+       .append = [](const S& s, Out out) {
+         return s.rho_target.has_value() && text(out, *s.rho_target);
        }},
       {.name = "p", .type = "double", .sweepable = true,
        .doc = "bit-flip probability of destination law (1), in [0, 1]",
        .set = [](S& s, V v) { s.p = probability(number(v)); },
-       .get = [](const S& s) { return text(s.p); }},
+       .append = [](const S& s, Out out) { return text(out, s.p); }},
       {.name = "tau", .type = "double", .sweepable = true,
        .doc = "0 = continuous time; > 0: slotted-time variant with this "
               "slot length (§3.4), tau <= 1 with 1/tau an integer (see the "
               "capability matrix)",
        .set = [](S& s, V v) { s.tau = at_least(number(v), 0.0); },
-       .get = [](const S& s) { return text(s.tau); }},
+       .append = [](const S& s, Out out) { return text(out, s.tau); }},
       {.name = "discipline", .type = "string",
        .doc = "service discipline of network_q: fifo (network Q) | ps (Q~)",
        .set = [](S& s, V v) {
@@ -457,12 +496,12 @@ const std::vector<ScenarioKey>& Scenario::keys() {
          }
          s.discipline = v;
        },
-       .get = [](const S& s) { return text(s.discipline); }},
+       .append = [](const S& s, Out out) { return text(out, s.discipline); }},
       {.name = "workload", .type = "string",
        .doc = "destination workload: bit_flip | uniform | general | trace | "
               "permutation",
        .set = [](S& s, V v) { s.workload = v; },
-       .get = [](const S& s) { return text(s.workload); }},
+       .append = [](const S& s, Out out) { return text(out, s.workload); }},
       {.name = "trace_file", .type = "string",
        .doc = "workload=trace: JSONL trace to replay (one "
               "{\"t\":...,\"src\":...,\"dst\":...} record per packet, "
@@ -478,44 +517,44 @@ const std::vector<ScenarioKey>& Scenario::keys() {
          }
          s.trace_file = v;
        },
-       .get = [](const S& s) { return text_if_set(s.trace_file); }},
+       .append = [](const S& s, Out out) { return text_if_set(out, s.trace_file); }},
       {.name = "mask_pmf", .type = "list",
        .doc = "workload=general: inline CSV or @path of 2^d probabilities "
               "P[dest = origin XOR y], validated and normalised (set d first)",
        .set = [](S& s, V v) { s.mask_pmf = parse_mask_pmf(v, s.d); },
-       .get = [](const S& s) -> std::optional<std::string> {
-         if (s.mask_pmf.empty()) return std::nullopt;
-         std::string csv;
-         for (const double p : s.mask_pmf) {
-           if (!csv.empty()) csv += ',';
-           csv += fmt_shortest(p);
+       .append = [](const S& s, Out out) {
+         for (std::size_t i = 0; i < s.mask_pmf.size(); ++i) {
+           if (i > 0) out += ',';
+           append_shortest(out, s.mask_pmf[i]);
          }
-         return csv;
+         return !s.mask_pmf.empty();
        }},
       {.name = "permutation", .type = "string",
        .doc = "workload=permutation: the family name (see the permutation "
               "table); validated immediately",
        // The table itself is built at compile time, when d is final.
        .set = [](S& s, V v) {
-         (void)Permutation::summary(v);
+         (void)Permutation::summary(std::string(v));
          s.permutation = v;
        },
-       .get = [](const S& s) { return text(s.permutation); }},
+       .append = [](const S& s, Out out) { return text(out, s.permutation); }},
       {.name = "hotspot_frac", .type = "double",
        .doc = "permutation=hotspot: fraction of sources sending to node 0, "
               "in [0, 1]",
        .set = [](S& s, V v) { s.hotspot_frac = probability(number(v)); },
-       .get = [](const S& s) { return text(s.hotspot_frac); }},
+       .append = [](const S& s, Out out) { return text(out, s.hotspot_frac); }},
       {.name = "fanout", .type = "int", .sweepable = true,
        .doc = "multicast destinations per packet / batch_greedy packets per "
               "node",
        .set = [](S& s, V v) { s.fanout = at_least(integer(v), 1); },
-       .get = [](const S& s) { return text(s.fanout); }},
+       .append = [](const S& s, Out out) { return text(out, s.fanout); }},
       {.name = "unicast_baseline", .type = "int",
        .doc = "multicast: 1 sends fanout independent unicasts instead of a "
               "tree",
        .set = [](S& s, V v) { s.unicast_baseline = integer(v) != 0; },
-       .get = [](const S& s) { return text(s.unicast_baseline ? 1 : 0); }},
+       .append = [](const S& s, Out out) {
+         return text(out, s.unicast_baseline ? 1 : 0);
+       }},
       {.name = "buffers", .type = "int",
        .doc = "per-arc buffer capacity including the packet in service; 0 = "
               "infinite (the paper's model) (see the capability matrix)",
@@ -523,24 +562,24 @@ const std::vector<ScenarioKey>& Scenario::keys() {
          s.buffer_capacity =
              static_cast<std::uint32_t>(at_least(integer(v), 0));
        },
-       .get = [](const S& s) { return text(s.buffer_capacity); }},
+       .append = [](const S& s, Out out) { return text(out, s.buffer_capacity); }},
       {.name = "fault_rate", .type = "double", .sweepable = true,
        .doc = "P[arc statically down], per replication",
        .set = [](S& s, V v) { s.fault_rate = probability(number(v)); },
-       .get = [](const S& s) { return text(s.fault_rate); }},
+       .append = [](const S& s, Out out) { return text(out, s.fault_rate); }},
       {.name = "node_fault_rate", .type = "double", .sweepable = true,
        .doc = "P[node down]; a dead node takes all its incident arcs down",
        .set = [](S& s, V v) { s.node_fault_rate = probability(number(v)); },
-       .get = [](const S& s) { return text(s.node_fault_rate); }},
+       .append = [](const S& s, Out out) { return text(out, s.node_fault_rate); }},
       {.name = "fault_mtbf", .type = "double",
        .doc = "mean link up-time; > 0 with fault_mttr => dynamic up/down "
               "process",
        .set = [](S& s, V v) { s.fault_mtbf = at_least(number(v), 0.0); },
-       .get = [](const S& s) { return text(s.fault_mtbf); }},
+       .append = [](const S& s, Out out) { return text(out, s.fault_mtbf); }},
       {.name = "fault_mttr", .type = "double",
        .doc = "mean link repair time",
        .set = [](S& s, V v) { s.fault_mttr = at_least(number(v), 0.0); },
-       .get = [](const S& s) { return text(s.fault_mttr); }},
+       .append = [](const S& s, Out out) { return text(out, s.fault_mttr); }},
       {.name = "storm_rate", .type = "double", .sweepable = true,
        .doc = "correlated fault storms: Poisson storm arrivals per unit time "
               "(each downs the incidence ball around a random seed node); "
@@ -548,52 +587,52 @@ const std::vector<ScenarioKey>& Scenario::keys() {
        .set = [](S& s, V v) {
          s.storm_rate = at_least(finite(number(v)), 0.0);
        },
-       .get = [](const S& s) { return text(s.storm_rate); }},
+       .append = [](const S& s, Out out) { return text(out, s.storm_rate); }},
       {.name = "storm_radius", .type = "int",
        .doc = "hop radius of a storm's incidence ball around its seed node "
               "(0 = the seed's own arcs)",
        .set = [](S& s, V v) { s.storm_radius = at_least(integer(v), 0); },
-       .get = [](const S& s) { return text(s.storm_radius); }},
+       .append = [](const S& s, Out out) { return text(out, s.storm_radius); }},
       {.name = "storm_duration", .type = "double",
        .doc = "storm lifetime; covered arcs are restored when the storm passes "
               "(overlapping storms stack)",
        .set = [](S& s, V v) {
          s.storm_duration = at_least(finite(number(v)), 0.0);
        },
-       .get = [](const S& s) { return text(s.storm_duration); }},
+       .append = [](const S& s, Out out) { return text(out, s.storm_duration); }},
       {.name = "fault_policy", .type = "string",
        .doc = "reroute policy at a dead arc: drop | skip_dim | deflect | "
               "twin_detour | adaptive (see the fault-policy table)",
        .set = [](S& s, V v) {
-         (void)parse_fault_policy(v);
+         (void)parse_fault_policy(std::string(v));
          s.fault_policy = v;
        },
-       .get = [](const S& s) { return text(s.fault_policy); }},
+       .append = [](const S& s, Out out) { return text(out, s.fault_policy); }},
       {.name = "ttl", .type = "int",
        .doc = "max hops for detouring packets; 0 = scheme default (64*d)",
        .set = [](S& s, V v) { s.ttl = at_least(integer(v), 0); },
-       .get = [](const S& s) { return text(s.ttl); }},
+       .append = [](const S& s, Out out) { return text(out, s.ttl); }},
       {.name = "warmup", .type = "double",
        .doc = "measurement-window start (with horizon)",
        .set = [](S& s, V v) { s.window.warmup = number(v); },
-       .get = [](const S& s) { return text(s.window.warmup); }},
+       .append = [](const S& s, Out out) { return text(out, s.window.warmup); }},
       {.name = "horizon", .type = "double",
        .doc = "simulation end; {warmup=0, horizon=0} derives a window from "
               "the load",
        .set = [](S& s, V v) { s.window.horizon = number(v); },
-       .get = [](const S& s) { return text(s.window.horizon); }},
+       .append = [](const S& s, Out out) { return text(out, s.window.horizon); }},
       {.name = "measure", .type = "double", .sweepable = true,
        .doc = "measurement length used by the automatic window, > 0",
        .set = [](S& s, V v) { s.measure = positive(number(v)); },
-       .get = [](const S& s) { return text(s.measure); }},
+       .append = [](const S& s, Out out) { return text(out, s.measure); }},
       {.name = "reps", .type = "int", .sweepable = true,
        .doc = "independent replications, >= 1",
        .set = [](S& s, V v) { s.plan.replications = at_least(integer(v), 1); },
-       .get = [](const S& s) { return text(s.plan.replications); }},
+       .append = [](const S& s, Out out) { return text(out, s.plan.replications); }},
       {.name = "seed", .type = "uint64", .sweepable = true,
        .doc = "base seed; replication r runs with derive_stream(seed, r)",
        .set = [](S& s, V v) { s.plan.base_seed = unsigned64(v); },
-       .get = [](const S& s) { return text(s.plan.base_seed); }},
+       .append = [](const S& s, Out out) { return text(out, s.plan.base_seed); }},
       {.name = "backend", .type = "string", .result_neutral = true,
        .doc = "legacy spelling: scalar | soa_batch, both run the kernel's "
               "one drive loop; kept while perfbench's hc_slot_soa cell and "
@@ -604,47 +643,91 @@ const std::vector<ScenarioKey>& Scenario::keys() {
        // (ROADMAP item D).
        .set = [](S& s, V v) {
          if (v != "scalar" && v != "soa_batch") {
-           throw ScenarioError("unknown kernel backend '" + v +
+           throw ScenarioError("unknown kernel backend '" + std::string(v) +
                                "' (valid values: scalar, soa_batch)");
          }
          s.backend = v;
        },
-       .get = [](const S& s) { return text(s.backend); }},
+       .append = [](const S& s, Out out) { return text(out, s.backend); }},
   };
   return table;
 }
 
 namespace {
 
-/// The keys() row for `name`; nullptr when no such key exists.
-const ScenarioKey* find_key(const std::string& name) {
-  for (const ScenarioKey& key : Scenario::keys()) {
-    if (key.name == name) return &key;
+/// The keys() row for `name`, searched from row `from` on and wrapping
+/// round; nullptr when no such key exists.  Text to_string() wrote names
+/// its keys in table order, so a parse that searches from the row after
+/// the last one it matched finds each at the first compare.
+const ScenarioKey* find_key(std::string_view name, std::size_t from = 0) {
+  const std::vector<ScenarioKey>& rows = Scenario::keys();
+  for (std::size_t i = from; i < rows.size(); ++i) {
+    if (rows[i].name == name) return &rows[i];
+  }
+  for (std::size_t i = 0; i < from && i < rows.size(); ++i) {
+    if (rows[i].name == name) return &rows[i];
   }
   return nullptr;
 }
 
-}  // namespace
-
-void Scenario::set(const std::string& key, const std::string& value) {
-  const ScenarioKey* row = find_key(key);
+/// Scenario::set() through the row find_key() found for `key`: throws the
+/// unknown-key error for a null row, else names the key and the value in
+/// the row's error.
+void set_row(Scenario& scenario, const ScenarioKey* row, std::string_view key,
+             std::string_view value) {
   if (row == nullptr) {
     std::vector<std::string> names;
-    for (const ScenarioKey& known : keys()) names.push_back(known.name);
-    throw ScenarioError("unknown scenario key '" + key + "'" +
-                        suggest(key, names));
+    for (const ScenarioKey& known : Scenario::keys()) names.push_back(known.name);
+    const std::string name(key);
+    throw ScenarioError("unknown scenario key '" + name + "'" +
+                        suggest(name, names));
   }
   const auto invalid = [&](const char* reason) {
-    return ScenarioError("bad value '" + value + "' for key '" + key +
-                         "': " + reason);
+    return ScenarioError("bad value '" + std::string(value) + "' for key '" +
+                         std::string(key) + "': " + reason);
   };
   try {
-    row->set(*this, value);
+    row->set(scenario, value);
   } catch (const ScenarioError& error) {
     throw invalid(error.what());
   } catch (const std::invalid_argument& error) {
     throw invalid(error.what());
   }
+}
+
+/// The one parser behind parse() and parse_text(): `next(word)` points
+/// `word` at the next token and returns false once none is left.  The first
+/// token is the scheme; every later one is set as key=value, read in place.
+template <typename NextWord>
+Scenario parse_words(NextWord next) {
+  std::string_view word;
+  if (!next(word)) throw ScenarioError("empty scenario: expected a scheme name");
+  if (word.find('=') != std::string_view::npos) {
+    throw ScenarioError("first scenario token must be the scheme name, got '" +
+                        std::string(word) + "'");
+  }
+  Scenario scenario;
+  scenario.scheme = word;
+  std::size_t next_row = 0;
+  while (next(word)) {
+    const auto eq = word.find('=');
+    if (eq == std::string_view::npos) {
+      throw ScenarioError("expected key=value, got '" + std::string(word) + "'");
+    }
+    const std::string_view key = word.substr(0, eq);
+    const ScenarioKey* row = find_key(key, next_row);
+    if (row != nullptr) {
+      next_row = static_cast<std::size_t>(row - Scenario::keys().data()) + 1;
+    }
+    set_row(scenario, row, key, word.substr(eq + 1));
+  }
+  return scenario;
+}
+
+}  // namespace
+
+void Scenario::set(std::string_view key, std::string_view value) {
+  set_row(*this, find_key(key), key, value);
 }
 
 std::vector<std::pair<std::string, std::string>> Scenario::to_key_values() const {
@@ -658,49 +741,43 @@ std::vector<std::pair<std::string, std::string>> Scenario::to_key_values() const
 }
 
 std::string Scenario::to_string() const {
-  std::string out = scheme;
+  // Room for every row of a typical scenario, so the rows append to one
+  // allocation.
+  std::string out;
+  out.reserve(512);
+  out += scheme;
   for (const ScenarioKey& key : keys()) {
-    if (const auto value = key.get(*this)) {
-      out += ' ';
-      out += key.name;
-      out += '=';
-      out += *value;
-    }
+    const std::size_t mark = out.size();
+    out += ' ';
+    out += key.name;
+    out += '=';
+    if (!key.append(*this, out)) out.resize(mark);
   }
   return out;
 }
 
 Scenario Scenario::parse(const std::vector<std::string>& args) {
-  if (args.empty()) throw ScenarioError("empty scenario: expected a scheme name");
-  Scenario scenario;
-  scenario.scheme = args.front();
-  if (scenario.scheme.find('=') != std::string::npos) {
-    throw ScenarioError("first scenario token must be the scheme name, got '" +
-                        scenario.scheme + "'");
-  }
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const auto eq = args[i].find('=');
-    if (eq == std::string::npos) {
-      throw ScenarioError("expected key=value, got '" + args[i] + "'");
-    }
-    scenario.set(args[i].substr(0, eq), args[i].substr(eq + 1));
-  }
-  return scenario;
+  std::size_t next = 0;
+  return parse_words([&](std::string_view& word) {
+    if (next == args.size()) return false;
+    word = args[next++];
+    return true;
+  });
 }
 
-Scenario Scenario::parse_text(const std::string& text) {
-  // The tokens `>>` would read, split in place: an istringstream copies
-  // the global locale per call, and serve parses every query's text.
-  static constexpr std::string_view kSpace = " \t\n\v\f\r";
-  const std::string_view words(text);
-  std::vector<std::string> tokens;
-  for (std::size_t begin = words.find_first_not_of(kSpace);
-       begin != std::string_view::npos;) {
-    const std::size_t end = words.find_first_of(kSpace, begin);
-    tokens.emplace_back(words.substr(begin, end - begin));
-    begin = words.find_first_not_of(kSpace, end);
-  }
-  return parse(tokens);
+Scenario Scenario::parse_text(std::string_view text) {
+  // The tokens `>>` would read: runs between the six C-locale spaces.
+  const auto is_space = [](char c) { return c == ' ' || (c >= '\t' && c <= '\r'); };
+  const char* at = text.data();
+  const char* const last = at + text.size();
+  return parse_words([&](std::string_view& word) {
+    while (at != last && is_space(*at)) ++at;
+    if (at == last) return false;
+    const char* const begin = at;
+    while (at != last && !is_space(*at)) ++at;
+    word = std::string_view(begin, static_cast<std::size_t>(at - begin));
+    return true;
+  });
 }
 
 const ConfidenceInterval* RunResult::extra(const std::string& name) const {

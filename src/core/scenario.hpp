@@ -18,6 +18,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -60,7 +61,7 @@ struct Scenario;
 
 /// One `key=value` setting of the textual scenario form.  Scenario::keys()
 /// is the single table behind every textual surface: set() dispatches on
-/// it, to_key_values() walks it in order (so parse() of the output
+/// it, to_string() walks it in order (so parse() of the output
 /// reconstructs the scenario), the catalog renders its docs, SweepSpec
 /// accepts its sweepable rows, and ResultCache::key writes its
 /// result-neutral rows at their defaults.  A new knob is one new row.
@@ -73,9 +74,18 @@ struct ScenarioKey {
   /// Parses, validates and stores `value`, leaving the scenario untouched
   /// on failure.  Throws ScenarioError (or std::invalid_argument) with the
   /// reason; Scenario::set() adds the key and value to the message.
-  void (*set)(Scenario&, const std::string& value) = nullptr;
-  /// The textual value; nullopt omits the key (an unset optional knob).
-  std::optional<std::string> (*get)(const Scenario&) = nullptr;
+  void (*set)(Scenario&, std::string_view value) = nullptr;
+  /// The row's one formatter: appends the textual value to `out` and
+  /// returns true, or returns false having appended nothing when the key
+  /// is omitted (an unset optional knob).
+  bool (*append)(const Scenario&, std::string& out) = nullptr;
+
+  /// append() into a new string; nullopt omits the key.
+  [[nodiscard]] std::optional<std::string> get(const Scenario& scenario) const {
+    std::string value;
+    if (!append(scenario, value)) return std::nullopt;
+    return value;
+  }
 };
 
 /// One point of the experiment space.  Every field has a usable default.
@@ -289,7 +299,7 @@ struct Scenario {
   /// Applies one `key=value` setting through its keys() row.  Throws
   /// ScenarioError on an unknown key (suggesting the nearest valid ones)
   /// or an invalid value (naming the key, the value and the reason).
-  void set(const std::string& key, const std::string& value);
+  void set(std::string_view key, std::string_view value);
 
   /// Every set key as `key=value` pairs in keys() order; parse(scheme +
   /// these) reconstructs the scenario exactly.  Unset optional keys
@@ -297,15 +307,17 @@ struct Scenario {
   [[nodiscard]] std::vector<std::pair<std::string, std::string>> to_key_values()
       const;
 
-  /// "scheme key=value ..." one-line form of to_key_values().
+  /// "scheme key=value ..." one-line form of to_key_values(), each row
+  /// appended in place to one string.
   [[nodiscard]] std::string to_string() const;
 
   /// Parses {"scheme", "key=value", ...} (the CLI argument form).
   static Scenario parse(const std::vector<std::string>& args);
 
   /// parse() of the whitespace-separated one-liner to_string() writes (and
-  /// serve requests and store records carry).
-  static Scenario parse_text(const std::string& text);
+  /// serve requests and store records carry).  Both read each token's key
+  /// and value in place.
+  static Scenario parse_text(std::string_view text);
 
   friend bool operator==(const Scenario&, const Scenario&) = default;
 };

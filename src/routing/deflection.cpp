@@ -118,8 +118,16 @@ void DeflectionSim::run_slots(const Topo& topo, std::uint64_t warmup_slots,
     for (NodeId node = 0; node < num_nodes; ++node) {
       auto& residents = resident_[node];
       if (residents.empty()) continue;
-      std::stable_sort(residents.begin(), residents.end(),
-                       [](const Pkt& a, const Pkt& b) { return a.gen_time < b.gen_time; });
+      // Oldest first, ties in arrival order: an in-place stable insertion
+      // sort of the few residents (std::stable_sort allocates per call).
+      for (std::size_t i = 1; i < residents.size(); ++i) {
+        const Pkt packet = residents[i];
+        std::size_t at = i;
+        for (; at > 0 && packet.gen_time < residents[at - 1].gen_time; --at) {
+          residents[at] = residents[at - 1];
+        }
+        residents[at] = packet;
+      }
       const int degree = topo.out_degree(node);
       (void)mark_dead_ports(node, degree);
       for (auto& packet : residents) {

@@ -64,16 +64,16 @@ EngineOptions QueryService::engine_options() {
 
 QueryService::QueryResult QueryService::query_text(
     const std::string& scenario_text) {
-  Scenario scenario;
+  std::optional<Scenario> scenario;
   try {
-    scenario = Scenario::parse_text(scenario_text);
+    scenario.emplace(Scenario::parse_text(scenario_text));
   } catch (const std::exception& error) {
     QueryResult qr;
     qr.error = error.what();
     count(qr, 0.0);
     return qr;
   }
-  return query(scenario);
+  return query(*scenario);
 }
 
 QueryService::QueryResult QueryService::query(const Scenario& scenario) {
@@ -205,26 +205,33 @@ std::string error_response(const std::string& op, const std::string& id,
          ",\"ok\":false,\"error\":\"" + json_escape(message) + "\"}";
 }
 
-/// One answer line, built in one string: the key is escaped once (and
-/// reused as the scenario text when the two are equal, as they are unless
-/// a result-neutral key is off its default or a trace file is hashed in),
-/// and the result is the cache entry's pre-rendered JSON.
+/// One answer line, built in one string: the key is escaped into it in
+/// one scan (and that span reused as the scenario text when the two are
+/// equal, as they are unless a result-neutral key is off its default or a
+/// trace file is hashed in), and the result is the cache entry's
+/// pre-rendered JSON.
 std::string query_response(const std::string& id,
                            const QueryService::QueryResult& qr) {
   if (!qr.ok) return error_response("query", id, qr.error);
   const KeyedScenario& cell = *qr.cell;
-  const std::string key = json_escape(cell.key());
   const bool same = cell.text() == cell.key();
-  const std::string text = same ? std::string() : json_escape(cell.text());
   const std::string& result = qr.answer->json;
   std::string out;
-  out.reserve(64 + id.size() + 2 * key.size() + text.size() + result.size());
+  out.reserve(64 + id.size() + cell.key().size() + cell.text().size() +
+              result.size());
   out.append("{\"op\":\"query\"").append(id)
       .append(",\"ok\":true,\"source\":\"").append(qr.source)
-      .append("\",\"key\":\"").append(key)
-      .append("\",\"scenario\":\"").append(same ? key : text)
-      .append("\",\"result\":").append(result)
-      .append("}");
+      .append("\",\"key\":\"");
+  const std::size_t key_begin = out.size();
+  append_json_escaped(out, cell.key());
+  const std::size_t key_size = out.size() - key_begin;
+  out.append("\",\"scenario\":\"");
+  if (same) {
+    out.append(out, key_begin, key_size);
+  } else {
+    append_json_escaped(out, cell.text());
+  }
+  out.append("\",\"result\":").append(result).append("}");
   return out;
 }
 
@@ -325,8 +332,10 @@ bool handle_request(QueryService& service, const std::string& line,
     // Prometheus text exposition of the process-wide registry, JSON-
     // escaped into one field — a scraper unescapes "metrics" and has the
     // standard format.  Touching the handles first guarantees every serve
-    // metric (all tiers) is present even on a fresh daemon.
+    // metric (all tiers) and every engine metric is present even on a
+    // fresh daemon.
     ServeMetrics::get();
+    Engine::register_metrics();
     const std::string text = obs::global_metrics().snapshot().prometheus_text();
     emit("{\"op\":\"metrics\"" + id +
          ",\"ok\":true,\"format\":\"prometheus\",\"metrics\":\"" +

@@ -94,18 +94,25 @@ double student_t_quantile(double prob, double df) {
   return 0.5 * (lo + hi);
 }
 
+double t_interval_quantile(std::uint64_t count, double confidence) {
+  RS_EXPECTS(confidence > 0.0 && confidence < 1.0);
+  if (count < 2) return 0.0;
+  const double df = static_cast<double>(count - 1);
+  return student_t_quantile(0.5 + confidence / 2.0, df);
+}
+
 ConfidenceInterval t_confidence_interval(const Summary& s, double confidence) {
+  return t_confidence_interval(s, confidence,
+                               t_interval_quantile(s.count(), confidence));
+}
+
+ConfidenceInterval t_confidence_interval(const Summary& s, double confidence,
+                                         double t) {
   RS_EXPECTS(confidence > 0.0 && confidence < 1.0);
   ConfidenceInterval ci;
   ci.mean = s.mean();
   ci.confidence = confidence;
-  if (s.count() < 2) {
-    ci.half_width = 0.0;
-    return ci;
-  }
-  const double df = static_cast<double>(s.count() - 1);
-  const double t = student_t_quantile(0.5 + confidence / 2.0, df);
-  ci.half_width = t * s.std_error();
+  ci.half_width = s.count() < 2 ? 0.0 : t * s.std_error();
   return ci;
 }
 

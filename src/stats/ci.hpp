@@ -41,6 +41,16 @@ struct ConfidenceInterval {
 [[nodiscard]] ConfidenceInterval t_confidence_interval(const Summary& s,
                                                        double confidence = 0.95);
 
+/// The t quantile t_confidence_interval multiplies the standard error by
+/// for `count` observations: 0 below two, where the half-width is 0.
+[[nodiscard]] double t_interval_quantile(std::uint64_t count, double confidence);
+
+/// t_confidence_interval with its quantile given, for many summaries of one
+/// observation count: `t` must be t_interval_quantile(s.count(),
+/// confidence).  The same bits, without the quantile's bisection per call.
+[[nodiscard]] ConfidenceInterval t_confidence_interval(const Summary& s,
+                                                       double confidence, double t);
+
 /// Batch-means interval: splits a single long run of `values.size()`
 /// correlated observations into `num_batches` contiguous batches and applies
 /// the t interval to the batch averages — the standard single-run output

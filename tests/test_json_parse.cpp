@@ -387,7 +387,75 @@ TEST(FmtShortest, FastPathMatchesTheLadder) {
   for (std::uint64_t k = 1; k <= 4096; ++k) {
     values.push_back(static_cast<double>(k) * limits::denorm_min());
   }
+  // The zeros take their own path: "0" and "-0", the ladder's first rung.
+  values.push_back(0.0);
+  values.push_back(-0.0);
   expect_fast_path_matches_ladder(values);
+  EXPECT_EQ(fmt_shortest(0.0), "0");
+  EXPECT_EQ(fmt_shortest(-0.0), "-0");
+}
+
+TEST(FmtShortest, AppendShortestAppendsTheSameText) {
+  std::string out = "x=";
+  for (const double value : {0.0, -0.0, 0.1, 1.0 / 3.0, 5e-324, 1e21,
+                             -std::numeric_limits<double>::infinity()}) {
+    const std::size_t mark = out.size();
+    append_shortest(out, value);
+    EXPECT_EQ(out.substr(mark), fmt_shortest(value));
+    out += ',';
+  }
+  EXPECT_EQ(out, "x=0,-0,0.1,0.33333333333333331,5e-324,1e+21,-inf,");
+}
+
+/// json_escape by its definition: one byte at a time.
+std::string escape_bytewise(const std::string& text) {
+  std::string out;
+  for (const char c : text) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (c == '\t') {
+      out += "\\t";
+    } else if (c == '\r') {
+      out += "\\r";
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buffer[8];
+      std::snprintf(buffer, sizeof buffer, "\\u%04x",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      out += buffer;
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+TEST(JsonEscape, AppendsRunsAndEscapesLikeTheBytewiseDefinition) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape(""), "");
+  EXPECT_EQ(json_escape("a\"b\\c\nd\te\rf\x01g\x1f"),
+            "a\\\"b\\\\c\\nd\\te\\rf\\u0001g\\u001f");
+  std::string out = "{\"k\":\"";
+  append_json_escaped(out, "x\"y");
+  EXPECT_EQ(out, "{\"k\":\"x\\\"y");
+  Rng rng(0xE5C);
+  for (int i = 0; i < 20'000; ++i) {
+    std::string text;
+    for (std::uint64_t length = rng.next() % 24; length-- > 0;) {
+      // Mostly printable, with quotes, backslashes, controls and high bytes.
+      const std::uint64_t pick = rng.next() % 8;
+      text += pick == 0   ? static_cast<char>(rng.next() % 0x20)
+              : pick == 1 ? "\"\\"[rng.next() % 2]
+              : pick == 2 ? static_cast<char>(0x80 + rng.next() % 0x80)
+                          : static_cast<char>(0x20 + rng.next() % 0x5f);
+    }
+    ASSERT_EQ(json_escape(text), escape_bytewise(text));
+    std::string appended = "prefix";
+    append_json_escaped(appended, text);
+    ASSERT_EQ(appended, "prefix" + escape_bytewise(text));
+  }
 }
 
 TEST(JsonParse, StringEscapesAndSurrogatePairs) {

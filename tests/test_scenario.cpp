@@ -5,11 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <optional>
+#include <random>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -811,7 +817,7 @@ TEST(Scenario, EveryKeyRowIsCompleteAndRoundTripsItsDefault) {
     EXPECT_FALSE(key.doc.empty()) << key.name;
     EXPECT_FALSE(key.type.empty()) << key.name;
     ASSERT_NE(key.set, nullptr) << key.name;
-    ASSERT_NE(key.get, nullptr) << key.name;
+    ASSERT_NE(key.append, nullptr) << key.name;
     Scenario scenario;
     if (const auto value = key.get(scenario)) {
       key.set(scenario, *value);
@@ -885,6 +891,294 @@ TEST(Scenario, CacheKeyNormalisesExactlyTheResultNeutralKeys) {
   Scenario seeded;
   seeded.set("seed", "2");
   EXPECT_NE(ResultCache::key(seeded), ResultCache::key(Scenario()));
+}
+
+// --- the value parsers against their stod / stoull definitions ----------
+
+/// The reference number(): stod over the whole text, else "not a number".
+std::optional<double> reference_number(const std::string& text) {
+  std::size_t pos = 0;
+  double parsed = 0.0;
+  try {
+    parsed = std::stod(text, &pos);
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+  if (pos == 0 || pos != text.size()) return std::nullopt;
+  return parsed;
+}
+
+/// The reference unsigned64(): stoull over the whole text, no '-'.
+std::optional<std::uint64_t> reference_unsigned64(const std::string& text) {
+  if (text.find('-') != std::string::npos) return std::nullopt;
+  std::size_t pos = 0;
+  std::uint64_t parsed = 0;
+  try {
+    parsed = std::stoull(text, &pos);
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+  if (pos == 0 || pos != text.size()) return std::nullopt;
+  return parsed;
+}
+
+/// set(key, text)'s error message, or "" when it is accepted.
+std::string set_error(Scenario& scenario, const std::string& key,
+                      const std::string& text) {
+  try {
+    scenario.set(key, text);
+  } catch (const ScenarioError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+/// Sets `text` on a double key (warmup), an int key (d) and the uint64 key
+/// (seed), and checks each value bit for bit, or each error word for word,
+/// against the stod / stoull reference.
+void expect_parsers_match_reference(const std::string& text) {
+  const auto bad = [&](const char* key, const char* reason) {
+    return "bad value '" + text + "' for key '" + key + "': " + reason;
+  };
+  const std::optional<double> number = reference_number(text);
+
+  Scenario warm;
+  const std::string warm_error = set_error(warm, "warmup", text);
+  if (number) {
+    EXPECT_EQ(warm_error, "") << text;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(warm.window.warmup),
+              std::bit_cast<std::uint64_t>(*number))
+        << text;
+  } else {
+    EXPECT_EQ(warm_error, bad("warmup", "not a number"));
+  }
+
+  Scenario dim;
+  const std::string dim_error = set_error(dim, "d", text);
+  if (!number) {
+    EXPECT_EQ(dim_error, bad("d", "not a number"));
+  } else if (const int rounded = static_cast<int>(std::lround(*number));
+             static_cast<double>(rounded) != *number) {
+    EXPECT_EQ(dim_error, bad("d", "needs an integer"));
+  } else {
+    EXPECT_EQ(dim_error, "") << text;
+    EXPECT_EQ(dim.d, rounded) << text;
+  }
+
+  Scenario seeded;
+  const std::string seed_error = set_error(seeded, "seed", text);
+  if (const std::optional<std::uint64_t> seed = reference_unsigned64(text)) {
+    EXPECT_EQ(seed_error, "") << text;
+    EXPECT_EQ(seeded.plan.base_seed, *seed) << text;
+  } else {
+    EXPECT_EQ(seed_error, bad("seed", "needs an unsigned 64-bit integer"));
+  }
+}
+
+TEST(Scenario, ValueParsersMatchTheStodReference) {
+  for (const char* text :
+       {"0", "-0", "+0", "+0.5", ".5", "5.", "00.5", "1E5", "1e5", "1e+5",
+        "0x10", "0X1p3", "1e-310", "2.2250738585072011e-308",
+        "2.2250738585072014e-308", "4.9e-324", "1e-400", "0e-400", "1e999",
+        "-1e999", "1.7976931348623159e308", "inf", "-inf", "INF", "infinity",
+        "nan", "-nan", "nan(12)", "", " ", " 5", "5 ", "\t7", "-", "+", ".",
+        "e5", "1e", "1e+", "5x", "4e+03", "0.30000000000000004",
+        "9007199254740993", "18446744073709551615", "18446744073709551616",
+        "-1", "-18446744073709551615", "+18446744073709551615",
+        "000000000000000000000000000000007", "2147483647", "2147483648",
+        "-2147483648", "12345678901234567890123"}) {
+    expect_parsers_match_reference(text);
+  }
+  // Random texts over the characters the grammars care about.
+  constexpr std::string_view kAlphabet = "0123456789012345+-.eExXpPinfaIN( )";
+  std::mt19937_64 rng(0x5CE2);
+  for (int i = 0; i < 20'000; ++i) {
+    std::string text;
+    for (std::size_t length = rng() % 14; length-- > 0;) {
+      text += kAlphabet[rng() % kAlphabet.size()];
+    }
+    expect_parsers_match_reference(text);
+  }
+  // Random doubles in the shortest, %.17g and %.3g forms, and random seeds.
+  for (int i = 0; i < 20'000; ++i) {
+    const double value = std::bit_cast<double>(rng());
+    expect_parsers_match_reference(fmt_shortest(value));
+    char text[40];
+    std::snprintf(text, sizeof text, "%.17g", value);
+    expect_parsers_match_reference(text);
+    std::snprintf(text, sizeof text, "%.3g", value);
+    expect_parsers_match_reference(text);
+    expect_parsers_match_reference(std::to_string(rng()));
+  }
+}
+
+// --- the textual form and the key, byte for byte ------------------------
+
+struct GoldenText {
+  const char* input;  ///< parse_text() input
+  const char* text;   ///< its to_string()
+  const char* key;    ///< its ResultCache::key(); "" when equal to text
+};
+
+/// Captured from the build before the key table's rows appended in place:
+/// every row off its default, a pending rho on each load rule, a
+/// result-neutral row, a trace hash, 17-digit, huge and tiny values.
+const GoldenText kGoldenTexts[] = {
+      {"hypercube_greedy",
+       "hypercube_greedy d=4 topology=native torus_dims=4x4 lambda=0.1 "
+       "p=0.5 tau=0 discipline=fifo workload=bit_flip "
+       "permutation=bit_reversal hotspot_frac=0.1 fanout=4 "
+       "unicast_baseline=0 buffers=0 fault_rate=0 node_fault_rate=0 "
+       "fault_mtbf=0 fault_mttr=0 storm_rate=0 storm_radius=1 "
+       "storm_duration=0 fault_policy=drop ttl=0 warmup=0 horizon=0 "
+       "measure=4e+03 reps=8 seed=1 backend=scalar",
+       ""},
+      {"multicast d=2 topology=ring ring_chords=4,16 torus_dims=8x4x2 "
+       "lambda=0.123456789012345678 p=0.30000000000000004 tau=0.25 "
+       "discipline=ps workload=general trace_file=traces/replay.jsonl "
+       "mask_pmf=0.1,0.2,0.3,0.4 permutation=transpose hotspot_frac=0.25 "
+       "fanout=8 unicast_baseline=1 buffers=3 fault_rate=0.05 "
+       "node_fault_rate=0.01 fault_mtbf=100 fault_mttr=5 storm_rate=0.05 "
+       "storm_radius=2 storm_duration=20 fault_policy=adaptive ttl=64 "
+       "warmup=-0 horizon=1100 measure=2500.5 reps=3 "
+       "seed=18446744073709551615 backend=soa_batch",
+       "multicast d=2 topology=ring ring_chords=4,16 torus_dims=8x4x2 "
+       "lambda=0.12345678901234568 p=0.30000000000000004 tau=0.25 "
+       "discipline=ps workload=general trace_file=traces/replay.jsonl "
+       "mask_pmf=0.1,0.2,0.3,0.4 permutation=transpose hotspot_frac=0.25 "
+       "fanout=8 unicast_baseline=1 buffers=3 fault_rate=0.05 "
+       "node_fault_rate=0.01 fault_mtbf=1e+02 fault_mttr=5 storm_rate=0.05 "
+       "storm_radius=2 storm_duration=2e+01 fault_policy=adaptive ttl=64 "
+       "warmup=-0 horizon=1.1e+03 measure=2500.5 reps=3 "
+       "seed=18446744073709551615 backend=soa_batch",
+       "multicast d=2 topology=ring ring_chords=4,16 torus_dims=8x4x2 "
+       "lambda=0.12345678901234568 p=0.30000000000000004 tau=0.25 "
+       "discipline=ps workload=general trace_file=traces/replay.jsonl "
+       "mask_pmf=0.1,0.2,0.3,0.4 permutation=transpose hotspot_frac=0.25 "
+       "fanout=8 unicast_baseline=1 buffers=3 fault_rate=0.05 "
+       "node_fault_rate=0.01 fault_mtbf=1e+02 fault_mttr=5 storm_rate=0.05 "
+       "storm_radius=2 storm_duration=2e+01 fault_policy=adaptive ttl=64 "
+       "warmup=-0 horizon=1.1e+03 measure=2500.5 reps=3 "
+       "seed=18446744073709551615 backend=scalar "
+       "trace_hash=0000000000000000"},
+      {"butterfly_greedy d=9 p=0.7 rho=0.45 seed=9007199254740993",
+       "butterfly_greedy d=9 topology=native torus_dims=4x4 lambda=0.1 "
+       "rho=0.45 p=0.7 tau=0 discipline=fifo workload=bit_flip "
+       "permutation=bit_reversal hotspot_frac=0.1 fanout=4 "
+       "unicast_baseline=0 buffers=0 fault_rate=0 node_fault_rate=0 "
+       "fault_mtbf=0 fault_mttr=0 storm_rate=0 storm_radius=1 "
+       "storm_duration=0 fault_policy=drop ttl=0 warmup=0 horizon=0 "
+       "measure=4e+03 reps=8 seed=9007199254740993 backend=scalar",
+       "butterfly_greedy d=9 topology=native torus_dims=4x4 "
+       "lambda=0.6428571428571429 p=0.7 tau=0 discipline=fifo "
+       "workload=bit_flip permutation=bit_reversal hotspot_frac=0.1 "
+       "fanout=4 unicast_baseline=0 buffers=0 fault_rate=0 "
+       "node_fault_rate=0 fault_mtbf=0 fault_mttr=0 storm_rate=0 "
+       "storm_radius=1 storm_duration=0 fault_policy=drop ttl=0 warmup=0 "
+       "horizon=0 measure=4e+03 reps=8 seed=9007199254740993 "
+       "backend=scalar"},
+      {"hypercube_greedy d=6 workload=permutation "
+       "permutation=bit_complement rho=0.6",
+       "hypercube_greedy d=6 topology=native torus_dims=4x4 lambda=0.1 "
+       "rho=0.6 p=0.5 tau=0 discipline=fifo workload=permutation "
+       "permutation=bit_complement hotspot_frac=0.1 fanout=4 "
+       "unicast_baseline=0 buffers=0 fault_rate=0 node_fault_rate=0 "
+       "fault_mtbf=0 fault_mttr=0 storm_rate=0 storm_radius=1 "
+       "storm_duration=0 fault_policy=drop ttl=0 warmup=0 horizon=0 "
+       "measure=4e+03 reps=8 seed=1 backend=scalar",
+       "hypercube_greedy d=6 topology=native torus_dims=4x4 lambda=0.6 "
+       "p=0.5 tau=0 discipline=fifo workload=permutation "
+       "permutation=bit_complement hotspot_frac=0.1 fanout=4 "
+       "unicast_baseline=0 buffers=0 fault_rate=0 node_fault_rate=0 "
+       "fault_mtbf=0 fault_mttr=0 storm_rate=0 storm_radius=1 "
+       "storm_duration=0 fault_policy=drop ttl=0 warmup=0 horizon=0 "
+       "measure=4e+03 reps=8 seed=1 backend=scalar"},
+      {"hypercube_greedy topology=torus torus_dims=4x8 workload=uniform "
+       "rho=0.5",
+       "hypercube_greedy d=4 topology=torus torus_dims=4x8 lambda=0.1 "
+       "rho=0.5 p=0.5 tau=0 discipline=fifo workload=uniform "
+       "permutation=bit_reversal hotspot_frac=0.1 fanout=4 "
+       "unicast_baseline=0 buffers=0 fault_rate=0 node_fault_rate=0 "
+       "fault_mtbf=0 fault_mttr=0 storm_rate=0 storm_radius=1 "
+       "storm_duration=0 fault_policy=drop ttl=0 warmup=0 horizon=0 "
+       "measure=4e+03 reps=8 seed=1 backend=scalar",
+       "hypercube_greedy d=4 topology=torus torus_dims=4x8 lambda=0.4 "
+       "p=0.5 tau=0 discipline=fifo workload=uniform "
+       "permutation=bit_reversal hotspot_frac=0.1 fanout=4 "
+       "unicast_baseline=0 buffers=0 fault_rate=0 node_fault_rate=0 "
+       "fault_mtbf=0 fault_mttr=0 storm_rate=0 storm_radius=1 "
+       "storm_duration=0 fault_policy=drop ttl=0 warmup=0 horizon=0 "
+       "measure=4e+03 reps=8 seed=1 backend=scalar"},
+      {"hypercube_greedy lambda=1e21 warmup=1e-300 horizon=1e300 "
+       "measure=1e-5 tau=0.0001",
+       "hypercube_greedy d=4 topology=native torus_dims=4x4 lambda=1e+21 "
+       "p=0.5 tau=0.0001 discipline=fifo workload=bit_flip "
+       "permutation=bit_reversal hotspot_frac=0.1 fanout=4 "
+       "unicast_baseline=0 buffers=0 fault_rate=0 node_fault_rate=0 "
+       "fault_mtbf=0 fault_mttr=0 storm_rate=0 storm_radius=1 "
+       "storm_duration=0 fault_policy=drop ttl=0 warmup=1e-300 "
+       "horizon=1e+300 measure=1e-05 reps=8 seed=1 backend=scalar",
+       ""},
+      {"hypercube_greedy d=4 workload=uniform rho=0.35 measure=40 reps=2 "
+       "seed=3000009",
+       "hypercube_greedy d=4 topology=native torus_dims=4x4 lambda=0.1 "
+       "rho=0.35 p=0.5 tau=0 discipline=fifo workload=uniform "
+       "permutation=bit_reversal hotspot_frac=0.1 fanout=4 "
+       "unicast_baseline=0 buffers=0 fault_rate=0 node_fault_rate=0 "
+       "fault_mtbf=0 fault_mttr=0 storm_rate=0 storm_radius=1 "
+       "storm_duration=0 fault_policy=drop ttl=0 warmup=0 horizon=0 "
+       "measure=4e+01 reps=2 seed=3000009 backend=scalar",
+       "hypercube_greedy d=4 topology=native torus_dims=4x4 lambda=0.7 "
+       "p=0.5 tau=0 discipline=fifo workload=uniform "
+       "permutation=bit_reversal hotspot_frac=0.1 fanout=4 "
+       "unicast_baseline=0 buffers=0 fault_rate=0 node_fault_rate=0 "
+       "fault_mtbf=0 fault_mttr=0 storm_rate=0 storm_radius=1 "
+       "storm_duration=0 fault_policy=drop ttl=0 warmup=0 horizon=0 "
+       "measure=4e+01 reps=2 seed=3000009 backend=scalar"},
+};
+
+TEST(Scenario, TextAndKeyMatchTheGoldenCorpus) {
+  for (const GoldenText& golden : kGoldenTexts) {
+    const Scenario scenario = Scenario::parse_text(golden.input);
+    EXPECT_EQ(scenario.to_string(), golden.text) << golden.input;
+    EXPECT_EQ(ResultCache::key(scenario),
+              *golden.key != '\0' ? golden.key : golden.text)
+        << golden.input;
+    EXPECT_EQ(Scenario::parse_text(scenario.to_string()), scenario);
+  }
+  // Values no parse yields: signed zeros, subnormals, the smallest normal,
+  // 17 digits, the largest finite and infinities.
+  Scenario edges;
+  edges.tau = -0.0;
+  edges.window.warmup = -0.0;
+  edges.window.horizon = std::numeric_limits<double>::denorm_min();
+  edges.fault_rate = 1e-310;
+  edges.hotspot_frac = std::numeric_limits<double>::min();
+  edges.lambda = 0.1 + 0.2;
+  edges.p = 1.0 / 3.0;
+  edges.measure = std::numeric_limits<double>::max();
+  edges.storm_rate = std::numeric_limits<double>::infinity();
+  edges.fault_mtbf = -std::numeric_limits<double>::infinity();
+  edges.mask_pmf = {-0.0, 5e-324, 0.1 + 0.2, 2.0 / 3.0};
+  EXPECT_EQ(edges.to_string(),
+            "hypercube_greedy d=4 topology=native torus_dims=4x4 "
+            "lambda=0.30000000000000004 p=0.33333333333333331 tau=-0 "
+            "discipline=fifo workload=bit_flip "
+            "mask_pmf=-0,5e-324,0.30000000000000004,0.66666666666666663 "
+            "permutation=bit_reversal hotspot_frac=2.2250738585072014e-308 "
+            "fanout=4 unicast_baseline=0 buffers=0 fault_rate=1e-310 "
+            "node_fault_rate=0 fault_mtbf=-inf fault_mttr=0 storm_rate=inf "
+            "storm_radius=1 storm_duration=0 fault_policy=drop ttl=0 "
+            "warmup=-0 horizon=5e-324 measure=1.7976931348623157e+308 reps=8 "
+            "seed=1 backend=scalar");
+  // get() is the row's one formatter into a fresh string.
+  for (const ScenarioKey& key : Scenario::keys()) {
+    if (const auto value = key.get(edges)) {
+      EXPECT_NE(edges.to_string().find(' ' + key.name + '=' + *value),
+                std::string::npos)
+          << key.name;
+    }
+  }
 }
 
 }  // namespace

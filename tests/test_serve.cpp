@@ -43,6 +43,27 @@ std::string temp_store(const std::string& name) {
   return path;
 }
 
+// First in this binary, so no engine has run yet: the metrics op still
+// lists every engine series, reading 0 rather than leaving it out.
+TEST(ServeProtocol, MetricsListEveryEngineSeriesBeforeAnyRun) {
+  QueryService service({1, nullptr});
+  std::string reply;
+  ASSERT_TRUE(serve::handle_request(service, R"({"op":"metrics"})",
+                                    [&](const std::string& text) { reply = text; }));
+  json::Value parsed;
+  ASSERT_TRUE(json::parse(reply, &parsed)) << reply;
+  const std::string text = "\n" + parsed.find("metrics")->string;
+  for (const char* name :
+       {"routesim_engine_cells_cache_total", "routesim_engine_cells_store_total",
+        "routesim_engine_cells_computed_total", "routesim_engine_tasks_total",
+        "routesim_engine_task_seconds_total",
+        "routesim_engine_worker_seconds_total", "routesim_engine_busy_workers",
+        "routesim_engine_pool_workers"}) {
+    const std::string line_start = std::string("\n").append(name).append(" ");
+    EXPECT_NE(text.find(line_start), std::string::npos) << name;
+  }
+}
+
 TEST(QueryService, ComputesThenServesFromCache) {
   QueryService service({0, nullptr});
 

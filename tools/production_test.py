@@ -323,14 +323,15 @@ def raw_result(line):
 
 
 def engine_tasks_total(connection, reader):
-    """routesim_engine_tasks_total, read through the metrics op (0 until
-    the first engine run registers it)."""
+    """routesim_engine_tasks_total, read through the metrics op (listed,
+    at 0, from a fresh daemon's first scrape)."""
     connection.sendall(b'{"op":"metrics"}\n')
     response = json.loads(reader.readline())
     require(response.get("ok") is True, "metrics op failed: %r" % response)
     for line in response["metrics"].splitlines():
         if line.startswith("routesim_engine_tasks_total "):
             return float(line.split()[1])
+    require(False, "metrics op lists no routesim_engine_tasks_total")
     return 0.0
 
 
@@ -361,6 +362,8 @@ def check_burst_computes_once(bench, serve, tmp):
         readers = [connection.makefile("r") for connection in connections]
         control, burst = connections[0], connections[1:]
         tasks_before = engine_tasks_total(control, readers[0])
+        require(tasks_before == 0.0,
+                "a fresh daemon reports %r engine tasks" % tasks_before)
 
         request = (json.dumps({"op": "query", "scenario": scenario}) + "\n").encode()
         for connection in burst:
