@@ -11,7 +11,6 @@
 #include "des/event_queue.hpp"
 #include "obs/trace.hpp"
 #include "queueing/levelled_network.hpp"
-#include "queueing/ps_server.hpp"
 #include "routing/topology_greedy.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
@@ -53,20 +52,24 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(64)->Arg(1024)->Arg(16384);
 
-void BM_PsServerBatch(benchmark::State& state) {
-  Rng rng(5);
-  std::vector<double> arrivals;
-  double t = 0.0;
-  for (int i = 0; i < 1000; ++i) {
-    t += rng.uniform();
-    arrivals.push_back(t);
-  }
+// One PS server (unit rate, Poisson arrivals at rate 0.9) run by
+// LevelledNetwork: the PsVirtualClock every discipline=ps result runs on,
+// with the network's event queue and stale-completion filter around it.
+void BM_PsServerNetwork(benchmark::State& state) {
+  LevelledNetworkConfig config;
+  config.servers.push_back(LevelledServerSpec{1.0, 0.9, {}});
+  config.discipline = Discipline::kPs;
+  config.seed = 5;
+  std::uint64_t departures = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ps_departure_times(arrivals, 1.0));
+    LevelledNetwork net(config);
+    net.run(0.0, 1000.0);
+    departures += net.departures_in_window();
   }
-  state.SetItemsProcessed(state.iterations() * 1000);
+  state.SetItemsProcessed(static_cast<std::int64_t>(departures));
+  state.SetLabel("customers");
 }
-BENCHMARK(BM_PsServerBatch);
+BENCHMARK(BM_PsServerNetwork);
 
 void BM_TopologyGreedySim(benchmark::State& state) {
   const int d = static_cast<int>(state.range(0));
@@ -155,7 +158,7 @@ BENCHMARK(BM_KernelSlottedHeavyTraffic);
 // difference (every enqueue onto an arc is one hop), so set-up and the
 // warm-up transient before the shorter horizon cancel.  d12_over_d8 is how
 // much that cost grows from 2^8 to 2^12 nodes, as the arc headers and
-// packet records outgrow the caches (ROADMAP item B gates it at 2).
+// packet records outgrow the caches; CI fails a build whose ratio exceeds 2.
 void BM_KernelHopScaling(benchmark::State& state) {
   using clock = std::chrono::steady_clock;
   struct Side {

@@ -640,7 +640,7 @@ const std::vector<ScenarioKey>& Scenario::keys() {
        // Both values run the same code, so equal scenarios share one
        // cache entry.  The row goes once the benchmark retires hc_slot_soa;
        // the store then drops it from old records as it drops `threads`
-       // (ROADMAP item D).
+       // (without_retired_keys in store/result_store.cpp).
        .set = [](S& s, V v) {
          if (v != "scalar" && v != "soa_batch") {
            throw ScenarioError("unknown kernel backend '" + std::string(v) +

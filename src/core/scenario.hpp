@@ -180,7 +180,7 @@ struct Scenario {
   /// drive loop.  Kept because perfbench's hc_slot_soa cell and persisted
   /// store keys carry it; it leaves once the benchmark retires that cell,
   /// and the store then drops it from old records as it drops the retired
-  /// `threads` key (ROADMAP item D).
+  /// `threads` key (`without_retired_keys` in store/result_store.cpp).
   std::string backend = "scalar";
 
   // --- derived ----------------------------------------------------------
@@ -241,9 +241,6 @@ struct Scenario {
   [[nodiscard]] double default_rho() const;
 
   [[nodiscard]] bounds::HypercubeParams hypercube_params() const {
-    return {d, lambda, p};
-  }
-  [[nodiscard]] bounds::ButterflyParams butterfly_params() const {
     return {d, lambda, p};
   }
 

@@ -209,7 +209,6 @@ class KernelStats {
   void begin(double warmup, double horizon);
 
   [[nodiscard]] double warmup() const noexcept { return warmup_; }
-  [[nodiscard]] double measurement_window() const noexcept { return window_; }
 
   // --- accounting (hot path) --------------------------------------------
 

@@ -26,6 +26,7 @@ LevelledNetwork::LevelledNetwork(LevelledNetworkConfig config)
       total_prob += choice.probability;
     }
     RS_EXPECTS_MSG(total_prob <= 1.0 + 1e-9, "routing probabilities exceed 1");
+    servers_[s].ps = PsVirtualClock(spec.service_rate);
     servers_[s].arrival_rng.reseed(derive_stream(config_.seed, s));
   }
   KernelStats::Config stats;
@@ -59,30 +60,17 @@ void LevelledNetwork::enter_server(double now, std::uint32_t server,
                    Ev{EventKind::kFifoDone, server, 0});
     }
   } else {
-    ps_update_virtual(now, server);
-    state.ps_active.emplace(state.virtual_time + 1.0, customer);
+    state.ps.advance(now);
+    state.ps.admit(customer);
     ps_reschedule(now, server);
   }
-}
-
-void LevelledNetwork::ps_update_virtual(double now, std::uint32_t server) {
-  auto& state = servers_[server];
-  if (!state.ps_active.empty()) {
-    state.virtual_time += (now - state.last_update) *
-                          config_.servers[server].service_rate /
-                          static_cast<double>(state.ps_active.size());
-  }
-  state.last_update = now;
 }
 
 void LevelledNetwork::ps_reschedule(double now, std::uint32_t server) {
   auto& state = servers_[server];
   ++state.ps_stamp;
-  if (state.ps_active.empty()) return;
-  const double gap = (state.ps_active.begin()->first - state.virtual_time) *
-                     static_cast<double>(state.ps_active.size()) /
-                     config_.servers[server].service_rate;
-  events_.push(now + (gap > 0.0 ? gap : 0.0),
+  if (state.ps.empty()) return;
+  events_.push(now + state.ps.gap_to_completion(),
                Ev{EventKind::kPsDone, server, state.ps_stamp});
 }
 
@@ -169,12 +157,9 @@ void LevelledNetwork::run(double warmup, double horizon) {
       case EventKind::kPsDone: {
         auto& state = servers_[payload.server];
         if (payload.stamp != state.ps_stamp) break;  // superseded schedule
-        RS_DASSERT(!state.ps_active.empty());
-        ps_update_virtual(t, payload.server);
-        const auto it = state.ps_active.begin();
-        const std::uint32_t customer = it->second;
-        state.virtual_time = it->first;  // absorb rounding drift
-        state.ps_active.erase(it);
+        RS_DASSERT(!state.ps.empty());
+        state.ps.advance(t);
+        const std::uint32_t customer = state.ps.complete();
         ps_reschedule(t, payload.server);
         complete_service(t, payload.server, customer);
         break;

@@ -16,8 +16,9 @@
 /// is the shared KernelStats of des/packet_kernel.hpp — the same path the
 /// packet-level simulators use — so Q's metrics are directly comparable
 /// with the direct simulation's.  The customer pool and the FIFO queues
-/// reuse the kernel's Pool/Ring storage as well; only the PS virtual
-/// time and the coupled routing uniforms are specific to this class.
+/// reuse the kernel's Pool/Ring storage as well; the PS servers each run a
+/// PsVirtualClock, and the coupled routing uniforms are specific to this
+/// class.
 ///
 /// **Sample-path coupling.**  The dominance results (Lemmas 9-10, Prop. 11)
 /// compare FIFO and PS *on the same sample path ω*: identical external
@@ -48,6 +49,61 @@ enum class Discipline : std::uint8_t { kFifo, kPs };
 struct RoutingChoice {
   double probability = 0.0;
   std::uint32_t target = 0;
+};
+
+/// Fair-share virtual time of one deterministic Processor-Sharing server
+/// (§3.3), whose customers each bring unit work.  Every customer present
+/// receives an equal share of the service rate: the virtual clock V(t)
+/// advances at rate r / n(t), and a customer admitted at virtual time V
+/// completes when the clock reaches V + 1, so in exact arithmetic customers
+/// complete in admission order.  The paper's worked example (unit rate,
+/// arrivals at 0 and 1/2, departures at 3/2 and 2) is a unit test of this
+/// type.
+///
+/// Completion tags are kept in a multimap, not a FIFO of admissions:
+/// complete() sets V to the head's tag to absorb rounding drift, so V can
+/// step back by an ulp and a later tag can tie or precede an earlier one.
+/// The multimap completes by tag, ties in admission order.
+class PsVirtualClock {
+ public:
+  explicit PsVirtualClock(double rate = 1.0) : rate_(rate) {}
+
+  /// Advances the clock to real time `now` (>= the last advance).
+  void advance(double now) noexcept {
+    if (!active_.empty()) {
+      virtual_time_ += (now - last_update_) * rate_ / static_cast<double>(active_.size());
+    }
+    last_update_ = now;
+  }
+
+  /// Admits a unit-work customer at the time of the last advance.
+  void admit(std::uint32_t customer) { active_.emplace(virtual_time_ + 1.0, customer); }
+
+  /// Real time from the last advance until the head customer completes
+  /// (never negative).  Precondition: !empty().
+  [[nodiscard]] double gap_to_completion() const noexcept {
+    const double gap = (active_.begin()->first - virtual_time_) *
+                       static_cast<double>(active_.size()) / rate_;
+    return gap > 0.0 ? gap : 0.0;
+  }
+
+  /// Removes the head customer and returns it; call advance() to the
+  /// completion time first.  Precondition: !empty().
+  std::uint32_t complete() {
+    const auto head = active_.begin();
+    const std::uint32_t customer = head->second;
+    virtual_time_ = head->first;  // absorb rounding drift
+    active_.erase(head);
+    return customer;
+  }
+
+  [[nodiscard]] bool empty() const noexcept { return active_.empty(); }
+
+ private:
+  std::multimap<double, std::uint32_t> active_;  ///< completion tag -> customer
+  double virtual_time_ = 0.0;
+  double last_update_ = 0.0;
+  double rate_;
 };
 
 /// Static description of one server.
@@ -158,18 +214,14 @@ class LevelledNetwork {
   struct ServerState {
     // FIFO: customers in arrival order; front is in service.
     Ring<std::uint32_t> fifo;
-    // PS: active customers keyed by the virtual time at which they finish.
-    std::multimap<double, std::uint32_t> ps_active;
-    double virtual_time = 0.0;
-    double last_update = 0.0;
-    std::uint64_t ps_stamp = 0;
+    PsVirtualClock ps;
+    std::uint64_t ps_stamp = 0;  ///< generation of the pending kPsDone event
     std::uint64_t completions = 0;  ///< routing-decision counter (the "k")
     Rng arrival_rng{0};
   };
 
   void enter_server(double now, std::uint32_t server, std::uint32_t customer);
   void complete_service(double now, std::uint32_t server, std::uint32_t customer);
-  void ps_update_virtual(double now, std::uint32_t server);
   void ps_reschedule(double now, std::uint32_t server);
   void schedule_next_external(double now, std::uint32_t server);
   void on_network_departure(double now, std::uint32_t customer);

@@ -24,10 +24,8 @@
 #include "des/event_queue.hpp"
 
 #include "queueing/analytic.hpp"
-#include "queueing/fifo_server.hpp"
 #include "queueing/levelled_network.hpp"
 #include "queueing/product_form.hpp"
-#include "queueing/ps_server.hpp"
 
 #include "routing/batch_router.hpp"
 #include "routing/deflection.hpp"

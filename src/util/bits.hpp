@@ -40,13 +40,6 @@ using NodeId = std::uint32_t;
   return mask == 0 ? 0 : std::countr_zero(mask) + 1;
 }
 
-/// The lowest set dimension of mask that is strictly greater than m
-/// (all 1-based), or 0 when no such dimension exists.
-[[nodiscard]] constexpr int next_dimension_after(NodeId mask, int m) noexcept {
-  const NodeId higher = mask & ~((NodeId{1} << m) - 1u);
-  return lowest_dimension(higher);
-}
-
 /// Flip dimension m (1-based) of x: the neighbour x XOR e_m.
 [[nodiscard]] constexpr NodeId flip_dimension(NodeId x, int m) noexcept {
   return x ^ basis_node(m);

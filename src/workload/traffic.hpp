@@ -7,12 +7,10 @@
 /// processes is a single Poisson process of rate lambda * 2^d whose points
 /// carry independent uniformly distributed origins — MergedPoissonSource
 /// exploits this (it is an exact, not approximate, representation and keeps
-/// the pending-event set small).  PerNodePoissonSource keeps one stream per
-/// node and is used by the tests to cross-validate the superposition.
-/// (The slotted arrivals of §3.4 are the packet kernel's kSlot process.)
+/// the pending-event set small).  (The slotted arrivals of §3.4 are the
+/// packet kernel's kSlot process.)
 
 #include <cstdint>
-#include <vector>
 
 #include "util/bits.hpp"
 #include "util/distributions.hpp"
@@ -42,30 +40,6 @@ class MergedPoissonSource {
   double total_rate_;
   double now_ = 0.0;
   Rng rng_;
-};
-
-/// Literal per-node Poisson streams (test/cross-validation implementation).
-class PerNodePoissonSource {
- public:
-  PerNodePoissonSource(std::uint32_t num_nodes, double rate_per_node,
-                       std::uint64_t seed);
-
-  /// Next packet over all nodes, in global time order.
-  [[nodiscard]] PacketBirth next();
-
- private:
-  struct NodeClock {
-    double next_time;
-    NodeId node;
-    bool operator>(const NodeClock& other) const noexcept {
-      return next_time > other.next_time ||
-             (next_time == other.next_time && node > other.node);
-    }
-  };
-
-  double rate_;
-  std::vector<Rng> rngs_;
-  std::vector<NodeClock> heap_;  // binary min-heap via std::*_heap with greater
 };
 
 }  // namespace routesim

@@ -55,14 +55,6 @@ TEST(Bits, LowestDimensionFindsFirstSetBit) {
   EXPECT_EQ(lowest_dimension(0b1000), 4);
 }
 
-TEST(Bits, NextDimensionAfterSkipsLowBits) {
-  const NodeId mask = 0b10110;  // dimensions 2, 3, 5
-  EXPECT_EQ(next_dimension_after(mask, 0), 2);
-  EXPECT_EQ(next_dimension_after(mask, 2), 3);
-  EXPECT_EQ(next_dimension_after(mask, 3), 5);
-  EXPECT_EQ(next_dimension_after(mask, 5), 0);
-}
-
 TEST(Bits, FlipDimensionIsInvolution) {
   const NodeId x = 0b1100;
   for (int m = 1; m <= 4; ++m) {

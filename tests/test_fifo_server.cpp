@@ -1,14 +1,11 @@
-// Tests for the deterministic FIFO server, including the sample-path
-// monotonicity of Lemma 8.
-
-#include "queueing/fifo_server.hpp"
+// Tests for the deterministic FIFO server's Lindley recursion (the oracle
+// of the Lemma 7 tests), including the sample-path monotonicity of Lemma 8.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
-#include "util/assert.hpp"
+#include "single_server.hpp"
 #include "util/rng.hpp"
 
 namespace routesim {
@@ -34,25 +31,6 @@ TEST(FifoServer, NonUnitService) {
 
 TEST(FifoServer, EmptyInput) {
   EXPECT_TRUE(fifo_departure_times(std::vector<double>{}, 1.0).empty());
-}
-
-TEST(FifoServer, RejectsUnsortedArrivals) {
-  const std::vector<double> arrivals{1.0, 0.5};
-  EXPECT_THROW((void)fifo_departure_times(arrivals, 1.0), ContractViolation);
-}
-
-TEST(FifoServer, RejectsNonPositiveService) {
-  const std::vector<double> arrivals{0.0};
-  EXPECT_THROW((void)fifo_departure_times(arrivals, 0.0), ContractViolation);
-}
-
-TEST(FifoServer, ClockMatchesBatch) {
-  const std::vector<double> arrivals{0.0, 0.3, 2.0, 2.1, 9.0};
-  const auto batch = fifo_departure_times(arrivals, 1.0);
-  FifoClock clock(1.0);
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    EXPECT_DOUBLE_EQ(clock.on_arrival(arrivals[i]), batch[i]);
-  }
 }
 
 TEST(FifoServer, DeparturesAreStrictlySpacedByService) {

@@ -1,14 +1,15 @@
 // Tests for the deterministic Processor-Sharing server, including the
 // paper's worked example (§3.3) and the FIFO-vs-PS dominance of Lemma 7.
-
-#include "queueing/ps_server.hpp"
+// They drive PsVirtualClock, the virtual time LevelledNetwork's PS servers
+// run on, through the one-server arrival loop of single_server.hpp.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
-#include "queueing/fifo_server.hpp"
-#include "util/assert.hpp"
+#include "queueing/levelled_network.hpp"
+#include "single_server.hpp"
 #include "util/rng.hpp"
 
 namespace routesim {
@@ -52,15 +53,6 @@ TEST(PsServer, ServiceRateScalesTime) {
   EXPECT_NEAR(departures[1], 1.0, 1e-12);
 }
 
-TEST(PsServer, UnequalWorks) {
-  // Job A (work 1) at t=0; job B (work 0.25) at t=0.  B finishes first at
-  // t=0.5 (attained 0.25 each), then A alone finishes at t=1.25.
-  const std::vector<PsArrival> arrivals{{0.0, 1.0}, {0.0, 0.25}};
-  const auto departures = ps_departure_times(arrivals, 1.0);
-  EXPECT_NEAR(departures[1], 0.5, 1e-12);
-  EXPECT_NEAR(departures[0], 1.25, 1e-12);
-}
-
 TEST(PsServer, WorkConservation) {
   // Total busy time equals total work when there is no idling interval:
   // last departure = first arrival + total work for a backlogged server.
@@ -85,13 +77,19 @@ TEST(PsServer, UnitWorkCustomersDepartInArrivalOrder) {
   }
 }
 
-TEST(PsServer, RejectsBadInput) {
-  EXPECT_THROW((void)ps_departure_times(std::vector<double>{1.0, 0.5}, 1.0),
-               ContractViolation);
-  EXPECT_THROW((void)ps_departure_times(std::vector<double>{0.0}, 0.0),
-               ContractViolation);
-  const std::vector<PsArrival> bad_work{{0.0, 0.0}};
-  EXPECT_THROW((void)ps_departure_times(bad_work, 1.0), ContractViolation);
+TEST(PsServer, TiedCompletionTagsCompleteInAdmissionOrder) {
+  // Simultaneous admissions share one completion tag; the clock must hand
+  // them back in the order they were admitted.
+  PsVirtualClock clock(1.0);
+  clock.advance(0.0);
+  for (std::uint32_t customer = 0; customer < 4; ++customer) clock.admit(customer);
+  EXPECT_DOUBLE_EQ(clock.gap_to_completion(), 4.0);
+  clock.advance(4.0);
+  for (std::uint32_t customer = 0; customer < 4; ++customer) {
+    EXPECT_DOUBLE_EQ(clock.gap_to_completion(), 0.0);
+    EXPECT_EQ(clock.complete(), customer);
+  }
+  EXPECT_TRUE(clock.empty());
 }
 
 // Lemma 7: for the same arrival sequence, each departure from the PS server

@@ -1,7 +1,7 @@
 // Cross-checks against independent reference implementations:
 //   - the event queue against std::priority_queue;
-//   - the PS virtual-time server against a brute-force fixed-step
-//     integrator of the fair-sharing dynamics;
+//   - the PS virtual time LevelledNetwork runs on (PsVirtualClock) against
+//     a brute-force fixed-step integrator of the fair-sharing dynamics;
 //   - exact conservation laws (arrivals = departures + backlog) on the
 //     packet-level simulators and the levelled network;
 //   - trace replay vs. live Poisson generation (statistical equivalence).
@@ -15,8 +15,8 @@
 #include "core/equivalence.hpp"
 #include "des/event_queue.hpp"
 #include "queueing/levelled_network.hpp"
-#include "queueing/ps_server.hpp"
 #include "routing/topology_greedy.hpp"
+#include "single_server.hpp"
 #include "util/rng.hpp"
 #include "workload/trace.hpp"
 

@@ -1,11 +1,10 @@
-// Tests for the Poisson traffic sources, including the superposition
-// equivalence that the fast simulators rely on.
+// Tests for the merged Poisson traffic source: the superposition of the
+// per-node streams that the fast simulators rely on.
 
 #include "workload/traffic.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "stats/summary.hpp"
@@ -56,59 +55,9 @@ TEST(MergedPoisson, GapsAreExponential) {
   EXPECT_NEAR(gaps.stddev(), gaps.mean(), 0.01);  // exponential: cv = 1
 }
 
-TEST(PerNodePoisson, GlobalTimeOrder) {
-  PerNodePoissonSource source(32, 0.3, 5);
-  double last = 0.0;
-  for (int i = 0; i < 20000; ++i) {
-    const auto birth = source.next();
-    EXPECT_GE(birth.time, last);
-    EXPECT_LT(birth.origin, 32u);
-    last = birth.time;
-  }
-}
-
-TEST(PerNodePoisson, PerNodeRatesAreLambda) {
-  PerNodePoissonSource source(16, 0.4, 6);
-  std::vector<int> counts(16, 0);
-  double horizon = 20000.0;
-  for (;;) {
-    const auto birth = source.next();
-    if (birth.time > horizon) break;
-    ++counts[birth.origin];
-  }
-  for (const int c : counts) {
-    EXPECT_NEAR(c / horizon, 0.4, 0.03);
-  }
-}
-
-TEST(SuperpositionEquivalence, MergedAndPerNodeAgreeStatistically) {
-  // The merged source must be statistically indistinguishable from the
-  // per-node construction: compare total counts and per-node shares.
-  const double horizon = 30000.0;
-  MergedPoissonSource merged(8, 0.2, Rng(7));
-  PerNodePoissonSource per_node(8, 0.2, 7);
-
-  int merged_count = 0;
-  for (;;) {
-    const auto birth = merged.next();
-    if (birth.time > horizon) break;
-    ++merged_count;
-  }
-  int per_node_count = 0;
-  for (;;) {
-    const auto birth = per_node.next();
-    if (birth.time > horizon) break;
-    ++per_node_count;
-  }
-  const double expected = 8 * 0.2 * horizon;
-  EXPECT_NEAR(merged_count, expected, 4.0 * std::sqrt(expected));
-  EXPECT_NEAR(per_node_count, expected, 4.0 * std::sqrt(expected));
-}
-
 TEST(Sources, RejectBadRates) {
   EXPECT_THROW(MergedPoissonSource(0, 0.5, Rng(1)), ContractViolation);
   EXPECT_THROW(MergedPoissonSource(4, 0.0, Rng(1)), ContractViolation);
-  EXPECT_THROW(PerNodePoissonSource(4, -1.0, 1), ContractViolation);
 }
 
 }  // namespace

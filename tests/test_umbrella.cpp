@@ -33,7 +33,7 @@ TEST(Umbrella, AllModuleTypesVisible) {
   [[maybe_unused]] TimeWeighted weighted;
   [[maybe_unused]] Histogram histogram(0.0, 1.0, 4);
   [[maybe_unused]] EventQueue<int> events;
-  [[maybe_unused]] FifoClock clock(1.0);
+  [[maybe_unused]] PsVirtualClock clock(1.0);
   EXPECT_EQ(cube.num_nodes(), 8u);
   EXPECT_EQ(bfly.num_nodes(), 12u);
 }
