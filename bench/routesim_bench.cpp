@@ -287,8 +287,7 @@ int main(int argc, char** argv) {
     std::vector<routesim::ResultSink*> sinks;
     std::unique_ptr<routesim::JsonlSink> jsonl;
     if (!jsonl_path.empty()) {
-      jsonl = std::make_unique<routesim::JsonlSink>(
-          jsonl_path, routesim::JsonlSink::FileOptions{append_jsonl, true});
+      jsonl = std::make_unique<routesim::JsonlSink>(jsonl_path, append_jsonl);
       if (!jsonl->ok()) {
         std::cerr << "cannot write JSONL to " << jsonl_path << '\n';
         return 1;
@@ -297,8 +296,7 @@ int main(int argc, char** argv) {
     }
     std::unique_ptr<routesim::obs::ProgressMeter> progress;
     if (progress_requested) {
-      progress = std::make_unique<routesim::obs::ProgressMeter>(
-          routesim::obs::ProgressMeter::Options{progress_forced, 0.5});
+      progress = std::make_unique<routesim::obs::ProgressMeter>(progress_forced);
       // Inactive (stderr not a TTY, no =force) meters are not registered
       // at all, so piped runs stay byte-clean.
       if (progress->active()) sinks.push_back(progress.get());

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
       scenario.d = d;
       scenario.p = 0.5;
       scenario.lambda = rho;  // rho = lambda * max{p, 1-p} = lambda here
-      scenario.fault_rate = fault_rate;
+      scenario.faults.arc_fault_rate = fault_rate;
       scenario.fault_policy = policy;
       scenario.measure = 1500.0;
       scenario.plan = {6, 777};
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
 
   auto& checker = suite.checker();
   for (const auto& outcome : suite.outcomes()) {
-    const double f = outcome.spec.scenario.fault_rate;
+    const double f = outcome.spec.scenario.faults.arc_fault_rate;
     const auto* ratio = outcome.result.extra("delivery_ratio");
     const auto* stretch = outcome.result.extra("mean_stretch");
     checker.require(ratio != nullptr && stretch != nullptr,

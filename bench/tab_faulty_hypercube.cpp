@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
         scenario.d = 6;
         scenario.p = 0.5;
         scenario.lambda = rho / scenario.p;
-        scenario.fault_rate = fault_rate;
+        scenario.faults.arc_fault_rate = fault_rate;
         scenario.fault_policy = policy;
         scenario.measure = 1500.0;
         scenario.plan = {4, 4242};
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
                     outcome.spec.label + ": delivery ratio in (0, 1]");
     checker.require(stretch->mean >= 1.0 - 1e-12,
                     outcome.spec.label + ": stretch >= 1");
-    if (outcome.spec.scenario.fault_rate == 0.0) {
+    if (outcome.spec.scenario.faults.arc_fault_rate == 0.0) {
       checker.require(ratio->mean == 1.0,
                       outcome.spec.label + ": fault-free delivery ratio == 1");
       checker.require(stretch->mean == 1.0,
@@ -79,12 +79,12 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < suite.outcomes().size(); ++i) {
     const auto& drop = suite.outcomes()[i];
     if (drop.spec.scenario.fault_policy != "drop" ||
-        drop.spec.scenario.fault_rate == 0.0) {
+        drop.spec.scenario.faults.arc_fault_rate == 0.0) {
       continue;
     }
     for (const auto& other : suite.outcomes()) {
       if (other.spec.scenario.fault_policy == "skip_dim" &&
-          other.spec.scenario.fault_rate == drop.spec.scenario.fault_rate &&
+          other.spec.scenario.faults.arc_fault_rate == drop.spec.scenario.faults.arc_fault_rate &&
           other.spec.scenario.lambda == drop.spec.scenario.lambda) {
         const auto* skip_ratio = other.result.extra("delivery_ratio");
         const auto* drop_ratio = drop.result.extra("delivery_ratio");

@@ -41,9 +41,8 @@ double giant_component_fraction(double fault_rate) {
   const routesim::HypercubeTopology cube(kDim);
   routesim::FaultModelConfig config;
   config.arc_fault_rate = fault_rate;
-  config.seed = routesim::derive_stream(kBaseSeed, 0);
   routesim::FaultModel model;
-  model.configure(config, cube);
+  model.configure(config, cube, routesim::derive_stream(kBaseSeed, 0));
 
   const std::uint32_t n = cube.num_nodes();
   std::vector<std::uint8_t> seen(n, 0);
@@ -97,7 +96,7 @@ int main(int argc, char** argv) {
       scenario.d = kDim;
       scenario.p = 0.5;
       scenario.lambda = rho / scenario.p;
-      scenario.fault_rate = fault_rate;
+      scenario.faults.arc_fault_rate = fault_rate;
       scenario.fault_policy = policy;
       scenario.measure = 200.0;
       scenario.plan = {3, kBaseSeed};
@@ -131,7 +130,7 @@ int main(int argc, char** argv) {
                             double fault_rate) -> const routesim::ConfidenceInterval* {
     for (const auto& outcome : suite.outcomes()) {
       if (outcome.spec.scenario.fault_policy == policy &&
-          outcome.spec.scenario.fault_rate == fault_rate) {
+          outcome.spec.scenario.faults.arc_fault_rate == fault_rate) {
         return outcome.result.extra("delivery_ratio");
       }
     }

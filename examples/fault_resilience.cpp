@@ -32,7 +32,7 @@ int main() {
       scenario.d = 6;
       scenario.p = 0.5;
       scenario.lambda = 1.0;  // rho = lambda * p = 0.5
-      scenario.fault_rate = fault_rate;
+      scenario.faults.arc_fault_rate = fault_rate;
       scenario.fault_policy = policy;
       scenario.measure = 2000.0;
       scenario.plan = ReplicationPlan{4, /*seed=*/7};

@@ -217,9 +217,8 @@ std::string result_to_json(const RunResult& result) {
   return out;
 }
 
-JsonlSink::JsonlSink(const std::string& path, FileOptions options)
-    : file_(std::fopen(path.c_str(), options.append ? "ab" : "wb")),
-      file_options_(options) {}
+JsonlSink::JsonlSink(const std::string& path, bool append)
+    : file_(std::fopen(path.c_str(), append ? "ab" : "wb")) {}
 
 JsonlSink::~JsonlSink() {
   if (file_ != nullptr) std::fclose(file_);
@@ -237,7 +236,7 @@ void JsonlSink::on_cell(const CellResult& cell) {
     std::fflush(file_);
     // Durability, not just visibility: a record either survives a kill
     // entirely or is a truncated tail the store loader tolerates.
-    if (file_options_.fsync_each) ::fsync(fileno(file_));
+    ::fsync(fileno(file_));
     return;
   }
   *out_ << line << '\n';

@@ -227,18 +227,13 @@ void append_result_fields(std::string& out, const RunResult& result,
 /// scheme-specific metric.  Non-finite numbers are emitted as null.
 ///
 /// Two construction modes: an ostream (caller owns buffering/lifetime,
-/// flushed per record), or a file path with durability options — append
-/// instead of truncate, and fsync after every record so a killed process
-/// always leaves a valid resumable prefix (`--resume` replays it).
+/// flushed per record), or a file path, truncated or (`append`) appended
+/// to, with an fsync after every record so a killed process always leaves
+/// a valid resumable prefix (`--resume` replays it).
 class JsonlSink final : public ResultSink {
  public:
-  struct FileOptions {
-    bool append = false;      ///< open O_APPEND instead of truncating
-    bool fsync_each = true;   ///< fsync(2) after every record
-  };
-
   explicit JsonlSink(std::ostream& out) : out_(&out) {}
-  JsonlSink(const std::string& path, FileOptions options);
+  JsonlSink(const std::string& path, bool append);
   JsonlSink(const JsonlSink&) = delete;
   JsonlSink& operator=(const JsonlSink&) = delete;
   ~JsonlSink() override;
@@ -256,7 +251,6 @@ class JsonlSink final : public ResultSink {
  private:
   std::ostream* out_ = nullptr;   ///< ostream mode (not owned)
   std::FILE* file_ = nullptr;     ///< file mode (owned)
-  FileOptions file_options_{};
   std::string campaign_ = "campaign";
 };
 

@@ -1,7 +1,6 @@
 #include "core/equivalence.hpp"
 
 #include "core/registry.hpp"
-#include "stats/little.hpp"
 
 #include <cmath>
 
@@ -139,14 +138,6 @@ CompiledScenario compile_network_q(const Scenario& s, Discipline discipline) {
     LevelledNetwork net(
         make_hypercube_network_q(s.d, s.lambda, p_eff, discipline, seed));
     net.run(window.warmup, window.horizon);
-    const double window_length = window.horizon - window.warmup;
-    LittleCheck little;
-    little.time_avg_population = net.time_avg_population();
-    little.arrival_rate =
-        window_length > 0.0
-            ? static_cast<double>(net.arrivals_in_window()) / window_length
-            : 0.0;
-    little.mean_sojourn = net.delay().mean();
     // Packets whose destination equals their origin (probability (1-p)^d)
     // never enter Q; the paper's T averages over *all* packets, so the
     // in-network sojourn is scaled by the probability of entering.
@@ -155,7 +146,7 @@ CompiledScenario compile_network_q(const Scenario& s, Discipline discipline) {
                                net.time_avg_population(),
                                net.throughput(),
                                0.0,
-                               little.relative_error(),
+                               net.little_check().relative_error(),
                                net.final_population()};
   };
   const bounds::HypercubeParams params{s.d, s.lambda, p_eff};

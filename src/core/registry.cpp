@@ -72,18 +72,18 @@ void SchemeRegistry::SchemeInfo::check(const Scenario& s) const {
           " (clear fault_rate, node_fault_rate, fault_mtbf, fault_mttr, "
           "storm_rate and storm_duration)");
     }
-    if ((s.fault_mtbf > 0.0) != (s.fault_mttr > 0.0)) {
+    if ((s.faults.mtbf > 0.0) != (s.faults.mttr > 0.0)) {
       throw ScenarioError(
           "dynamic faults need both fault_mtbf and fault_mttr > 0 (got mtbf=" +
-          std::to_string(s.fault_mtbf) + ", mttr=" +
-          std::to_string(s.fault_mttr) + ")");
+          std::to_string(s.faults.mtbf) + ", mttr=" +
+          std::to_string(s.faults.mttr) + ")");
     }
-    if ((s.storm_rate > 0.0) != (s.storm_duration > 0.0)) {
+    if ((s.faults.storm_rate > 0.0) != (s.faults.storm_duration > 0.0)) {
       throw ScenarioError(
           "fault storms need both storm_rate and storm_duration > 0 (got "
-          "storm_rate=" + fmt_shortest(s.storm_rate) + ", storm_duration=" +
-          fmt_shortest(s.storm_duration) + ") — did you mean to also set " +
-          (s.storm_rate > 0.0 ? "storm_duration" : "storm_rate") + "?");
+          "storm_rate=" + fmt_shortest(s.faults.storm_rate) + ", storm_duration=" +
+          fmt_shortest(s.faults.storm_duration) + ") — did you mean to also set " +
+          (s.faults.storm_rate > 0.0 ? "storm_duration" : "storm_rate") + "?");
     }
     if (!lists(fault_policies, s.fault_policy)) {
       throw unsupported("fault_policy '" + s.fault_policy +

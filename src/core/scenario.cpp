@@ -565,41 +565,41 @@ const std::vector<ScenarioKey>& Scenario::keys() {
        .append = [](const S& s, Out out) { return text(out, s.buffer_capacity); }},
       {.name = "fault_rate", .type = "double", .sweepable = true,
        .doc = "P[arc statically down], per replication",
-       .set = [](S& s, V v) { s.fault_rate = probability(number(v)); },
-       .append = [](const S& s, Out out) { return text(out, s.fault_rate); }},
+       .set = [](S& s, V v) { s.faults.arc_fault_rate = probability(number(v)); },
+       .append = [](const S& s, Out out) { return text(out, s.faults.arc_fault_rate); }},
       {.name = "node_fault_rate", .type = "double", .sweepable = true,
        .doc = "P[node down]; a dead node takes all its incident arcs down",
-       .set = [](S& s, V v) { s.node_fault_rate = probability(number(v)); },
-       .append = [](const S& s, Out out) { return text(out, s.node_fault_rate); }},
+       .set = [](S& s, V v) { s.faults.node_fault_rate = probability(number(v)); },
+       .append = [](const S& s, Out out) { return text(out, s.faults.node_fault_rate); }},
       {.name = "fault_mtbf", .type = "double",
        .doc = "mean link up-time; > 0 with fault_mttr => dynamic up/down "
               "process",
-       .set = [](S& s, V v) { s.fault_mtbf = at_least(number(v), 0.0); },
-       .append = [](const S& s, Out out) { return text(out, s.fault_mtbf); }},
+       .set = [](S& s, V v) { s.faults.mtbf = at_least(number(v), 0.0); },
+       .append = [](const S& s, Out out) { return text(out, s.faults.mtbf); }},
       {.name = "fault_mttr", .type = "double",
        .doc = "mean link repair time",
-       .set = [](S& s, V v) { s.fault_mttr = at_least(number(v), 0.0); },
-       .append = [](const S& s, Out out) { return text(out, s.fault_mttr); }},
+       .set = [](S& s, V v) { s.faults.mttr = at_least(number(v), 0.0); },
+       .append = [](const S& s, Out out) { return text(out, s.faults.mttr); }},
       {.name = "storm_rate", .type = "double", .sweepable = true,
        .doc = "correlated fault storms: Poisson storm arrivals per unit time "
               "(each downs the incidence ball around a random seed node); "
               "needs storm_duration",
        .set = [](S& s, V v) {
-         s.storm_rate = at_least(finite(number(v)), 0.0);
+         s.faults.storm_rate = at_least(finite(number(v)), 0.0);
        },
-       .append = [](const S& s, Out out) { return text(out, s.storm_rate); }},
+       .append = [](const S& s, Out out) { return text(out, s.faults.storm_rate); }},
       {.name = "storm_radius", .type = "int",
        .doc = "hop radius of a storm's incidence ball around its seed node "
               "(0 = the seed's own arcs)",
-       .set = [](S& s, V v) { s.storm_radius = at_least(integer(v), 0); },
-       .append = [](const S& s, Out out) { return text(out, s.storm_radius); }},
+       .set = [](S& s, V v) { s.faults.storm_radius = at_least(integer(v), 0); },
+       .append = [](const S& s, Out out) { return text(out, s.faults.storm_radius); }},
       {.name = "storm_duration", .type = "double",
        .doc = "storm lifetime; covered arcs are restored when the storm passes "
               "(overlapping storms stack)",
        .set = [](S& s, V v) {
-         s.storm_duration = at_least(finite(number(v)), 0.0);
+         s.faults.storm_duration = at_least(finite(number(v)), 0.0);
        },
-       .append = [](const S& s, Out out) { return text(out, s.storm_duration); }},
+       .append = [](const S& s, Out out) { return text(out, s.faults.storm_duration); }},
       {.name = "fault_policy", .type = "string",
        .doc = "reroute policy at a dead arc: drop | skip_dim | deflect | "
               "twin_detour | adaptive (see the fault-policy table)",

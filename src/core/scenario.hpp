@@ -24,6 +24,7 @@
 
 #include "core/bounds.hpp"
 #include "core/experiment.hpp"
+#include "fault/fault_config.hpp"
 #include "stats/ci.hpp"
 #include "util/json.hpp"  // fmt_shortest is part of this API
 #include "workload/destination.hpp"
@@ -155,17 +156,10 @@ struct Scenario {
   std::uint32_t buffer_capacity = 0;  ///< 0 = infinite (the paper's model)
 
   // --- fault injection (src/fault/fault_model.hpp) ---------------------
-  double fault_rate = 0.0;       ///< P[arc statically down], per replication
-  double node_fault_rate = 0.0;  ///< P[node down]; kills its incident arcs
-  double fault_mtbf = 0.0;       ///< mean link up-time (> 0 with mttr => dynamic)
-  double fault_mttr = 0.0;       ///< mean link repair time
-  /// Correlated fault storms (src/fault/storm.hpp): Poisson storm arrivals
-  /// of rate storm_rate, each taking down every arc incident to the
-  /// radius-storm_radius ball around a random seed node for storm_duration
-  /// time units.  storm_rate and storm_duration must be set together.
-  double storm_rate = 0.0;
-  int storm_radius = 1;
-  double storm_duration = 0.0;
+  /// The seven fault knobs, one key row each (fault_rate writes
+  /// arc_fault_rate, fault_mtbf/fault_mttr write mtbf/mttr); the compile
+  /// hooks hand this value to the simulators as it is.
+  FaultModelConfig faults;
   /// Reroute policy when the desired arc is dead: "drop", "skip_dim",
   /// "deflect", "adaptive" (hypercube family) or "twin_detour"
   /// (butterfly).  Consulted only when faults_active().
@@ -191,15 +185,8 @@ struct Scenario {
     return workload == "uniform" ? 0.5 : p;
   }
 
-  /// True when any fault source is configured; schemes attach a FaultModel
-  /// (and drop the paper's bracket) exactly when this holds.  A lone
-  /// fault_mttr counts as "configured" so the engine's scheme check
-  /// (SchemeRegistry::SchemeInfo::check) can reject it instead of silently
-  /// simulating a pristine network.
-  [[nodiscard]] bool faults_active() const noexcept {
-    return fault_rate > 0.0 || node_fault_rate > 0.0 || fault_mtbf > 0.0 ||
-           fault_mttr > 0.0 || storm_rate > 0.0 || storm_duration > 0.0;
-  }
+  /// faults.any(): some fault source is set (FaultModelConfig::any).
+  [[nodiscard]] bool faults_active() const noexcept { return faults.any(); }
 
   /// True when the scenario selects a family outside the paper (ring /
   /// torus / mesh), whose load factor and diameter come from the built

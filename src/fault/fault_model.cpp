@@ -1,15 +1,16 @@
 #include "fault/fault_model.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <utility>
 
 #include "topology/topology.hpp"
 #include "util/assert.hpp"
 #include "util/distributions.hpp"
 
 namespace routesim {
+
+/// Keeps fault draws off the traffic streams of the replication.
+constexpr std::uint64_t kFaultStreamSalt = 0xFA17;
 
 FaultPolicy parse_fault_policy(const std::string& name) {
   if (name == "drop") return FaultPolicy::kDrop;
@@ -77,7 +78,7 @@ void FaultModel::storm_delta(std::uint32_t arc, int delta) noexcept {
 }
 
 void FaultModel::configure(const FaultModelConfig& config,
-                           const Topology& topology) {
+                           const Topology& topology, std::uint64_t seed) {
   RS_EXPECTS(config.arc_fault_rate >= 0.0 && config.arc_fault_rate <= 1.0);
   RS_EXPECTS(config.node_fault_rate >= 0.0 && config.node_fault_rate <= 1.0);
   RS_EXPECTS((config.mtbf > 0.0) == (config.mttr > 0.0));
@@ -87,13 +88,13 @@ void FaultModel::configure(const FaultModelConfig& config,
   config_ = config;
   num_arcs_ = topology.num_arcs();
   const std::uint32_t num_nodes = topology.num_nodes();
-  rng_.reseed(derive_stream(config.seed, config.stream_salt));
+  rng_.reseed(derive_stream(seed, kFaultStreamSalt));
 
   arc_down_.assign((num_arcs_ + 63) / 64, 0);
   node_down_.assign((num_nodes + 63) / 64, 0);
   faulty_arcs_ = 0;
   faulty_nodes_ = 0;
-  heap_.clear();
+  transitions_.clear();
   dynamic_ = config.mtbf > 0.0;
   storms_on_ = config.storm_rate > 0.0;
   if (storms_on_) {
@@ -101,17 +102,10 @@ void FaultModel::configure(const FaultModelConfig& config,
     // per-arc coverage counts; the queried arc_down_ is their OR.
     base_down_.assign(arc_down_.size(), 0);
     storm_count_.assign(num_arcs_, 0);
-    StormConfig storm_config;
-    storm_config.rate = config.storm_rate;
-    storm_config.radius = config.storm_radius;
-    storm_config.duration = config.storm_duration;
-    storm_config.seed = config.seed;
-    storms_.configure(storm_config, topology);
+    storms_.configure(config, topology, seed);
   }
-  active_ = config.arc_fault_rate > 0.0 || config.node_fault_rate > 0.0 ||
-            dynamic_ || storms_on_;
   next_transition_ = std::numeric_limits<double>::infinity();
-  if (!active_) return;
+  if (!config.any()) return;
 
   // Static arc faults, then node faults projected onto incident arcs — in
   // index order, so the sample depends only on the seed.
@@ -142,11 +136,11 @@ void FaultModel::configure(const FaultModelConfig& config,
     // down permanently — the up/down process models link flapping, and a
     // dead node must not resume forwarding while is_node_faulty() still
     // reports it dead.
-    heap_.reserve(num_arcs_);
+    transitions_.reserve(num_arcs_);
     for (std::uint32_t arc = 0; arc < num_arcs_; ++arc) {
       if ((node_killed_[arc >> 6] >> (arc & 63u)) & 1u) continue;
       const double rate = is_faulty(arc) ? 1.0 / config.mttr : 1.0 / config.mtbf;
-      heap_push({sample_exponential(rng_, rate), arc});
+      transitions_.push(sample_exponential(rng_, rate), arc);
     }
   }
   refresh_next_transition();
@@ -154,16 +148,17 @@ void FaultModel::configure(const FaultModelConfig& config,
 
 void FaultModel::advance_to(double now) {
   RS_DASSERT(dynamic_ || storms_on_);
-  while (!heap_.empty() && heap_.front().time <= now) {
-    Transition t = heap_pop();
+  while (!transitions_.empty() && transitions_.top().time <= now) {
+    const auto flip = transitions_.pop();
+    const std::uint32_t arc = flip.payload;
     // Under storms the up/down process flips the *base* state; a storm
     // covering the arc keeps the composite bit down regardless.
     const bool was_down =
-        storms_on_ ? ((base_down_[t.arc >> 6] >> (t.arc & 63u)) & 1u) != 0
-                   : is_faulty(t.arc);
-    set_arc(t.arc, !was_down);
+        storms_on_ ? ((base_down_[arc >> 6] >> (arc & 63u)) & 1u) != 0
+                   : is_faulty(arc);
+    set_arc(arc, !was_down);
     const double rate = was_down ? 1.0 / config_.mtbf : 1.0 / config_.mttr;
-    heap_push({t.time + sample_exponential(rng_, rate), t.arc});
+    transitions_.push(flip.time + sample_exponential(rng_, rate), arc);
   }
   if (storms_on_) {
     storms_.advance_to(
@@ -173,41 +168,12 @@ void FaultModel::advance_to(double now) {
 }
 
 void FaultModel::refresh_next_transition() noexcept {
-  next_transition_ = heap_.empty() ? std::numeric_limits<double>::infinity()
-                                   : heap_.front().time;
+  next_transition_ = transitions_.empty()
+                         ? std::numeric_limits<double>::infinity()
+                         : transitions_.top().time;
   if (storms_on_ && storms_.next_event_time() < next_transition_) {
     next_transition_ = storms_.next_event_time();
   }
-}
-
-void FaultModel::heap_push(Transition t) {
-  heap_.push_back(t);
-  std::size_t i = heap_.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (heap_[parent].time <= heap_[i].time) break;
-    std::swap(heap_[parent], heap_[i]);
-    i = parent;
-  }
-}
-
-FaultModel::Transition FaultModel::heap_pop() {
-  RS_DASSERT(!heap_.empty());
-  const Transition top = heap_.front();
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  std::size_t i = 0;
-  const std::size_t n = heap_.size();
-  for (;;) {
-    const std::size_t left = 2 * i + 1;
-    if (left >= n) break;
-    std::size_t child = left;
-    if (left + 1 < n && heap_[left + 1].time < heap_[left].time) child = left + 1;
-    if (heap_[i].time <= heap_[child].time) break;
-    std::swap(heap_[i], heap_[child]);
-    i = child;
-  }
-  return top;
 }
 
 }  // namespace routesim

@@ -8,7 +8,10 @@
 /// Benjamini, Ofek & Wieder, "Routing Complexity of Faulty Networks",
 /// PAPERS.md).  A `FaultModel` answers one question on the hot path —
 /// `is_faulty(arc)` — in O(1) via a bitset over the topology's dense arc
-/// indexing, and is fed from two sources:
+/// indexing.  It reads the seven fault knobs from one `FaultModelConfig`
+/// (fault/fault_config.hpp): the value the scenario's key rows write and
+/// TopologyRoutingConfig carries unchanged, with the replication seed
+/// passed beside it.  Three sources feed the bitset:
 ///
 ///   - **Static faults.**  At configure() every arc fails independently
 ///     with probability `arc_fault_rate` and every node with probability
@@ -22,7 +25,8 @@
 ///     alternates between up and down states with independent exponential
 ///     sojourns (mean `mtbf` up, mean `mttr` down), starting from the
 ///     static sample.  Arcs killed by a *node* fault are excluded — a
-///     dead node stays dead.  Transitions are kept in a binary heap; the packet
+///     dead node stays dead.  Pending transitions wait in an
+///     EventQueue (des/event_queue.hpp); the packet
 ///     kernel drives them through its control-event slot by asking for
 ///     next_transition_time() and calling advance_to(t) when that event
 ///     fires, so fault flips interleave with traffic in global time order.
@@ -44,6 +48,8 @@
 #include <string>
 #include <vector>
 
+#include "des/event_queue.hpp"
+#include "fault/fault_config.hpp"
 #include "fault/storm.hpp"
 #include "util/rng.hpp"
 
@@ -93,27 +99,17 @@ enum class FaultPolicy : std::uint8_t {
 /// The CLI name of a policy (inverse of parse_fault_policy).
 [[nodiscard]] const char* fault_policy_name(FaultPolicy policy) noexcept;
 
-struct FaultModelConfig {
-  double arc_fault_rate = 0.0;   ///< P[arc statically down], in [0, 1]
-  double node_fault_rate = 0.0;  ///< P[node down]; kills its incident arcs
-  double mtbf = 0.0;             ///< mean up-time; > 0 with mttr => dynamic
-  double mttr = 0.0;             ///< mean down-time (repair)
-  double storm_rate = 0.0;       ///< correlated storm arrivals (storm.hpp)
-  int storm_radius = 1;          ///< incidence-ball radius of a storm
-  double storm_duration = 0.0;   ///< storm lifetime; > 0 with storm_rate
-  std::uint64_t seed = 1;        ///< replication seed (stream is derived)
-  std::uint64_t stream_salt = 0xFA17;  ///< keeps fault draws off traffic streams
-};
-
 class FaultModel {
  public:
   FaultModel() = default;
 
-  /// (Re)samples the fault set over `topology`'s arcs and nodes.  Storage
-  /// is reused across replications; with all rates zero no RNG is
-  /// consumed and every query returns false.  With storms on, `topology`
-  /// must outlive the model's use (the storm process walks it).
-  void configure(const FaultModelConfig& config, const Topology& topology);
+  /// (Re)samples the fault set over `topology`'s arcs and nodes from the
+  /// model's streams of the replication `seed`.  Storage is reused across
+  /// replications; with no fault source set (config.any() false) no RNG
+  /// is consumed and every query returns false.  With storms on,
+  /// `topology` must outlive the model's use (the storm process walks it).
+  void configure(const FaultModelConfig& config, const Topology& topology,
+                 std::uint64_t seed);
 
   /// O(1): is the arc down right now?  With a dynamic process the caller
   /// (the kernel's fault control event) is responsible for having advanced
@@ -122,21 +118,13 @@ class FaultModel {
     return (arc_down_[arc >> 6] >> (arc & 63u)) & 1u;
   }
 
-  /// Convenience form of the query that first advances the dynamic
-  /// process to `now` (O(1) amortised; identical to is_faulty(arc) when
-  /// the process is static or already advanced).
-  [[nodiscard]] bool is_faulty(std::uint32_t arc, double now) {
-    if ((dynamic_ || storms_on_) && now >= next_transition_) advance_to(now);
-    return is_faulty(arc);
-  }
-
   [[nodiscard]] bool is_node_faulty(std::uint32_t node) const noexcept {
     return (node_down_[node >> 6] >> (node & 63u)) & 1u;
   }
 
-  /// True when any fault source is configured (rates or a dynamic
-  /// process); false means every query is trivially "up".
-  [[nodiscard]] bool active() const noexcept { return active_; }
+  /// FaultModelConfig::any() of the configured knobs; false means every
+  /// query is trivially "up".
+  [[nodiscard]] bool active() const noexcept { return config_.any(); }
 
   /// True when any time-driven process is running (the exponential
   /// up/down process, a storm process, or both): the kernel schedules a
@@ -158,28 +146,19 @@ class FaultModel {
   [[nodiscard]] std::uint32_t faulty_node_count() const noexcept {
     return faulty_nodes_;
   }
-  [[nodiscard]] std::uint32_t num_arcs() const noexcept { return num_arcs_; }
 
   /// The storm process (inert unless storm_rate > 0); exposed for tests
   /// and the percolation bench.
   [[nodiscard]] const StormProcess& storms() const noexcept { return storms_; }
 
  private:
-  struct Transition {
-    double time = 0.0;
-    std::uint32_t arc = 0;
-  };
-
   void set_arc(std::uint32_t arc, bool down) noexcept;
   void set_composite(std::uint32_t arc, bool down) noexcept;
   void storm_delta(std::uint32_t arc, int delta) noexcept;
   void refresh_next_transition() noexcept;
-  void heap_push(Transition t);
-  Transition heap_pop();
 
   FaultModelConfig config_{};
   Rng rng_;
-  bool active_ = false;
   bool dynamic_ = false;
   bool storms_on_ = false;
   std::uint32_t num_arcs_ = 0;
@@ -196,8 +175,8 @@ class FaultModel {
   std::vector<std::uint64_t> base_down_;
   std::vector<std::uint16_t> storm_count_;
   StormProcess storms_;
-  std::vector<Transition> heap_;          ///< min-heap on time (dynamic mode)
-  double next_transition_ = 0.0;          ///< heap top (+inf when static)
+  EventQueue<std::uint32_t> transitions_;  ///< arc flips (dynamic mode)
+  double next_transition_ = 0.0;  ///< earliest flip or storm event (+inf when static)
   std::vector<std::uint32_t> scratch_;    ///< incident-arc buffer
 };
 

@@ -10,11 +10,14 @@
 
 namespace routesim {
 
-void StormProcess::configure(const StormConfig& config,
-                             const Topology& topology) {
-  RS_EXPECTS(config.rate >= 0.0);
-  RS_EXPECTS(config.radius >= 0);
-  RS_EXPECTS((config.rate > 0.0) == (config.duration > 0.0));
+/// Keeps storm draws off every other stream of the replication.
+constexpr std::uint64_t kStormStreamSalt = 0x5709;
+
+void StormProcess::configure(const FaultModelConfig& config,
+                             const Topology& topology, std::uint64_t seed) {
+  RS_EXPECTS(config.storm_rate >= 0.0);
+  RS_EXPECTS(config.storm_radius >= 0);
+  RS_EXPECTS((config.storm_rate > 0.0) == (config.storm_duration > 0.0));
   config_ = config;
   topology_ = &topology;
   active_.clear();
@@ -24,9 +27,9 @@ void StormProcess::configure(const StormConfig& config,
     next_event_ = next_arrival_;
     return;
   }
-  rng_.reseed(derive_stream(config.seed, config.stream_salt));
+  rng_.reseed(derive_stream(seed, kStormStreamSalt));
   visited_.assign((topology.num_nodes() + 63) / 64, 0);
-  next_arrival_ = sample_exponential(rng_, config.rate);
+  next_arrival_ = sample_exponential(rng_, config.storm_rate);
   next_event_ = next_arrival_;
 }
 
@@ -39,7 +42,7 @@ void StormProcess::compute_ball(std::uint32_t seed_node,
   ball_nodes_.push_back(seed_node);
   visited_[seed_node >> 6] |= std::uint64_t{1} << (seed_node & 63u);
   std::size_t level_begin = 0;
-  for (int depth = 0; depth < config_.radius; ++depth) {
+  for (int depth = 0; depth < config_.storm_radius; ++depth) {
     const std::size_t level_end = ball_nodes_.size();
     for (std::size_t i = level_begin; i < level_end; ++i) {
       const NodeId node = ball_nodes_[i];
@@ -86,12 +89,12 @@ void StormProcess::advance_to(double now, const ArcDelta& delta) {
       const auto seed_node = static_cast<std::uint32_t>(
           rng_.uniform_below(topology_->num_nodes()));
       ActiveStorm storm;
-      storm.expiry = next_arrival_ + config_.duration;
+      storm.expiry = next_arrival_ + config_.storm_duration;
       compute_ball(seed_node, storm.arcs);
       for (const std::uint32_t arc : storm.arcs) delta(arc, +1);
       active_.push_back(std::move(storm));
       ++storms_started_;
-      next_arrival_ += sample_exponential(rng_, config_.rate);
+      next_arrival_ += sample_exponential(rng_, config_.storm_rate);
       continue;
     }
     break;

@@ -10,18 +10,20 @@
 ///
 ///   - **Regional.**  Each storm picks a uniformly random seed node and
 ///     takes down every arc incident to the seed's *incidence ball* of
-///     radius `radius` — the set of nodes within `radius` hops of the
+///     radius `storm_radius` — the set of nodes within `radius` hops of the
 ///     seed, a hop being an out-arc of the scenario's Topology (walked in
 ///     port order).  Radius 0 downs the seed's own in/out arcs; radius 1
 ///     additionally downs its out-neighbours' arcs, and so on.
 ///
 ///   - **Temporally bursty.**  Storm arrivals form a Poisson process of
-///     rate `rate`; each storm lives for exactly `duration` and then
+///     rate `storm_rate`; each storm lives for exactly `storm_duration` and then
 ///     passes, restoring the arcs it (alone) covered.  Overlapping storms
 ///     stack: an arc is storm-covered while *any* active storm covers it,
 ///     tracked by a per-arc coverage count.
 ///
-/// The process owns its RNG stream (salted off the replication seed), so
+/// The process reads its three knobs from the shared FaultModelConfig
+/// (fault/fault_config.hpp), the same value the scenario's key rows write.
+/// It owns its RNG stream (salted off the replication seed), so
 /// scenarios with `storm_rate=0` consume zero storm randomness and remain
 /// bit-identical to their storm-free pins.  `FaultModel` composes storm
 /// coverage with its own static/dynamic state by OR — see
@@ -37,19 +39,12 @@
 #include <functional>  // ArcDelta
 #include <vector>
 
+#include "fault/fault_config.hpp"
 #include "util/rng.hpp"
 
 namespace routesim {
 
 class Topology;
-
-struct StormConfig {
-  double rate = 0.0;      ///< storm arrivals per unit time (Poisson)
-  int radius = 1;         ///< incidence-ball radius around the seed node
-  double duration = 0.0;  ///< storm lifetime; > 0 whenever rate > 0
-  std::uint64_t seed = 1; ///< replication seed (stream is derived)
-  std::uint64_t stream_salt = 0x5709;  ///< keeps storm draws off other streams
-};
 
 class StormProcess {
  public:
@@ -60,12 +55,15 @@ class StormProcess {
   StormProcess() = default;
 
   /// (Re)starts the process at time 0 with no active storms on
-  /// `topology`, which must outlive the process's use.  Storage is reused
-  /// across replications.  With rate == 0 the process is inert: no RNG is
-  /// consumed and next_event_time() is +infinity.
-  void configure(const StormConfig& config, const Topology& topology);
+  /// `topology`, which must outlive the process's use; its stream derives
+  /// from the replication `seed`.  Reads storm_rate, storm_radius and
+  /// storm_duration.  Storage is reused across replications.  With
+  /// storm_rate == 0 the process is inert: no RNG is consumed and
+  /// next_event_time() is +infinity.
+  void configure(const FaultModelConfig& config, const Topology& topology,
+                 std::uint64_t seed);
 
-  [[nodiscard]] bool active() const noexcept { return config_.rate > 0.0; }
+  [[nodiscard]] bool active() const noexcept { return config_.storm_rate > 0.0; }
 
   /// Time of the next arrival or expiry (+infinity when inert).
   [[nodiscard]] double next_event_time() const noexcept { return next_event_; }
@@ -75,7 +73,7 @@ class StormProcess {
   void advance_to(double now, const ArcDelta& delta);
 
   /// The arcs a storm seeded at `seed_node` covers: the union of arcs
-  /// incident to the ball of nodes within `radius` hops (sorted, unique).
+  /// incident to the ball of nodes within `storm_radius` hops (sorted, unique).
   /// Exposed for tests and for the percolation bench.
   [[nodiscard]] std::vector<std::uint32_t> ball_arcs(std::uint32_t seed_node);
 
@@ -97,7 +95,7 @@ class StormProcess {
   void compute_ball(std::uint32_t seed_node, std::vector<std::uint32_t>& out);
   void refresh_next_event() noexcept;
 
-  StormConfig config_{};
+  FaultModelConfig config_{};
   Rng rng_;
   const Topology* topology_ = nullptr;
   double next_arrival_ = 0.0;

@@ -9,9 +9,9 @@
 
 namespace routesim::obs {
 
-ProgressMeter::ProgressMeter(Options options) : options_(options) {
+ProgressMeter::ProgressMeter(bool force) {
   tty_ = ::isatty(::fileno(stderr)) == 1;
-  active_ = tty_ || options_.force;
+  active_ = tty_ || force;
 }
 
 ProgressMeter::~ProgressMeter() { stop_thread(); }
@@ -26,8 +26,7 @@ void ProgressMeter::on_begin(const Campaign& campaign) {
   computed_wall_s_.store(0.0, std::memory_order_relaxed);
   start_ = std::chrono::steady_clock::now();
   heartbeat_ = std::jthread([this](std::stop_token token) {
-    const auto period = std::chrono::duration<double>(
-        std::max(options_.period_s, 0.05));
+    constexpr auto period = std::chrono::duration<double>(0.5);
     std::unique_lock<std::mutex> lock(wake_mutex_);
     while (!wake_.wait_for(lock, token, period, [&] {
       return token.stop_requested();

@@ -9,10 +9,10 @@
 ///
 /// The meter is presentation only: it reads atomics the sink updates and
 /// the engine's published gauges, and never touches scheduling, RNG, or
-/// results.  By default it activates only when stderr is a TTY (so piped
-/// or CI runs stay clean); `Options::force` overrides that, switching
-/// from in-place `\r` rewriting to one full line per heartbeat so logs
-/// stay readable.
+/// results.  A heartbeat line comes every 0.5 s.  By default the meter
+/// activates only when stderr is a TTY (so piped or CI runs stay clean);
+/// `force` overrides that, switching from in-place `\r` rewriting to one
+/// full line per heartbeat so logs stay readable.
 
 #include <atomic>
 #include <chrono>
@@ -28,13 +28,8 @@ namespace routesim::obs {
 
 class ProgressMeter final : public ResultSink {
  public:
-  struct Options {
-    bool force = false;     ///< heartbeat even when stderr is not a TTY
-    double period_s = 0.5;  ///< rate limit between heartbeat lines
-  };
-
-  ProgressMeter() : ProgressMeter(Options()) {}
-  explicit ProgressMeter(Options options);
+  /// `force`: heartbeat even when stderr is not a TTY.
+  explicit ProgressMeter(bool force = false);
   ~ProgressMeter() override;
 
   /// False when stderr is not a TTY and force is off — callers then skip
@@ -50,7 +45,6 @@ class ProgressMeter final : public ResultSink {
   void print_heartbeat(bool final_line);
   void stop_thread();
 
-  Options options_;
   bool active_ = false;
   bool tty_ = false;
   std::string name_ = "campaign";

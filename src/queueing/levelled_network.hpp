@@ -35,6 +35,7 @@
 
 #include "des/event_queue.hpp"
 #include "des/packet_kernel.hpp"
+#include "stats/little.hpp"
 #include "stats/summary.hpp"
 #include "util/rng.hpp"
 
@@ -178,6 +179,11 @@ class LevelledNetwork {
 
   /// Observed departure throughput over the window.
   [[nodiscard]] double throughput() const noexcept { return stats_.throughput(); }
+
+  /// Little's-law self check over the window (KernelStats::little_check).
+  [[nodiscard]] LittleCheck little_check() const noexcept {
+    return stats_.little_check();
+  }
 
   /// Cumulative departure counts at the requested checkpoints.
   [[nodiscard]] const std::vector<std::uint64_t>& checkpoint_departures() const noexcept {

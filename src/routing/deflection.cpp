@@ -30,7 +30,7 @@ void DeflectionSim::reset(TopologyRoutingConfig config) {
   for (auto& residents : resident_) residents.clear();
   for (auto& waiting : injection_) waiting.clear();
   productive_ = deflected_ = backlog_ = 0;
-  net_.configure_faults(config_, fault_model_);
+  fault_model_.configure(config_.faults, net_.topology(), config_.seed);
   fault_active_ = fault_model_.active();
 
   // Tail metrics (delay_p50/p99) come from the delay histogram.
@@ -194,30 +194,16 @@ void register_deflection_scheme(SchemeRegistry& registry) {
        // Deflection is natively fault-aware (dead arcs are permanently busy
        // ports), so it reads no fault_policy: only the default is accepted.
        .compile = [](const Scenario& s) {
-         const FaultPolicy fault_policy =
-             s.faults_active() ? FaultPolicy::kDrop : FaultPolicy::kNone;
          const auto perm = s.shared_permutation_table();
          const Window window = s.resolved_window();
-         std::optional<DestinationDistribution> law;
-         if (s.topology_spec().name == "hypercube") law = s.make_destinations();
+         const TopologyRoutingConfig config =
+             routing_config(s, s.topology_spec().name, perm.get());
          CompiledScenario compiled;
-         compiled.replicate = [s, spec = s.topology_spec(), window,
-                               fault_policy, perm,
-                               law](std::uint64_t seed, int) {
-           TopologyRoutingConfig config;
-           config.spec = spec;
-           config.lambda = s.lambda;
-           config.seed = seed;
-           config.destinations = law;
-           config.fixed_destinations = perm.get();
-           if (fault_policy != FaultPolicy::kNone) {
-             config.arc_fault_rate = s.fault_rate;
-             config.node_fault_rate = s.node_fault_rate;
-             config.fault_mtbf = s.fault_mtbf;
-             config.fault_mttr = s.fault_mttr;
-             config.ttl = s.ttl;
-           }
-           DeflectionSim& sim = reusable_sim<DeflectionSim>(std::move(config));
+         // perm owns the table the config points at.
+         compiled.replicate = [config, window, perm](std::uint64_t seed, int) {
+           TopologyRoutingConfig run = config;
+           run.seed = seed;
+           DeflectionSim& sim = reusable_sim<DeflectionSim>(std::move(run));
            const auto warmup_slots = static_cast<std::uint64_t>(window.warmup);
            const auto num_slots = static_cast<std::uint64_t>(window.horizon);
            sim.run(warmup_slots, num_slots);

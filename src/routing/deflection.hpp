@@ -26,7 +26,10 @@
 /// is never free, so resident packets route around it with the
 /// productive-then-deflect rule.  Packets are fault-dropped when their
 /// node has no free live port in a slot, when they are generated at a dead
-/// node, or when their hop count reaches the TTL.
+/// node, or when their hop count reaches the TTL.  A `deflection` cell's
+/// config comes from routing_config (routing/topology_greedy.hpp), the
+/// builder the greedy schemes share; its `faults` go to the FaultModel as
+/// they are, and no fault_policy is read.
 
 #include <cstdint>
 #include <deque>
@@ -42,7 +45,7 @@ namespace routesim {
 class DeflectionSim {
  public:
   /// Reads spec, lambda (packets per node per slot), seed, destinations,
-  /// fixed_destinations, the fault rates and ttl; the greedy-only fields
+  /// fixed_destinations, faults and ttl; the greedy-only fields
   /// (trace, slot, valiant, buffer_capacity, service_order,
   /// dimension_order) must stay at their defaults.
   explicit DeflectionSim(TopologyRoutingConfig config);
@@ -76,13 +79,6 @@ class DeflectionSim {
   /// Deliveries per slot over the measurement window.
   [[nodiscard]] double throughput() const noexcept { return stats_.throughput(); }
 
-  /// Packets lost to faults (dead node, no live port, TTL) in the window.
-  [[nodiscard]] std::uint64_t fault_drops_in_window() const noexcept {
-    return stats_.fault_drops_in_window();
-  }
-  [[nodiscard]] double delivery_ratio() const noexcept {
-    return stats_.delivery_ratio();
-  }
   /// The attached fault model (inactive without fault rates).
   [[nodiscard]] const FaultModel& fault_model() const noexcept {
     return fault_model_;

@@ -19,9 +19,7 @@ void RoutedNetwork::configure(const TopologyRoutingConfig& config) {
   num_nodes_ = topo_->num_nodes();
   layout_ = topo_->traffic_layout();
   diameter_ = std::max(1, topo_->diameter());
-  // The XOR-mask law acts on d-bit identities: the cube's nodes and the
-  // butterfly's rows.
-  if (topo_->name() == "hypercube" || topo_->name() == "butterfly") {
+  if (takes_xor_mask_law(topo_->name())) {
     law_ = config.destinations.value_or(
         DestinationDistribution::uniform(config.spec.d));
     RS_EXPECTS_MSG(law_->dimension() == config.spec.d,
@@ -37,20 +35,6 @@ void RoutedNetwork::configure(const TopologyRoutingConfig& config) {
                  "fixed-destination table must have one entry per source");
   // Hop counters are 16-bit; a larger TTL could never fire (wraparound).
   ttl_ = std::min(config.ttl > 0 ? config.ttl : 64 * diameter_, 65535);
-}
-
-void RoutedNetwork::configure_faults(const TopologyRoutingConfig& config,
-                                     FaultModel& faults) const {
-  FaultModelConfig model;
-  model.arc_fault_rate = config.arc_fault_rate;
-  model.node_fault_rate = config.node_fault_rate;
-  model.mtbf = config.fault_mtbf;
-  model.mttr = config.fault_mttr;
-  model.storm_rate = config.storm_rate;
-  model.storm_radius = config.storm_radius;
-  model.storm_duration = config.storm_duration;
-  model.seed = config.seed;
-  faults.configure(model, *topo_);
 }
 
 TopologyGreedySim::TopologyGreedySim(TopologyRoutingConfig config)
@@ -78,12 +62,7 @@ void TopologyGreedySim::configure_kernel() {
                    "slot length must satisfy: 1/slot integer, slot <= 1 (§3.4)");
   }
   fault_active_ = config_.fault_policy != FaultPolicy::kNone;
-  RS_EXPECTS_MSG(fault_active_ || (config_.arc_fault_rate == 0.0 &&
-                                   config_.node_fault_rate == 0.0 &&
-                                   config_.fault_mtbf == 0.0 &&
-                                   config_.fault_mttr == 0.0 &&
-                                   config_.storm_rate == 0.0 &&
-                                   config_.storm_duration == 0.0),
+  RS_EXPECTS_MSG(fault_active_ || !config_.faults.any(),
                  "fault rates need a fault_policy");
 
   const Topology& topo = net_.topology();
@@ -112,7 +91,7 @@ void TopologyGreedySim::configure_kernel() {
     enable_delay_tail_tracking(kernel.stats, net_.diameter());
   }
   if (fault_active_) {
-    net_.configure_faults(config_, fault_model_);
+    fault_model_.configure(config_.faults, topo, config_.seed);
     kernel.fault_model = &fault_model_;
   }
   kernel_.configure(kernel);
@@ -315,14 +294,12 @@ CompiledScenario compile_routing(const Scenario& s, Routing routing) {
   const bool butterfly = routing == Routing::kButterfly;
   // SchemeInfo::check has admitted the topology, workload and fault
   // knobs; the permutation table and the trace are built here, so
-  // their errors too surface before the worker fan-out.
+  // their errors too surface before the worker fan-out.  "native" is the
+  // butterfly here.
   const std::string family = butterfly ? "butterfly" : s.topology_spec().name;
   const auto perm = s.shared_permutation_table();
   const auto replay = s.shared_trace();
   const Window window = s.resolved_window();
-  const FaultPolicy fault_policy = s.faults_active()
-                                       ? parse_fault_policy(s.fault_policy)
-                                       : FaultPolicy::kNone;
   // §3.4's slots divide the unit service time; any other tau would fail
   // the simulator's precondition inside a worker.
   const double slots = s.tau > 0.0 ? 1.0 / s.tau : 0.0;
@@ -331,53 +308,40 @@ CompiledScenario compile_routing(const Scenario& s, Routing routing) {
                         "scheme '" + s.scheme + "' needs tau <= 1 with 1/tau "
                         "an integer (§3.4), or tau=0 for continuous time");
   }
-  std::optional<DestinationDistribution> law;
-  if (family == "hypercube" || family == "butterfly") {
-    law = s.make_destinations();
-  }
   const bool max_queue = perm != nullptr && !valiant;
 
+  TopologyRoutingConfig config = routing_config(s, family, perm.get());
+  config.slot = s.tau;  // 0 under valiant (SchemeInfo::check)
+  config.valiant = valiant;
+  config.buffer_capacity = s.buffer_capacity;
+  // Greedy permutation runs track occupancy for max_queue.
+  config.track_occupancy = max_queue;
+  // Tail metrics (delay_p50/p99) come from the delay histogram.
+  config.track_delay_histogram = true;
+  if (s.faults_active()) {
+    config.fault_policy = parse_fault_policy(s.fault_policy);
+  }
+  // Every replication replays an external trace file's recorded stream;
+  // workload=trace without one regenerates a trace per replication seed.
+  config.trace = replay.get();
+  const bool regenerate_trace = replay == nullptr && s.workload == "trace";
+
   CompiledScenario compiled;
-  compiled.replicate = [s, routing, max_queue, window, fault_policy, perm,
-                        replay, law](std::uint64_t seed, int) {
-    TopologyRoutingConfig config;
-    config.spec = s.topology_spec();
-    // "native" is the butterfly here.
-    if (routing == Routing::kButterfly) config.spec.name = "butterfly";
-    config.lambda = s.lambda;
-    config.seed = seed;
-    config.destinations = law;
-    config.fixed_destinations = perm.get();
-    config.slot = s.tau;  // 0 under valiant (SchemeInfo::check)
-    config.valiant = routing == Routing::kValiant;
-    config.buffer_capacity = s.buffer_capacity;
-    // Greedy permutation runs track occupancy for max_queue.
-    config.track_occupancy = max_queue;
-    // Tail metrics (delay_p50/p99) come from the delay histogram.
-    config.track_delay_histogram = true;
-    if (fault_policy != FaultPolicy::kNone) {
-      config.fault_policy = fault_policy;
-      config.arc_fault_rate = s.fault_rate;
-      config.node_fault_rate = s.node_fault_rate;
-      config.fault_mtbf = s.fault_mtbf;
-      config.fault_mttr = s.fault_mttr;
-      config.storm_rate = s.storm_rate;
-      config.storm_radius = s.storm_radius;
-      config.storm_duration = s.storm_duration;
-      config.ttl = s.ttl;
-    }
+  // perm and replay own the tables the config points at.
+  compiled.replicate = [config, window, max_queue, regenerate_trace, perm,
+                        replay](std::uint64_t seed, int) {
+    TopologyRoutingConfig run = config;
+    run.seed = seed;
     // Thread-local so the cached sim's trace pointer stays valid for the
     // sim's whole lifetime (and the buffers are reused per rep).
     thread_local PacketTrace trace;
-    if (replay != nullptr) {
-      // External trace file: every replication replays the same recorded
-      // packet stream (the shared_ptr outlives the sims).
-      config.trace = replay.get();
-    } else if (s.workload == "trace") {
-      trace = generate_hypercube_trace(s.d, s.lambda, *law, window.horizon, seed);
-      config.trace = &trace;
+    if (regenerate_trace) {
+      trace = generate_hypercube_trace(config.spec.d, config.lambda,
+                                       *config.destinations, window.horizon,
+                                       seed);
+      run.trace = &trace;
     }
-    TopologyGreedySim& sim = reusable_sim<TopologyGreedySim>(std::move(config));
+    TopologyGreedySim& sim = reusable_sim<TopologyGreedySim>(std::move(run));
     sim.run(window.warmup, window.horizon);
     const KernelStats& stats = sim.kernel_stats();
     std::vector<double> metrics{
@@ -428,6 +392,20 @@ CompiledScenario compile_routing(const Scenario& s, Routing routing) {
 }
 
 }  // namespace
+
+TopologyRoutingConfig routing_config(const Scenario& s,
+                                     const std::string& family,
+                                     const std::vector<NodeId>* fixed_destinations) {
+  TopologyRoutingConfig config;
+  config.spec = s.topology_spec();
+  config.spec.name = family;
+  config.lambda = s.lambda;
+  if (takes_xor_mask_law(family)) config.destinations = s.make_destinations();
+  config.fixed_destinations = fixed_destinations;
+  config.faults = s.faults;
+  config.ttl = s.ttl;
+  return config;
+}
 
 CompiledScenario compile_topology_greedy(const Scenario& s) {
   return compile_routing(s, Routing::kGreedy);

@@ -28,7 +28,12 @@
 ///
 /// What each scheme accepts on which family is its SchemeInfo capability
 /// row, checked by the engine before compiling (core/registry.hpp); those
-/// limits live only there, not in the simulators.
+/// limits live only there, not in the simulators.  A cell of any of the
+/// four schemes (the three above and `deflection`) builds its
+/// TopologyRoutingConfig once, in routing_config; each replication copies
+/// it and sets only its seed (and, for a regenerated trace, the trace).
+/// The fault knobs travel in it as the scenario's one FaultModelConfig,
+/// which the simulator hands to FaultModel::configure.
 
 #include <cstdint>
 #include <memory>
@@ -98,16 +103,10 @@ struct TopologyRoutingConfig {
   /// Greedy: kNone = the pristine path; kDrop / kSkipDim / kDeflect /
   /// kAdaptive / kTwinDetour route around (or drop at) dead arcs within
   /// the current phase.  Deflection ignores it: a dead arc is a port that is never
-  /// free, so the rates alone switch its fault model on.
+  /// free, so the knobs alone switch its fault model on.
   FaultPolicy fault_policy = FaultPolicy::kNone;
-  double arc_fault_rate = 0.0;
-  double node_fault_rate = 0.0;
-  double fault_mtbf = 0.0;  ///< mean link up-time (> 0 with mttr => dynamic)
-  double fault_mttr = 0.0;  ///< mean link repair time
-  /// Greedy: correlated fault storms (src/fault/storm.hpp).
-  double storm_rate = 0.0;
-  int storm_radius = 1;
-  double storm_duration = 0.0;
+  /// The fault knobs, handed to FaultModel::configure as they are.
+  FaultModelConfig faults;
   int ttl = 0;  ///< max hops for detouring packets; 0 = 64 * diameter
 };
 
@@ -127,18 +126,20 @@ inline constexpr StreamSalts kGreedySalts{0xC0BE, 0xBF17, 0x7090};
 inline constexpr StreamSalts kValiantSalts{0x3A1A, 0x7091, 0x7091};
 inline constexpr StreamSalts kDeflectionSalts{0xDEF1, 0xDEF2, 0xDEF2};
 
+/// True for the families whose terminals are d-bit identities (the cube's
+/// nodes, the butterfly's rows): the only ones an XOR-mask destination law
+/// acts on.
+[[nodiscard]] inline bool takes_xor_mask_law(const std::string& family) {
+  return family == "hypercube" || family == "butterfly";
+}
+
 /// What both topology-parametric simulators resolve from their config in
 /// the same way: the topology and its traffic layout, the destination
-/// law, the TTL, the fault model and the destination draw.
+/// law, the TTL and the destination draw.
 class RoutedNetwork {
  public:
   /// Builds the topology and checks the config against it.
   void configure(const TopologyRoutingConfig& config);
-
-  /// (Re)samples `faults` from the config's rates over this topology: a
-  /// node fault downs its incident arcs, a storm grows over out-neighbours.
-  void configure_faults(const TopologyRoutingConfig& config,
-                        FaultModel& faults) const;
 
   [[nodiscard]] const Topology& topology() const noexcept { return *topo_; }
   [[nodiscard]] std::uint32_t num_nodes() const noexcept { return num_nodes_; }
@@ -252,8 +253,18 @@ class TopologyGreedySim {
 };
 
 struct CompiledScenario;
-class Scenario;
+struct Scenario;
 class SchemeRegistry;
+
+/// The config of one cell of `hypercube_greedy`, `butterfly_greedy`,
+/// `valiant_mixing` or `deflection`, built once at compile time: the
+/// scenario's topology spec with `family` as its name, lambda, the
+/// XOR-mask law where the family takes one, `fixed_destinations` (the
+/// cell's permutation table, owned by the caller, or null), the fault
+/// knobs and the TTL.  Each replication copies it and sets its seed.
+[[nodiscard]] TopologyRoutingConfig routing_config(
+    const Scenario& s, const std::string& family,
+    const std::vector<NodeId>* fixed_destinations);
 
 /// The compile hook of `hypercube_greedy` on every topology: greedy on
 /// TopologyGreedySim with the scheme's metric layout and extras (plus

@@ -418,8 +418,8 @@ TEST(KernelParity, ButterflyTwinDetourPinned) {
       butterfly_config(6, 0.6, DestinationDistribution::bit_flip(6, 0.4), 43);
   config.track_occupancy = true;
   config.fault_policy = FaultPolicy::kTwinDetour;
-  config.arc_fault_rate = 0.05;
-  config.node_fault_rate = 0.01;
+  config.faults.arc_fault_rate = 0.05;
+  config.faults.node_fault_rate = 0.01;
   const auto run_pinned = [](const TopologyRoutingConfig& c) {
     TopologyGreedySim sim(c);
     sim.run(50.0, 550.0);
@@ -482,7 +482,7 @@ TEST(KernelParity, DeflectionFaultConfigAtZeroRateIsBitIdentical) {
        static_cast<double>(sim.deliveries_in_window())},
       {0x1.81734f0c54203p+1, 0x1.81734f0c54203p+1, 0x1.450c0ff29780ap-9,
        0x1.4p+2, 0x1.8d2p+11});
-  EXPECT_EQ(sim.fault_drops_in_window(), 0u);
+  EXPECT_EQ(sim.kernel_stats().fault_drops_in_window(), 0u);
 }
 
 // reset() + rerun must reproduce a fresh construction exactly — this is the
@@ -633,9 +633,9 @@ TEST(KernelParity, HypercubeStormPinned) {
   TopologyRoutingConfig config =
       cube_config(6, 0.5, DestinationDistribution::uniform(6), 31);
   config.fault_policy = FaultPolicy::kSkipDim;
-  config.storm_rate = 0.05;
-  config.storm_radius = 1;
-  config.storm_duration = 20.0;
+  config.faults.storm_rate = 0.05;
+  config.faults.storm_radius = 1;
+  config.faults.storm_duration = 20.0;
   TopologyGreedySim sim(config);
   sim.run(50.0, 550.0);
   const KernelStats& stats = sim.kernel_stats();
@@ -654,7 +654,7 @@ TEST(KernelParity, HypercubeAdaptivePinned) {
   TopologyRoutingConfig config =
       cube_config(6, 0.5, DestinationDistribution::uniform(6), 37);
   config.fault_policy = FaultPolicy::kAdaptive;
-  config.arc_fault_rate = 0.15;
+  config.faults.arc_fault_rate = 0.15;
   TopologyGreedySim sim(config);
   sim.run(50.0, 550.0);
   const KernelStats& stats = sim.kernel_stats();
@@ -673,9 +673,9 @@ TEST(KernelParity, ValiantStormAdaptivePinned) {
       cube_config(6, 0.3, DestinationDistribution::uniform(6), 41);
   config.valiant = true;
   config.fault_policy = FaultPolicy::kAdaptive;
-  config.storm_rate = 0.04;
-  config.storm_radius = 1;
-  config.storm_duration = 15.0;
+  config.faults.storm_rate = 0.04;
+  config.faults.storm_radius = 1;
+  config.faults.storm_duration = 15.0;
   TopologyGreedySim sim(config);
   sim.run(50.0, 550.0);
   expect_exact(
@@ -687,6 +687,54 @@ TEST(KernelParity, ValiantStormAdaptivePinned) {
       {0x1.14a54f963b133p+3, 0x1.a1574f212232ep+2, 0x1.3b1ae2555d27p+7,
        0x1.146a7ef9db22dp+4, 0x1.cc1e41695c93ep-1, 0x1.189216ef22c5ep+0,
        0x1.e7p+9, 0x1.0dfp+13});
+}
+
+// --- dynamic-fault pins ---------------------------------------------------
+//
+// Captured from tools/capture_parity.cpp before the up/down process moved
+// onto des/event_queue.hpp: they freeze the process's RNG stream (salt
+// 0xFA17), its transition order, its node-kill exclusion, and the kernel's
+// and the deflection slot loop's way of driving it.
+
+TEST(KernelParity, HypercubeDynamicSkipDimPinned) {
+  TopologyRoutingConfig config =
+      cube_config(6, 0.5, DestinationDistribution::uniform(6), 47);
+  config.fault_policy = FaultPolicy::kSkipDim;
+  config.faults.mtbf = 100.0;
+  config.faults.mttr = 10.0;
+  TopologyGreedySim sim(config);
+  sim.run(50.0, 550.0);
+  const KernelStats& stats = sim.kernel_stats();
+  expect_exact(
+      {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
+       sim.throughput(), stats.delivery_ratio(), stats.mean_stretch(),
+       static_cast<double>(stats.fault_drops_in_window()),
+       static_cast<double>(stats.deliveries_in_window()),
+       static_cast<double>(sim.fault_model().faulty_arc_count())},
+      {0x1.2075caeab5298p+2, 0x1.c06ff30afb2bp+1, 0x1.218feb4b83abp+7,
+       0x1.f9cac083126e9p+4, 0x1p+0, 0x1.3140ad5d996b1p+0, 0x0p+0,
+       0x1.edfp+13, 0x1.dp+4});
+}
+
+TEST(KernelParity, DeflectionDynamicFaultsPinned) {
+  TopologyRoutingConfig config =
+      cube_config(6, 0.05, DestinationDistribution::uniform(6), 53);
+  config.ttl = 8;
+  config.faults.mtbf = 100.0;
+  config.faults.mttr = 10.0;
+  DeflectionSim sim(config);
+  sim.run(50, 1050);
+  const KernelStats& stats = sim.kernel_stats();
+  expect_exact(
+      {sim.delay().mean(), sim.hops().mean(), sim.deflection_fraction(),
+       static_cast<double>(sim.injection_backlog()),
+       static_cast<double>(sim.deliveries_in_window()),
+       stats.delivery_ratio(), stats.mean_stretch(),
+       static_cast<double>(stats.fault_drops_in_window()),
+       static_cast<double>(sim.fault_model().faulty_arc_count())},
+      {0x1.940709f8cb205p+1, 0x1.940709f8cb205p+1, 0x1.36f5cffde6ba6p-4,
+       0x1.4p+3, 0x1.7dep+11, 0x1.e29dd165a852cp-1, 0x1.13017c4c28c74p+0,
+       0x1.74p+7, 0x1.dp+4});
 }
 
 // --- external trace-file replay pins -------------------------------------

@@ -66,10 +66,10 @@ TEST(Scenario, FaultKeysRoundTripThroughTextualForm) {
   Scenario original;
   original.scheme = "hypercube_greedy";
   original.d = 6;
-  original.fault_rate = 0.125;
-  original.node_fault_rate = 0.0625;
-  original.fault_mtbf = 100.5;
-  original.fault_mttr = 12.25;
+  original.faults.arc_fault_rate = 0.125;
+  original.faults.node_fault_rate = 0.0625;
+  original.faults.mtbf = 100.5;
+  original.faults.mttr = 12.25;
   original.fault_policy = "skip_dim";
   original.ttl = 512;
   EXPECT_TRUE(original.faults_active());
@@ -668,9 +668,9 @@ TEST(Scenario, StormAndTraceKeysRoundTripThroughTextualForm) {
   }
   const Scenario parsed = Scenario::parse(args);
   EXPECT_EQ(parsed, original);
-  EXPECT_DOUBLE_EQ(parsed.storm_rate, 0.04);
-  EXPECT_EQ(parsed.storm_radius, 2);
-  EXPECT_DOUBLE_EQ(parsed.storm_duration, 17.5);
+  EXPECT_DOUBLE_EQ(parsed.faults.storm_rate, 0.04);
+  EXPECT_EQ(parsed.faults.storm_radius, 2);
+  EXPECT_DOUBLE_EQ(parsed.faults.storm_duration, 17.5);
   EXPECT_EQ(parsed.trace_file, "/tmp/replay.jsonl");
   EXPECT_EQ(parsed.to_string(), original.to_string());
   EXPECT_TRUE(parsed.faults_active());
@@ -766,7 +766,7 @@ TEST(SweepSpec, StormRateIsSweepable) {
   EXPECT_EQ(sweep.values().size(), 3u);
   Scenario scenario;
   apply_sweep_value(scenario, "storm_rate", 0.05);
-  EXPECT_DOUBLE_EQ(scenario.storm_rate, 0.05);
+  EXPECT_DOUBLE_EQ(scenario.faults.storm_rate, 0.05);
 }
 
 // The textual form is the persistent store's key format: pin it byte for
@@ -835,7 +835,7 @@ TEST(Scenario, BadValueNamesKeyValueAndReason) {
     EXPECT_STREQ(error.what(),
                  "bad value '1.5' for key 'fault_rate': must be in [0, 1]");
   }
-  EXPECT_DOUBLE_EQ(scenario.fault_rate, 0.0);  // nothing committed
+  EXPECT_DOUBLE_EQ(scenario.faults.arc_fault_rate, 0.0);  // nothing committed
   EXPECT_THROW(scenario.set("buffers", "-1"), ScenarioError);
   EXPECT_THROW(scenario.set("rho", "nan"), ScenarioError);
 
@@ -1152,13 +1152,13 @@ TEST(Scenario, TextAndKeyMatchTheGoldenCorpus) {
   edges.tau = -0.0;
   edges.window.warmup = -0.0;
   edges.window.horizon = std::numeric_limits<double>::denorm_min();
-  edges.fault_rate = 1e-310;
+  edges.faults.arc_fault_rate = 1e-310;
   edges.hotspot_frac = std::numeric_limits<double>::min();
   edges.lambda = 0.1 + 0.2;
   edges.p = 1.0 / 3.0;
   edges.measure = std::numeric_limits<double>::max();
-  edges.storm_rate = std::numeric_limits<double>::infinity();
-  edges.fault_mtbf = -std::numeric_limits<double>::infinity();
+  edges.faults.storm_rate = std::numeric_limits<double>::infinity();
+  edges.faults.mtbf = -std::numeric_limits<double>::infinity();
   edges.mask_pmf = {-0.0, 5e-324, 0.1 + 0.2, 2.0 / 3.0};
   EXPECT_EQ(edges.to_string(),
             "hypercube_greedy d=4 topology=native torus_dims=4x4 "

@@ -19,20 +19,18 @@
 namespace routesim {
 namespace {
 
-StormConfig storm_config(double rate, int radius, double duration,
-                         std::uint64_t seed = 7) {
-  StormConfig config;
-  config.rate = rate;
-  config.radius = radius;
-  config.duration = duration;
-  config.seed = seed;
+FaultModelConfig storm_config(double rate, int radius, double duration) {
+  FaultModelConfig config;
+  config.storm_rate = rate;
+  config.storm_radius = radius;
+  config.storm_duration = duration;
   return config;
 }
 
 TEST(Storm, InertWithZeroRateConsumesNothing) {
   const HypercubeTopology cube(4);
   StormProcess storms;
-  storms.configure(storm_config(0.0, 1, 0.0), cube);
+  storms.configure(storm_config(0.0, 1, 0.0), cube, 7);
   EXPECT_FALSE(storms.active());
   EXPECT_EQ(storms.next_event_time(), std::numeric_limits<double>::infinity());
   storms.advance_to(1e9, [](std::uint32_t, int) { FAIL() << "inert delta"; });
@@ -43,7 +41,7 @@ TEST(Storm, InertWithZeroRateConsumesNothing) {
 TEST(Storm, BallArcsRadiusZeroIsTheSeedsIncidence) {
   const HypercubeTopology cube(4);
   StormProcess storms;
-  storms.configure(storm_config(0.1, 0, 5.0), cube);
+  storms.configure(storm_config(0.1, 0, 5.0), cube, 7);
   const NodeId seed_node = 5;
   const auto arcs = storms.ball_arcs(seed_node);
   // d out-arcs + d in-arcs, all distinct.
@@ -61,7 +59,7 @@ TEST(Storm, BallArcsRadiusZeroIsTheSeedsIncidence) {
 TEST(Storm, BallArcsRadiusOneCoversTheNeighbourhood) {
   const HypercubeTopology cube(4);
   StormProcess storms;
-  storms.configure(storm_config(0.1, 1, 5.0), cube);
+  storms.configure(storm_config(0.1, 1, 5.0), cube, 7);
   const NodeId seed_node = 0;
   const auto arcs = storms.ball_arcs(seed_node);
   EXPECT_TRUE(std::is_sorted(arcs.begin(), arcs.end()));
@@ -81,7 +79,7 @@ TEST(Storm, BallArcsRadiusOneCoversTheNeighbourhood) {
 TEST(Storm, ArrivalsExpireAfterExactlyTheDuration) {
   const HypercubeTopology cube(5);
   StormProcess storms;
-  storms.configure(storm_config(0.05, 1, 10.0), cube);
+  storms.configure(storm_config(0.05, 1, 10.0), cube, 7);
   EXPECT_TRUE(storms.active());
 
   std::map<std::uint32_t, int> coverage;
@@ -122,7 +120,7 @@ TEST(Storm, ArrivalsExpireAfterExactlyTheDuration) {
 TEST(Storm, OverlappingStormsStackPerArcCounts) {
   const HypercubeTopology cube(3);  // tiny cube: storms overlap almost surely
   StormProcess storms;
-  storms.configure(storm_config(2.0, 1, 50.0, 3), cube);
+  storms.configure(storm_config(2.0, 1, 50.0), cube, 3);
   std::map<std::uint32_t, int> coverage;
   int max_count = 0;
   storms.advance_to(100.0, [&](std::uint32_t arc, int delta) {
@@ -143,7 +141,7 @@ TEST(Storm, DeterministicForSeed) {
   std::vector<std::pair<std::uint32_t, int>> a_deltas, b_deltas;
   for (auto* deltas : {&a_deltas, &b_deltas}) {
     StormProcess storms;
-    storms.configure(storm_config(0.5, 1, 8.0, 21), cube);
+    storms.configure(storm_config(0.5, 1, 8.0), cube, 21);
     storms.advance_to(200.0, [deltas](std::uint32_t arc, int delta) {
       deltas->emplace_back(arc, delta);
     });
@@ -155,11 +153,11 @@ TEST(Storm, ConfigureRejectsInconsistentKnobs) {
   const HypercubeTopology cube(4);
   StormProcess storms;
   // rate without duration (and vice versa) is a contract violation.
-  EXPECT_THROW(storms.configure(storm_config(0.5, 1, 0.0), cube),
+  EXPECT_THROW(storms.configure(storm_config(0.5, 1, 0.0), cube, 7),
                ContractViolation);
-  EXPECT_THROW(storms.configure(storm_config(0.0, 1, 5.0), cube),
+  EXPECT_THROW(storms.configure(storm_config(0.0, 1, 5.0), cube, 7),
                ContractViolation);
-  EXPECT_THROW(storms.configure(storm_config(-0.1, 1, 5.0), cube),
+  EXPECT_THROW(storms.configure(storm_config(-0.1, 1, 5.0), cube, 7),
                ContractViolation);
 }
 
@@ -172,19 +170,17 @@ TEST(Storm, FaultModelComposesStormCoverageByOr) {
   config.storm_rate = 0.3;
   config.storm_radius = 1;
   config.storm_duration = 12.0;
-  config.seed = 5;
 
   FaultModel model;
-  model.configure(config, cube);
+  model.configure(config, cube, 5);
   EXPECT_TRUE(model.active());
   EXPECT_TRUE(model.dynamic());  // storms alone make the model time-driven
 
   // The static base state, for comparison: same seed, storms off.
   FaultModelConfig base_config;
   base_config.arc_fault_rate = 0.2;
-  base_config.seed = 5;
   FaultModel base;
-  base.configure(base_config, cube);
+  base.configure(base_config, cube, 5);
   EXPECT_FALSE(base.dynamic());
 
   // The static sample must be unchanged by the storm machinery (the
@@ -230,7 +226,7 @@ TEST(Storm, FaultModelRejectsHalfConfiguredStorm) {
   FaultModelConfig config;
   config.storm_rate = 0.1;  // no duration
   FaultModel model;
-  EXPECT_THROW(model.configure(config, cube), ContractViolation);
+  EXPECT_THROW(model.configure(config, cube, 1), ContractViolation);
 }
 
 }  // namespace

@@ -189,8 +189,8 @@ int main() {
     c.slot = slot;
     c.track_occupancy = true;
     c.fault_policy = FaultPolicy::kTwinDetour;
-    c.arc_fault_rate = 0.05;
-    c.node_fault_rate = 0.01;
+    c.faults.arc_fault_rate = 0.05;
+    c.faults.node_fault_rate = 0.01;
     TopologyGreedySim sim(c);
     sim.run(50.0, 550.0);
     const KernelStats& stats = sim.kernel_stats();
@@ -335,9 +335,9 @@ int main() {
     c.destinations = DestinationDistribution::uniform(6);
     c.seed = 31;
     c.fault_policy = FaultPolicy::kSkipDim;
-    c.storm_rate = 0.05;
-    c.storm_radius = 1;
-    c.storm_duration = 20.0;
+    c.faults.storm_rate = 0.05;
+    c.faults.storm_radius = 1;
+    c.faults.storm_duration = 20.0;
     TopologyGreedySim sim(c);
     sim.run(50.0, 550.0);
     const KernelStats& stats = sim.kernel_stats();
@@ -357,7 +357,7 @@ int main() {
     c.destinations = DestinationDistribution::uniform(6);
     c.seed = 37;
     c.fault_policy = FaultPolicy::kAdaptive;
-    c.arc_fault_rate = 0.15;
+    c.faults.arc_fault_rate = 0.15;
     TopologyGreedySim sim(c);
     sim.run(50.0, 550.0);
     const KernelStats& stats = sim.kernel_stats();
@@ -377,9 +377,9 @@ int main() {
     c.seed = 41;
     c.valiant = true;
     c.fault_policy = FaultPolicy::kAdaptive;
-    c.storm_rate = 0.04;
-    c.storm_radius = 1;
-    c.storm_duration = 15.0;
+    c.faults.storm_rate = 0.04;
+    c.faults.storm_radius = 1;
+    c.faults.storm_duration = 15.0;
     TopologyGreedySim sim(c);
     sim.run(50.0, 550.0);
     emit("valiant_storm_adaptive",
@@ -434,6 +434,48 @@ int main() {
           static_cast<double>(net.checkpoint_departures()[1]),
           net.server_stats()[2].mean_occupancy,
           static_cast<double>(net.server_stats()[2].total_arrivals)});
+  }
+  {
+    // Dynamic-fault pins: the exponential up/down process (its RNG stream,
+    // transition order and node-kill exclusion) under skip_dim on the cube
+    // and under deflection with a binding TTL.
+    TopologyRoutingConfig c;
+    c.spec.d = 6;
+    c.lambda = 0.5;
+    c.destinations = DestinationDistribution::uniform(6);
+    c.seed = 47;
+    c.fault_policy = FaultPolicy::kSkipDim;
+    c.faults.mtbf = 100.0;
+    c.faults.mttr = 10.0;
+    TopologyGreedySim sim(c);
+    sim.run(50.0, 550.0);
+    const KernelStats& stats = sim.kernel_stats();
+    emit("hypercube_dynamic_skip_dim",
+         {sim.delay().mean(), sim.hops().mean(), sim.time_avg_population(),
+          sim.throughput(), stats.delivery_ratio(), stats.mean_stretch(),
+          static_cast<double>(stats.fault_drops_in_window()),
+          static_cast<double>(stats.deliveries_in_window()),
+          static_cast<double>(sim.fault_model().faulty_arc_count())});
+  }
+  {
+    TopologyRoutingConfig c;
+    c.spec.d = 6;
+    c.lambda = 0.05;
+    c.destinations = DestinationDistribution::uniform(6);
+    c.seed = 53;
+    c.ttl = 8;
+    c.faults.mtbf = 100.0;
+    c.faults.mttr = 10.0;
+    DeflectionSim sim(c);
+    sim.run(50, 1050);
+    const KernelStats& stats = sim.kernel_stats();
+    emit("deflection_dynamic",
+         {sim.delay().mean(), sim.hops().mean(), sim.deflection_fraction(),
+          static_cast<double>(sim.injection_backlog()),
+          static_cast<double>(sim.deliveries_in_window()),
+          stats.delivery_ratio(), stats.mean_stretch(),
+          static_cast<double>(stats.fault_drops_in_window()),
+          static_cast<double>(sim.fault_model().faulty_arc_count())});
   }
   return 0;
 }
